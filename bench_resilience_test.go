@@ -187,9 +187,11 @@ func benchDegradedReads(b *testing.B) {
 		}
 	}
 	// Tear the WAL and trip degraded mode with one refused tick.
-	if err := svc.InjectWALFault("c1"); err != nil {
+	cs, err := st.Get("c1")
+	if err != nil {
 		b.Fatal(err)
 	}
+	cs.InjectFault(cs.WALSize())
 	resp, err := http.Post(ts.URL+"/v1/clusters/c1/tick", "application/json", nil)
 	if err != nil {
 		b.Fatal(err)

@@ -22,8 +22,6 @@
 //	curl localhost:8080/v1/clusters/c1/report
 //	curl localhost:8080/v1/metrics
 //
-// Pre-versioning unprefixed paths still answer as deprecated aliases.
-//
 // Clusters are pinned to shards by id hash; each shard's fixed worker
 // pool drives control-loop ticks, so tick concurrency is bounded by
 // shards × workers no matter how many clusters are resident. Ticks on one

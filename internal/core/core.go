@@ -358,16 +358,24 @@ func (c *Controller) History() []Iteration {
 	return append([]Iteration(nil), c.history...)
 }
 
-// Step runs one control-loop iteration: observe → guard → ratchet targets
-// → propose → what-if → apply.
+// Step runs one control-loop iteration: observe the next interval in the
+// environment, then Apply the schedule.
 func (c *Controller) Step() (Iteration, error) {
 	iterIdx := len(c.history)
 	sched, err := c.cfg.Environment.Observe(c.current, c.cfg.Interval, iterIdx)
 	if err != nil {
 		return Iteration{}, fmt.Errorf("core: observing interval %d: %w", iterIdx, err)
 	}
+	return c.Apply(sched)
+}
+
+// Apply advances the loop one iteration on the schedule observed under
+// Current(): guard → ratchet targets → propose → what-if → apply. Nothing
+// else advances the controller — Step applies a fresh observation, crash
+// recovery a logged one.
+func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 	observed := qs.EvalStream(c.cfg.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	it := Iteration{Index: iterIdx, Config: c.current.Clone(), Observed: observed}
+	it := Iteration{Index: len(c.history), Config: c.current.Clone(), Observed: observed}
 	if c.scales == nil {
 		c.scales = make([]float64, len(observed))
 		for i, v := range observed {

@@ -66,8 +66,10 @@ type Runtime struct {
 	// Controller is nil when the spec disables the control loop.
 	Controller *core.Controller
 
-	env        *runEnv
+	env *runEnv
+	// iterations and schedules grow together, one entry per applied tick.
 	iterations []IterationReport
+	schedules  []*cluster.Schedule
 }
 
 // Build materializes a validated spec into a runnable scenario.
@@ -253,17 +255,10 @@ func (s *Spec) noiseModel(seed int64) *cluster.NoiseModel {
 	return n
 }
 
-// runEnv wraps the inner environment to apply mid-run capacity changes and
-// record every observed schedule for the report.
+// runEnv wraps the inner environment to apply mid-run capacity changes.
 type runEnv struct {
-	inner     core.Environment
-	changes   []CapacityChange
-	schedules []*cluster.Schedule
-	// injected holds pre-recorded observations (WAL-replayed schedules,
-	// oldest first) served ahead of the inner environment — the crash-
-	// recovery path re-drives the control loop against exactly what it
-	// observed before the crash instead of re-simulating it.
-	injected []*cluster.Schedule
+	inner   core.Environment
+	changes []CapacityChange
 }
 
 // capacityAt returns the effective cluster capacity at the iteration, or 0
@@ -280,20 +275,9 @@ func (e *runEnv) capacityAt(iteration int) int {
 
 // Observe implements core.Environment.
 func (e *runEnv) Observe(cfg cluster.Config, interval time.Duration, iteration int) (*cluster.Schedule, error) {
-	if len(e.injected) > 0 {
-		sched := e.injected[0]
-		e.injected = e.injected[1:]
-		e.schedules = append(e.schedules, sched)
-		return sched, nil
-	}
 	if c := e.capacityAt(iteration); c > 0 && c != cfg.TotalContainers {
 		cfg = cfg.Clone()
 		cfg.TotalContainers = c
 	}
-	sched, err := e.inner.Observe(cfg, interval, iteration)
-	if err != nil {
-		return nil, err
-	}
-	e.schedules = append(e.schedules, sched)
-	return sched, nil
+	return e.inner.Observe(cfg, interval, iteration)
 }

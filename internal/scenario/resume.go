@@ -12,17 +12,17 @@ import (
 //
 //   - a periodic Snapshot: the tick cursor, the per-iteration reports, and
 //     the controller's full state (sample cloud, RNG position, guard
-//     memory) — everything Step consults besides what Build derives from
+//     memory) — everything Apply consults besides what Build derives from
 //     the spec;
 //   - the observed schedules, recovered from the schedule-event WAL via
 //     cluster.ReplaySchedule.
 //
 // Resume rebuilds the runtime from the spec, restores the snapshot, and
-// re-drives the control loop through the WAL ticks past the snapshot
-// cursor with observations injected from the replayed schedules. Because
-// every other input of Step is a pure function of the spec, the resumed
-// runtime continues the original trajectory bit-for-bit: after the final
-// tick its Report is byte-identical to an uninterrupted Run's.
+// Applies the WAL schedules past the snapshot cursor — the same Apply a
+// live tick runs on what it just observed. Because every other input of
+// Apply is a pure function of the spec, the resumed runtime continues the
+// original trajectory bit-for-bit: after the final tick its Report is
+// byte-identical to an uninterrupted Run's.
 
 // Snapshot is the serializable checkpoint of a Runtime after Cursor
 // completed ticks.
@@ -63,8 +63,8 @@ func (rt *Runtime) Snapshot() (*Snapshot, error) {
 // before the crash (ticks 0..len(schedules), oldest first — in recovery,
 // WAL-replayed). Ticks covered by the snapshot are restored directly;
 // ticks past the snapshot cursor but covered by a schedule are re-driven
-// through the control loop with the recorded observation injected in
-// place of re-simulation. The returned runtime has StepsDone() ==
+// through Apply with the recorded schedule in place of a fresh
+// observation. The returned runtime has StepsDone() ==
 // len(schedules) and continues stepping live from there.
 //
 // A nil snap recovers from schedules alone (full re-drive). The snapshot
@@ -97,19 +97,16 @@ func Resume(spec *Spec, opts Options, snap *Snapshot, schedules []*cluster.Sched
 		}
 		cursor = snap.Cursor
 		rt.iterations = append(rt.iterations, snap.Iterations...)
-		rt.env.schedules = append(rt.env.schedules, schedules[:cursor]...)
+		rt.schedules = append(rt.schedules, schedules[:cursor]...)
 	}
-	// Re-drive the WAL tail: each Step consumes one injected observation
-	// and recomputes everything else (QS evaluation, candidate scoring,
-	// controller bookkeeping) exactly as the live run did.
-	rt.env.injected = append(rt.env.injected, schedules[cursor:]...)
-	for len(rt.iterations) < len(schedules) {
-		if _, err := rt.Step(); err != nil {
-			return nil, fmt.Errorf("scenario %s: re-driving tick %d: %w", spec.Name, len(rt.iterations), err)
+	// Re-drive the WAL tail through the same Apply live ticks use: each
+	// logged schedule stands in for the observation and everything else
+	// (QS evaluation, candidate scoring, controller bookkeeping) is
+	// recomputed exactly as the live run did.
+	for tick := cursor; tick < len(schedules); tick++ {
+		if _, err := rt.Apply(tick, schedules[tick]); err != nil {
+			return nil, fmt.Errorf("scenario %s: re-driving tick %d: %w", spec.Name, tick, err)
 		}
-	}
-	if len(rt.env.injected) != 0 {
-		return nil, fmt.Errorf("scenario %s: %d injected observations left unconsumed", spec.Name, len(rt.env.injected))
 	}
 	return rt, nil
 }

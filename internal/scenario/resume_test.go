@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"testing"
 
 	"tempo/internal/cluster"
+	"tempo/internal/linalg"
+	"tempo/internal/pald"
 )
 
 // walRoundTrip simulates recovery of an observed schedule from the
@@ -198,5 +201,117 @@ func TestResumeValidates(t *testing.T) {
 	}
 	if _, err := Resume(spec, opts, nil, over); err == nil {
 		t.Error("schedule overflow accepted")
+	}
+}
+
+// TestObserveChangesNothing: Observe is the read-only half of a tick.
+// Called twice with no Apply in between — at tick 0 and mid-run, with and
+// without the controller — it returns Equal schedules for the same tick
+// and leaves the runtime's durable state (Snapshot bytes) and its
+// observed-schedule record untouched.
+func TestObserveChangesNothing(t *testing.T) {
+	for _, name := range []string{"steady-two-tenant", "abc-mix"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := LoadFile(filepath.Join("testdata", "scenarios", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := Build(spec, Options{Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshotBytes := func() []byte {
+				snap, err := rt.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			for tick := 0; tick < 3; tick++ {
+				before := snapshotBytes()
+				t1, s1, err := rt.Observe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t2, s2, err := rt.Observe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if t1 != tick || t2 != tick {
+					t.Fatalf("Observe returned ticks %d, %d, want %d both times", t1, t2, tick)
+				}
+				if !s1.Equal(s2) {
+					t.Fatalf("tick %d: two Observes without an Apply returned different schedules", tick)
+				}
+				if !bytes.Equal(before, snapshotBytes()) {
+					t.Fatalf("tick %d: Observe changed the runtime's snapshot", tick)
+				}
+				if rt.StepsDone() != tick || rt.ObservedSchedule(tick) != nil {
+					t.Fatalf("tick %d: Observe advanced the runtime", tick)
+				}
+				if _, err := rt.Apply(t2, s2); err != nil {
+					t.Fatal(err)
+				}
+				// The observation is spent: applying it again is refused.
+				if _, err := rt.Apply(t2, s2); err == nil {
+					t.Fatalf("tick %d applied twice", tick)
+				}
+			}
+		})
+	}
+}
+
+// failOnce is a Strategy whose first Propose fails.
+type failOnce struct {
+	pald.Strategy
+	failed bool
+}
+
+func (f *failOnce) Propose(x linalg.Vector, obs []float64, n int) ([]linalg.Vector, error) {
+	if !f.failed {
+		f.failed = true
+		return nil, errors.New("injected propose failure")
+	}
+	return f.Strategy.Propose(x, obs, n)
+}
+
+// TestFailedStepRecordsNoSchedule is the regression test for the
+// observed-schedule record running ahead of the iteration record: a Step
+// whose control half fails must record nothing, so the retry's schedule
+// lands at the retry's iteration index.
+func TestFailedStepRecordsNoSchedule(t *testing.T) {
+	spec, err := LoadFile(filepath.Join("testdata", "scenarios", "steady-two-tenant.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := pald.NewRandomSearch(cluster.DefaultSpace(spec.Capacity, spec.TenantNames()).Dim(), 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := Build(spec, Options{Parallelism: 1, Strategy: &failOnce{Strategy: inner}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Step(); err == nil {
+		t.Fatal("Step succeeded through a failing Propose")
+	}
+	if rt.StepsDone() != 0 || rt.ObservedSchedule(0) != nil {
+		t.Fatalf("failed Step recorded state: %d steps, schedule 0 recorded = %v", rt.StepsDone(), rt.ObservedSchedule(0) != nil)
+	}
+	it, err := rt.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := rt.ObservedSchedule(0)
+	if it.Index != 0 || sched == nil || rt.ObservedSchedule(1) != nil {
+		t.Fatalf("retry recorded iteration %d, schedule 0 recorded = %v, schedule 1 recorded = %v",
+			it.Index, sched != nil, rt.ObservedSchedule(1) != nil)
+	}
+	if it.SubmittedJobs != len(sched.Jobs) {
+		t.Fatalf("iteration 0 reports %d jobs, its recorded schedule has %d", it.SubmittedJobs, len(sched.Jobs))
 	}
 }

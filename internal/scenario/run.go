@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"tempo/internal/cluster"
@@ -50,17 +51,49 @@ func (rt *Runtime) Done() bool {
 // StepsDone returns how many control intervals have run.
 func (rt *Runtime) StepsDone() int { return len(rt.iterations) }
 
-// Step runs one control interval — observe (and, with the controller
-// enabled, guard/propose/score/apply) — and records its iteration report.
-// It returns ErrDone once Spec.Iterations intervals have run.
+// Step runs one control interval: Observe, then Apply.
 func (rt *Runtime) Step() (IterationReport, error) {
-	i := len(rt.iterations)
-	if i >= rt.Spec.Iterations {
-		return IterationReport{}, ErrDone
+	tick, sched, err := rt.Observe()
+	if err != nil {
+		return IterationReport{}, err
 	}
-	it := IterationReport{Index: i}
+	return rt.Apply(tick, sched)
+}
+
+// Current returns the RM configuration the next interval runs under.
+func (rt *Runtime) Current() cluster.Config {
 	if rt.Controller != nil {
-		step, err := rt.Controller.Step()
+		return rt.Controller.Current()
+	}
+	return rt.Initial.Clone()
+}
+
+// Observe simulates the next control interval and returns its index and
+// schedule. It changes nothing: the schedule is a pure function of the
+// spec, Current() and the index, so observing again before Apply yields an
+// Equal schedule. It returns ErrDone once Spec.Iterations intervals ran.
+func (rt *Runtime) Observe() (int, *cluster.Schedule, error) {
+	tick := len(rt.iterations)
+	if tick >= rt.Spec.Iterations {
+		return 0, nil, ErrDone
+	}
+	sched, err := rt.env.Observe(rt.Current(), rt.Interval, tick)
+	return tick, sched, err
+}
+
+// Apply advances the scenario one interval on the schedule observed for it
+// (with the controller enabled: guard/propose/score/apply) and records the
+// iteration report and the schedule; a failed Apply records nothing.
+// Nothing else advances a runtime — live ticks apply what Observe
+// returned, crash recovery what the WAL logged. tick must be the next
+// interval.
+func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, error) {
+	if tick != len(rt.iterations) {
+		return IterationReport{}, fmt.Errorf("scenario %s: applying tick %d, expected %d", rt.Spec.Name, tick, len(rt.iterations))
+	}
+	it := IterationReport{Index: tick}
+	if rt.Controller != nil {
+		step, err := rt.Controller.Apply(sched)
 		if err != nil {
 			return IterationReport{}, err
 		}
@@ -68,14 +101,11 @@ func (rt *Runtime) Step() (IterationReport, error) {
 		it.Switched = step.Switched
 		it.Reverted = step.Reverted
 	} else {
-		sched, err := rt.env.Observe(rt.Initial, rt.Interval, i)
-		if err != nil {
-			return IterationReport{}, err
-		}
 		it.Observed = qs.EvalStream(rt.Templates, sched, 0, sched.Horizon+time.Nanosecond)
 	}
-	fillScheduleStats(&it, rt.env.schedules[i])
+	fillScheduleStats(&it, sched)
 	rt.iterations = append(rt.iterations, it)
+	rt.schedules = append(rt.schedules, sched)
 	return it, nil
 }
 
@@ -96,10 +126,10 @@ func (rt *Runtime) Search(i int) *core.SearchStats {
 // when that interval has not run yet. The schedule is shared, not copied —
 // treat it as read-only.
 func (rt *Runtime) ObservedSchedule(i int) *cluster.Schedule {
-	if i < 0 || i >= len(rt.env.schedules) {
+	if i < 0 || i >= len(rt.schedules) {
 		return nil
 	}
-	return rt.env.schedules[i]
+	return rt.schedules[i]
 }
 
 // Report assembles the canonical report over the intervals run so far.
@@ -190,10 +220,7 @@ func summarize(rep *Report, rt *Runtime) Summary {
 			sum.Improvement[i] = imp
 		}
 	}
-	final := rt.Initial
-	if rt.Controller != nil {
-		final = rt.Controller.Current()
-	}
+	final := rt.Current()
 	for _, name := range rt.Spec.TenantNames() {
 		tc := final.Tenant(name)
 		sum.FinalConfig = append(sum.FinalConfig, TenantConfigReport{

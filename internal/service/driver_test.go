@@ -1,11 +1,18 @@
 package service
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tempo"
+	"tempo/internal/linalg"
+	"tempo/internal/pald"
+	"tempo/internal/store"
 )
 
 // stubAPIClient builds an apiClient with a recorded sleep so tests
@@ -164,5 +171,74 @@ func TestRetryableCodeTable(t *testing.T) {
 		if retryableCode(code) {
 			t.Errorf("retryableCode(%q) = true, want false", code)
 		}
+	}
+}
+
+// failOnce is a Strategy whose first Propose fails.
+type failOnce struct {
+	pald.Strategy
+	failed bool
+}
+
+func (f *failOnce) Propose(x linalg.Vector, obs []float64, n int) ([]linalg.Vector, error) {
+	if !f.failed {
+		f.failed = true
+		return nil, errors.New("injected propose failure")
+	}
+	return f.Strategy.Propose(x, obs, n)
+}
+
+// TestApplyFailureAfterAppendFailStops: when the control step fails
+// after its schedule was logged, the WAL is a tick ahead of the session.
+// The cluster must fail-stop into degraded (cause attached, error NOT
+// the retryable ErrDegraded — the tick is durable), and re-arm must bring
+// the logged tick back from the store.
+func TestApplyFailureAfterAppendFailStops(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{Store: st, SnapshotEvery: 1 << 20, RecoveryProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	spec, err := SmallSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := pald.NewRandomSearch(tempo.DefaultSpace(spec.Capacity, spec.TenantNames()).Dim(), 0.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := tempo.NewSession(spec, tempo.ScenarioOptions{Parallelism: 1, Strategy: &failOnce{Strategy: inner}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := st.Create("c1", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster("c1", svc.shardFor("c1"), sess, cs)
+	svc.clusters["c1"] = c
+
+	_, _, err = svc.Tick(context.Background(), c)
+	if err == nil || errors.Is(err, ErrDegraded) {
+		t.Fatalf("tick with a failing control step returned %v, want a non-retryable error", err)
+	}
+	if !c.Degraded() || sess.Ticks() != 0 || cs.Ticks() != 1 {
+		t.Fatalf("after the failed apply: degraded=%v session ticks=%d wal ticks=%d, want true/0/1", c.Degraded(), sess.Ticks(), cs.Ticks())
+	}
+	if _, _, err := svc.Tick(context.Background(), c); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("write to the fail-stopped cluster returned %v, want ErrDegraded", err)
+	}
+	if n := svc.ProbeRecovery(); n != 1 {
+		t.Fatalf("ProbeRecovery re-armed %d clusters, want 1", n)
+	}
+	if got := c.Session().Ticks(); got != 1 {
+		t.Fatalf("re-armed session at tick %d, want the logged tick applied (1)", got)
+	}
+	if _, _, err := svc.Tick(context.Background(), c); err != nil {
+		t.Fatalf("tick after re-arm: %v", err)
 	}
 }

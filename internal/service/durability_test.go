@@ -189,7 +189,7 @@ func TestQSWindowValidation(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	spec := smallSpec(t, 2)
 	createCluster(t, ts.URL, "c1", spec)
-	if code, body := do(t, "POST", ts.URL+"/clusters/c1/tick", ""); code != http.StatusOK {
+	if code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", ""); code != http.StatusOK {
 		t.Fatalf("tick: %d: %s", code, body)
 	}
 
@@ -211,7 +211,7 @@ func TestQSWindowValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, body := do(t, "GET", ts.URL+"/clusters/c1/qs"+tc.query, "")
+			code, body := do(t, "GET", ts.URL+"/v1/clusters/c1/qs"+tc.query, "")
 			if code != tc.want {
 				t.Fatalf("GET /qs%s = %d, want %d: %s", tc.query, code, tc.want, body)
 			}

@@ -31,42 +31,27 @@ import (
 //	GET    /v1/readyz                       readiness (503 during startup recovery and Close drain)
 //	GET    /v1/metrics                      JSON counters (ticks, queries, per-shard latency quantiles)
 //
-// The pre-versioning unprefixed paths keep working as deprecated aliases
-// for one release (responses carry a Deprecation header); the query
-// endpoints are /v1-only. All bodies are JSON — POSTs with a body must
-// say so in Content-Type or get a 415. Errors are a uniform envelope
+// All bodies are JSON — POSTs with a body must say so in Content-Type or
+// get a 415. Errors are a uniform envelope
 // {"error": "...", "code": "..."} with conventional status codes (400
 // malformed input, 404 unknown cluster, 409 conflicts, 415 wrong media
 // type, 429 subscription limit, 503 shutting down); code is a stable
 // machine-readable discriminator, error the human-readable detail.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// route registers a handler under /v1 and its deprecated unversioned
-	// alias. New endpoints register with v1Only instead of growing the
-	// legacy surface.
-	route := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "version=\"v1\"")
-			h(w, r)
-		})
-	}
-	v1Only := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	route("POST", "/clusters", s.handleCreate)
-	route("GET", "/clusters", s.handleList)
-	route("GET", "/clusters/{id}", s.handleStatus)
-	route("DELETE", "/clusters/{id}", s.handleDelete)
-	route("POST", "/clusters/{id}/tick", s.handleTick)
-	route("GET", "/clusters/{id}/qs", s.handleQS)
-	route("POST", "/clusters/{id}/whatif", s.handleWhatIf)
-	route("GET", "/clusters/{id}/report", s.handleReport)
-	route("GET", "/healthz", s.handleHealthz)
-	route("GET", "/metrics", s.handleMetrics)
-	v1Only("GET", "/readyz", s.handleReadyz)
-	v1Only("POST", "/clusters/{id}/query", s.handleQuery)
-	v1Only("GET", "/clusters/{id}/query/stream", s.handleQueryStream)
+	mux.HandleFunc("POST /v1/clusters", s.handleCreate)
+	mux.HandleFunc("GET /v1/clusters", s.handleList)
+	mux.HandleFunc("GET /v1/clusters/{id}", s.handleStatus)
+	mux.HandleFunc("DELETE /v1/clusters/{id}", s.handleDelete)
+	mux.HandleFunc("POST /v1/clusters/{id}/tick", s.handleTick)
+	mux.HandleFunc("GET /v1/clusters/{id}/qs", s.handleQS)
+	mux.HandleFunc("POST /v1/clusters/{id}/whatif", s.handleWhatIf)
+	mux.HandleFunc("GET /v1/clusters/{id}/report", s.handleReport)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
+	mux.HandleFunc("POST /v1/clusters/{id}/query", s.handleQuery)
+	mux.HandleFunc("GET /v1/clusters/{id}/query/stream", s.handleQueryStream)
 	if s.cfg.Chaos != nil {
 		return s.chaosHandler(mux)
 	}
@@ -82,7 +67,7 @@ func (s *Service) Handler() http.Handler {
 func (s *Service) chaosHandler(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/v1/healthz", "/healthz", "/v1/readyz", "/v1/metrics", "/metrics":
+		case "/v1/healthz", "/v1/readyz", "/v1/metrics":
 		default:
 			if s.cfg.Chaos.ShedRequest() {
 				s.shedRequests.add(1)
@@ -118,7 +103,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch r.URL.Path {
-	case "/v1/healthz", "/healthz":
+	case "/v1/healthz":
 		writeJSON(w, http.StatusOK, map[string]any{"status": "starting"})
 	case "/v1/readyz":
 		w.Header().Set("Retry-After", "1")

@@ -58,7 +58,7 @@ func createCluster(t *testing.T, url, id string, spec *scenario.Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/clusters", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/clusters", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +113,24 @@ func TestHandlerErrors(t *testing.T) {
 		body   string
 		want   int
 	}{
-		{"create: body not JSON", "POST", "/clusters", "{", http.StatusBadRequest},
-		{"create: unknown request field", "POST", "/clusters", `{"identifier":"x"}`, http.StatusBadRequest},
-		{"create: missing spec", "POST", "/clusters", `{"id":"x"}`, http.StatusBadRequest},
-		{"create: spec fails validation", "POST", "/clusters", badSpec, http.StatusBadRequest},
-		{"create: unknown spec field", "POST", "/clusters", typoSpec, http.StatusBadRequest},
-		{"create: duplicate id", "POST", "/clusters", mustCreateBody(t, "c1", spec), http.StatusConflict},
-		{"tick: unknown cluster", "POST", "/clusters/nope/tick", "", http.StatusNotFound},
-		{"status: unknown cluster", "GET", "/clusters/nope", "", http.StatusNotFound},
-		{"report: unknown cluster", "GET", "/clusters/nope/report", "", http.StatusNotFound},
-		{"delete: unknown cluster", "DELETE", "/clusters/nope", "", http.StatusNotFound},
-		{"qs: unknown cluster", "GET", "/clusters/nope/qs", "", http.StatusNotFound},
-		{"qs: malformed from", "GET", "/clusters/c1/qs?from=yesterday", "", http.StatusBadRequest},
-		{"qs: malformed to", "GET", "/clusters/c1/qs?to=1x", "", http.StatusBadRequest},
-		{"qs: inverted window", "GET", "/clusters/c1/qs?from=10m&to=5m", "", http.StatusBadRequest},
-		{"whatif: unknown cluster", "POST", "/clusters/nope/whatif", `{"candidates":[{}]}`, http.StatusNotFound},
-		{"whatif: no candidates", "POST", "/clusters/c1/whatif", `{"candidates":[]}`, http.StatusBadRequest},
-		{"whatif: unknown tenant", "POST", "/clusters/c1/whatif", `{"candidates":[{"ghost":{"weight":2}}]}`, http.StatusBadRequest},
-		{"whatif: invalid weight", "POST", "/clusters/c1/whatif", `{"candidates":[{"deadline":{"weight":-1}}]}`, http.StatusBadRequest},
+		{"create: body not JSON", "POST", "/v1/clusters", "{", http.StatusBadRequest},
+		{"create: unknown request field", "POST", "/v1/clusters", `{"identifier":"x"}`, http.StatusBadRequest},
+		{"create: missing spec", "POST", "/v1/clusters", `{"id":"x"}`, http.StatusBadRequest},
+		{"create: spec fails validation", "POST", "/v1/clusters", badSpec, http.StatusBadRequest},
+		{"create: unknown spec field", "POST", "/v1/clusters", typoSpec, http.StatusBadRequest},
+		{"create: duplicate id", "POST", "/v1/clusters", mustCreateBody(t, "c1", spec), http.StatusConflict},
+		{"tick: unknown cluster", "POST", "/v1/clusters/nope/tick", "", http.StatusNotFound},
+		{"status: unknown cluster", "GET", "/v1/clusters/nope", "", http.StatusNotFound},
+		{"report: unknown cluster", "GET", "/v1/clusters/nope/report", "", http.StatusNotFound},
+		{"delete: unknown cluster", "DELETE", "/v1/clusters/nope", "", http.StatusNotFound},
+		{"qs: unknown cluster", "GET", "/v1/clusters/nope/qs", "", http.StatusNotFound},
+		{"qs: malformed from", "GET", "/v1/clusters/c1/qs?from=yesterday", "", http.StatusBadRequest},
+		{"qs: malformed to", "GET", "/v1/clusters/c1/qs?to=1x", "", http.StatusBadRequest},
+		{"qs: inverted window", "GET", "/v1/clusters/c1/qs?from=10m&to=5m", "", http.StatusBadRequest},
+		{"whatif: unknown cluster", "POST", "/v1/clusters/nope/whatif", `{"candidates":[{}]}`, http.StatusNotFound},
+		{"whatif: no candidates", "POST", "/v1/clusters/c1/whatif", `{"candidates":[]}`, http.StatusBadRequest},
+		{"whatif: unknown tenant", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"ghost":{"weight":2}}]}`, http.StatusBadRequest},
+		{"whatif: invalid weight", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"deadline":{"weight":-1}}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,34 +146,29 @@ func TestHandlerErrors(t *testing.T) {
 	}
 }
 
-// TestAPIVersioning pins the /v1 surface: versioned and legacy paths
-// serve the same handlers, legacy responses carry a Deprecation header,
-// versioned ones do not, POST bodies with the wrong media type are a 415
-// with the unsupported_media_type code, and error envelopes expose stable
-// machine-readable codes.
+// TestAPIVersioning pins the /v1 surface: versioned paths serve, the
+// retired unversioned aliases are 404s, POST bodies with the wrong media
+// type are a 415 with the unsupported_media_type code, and error
+// envelopes expose stable machine-readable codes.
 func TestAPIVersioning(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	spec := smallSpec(t, 0)
 	createCluster(t, ts.URL, "c1", spec)
 
 	for _, path := range []string{"/healthz", "/clusters/c1", "/metrics"} {
-		for _, prefix := range []string{"", "/v1"} {
+		for prefix, want := range map[string]int{"/v1": http.StatusOK, "": http.StatusNotFound} {
 			resp, err := http.Get(ts.URL + prefix + path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s%s: %d", prefix, path, resp.StatusCode)
-			}
-			dep := resp.Header.Get("Deprecation")
-			if prefix == "" && dep == "" {
-				t.Fatalf("GET %s: legacy path must carry a Deprecation header", path)
-			}
-			if prefix == "/v1" && dep != "" {
-				t.Fatalf("GET /v1%s: versioned path must not be deprecated", path)
+			if resp.StatusCode != want {
+				t.Fatalf("GET %s%s: %d, want %d", prefix, path, resp.StatusCode, want)
 			}
 		}
+	}
+	if code, _ := do(t, "POST", ts.URL+"/clusters/c1/tick", ""); code != http.StatusNotFound {
+		t.Fatalf("POST legacy tick: %d, want 404", code)
 	}
 
 	// A POST body that does not declare application/json is a 415.
@@ -235,7 +230,7 @@ func TestLifecycleAndDeterminism(t *testing.T) {
 	createCluster(t, ts.URL, "c1", spec)
 
 	for i := 0; i < spec.Iterations; i++ {
-		code, body := do(t, "POST", ts.URL+"/clusters/c1/tick", "")
+		code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", "")
 		if code != http.StatusOK {
 			t.Fatalf("tick %d: %d: %s", i, code, body)
 		}
@@ -250,11 +245,11 @@ func TestLifecycleAndDeterminism(t *testing.T) {
 			t.Fatalf("tick %d: done=%v, want %v", i, tick.Done, wantDone)
 		}
 	}
-	if code, body := do(t, "POST", ts.URL+"/clusters/c1/tick", ""); code != http.StatusConflict {
+	if code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", ""); code != http.StatusConflict {
 		t.Fatalf("tick past completion: got %d (%s), want 409", code, body)
 	}
 
-	code, body := do(t, "GET", ts.URL+"/clusters/c1/report", "")
+	code, body := do(t, "GET", ts.URL+"/v1/clusters/c1/report", "")
 	if code != http.StatusOK {
 		t.Fatalf("report: %d: %s", code, body)
 	}
@@ -273,7 +268,7 @@ func TestLifecycleAndDeterminism(t *testing.T) {
 	// Full-interval QS windows must reproduce the per-iteration Observed
 	// vectors exactly — the accumulator path and the control loop's
 	// evaluation are the same numbers.
-	code, body = do(t, "GET", ts.URL+"/clusters/c1/qs", "")
+	code, body = do(t, "GET", ts.URL+"/v1/clusters/c1/qs", "")
 	if code != http.StatusOK {
 		t.Fatalf("qs: %d: %s", code, body)
 	}
@@ -297,7 +292,7 @@ func TestLifecycleAndDeterminism(t *testing.T) {
 	}
 
 	// A sub-interval window clips to the touched iterations only.
-	code, body = do(t, "GET", ts.URL+"/clusters/c1/qs?from=2m30s&to=7m30s", "")
+	code, body = do(t, "GET", ts.URL+"/v1/clusters/c1/qs?from=2m30s&to=7m30s", "")
 	if code != http.StatusOK {
 		t.Fatalf("windowed qs: %d: %s", code, body)
 	}
@@ -311,10 +306,10 @@ func TestLifecycleAndDeterminism(t *testing.T) {
 		t.Fatalf("sub-window bounds not clipped: %+v", qs.Windows)
 	}
 
-	if code, _ := do(t, "DELETE", ts.URL+"/clusters/c1", ""); code != http.StatusNoContent {
+	if code, _ := do(t, "DELETE", ts.URL+"/v1/clusters/c1", ""); code != http.StatusNoContent {
 		t.Fatalf("delete: got %d, want 204", code)
 	}
-	if code, _ := do(t, "GET", ts.URL+"/clusters/c1", ""); code != http.StatusNotFound {
+	if code, _ := do(t, "GET", ts.URL+"/v1/clusters/c1", ""); code != http.StatusNotFound {
 		t.Fatalf("status after delete: got %d, want 404", code)
 	}
 }
@@ -327,7 +322,7 @@ func TestWhatIfEndpoint(t *testing.T) {
 	createCluster(t, ts.URL, "c1", smallSpec(t, 0))
 
 	req := `{"candidates":[{},{"deadline":{"weight":4}},{"deadline":{"weight":1,"min_share":2}}]}`
-	code, body := do(t, "POST", ts.URL+"/clusters/c1/whatif", req)
+	code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/whatif", req)
 	if code != http.StatusOK {
 		t.Fatalf("whatif: %d: %s", code, body)
 	}
@@ -346,7 +341,7 @@ func TestWhatIfEndpoint(t *testing.T) {
 			t.Fatalf("row %d has %d values, want %d", i, len(row), len(first.Objectives))
 		}
 	}
-	_, body2 := do(t, "POST", ts.URL+"/clusters/c1/whatif", req)
+	_, body2 := do(t, "POST", ts.URL+"/v1/clusters/c1/whatif", req)
 	var second service.WhatIfResponse
 	if err := json.Unmarshal(body2, &second); err != nil {
 		t.Fatal(err)
@@ -375,7 +370,7 @@ func TestConcurrentTicksSerialized(t *testing.T) {
 	for i := 0; i < spec.Iterations; i++ {
 		go func(slot int) {
 			defer wg.Done()
-			code, body := do(t, "POST", ts.URL+"/clusters/c1/tick", "")
+			code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", "")
 			if code != http.StatusOK {
 				t.Errorf("concurrent tick: %d: %s", code, body)
 				results[slot] = -1
@@ -398,7 +393,7 @@ func TestConcurrentTicksSerialized(t *testing.T) {
 		}
 	}
 
-	_, got := do(t, "GET", ts.URL+"/clusters/c1/report", "")
+	_, got := do(t, "GET", ts.URL+"/v1/clusters/c1/report", "")
 	seq, err := scenario.Run(spec, scenario.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +435,7 @@ func TestHammer32Goroutines(t *testing.T) {
 				var body []byte
 				switch op % 9 {
 				case 0:
-					code, body = do(t, "POST", ts.URL+"/clusters/"+id+"/tick", "")
+					code, body = do(t, "POST", ts.URL+"/v1/clusters/"+id+"/tick", "")
 					if code == http.StatusOK {
 						tickOK.Add(1)
 					}
@@ -450,22 +445,22 @@ func TestHammer32Goroutines(t *testing.T) {
 						code = http.StatusOK
 					}
 				case 1:
-					code, body = do(t, "GET", ts.URL+"/clusters/"+id+"/qs?from=0s&to=20m", "")
+					code, body = do(t, "GET", ts.URL+"/v1/clusters/"+id+"/qs?from=0s&to=20m", "")
 				case 2:
-					code, body = do(t, "POST", ts.URL+"/clusters/"+id+"/whatif", `{"candidates":[{"deadline":{"weight":2}}]}`)
+					code, body = do(t, "POST", ts.URL+"/v1/clusters/"+id+"/whatif", `{"candidates":[{"deadline":{"weight":2}}]}`)
 				case 3:
-					code, body = do(t, "GET", ts.URL+"/clusters/"+id, "")
+					code, body = do(t, "GET", ts.URL+"/v1/clusters/"+id, "")
 				case 4:
-					code, body = do(t, "GET", ts.URL+"/metrics", "")
+					code, body = do(t, "GET", ts.URL+"/v1/metrics", "")
 				case 5:
-					code, body = do(t, "GET", ts.URL+"/healthz", "")
+					code, body = do(t, "GET", ts.URL+"/v1/healthz", "")
 				case 6:
-					code, body = do(t, "GET", ts.URL+"/clusters", "")
+					code, body = do(t, "GET", ts.URL+"/v1/clusters", "")
 				case 7:
 					// Churn: a private cluster created and dropped mid-storm.
 					churn := fmt.Sprintf("churn-%d-%d", g, op)
 					createCluster(t, ts.URL, churn, spec)
-					code, body = do(t, "DELETE", ts.URL+"/clusters/"+churn, "")
+					code, body = do(t, "DELETE", ts.URL+"/v1/clusters/"+churn, "")
 					if code == http.StatusNoContent {
 						code = http.StatusOK
 					}

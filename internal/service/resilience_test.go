@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"tempo/internal/chaos"
 	"tempo/internal/scenario"
 	"tempo/internal/service"
+	"tempo/internal/store"
 )
 
 // mustChaos builds an injector and fails the test on a bad spec.
@@ -252,96 +254,282 @@ func TestShedsNeverCorruptSerialization(t *testing.T) {
 	}
 }
 
-// TestDegradedMode walks the full degraded-cluster lifecycle: a WAL
-// fault flips the cluster read-only (writes 503 degraded, reads keep
-// serving the last committed state), the recovery probe re-arms it, and
-// the finished run is byte-identical to a fault-free sequential run.
+// faultNextAppend arms a torn-write fault on the cluster's next WAL
+// append, through the store handle the test opened.
+func faultNextAppend(t *testing.T, st *store.Store, id string) {
+	t.Helper()
+	cs, err := st.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.InjectFault(cs.WALSize())
+}
+
+// TestDegradedMode walks the full degraded-cluster lifecycle with the WAL
+// fault landing on every tick index in turn: the failed tick leaves the
+// session untouched (log-then-apply: nothing to roll back, the same
+// *tempo.Session keeps serving), the cluster flips read-only (writes 503
+// degraded, reads keep serving the committed state), the recovery probe
+// re-arms it, and the finished run is byte-identical to a fault-free
+// sequential run.
 func TestDegradedMode(t *testing.T) {
 	spec := smallSpec(t, 6)
 	want := sequentialReport(t, spec)
 
-	dir := t.TempDir()
-	svc, ts := newTestServer(t, service.Config{
-		Store:                 openStore(t, dir),
-		SnapshotEvery:         2,
-		RecoveryProbeInterval: time.Hour, // probe manually; no background races
+	for k := 0; k < spec.Iterations; k++ {
+		t.Run("fault at tick "+strconv.Itoa(k), func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			svc, ts := newTestServer(t, service.Config{
+				Store:                 st,
+				SnapshotEvery:         2,
+				RecoveryProbeInterval: time.Hour, // probe manually; no background races
+			})
+			createCluster(t, ts.URL, "c1", spec)
+			c, err := svc.Get("c1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				if _, _, err := svc.Tick(context.Background(), c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sess := c.Session()
+
+			// Break the WAL: the next append fails mid-write.
+			faultNextAppend(t, st, "c1")
+			code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", "")
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("tick on faulted WAL = %d, want 503: %s", code, body)
+			}
+			var env service.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Code != service.CodeDegraded {
+				t.Fatalf("degraded tick envelope = %s, want code %q", body, service.CodeDegraded)
+			}
+			if !c.Degraded() {
+				t.Fatal("cluster not marked degraded after WAL append failure")
+			}
+			// A tick the store never logged must never have been applied.
+			if got := c.Session().Ticks(); got != k {
+				t.Fatalf("degraded session at tick %d, want committed tick %d", got, k)
+			}
+			if c.Session() != sess {
+				t.Fatal("degrading swapped the session; a failed append must leave it in place")
+			}
+
+			// Reads keep serving last committed state.
+			if code, body := do(t, "GET", ts.URL+"/v1/clusters/c1/qs", ""); code != http.StatusOK {
+				t.Fatalf("qs on degraded cluster = %d, want 200: %s", code, body)
+			}
+			if code, body := do(t, "GET", ts.URL+"/v1/clusters/c1/report", ""); code != http.StatusOK {
+				t.Fatalf("report on degraded cluster = %d, want 200: %s", code, body)
+			}
+
+			// A second write is refused at the door — degraded clusters never
+			// reach the worker, so the broken store is not hammered.
+			if code, _ := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", ""); code != http.StatusServiceUnavailable {
+				t.Fatalf("second tick on degraded cluster = %d, want 503", code)
+			}
+			if m := svc.Metrics(); m.DegradedClusters != 1 {
+				t.Fatalf("metrics degraded_clusters = %d, want 1", m.DegradedClusters)
+			}
+
+			// Recovery: the probe reopens the WAL (clearing the injected fault),
+			// resumes from disk, and re-arms the cluster.
+			if n := svc.ProbeRecovery(); n != 1 {
+				t.Fatalf("ProbeRecovery recovered %d clusters, want 1", n)
+			}
+			if c.Degraded() {
+				t.Fatal("cluster still degraded after successful probe")
+			}
+			if m := svc.Metrics(); m.DegradedClusters != 0 {
+				t.Fatalf("metrics degraded_clusters = %d after recovery, want 0", m.DegradedClusters)
+			}
+			for !c.Session().Done() {
+				if _, _, err := svc.Tick(context.Background(), c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := c.Session().Report().MarshalCanonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("recovered cluster's report differs from fault-free sequential run")
+			}
+		})
+	}
+}
+
+// TestClusterLifecycle walks the lifecycle table — every (state, event)
+// pair of {active, degraded, gone} × {fault, re-arm, delete} — then runs a
+// seeded random sequence of the same events (plus plain ticks) over a
+// population, checking after every step that the degraded_clusters gauge
+// equals the number of degraded clusters. Racing probes must count each
+// re-arm exactly once.
+func TestClusterLifecycle(t *testing.T) {
+	spec := smallSpec(t, 100)
+	st := openStore(t, t.TempDir())
+	svc, _ := newTestServer(t, service.Config{Store: st, RecoveryProbeInterval: time.Hour})
+	ctx := context.Background()
+
+	type state int
+	const (
+		active state = iota
+		degraded
+		gone
+	)
+	stateOf := func(c *service.Cluster) state {
+		if _, err := svc.Get(c.ID); errors.Is(err, service.ErrNotFound) {
+			return gone
+		} else if c.Degraded() {
+			return degraded
+		}
+		return active
+	}
+	tick := func(c *service.Cluster) error {
+		_, _, err := svc.Tick(ctx, c)
+		return err
+	}
+	// fault arms the WAL and ticks into it. A cluster that is not active
+	// refuses the tick at the door and never reaches the armed fault.
+	fault := func(c *service.Cluster) error {
+		if stateOf(c) != gone { // a gone cluster has no WAL left to arm
+			faultNextAppend(t, st, c.ID)
+		}
+		return tick(c)
+	}
+	// rearm races four probes: a probe that loses the cluster mutex must
+	// not count a re-arm it did not perform.
+	rearm := func(*service.Cluster) error {
+		want := svc.Metrics().DegradedClusters
+		var total atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				total.Add(int64(svc.ProbeRecovery()))
+			}()
+		}
+		wg.Wait()
+		if got := total.Load(); got != want {
+			return fmt.Errorf("racing probes counted %d re-arms of %d degraded clusters", got, want)
+		}
+		return nil
+	}
+	remove := func(c *service.Cluster) error { return svc.Delete(ctx, c.ID) }
+
+	enter := func(t *testing.T, id string, s state) *service.Cluster {
+		t.Helper()
+		c, err := svc.Create(id, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tick(c); err != nil {
+			t.Fatal(err)
+		}
+		switch s {
+		case degraded:
+			if err := fault(c); !errors.Is(err, service.ErrDegraded) {
+				t.Fatalf("fault: %v, want ErrDegraded", err)
+			}
+		case gone:
+			if err := remove(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+
+	for i, tc := range []struct {
+		name    string
+		from    state
+		event   func(*service.Cluster) error
+		wantErr error
+		to      state
+	}{
+		{"active/fault", active, fault, service.ErrDegraded, degraded},
+		{"active/rearm", active, rearm, nil, active},
+		{"active/delete", active, remove, nil, gone},
+		{"degraded/fault", degraded, fault, service.ErrDegraded, degraded},
+		{"degraded/rearm", degraded, rearm, nil, active},
+		{"degraded/delete", degraded, remove, nil, gone},
+		{"gone/fault", gone, fault, service.ErrNotFound, gone},
+		{"gone/rearm", gone, rearm, nil, gone},
+		{"gone/delete", gone, remove, service.ErrNotFound, gone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := enter(t, "table-"+strconv.Itoa(i), tc.from)
+			if err := tc.event(c); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("event returned %v, want %v", err, tc.wantErr)
+			}
+			if got := stateOf(c); got != tc.to {
+				t.Fatalf("cluster in state %d, want %d", got, tc.to)
+			}
+			want := int64(0)
+			if tc.to == degraded {
+				want = 1
+			}
+			if got := svc.Metrics().DegradedClusters; got != want {
+				t.Fatalf("degraded_clusters = %d, want %d", got, want)
+			}
+			if tc.to == active {
+				// A re-armed (or never-faulted) cluster takes writes again.
+				if err := tick(c); err != nil {
+					t.Fatalf("tick on active cluster: %v", err)
+				}
+			}
+			if tc.to != gone {
+				if err := remove(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+
+	t.Run("random sequence", func(t *testing.T) {
+		clusters := make([]*service.Cluster, 4)
+		states := make([]state, len(clusters))
+		for i := range clusters {
+			clusters[i] = enter(t, "rand-"+strconv.Itoa(i), active)
+		}
+		events := []func(*service.Cluster) error{tick, fault, fault, rearm, remove}
+		rng := rand.New(rand.NewSource(12))
+		for step := 0; step < 80; step++ {
+			i := rng.Intn(len(clusters))
+			e := rng.Intn(len(events))
+			switch e {
+			case 1, 2:
+				if states[i] == active {
+					states[i] = degraded
+				}
+			case 3:
+				for j := range states {
+					if states[j] == degraded {
+						states[j] = active
+					}
+				}
+			case 4:
+				states[i] = gone
+			}
+			// Errors are the refusals the table above pins; the state and
+			// gauge checks below are this subtest's assertions.
+			events[e](clusters[i]) //nolint:errcheck
+			wantDegraded := int64(0)
+			for j, c := range clusters {
+				if got := stateOf(c); got != states[j] {
+					t.Fatalf("step %d: cluster %s in state %d, want %d", step, c.ID, got, states[j])
+				}
+				if states[j] == degraded {
+					wantDegraded++
+				}
+			}
+			if got := svc.Metrics().DegradedClusters; got != wantDegraded {
+				t.Fatalf("step %d: degraded_clusters = %d, %d clusters are degraded", step, got, wantDegraded)
+			}
+		}
 	})
-	createCluster(t, ts.URL, "c1", spec)
-	c, err := svc.Get("c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := svc.Tick(context.Background(), c); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Break the WAL: the next append fails mid-write.
-	if err := svc.InjectWALFault("c1"); err != nil {
-		t.Fatal(err)
-	}
-	code, body := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", "")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("tick on faulted WAL = %d, want 503: %s", code, body)
-	}
-	var env service.ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.Code != service.CodeDegraded {
-		t.Fatalf("degraded tick envelope = %s, want code %q", body, service.CodeDegraded)
-	}
-	if !c.Degraded() {
-		t.Fatal("cluster not marked degraded after WAL append failure")
-	}
-	// The in-memory session must have rolled back to the committed
-	// prefix — a tick the store never logged must not be visible.
-	if got := c.Session().Ticks(); got != 2 {
-		t.Fatalf("degraded session at tick %d, want rollback to committed tick 2", got)
-	}
-
-	// Reads keep serving last committed state.
-	if code, body := do(t, "GET", ts.URL+"/v1/clusters/c1/qs", ""); code != http.StatusOK {
-		t.Fatalf("qs on degraded cluster = %d, want 200: %s", code, body)
-	}
-	if code, body := do(t, "GET", ts.URL+"/v1/clusters/c1/report", ""); code != http.StatusOK {
-		t.Fatalf("report on degraded cluster = %d, want 200: %s", code, body)
-	}
-
-	// A second write is refused at the door — degraded clusters never
-	// reach the worker, so the broken store is not hammered.
-	if code, _ := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", ""); code != http.StatusServiceUnavailable {
-		t.Fatalf("second tick on degraded cluster = %d, want 503", code)
-	}
-	if m := svc.Metrics(); m.DegradedClusters != 1 {
-		t.Fatalf("metrics degraded_clusters = %d, want 1", m.DegradedClusters)
-	}
-
-	// Recovery: the probe reopens the WAL (clearing the injected fault),
-	// resumes from disk, and re-arms the cluster.
-	if n := svc.ProbeRecovery(); n != 1 {
-		t.Fatalf("ProbeRecovery recovered %d clusters, want 1", n)
-	}
-	if c.Degraded() {
-		t.Fatal("cluster still degraded after successful probe")
-	}
-	if m := svc.Metrics(); m.DegradedClusters != 0 {
-		t.Fatalf("metrics degraded_clusters = %d after recovery, want 0", m.DegradedClusters)
-	}
-	c, err = svc.Get("c1") // rearm swaps the session; re-fetch
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !c.Session().Done() {
-		if _, _, err := svc.Tick(context.Background(), c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := c.Session().Report().MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("recovered cluster's report differs from fault-free sequential run")
-	}
 }
 
 // chaosDrive runs one full load-generation pass against a durable,

@@ -210,47 +210,90 @@ type Cluster struct {
 	Shard   int
 	Created time.Time
 
-	// session is the cluster's live control loop. It is swapped (never
-	// mutated in place) when degraded mode rolls the trajectory back to
-	// the committed prefix and when recovery resumes from disk, so every
-	// reader goes through the atomic pointer — reads stay lock-free and
-	// never queue behind an executing tick.
+	// session is the cluster's live control loop. Ticks advance it in place
+	// (observe → log → apply: it never holds a tick the WAL does not); only
+	// rearm swaps the pointer, when it resumes from disk. Reads go through
+	// the atomic pointer and never queue behind an executing tick.
 	session atomic.Pointer[tempo.Session]
 
-	// mu serializes the tick+WAL-append pair against deletion: a worker
-	// holds it for the whole commit, so Delete can never tear down the
-	// on-disk state (or drop the session) under a tick's feet.
+	// mu serializes the tick (observe+append+apply), re-arm and deletion:
+	// a worker holds it for the whole commit, so Delete can never tear down
+	// the on-disk state (or drop the session) under a tick's feet.
 	mu sync.Mutex
 	// store is the cluster's durable state; nil when durability is off.
 	store *store.ClusterStore
-	// deleted latches once the cluster is torn down; ticks queued behind
-	// the deletion observe it and fail with ErrNotFound.
-	deleted bool
-	// degraded latches when a tick fails durably (WAL append or snapshot
-	// error): the session is rolled back to the last committed tick,
-	// reads keep serving that state, writes fail with ErrDegraded, and
-	// the recovery probe clears the flag once the store heals. The flag
-	// is atomic so the write fast-path can check it WITHOUT c.mu — a
-	// worker holds c.mu for a tick's whole execution, and admission must
-	// never wait behind execution. Transitions still happen under c.mu;
-	// degradedCause is read only after observing the flag true, when no
-	// tick can be executing.
-	degraded      atomic.Bool
-	degradedCause error
+	// life is the cluster's one lifecycle state. Only Service.transition
+	// writes it, under mu; reads are lock-free — a worker holds mu for a
+	// whole tick, and admission must never wait behind execution.
+	life atomic.Pointer[lifecycle]
 	// tickc is the change-notification channel standing query streams
 	// wait on: closed and replaced under mu whenever a tick commits or
-	// the cluster is deleted, so every waiter wakes exactly once per
-	// change and re-reads the session.
+	// the lifecycle state changes, so every waiter wakes exactly once per
+	// change and re-reads the cluster.
 	tickc chan struct{}
 }
 
-// Session returns the cluster's live session. Readers see either the
-// pre-swap or post-swap session, both internally consistent; state read
-// across a swap is simply the state of one committed trajectory.
+// phase is where a cluster is in its life.
+type phase uint8
+
+const (
+	phaseActive phase = iota // serving reads and writes
+	// phaseDegraded: the durable store failed under a write. Reads keep
+	// serving the committed state, writes fail with ErrDegraded, and the
+	// recovery probe re-arms the cluster once the store heals.
+	phaseDegraded
+	phaseGone // torn down, terminal: holders of the cluster get ErrNotFound
+)
+
+// lifecycle is one published lifecycle state, immutable once stored.
+type lifecycle struct {
+	phase phase
+	cause error // why the cluster degraded; nil in the other phases
+}
+
+func newCluster(id string, shard int, sess *tempo.Session, cs *store.ClusterStore) *Cluster {
+	c := &Cluster{ID: id, Shard: shard, Created: time.Now(), store: cs, tickc: make(chan struct{})}
+	c.session.Store(sess)
+	c.life.Store(&lifecycle{})
+	return c
+}
+
+// transition moves the cluster to phase to and reports whether it moved.
+// It is the only writer of the lifecycle state and owns everything that
+// hangs off it — the degraded cause, the degraded_clusters gauge and the
+// stream wake-up — so none of them can drift from the state. The table:
+//
+//	from \ to   active    degraded   gone
+//	active      -         fault      delete
+//	degraded    re-arm    -          delete
+//	gone        -         -          -
+//
+// Every "-" is a refused no-op: gone is terminal, and a repeated event
+// (a second fault, a second probe) changes nothing and keeps the first
+// cause. Callers hold c.mu.
+func (s *Service) transition(c *Cluster, to phase, cause error) bool {
+	from := c.life.Load().phase
+	if from == to || from == phaseGone {
+		return false
+	}
+	c.life.Store(&lifecycle{phase: to, cause: cause})
+	if to == phaseDegraded {
+		s.degradedGauge.add(1)
+	}
+	if from == phaseDegraded {
+		s.degradedGauge.add(-1)
+	}
+	c.notifyLocked()
+	return true
+}
+
+// Session returns the cluster's live session. Across a re-arm readers see
+// either the pre-swap or post-swap session, both internally consistent
+// and both on the one committed trajectory.
 func (c *Cluster) Session() *tempo.Session { return c.session.Load() }
 
 // changed returns a channel that closes on the cluster's next committed
-// tick (or its deletion). Call it before reading Session.Ticks so a
+// tick or lifecycle change. Call it before reading Session.Ticks so a
 // commit between the read and the wait cannot be missed.
 func (c *Cluster) changed() <-chan struct{} {
 	c.mu.Lock()
@@ -259,31 +302,23 @@ func (c *Cluster) changed() <-chan struct{} {
 }
 
 // isDeleted reports whether the cluster has been torn down.
-func (c *Cluster) isDeleted() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deleted
-}
+func (c *Cluster) isDeleted() bool { return c.life.Load().phase == phaseGone }
 
 // Degraded reports whether the cluster is in degraded mode (reads only,
-// durable store failing). Lock-free: callers on the write fast-path must
-// not queue behind an executing tick.
-func (c *Cluster) Degraded() bool { return c.degraded.Load() }
+// durable store failing).
+func (c *Cluster) Degraded() bool { return c.life.Load().phase == phaseDegraded }
 
-// degradedError returns the ErrDegraded-wrapped cause while the cluster
-// is degraded, or nil. The flag is checked without c.mu (see the field
-// comment); the cause is fetched under c.mu only once the flag was seen
-// true, when the cluster executes nothing.
-func (c *Cluster) degradedError() error {
-	if !c.degraded.Load() {
-		return nil
+// writeError is the lifecycle gate every write passes: nil while the
+// cluster is active, ErrNotFound once it is gone, the ErrDegraded-wrapped
+// cause while it is degraded.
+func (c *Cluster) writeError() error {
+	switch l := c.life.Load(); l.phase {
+	case phaseGone:
+		return fmt.Errorf("%w: %s", ErrNotFound, c.ID)
+	case phaseDegraded:
+		return fmt.Errorf("%w: %s: %v", ErrDegraded, c.ID, l.cause)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.degraded.Load() { // re-armed between the check and the lock
-		return nil
-	}
-	return fmt.Errorf("%w: %s: %v", ErrDegraded, c.ID, c.degradedCause)
+	return nil
 }
 
 // notifyLocked wakes every changed() waiter. Callers hold c.mu.
@@ -310,11 +345,15 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Store != nil {
 		for _, id := range cfg.Store.IDs() {
-			c, err := s.recoverCluster(id)
+			cs, err := cfg.Store.Get(id)
+			var sess *tempo.Session
+			if err == nil {
+				sess, err = s.resumeFromStore(cs)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("service: recovering cluster %s: %w", id, err)
 			}
-			s.clusters[id] = c
+			s.clusters[id] = newCluster(id, s.shardFor(id), sess, cs)
 		}
 		s.probeWG.Add(1)
 		go s.recoveryProbeLoop()
@@ -322,30 +361,8 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// recoverCluster rebuilds one cluster from its durable state. A snapshot
-// that cannot be applied (stale, reaching past the surviving WAL) falls
-// back to a full WAL re-drive; the WAL itself is authoritative.
-func (s *Service) recoverCluster(id string) (*Cluster, error) {
-	cs, err := s.cfg.Store.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := s.resumeFromStore(cs)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{
-		ID:      id,
-		Shard:   s.shardFor(id),
-		Created: time.Now(),
-		store:   cs,
-		tickc:   make(chan struct{}),
-	}
-	c.session.Store(sess)
-	return c, nil
-}
-
-// resumeFromStore rebuilds a session from a cluster's durable state. A
+// resumeFromStore is the one recovery function: it rebuilds a session
+// from a cluster's durable state, for startup recovery and for re-arm. A
 // snapshot that cannot be applied (stale, reaching past the surviving
 // WAL) falls back to a full WAL re-drive; the WAL itself is
 // authoritative.
@@ -446,8 +463,7 @@ func (s *Service) Create(id string, spec *tempo.Scenario) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{ID: id, Shard: s.shardFor(id), Created: time.Now(), tickc: make(chan struct{})}
-	c.session.Store(sess)
+	c := newCluster(id, s.shardFor(id), sess, nil)
 	if s.cfg.Store != nil {
 		// The store is the arbiter between racing Creates on one id: the
 		// loser sees store.ErrExists before touching the registry.
@@ -499,9 +515,9 @@ func (s *Service) Get(id string) (*Cluster, error) {
 // the admission wait reads keep serving, a racing Create(id) sees
 // ErrExists instead of silently taking over a still-live id, and a
 // teardown shed with ErrOverloaded leaves the cluster exactly as it was.
-// Unregistration happens only after execDelete has latched the deletion,
-// so a request that resolves the id in that last window is fenced by the
-// deleted flag and fails with ErrNotFound.
+// Unregistration happens only after execDelete has moved the cluster to
+// gone, so a request that resolves the id in that last window is fenced
+// by the lifecycle state and fails with ErrNotFound.
 func (s *Service) Delete(ctx context.Context, id string) error {
 	s.mu.RLock()
 	closed := s.closed
@@ -526,21 +542,19 @@ func (s *Service) Delete(ctx context.Context, id string) error {
 	return err
 }
 
-// execTick runs one committed tick on a shard worker: advance the session
-// and, with durability on, log the observed schedule (and a periodic
-// snapshot) before acking. The cluster mutex makes the whole commit
-// atomic with respect to Delete. A WAL append failure degrades the
-// cluster instead of poisoning the shard: the session rolls back to the
-// last committed tick, the tick's error reports ErrDegraded (no state
-// change — safe to retry after recovery), and reads keep serving.
+// execTick runs one tick on a shard worker, in log-then-apply order:
+// observe the next interval (the session does not change), append the
+// schedule to the WAL, and only then apply it to the session. The
+// session therefore never holds a tick the log does not, and no failure
+// needs a rollback: a failed append discards the observation, degrades
+// the cluster and reports ErrDegraded — an honest "nothing happened",
+// safe to retry after recovery. The cluster mutex makes the whole commit
+// atomic with respect to Delete and re-arm.
 func (s *Service) execTick(c *Cluster) (tempo.ScenarioIteration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.deleted {
-		return tempo.ScenarioIteration{}, fmt.Errorf("%w: %s", ErrNotFound, c.ID)
-	}
-	if c.degraded.Load() {
-		return tempo.ScenarioIteration{}, fmt.Errorf("%w: %s: %v", ErrDegraded, c.ID, c.degradedCause)
+	if err := c.writeError(); err != nil {
+		return tempo.ScenarioIteration{}, err
 	}
 	if delay, tearWAL, tearAt := s.cfg.Chaos.TickFaults(c.ID); delay > 0 || tearWAL {
 		if delay > 0 {
@@ -552,12 +566,31 @@ func (s *Service) execTick(c *Cluster) (tempo.ScenarioIteration, error) {
 			c.store.InjectFault(c.store.WALSize() + tearAt)
 		}
 	}
-	it, err := c.Session().Tick()
+	sess := c.Session()
+	tick, sched, err := sess.Observe()
 	if err != nil {
-		return it, err
+		return tempo.ScenarioIteration{}, err
 	}
-	defer c.notifyLocked() // wake query streams once the commit is durable
-	if st := c.Session().Search(it.Index); st != nil {
+	if c.store != nil {
+		if err := c.store.AppendTick(tick, sched); err != nil {
+			s.transition(c, phaseDegraded, fmt.Errorf("logging tick %d: %w", tick, err))
+			return tempo.ScenarioIteration{}, fmt.Errorf("%w: %s: tick %d not committed: %v", ErrDegraded, c.ID, tick, err)
+		}
+	}
+	it, err := sess.Apply(tick, sched)
+	if err != nil {
+		if c.store != nil {
+			// The WAL is one tick ahead of a session whose control step
+			// stopped part-way. Fail-stop: re-arm rebuilds the session from the
+			// store, logged tick included. Not ErrDegraded — the tick is
+			// durable, so a retry would double-apply it.
+			err = fmt.Errorf("tick %d logged but not applied: %w", tick, err)
+			s.transition(c, phaseDegraded, err)
+		}
+		return tempo.ScenarioIteration{}, err
+	}
+	c.notifyLocked() // wake query streams: the commit is durable and visible
+	if st := sess.Search(tick); st != nil {
 		sh := s.shards[c.Shard]
 		sh.scored.add(int64(st.FullyScored))
 		sh.pruned.add(int64(st.Pruned))
@@ -565,56 +598,21 @@ func (s *Service) execTick(c *Cluster) (tempo.ScenarioIteration, error) {
 			sh.decLat.record(time.Duration(st.DecisionNanos))
 		}
 	}
-	if c.store != nil {
-		if err := c.store.AppendTick(it.Index, c.Session().ObservedSchedule(it.Index)); err != nil {
-			// The tick is NOT committed: degrade and roll back, so the error
-			// the caller sees is an honest "nothing happened".
-			s.degradeLocked(c, fmt.Errorf("logging tick %d: %w", it.Index, err))
-			return tempo.ScenarioIteration{}, fmt.Errorf("%w: %s: tick %d not committed: %v", ErrDegraded, c.ID, it.Index, err)
+	if c.store != nil && (tick+1)%s.cfg.SnapshotEvery == 0 {
+		snap, err := sess.Snapshot()
+		if err == nil {
+			err = c.store.WriteSnapshot(snap)
 		}
-		if (it.Index+1)%s.cfg.SnapshotEvery == 0 {
-			snap, serr := c.Session().Snapshot()
-			if serr == nil {
-				serr = c.store.WriteSnapshot(snap)
-			}
-			if serr != nil {
-				// The WAL append above succeeded, so the tick IS durably
-				// committed — only the periodic snapshot (a recovery-cost
-				// optimization) failed. Ack the tick; failing it here would
-				// break the "error means no state change" retry contract and
-				// let a retry double-tick. Degrade so further writes pause
-				// until the store heals.
-				s.degradeLocked(c, fmt.Errorf("snapshotting after tick %d: %w", it.Index, serr))
-			}
+		if err != nil {
+			// The tick IS committed — only the periodic snapshot (a
+			// recovery-cost optimization) failed. Ack the tick; failing it
+			// would break the "error means no state change" retry contract
+			// and let a retry double-tick. Degrade so further writes pause
+			// until the store heals.
+			s.transition(c, phaseDegraded, fmt.Errorf("snapshotting after tick %d: %w", tick, err))
 		}
 	}
 	return it, nil
-}
-
-// degradeLocked latches the cluster degraded after a durable-write
-// failure and rolls its in-memory session back to the last committed
-// tick, so reads serve only state the store can reproduce. Determinism
-// makes the rollback exact: re-driving the committed schedules lands on
-// a byte-identical trajectory, and the uncommitted tick re-runs
-// identically after recovery. Callers hold c.mu.
-func (s *Service) degradeLocked(c *Cluster, cause error) {
-	c.degradedCause = cause
-	c.degraded.Store(true)
-	s.degradedGauge.add(1)
-	committed := c.store.Ticks()
-	if c.Session().Ticks() <= committed {
-		return
-	}
-	schedules := make([]*tempo.Schedule, 0, committed)
-	for i := 0; i < committed; i++ {
-		schedules = append(schedules, c.Session().ObservedSchedule(i))
-	}
-	opts := tempo.ScenarioOptions{Parallelism: s.cfg.Parallelism, Clock: time.Now}
-	if sess, err := tempo.ResumeSession(c.Session().Spec(), opts, nil, schedules); err == nil {
-		c.session.Store(sess)
-	}
-	// On a resume failure keep the old session: it is one uncommitted
-	// tick ahead of the store, and recovery re-resumes from disk anyway.
 }
 
 // recoveryProbeLoop periodically retries degraded clusters' stores
@@ -636,8 +634,9 @@ func (s *Service) recoveryProbeLoop() {
 
 // ProbeRecovery attempts to re-arm every degraded cluster right now:
 // reopen its WAL from the durable prefix and resume the session from it.
-// It returns how many clusters recovered. The background probe calls
-// this on its interval; tests and operators can call it directly.
+// It returns how many clusters this call moved from degraded to active.
+// The background probe calls this on its interval; tests and operators
+// can call it directly.
 func (s *Service) ProbeRecovery() int {
 	s.mu.RLock()
 	var degraded []*Cluster
@@ -649,7 +648,7 @@ func (s *Service) ProbeRecovery() int {
 	s.mu.RUnlock()
 	n := 0
 	for _, c := range degraded {
-		if err := s.rearm(c); err == nil {
+		if s.rearm(c) {
 			n++
 		}
 	}
@@ -658,61 +657,35 @@ func (s *Service) ProbeRecovery() int {
 
 // rearm tries to bring one degraded cluster back: reopen the WAL (fresh
 // handle on the durable prefix, torn tail truncated, fault cleared) and
-// resume a session from the committed state. Failure leaves the cluster
-// degraded for the next probe.
-func (s *Service) rearm(c *Cluster) error {
+// resume a session from it. The WAL is authoritative — an append that
+// failed after its complete frame reached disk comes back committed. It
+// reports whether this call re-armed the cluster: a still-broken store
+// leaves it degraded for the next probe, and a cluster a racing probe or
+// delete got to first is left alone.
+func (s *Service) rearm(c *Cluster) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.degraded.Load() || c.deleted {
-		return nil
+	if !c.Degraded() {
+		return false
 	}
 	if err := c.store.Reopen(); err != nil {
-		return err
+		return false
 	}
 	sess, err := s.resumeFromStore(c.store)
 	if err != nil {
-		return err
+		return false
 	}
 	c.session.Store(sess)
-	c.degraded.Store(false)
-	c.degradedCause = nil
-	s.degradedGauge.add(-1)
-	c.notifyLocked() // streams wake and re-read the recovered session
-	return nil
-}
-
-// InjectWALFault arms a torn-write fault on the cluster's next WAL
-// append (see store.ClusterStore.InjectFault): the tick that hits it
-// fails durably and the cluster enters degraded mode. The handle chaos
-// tests and operators use to rehearse degraded-mode recovery.
-func (s *Service) InjectWALFault(id string) error {
-	c, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.store == nil {
-		return errors.New("service: durability disabled, no WAL to fault")
-	}
-	c.store.InjectFault(c.store.WALSize())
-	return nil
+	return s.transition(c, phaseActive, nil)
 }
 
 // execDelete tears one cluster down on a shard worker.
 func (s *Service) execDelete(c *Cluster) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.deleted {
+	if !s.transition(c, phaseGone, nil) {
 		return fmt.Errorf("%w: %s", ErrNotFound, c.ID)
 	}
-	c.deleted = true
-	if c.degraded.Load() {
-		// Teardown is the other exit from degraded mode.
-		c.degraded.Store(false)
-		s.degradedGauge.add(-1)
-	}
-	c.notifyLocked() // streams wake, observe deleted, and end
 	if c.store != nil {
 		return s.cfg.Store.DeleteCluster(c.store)
 	}
@@ -740,10 +713,10 @@ func (s *Service) List() []string {
 // the cluster's iteration budget is now exhausted — read from the same
 // session that ticked, so it cannot race with registry changes.
 func (s *Service) Tick(ctx context.Context, c *Cluster) (it tempo.ScenarioIteration, done bool, err error) {
-	// Fail degraded writes before queueing: a cluster waiting on store
-	// recovery must not occupy shard workers.
-	if derr := c.degradedError(); derr != nil {
-		return tempo.ScenarioIteration{}, false, derr
+	// Refuse writes the lifecycle state rules out before queueing: a
+	// cluster waiting on store recovery must not occupy shard workers.
+	if err := c.writeError(); err != nil {
+		return tempo.ScenarioIteration{}, false, err
 	}
 	it, err = s.shards[c.Shard].tick(ctx, c)
 	if err != nil {

@@ -80,6 +80,8 @@ var ErrSessionDone = scenario.ErrDone
 //
 //   - Tick runs one control interval (observe → guard → propose → what-if
 //     → apply, or observe-only when the spec disables the controller);
+//     Observe and Apply are its two halves, for callers that log the
+//     observation in between;
 //   - QS answers windowed SLO queries over everything observed so far,
 //     served from per-interval incremental accumulators;
 //   - WhatIf scores candidate RM configurations in the scenario's What-if
@@ -150,12 +152,33 @@ func (s *Session) Done() bool {
 	return s.rt.Done()
 }
 
-// Tick runs one control interval and returns its report slice. It returns
-// ErrSessionDone after Spec.Iterations ticks.
+// Tick runs one control interval — Observe, then Apply — and returns its
+// report slice. It returns ErrSessionDone after Spec.Iterations ticks.
 func (s *Session) Tick() (ScenarioIteration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rt.Step()
+}
+
+// Observe simulates the next control interval and returns its index and
+// schedule without changing the session; observing again yields an Equal
+// schedule. The serving layer logs the schedule between Observe and Apply,
+// so the session never holds a tick the log does not. It returns
+// ErrSessionDone after Spec.Iterations ticks.
+func (s *Session) Observe() (tick int, sched *Schedule, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rt.Observe()
+}
+
+// Apply advances the session one interval on the schedule observed for it
+// and returns its report slice. Nothing else advances a session: Tick
+// applies what it just observed, ResumeSession what the WAL recorded. tick
+// must be the next interval — a stale observation is rejected.
+func (s *Session) Apply(tick int, sched *Schedule) (ScenarioIteration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rt.Apply(tick, sched)
 }
 
 // Search returns tick i's candidate-search statistics, or nil when the
@@ -172,10 +195,7 @@ func (s *Session) Search(i int) *SearchStats {
 func (s *Session) Current() ClusterConfig {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rt.Controller != nil {
-		return s.rt.Controller.Current()
-	}
-	return s.rt.Initial.Clone()
+	return s.rt.Current()
 }
 
 // Report assembles the canonical report over the intervals run so far;

@@ -166,6 +166,24 @@ func (t Template) Eval(s *cluster.Schedule, from, to time.Duration) float64 {
 	return priority * v
 }
 
+// ClipWindow clips the query window [from, to) to the control interval
+// [lo, lo+interval), which the window must overlap, and returns the
+// clipped bounds relative to lo plus evalTo, the upper bound to evaluate
+// that interval's observed schedule with. A window that covers the
+// interval to its end means "this whole observation": evalTo then extends
+// the half-open bound past the schedule horizon so records ending exactly
+// at the horizon count, matching the convention the control loop
+// evaluates observed schedules with.
+func ClipWindow(from, to, lo, interval, horizon time.Duration) (localFrom, localTo, evalTo time.Duration) {
+	localFrom = max(from, lo) - lo
+	localTo = min(to, lo+interval) - lo
+	evalTo = localTo
+	if localTo >= interval {
+		evalTo = horizon + time.Nanosecond
+	}
+	return localFrom, localTo, evalTo
+}
+
 // EvalAll evaluates every template over the same interval, producing the
 // QS vector f(x; w) the optimizer consumes. It rescans all records once
 // per template — O(k·(jobs+tasks)) — and serves as the reference oracle

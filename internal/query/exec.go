@@ -330,24 +330,14 @@ func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error
 
 // pushSLO evaluates the slos aggregate for one tick: the template vector
 // over the tick's slice of the plan window, through the same accumulator
-// and window-clipping convention Session.QS uses — which is what makes a
+// and the same qs.ClipWindow Session.QS uses — which is what makes a
 // whole-window slos plan bit-identical to qs.EvalStream on each tick.
 func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) []ResultRow {
-	localFrom := time.Duration(0)
-	if r.hasFrom && r.from > lo {
-		localFrom = r.from - lo
+	to := r.to
+	if !r.hasTo {
+		to = math.MaxInt64
 	}
-	localTo := r.interval
-	if r.hasTo && r.to < lo+r.interval {
-		localTo = r.to - lo
-	}
-	evalTo := localTo
-	if localTo >= r.interval {
-		// Full coverage means "this whole observation": extend past the
-		// horizon so records ending exactly there count, as the control
-		// loop's own evaluation does.
-		evalTo = sched.Horizon + time.Nanosecond
-	}
+	localFrom, localTo, evalTo := qs.ClipWindow(r.from, to, lo, r.interval, sched.Horizon)
 	a := qs.NewAccumulator(r.slos, sched.Capacity)
 	for _, ev := range sched.AppendEvents(&r.evbuf) {
 		a.Observe(ev)

@@ -61,9 +61,6 @@ type Config struct {
 	// shard workers would oversubscribe the host. Results are
 	// bit-identical for every setting.
 	Parallelism int
-	// LatencyWindow is how many recent tick latencies each shard retains
-	// for the p50/p99 metrics; 0 means 1024.
-	LatencyWindow int
 	// Store enables durability. When non-nil, New recovers every cluster
 	// with on-disk state (snapshot restore + WAL re-drive, byte-identical
 	// trajectories), every committed tick appends its observed schedule to
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 1
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 8

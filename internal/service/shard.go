@@ -78,8 +78,6 @@ func newShard(idx int, svc *Service, cfg Config) *shard {
 		jobs: make(chan tickJob, cfg.QueueDepth),
 		quit: svc.quit,
 	}
-	sh.lat.init(cfg.LatencyWindow)
-	sh.decLat.init(cfg.LatencyWindow)
 	sh.wg.Add(cfg.WorkersPerShard)
 	for i := 0; i < cfg.WorkersPerShard; i++ {
 		go sh.worker()
@@ -184,19 +182,19 @@ func (sh *shard) worker() {
 	}
 }
 
+// latencyWindow is how many recent latencies a latencyRing retains for
+// the p50/p99 metrics.
+const latencyWindow = 1024
+
 // latencyRing retains the most recent tick latencies for quantile
 // estimation. Fixed capacity: a long-running daemon's metrics must not
 // grow with tick count, and recent samples are the ones operators care
 // about.
 type latencyRing struct {
 	mu      sync.Mutex
-	samples []time.Duration
+	samples [latencyWindow]time.Duration
 	next    int
 	full    bool
-}
-
-func (r *latencyRing) init(window int) {
-	r.samples = make([]time.Duration, window)
 }
 
 func (r *latencyRing) record(d time.Duration) {

@@ -24,97 +24,12 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // returned vectors are bit-identical to sequential evaluation. Row i of
 // the result corresponds to cfgs[i].
 //
-// This is the Optimizer's hot path: one control-loop iteration scores the
-// current configuration plus every PALD candidate in a single batch.
+// It is EvaluateSearch without memory or pruning: the same engine scores
+// the pairs against a state that dies with the call, so EvaluateBatch is
+// stateless and safe for concurrent use.
 func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	out := make([][]float64, len(cfgs))
-	if len(cfgs) == 0 {
-		return out, nil
-	}
-	samples := m.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	vecs, err := m.evalPairs(cfgs, samples)
-	if err != nil {
-		return nil, err
-	}
-	for c := range cfgs {
-		acc := make([]float64, len(m.Templates))
-		for s := 0; s < samples; s++ {
-			v := vecs[c*samples+s]
-			for i := range acc {
-				acc[i] += v[i]
-			}
-		}
-		for i := range acc {
-			acc[i] /= float64(samples)
-		}
-		out[c] = acc
-	}
-	return out, nil
-}
-
-// evalCache shares QS vectors across the candidates of one batch. Small
-// configuration deltas frequently leave the predicted schedule unchanged
-// (a weight tweak beyond the contention point, a max-share above demand),
-// in which case re-deriving the QS vector from an identical event stream
-// is pure waste. Entries are keyed by (sample, schedule fingerprint) and
-// verified with an exact record comparison before reuse, so a fingerprint
-// collision can never corrupt a result; and since verified-equal schedules
-// yield bit-identical QS vectors, reuse cannot perturb determinism no
-// matter which worker populated the entry first.
-type evalCache struct {
-	mu      sync.Mutex
-	entries map[int][]evalCacheEntry
-}
-
-// maxCacheEntriesPerSample bounds retained schedules: each entry pins a
-// full predicted schedule (jobs + tasks) for the batch's lifetime, and a
-// batch whose candidates all predict distinct schedules gains nothing
-// from caching them. PALD batches score a handful of candidates, so the
-// bound is never hit in the control loop; it only caps memory for huge
-// hand-built batches.
-const maxCacheEntriesPerSample = 32
-
-type evalCacheEntry struct {
-	fp    uint64
-	sched *cluster.Schedule
-	vals  []float64
-}
-
-func newEvalCache() *evalCache {
-	return &evalCache{entries: map[int][]evalCacheEntry{}}
-}
-
-// lookup returns a previously computed QS vector for an identical
-// (sample, schedule) pair, or nil. The O(records) exact comparison runs
-// outside the lock — entries are append-only and immutable once stored,
-// so only the slice snapshot needs the mutex, and workers comparing large
-// schedules do not serialize each other.
-func (c *evalCache) lookup(sample int, sched *cluster.Schedule, fp uint64) []float64 {
-	c.mu.Lock()
-	candidates := c.entries[sample]
-	c.mu.Unlock()
-	for _, e := range candidates {
-		if e.fp == fp && e.sched.Equal(sched) {
-			return e.vals
-		}
-	}
-	return nil
-}
-
-// store retains the (schedule, vector) pair for the batch's lifetime and
-// reports whether it did; a false return means the schedule is not pinned
-// and its storage may be recycled.
-func (c *evalCache) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries[sample]) >= maxCacheEntriesPerSample {
-		return false
-	}
-	c.entries[sample] = append(c.entries[sample], evalCacheEntry{fp: fp, sched: sched, vals: vals})
-	return true
+	preds, _, _, err := m.evaluate(&searchState{}, cfgs, nil)
+	return preds, err
 }
 
 // Scratch is one worker's reusable evaluation state: a simulation arena
@@ -128,84 +43,6 @@ type Scratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{sim: cluster.NewSim()} }}
-
-// evalPairs scores every (configuration, sample) pair and returns the QS
-// vectors indexed by cfg*samples + sample. Errors are aggregated
-// deterministically, in two tiers: generation errors first (lowest sample
-// wins, attributed to config 0), then prediction errors (the pair with the
-// lowest flat index wins). Both tiers are independent of worker timing.
-//
-// The S sample traces are generated exactly once, up front, and shared
-// (read-only) by all C candidates. Every candidate scores the same sample
-// trace by construction, so regenerating it per (cfg, sample) pair — C×S
-// generations instead of S — was pure waste; in windowed mode each
-// generation is a full synthetic workload draw.
-//
-//tempo:hot
-func (m *Model) evalPairs(cfgs []cluster.Config, samples int) ([][]float64, error) {
-	predict := m.Predict
-	if predict == nil {
-		predict = DefaultPredictor
-	}
-	traces, err := m.genSamples(samples, workersFor(m.Parallelism, samples))
-	if err != nil {
-		// A generation failure hits every candidate at that sample, so the
-		// winning (lowest-sample) error is deterministically attributed to
-		// config 0 and reported before any prediction error.
-		if len(cfgs) > 1 {
-			//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-			return nil, fmt.Errorf("whatif: config 0: %w", err)
-		}
-		//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-		return nil, fmt.Errorf("whatif: %w", err)
-	}
-	total := len(cfgs) * samples
-	vecs := make([][]float64, total)
-	errs := make([]error, total)
-	cache := newEvalCache()
-	workers := m.Parallelism
-	if workers > total {
-		workers = total
-	}
-	// Workers with a nil custom predictor run the built-in predictor
-	// through a per-worker Scratch: the simulation arena and QS buffers are
-	// recycled across that worker's pairs and returned to the shared pool
-	// afterwards. Custom predictors manage their own storage.
-	pooled := m.Predict == nil
-	if workers <= 1 {
-		var sc *Scratch
-		if pooled {
-			sc = scratchPool.Get().(*Scratch)
-		}
-		for idx := 0; idx < total; idx++ {
-			vecs[idx], errs[idx] = m.evalSample(predict, cache, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-			if errs[idx] != nil {
-				break
-			}
-		}
-		if pooled {
-			scratchPool.Put(sc)
-		}
-	} else {
-		// Every pair runs even if one fails — that keeps the winning error
-		// independent of goroutine timing, and failures are cheap (config
-		// validation rejects them before any simulation work).
-		runIndexedScratch(workers, total, pooled, func(idx int, sc *Scratch) {
-			vecs[idx], errs[idx] = m.evalSample(predict, cache, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-		})
-	}
-	for idx, err := range errs {
-		if err != nil {
-			if len(cfgs) > 1 {
-				//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-				return nil, fmt.Errorf("whatif: config %d: %w", idx/samples, err)
-			}
-			//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-			return nil, fmt.Errorf("whatif: %w", err)
-		}
-	}
-	return vecs, nil
-}
 
 // workersFor clamps the model's parallelism to the item count; values
 // below 2 mean "run on the calling goroutine".
@@ -228,26 +65,34 @@ func runIndexed(workers, n int, fn func(i int)) {
 // runIndexedScratch is runIndexed with an optional per-worker Scratch:
 // each worker draws one from the shared pool for its whole lifetime and
 // returns it when the fan-out drains, so scratch state is reused across
-// all of a worker's items without cross-worker sharing.
+// all of a worker's items without cross-worker sharing. With workers < 2
+// the one worker is the calling goroutine.
 func runIndexedScratch(workers, n int, pooled bool, fn func(i int, sc *Scratch)) {
 	var next atomic.Int64
+	work := func() {
+		var sc *Scratch
+		if pooled {
+			sc = scratchPool.Get().(*Scratch)
+			defer scratchPool.Put(sc)
+		}
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i, sc)
+		}
+	}
+	if workers <= 1 {
+		work()
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			var sc *Scratch
-			if pooled {
-				sc = scratchPool.Get().(*Scratch)
-				defer scratchPool.Put(sc)
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, sc)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
@@ -297,24 +142,24 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // event stream is built once and shared by every template
 // (qs.EvalStream), instead of one record scan per template. Candidates
 // whose predicted schedule is identical to one already scored for the
-// same sample reuse its vector through the cache — the per-batch
-// evalCache from EvaluateBatch, or the cross-tick searchState from
-// EvaluateSearch.
+// same sample reuse its vector through the state's schedule tier.
 //
 // With a non-nil scratch (built-in predictor only) the prediction runs in
 // the scratch's simulation arena and the QS derivation reuses its
 // buffers: the predicted schedule borrows arena storage and is recycled
-// by the worker's next pair, unless the cache pins it — then it is
-// detached and owns its records for the batch's lifetime.
+// by the worker's next pair, unless the schedule tier pins it — then it
+// is detached and owns its records for the state's lifetime.
 //
 //tempo:hot
-func (m *Model) evalSample(predict Predictor, cache pairCache, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
+func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
 	var sched *cluster.Schedule
+	var qsc *qs.Scratch
 	var err error
 	if sc != nil {
 		sched, err = sc.sim.RunInto(trace, cfg, cluster.Options{Horizon: m.Horizon})
+		qsc = &sc.qs
 	} else {
-		sched, err = predict(trace, cfg, m.Horizon)
+		sched, err = m.Predict(trace, cfg, m.Horizon)
 	}
 	if err != nil {
 		//tempolint:ignore allocdiscipline cold error exit, never on the scored pair path
@@ -325,16 +170,12 @@ func (m *Model) evalSample(predict Predictor, cache pairCache, sc *Scratch, trac
 		return nil, fmt.Errorf("predicting sample %d: predictor returned a nil schedule", sample)
 	}
 	fp := sched.Fingerprint()
-	if vals := cache.lookup(sample, sched, fp); vals != nil {
+	if vals := st.lookup(sample, sched, fp); vals != nil {
 		return vals, nil
 	}
-	var vals []float64
+	vals := qs.EvalStreamScratch(qsc, m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
+	st.store(sample, sched, fp, vals)
 	if sc != nil {
-		vals = qs.EvalStreamScratch(&sc.qs, m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	} else {
-		vals = qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	}
-	if cache.store(sample, sched, fp, vals) && sc != nil {
 		sc.sim.Detach()
 	}
 	return vals, nil

@@ -136,38 +136,59 @@ func TestEvaluateBatchEmpty(t *testing.T) {
 
 // TestEvaluateBatchDeterministicError pins the error-aggregation contract:
 // whichever worker hits an error first, the reported failure is always the
-// lowest (config, sample) pair — the one sequential evaluation would see.
+// lowest (config, sample) pair — the one sequential evaluation would see —
+// and EvaluateSearch reports the same error even when its keep callback
+// would have pruned the offending candidate.
 func TestEvaluateBatchDeterministicError(t *testing.T) {
 	boom := errors.New("boom")
-	m, err := New(testTemplates(), func(sample int) (*workload.Trace, error) {
-		if sample >= 1 {
-			return nil, fmt.Errorf("sample %d: %w", sample, boom)
-		}
-		tr, err := workload.Generate(
-			[]workload.TenantProfile{workload.BestEffort("A", 1)},
-			workload.GenerateOptions{Horizon: 30 * time.Minute, Seed: 1})
-		return tr, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Samples = 4
-	cfgs := batchConfigs(20)
-	m.Parallelism = 1
-	_, errSeq := m.EvaluateBatch(cfgs)
-	var errPar error
-	for trial := 0; trial < 10; trial++ {
-		m.Parallelism = 8
-		_, errPar = m.EvaluateBatch(cfgs)
-		if errSeq == nil || errPar == nil {
-			t.Fatalf("expected errors, got %v / %v", errSeq, errPar)
-		}
-		if errSeq.Error() != errPar.Error() {
-			t.Fatalf("nondeterministic error: %q vs %q", errSeq, errPar)
+	gen := func(failFrom int) Generator {
+		return func(sample int) (*workload.Trace, error) {
+			if sample >= failFrom {
+				return nil, fmt.Errorf("sample %d: %w", sample, boom)
+			}
+			return workload.Generate(
+				[]workload.TenantProfile{workload.BestEffort("A", 1)},
+				workload.GenerateOptions{Horizon: 30 * time.Minute, Seed: 1})
 		}
 	}
-	if !errors.Is(errPar, boom) {
-		t.Fatalf("cause lost: %v", errPar)
+	invalid := batchConfigs(20)
+	invalid[1].Tenants["A"] = cluster.TenantConfig{Weight: -1}
+	for _, tc := range []struct {
+		name  string
+		gen   Generator
+		cfgs  []cluster.Config
+		want  string
+		cause error
+	}{
+		{"generation failure", gen(1), batchConfigs(20), "whatif: config 0: ", boom},
+		{"invalid candidate", gen(4), invalid, "whatif: config 1: ", nil},
+	} {
+		m, err := New(testTemplates(), tc.gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Samples = 4
+		m.Horizon = 30 * time.Minute
+		m.Parallelism = 1
+		_, errSeq := m.EvaluateBatch(tc.cfgs)
+		var errPar error
+		for trial := 0; trial < 10; trial++ {
+			m.Parallelism = 8
+			_, errPar = m.EvaluateBatch(tc.cfgs)
+			if errSeq == nil || errPar == nil {
+				t.Fatalf("%s: expected errors, got %v / %v", tc.name, errSeq, errPar)
+			}
+			if errSeq.Error() != errPar.Error() {
+				t.Fatalf("%s: nondeterministic error: %q vs %q", tc.name, errSeq, errPar)
+			}
+		}
+		if !strings.HasPrefix(errPar.Error(), tc.want) || (tc.cause != nil && !errors.Is(errPar, tc.cause)) {
+			t.Fatalf("%s: error %q, want prefix %q and cause %v", tc.name, errPar, tc.want, tc.cause)
+		}
+		preds, _, _, errSearch := m.EvaluateSearch(tc.cfgs, func(int, []float64, []float64) bool { return false })
+		if errSearch == nil || errSearch.Error() != errSeq.Error() {
+			t.Fatalf("%s: EvaluateSearch returned (%v, %v), want EvaluateBatch's error %q", tc.name, preds, errSearch, errSeq)
+		}
 	}
 }
 

@@ -22,12 +22,12 @@ func cacheSchedule(submit time.Duration) *cluster.Schedule {
 	}
 }
 
-// TestEvalCacheReuseAndCollisionSafety pins the sharing semantics: a
-// schedule with identical records hits the cache, a different schedule
-// presented with a colliding fingerprint is rejected by the exact record
-// comparison, and samples never share entries.
+// TestEvalCacheReuseAndCollisionSafety pins the schedule tier's sharing
+// semantics: a schedule with identical records hits the tier, a different
+// schedule presented with a colliding fingerprint is rejected by the
+// exact record comparison, and samples never share entries.
 func TestEvalCacheReuseAndCollisionSafety(t *testing.T) {
-	c := newEvalCache()
+	c := &searchState{samples: make([]searchSample, 2)}
 	s1 := cacheSchedule(time.Second)
 	fp := s1.Fingerprint()
 	vals := []float64{1, 2}

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -119,5 +120,42 @@ func FuzzFromProfiles(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzScoreMatchesOracle locks the scoring engine to its independent
+// reference (oracleScores) over fuzzed candidate sets: weights,
+// max-shares, sample count and parallelism vary; the set always carries a
+// duplicate candidate, and the engine runs with and without pruning.
+func FuzzScoreMatchesOracle(f *testing.F) {
+	f.Add(1.0, 2.0, byte(0), byte(0), byte(1), byte(1))
+	f.Add(0.25, 8.0, byte(1), byte(3), byte(2), byte(4))
+	f.Add(3.5, 3.5, byte(2), byte(2), byte(3), byte(2))
+	f.Add(1e-3, 1e3, byte(4), byte(1), byte(2), byte(3))
+	f.Fuzz(func(t *testing.T, wA, wB float64, maxA, maxB, samples, par byte) {
+		for _, w := range []float64{wA, wB} {
+			if math.IsNaN(w) || w < 1e-6 || w > 1e6 {
+				t.Skip("weight outside the valid range")
+			}
+		}
+		const capacity = 4
+		mk := func(wA, wB float64, maxA, maxB byte) cluster.Config {
+			return cluster.Config{TotalContainers: capacity, Tenants: map[string]cluster.TenantConfig{
+				"a": {Weight: wA, MaxShare: int(maxA) % (capacity + 1)},
+				"b": {Weight: wB, MaxShare: int(maxB) % (capacity + 1)},
+			}}
+		}
+		cfgs := []cluster.Config{mk(1, 1, 0, 0), mk(wA, wB, maxA, maxB), mk(wB, wA, maxB, maxA), mk(wA, wB, maxA, maxB)}
+		m, err := FromProfiles([]qs.Template{
+			{Queue: "a", Metric: qs.AvgResponseTime},
+			{Queue: "b", Metric: qs.Throughput},
+		}, fuzzProfiles(), 5*time.Minute, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Horizon = 5 * time.Minute
+		m.Samples = 1 + int(samples)%3
+		m.Parallelism = 1 + int(par)%4
+		checkAgainstOracle(t, m, cfgs)
 	})
 }

@@ -10,14 +10,10 @@ import (
 	"tempo/internal/workload"
 )
 
-// Cross-tick candidate search: EvaluateSearch is EvaluateBatch plus
-// memory. The controller's decision loop scores near-identical candidate
-// sets tick after tick — the incumbent is always re-scored, proposals
-// cluster around it, and in both generator modes the sample traces are
-// identical across ticks (replay shares one trace pointer; the profile
-// generator redraws bit-identical traces from the same per-sample seed).
-// EvaluateBatch deliberately forgets all of that between calls; the
-// search state here retains it, in two exact-verified tiers per sample:
+// One scoring engine. Evaluate, EvaluateBatch, Sensitivity and
+// EvaluateSearch all resolve their (configuration, sample) pairs through
+// Model.score, working against a searchState that holds two
+// exact-verified tiers per sample:
 //
 //   - a config tier keyed by configuration fingerprint (verified with
 //     cluster.Config.Equal): the built-in predictor is a pure function of
@@ -26,18 +22,29 @@ import (
 //     no simulation at all — this is what makes warm-starting the
 //     incumbent free;
 //   - a schedule tier keyed by schedule fingerprint (verified with
-//     cluster.Schedule.Equal), the cross-tick extension of the per-batch
-//     evalCache: distinct configurations that predict identical schedules
-//     share the QS derivation, now across ticks too.
+//     cluster.Schedule.Equal): small configuration deltas frequently leave
+//     the predicted schedule unchanged (a weight tweak beyond the
+//     contention point, a max-share above demand), and distinct
+//     configurations that predict identical schedules share one QS
+//     derivation.
 //
-// Both tiers reuse values only after an exact equality check, so reuse is
-// bit-identical to recomputation and cannot perturb determinism — the
-// same argument the per-batch evalCache already makes, extended in time.
-// Stale state is impossible by construction: every call re-reconciles
-// each sample's trace identity (pointer fast path, content comparison
-// otherwise) and drops that sample's entries when the trace changed, and
-// an epoch guard drops everything when the model's shape (template count,
-// horizon, sample count) changes.
+// Neither tier subsumes the other — a config hit skips the simulation, a
+// schedule hit only the QS derivation — and both reuse values only after
+// an exact equality check, so reuse is bit-identical to recomputation no
+// matter which worker populated an entry first.
+//
+// The entry points differ only in the state's lifetime. EvaluateSearch
+// passes the model's own state, which remembers across ticks: the
+// controller scores near-identical candidate sets tick after tick — the
+// incumbent is always re-scored, proposals cluster around it, and in both
+// generator modes the sample traces are identical across ticks (replay
+// shares one trace pointer; the profile generator redraws bit-identical
+// traces from the same per-sample seed). The others pass a fresh state
+// that dies with the call. Stale state is impossible by construction:
+// every call re-reconciles each sample's trace identity (pointer fast
+// path, content comparison otherwise) and drops that sample's entries
+// when the trace changed, and an epoch guard drops everything when the
+// model's shape (template count, horizon, sample count) changes.
 //
 // EvaluateSearch optionally prunes candidates through qs.BoundSet lower
 // bounds before simulating them — see the method comment for the
@@ -48,11 +55,18 @@ import (
 // wandering optimizer evicts its oldest points first.
 const maxSearchConfigPerSample = 64
 
-// pairCache is what evalSample needs from a cache: the per-batch
-// evalCache and the cross-tick searchState both implement it.
-type pairCache interface {
-	lookup(sample int, sched *cluster.Schedule, fp uint64) []float64
-	store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) bool
+// maxSchedPerSample caps the schedule tier: each entry pins a full
+// predicted schedule (jobs + tasks) for the state's lifetime. PALD
+// batches score a handful of candidates, so a single call never reaches
+// the cap in the control loop; like the config tier it evicts FIFO.
+const maxSchedPerSample = 32
+
+// schedCacheEntry is one schedule-tier record: the pinned schedule and
+// the QS vector derived from it.
+type schedCacheEntry struct {
+	fp    uint64
+	sched *cluster.Schedule
+	vals  []float64
 }
 
 // cfgCacheEntry is one config-tier record: the exact configuration (a
@@ -68,7 +82,7 @@ type cfgCacheEntry struct {
 type searchSample struct {
 	trace  *workload.Trace
 	bounds *qs.BoundSet
-	sched  []evalCacheEntry
+	sched  []schedCacheEntry
 	cfgs   []cfgCacheEntry
 }
 
@@ -111,9 +125,11 @@ func (st *searchState) reconcile(templates int, horizon time.Duration, traces []
 	}
 }
 
-// lookup is the schedule tier's read side (pairCache). Same unlocked
-// exact-comparison idiom as evalCache.lookup: the mutex covers only the
-// slice snapshot.
+// lookup returns the QS vector already derived from an identical
+// (sample, schedule) pair, or nil. The O(records) exact comparison runs
+// outside the lock — entries are immutable once stored, so only the slice
+// snapshot needs the mutex, and workers comparing large schedules do not
+// serialize each other.
 func (st *searchState) lookup(sample int, sched *cluster.Schedule, fp uint64) []float64 {
 	st.mu.Lock()
 	entries := st.samples[sample].sched
@@ -126,25 +142,23 @@ func (st *searchState) lookup(sample int, sched *cluster.Schedule, fp uint64) []
 	return nil
 }
 
-// store is the schedule tier's write side (pairCache). Unlike the
-// per-batch cache it never refuses: at capacity the oldest entry is
+// store pins the (schedule, vector) pair in the schedule tier; the caller
+// detaches the schedule from its arena. At capacity the oldest entry is
 // evicted by advancing the slice base (append-only from any concurrent
-// reader's perspective), so the pin protocol stays "stored means
-// detached".
-func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) bool {
+// reader's perspective).
+func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sm := &st.samples[sample]
-	if len(sm.sched) >= maxCacheEntriesPerSample {
+	if len(sm.sched) >= maxSchedPerSample {
 		sm.sched = sm.sched[1:]
 	}
-	sm.sched = append(sm.sched, evalCacheEntry{fp: fp, sched: sched, vals: vals})
-	return true
+	sm.sched = append(sm.sched, schedCacheEntry{fp: fp, sched: sched, vals: vals})
 }
 
 // lookupConfig returns the cached per-sample QS vector for an exactly
-// equal configuration, or nil. Called serially by EvaluateSearch, never
-// from workers.
+// equal configuration, or nil. Called serially by score, never from
+// workers.
 func (st *searchState) lookupConfig(sample int, fp uint64, cfg *cluster.Config) []float64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -184,9 +198,10 @@ func (st *searchState) boundsFor(sample int, templates []qs.Template, horizon ti
 // row i of preds is cfgs[i] averaged over the model's samples, and every
 // returned prediction is bit-identical to what EvaluateBatch would
 // produce — but with cross-tick reuse and optional bound-based pruning.
-// cfgs[0] must be the incumbent (the currently applied configuration);
-// it is always fully resolved first and its averaged prediction becomes
-// the pruning baseline.
+// cfgs[0] must be the incumbent (the currently applied configuration):
+// when pruning can fire it is fully resolved first and its averaged
+// prediction becomes the pruning baseline. An invalid configuration is an
+// error whether or not keep would have pruned it.
 //
 // keep, when non-nil, is consulted for each candidate i >= 1 before any
 // simulation work, with a coordinatewise lower bound on cfgs[i]'s
@@ -207,27 +222,69 @@ func (st *searchState) boundsFor(sample int, templates []qs.Template, horizon ti
 // same Model must not be concurrent (the control loop serializes
 // decisions); EvaluateBatch remains stateless and safe alongside.
 func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, base []float64) bool) (preds [][]float64, fresh, reused []int, err error) {
-	preds = make([][]float64, len(cfgs))
-	fresh = make([]int, len(cfgs))
-	reused = make([]int, len(cfgs))
-	if len(cfgs) == 0 {
-		return preds, fresh, reused, nil
+	if m.search == nil {
+		m.search = &searchState{}
 	}
+	return m.evaluate(m.search, cfgs, keep)
+}
+
+// evaluate scores cfgs over the model's sample count against st and
+// averages each surviving configuration's rows in sample order.
+func (m *Model) evaluate(st *searchState, cfgs []cluster.Config, keep func(i int, lower, base []float64) bool) (preds [][]float64, fresh, reused []int, err error) {
 	samples := m.Samples
 	if samples < 1 {
 		samples = 1
 	}
+	vals, fresh, reused, err := m.score(st, cfgs, samples, keep)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	preds = make([][]float64, len(cfgs))
+	for c := range cfgs {
+		if vals[c*samples] != nil {
+			preds[c] = averageSamples(vals, c, samples, len(m.Templates))
+		}
+	}
+	return preds, fresh, reused, nil
+}
+
+// score is the only place a (configuration, sample) pair is resolved. It
+// returns the per-sample QS vectors indexed by cfg*samples + sample (nil
+// rows for a pruned configuration), with fresh[c] counting the pairs of
+// cfgs[c] whose predictor ran and reused[c] its config-tier hits.
+//
+// The S sample traces are generated exactly once, up front, and shared
+// (read-only) by all C candidates. Errors are deterministic and
+// independent of worker timing: generation errors first (lowest sample
+// wins, attributed to config 0), then the lowest-indexed invalid
+// configuration — before any lookup or bound, so neither a cache hit nor
+// a prune can hide it — then prediction errors (lowest flat pair index).
+//
+//tempo:hot
+func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int, keep func(i int, lower, base []float64) bool) (vals [][]float64, fresh, reused []int, err error) {
+	fresh = make([]int, len(cfgs))
+	reused = make([]int, len(cfgs))
+	vals = make([][]float64, len(cfgs)*samples)
+	if len(cfgs) == 0 {
+		return vals, fresh, reused, nil
+	}
+	wrap := func(c int, err error) error {
+		if len(cfgs) > 1 {
+			//tempolint:ignore allocdiscipline cold error exit, runs at most once per call
+			return fmt.Errorf("whatif: config %d: %w", c, err)
+		}
+		//tempolint:ignore allocdiscipline cold error exit, runs at most once per call
+		return fmt.Errorf("whatif: %w", err)
+	}
 	traces, err := m.genSamples(samples, workersFor(m.Parallelism, samples))
 	if err != nil {
-		if len(cfgs) > 1 {
-			return nil, nil, nil, fmt.Errorf("whatif: config 0: %w", err)
+		return nil, nil, nil, wrap(0, err)
+	}
+	for c := range cfgs {
+		if err := cfgs[c].Validate(); err != nil {
+			return nil, nil, nil, wrap(c, err)
 		}
-		return nil, nil, nil, fmt.Errorf("whatif: %w", err)
 	}
-	if m.search == nil {
-		m.search = newSearchState()
-	}
-	st := m.search
 	st.reconcile(len(m.Templates), m.Horizon, traces)
 
 	// The config tier (and the bounds that lean on predictor purity) only
@@ -243,12 +300,11 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 		}
 	}
 
-	vals := make([][]float64, len(cfgs)*samples)
-
 	// resolve fully scores the given candidates: config-tier lookups
 	// first (serial, so fresh/reused counts are deterministic), then one
-	// fan-out over the missing (config, sample) pairs, then config-tier
-	// stores in deterministic pair order.
+	// fan-out over the missing pairs — every pair runs even if one fails,
+	// so the winning error is the lowest pending position's — then
+	// config-tier stores in deterministic pair order.
 	resolve := func(cands []int) error {
 		var pending []int
 		for _, c := range cands {
@@ -264,8 +320,17 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 				pending = append(pending, idx)
 			}
 		}
-		if err := m.runSearchPairs(traces, cfgs, samples, pending, vals); err != nil {
-			return err
+		errs := make([]error, len(pending))
+		// With the built-in predictor each worker runs its pairs through a
+		// pooled Scratch; custom predictors manage their own storage.
+		runIndexedScratch(workersFor(m.Parallelism, len(pending)), len(pending), cacheable, func(pi int, sc *Scratch) {
+			idx := pending[pi]
+			vals[idx], errs[pi] = m.evalSample(st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+		})
+		for pi, err := range errs {
+			if err != nil {
+				return wrap(pending[pi]/samples, err)
+			}
 		}
 		for _, idx := range pending {
 			fresh[idx/samples]++
@@ -276,13 +341,14 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 		return nil
 	}
 
-	if err := resolve([]int{0}); err != nil {
-		return nil, nil, nil, err
-	}
-	preds[0] = averageSamples(vals, 0, samples, len(m.Templates))
-
-	pruned := make([]bool, len(cfgs))
+	cands := make([]int, 0, len(cfgs))
 	if keep != nil && cacheable && m.Horizon > 0 {
+		// Pruning can fire: the incumbent is resolved first, and its
+		// averaged prediction is the baseline keep judges the others by.
+		if err := resolve([]int{0}); err != nil {
+			return nil, nil, nil, err
+		}
+		base := averageSamples(vals, 0, samples, len(m.Templates))
 		for i := 1; i < len(cfgs); i++ {
 			// Average the per-sample lower bounds with the same summation
 			// order predictions use: float addition and division by a
@@ -298,81 +364,23 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 			for k := range lower {
 				lower[k] /= float64(samples)
 			}
-			pruned[i] = !keep(i, lower, preds[0])
-		}
-	}
-
-	var survivors []int
-	for i := 1; i < len(cfgs); i++ {
-		if !pruned[i] {
-			survivors = append(survivors, i)
-		}
-	}
-	if err := resolve(survivors); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, i := range survivors {
-		preds[i] = averageSamples(vals, i, samples, len(m.Templates))
-	}
-	return preds, fresh, reused, nil
-}
-
-func newSearchState() *searchState { return &searchState{} }
-
-// runSearchPairs fans the pending flat (config*samples + sample) indexes
-// out over the worker pool, writing each pair's QS vector into vals.
-// Error aggregation matches evalPairs: every pair runs even if one
-// fails, and the winning error is the lowest pending position's, so the
-// result is independent of worker timing.
-func (m *Model) runSearchPairs(traces []*workload.Trace, cfgs []cluster.Config, samples int, pending []int, vals [][]float64) error {
-	if len(pending) == 0 {
-		return nil
-	}
-	predict := m.Predict
-	if predict == nil {
-		predict = DefaultPredictor
-	}
-	st := m.search
-	errs := make([]error, len(pending))
-	pooled := m.Predict == nil
-	workers := m.Parallelism
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		var sc *Scratch
-		if pooled {
-			sc = scratchPool.Get().(*Scratch)
-		}
-		for pi, idx := range pending {
-			vals[idx], errs[pi] = m.evalSample(predict, st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-			if errs[pi] != nil {
-				break
+			if keep(i, lower, base) {
+				cands = append(cands, i)
 			}
-		}
-		if pooled {
-			scratchPool.Put(sc)
 		}
 	} else {
-		runIndexedScratch(workers, len(pending), pooled, func(pi int, sc *Scratch) {
-			idx := pending[pi]
-			vals[idx], errs[pi] = m.evalSample(predict, st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-		})
-	}
-	for pi, err := range errs {
-		if err != nil {
-			if len(cfgs) > 1 {
-				return fmt.Errorf("whatif: config %d: %w", pending[pi]/samples, err)
-			}
-			return fmt.Errorf("whatif: %w", err)
+		for i := range cfgs {
+			cands = append(cands, i)
 		}
 	}
-	return nil
+	if err := resolve(cands); err != nil {
+		return nil, nil, nil, err
+	}
+	return vals, fresh, reused, nil
 }
 
-// averageSamples reduces config c's per-sample rows exactly like
-// EvaluateBatch does — same summation order, so a config resolved
-// through EvaluateSearch averages to the identical bits.
+// averageSamples reduces config c's per-sample rows in sample order; it
+// is the only averaging, so every entry point agrees to the bit.
 func averageSamples(vals [][]float64, c, samples, k int) []float64 {
 	acc := make([]float64, k)
 	for s := 0; s < samples; s++ {

@@ -1,11 +1,13 @@
 package whatif
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
 
@@ -18,27 +20,129 @@ func searchConfigs() []cluster.Config {
 	return []cluster.Config{mk(20, 0, 1), mk(20, 10, 1.5), mk(16, 0, 0.8)}
 }
 
-// TestEvaluateSearchMatchesBatch: EvaluateSearch's predictions must be
-// bit-identical to EvaluateBatch's — cold, and again when every value
-// comes out of the cross-tick config tier.
+// oracleScores is the engine's independent reference: every
+// (configuration, sample) pair predicted on its own (cluster.Run, or the
+// model's custom Predict) and scored with qs.EvalAll, no cache, no pool,
+// averaged in sample order.
+func oracleScores(t testing.TB, m *Model, cfgs []cluster.Config) [][]float64 {
+	t.Helper()
+	samples := m.Samples
+	if samples < 1 {
+		samples = 1
+	}
+	predict := m.Predict
+	if predict == nil {
+		predict = DefaultPredictor
+	}
+	out := make([][]float64, len(cfgs))
+	for c := range cfgs {
+		acc := make([]float64, len(m.Templates))
+		for s := 0; s < samples; s++ {
+			tr, err := m.Gen(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := predict(tr, cfgs[c], m.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range qs.EvalAll(m.Templates, sched, 0, sched.Horizon+time.Nanosecond) {
+				acc[i] += x
+			}
+		}
+		for i := range acc {
+			acc[i] /= float64(samples)
+		}
+		out[c] = acc
+	}
+	return out
+}
+
+// checkAgainstOracle asserts that EvaluateBatch, EvaluateSearch without
+// pruning (cold, then warm out of the config tier) and EvaluateSearch
+// with a pruning keep (its non-nil rows) are all Float64bits-equal to
+// oracleScores.
+func checkAgainstOracle(t testing.TB, m *Model, cfgs []cluster.Config) {
+	t.Helper()
+	want := oracleScores(t, m, cfgs)
+	check := func(what string, got [][]float64, mayPrune bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for c := range want {
+			if got[c] == nil && mayPrune && c > 0 {
+				continue
+			}
+			if len(got[c]) != len(want[c]) {
+				t.Fatalf("%s: row %d is %v, want %v", what, c, got[c], want[c])
+			}
+			for i := range want[c] {
+				if math.Float64bits(got[c][i]) != math.Float64bits(want[c][i]) {
+					t.Fatalf("%s: row %d objective %d: %v != oracle %v", what, c, i, got[c][i], want[c][i])
+				}
+			}
+		}
+	}
+	m.search = nil
+	rows, err := m.EvaluateBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("EvaluateBatch", rows, false)
+	// Pruned first, so the survivors are scored cold rather than served
+	// from a config tier the unpruned calls filled.
+	preds, _, _, err := m.EvaluateSearch(cfgs, func(i int, _, _ []float64) bool { return i%2 == 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("EvaluateSearch(pruning)", preds, true)
+	for _, what := range []string{"EvaluateSearch(nil) cold", "EvaluateSearch(nil) warm"} {
+		preds, _, _, err := m.EvaluateSearch(cfgs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(what, preds, false)
+	}
+}
+
+// TestEvaluateSearchMatchesBatch: every entry point of the scoring engine
+// must be bit-identical to the independent oracle — at parallelism 1 and
+// 4, with duplicate configurations in the set, with the built-in
+// predictor and a custom one — and a second EvaluateSearch call must come
+// entirely out of the cross-tick config tier.
 func TestEvaluateSearchMatchesBatch(t *testing.T) {
+	cfgs := append(searchConfigs(), searchConfigs()[1], searchConfigs()[0])
+	halved := func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
+		cfg.TotalContainers = (cfg.TotalContainers + 1) / 2
+		return cluster.Run(trace, cfg, cluster.Options{Horizon: horizon})
+	}
+	for _, predict := range []Predictor{nil, halved} {
+		for _, par := range []int{1, 4} {
+			m, err := FromProfiles(testTemplates(),
+				[]workload.TenantProfile{workload.BestEffort("A", 1)},
+				time.Hour, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Horizon = time.Hour
+			m.Samples = 2
+			m.Parallelism = par
+			m.Predict = predict
+			checkAgainstOracle(t, m, cfgs)
+		}
+	}
+
 	m, err := FromTrace(testTemplates(), testTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Horizon = time.Hour
-	cfgs := searchConfigs()
-	want, err := m.EvaluateBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfgs = searchConfigs()
 	for call := 0; call < 3; call++ {
-		preds, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
+		_, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(preds, want) {
-			t.Fatalf("call %d: search preds %v != batch preds %v", call, preds, want)
 		}
 		for i := range cfgs {
 			if call == 0 && (fresh[i] != 1 || reused[i] != 0) {

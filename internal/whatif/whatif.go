@@ -61,10 +61,11 @@ type Model struct {
 	// concurrent use (the built-in generators and predictor are).
 	Parallelism int
 
-	// search is EvaluateSearch's lazily initialized cross-tick state. A
-	// pointer, so value copies of a Model share it — safe, because every
-	// cached entry is verified with an exact equality check before reuse.
-	// EvaluateBatch never touches it.
+	// search is the scoring engine's state as EvaluateSearch keeps it
+	// across ticks, lazily initialized. A pointer, so value copies of a
+	// Model share it — safe, because every cached entry is verified with an
+	// exact equality check before reuse. Every other entry point runs the
+	// same engine against a state of its own that dies with the call.
 	search *searchState
 }
 
@@ -140,7 +141,7 @@ func (m *Model) Sensitivity(cfg cluster.Config, n int) (mean, stddev []float64, 
 	if n < 2 {
 		return nil, nil, errors.New("whatif: sensitivity needs n >= 2 samples")
 	}
-	vecs, err := m.evalPairs([]cluster.Config{cfg}, n)
+	vecs, _, _, err := m.score(&searchState{}, []cluster.Config{cfg}, n, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -268,7 +268,6 @@ func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 	out := []WindowQS{}
 	for i := first; i < done; i++ {
 		lo := time.Duration(i) * interval
-		hi := lo + interval
 		if lo >= to {
 			break
 		}
@@ -276,15 +275,7 @@ func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 		if sched == nil {
 			break
 		}
-		localFrom := max(from, lo) - lo
-		localTo := min(to, hi) - lo
-		// A query covering the interval's full window means "this whole
-		// observation": extend the half-open bound past the schedule horizon
-		// so records ending exactly at the horizon count, matching the
-		// convention the control loop evaluates Observed with.
-		if localTo >= interval {
-			localTo = sched.Horizon + time.Nanosecond
-		}
+		localFrom, localTo, evalTo := qs.ClipWindow(from, to, lo, interval, sched.Horizon)
 		acc := s.accs[i]
 		if acc == nil {
 			acc = qs.Accumulate(s.rt.Templates, sched)
@@ -293,8 +284,8 @@ func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 		out = append(out, WindowQS{
 			Iteration: i,
 			From:      lo + localFrom,
-			To:        lo + min(localTo, interval),
-			Values:    acc.Values(localFrom, localTo),
+			To:        lo + localTo,
+			Values:    acc.Values(localFrom, evalTo),
 		})
 	}
 	return out, nil

@@ -11,11 +11,11 @@ import (
 	"net/url"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"tempo"
+	"tempo/internal/service"
 )
 
 // runQuery is the `tempoctl query` subcommand: a client for tempod's
@@ -74,81 +74,15 @@ func loadPlanText(arg string) (string, error) {
 	}
 }
 
-// apiError renders a non-2xx tempod response, surfacing the {error, code}
-// envelope when present.
-func apiError(resp *http.Response) error {
-	raw, _ := io.ReadAll(resp.Body)
-	return apiErrorRaw(resp.Status, raw)
-}
-
-func apiErrorRaw(status string, raw []byte) error {
-	var env struct {
-		Error string `json:"error"`
-		Code  string `json:"code"`
-	}
-	if err := json.Unmarshal(raw, &env); err == nil && env.Code != "" {
-		return fmt.Errorf("%s: %s: %s", status, env.Code, env.Error)
-	}
-	return fmt.Errorf("%s: %s", status, strings.TrimSpace(string(raw)))
-}
-
-// retryableResponse reports whether a response is a shed-before-execution
-// refusal (overload, degraded store, drain) worth retrying after its
-// Retry-After hint.
-func retryableResponse(resp *http.Response, raw []byte) bool {
-	if resp.StatusCode != http.StatusServiceUnavailable && resp.StatusCode != http.StatusTooManyRequests {
-		return false
-	}
-	var env struct {
-		Code string `json:"code"`
-	}
-	if json.Unmarshal(raw, &env) != nil {
-		return false
-	}
-	switch env.Code {
-	case "overloaded", "degraded", "unavailable", "subscription_limit":
-		return true
-	}
-	return false
-}
-
-// retryWait returns the wait before retry attempt k: 250ms·2^k, stretched
-// to any integer-seconds Retry-After hint the server sent.
-func retryWait(attempt int, resp *http.Response) time.Duration {
-	d := 250 * time.Millisecond << uint(attempt)
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		if ra := time.Duration(secs) * time.Second; ra > d {
-			d = ra
-		}
-	}
-	return d
-}
-
-// oneShotClient bounds every one-shot API call end to end; streaming uses
-// its own transport (a stream legitimately lives for minutes).
-var oneShotClient = &http.Client{Timeout: 30 * time.Second}
-
+// oneShotQuery POSTs the plan through the shared client: every call is
+// bounded end to end and a shed-before-execution refusal is retried
+// twice. Streaming uses its own transport (a stream legitimately lives
+// for minutes).
 func oneShotQuery(w io.Writer, addr, id, planText string, asJSON bool) error {
-	const attempts = 3
-	var raw []byte
-	for attempt := 0; ; attempt++ {
-		resp, err := oneShotClient.Post(addr+"/v1/clusters/"+id+"/query", "application/json", strings.NewReader(planText))
-		if err != nil {
-			return err
-		}
-		raw, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusOK {
-			break
-		}
-		if attempt < attempts-1 && retryableResponse(resp, raw) {
-			time.Sleep(retryWait(attempt, resp))
-			continue
-		}
-		return apiErrorRaw(resp.Status, raw)
+	raw, err := service.NewClient(service.DriveOptions{Retries: 2}).
+		Do(http.MethodPost, addr+"/v1/clusters/"+id+"/query", []byte(planText))
+	if err != nil {
+		return err
 	}
 	if asJSON {
 		fmt.Fprintln(w, strings.TrimSpace(string(raw)))
@@ -181,7 +115,8 @@ func streamQuery(w io.Writer, addr, id, planText string, asJSON bool) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
+		raw, _ := io.ReadAll(resp.Body) // a body we cannot read still leaves the status to report
+		return errors.New(service.EnvelopeError(resp.Status, raw))
 	}
 	var event, data string
 	sc := bufio.NewScanner(resp.Body)

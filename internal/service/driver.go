@@ -15,13 +15,14 @@ import (
 	"tempo/internal/scenario"
 )
 
-// This file is the load-driving side of the control plane: a client that
-// spins up N clusters over the HTTP API and drives concurrent
-// tick/qs/what-if traffic against them, then (optionally) proves that
-// sharded, interleaved execution changed nothing — every cluster's report
-// must be byte-identical to the same scenario run sequentially in
-// process. cmd/loadgen wraps it behind flags; the service-throughput
-// benchmark drives it directly.
+// This file is the client side of the control plane. Client is the one
+// HTTP client with the retry-on-refusal policy; tempoctl uses it
+// directly, and Drive builds the load generator on it: spin up N clusters
+// over the HTTP API and drive concurrent tick/qs/what-if traffic against
+// them, then (optionally) prove that sharded, interleaved execution
+// changed nothing — every cluster's report must be byte-identical to the
+// same scenario run sequentially in process. cmd/loadgen wraps Drive
+// behind flags; the service-throughput benchmark drives it directly.
 
 // DriveOptions configure one load-generation run.
 type DriveOptions struct {
@@ -93,15 +94,6 @@ func (o DriveOptions) withDefaults() (DriveOptions, error) {
 	if o.SeedStride == 0 {
 		o.SeedStride = 1
 	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 30 * time.Second
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 25 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
 	return o, nil
 }
 
@@ -151,7 +143,7 @@ func Drive(baseURL string, opts DriveOptions) (*DriveReport, error) {
 		ids[i] = spec.Name
 	}
 
-	client := newAPIClient(opts)
+	client := NewClient(opts)
 	rep := &DriveReport{Clusters: opts.Clusters, Iterations: opts.BaseSpec.Iterations}
 	start := time.Now()
 
@@ -221,7 +213,7 @@ func Drive(baseURL string, opts DriveOptions) (*DriveReport, error) {
 	// sequentially and compare bytes.
 	var mu sync.Mutex
 	if err := eachIndex(opts.Workers, opts.Clusters, func(i int) error {
-		got, err := client.fetchRaw(baseURL + "/v1/clusters/" + ids[i] + "/report")
+		got, err := client.Do(http.MethodGet, baseURL+"/v1/clusters/"+ids[i]+"/report", nil)
 		if err != nil {
 			return err
 		}
@@ -270,7 +262,7 @@ func deriveSpec(base []byte, baseName string, i int, stride int64) (*scenario.Sp
 // whatIfProbe scores two perturbed candidates: the equal-weight default
 // and one skewed toward the first tenant — a cheap, always-valid probe
 // shape for any scenario.
-func whatIfProbe(client *apiClient, baseURL, id string, spec *scenario.Spec) error {
+func whatIfProbe(client *Client, baseURL, id string, spec *scenario.Spec) error {
 	names := spec.TenantNames()
 	skew := map[string]scenario.TenantConfigSpec{names[0]: {Weight: 4}}
 	body, err := json.Marshal(WhatIfRequest{
@@ -296,7 +288,7 @@ const queryProbeJSON = `{
 }`
 
 // queryProbe issues one ad-hoc query-plan request against cluster id.
-func queryProbe(client *apiClient, baseURL, id string) error {
+func queryProbe(client *Client, baseURL, id string) error {
 	var out struct {
 		Ticks int               `json:"ticks"`
 		Rows  []json.RawMessage `json:"rows"`
@@ -379,13 +371,14 @@ func (t *throttle) wait() {
 
 func (t *throttle) stop() { close(t.done) }
 
-// apiClient wraps http.Client with the driver's resilience policy: an
-// end-to-end request timeout, plus capped exponential backoff with
-// deterministic jitter for refusals the server guarantees never executed
-// (503/429 carrying a retryable envelope code). The jitter stream is a
-// pure function of (seed, draw index), so a replayed run waits the same
-// schedule — load generation stays reproducible under injected faults.
-type apiClient struct {
+// Client wraps http.Client with the resilience policy every tempod client
+// shares: an end-to-end request timeout, plus capped exponential backoff
+// with deterministic jitter for refusals the server guarantees never
+// executed (503/429 carrying a retryable envelope code). The jitter
+// stream is a pure function of (seed, draw index), so a replayed run
+// waits the same schedule — load generation stays reproducible under
+// injected faults.
+type Client struct {
 	c         *http.Client
 	retries   int
 	base, max time.Duration
@@ -395,8 +388,20 @@ type apiClient struct {
 	sleep     func(time.Duration) // swapped out by tests to record waits
 }
 
-func newAPIClient(opts DriveOptions) *apiClient {
-	return &apiClient{
+// NewClient returns a client under the timeout and retry fields of opts
+// (RequestTimeout, Retries, RetryBase, RetryMax, RetrySeed; zero values
+// take the defaults documented there).
+func NewClient(opts DriveOptions) *Client {
+	if opts.RequestTimeout <= 0 {
+		opts.RequestTimeout = 30 * time.Second
+	}
+	if opts.RetryBase <= 0 {
+		opts.RetryBase = 25 * time.Millisecond
+	}
+	if opts.RetryMax <= 0 {
+		opts.RetryMax = 2 * time.Second
+	}
+	return &Client{
 		c:       &http.Client{Timeout: opts.RequestTimeout},
 		retries: opts.Retries,
 		base:    opts.RetryBase,
@@ -423,7 +428,7 @@ func retryableCode(code string) bool {
 // backoff returns the wait before retry attempt k (0-based): base·2^k
 // capped at max, scaled by a jittered factor in [0.5, 1.0) drawn from the
 // deterministic stream, then stretched to honor any Retry-After hint.
-func (cl *apiClient) backoff(attempt int, retryAfter time.Duration) time.Duration {
+func (cl *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	d := cl.base << uint(attempt)
 	if d > cl.max || d <= 0 { // <= 0: shift overflow
 		d = cl.max
@@ -446,12 +451,13 @@ func (cl *apiClient) backoff(attempt int, retryAfter time.Duration) time.Duratio
 	return d
 }
 
-// call issues one JSON request and decodes the response into out,
-// retrying refused-before-execution responses per the client's policy.
-// Transport errors are never retried: the request may have reached the
-// server and executed, and blindly replaying a tick could double-apply
-// it.
-func (cl *apiClient) call(method, url string, body []byte, out any) error {
+// Do issues one request (a non-nil body is sent as JSON) and returns the
+// body of the 2xx response. It is the only retry loop: responses refused
+// before execution are retried per the client's policy; transport errors
+// never are — the request may have reached the server and executed, and
+// blindly replaying a tick could double-apply it. Any other response is
+// an error rendered by EnvelopeError.
+func (cl *Client) Do(method, url string, body []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
 		if body != nil {
@@ -459,73 +465,12 @@ func (cl *apiClient) call(method, url string, body []byte, out any) error {
 		}
 		req, err := http.NewRequest(method, url, rd)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := cl.c.Do(req)
-		if err != nil {
-			return err
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode/100 == 2 {
-			if out != nil {
-				if err := json.Unmarshal(raw, out); err != nil {
-					return fmt.Errorf("%s %s: decoding response: %w", method, url, err)
-				}
-			}
-			return nil
-		}
-		if attempt < cl.retries && retryableStatus(resp.StatusCode) {
-			var env ErrorEnvelope
-			if json.Unmarshal(raw, &env) == nil && retryableCode(env.Code) {
-				cl.retried.Add(1)
-				cl.sleep(cl.backoff(attempt, retryAfterHint(resp)))
-				continue
-			}
-		}
-		return fmt.Errorf("%s %s: %s", method, url, envelopeError(resp.Status, raw))
-	}
-}
-
-// retryableStatus limits retries to the two refusal statuses the service
-// uses for shed-before-execution responses.
-func retryableStatus(status int) bool {
-	return status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests
-}
-
-// retryAfterHint parses an integer-seconds Retry-After header; 0 if
-// absent or malformed.
-func retryAfterHint(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
-// envelopeError renders a non-2xx response for humans: the service's
-// {error, code} envelope becomes "<status>: <code>: <error>" so the
-// machine-readable code is in the message, not buried in raw JSON; bodies
-// that are not the envelope (proxies, panics) fall back to the raw text.
-func envelopeError(status string, raw []byte) string {
-	var env ErrorEnvelope
-	if err := json.Unmarshal(raw, &env); err == nil && env.Code != "" {
-		return fmt.Sprintf("%s: %s: %s", status, env.Code, env.Error)
-	}
-	return fmt.Sprintf("%s: %s", status, strings.TrimSpace(string(raw)))
-}
-
-// fetchRaw GETs a URL and returns the raw response bytes, under the same
-// retry policy as call.
-func (cl *apiClient) fetchRaw(url string) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		resp, err := cl.c.Get(url)
 		if err != nil {
 			return nil, err
 		}
@@ -545,8 +490,48 @@ func (cl *apiClient) fetchRaw(url string) ([]byte, error) {
 				continue
 			}
 		}
-		return nil, fmt.Errorf("GET %s: %s", url, envelopeError(resp.Status, raw))
+		return nil, fmt.Errorf("%s %s: %s", method, url, EnvelopeError(resp.Status, raw))
 	}
+}
+
+// call is Do with the response decoded into out (when non-nil).
+func (cl *Client) call(method, url string, body []byte, out any) error {
+	raw, err := cl.Do(method, url, body)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("%s %s: decoding response: %w", method, url, err)
+	}
+	return nil
+}
+
+// retryableStatus limits retries to the two refusal statuses the service
+// uses for shed-before-execution responses.
+func retryableStatus(status int) bool {
+	return status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests
+}
+
+// retryAfterHint parses an integer-seconds Retry-After header; 0 if
+// absent or malformed.
+func retryAfterHint(resp *http.Response) time.Duration {
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
+}
+
+// EnvelopeError renders a non-2xx response for humans: the service's
+// {error, code} envelope becomes "<status>: <code>: <error>" so the
+// machine-readable code is in the message, not buried in raw JSON; bodies
+// that are not the envelope (proxies, panics) fall back to the raw text.
+func EnvelopeError(status string, raw []byte) string {
+	var env ErrorEnvelope
+	if err := json.Unmarshal(raw, &env); err == nil && env.Code != "" {
+		return fmt.Sprintf("%s: %s: %s", status, env.Code, env.Error)
+	}
+	return fmt.Sprintf("%s: %s", status, strings.TrimSpace(string(raw)))
 }
 
 func mustMarshal(spec *scenario.Spec) json.RawMessage {

@@ -15,11 +15,10 @@ import (
 	"tempo/internal/store"
 )
 
-// stubAPIClient builds an apiClient with a recorded sleep so tests
-// assert the backoff schedule without waiting it out.
-func stubAPIClient(opts DriveOptions) (*apiClient, *[]time.Duration) {
-	opts, _ = opts.withDefaults()
-	cl := newAPIClient(opts)
+// stubAPIClient builds a Client with a recorded sleep so tests assert the
+// backoff schedule without waiting it out.
+func stubAPIClient(opts DriveOptions) (*Client, *[]time.Duration) {
+	cl := NewClient(opts)
 	slept := &[]time.Duration{}
 	cl.sleep = func(d time.Duration) { *slept = append(*slept, d) }
 	return cl, slept

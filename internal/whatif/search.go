@@ -86,8 +86,8 @@ type searchSample struct {
 	cfgs   []cfgCacheEntry
 }
 
-// searchState is the cross-tick memory behind EvaluateSearch. The mutex
-// guards slice headers only; entries are immutable once appended, and
+// searchState is what the scoring engine works against: both tiers and
+// the pruning bounds, per sample. The mutex guards slice headers only; entries are immutable once appended, and
 // eviction advances the slice base instead of shifting elements in
 // place, so a reader's unlocked snapshot is never written through.
 type searchState struct {
@@ -319,6 +319,9 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int, keep 
 				}
 				pending = append(pending, idx)
 			}
+		}
+		if len(pending) == 0 {
+			return nil // fully warm: no worker, no pooled arena drawn
 		}
 		errs := make([]error, len(pending))
 		// With the built-in predictor each worker runs its pairs through a

@@ -541,8 +541,8 @@ func measureAllocs(reps int, fn func()) (allocsPerOp, bytesPerOp float64) {
 // full-recompute oracle on the stress tier: a 1000-tenant schedule scored
 // under ~4000 templates, the shape the paper's handful-of-tenants protocol
 // never reaches. It fails outright if the incremental path is not faster —
-// the CI regression gate for this PR's tentpole — and records the speedup
-// for BENCH_3.json. The two paths' QS vectors must be bit-identical on the
+// the CI regression gate for the incremental path — and records the speedup
+// for BENCH_5.json. The two paths' QS vectors must be bit-identical on the
 // full window.
 func BenchmarkQSIncremental(b *testing.B) {
 	sched, templates, err := stressEvalFixture()
@@ -583,6 +583,53 @@ func BenchmarkQSIncremental(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qs.EvalStream(templates, sched, 0, end)
+	}
+}
+
+// BenchmarkQSCutoverSweep is the measurement qs.streamCutover is set from:
+// the first observed schedule of each bench/ workload fixture, scored whole
+// by the oracle and by a fresh accumulator under k templates drawn evenly
+// from the fixture's own SLO list. EXPERIMENTS.md ("The QS cutover") has
+// the recorded table and how to rerun it.
+func BenchmarkQSCutoverSweep(b *testing.B) {
+	for _, fx := range []struct {
+		name string
+		ks   []int
+	}{
+		{"small", []int{2}},
+		{"medium", []int{2}},
+		{"stress", []int{2, 16, 32, 64, 96, 104, 112, 120, 128, 136, 173}},
+	} {
+		spec, err := scenario.LoadFile("bench/workloads/" + fx.name + ".json")
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := scenario.Build(spec, scenario.Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rt.Step(); err != nil {
+			b.Fatal(err)
+		}
+		sched := rt.ObservedSchedule(0)
+		end := sched.Horizon + time.Nanosecond
+		for _, k := range fx.ks {
+			templates := make([]Template, k)
+			for i := range templates {
+				templates[i] = rt.Templates[i*len(rt.Templates)/k]
+			}
+			name := fmt.Sprintf("%s/tasks=%d/k=%d", fx.name, len(sched.Tasks), k)
+			b.Run(name+"/oracle", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					qs.EvalAll(templates, sched, 0, end)
+				}
+			})
+			b.Run(name+"/accumulator", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					qs.Accumulate(templates, sched).Values(0, end)
+				}
+			})
+		}
 	}
 }
 

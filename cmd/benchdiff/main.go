@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_4.json -fresh BENCH_4.fresh.json
+//	benchdiff -baseline BENCH_5.json -fresh BENCH_5.fresh.json
 //	benchdiff ... -tolerance 0.25 -time-tolerance 0.5
 //
 // Metrics are classified by name:

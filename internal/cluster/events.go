@@ -7,12 +7,12 @@ import (
 	"tempo/internal/workload"
 )
 
-// This file defines the canonical event-stream view of a Schedule. The
-// record view (Schedule.Jobs / Schedule.Tasks) and the event view carry the
-// same information; the event view is the substrate of the incremental QS
-// path (internal/qs.Accumulator), which consumes the stream once instead of
-// re-scanning all records per metric. The stream is a pure function of the
-// schedule: same records, same bytes of events, in the same order.
+// This file defines the canonical event-stream view of a Schedule. It
+// carries the same information as the record view (Schedule.Jobs / Tasks)
+// and serves the consumers whose contract is a stream: the WAL's tick codec
+// (internal/store) and internal/query's "events" relation. QS evaluation
+// reads the records in place, not this view. The stream is a pure function
+// of the schedule: same records, same bytes of events, in the same order.
 
 // EventKind classifies one schedule event.
 type EventKind uint8
@@ -98,9 +98,9 @@ func EventLess(a, b *Event) bool {
 }
 
 // EventBuf is a reusable buffer set for repeated event-stream extraction:
-// AppendEvents serves the stream from the buffer's storage, so consumers
-// that extract many streams (what-if scoring, per-interval accumulators)
-// stop allocating one event array plus four index arrays per schedule.
+// AppendEvents serves the stream from the buffer's storage, so a consumer
+// that extracts many streams (a standing "events" query, one per tick)
+// stops allocating one event array plus four index arrays per schedule.
 // The zero value is ready to use.
 type EventBuf struct {
 	events []Event

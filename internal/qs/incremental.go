@@ -1,20 +1,20 @@
-// Incremental QS evaluation over schedule event streams.
+// Incremental QS evaluation over a schedule's records.
 //
-// The legacy path (Template.Eval / EvalAll) recomputes each metric by
+// The oracle path (Template.Eval / EvalAll) recomputes each metric by
 // scanning every job and task record of the schedule, so evaluating k
 // templates costs O(k·(jobs+tasks)) — the dominant cost of what-if
 // candidate scoring once template counts grow with tenant counts. The
-// Accumulator in this file consumes the schedule's canonical event stream
-// (cluster.Schedule.Events) exactly once, builds per-metric indexes, and
-// then answers Value(From, To) queries for any half-open window:
+// Accumulator in this file indexes the same records (Schedule.Jobs and
+// Schedule.Tasks, in place) once per distinct template filter, and then
+// answers Value(From, To) queries for any half-open window:
 //
 //   - utilization and fairness from prefix integrals of the allocation
-//     step function — O(log n) per query, bit-identical to the legacy
-//     path for every window (the integral is exact integer arithmetic);
+//     step function — O(log n) per query, bit-identical to the oracle
+//     for every window (the integral is exact integer arithmetic);
 //   - response time, deadline violations, and throughput from a mergesort
 //     tree over (submit, finish) pairs — O(log² n) per query, with an
 //     O(1) fast path for windows covering the whole schedule (the control
-//     loop's only production query shape) that reproduces the legacy
+//     loop's only production query shape) that reproduces the oracle's
 //     float summation order bit-for-bit.
 //
 // EvalAll remains the reference oracle; TestPropertyIncrementalOracle
@@ -26,130 +26,119 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tempo/internal/cluster"
 	"tempo/internal/workload"
 )
 
-// Accumulator ingests a schedule's event stream once and answers QS
-// queries for a fixed template set over arbitrary [From, To) windows.
-// Observe the full stream (in any order — events index their records),
-// Seal, then query. Value and Values are safe for concurrent use; Seal is
-// idempotent and implied by the first query.
+// Accumulator answers QS queries for a fixed template set over arbitrary
+// [From, To) windows of one schedule. Accumulate is its only constructor
+// and returns it complete: Value and Values never change what a later
+// query returns and are safe for concurrent use.
 type Accumulator struct {
-	templates []Template
-	capacity  int
-
-	jobs  []jobState
-	tasks []taskState
-
-	sealOnce sync.Once
-	sealed   atomic.Bool
-	evals    []func(from, to time.Duration) float64
-
-	// Tenant partitions of the record indexes, built once at seal; "" maps
-	// to nothing — the full range stands in for the all-tenants filter.
-	jobsByTenant  map[string][]int32
-	tasksByTenant map[string][]int32
+	evals []func(from, to time.Duration) float64
 }
 
-// jobState collects one job record from its submit and finish events.
-type jobState struct {
-	tenant    string
-	submit    time.Duration
-	finish    time.Duration
-	deadline  time.Duration
-	completed bool
-}
-
-// taskState collects one task attempt from its start and end events.
-type taskState struct {
-	tenant  string
-	kind    workload.TaskKind
-	start   time.Duration
-	end     time.Duration
-	outcome cluster.TaskOutcome
-}
-
-// NewAccumulator returns an empty accumulator for the template set.
-// capacity is the schedule's container count (cluster.Schedule.Capacity),
-// which the utilization metrics normalize by.
-func NewAccumulator(templates []Template, capacity int) *Accumulator {
-	return &Accumulator{
-		templates: append([]Template(nil), templates...),
-		capacity:  capacity,
-	}
-}
-
-// Accumulate builds a sealed accumulator from a schedule's canonical event
-// stream — the one-pass replacement for k independent EvalAll scans.
-// Going through Events() costs four index sorts and one ~100-byte event
-// per record pair over ingesting the record view directly; that is the
-// deliberate price of keeping the production path on the same stream an
-// online consumer would see (and it is included in the speedups
-// BenchmarkQSIncremental records).
-func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
-	a := NewAccumulator(templates, s.Capacity)
-	a.jobs = make([]jobState, 0, len(s.Jobs))
-	a.tasks = make([]taskState, 0, len(s.Tasks))
-	for _, ev := range s.Events() {
-		a.Observe(ev)
-	}
-	a.Seal()
-	return a
-}
-
-// Scratch is a reusable buffer set for repeated QS evaluation: the
-// schedule's event stream and the accumulator's per-record state are
-// served from recycled storage instead of fresh allocations per
-// evaluation. One Scratch serves one goroutine; the zero value is ready
-// to use.
-type Scratch struct {
-	buf   cluster.EventBuf
-	jobs  []jobState
-	tasks []taskState
-}
-
-// accumulate is Accumulate serving its event stream and record state from
-// the scratch. The returned accumulator aliases scratch storage (and the
-// caller's template slice), so it is only valid until the scratch's next
-// use — evaluate and drop it.
+// Accumulate indexes the schedule for the template set — the one-pass
+// replacement for k independent EvalAll scans. Templates with identical
+// filters share one job tree or allocation timeline, and records are
+// partitioned by tenant once, so building the per-tenant indexes of k
+// templates costs O(jobs + tasks + k) instead of O(k·(jobs + tasks)).
 //
-//tempo:hot
-func (sc *Scratch) accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
-	a := &Accumulator{templates: templates, capacity: s.Capacity}
-	a.jobs = sc.jobs[:0]
-	a.tasks = sc.tasks[:0]
-	for _, ev := range s.AppendEvents(&sc.buf) {
-		a.Observe(ev)
+// The accumulator borrows the schedule: it reads s.Jobs and s.Tasks in
+// place, during the call and again on the first sub-window job query, and
+// never writes them. It is valid exactly as long as those records are
+// left alone — what-if scoring evaluates and drops it before the
+// simulation arena recycles the schedule; a Session keeps accumulators
+// only over observed schedules it owns and never mutates.
+func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
+	ix := indexer{
+		sched:         s,
+		jobsByTenant:  byTenant(len(s.Jobs), func(i int) string { return s.Jobs[i].Tenant }),
+		tasksByTenant: byTenant(len(s.Tasks), func(i int) string { return s.Tasks[i].Tenant }),
+		trees:         map[jobSetKey]*jobTree{},
+		lines:         map[utilKey]*timeline{},
 	}
-	// Keep the (possibly grown) state arrays for the next evaluation.
-	sc.jobs = a.jobs
-	sc.tasks = a.tasks
-	a.Seal()
+	a := &Accumulator{evals: make([]func(from, to time.Duration) float64, len(templates))}
+	capacity := s.Capacity
+	for i, t := range templates {
+		priority := t.Priority
+		if priority == 0 {
+			priority = 1
+		}
+		switch t.Metric {
+		case AvgResponseTime:
+			tree := ix.jobTree(jobSetKey{tenant: t.Queue})
+			a.evals[i] = func(from, to time.Duration) float64 {
+				cnt, sum := tree.query(from, to)
+				if cnt == 0 {
+					return 0
+				}
+				return priority * (sum / float64(cnt))
+			}
+		case Throughput:
+			tree := ix.jobTree(jobSetKey{tenant: t.Queue})
+			a.evals[i] = func(from, to time.Duration) float64 {
+				cnt, _ := tree.query(from, to)
+				return priority * -float64(cnt)
+			}
+		case DeadlineViolations:
+			tree := ix.jobTree(jobSetKey{tenant: t.Queue, deadline: true, slack: t.Slack})
+			a.evals[i] = func(from, to time.Duration) float64 {
+				cnt, violated := tree.query(from, to)
+				if cnt == 0 {
+					return 0
+				}
+				return priority * (violated / float64(cnt))
+			}
+		case Utilization:
+			line := ix.timeline(utilKeyFor(t.Queue, t.TaskKind, t.EffectiveOnly))
+			a.evals[i] = func(from, to time.Duration) float64 {
+				return priority * -line.usedFraction(from, to, capacity)
+			}
+		case Fairness:
+			mine := ix.timeline(utilKeyFor(t.Queue, nil, false))
+			all := ix.timeline(utilKeyFor("", nil, false))
+			share := t.DesiredShare
+			a.evals[i] = func(from, to time.Duration) float64 {
+				total := all.usedFraction(from, to, capacity)
+				if total <= 0 {
+					return 0
+				}
+				m := mine.usedFraction(from, to, capacity)
+				return priority * math.Abs(share-m/total)
+			}
+		default:
+			a.evals[i] = func(time.Duration, time.Duration) float64 {
+				return priority * math.NaN()
+			}
+		}
+	}
 	return a
 }
 
-// streamCutover is the template count above which the incremental path
-// beats per-template rescans for a one-shot evaluation. Both costs are
-// linear in the record count — the oracle pays k scans, the accumulator a
-// constant number of indexing passes — so the crossover is a stable
-// template-count constant; ~170 measured on a representative emulated
-// schedule (see BenchmarkQSIncremental for the far end). Below it the
-// oracle's tight record loops win outright.
-const streamCutover = 160
+// streamCutover is the template count from which the incremental path
+// beats per-template rescans for a one-shot evaluation. The oracle pays k
+// record scans; the accumulator pays a near-constant indexing cost (the
+// all-tenants allocation timeline's sort dominates it) plus a little per
+// template — so the crossover is a template count, not a record count.
+// Measured by BenchmarkQSCutoverSweep on the bench stress fixture (1509
+// tasks): the oracle leads up to k = 104, the two tie at 112, the
+// accumulator leads from 120 (1.3x at the fixture's own 173); at 2
+// templates the oracle is 21x (small) to 59–96x (medium, stress) ahead.
+// EXPERIMENTS.md has the table; BenchmarkQSIncremental is the far end.
+const streamCutover = 120
 
 // EvalStream evaluates every template over [from, to), picking the
 // cheaper evaluation path for the template count: per-template record
 // scans for small SLO sets (the paper-scale shape), the one-pass
-// event-stream accumulator for large ones (the stress tier, where it is
-// asymptotically ahead). The choice is invisible in the results: the two
-// paths are bit-identical for windows covering the whole schedule and
-// agree within float round-off (≤ 1e-9 relative) everywhere else.
-// Callers that query many windows of one schedule should hold an
-// Accumulator instead, which amortizes its build across queries.
+// accumulator for large ones (the stress tier, where it is asymptotically
+// ahead). The choice is invisible in the results: the two paths are
+// bit-identical for windows covering the whole schedule and agree within
+// float round-off (≤ 1e-9 relative) everywhere else. Callers that query
+// many windows of one schedule should hold an Accumulator instead, which
+// amortizes its build across queries.
 func EvalStream(templates []Template, s *cluster.Schedule, from, to time.Duration) []float64 {
 	if len(templates) < streamCutover {
 		return EvalAll(templates, s, from, to)
@@ -157,117 +146,8 @@ func EvalStream(templates []Template, s *cluster.Schedule, from, to time.Duratio
 	return Accumulate(templates, s).Values(from, to)
 }
 
-// EvalStreamScratch is EvalStream serving its working storage from the
-// scratch — what-if candidate scoring evaluates one schedule per
-// (candidate, sample) pair and must not churn the heap doing it. The
-// returned vector is freshly allocated (callers retain it); everything
-// intermediate is recycled. Results are bit-identical to EvalStream's.
-// A nil scratch falls back to EvalStream.
-//
-//tempo:hot
-func EvalStreamScratch(sc *Scratch, templates []Template, s *cluster.Schedule, from, to time.Duration) []float64 {
-	if sc == nil {
-		return EvalStream(templates, s, from, to)
-	}
-	if len(templates) < streamCutover {
-		// The oracle path's per-template scans are already allocation-free;
-		// only the result vector is allocated.
-		return EvalAll(templates, s, from, to)
-	}
-	return sc.accumulate(templates, s).Values(from, to)
-}
-
-// Observe feeds one event. All events of the stream must be observed
-// before sealing; order does not matter (events carry their record
-// index), but Observe must not run concurrently with Seal or the first
-// query. Calls after the accumulator is sealed are ignored.
-//
-//tempo:hot
-func (a *Accumulator) Observe(ev cluster.Event) {
-	if a.sealed.Load() {
-		return
-	}
-	switch ev.Kind {
-	case cluster.EventJobSubmit:
-		j := a.job(ev.Seq)
-		j.tenant, j.submit, j.deadline = ev.Tenant, ev.Time, ev.Deadline
-	case cluster.EventJobFinish:
-		j := a.job(ev.Seq)
-		j.tenant, j.finish, j.completed = ev.Tenant, ev.Time, ev.Completed
-	case cluster.EventTaskStart:
-		t := a.task(ev.Seq)
-		t.tenant, t.kind, t.start = ev.Tenant, ev.TaskKind, ev.Time
-	case cluster.EventTaskEnd:
-		t := a.task(ev.Seq)
-		t.tenant, t.kind, t.end, t.outcome = ev.Tenant, ev.TaskKind, ev.Time, ev.Outcome
-	}
-}
-
-func (a *Accumulator) job(seq int) *jobState {
-	for len(a.jobs) <= seq {
-		a.jobs = append(a.jobs, jobState{})
-	}
-	return &a.jobs[seq]
-}
-
-func (a *Accumulator) task(seq int) *taskState {
-	for len(a.tasks) <= seq {
-		a.tasks = append(a.tasks, taskState{})
-	}
-	return &a.tasks[seq]
-}
-
-// JobView is one paired job record as the accumulator assembled it from
-// the event stream (submit + finish events joined by Seq). It is the
-// record-order substrate internal/query's "jobs" relation is built from —
-// the same state the QS metrics evaluate, exposed instead of re-derived.
-type JobView struct {
-	Tenant    string
-	Submit    time.Duration
-	Finish    time.Duration
-	Deadline  time.Duration
-	Completed bool
-}
-
-// TaskView is one paired task attempt (start + end events joined by Seq).
-type TaskView struct {
-	Tenant  string
-	Kind    workload.TaskKind
-	Start   time.Duration
-	End     time.Duration
-	Outcome cluster.TaskOutcome
-}
-
-// EachJob calls f for every observed job record in record order — the
-// order every oracle scan and fast-path summation uses. It does not
-// require (or trigger) sealing, so stream consumers that only want the
-// paired records skip the per-template index build.
-func (a *Accumulator) EachJob(f func(JobView)) {
-	for i := range a.jobs {
-		j := &a.jobs[i]
-		f(JobView{Tenant: j.tenant, Submit: j.submit, Finish: j.finish, Deadline: j.deadline, Completed: j.completed})
-	}
-}
-
-// EachTask calls f for every observed task attempt in record order.
-func (a *Accumulator) EachTask(f func(TaskView)) {
-	for i := range a.tasks {
-		t := &a.tasks[i]
-		f(TaskView{Tenant: t.tenant, Kind: t.kind, Start: t.start, End: t.end, Outcome: t.outcome})
-	}
-}
-
-// Seal freezes the accumulator and builds the per-template indexes.
-// Further Observe calls are ignored. Seal is idempotent and safe to call
-// concurrently.
-func (a *Accumulator) Seal() {
-	a.sealOnce.Do(a.seal)
-}
-
-// Value returns template i's QS value over [from, to), sealing first if
-// necessary.
+// Value returns template i's QS value over [from, to).
 func (a *Accumulator) Value(i int, from, to time.Duration) float64 {
-	a.Seal()
 	return a.evals[i](from, to)
 }
 
@@ -275,7 +155,6 @@ func (a *Accumulator) Value(i int, from, to time.Duration) float64 {
 // vector f(x; w) in template order — the incremental counterpart of
 // EvalAll.
 func (a *Accumulator) Values(from, to time.Duration) []float64 {
-	a.Seal()
 	out := make([]float64, len(a.evals))
 	for i, eval := range a.evals {
 		out[i] = eval(from, to)
@@ -289,6 +168,29 @@ type jobSetKey struct {
 	tenant   string
 	deadline bool
 	slack    float64
+}
+
+// payload reports whether j belongs to the key's job set — completed
+// jobs, restricted to deadline-carrying ones for deadline keys — and its
+// metric payload: response seconds, or a 0/1 violation flag.
+func (k jobSetKey) payload(j *cluster.JobRecord) (float64, bool) {
+	if !j.Completed {
+		return 0, false
+	}
+	if !k.deadline {
+		return (j.Finish - j.Submit).Seconds(), true
+	}
+	if j.Deadline <= 0 {
+		return 0, false
+	}
+	// The violation test of the oracle, verbatim: finishing later than
+	// deadline + slack·(response time) violates.
+	dur := j.Finish - j.Submit
+	limit := j.Deadline + time.Duration(k.slack*float64(dur))
+	if j.Finish > limit {
+		return 1, true
+	}
+	return 0, true
 }
 
 // utilKey identifies a shared allocation timeline: tenant filter, task
@@ -307,183 +209,68 @@ func utilKeyFor(tenant string, kind *workload.TaskKind, effectiveOnly bool) util
 	return k
 }
 
-// seal builds every template's evaluator, sharing job trees and allocation
-// timelines between templates with identical filters. Records are
-// partitioned by tenant once, so building the per-tenant indexes of k
-// templates costs O(jobs + tasks + k) instead of O(k·(jobs + tasks)) —
-// without this, a per-tenant SLO set at 1000 tenants would pay the
-// oracle's quadratic scan once more at seal time.
-func (a *Accumulator) seal() {
-	a.sealed.Store(true)
-	a.jobsByTenant = map[string][]int32{}
-	for i := range a.jobs {
-		t := a.jobs[i].tenant
-		a.jobsByTenant[t] = append(a.jobsByTenant[t], int32(i))
-	}
-	a.tasksByTenant = map[string][]int32{}
-	for i := range a.tasks {
-		t := a.tasks[i].tenant
-		a.tasksByTenant[t] = append(a.tasksByTenant[t], int32(i))
-	}
-	trees := map[jobSetKey]*jobTree{}
-	lines := map[utilKey]*timeline{}
-	jobTreeFor := func(key jobSetKey) *jobTree {
-		if t, ok := trees[key]; ok {
-			return t
+// indexer is Accumulate's working state: the borrowed schedule, its
+// records partitioned by tenant, and the indexes built so far, one per
+// distinct filter.
+type indexer struct {
+	sched         *cluster.Schedule
+	jobsByTenant  map[string][]int32
+	tasksByTenant map[string][]int32
+	trees         map[jobSetKey]*jobTree
+	lines         map[utilKey]*timeline
+}
+
+// byTenant partitions the record indexes [0, n) by tenant, each part in
+// record order; "" — the all-tenants filter — holds every index. Record
+// order matters: the fast-path totals must sum in the order the oracle
+// scans.
+func byTenant(n int, tenant func(i int) string) map[string][]int32 {
+	all := make([]int32, n)
+	parts := map[string][]int32{"": all}
+	for i := range all {
+		all[i] = int32(i)
+		if t := tenant(i); t != "" {
+			parts[t] = append(parts[t], int32(i))
 		}
-		t := a.buildJobTree(key)
-		trees[key] = t
-		return t
 	}
-	timelineFor := func(key utilKey) *timeline {
-		if l, ok := lines[key]; ok {
-			return l
-		}
-		l := a.buildTimeline(key)
-		lines[key] = l
+	return parts
+}
+
+func (ix *indexer) jobTree(key jobSetKey) *jobTree {
+	t, ok := ix.trees[key]
+	if !ok {
+		t = newJobTree(ix.sched.Jobs, ix.jobsByTenant[key.tenant], key)
+		ix.trees[key] = t
+	}
+	return t
+}
+
+// timeline builds (once per key) the allocation step function for the
+// key's task filter as sorted change points with prefix integrals.
+func (ix *indexer) timeline(key utilKey) *timeline {
+	if l, ok := ix.lines[key]; ok {
 		return l
 	}
-
-	a.evals = make([]func(from, to time.Duration) float64, len(a.templates))
-	for i, t := range a.templates {
-		t := t
-		priority := t.Priority
-		if priority == 0 {
-			priority = 1
-		}
-		switch t.Metric {
-		case AvgResponseTime:
-			tree := jobTreeFor(jobSetKey{tenant: t.Queue})
-			a.evals[i] = func(from, to time.Duration) float64 {
-				cnt, sum := tree.query(from, to)
-				if cnt == 0 {
-					return 0
-				}
-				return priority * (sum / float64(cnt))
-			}
-		case Throughput:
-			tree := jobTreeFor(jobSetKey{tenant: t.Queue})
-			a.evals[i] = func(from, to time.Duration) float64 {
-				cnt, _ := tree.query(from, to)
-				return priority * -float64(cnt)
-			}
-		case DeadlineViolations:
-			tree := jobTreeFor(jobSetKey{tenant: t.Queue, deadline: true, slack: t.Slack})
-			a.evals[i] = func(from, to time.Duration) float64 {
-				cnt, violated := tree.query(from, to)
-				if cnt == 0 {
-					return 0
-				}
-				return priority * (violated / float64(cnt))
-			}
-		case Utilization:
-			line := timelineFor(utilKeyFor(t.Queue, t.TaskKind, t.EffectiveOnly))
-			capacity := a.capacity
-			a.evals[i] = func(from, to time.Duration) float64 {
-				return priority * -line.usedFraction(from, to, capacity)
-			}
-		case Fairness:
-			mine := timelineFor(utilKeyFor(t.Queue, nil, false))
-			all := timelineFor(utilKeyFor("", nil, false))
-			capacity := a.capacity
-			share := t.DesiredShare
-			a.evals[i] = func(from, to time.Duration) float64 {
-				total := all.usedFraction(from, to, capacity)
-				if total <= 0 {
-					return 0
-				}
-				m := mine.usedFraction(from, to, capacity)
-				return priority * math.Abs(share-m/total)
-			}
-		default:
-			a.evals[i] = func(time.Duration, time.Duration) float64 {
-				return priority * math.NaN()
-			}
-		}
-	}
-}
-
-// buildJobTree collects the key's job set — the tenant's completed jobs,
-// restricted to deadline-carrying ones for deadline keys — in record order
-// and indexes it for window queries.
-func (a *Accumulator) buildJobTree(key jobSetKey) *jobTree {
-	indexes := a.jobIndexes(key.tenant)
-	var items []jobItem
-	for _, idx := range indexes {
-		j := &a.jobs[idx]
-		if !j.completed {
-			continue
-		}
-		var payload float64
-		if key.deadline {
-			if j.deadline <= 0 {
-				continue
-			}
-			// The violation test of the legacy path, verbatim: finishing
-			// later than deadline + slack·(response time) violates.
-			dur := j.finish - j.submit
-			limit := j.deadline + time.Duration(key.slack*float64(dur))
-			if j.finish > limit {
-				payload = 1
-			}
-		} else {
-			payload = (j.finish - j.submit).Seconds()
-		}
-		items = append(items, jobItem{submit: j.submit, finish: j.finish, payload: payload})
-	}
-	return newJobTree(items)
-}
-
-// jobIndexes returns the record-order job indexes of one tenant ("" = all
-// jobs). Record order matters: the fast-path totals must sum in the order
-// the legacy scan does.
-func (a *Accumulator) jobIndexes(tenant string) []int32 {
-	if tenant != "" {
-		return a.jobsByTenant[tenant]
-	}
-	all := make([]int32, len(a.jobs))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return all
-}
-
-// taskIndexes returns the record-order task indexes of one tenant ("" =
-// all tasks).
-func (a *Accumulator) taskIndexes(tenant string) []int32 {
-	if tenant != "" {
-		return a.tasksByTenant[tenant]
-	}
-	all := make([]int32, len(a.tasks))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return all
-}
-
-// buildTimeline builds the allocation step function for the key's task
-// filter as sorted change points with prefix integrals.
-func (a *Accumulator) buildTimeline(key utilKey) *timeline {
 	type delta struct {
 		at time.Duration
 		d  int64
 	}
-	indexes := a.taskIndexes(key.tenant)
+	indexes := ix.tasksByTenant[key.tenant]
 	deltas := make([]delta, 0, 2*len(indexes))
 	for _, idx := range indexes {
-		t := &a.tasks[idx]
-		if key.kind >= 0 && t.kind != workload.TaskKind(key.kind) {
+		t := &ix.sched.Tasks[idx]
+		if key.kind >= 0 && t.Kind != workload.TaskKind(key.kind) {
 			continue
 		}
-		if key.effectiveOnly && t.outcome != cluster.TaskFinished {
+		if key.effectiveOnly && t.Outcome != cluster.TaskFinished {
 			continue
 		}
-		if t.end <= t.start {
+		if t.End <= t.Start {
 			// Zero-width (or malformed) attempts contribute nothing in the
-			// legacy path; keep the step function in agreement.
+			// oracle; keep the step function in agreement.
 			continue
 		}
-		deltas = append(deltas, delta{t.start, +1}, delta{t.end, -1})
+		deltas = append(deltas, delta{t.Start, +1}, delta{t.End, -1})
 	}
 	slices.SortFunc(deltas, func(a, b delta) int {
 		switch {
@@ -513,6 +300,7 @@ func (a *Accumulator) buildTimeline(key utilKey) *timeline {
 		line.counts = append(line.counts, count)
 		line.integ = append(line.integ, integ)
 	}
+	ix.lines[key] = line
 	return line
 }
 
@@ -554,7 +342,7 @@ func (l *timeline) usedFraction(from, to time.Duration, capacity int) float64 {
 }
 
 // jobItem is one indexed job: its submit and finish times plus the
-// metric-specific payload (response seconds, or a 0/1 violation flag).
+// metric-specific payload (see jobSetKey.payload).
 type jobItem struct {
 	submit  time.Duration
 	finish  time.Duration
@@ -564,26 +352,27 @@ type jobItem struct {
 // jobTree answers "count and payload-sum of jobs with Submit ∈ [from, to)
 // and Finish < to" — the half-open job-set predicate of §5 — in
 // O(log² n) via a mergesort tree over finish order, with an O(1) fast
-// path for windows containing every job that reproduces the legacy
+// path for windows containing every job that reproduces the oracle's
 // summation order exactly. The tree itself is built lazily on the first
 // query the fast path cannot serve: production callers only ever ask for
 // whole-schedule windows, so they pay O(n) totals and never the O(n log n)
-// tree.
+// tree — nor a copy of the set, which stays in the schedule's records.
 type jobTree struct {
-	n     int
-	items []jobItem // record order, as the legacy path scans
+	jobs    []cluster.JobRecord // the schedule's records, borrowed
+	indexes []int32             // the tenant's jobs, in record order
+	key     jobSetKey           // selects the set's members among them
 
 	// Whole-schedule fast path, accumulated in record order so full-window
-	// queries are bit-identical to the legacy scan.
+	// queries are bit-identical to the oracle scan. n counts the members.
+	n         int
 	minSubmit time.Duration
 	maxSubmit time.Duration
 	maxFinish time.Duration
-	totalCnt  int
 	totalSum  float64
 
 	// Lazily built window index (see build).
 	buildOnce sync.Once
-	finish    []time.Duration // item finish times, ascending
+	finish    []time.Duration // member finish times, ascending
 	// Mergesort tree: node v (1-based heap layout over 2n slots) covers a
 	// contiguous finish-order range and stores that range's submits sorted
 	// ascending, with aligned payload prefix sums.
@@ -591,35 +380,36 @@ type jobTree struct {
 	sums    [][]float64
 }
 
-// newJobTree indexes items, which must be in schedule record order (the
-// order the legacy path scans, preserved for the fast-path totals).
-func newJobTree(items []jobItem) *jobTree {
-	t := &jobTree{n: len(items), items: items}
-	if t.n == 0 {
-		return t
-	}
-	t.minSubmit, t.maxSubmit = items[0].submit, items[0].submit
-	t.maxFinish = items[0].finish
-	for i := range items {
-		it := &items[i]
-		if it.submit < t.minSubmit {
-			t.minSubmit = it.submit
+// newJobTree totals the key's job set among the tenant's records.
+func newJobTree(jobs []cluster.JobRecord, indexes []int32, key jobSetKey) *jobTree {
+	t := &jobTree{jobs: jobs, indexes: indexes, key: key}
+	for _, idx := range indexes {
+		j := &jobs[idx]
+		p, ok := key.payload(j)
+		if !ok {
+			continue
 		}
-		if it.submit > t.maxSubmit {
-			t.maxSubmit = it.submit
+		if t.n == 0 {
+			t.minSubmit, t.maxSubmit, t.maxFinish = j.Submit, j.Submit, j.Finish
 		}
-		if it.finish > t.maxFinish {
-			t.maxFinish = it.finish
-		}
-		t.totalCnt++
-		t.totalSum += it.payload
+		t.minSubmit = min(t.minSubmit, j.Submit)
+		t.maxSubmit = max(t.maxSubmit, j.Submit)
+		t.maxFinish = max(t.maxFinish, j.Finish)
+		t.n++
+		t.totalSum += p
 	}
 	return t
 }
 
 // build materializes the mergesort tree. Safe under concurrent queries.
 func (t *jobTree) build() {
-	sorted := append([]jobItem(nil), t.items...)
+	sorted := make([]jobItem, 0, t.n)
+	for _, idx := range t.indexes {
+		j := &t.jobs[idx]
+		if p, ok := t.key.payload(j); ok {
+			sorted = append(sorted, jobItem{submit: j.Submit, finish: j.Finish, payload: p})
+		}
+	}
 	slices.SortStableFunc(sorted, func(a, b jobItem) int {
 		switch {
 		case a.finish < b.finish:
@@ -677,7 +467,7 @@ func (t *jobTree) query(from, to time.Duration) (int, float64) {
 		return 0, 0
 	}
 	if from <= t.minSubmit && to > t.maxFinish && to > t.maxSubmit {
-		return t.totalCnt, t.totalSum
+		return t.n, t.totalSum
 	}
 	t.buildOnce.Do(t.build)
 	// Items with Finish < to form the prefix [0, k) in finish order.

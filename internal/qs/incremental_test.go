@@ -188,16 +188,14 @@ func TestPropertyIncrementalOracleEmulated(t *testing.T) {
 }
 
 // TestAccumulatorConcurrentQueries drives one shared accumulator from many
-// goroutines — including the implicit first-query Seal — so `go test
-// -race` verifies Value/Values are safe for concurrent use.
+// goroutines whose first queries are sub-windows — each races the others
+// into the lazy job-tree build — so `go test -race` verifies Value/Values
+// are safe for concurrent use.
 func TestAccumulatorConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := fuzzSchedule(99, 32, 30)
 	templates := allTemplates(rng, []string{"a", "b", "c"})
-	acc := NewAccumulator(templates, s.Capacity)
-	for _, ev := range s.Events() {
-		acc.Observe(ev)
-	}
+	acc := Accumulate(templates, s)
 	windows := randomWindows(rng, s)
 	wide := coveringWindow(s)
 	want := EvalAll(templates, s, 0, wide)
@@ -206,39 +204,46 @@ func TestAccumulatorConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := acc.Values(0, wide) // first call seals
+			for _, w := range windows {
+				acc.Values(w[0], w[1])
+			}
+			got := acc.Values(0, wide)
 			for i := range want {
 				if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 					t.Errorf("concurrent full-window value %d: got %v, want %v", i, got[i], want[i])
 					return
 				}
 			}
-			for _, w := range windows {
-				acc.Values(w[0], w[1])
-			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestObserveAfterSealIgnored locks the documented contract: once the
-// accumulator seals (explicitly or via the first query), further Observe
-// calls change nothing.
-func TestObserveAfterSealIgnored(t *testing.T) {
-	s := fuzzSchedule(5, 16, 12)
-	templates := []Template{{Queue: "a", Metric: Throughput}, {Metric: Utilization}}
-	acc := Accumulate(templates, s) // sealed
-	wide := coveringWindow(s)
-	want := acc.Values(0, wide)
-	late := cluster.Event{
-		Time: time.Minute, Kind: cluster.EventJobSubmit, Seq: len(s.Jobs) + 5,
-		Tenant: "a", JobID: "late",
-	}
-	acc.Observe(late)
-	got := acc.Values(0, wide)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("post-seal Observe changed value %d: %v -> %v", i, want[i], got[i])
+// TestAccumulateLeavesScheduleUntouched locks the borrowing contract from
+// the accumulator's side: it aliases the schedule's records, so building
+// it and querying whole and sub-windows (the latter force the lazy tree
+// build, which reads the records again) must not change one byte of them,
+// nor what a repeated whole-window query returns.
+func TestAccumulateLeavesScheduleUntouched(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := fuzzSchedule(seed, 1+rng.Intn(48), rng.Intn(30))
+		before := s.Fingerprint()
+		templates := allTemplates(rng, []string{"a", "b", "c"})
+		acc := Accumulate(templates, s)
+		wide := coveringWindow(s)
+		first := acc.Values(0, wide)
+		for _, w := range randomWindows(rng, s) {
+			acc.Values(w[0], w[1])
+		}
+		again := acc.Values(0, wide)
+		for i := range first {
+			if math.Float64bits(first[i]) != math.Float64bits(again[i]) {
+				t.Fatalf("seed %d: whole-window value %d moved across queries: %v -> %v", seed, i, first[i], again[i])
+			}
+		}
+		if after := s.Fingerprint(); after != before {
+			t.Fatalf("seed %d: schedule fingerprint %x -> %x after Accumulate and queries", seed, before, after)
 		}
 	}
 }

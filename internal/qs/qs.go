@@ -21,11 +21,13 @@
 // included therefore evaluate over [0, Horizon+1ns), as the control loop
 // does. TestIntervalEdgeConvention locks this behaviour for both paths.
 //
-// Two evaluation paths compute the same metrics: Template.Eval / EvalAll
-// scan every record per template (the reference oracle), while EvalStream /
-// Accumulator consume the schedule's event stream once and answer window
-// queries from per-metric indexes. Full-schedule windows are bit-identical
-// across the two; arbitrary windows agree within float round-off.
+// Two evaluation paths compute the same metrics from the same records
+// (cluster.Schedule.Jobs / Tasks): Template.Eval / EvalAll scan every
+// record per template (the reference oracle), while Accumulate indexes the
+// records once per distinct filter and answers window queries from those
+// indexes. EvalStream picks between them by template count. Full-schedule
+// windows are bit-identical across the two; arbitrary windows agree within
+// float round-off.
 package qs
 
 import (

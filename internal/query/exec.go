@@ -87,8 +87,8 @@ type cell struct {
 
 // aggState is one expression's running state in one cell. Quantile
 // expressions retain their values (exact quantiles need them); everything
-// else folds in arrival order, which is deterministic because the event
-// stream's order is canonical.
+// else folds in arrival order, which is deterministic because every
+// source's row order is (record order, or the canonical event order).
 type aggState struct {
 	count    int
 	sum      float64
@@ -142,7 +142,7 @@ type Runner struct {
 	ticks   int
 	rawRows []ResultRow // raw + slos modes accumulate emitted rows here
 
-	evbuf cluster.EventBuf
+	evbuf cluster.EventBuf // the events source's stream storage
 }
 
 // Compile validates the plan and builds a runner for a session with the
@@ -331,18 +331,15 @@ func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error
 // pushSLO evaluates the slos aggregate for one tick: the template vector
 // over the tick's slice of the plan window, through the same accumulator
 // and the same qs.ClipWindow Session.QS uses — which is what makes a
-// whole-window slos plan bit-identical to qs.EvalStream on each tick.
+// whole-window slos plan bit-identical to qs.EvalStream on each tick. The
+// accumulator borrows sched only for this call.
 func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) []ResultRow {
 	to := r.to
 	if !r.hasTo {
 		to = math.MaxInt64
 	}
 	localFrom, localTo, evalTo := qs.ClipWindow(r.from, to, lo, r.interval, sched.Horizon)
-	a := qs.NewAccumulator(r.slos, sched.Capacity)
-	for _, ev := range sched.AppendEvents(&r.evbuf) {
-		a.Observe(ev)
-	}
-	vals := a.Values(localFrom, evalTo)
+	vals := qs.Accumulate(r.slos, sched).Values(localFrom, evalTo)
 	wf := (lo + localFrom).Seconds()
 	wt := (lo + localTo).Seconds()
 	out := make([]ResultRow, len(vals))
@@ -415,11 +412,7 @@ func (r *Runner) pushRows(tick int, lo time.Duration, sched *cluster.Schedule) (
 // the plan window and compiled stages into sink; sink returning false
 // stops the scan.
 func (r *Runner) scan(tick int, lo time.Duration, sched *cluster.Schedule, sink func(*row) bool) {
-	stop := false
 	pipe := func(rw *row) bool {
-		if stop {
-			return false
-		}
 		if (r.hasFrom && rw.t < r.from) || (r.hasTo && rw.t >= r.to) {
 			return true
 		}
@@ -428,11 +421,7 @@ func (r *Runner) scan(tick int, lo time.Duration, sched *cluster.Schedule, sink 
 				return true
 			}
 		}
-		if !sink(rw) {
-			stop = true
-			return false
-		}
-		return true
+		return sink(rw)
 	}
 	switch r.plan.Source {
 	case "events":
@@ -443,21 +432,17 @@ func (r *Runner) scan(tick int, lo time.Duration, sched *cluster.Schedule, sink 
 			}
 		}
 	case "jobs":
-		a := qs.NewAccumulator(nil, sched.Capacity)
-		for _, ev := range sched.AppendEvents(&r.evbuf) {
-			a.Observe(ev)
+		for i := range sched.Jobs {
+			if !pipe(jobRow(lo, &sched.Jobs[i])) {
+				return
+			}
 		}
-		a.EachJob(func(j qs.JobView) {
-			pipe(jobRow(lo, j))
-		})
 	case "tasks":
-		a := qs.NewAccumulator(nil, sched.Capacity)
-		for _, ev := range sched.AppendEvents(&r.evbuf) {
-			a.Observe(ev)
+		for i := range sched.Tasks {
+			if !pipe(taskRow(lo, &sched.Tasks[i])) {
+				return
+			}
 		}
-		a.EachTask(func(t qs.TaskView) {
-			pipe(taskRow(lo, t))
-		})
 	}
 }
 
@@ -487,8 +472,8 @@ func eventRow(lo time.Duration, ev *cluster.Event) *row {
 	}
 }
 
-// jobRow maps one paired job record to the jobs relation's row shape.
-func jobRow(lo time.Duration, j qs.JobView) *row {
+// jobRow maps one job record to the jobs relation's row shape.
+func jobRow(lo time.Duration, j *cluster.JobRecord) *row {
 	return &row{
 		t:   lo + j.Submit,
 		str: []string{j.Tenant},
@@ -502,8 +487,8 @@ func jobRow(lo time.Duration, j qs.JobView) *row {
 	}
 }
 
-// taskRow maps one paired task attempt to the tasks relation's row shape.
-func taskRow(lo time.Duration, t qs.TaskView) *row {
+// taskRow maps one task attempt to the tasks relation's row shape.
+func taskRow(lo time.Duration, t *cluster.TaskRecord) *row {
 	return &row{
 		t:   lo + t.Start,
 		str: []string{t.Tenant, t.Kind.String(), t.Outcome.String()},
@@ -579,7 +564,7 @@ func (r *Runner) cellFor(tick int, rw *row) (*cell, error) {
 	}
 	if r.limit > 0 && len(r.cellOrder) >= r.limit {
 		// limit after aggregate caps distinct groups, first-seen wins; the
-		// event stream's canonical order makes "first-seen" deterministic.
+		// sources' fixed row order makes "first-seen" deterministic.
 		r.truncated = true
 		return nil, nil
 	}

@@ -1,8 +1,8 @@
 // Package query is tempod's ad-hoc metric query layer: a small composable
 // operator algebra (filter / map / group_by / window / aggregate / limit)
-// over the canonical schedule-event stream (cluster.Schedule.Events), with
-// incremental evaluation — a standing query advances O(one tick's events)
-// per control interval instead of rescanning history.
+// over each control interval's observed schedule, with incremental
+// evaluation — a standing query advances O(one tick's records) per control
+// interval instead of rescanning history.
 //
 // Queries arrive as a versioned JSON plan (see Plan), are validated and
 // depth/cardinality-bounded up front, and compile to a Runner that is fed
@@ -14,14 +14,15 @@
 // agree by construction: a client that applies a subscription's per-tick
 // deltas last-write-wins ends with the one-shot result.
 //
-// Three relations are derived from the stream: "events" (the raw stream),
-// and "jobs" / "tasks" (submit/finish and start/end pairs, assembled by
-// the same qs.Accumulator machinery the incremental QS path uses). The
-// aggregate operator has two families: generic reductions (count, sum,
-// avg, min, max, p50/p90/p95/p99) over any numeric column, and a "slos"
-// family that evaluates qs.Template vectors through a per-tick
-// accumulator — which is how qs.EvalStream itself is re-expressed as a
-// plan, bit-identically to the oracle (TestQueryVsOracleGoldens).
+// Three relations are served from a schedule: "jobs" and "tasks" are its
+// record slices (cluster.Schedule.Jobs / Tasks) in record order, read in
+// place; "events" is its canonical event stream (cluster.Schedule.Events),
+// the only source that derives one. The aggregate operator has two
+// families: generic reductions (count, sum, avg, min, max,
+// p50/p90/p95/p99) over any numeric column, and a "slos" family that
+// evaluates qs.Template vectors through a per-tick qs.Accumulate — which
+// is how qs.EvalStream itself is re-expressed as a plan, bit-identically
+// to the oracle (TestQueryVsOracleGoldens).
 package query
 
 import (

@@ -3,6 +3,8 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -386,4 +388,94 @@ func rowsEqual(a, b ResultRow) bool {
 		}
 	}
 	return true
+}
+
+// TestRawJobsTasksMatchRecords is the differential check of the jobs and
+// tasks sources: a raw plan over each returns exactly sched.Jobs /
+// sched.Tasks — one row per record, in record order, every column equal to
+// the record's field offset into session time — on fuzzed schedules with
+// uncompleted jobs, zero-length attempts and records out of time order.
+func TestRawJobsTasksMatchRecords(t *testing.T) {
+	outcomes := []cluster.TaskOutcome{cluster.TaskFinished, cluster.TaskPreempted, cluster.TaskFailed, cluster.TaskKilled, cluster.TaskTruncated}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := &cluster.Schedule{Capacity: 1 + rng.Intn(8), Horizon: interval}
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			tenant := []string{"A", "B", "C"}[rng.Intn(3)]
+			submit := time.Duration(rng.Int63n(int64(interval)))
+			job := cluster.JobRecord{
+				ID: fmt.Sprintf("%s%d", tenant, i), Tenant: tenant,
+				Submit: submit, Finish: submit + time.Duration(rng.Int63n(int64(interval))),
+				Completed: rng.Intn(3) > 0, Killed: rng.Intn(8) == 0,
+			}
+			if rng.Intn(2) == 0 {
+				job.Deadline = time.Duration(rng.Int63n(int64(interval)))
+			}
+			s.Jobs = append(s.Jobs, job)
+			for k, m := 0, rng.Intn(4); k < m; k++ {
+				start := submit + time.Duration(rng.Int63n(int64(interval/2)))
+				s.Tasks = append(s.Tasks, cluster.TaskRecord{
+					JobID: job.ID, Tenant: tenant, Kind: workload.TaskKind(rng.Intn(2)), Attempt: k + 1,
+					Start: start, End: start + time.Duration(rng.Intn(3))*time.Duration(rng.Int63n(int64(interval/4))),
+					Outcome: outcomes[rng.Intn(len(outcomes))],
+				})
+			}
+		}
+		const tick = 1 // a non-zero tick, so the session-time offset is exercised
+		lo := tick * interval
+		push := func(source string) []ResultRow {
+			r := mustRunner(t, `{"version":1,"source":"`+source+`"}`, interval)
+			if _, err := r.PushTick(0, &cluster.Schedule{Capacity: 1, Horizon: interval}); err != nil {
+				t.Fatal(err)
+			}
+			rows, err := r.PushTick(tick, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+		b2f := map[bool]float64{true: 1}
+
+		jobs := push("jobs")
+		if len(jobs) != len(s.Jobs) {
+			t.Fatalf("seed %d: %d job rows for %d records", seed, len(jobs), len(s.Jobs))
+		}
+		for i, j := range s.Jobs {
+			want := ResultRow{
+				Tick: tick, TimeSeconds: (lo + j.Submit).Seconds(),
+				WindowFromSeconds: lo.Seconds(), WindowToSeconds: (lo + interval).Seconds(),
+				Strings: map[string]string{"tenant": j.Tenant},
+				Values: map[string]float64{
+					"submit_seconds":   (lo + j.Submit).Seconds(),
+					"finish_seconds":   (lo + j.Finish).Seconds(),
+					"response_seconds": (j.Finish - j.Submit).Seconds(),
+					"deadline_seconds": j.Deadline.Seconds(),
+					"completed":        b2f[j.Completed],
+				},
+			}
+			if !reflect.DeepEqual(jobs[i], want) {
+				t.Fatalf("seed %d: job row %d = %+v, want record %+v as %+v", seed, i, jobs[i], j, want)
+			}
+		}
+
+		tasks := push("tasks")
+		if len(tasks) != len(s.Tasks) {
+			t.Fatalf("seed %d: %d task rows for %d records", seed, len(tasks), len(s.Tasks))
+		}
+		for i, a := range s.Tasks {
+			want := ResultRow{
+				Tick: tick, TimeSeconds: (lo + a.Start).Seconds(),
+				WindowFromSeconds: lo.Seconds(), WindowToSeconds: (lo + interval).Seconds(),
+				Strings: map[string]string{"tenant": a.Tenant, "task_kind": a.Kind.String(), "outcome": a.Outcome.String()},
+				Values: map[string]float64{
+					"start_seconds":    (lo + a.Start).Seconds(),
+					"end_seconds":      (lo + a.End).Seconds(),
+					"duration_seconds": (a.End - a.Start).Seconds(),
+				},
+			}
+			if !reflect.DeepEqual(tasks[i], want) {
+				t.Fatalf("seed %d: task row %d = %+v, want record %+v as %+v", seed, i, tasks[i], a, want)
+			}
+		}
+	}
 }

@@ -80,10 +80,13 @@ func DecodeTick(payload []byte) (tick int, sched *cluster.Schedule, err error) {
 	capacity := int(d.uvarint())
 	horizon := time.Duration(d.uvarint())
 	n := d.uvarint()
-	if d.err == nil && n > uint64(len(payload)) {
+	if d.err != nil {
+		return 0, nil, d.err
+	}
+	if n > uint64(len(payload)) {
 		// Each event costs at least one byte, so a count beyond the payload
 		// length is corruption; fail before allocating for it.
-		d.err = fmt.Errorf("store: event count %d exceeds payload size %d", n, len(payload))
+		return 0, nil, fmt.Errorf("store: event count %d exceeds payload size %d", n, len(payload))
 	}
 	evs := make([]cluster.Event, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
@@ -91,7 +94,14 @@ func DecodeTick(payload []byte) (tick int, sched *cluster.Schedule, err error) {
 			Time: time.Duration(d.uvarint()),
 			Kind: cluster.EventKind(d.byte()),
 		}
-		ev.Seq = int(d.uvarint())
+		seq := d.uvarint()
+		if d.err == nil && seq >= n {
+			// Seq indexes a record and every record emits two events;
+			// ReplaySchedule sizes its record slices from the largest Seq, so
+			// an unbounded one is an allocation the payload never paid for.
+			d.err = fmt.Errorf("store: event seq %d out of range for %d events", seq, n)
+		}
+		ev.Seq = int(seq)
 		ev.Tenant = d.string()
 		ev.JobID = d.string()
 		switch ev.Kind {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -9,7 +10,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"tempo/internal/cluster"
 	"tempo/internal/scenario"
 )
 
@@ -99,6 +102,45 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, _, err := DecodeTick(append(payload, 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+}
+
+// TestDecodeTickBoundsAllocations feeds DecodeTick short, well-formed
+// records whose one oversized field would size an allocation: the event
+// count (the event slice) and an event's Seq (ReplaySchedule's record
+// slices). A CRC cannot catch these — the WAL frames whatever bytes it was
+// given — and the failure is not a recoverable panic but the runtime's
+// out-of-memory abort, so each must come back as an error.
+func TestDecodeTickBoundsAllocations(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"event count beyond the payload": craftedHeader(1 << 40),
+		"job seq beyond the event count": craftedSubmit(craftedHeader(1), 1<<40),
+		"seq equal to the event count":   craftedSubmit(craftedHeader(1), 1),
+	} {
+		if _, sched, err := DecodeTick(payload); err == nil {
+			t.Errorf("%s: accepted, replayed %d jobs", name, len(sched.Jobs))
+		}
+	}
+	if _, sched, err := DecodeTick(craftedSubmit(craftedHeader(1), 0)); err != nil || len(sched.Jobs) != 1 {
+		t.Errorf("in-range seq rejected or misreplayed: err %v", err)
+	}
+}
+
+// craftedHeader hand-encodes a tick record's header claiming nEvents
+// events; craftedSubmit appends one job-submit event with the given Seq.
+func craftedHeader(nEvents uint64) []byte {
+	p := binary.AppendUvarint(nil, 0) // tick
+	p = binary.AppendUvarint(p, 4)    // capacity
+	p = binary.AppendUvarint(p, uint64(time.Hour))
+	return binary.AppendUvarint(p, nEvents)
+}
+
+func craftedSubmit(p []byte, seq uint64) []byte {
+	p = binary.AppendUvarint(p, 0) // time
+	p = append(p, byte(cluster.EventJobSubmit))
+	p = binary.AppendUvarint(p, seq)
+	p = appendString(p, "a")
+	p = appendString(p, "a-0")
+	return binary.AppendUvarint(p, 0) // deadline
 }
 
 // TestStoreRecoverByteIdentical is the store-level acceptance test: drive

@@ -33,13 +33,12 @@ func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
 }
 
 // Scratch is one worker's reusable evaluation state: a simulation arena
-// for the built-in Schedule Predictor and a QS scratch for deriving the
-// vector. Workers draw one from scratchPool per batch, so steady-state
-// candidate scoring performs near-zero heap allocation; sync.Pool returns
-// arenas under memory pressure, bounding retention.
+// for the built-in Schedule Predictor. Workers draw one from scratchPool
+// per batch, so steady-state candidate scoring performs near-zero heap
+// allocation; sync.Pool returns arenas under memory pressure, bounding
+// retention.
 type Scratch struct {
 	sim *cluster.Sim
-	qs  qs.Scratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{sim: cluster.NewSim()} }}
@@ -138,26 +137,23 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 }
 
 // evalSample scores cfg on one workload sample: it predicts the task
-// schedule, then derives the full QS vector incrementally — the schedule's
-// event stream is built once and shared by every template
-// (qs.EvalStream), instead of one record scan per template. Candidates
-// whose predicted schedule is identical to one already scored for the
-// same sample reuse its vector through the state's schedule tier.
+// schedule, then derives the full QS vector from the schedule's records
+// (qs.EvalStream, which reads them in place and keeps nothing).
+// Candidates whose predicted schedule is identical to one already scored
+// for the same sample reuse its vector through the state's schedule tier.
 //
 // With a non-nil scratch (built-in predictor only) the prediction runs in
-// the scratch's simulation arena and the QS derivation reuses its
-// buffers: the predicted schedule borrows arena storage and is recycled
-// by the worker's next pair, unless the schedule tier pins it — then it
-// is detached and owns its records for the state's lifetime.
+// the scratch's simulation arena: the predicted schedule borrows arena
+// storage and is recycled by the worker's next pair, unless the schedule
+// tier pins it — then it is detached and owns its records for the state's
+// lifetime.
 //
 //tempo:hot
 func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
 	var sched *cluster.Schedule
-	var qsc *qs.Scratch
 	var err error
 	if sc != nil {
 		sched, err = sc.sim.RunInto(trace, cfg, cluster.Options{Horizon: m.Horizon})
-		qsc = &sc.qs
 	} else {
 		sched, err = m.Predict(trace, cfg, m.Horizon)
 	}
@@ -173,7 +169,7 @@ func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, 
 	if vals := st.lookup(sample, sched, fp); vals != nil {
 		return vals, nil
 	}
-	vals := qs.EvalStreamScratch(qsc, m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
+	vals := qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
 	st.store(sample, sched, fp, vals)
 	if sc != nil {
 		sc.sim.Detach()

@@ -171,8 +171,7 @@ func (m *Model) Sensitivity(cfg cluster.Config, n int) (mean, stddev []float64, 
 // templates over [0, horizon]. The control loop uses this to evaluate the
 // *observed* task schedule each iteration. Evaluation goes through
 // qs.EvalStream, which picks per-template scans or the one-pass
-// event-stream accumulator by template count; results are identical
-// either way.
+// accumulator by template count; results are identical either way.
 func (m *Model) EvaluateSchedule(sched *cluster.Schedule) []float64 {
 	return qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
 }

@@ -98,8 +98,10 @@ type Session struct {
 	rt          *scenario.Runtime
 	parallelism int
 
-	// accs caches one sealed QS accumulator per completed interval, built
-	// lazily on the first window query that touches the interval.
+	// accs caches one QS accumulator per completed interval, built lazily
+	// on the first window query that touches the interval. Each borrows
+	// its interval's observed schedule, which the runtime keeps and never
+	// mutates.
 	accs map[int]*Accumulator
 	// model is the lazily built What-if Model serving WhatIf queries; it is
 	// deliberately distinct from the controller's own model so probe
@@ -240,8 +242,8 @@ type WindowQS struct {
 
 // QS evaluates the scenario's SLO templates over the session-time window
 // [from, to), answering from per-interval incremental accumulators
-// (internal/qs) that ingest each observed schedule's event stream once and
-// then serve arbitrary sub-windows. The result holds one entry per
+// (internal/qs) that index each observed schedule's records once and then
+// serve arbitrary sub-windows. The result holds one entry per
 // completed interval the window intersects; a window covering an interval
 // entirely reproduces that interval's Observed vector exactly. Windows
 // are half-open [from, to); to == 0 means "everything observed so far";

@@ -124,17 +124,10 @@ func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedu
 	return cluster.ReplaySchedule(capacity, horizon, events)
 }
 
-// Accumulator answers QS queries over arbitrary [From, To) windows after
-// consuming a schedule's event stream exactly once — the incremental
-// counterpart of per-template evaluation.
+// Accumulator answers QS queries over arbitrary [From, To) windows of one
+// schedule after indexing its records once — the incremental counterpart
+// of per-template evaluation.
 type Accumulator = qs.Accumulator
-
-// NewAccumulator returns an empty accumulator for the template set over a
-// cluster of the given container capacity. Feed it Schedule.Events via
-// Observe, Seal, then query Value/Values (safe concurrently).
-func NewAccumulator(templates []Template, capacity int) *Accumulator {
-	return qs.NewAccumulator(templates, capacity)
-}
 
 // TaskOutcome classifies how a task attempt ended.
 type TaskOutcome = cluster.TaskOutcome

@@ -1,0 +1,257 @@
+package cluster
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"tempo/internal/workload"
+)
+
+var updateKernel = flag.Bool("update-kernel", false, "rewrite testdata/kernel_digests.json")
+
+const kernelDigestFile = "kernel_digests.json"
+
+// kernelCase is one row of the kernel exactness table: a seeded trace, a
+// configuration and run options that together push the scheduler through
+// a corner the scenario goldens barely reach.
+type kernelCase struct {
+	name  string
+	trace *workload.Trace
+	cfg   Config
+	opts  Options
+}
+
+// manyTenants returns n profiles of alternating best-effort and
+// deadline-driven tenants, each a small fraction of the two-tenant rates
+// so most tenants are idle at any instant.
+func manyTenants(n int, scale float64) []workload.TenantProfile {
+	ps := make([]workload.TenantProfile, n)
+	for i := range ps {
+		name := fmt.Sprintf("t%04d", i)
+		if i%2 == 0 {
+			ps[i] = workload.BestEffort(name, scale)
+		} else {
+			ps[i] = workload.DeadlineDriven(name, scale)
+		}
+	}
+	return ps
+}
+
+func kernelTrace(tb testing.TB, profiles []workload.TenantProfile, horizon time.Duration, seed int64) *workload.Trace {
+	tb.Helper()
+	tr, err := workload.Generate(profiles, workload.GenerateOptions{Horizon: horizon, Seed: seed, Name: "kernel"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// kernelConfig gives every tenant of the trace the parameters tune
+// returns for its index.
+func kernelConfig(tr *workload.Trace, capacity int, tune func(i int) TenantConfig) Config {
+	cfg := Config{TotalContainers: capacity, Tenants: map[string]TenantConfig{}}
+	for i, name := range tr.Tenants() {
+		cfg.Tenants[name] = tune(i)
+	}
+	return cfg
+}
+
+func kernelCases(tb testing.TB) []kernelCase {
+	hundred := kernelTrace(tb, manyTenants(100, 0.3), time.Hour, 11)
+	six := kernelTrace(tb, manyTenants(6, 1), 2*time.Hour, 12)
+	mixed := func(i int) TenantConfig {
+		tc := TenantConfig{Weight: 1 + float64(i%4)}
+		if i%5 == 0 {
+			tc.MinShare, tc.MinSharePreemptTimeout = 2, 30*time.Second
+		}
+		if i%3 == 0 {
+			tc.SharePreemptTimeout = 2 * time.Minute
+		}
+		return tc
+	}
+	cases := []kernelCase{
+		{"idle-heavy-100", hundred, kernelConfig(hundred, 1200, mixed), Options{}},
+		{"starved-100", hundred, kernelConfig(hundred, 12, mixed), Options{}},
+		{"hair-trigger", six, kernelConfig(six, 24, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1 + float64(i), MinShare: 3, MinSharePreemptTimeout: time.Second, SharePreemptTimeout: time.Second}
+		}), Options{}},
+		{"overcommitted-min", six, kernelConfig(six, 20, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1, MinShare: 8, MinSharePreemptTimeout: 20 * time.Second, SharePreemptTimeout: time.Minute}
+		}), Options{}},
+		{"max-caps", six, kernelConfig(six, 40, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1 + float64(i%2), MaxShare: 3 + i, SharePreemptTimeout: 45 * time.Second}
+		}), Options{}},
+		{"noise-failures-kills", six, kernelConfig(six, 30, mixed),
+			Options{Noise: &NoiseModel{DurationSigma: 0.4, FailureProb: 0.15, JobKillProb: 0.2, Seed: 13}}},
+		{"noise-starved-100", hundred, kernelConfig(hundred, 25, mixed),
+			Options{Noise: &NoiseModel{DurationSigma: 0.3, FailureProb: 0.1, JobKillProb: 0.1, Seed: 14}, Horizon: 90 * time.Minute}},
+		{"horizon-truncated", six, kernelConfig(six, 16, mixed), Options{Horizon: 50 * time.Minute}},
+	}
+	// Small random traces and configurations (the property tests'
+	// generator), half of them noisy: breadth where the rows above are
+	// depth.
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 24; i++ {
+		tr, cfg := randomScenario(rng)
+		var opts Options
+		if i%2 == 1 {
+			opts.Noise = &NoiseModel{DurationSigma: 0.5, FailureProb: 0.2, JobKillProb: 0.15, Seed: int64(100 + i)}
+		}
+		if i%3 == 2 {
+			opts.Horizon = 8 * time.Minute
+		}
+		cases = append(cases, kernelCase{fmt.Sprintf("random-%02d", i), tr, cfg, opts})
+	}
+	return cases
+}
+
+// scheduleDigest is sha256 over a fixed text rendering of the schedule's
+// header and canonical event stream. It deliberately does not go through
+// Fingerprint, whose function is free to change.
+func scheduleDigest(s *Schedule) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "capacity=%d horizon=%d jobs=%d tasks=%d\n", s.Capacity, s.Horizon, len(s.Jobs), len(s.Tasks))
+	for _, e := range s.Events() {
+		fmt.Fprintf(h, "%d %d %d %q %q %d %d %t %t %d %d %d\n",
+			e.Time, e.Kind, e.Seq, e.Tenant, e.JobID, e.Delta, e.Deadline,
+			e.Completed, e.Killed, e.TaskKind, e.Attempt, e.Outcome)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestKernelDigests pins the scheduler kernel's output on the table
+// above to digests generated before the kernel was made
+// event-proportional: every row must reproduce its digest on a fresh Sim
+// and on one Sim dirtied by every earlier row.
+func TestKernelDigests(t *testing.T) {
+	path := filepath.Join("testdata", kernelDigestFile)
+	cases := kernelCases(t)
+	got := make(map[string]string, len(cases))
+	pooled := NewSim()
+	for _, kc := range cases {
+		fresh, err := NewSim().RunInto(kc.trace, kc.cfg, kc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", kc.name, err)
+		}
+		got[kc.name] = scheduleDigest(fresh)
+		reused, err := pooled.RunInto(kc.trace, kc.cfg, kc.opts)
+		if err != nil {
+			t.Fatalf("%s (pooled): %v", kc.name, err)
+		}
+		if d := scheduleDigest(reused); d != got[kc.name] {
+			t.Errorf("%s: pooled Sim digest %s differs from fresh Sim %s", kc.name, d, got[kc.name])
+		}
+	}
+	if *updateKernel {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d rows, the table %d", kernelDigestFile, len(want), len(got))
+	}
+	for _, kc := range cases {
+		if got[kc.name] != want[kc.name] {
+			t.Errorf("%s: digest %s, want %s", kc.name, got[kc.name], want[kc.name])
+		}
+	}
+}
+
+var kernelSink *Schedule
+
+// BenchmarkSchedulerKernel prices one dispatched event of the scheduler
+// kernel as the tenant count grows, with capacity above total demand (the
+// what-if common case: nothing waits) and at a quarter of it (every
+// event finds a queue). One pooled Sim, as the what-if workers run it.
+func BenchmarkSchedulerKernel(b *testing.B) {
+	// Every tenant submits a few jobs, so the work grows with the tenant
+	// count; ns/event is what compares across rows.
+	for _, pop := range []struct {
+		n       int
+		scale   float64
+		horizon time.Duration
+	}{{2, 1, 4 * time.Hour}, {100, 0.3, time.Hour}, {1000, 0.1, 2 * time.Hour}} {
+		n := pop.n
+		tr := kernelTrace(b, manyTenants(n, pop.scale), pop.horizon, 21)
+		demand := peakDemand(b, tr)
+		for _, load := range []struct {
+			name     string
+			capacity int
+		}{{"above", demand + 1}, {"quarter", demand/4 + 1}} {
+			cfg := kernelConfig(tr, load.capacity, func(i int) TenantConfig {
+				return TenantConfig{Weight: 1 + float64(i%3), MinShare: 1, MinSharePreemptTimeout: time.Minute, SharePreemptTimeout: 5 * time.Minute}
+			})
+			b.Run(fmt.Sprintf("tenants=%d/capacity=%s", n, load.name), func(b *testing.B) {
+				sm := NewSim()
+				events := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s, err := sm.RunInto(tr, cfg, Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					kernelSink = s
+					events += sm.s.engine.Fired()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			})
+		}
+	}
+	b.Run("Fingerprint", func(b *testing.B) {
+		tr := kernelTrace(b, manyTenants(100, 0.3), time.Hour, 11)
+		s, err := Predict(tr, kernelConfig(tr, 400, func(int) TenantConfig { return TenantConfig{Weight: 1} }))
+		if err != nil {
+			b.Fatal(err)
+		}
+		records := len(s.Jobs) + len(s.Tasks)
+		var fp uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fp ^= s.Fingerprint()
+		}
+		kernelFP = fp
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+	})
+}
+
+var kernelFP uint64
+
+// peakDemand is the trace's peak concurrent container demand when nothing
+// ever waits: the maximum of the unconstrained usage timeline.
+func peakDemand(tb testing.TB, tr *workload.Trace) int {
+	tb.Helper()
+	s, err := Predict(tr, Config{TotalContainers: tr.TaskCount() + 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	peak, cur := 0, 0
+	for _, e := range s.Events() {
+		cur += e.Delta
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
+}

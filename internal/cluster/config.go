@@ -92,7 +92,7 @@ func (c Config) Equal(o Config) bool {
 }
 
 // Fingerprint returns a 64-bit digest of the configuration. Per-tenant
-// FNV-1a hashes are XOR-combined so the result is independent of map
+// digests are XOR-combined so the result is independent of map
 // iteration order. Equal fingerprints are almost certainly equal configs;
 // callers that must be exact (the cross-tick search cache) verify with
 // Equal before trusting a match.

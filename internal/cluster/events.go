@@ -282,30 +282,31 @@ func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedu
 	return s
 }
 
-// FNV-1a 64-bit parameters (hash/fnv's), inlined so fingerprinting a
-// schedule on the what-if hot path does not allocate a hash.Hash64.
+// FNV-1a's 64-bit parameters, but a whole word absorbed per multiply where
+// FNV-1a absorbs a byte: both fingerprints (Schedule's and Config's) are
+// in-process pre-filters, persisted nowhere and always verified with
+// Equal, so only speed and sensitivity to every field matter.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// fnvUint64 absorbs v's little-endian bytes — the same byte sequence
-// binary.LittleEndian.PutUint64 + Write fed hash/fnv, so fingerprints are
-// unchanged across the inlining.
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
+func fnvUint64(h, v uint64) uint64 { return (h ^ v) * fnvPrime64 }
 
+// fnvString absorbs the length, then the bytes eight at a time
+// (little-endian), then the zero-padded tail.
 func fnvString(h uint64, s string) uint64 {
 	h = fnvUint64(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		h = fnvUint64(h, uint64(s[i])|uint64(s[i+1])<<8|uint64(s[i+2])<<16|uint64(s[i+3])<<24|
+			uint64(s[i+4])<<32|uint64(s[i+5])<<40|uint64(s[i+6])<<48|uint64(s[i+7])<<56)
 	}
-	return h
+	var tail uint64
+	for shift := 0; i < len(s); i, shift = i+1, shift+8 {
+		tail |= uint64(s[i]) << shift
+	}
+	return fnvUint64(h, tail)
 }
 
 func fnvBool(h uint64, v bool) uint64 {
@@ -315,7 +316,7 @@ func fnvBool(h uint64, v bool) uint64 {
 	return fnvUint64(h, 0)
 }
 
-// Fingerprint returns a 64-bit FNV-1a digest of the schedule's full record
+// Fingerprint returns a 64-bit digest of the schedule's full record
 // view (capacity, horizon, every job and task field). Schedules with equal
 // fingerprints are almost certainly identical; callers that must be exact
 // (the what-if evaluation cache) verify with Equal before trusting a match.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tempo/internal/sim"
 	"tempo/internal/workload"
 )
 
@@ -174,6 +175,41 @@ func TestKernelDigests(t *testing.T) {
 	for _, kc := range cases {
 		if got[kc.name] != want[kc.name] {
 			t.Errorf("%s: digest %s, want %s", kc.name, got[kc.name], want[kc.name])
+		}
+	}
+}
+
+// TestKernelCounters steps the engine event by event over the same table
+// and checks after every event that the scheduler's two skip counters
+// equal a from-scratch recount, and the invariant the skip rests on: a
+// live preemption-check event implies an open starvation window.
+func TestKernelCounters(t *testing.T) {
+	for _, kc := range kernelCases(t) {
+		sm := NewSim()
+		s := &sm.s
+		s.init(kc.trace, kc.cfg, kc.opts)
+		for s.engine.Step() {
+			waiting, open := 0, 0
+			for _, ts := range s.tenantList {
+				if ts.pending.len() > 0 {
+					waiting++
+				}
+				for _, w := range []struct {
+					since time.Duration
+					ev    *sim.Event
+				}{{ts.starvedMinSince, ts.minCheckEv}, {ts.starvedShareSince, ts.shareCheckEv}} {
+					if w.since >= 0 {
+						open++
+					} else if w.ev != nil && !w.ev.Canceled() {
+						t.Fatalf("%s: event %d at %v: tenant %s has a live check event on a closed window",
+							kc.name, s.engine.Fired(), s.engine.Now(), ts.name)
+					}
+				}
+			}
+			if waiting != s.waiting || open != s.open {
+				t.Fatalf("%s: event %d at %v: waiting/open = %d/%d, recount %d/%d",
+					kc.name, s.engine.Fired(), s.engine.Now(), s.waiting, s.open, waiting, open)
+			}
 		}
 	}
 }

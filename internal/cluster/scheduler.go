@@ -189,6 +189,13 @@ type scheduler struct {
 	launchSeq uint64
 	allRun    []*runningTask // live attempts for horizon truncation
 
+	// waiting counts the tenants with a non-empty pending deque, open the
+	// starvation windows with since >= 0. While both are zero no tenant
+	// can be picked or starve and every check event is nil or cancelled (a
+	// live one implies since >= 0), so assign and updateStarvation skip
+	// their per-tenant passes.
+	waiting, open int
+
 	// Reused hot-loop buffers.
 	fair    []ws           // computeFairShares scratch
 	victims []*runningTask // killVictims scratch
@@ -258,6 +265,7 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 	}
 	s.tenantList = s.tenantList[:0]
 	s.launchSeq = 0
+	s.waiting, s.open = 0, 0
 	s.allRun = s.allRun[:0]
 	s.fair = s.fair[:0]
 	s.victims = s.victims[:0]
@@ -355,6 +363,9 @@ func (s *scheduler) submit(now time.Duration, spec *workload.JobSpec) {
 func (s *scheduler) unlockStage(ts *tenantState, jr *jobRun, stage int) {
 	jr.unlocked[stage] = true
 	specs := jr.spec.Stages[stage].Tasks
+	if ts.pending.len() == 0 && len(specs) > 0 {
+		s.waiting++
+	}
 	for i := range specs {
 		t := s.tasks.Get()
 		t.job = jr
@@ -372,15 +383,12 @@ func (s *scheduler) unlockStage(ts *tenantState, jr *jobRun, stage int) {
 //
 //tempo:hot
 func (s *scheduler) assign(now time.Duration) {
-	if s.free > 0 {
-		s.computeFairShares()
-		for s.free > 0 {
-			ts := s.pickTenant()
-			if ts == nil {
-				break
-			}
-			s.launch(now, ts)
+	for s.free > 0 && s.waiting > 0 {
+		ts := s.pickTenant()
+		if ts == nil {
+			break
 		}
+		s.launch(now, ts)
 	}
 	s.updateStarvation(now)
 }
@@ -466,6 +474,9 @@ func (s *scheduler) launch(now time.Duration, ts *tenantState) {
 func (s *scheduler) popPending(ts *tenantState) *task {
 	for ts.pending.len() > 0 {
 		t := ts.pending.popFront()
+		if ts.pending.len() == 0 {
+			s.waiting--
+		}
 		if !t.job.killed {
 			return t
 		}
@@ -474,6 +485,8 @@ func (s *scheduler) popPending(ts *tenantState) *task {
 }
 
 // finish ends an attempt with the given outcome. Failed attempts requeue.
+//
+//tempo:hot
 func (s *scheduler) finish(now time.Duration, rt *runningTask, outcome TaskOutcome) {
 	s.release(now, rt, outcome)
 	t := rt.t
@@ -486,6 +499,9 @@ func (s *scheduler) finish(now time.Duration, rt *runningTask, outcome TaskOutco
 		}
 	case TaskFailed:
 		// Lost work; the task restarts from scratch at the queue tail.
+		if rt.tenant.pending.len() == 0 {
+			s.waiting++
+		}
 		rt.tenant.pending.pushBack(t)
 	}
 	s.assign(now)
@@ -548,7 +564,11 @@ func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
 	}
 	jr.killed = true
 	// Remove the job's pending tasks from the tenant queue.
+	had := ts.pending.len() > 0
 	ts.pending.filter(func(t *task) bool { return t.job != jr })
+	if had && ts.pending.len() == 0 {
+		s.waiting--
+	}
 	for _, rt := range jr.running {
 		if !rt.done {
 			s.release(now, rt, TaskKilled)
@@ -563,8 +583,12 @@ func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
 
 // computeFairShares runs weighted water-filling with floors (min shares),
 // ceilings (max shares), and demand caps, storing each tenant's
-// instantaneous fair share. It runs on every assignment, so its working
-// set is a reused value-slice buffer rather than per-call allocations.
+// instantaneous fair share. It runs once per event that leaves a tenant
+// waiting or a starvation window open (updateStarvation) and once per
+// preemption check, so its working set is a reused value-slice buffer
+// rather than per-call allocations.
+//
+//tempo:hot
 func (s *scheduler) computeFairShares() {
 	active := s.fair[:0]
 	var floorSum float64
@@ -637,9 +661,20 @@ func (s *scheduler) computeFairShares() {
 }
 
 // updateStarvation maintains the two starvation clocks per tenant and the
-// preemption-check events they arm.
+// preemption-check events they arm. With no tenant waiting and no window
+// open the pass would write -1 over -1 and cancel nil-or-cancelled events.
+//
+//tempo:hot
 func (s *scheduler) updateStarvation(now time.Duration) {
+	if s.waiting == 0 && s.open == 0 {
+		return
+	}
 	s.computeFairShares()
+	s.armClocks(now)
+}
+
+// armClocks is updateStarvation's pass, over just-computed fair shares.
+func (s *scheduler) armClocks(now time.Duration) {
 	for _, ts := range s.tenantList {
 		starvedMin := ts.pending.len() > 0 && ts.running < ts.minTarget(s.capacity)
 		starvedShare := ts.pending.len() > 0 && float64(ts.running) < ts.fairShare-1e-9
@@ -648,8 +683,12 @@ func (s *scheduler) updateStarvation(now time.Duration) {
 	}
 }
 
+//tempo:hot
 func (s *scheduler) armClock(now time.Duration, ts *tenantState, starved bool, since *time.Duration, ev **sim.Event, timeout time.Duration, minLevel bool) {
 	if !starved {
+		if *since >= 0 {
+			s.open--
+		}
 		*since = -1
 		if *ev != nil {
 			// Keep the pointer: tenants oscillate between starved and
@@ -665,6 +704,7 @@ func (s *scheduler) armClock(now time.Duration, ts *tenantState, starved bool, s
 	}
 	if *since < 0 {
 		*since = now
+		s.open++
 	} else if *ev != nil && !(*ev).Canceled() {
 		return // already armed for the current starvation window
 	}
@@ -698,7 +738,7 @@ func (s *scheduler) preemptCheck(now time.Duration, ts *tenantState, minLevel bo
 		timeout = ts.cfg.SharePreemptTimeout
 	}
 	if since < 0 || ts.pending.len() == 0 || now < since+timeout {
-		s.updateStarvation(now)
+		s.armClocks(now) // on the shares computed above: nothing changed since
 		return
 	}
 	// Restart the starvation window so the next check (if the tenant stays
@@ -758,6 +798,9 @@ func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need in
 // the effect Figure 1 illustrates).
 func (s *scheduler) preempt(now time.Duration, rt *runningTask) {
 	s.release(now, rt, TaskPreempted)
+	if rt.tenant.pending.len() == 0 {
+		s.waiting++
+	}
 	rt.tenant.pending.pushFront(rt.t)
 }
 

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +47,56 @@ func TestEvalCacheReuseAndCollisionSafety(t *testing.T) {
 	// must not match (its workload draw differs).
 	if got := c.lookup(1, same, fp); got != nil {
 		t.Fatal("cache leaked a vector across sample indexes")
+	}
+}
+
+// TestCacheTiersHoldNoEvictedEntries: both tiers keep exactly their cap's
+// worth of array however many entries pass through, so an evicted entry
+// (a full schedule, in the schedule tier) is unreachable at once, and
+// eviction never writes through a concurrent reader's snapshot. Run under
+// -race.
+func TestCacheTiersHoldNoEvictedEntries(t *testing.T) {
+	st := &searchState{samples: make([]searchSample, 1)}
+	cfg := cluster.Config{TotalContainers: 4}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		probe := cacheSchedule(0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				st.lookup(0, probe, probe.Fingerprint())
+			}
+		}
+	}()
+	for i := 0; i < 10*maxSearchConfigPerSample; i++ {
+		sched := cacheSchedule(time.Duration(i) * time.Second)
+		st.store(0, sched, sched.Fingerprint(), []float64{float64(i)})
+		cfg.TotalContainers = 4 + i
+		st.storeConfig(0, cfg.Fingerprint(), cfg, []float64{float64(i)})
+		sm := &st.samples[0]
+		if cap(sm.sched) > maxSchedPerSample || cap(sm.cfgs) > maxSearchConfigPerSample {
+			t.Fatalf("after %d stores: cap(sched)=%d (limit %d), cap(cfgs)=%d (limit %d)",
+				i+1, cap(sm.sched), maxSchedPerSample, cap(sm.cfgs), maxSearchConfigPerSample)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	sm := &st.samples[0]
+	if len(sm.sched) != maxSchedPerSample || len(sm.cfgs) != maxSearchConfigPerSample {
+		t.Fatalf("tiers hold %d/%d entries, want them full at %d/%d", len(sm.sched), len(sm.cfgs), maxSchedPerSample, maxSearchConfigPerSample)
+	}
+	// FIFO: the survivors are the newest entries, oldest first.
+	last := 10*maxSearchConfigPerSample - 1
+	if got := sm.sched[0].vals[0]; got != float64(last-maxSchedPerSample+1) {
+		t.Fatalf("oldest schedule entry is store %v, want %d", got, last-maxSchedPerSample+1)
+	}
+	if got := st.lookupConfig(0, cfg.Fingerprint(), &cfg); got == nil || got[0] != float64(last) {
+		t.Fatalf("newest config entry = %v, want store %d", got, last)
 	}
 }
 

@@ -38,8 +38,8 @@ import (
 // controller scores near-identical candidate sets tick after tick — the
 // incumbent is always re-scored, proposals cluster around it, and in both
 // generator modes the sample traces are identical across ticks (replay
-// shares one trace pointer; the profile generator redraws bit-identical
-// traces from the same per-sample seed). The others pass a fresh state
+// shares one trace pointer; the profile generator draws each sample once
+// and hands the same pointer back). The others pass a fresh state
 // that dies with the call. Stale state is impossible by construction:
 // every call re-reconciles each sample's trace identity (pointer fast
 // path, content comparison otherwise) and drops that sample's entries
@@ -87,9 +87,10 @@ type searchSample struct {
 }
 
 // searchState is what the scoring engine works against: both tiers and
-// the pruning bounds, per sample. The mutex guards slice headers only; entries are immutable once appended, and
-// eviction advances the slice base instead of shifting elements in
-// place, so a reader's unlocked snapshot is never written through.
+// the pruning bounds, per sample. The mutex guards slice headers only;
+// entries are immutable once appended, and eviction moves the survivors
+// to a fresh array instead of shifting them in place (see room), so a
+// reader's unlocked snapshot is never written through.
 type searchState struct {
 	mu        sync.Mutex
 	templates int
@@ -102,9 +103,10 @@ type searchState struct {
 // traces, invalidating exactly what changed: everything on a shape
 // (epoch) change, one sample's entries when that sample's trace content
 // changed. Trace identity is the pointer when generators hand back the
-// same trace (replay mode) and a content comparison otherwise (profile
-// mode redraws an equal trace each call; a regenerated different trace
-// fails the comparison and drops the sample's entries).
+// same trace (FromTrace and FromProfiles both do) and a content
+// comparison otherwise (a caller's generator that redraws an equal trace
+// each call keeps its entries; a regenerated different trace fails the
+// comparison and drops them).
 func (st *searchState) reconcile(templates int, horizon time.Duration, traces []*workload.Trace) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -142,18 +144,30 @@ func (st *searchState) lookup(sample int, sched *cluster.Schedule, fp uint64) []
 	return nil
 }
 
-// store pins the (schedule, vector) pair in the schedule tier; the caller
-// detaches the schedule from its arena. At capacity the oldest entry is
-// evicted by advancing the slice base (append-only from any concurrent
-// reader's perspective).
+// room returns tier with a free slot at its end, evicting the oldest entry
+// of a full one. The tier's array has exactly limit slots from the first
+// store on, and eviction copies the survivors into a fresh one: advancing
+// the slice base instead would keep every evicted entry (a full schedule,
+// in the schedule tier) reachable from the old array until the next
+// reallocation, and clearing the slot would write through a reader's
+// unlocked snapshot.
+func room[E any](tier []E, limit int) []E {
+	switch {
+	case tier == nil:
+		return make([]E, 0, limit)
+	case len(tier) < limit:
+		return tier
+	}
+	return append(make([]E, 0, limit), tier[1:]...)
+}
+
+// store pins the (schedule, vector) pair in the schedule tier, evicting
+// FIFO at capacity; the caller detaches the schedule from its arena.
 func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sm := &st.samples[sample]
-	if len(sm.sched) >= maxSchedPerSample {
-		sm.sched = sm.sched[1:]
-	}
-	sm.sched = append(sm.sched, schedCacheEntry{fp: fp, sched: sched, vals: vals})
+	sm.sched = append(room(sm.sched, maxSchedPerSample), schedCacheEntry{fp: fp, sched: sched, vals: vals})
 }
 
 // lookupConfig returns the cached per-sample QS vector for an exactly
@@ -176,10 +190,7 @@ func (st *searchState) storeConfig(sample int, fp uint64, cfg cluster.Config, va
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sm := &st.samples[sample]
-	if len(sm.cfgs) >= maxSearchConfigPerSample {
-		sm.cfgs = sm.cfgs[1:]
-	}
-	sm.cfgs = append(sm.cfgs, cfgCacheEntry{fp: fp, cfg: cfg.Clone(), vals: vals})
+	sm.cfgs = append(room(sm.cfgs, maxSearchConfigPerSample), cfgCacheEntry{fp: fp, cfg: cfg.Clone(), vals: vals})
 }
 
 // boundsFor lazily builds the sample's qs.BoundSet; nil when the horizon

@@ -155,36 +155,43 @@ func TestEvaluateSearchMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestEvaluateSearchProfileModeReuses: in profile mode the generator
-// redraws a new (but bit-identical) trace every call, so cross-tick reuse
-// must survive on the content-equality path rather than trace pointer
-// identity.
+// TestEvaluateSearchProfileModeReuses: cross-tick reuse holds on both of
+// reconcile's identity paths — FromProfiles hands back the pointer of its
+// first draw, and a caller's own generator that redraws a new (but
+// bit-identical) trace every call is matched by content.
 func TestEvaluateSearchProfileModeReuses(t *testing.T) {
-	m, err := FromProfiles(testTemplates(),
-		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 42)
+	profiles := []workload.TenantProfile{workload.BestEffort("A", 1)}
+	memoised, err := FromProfiles(testTemplates(), profiles, time.Hour, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Samples = 2
-	cfgs := searchConfigs()
-	want, err := m.EvaluateBatch(cfgs)
+	redrawing, err := New(testTemplates(), func(sample int) (*workload.Trace, error) {
+		return workload.Generate(profiles, workload.GenerateOptions{Horizon: time.Hour, Seed: 42 + int64(sample)})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := m.EvaluateSearch(cfgs, nil); err != nil {
-		t.Fatal(err)
-	}
-	preds, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(preds, want) {
-		t.Fatalf("warm search preds %v != batch preds %v", preds, want)
-	}
-	for i := range cfgs {
-		if fresh[i] != 0 || reused[i] != m.Samples {
-			t.Fatalf("config %d fresh=%d reused=%d, want full reuse across redrawn traces", i, fresh[i], reused[i])
+	for name, m := range map[string]*Model{"pointer": memoised, "content": redrawing} {
+		m.Samples = 2
+		cfgs := searchConfigs()
+		want, err := m.EvaluateBatch(cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := m.EvaluateSearch(cfgs, nil); err != nil {
+			t.Fatal(err)
+		}
+		preds, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(preds, want) {
+			t.Fatalf("%s: warm search preds %v != batch preds %v", name, preds, want)
+		}
+		for i := range cfgs {
+			if fresh[i] != 0 || reused[i] != m.Samples {
+				t.Fatalf("%s: config %d fresh=%d reused=%d, want full reuse across redrawn traces", name, i, fresh[i], reused[i])
+			}
 		}
 	}
 }

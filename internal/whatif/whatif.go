@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"tempo/internal/cluster"
@@ -18,10 +19,12 @@ import (
 
 // Generator produces the workload for one what-if sample. Implementations
 // may replay a fixed historical trace (sample index ignored) or synthesize
-// fresh workloads with the same statistical characteristics per sample —
-// the two modes of §7.1. A batch calls the generator exactly once per
-// sample index and shares the returned trace, read-only, across every
-// candidate configuration; the trace must not be mutated afterwards.
+// workloads with the same statistical characteristics per sample — the
+// two modes of §7.1. A batch calls the generator exactly once per sample
+// index and shares the returned trace, read-only, across every candidate
+// configuration. A generator may return the same trace for an index on
+// every call (FromTrace and FromProfiles do; the search state then knows
+// it by pointer), so a returned trace must never be mutated by anyone.
 type Generator func(sample int) (*workload.Trace, error)
 
 // Predictor turns (workload, configuration) into a task schedule. The
@@ -97,15 +100,32 @@ func FromTrace(templates []qs.Template, trace *workload.Trace) (*Model, error) {
 // FromProfiles returns a model that synthesizes a fresh workload per sample
 // from statistical tenant profiles — the "statistical model" mode, which
 // §7.1 notes can also test sensitivity and extended characteristics.
+//
+// The generator is a pure function of the sample index (the profiles are
+// copied here), so the traces the control loop redraws every tick, the
+// indices below the model's Samples, are drawn once and handed back by
+// pointer; Sensitivity's draws beyond them are not retained.
 func FromProfiles(templates []qs.Template, profiles []workload.TenantProfile, horizon time.Duration, baseSeed int64) (*Model, error) {
+	profiles = append([]workload.TenantProfile(nil), profiles...)
+	var m *Model
+	var drawn sync.Map // sample index -> *workload.Trace
 	gen := func(sample int) (*workload.Trace, error) {
-		return workload.Generate(profiles, workload.GenerateOptions{
+		if tr, ok := drawn.Load(sample); ok {
+			return tr.(*workload.Trace), nil
+		}
+		tr, err := workload.Generate(profiles, workload.GenerateOptions{
 			Horizon: horizon,
 			Seed:    mixSeed(baseSeed, sample),
 			Name:    fmt.Sprintf("whatif-%d", sample),
 		})
+		if err != nil || sample >= max(m.Samples, 1) {
+			return tr, err
+		}
+		first, _ := drawn.LoadOrStore(sample, tr) // racing first draws agree on one pointer
+		return first.(*workload.Trace), nil
 	}
-	return New(templates, gen)
+	m, err := New(templates, gen)
+	return m, err
 }
 
 // mixSeed derives the per-sample workload seed from the model's base seed

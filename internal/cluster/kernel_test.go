@@ -190,21 +190,20 @@ func TestKernelCounters(t *testing.T) {
 		s.init(kc.trace, kc.cfg, kc.opts)
 		for s.engine.Step() {
 			waiting, open := 0, 0
+			window := func(ts *tenantState, since time.Duration, ev *sim.Event) {
+				if since >= 0 {
+					open++
+				} else if ev != nil && !ev.Canceled() {
+					t.Fatalf("%s: event %d at %v: tenant %s has a live check event on a closed window",
+						kc.name, s.engine.Fired(), s.engine.Now(), ts.name)
+				}
+			}
 			for _, ts := range s.tenantList {
 				if ts.pending.len() > 0 {
 					waiting++
 				}
-				for _, w := range []struct {
-					since time.Duration
-					ev    *sim.Event
-				}{{ts.starvedMinSince, ts.minCheckEv}, {ts.starvedShareSince, ts.shareCheckEv}} {
-					if w.since >= 0 {
-						open++
-					} else if w.ev != nil && !w.ev.Canceled() {
-						t.Fatalf("%s: event %d at %v: tenant %s has a live check event on a closed window",
-							kc.name, s.engine.Fired(), s.engine.Now(), ts.name)
-					}
-				}
+				window(ts, ts.starvedMinSince, ts.minCheckEv)
+				window(ts, ts.starvedShareSince, ts.shareCheckEv)
 			}
 			if waiting != s.waiting || open != s.open {
 				t.Fatalf("%s: event %d at %v: waiting/open = %d/%d, recount %d/%d",
@@ -214,7 +213,11 @@ func TestKernelCounters(t *testing.T) {
 	}
 }
 
-var kernelSink *Schedule
+// Sinks keep the benchmarked calls from being optimised away.
+var (
+	kernelSink *Schedule
+	kernelFP   uint64
+)
 
 // BenchmarkSchedulerKernel prices one dispatched event of the scheduler
 // kernel as the tenant count grows, with capacity above total demand (the
@@ -228,8 +231,7 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 		scale   float64
 		horizon time.Duration
 	}{{2, 1, 4 * time.Hour}, {100, 0.3, time.Hour}, {1000, 0.1, 2 * time.Hour}} {
-		n := pop.n
-		tr := kernelTrace(b, manyTenants(n, pop.scale), pop.horizon, 21)
+		tr := kernelTrace(b, manyTenants(pop.n, pop.scale), pop.horizon, 21)
 		demand := peakDemand(b, tr)
 		for _, load := range []struct {
 			name     string
@@ -238,7 +240,7 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 			cfg := kernelConfig(tr, load.capacity, func(i int) TenantConfig {
 				return TenantConfig{Weight: 1 + float64(i%3), MinShare: 1, MinSharePreemptTimeout: time.Minute, SharePreemptTimeout: 5 * time.Minute}
 			})
-			b.Run(fmt.Sprintf("tenants=%d/capacity=%s", n, load.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("tenants=%d/capacity=%s", pop.n, load.name), func(b *testing.B) {
 				sm := NewSim()
 				events := 0
 				b.ResetTimer()
@@ -271,8 +273,6 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 	})
 }
-
-var kernelFP uint64
 
 // peakDemand is the trace's peak concurrent container demand when nothing
 // ever waits: the maximum of the unconstrained usage timeline.

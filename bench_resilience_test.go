@@ -51,7 +51,7 @@ func benchCluster(b *testing.B, url, id string, spec *scenario.Spec) {
 // BenchmarkResilience measures the three resilience paths end to end
 // over real HTTP.
 //
-//   - overload-shed: a one-worker, one-slot service saturated by chaos
+//   - overload-shed: a one-slot service saturated by chaos
 //     tick latency must refuse overflow in bounded time — shed_latency_ns
 //     is the wall clock from request to 503 {code: overloaded}, and the
 //     benchmark fails if a shed ever outlives twice the admission
@@ -78,7 +78,7 @@ func benchOverloadShed(b *testing.B) {
 		b.Fatal(err)
 	}
 	svc, err := service.New(service.Config{
-		Shards: 1, WorkersPerShard: 1, QueueDepth: 1,
+		Shards: 1, WorkersPerShard: 1,
 		AdmissionTimeout: admission,
 		Chaos:            inj,
 	})
@@ -99,8 +99,8 @@ func benchOverloadShed(b *testing.B) {
 	var shedWait time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Each round offers more concurrent ticks than worker+queue can
-		// hold; the overflow must come back 503 overloaded within the
+		// Each round offers more concurrent ticks than the one slot can
+		// run; the overflow must come back 503 overloaded within the
 		// admission deadline while the admitted ticks execute.
 		const wave = 6
 		type outcome struct {

@@ -22,11 +22,12 @@
 //	curl localhost:8080/v1/clusters/c1/report
 //	curl localhost:8080/v1/metrics
 //
-// Clusters are pinned to shards by id hash; each shard's fixed worker
-// pool drives control-loop ticks, so tick concurrency is bounded by
-// shards × workers no matter how many clusters are resident. Ticks on one
-// cluster are serialized; reports remain bit-identical to sequential
-// scenario runs (cmd/loadgen asserts this under concurrent traffic).
+// Clusters are pinned to shards by id hash; a tick runs on its request's
+// goroutine inside one of its shard's -workers slots, so tick concurrency
+// is bounded by shards × workers no matter how many clusters are
+// resident. Ticks on one cluster are serialized; reports remain
+// bit-identical to sequential scenario runs (cmd/loadgen asserts this
+// under concurrent traffic).
 //
 // With -data set, every committed tick is logged to a per-cluster
 // schedule-event WAL and the control loop is snapshotted periodically; a
@@ -56,8 +57,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		shards   = flag.Int("shards", 4, "cluster shards")
-		workers  = flag.Int("workers", 2, "tick workers per shard")
-		queue    = flag.Int("queue", 64, "pending-tick queue depth per shard")
+		workers  = flag.Int("workers", 2, "ticks one shard runs at once; requests beyond it wait, bounded by -admission-timeout")
 		par      = flag.Int("parallelism", 1, "per-cluster what-if worker pool (results identical for any value)")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
@@ -68,17 +68,17 @@ func main() {
 		fsyncEvery = flag.Duration("fsync-interval", 50*time.Millisecond, "WAL group-commit window (with -data); 0 fsyncs every append")
 		fsyncBytes = flag.Int("fsync-bytes", 1<<20, "WAL dirty-byte threshold forcing an fsync (with -data)")
 		snapEvery  = flag.Int("snapshot-every", 8, "control-loop snapshot period in ticks (with -data)")
-		drain      = flag.Duration("drain-timeout", 5*time.Second, "shutdown deadline for draining queued and in-flight ticks")
+		drain      = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown lets requests keep waiting for a tick slot before refusing them with 503 unavailable; running ticks always finish")
 
 		reqTimeout = flag.Duration("request-timeout", 60*time.Second, "per-request read/write deadline on the API listener")
-		admTimeout = flag.Duration("admission-timeout", time.Second, "max wait for a shard queue slot before a tick is shed with 503 overloaded")
+		admTimeout = flag.Duration("admission-timeout", time.Second, "max wait for a free tick slot on the cluster's shard before a tick or delete is shed with 503 overloaded")
 
 		chaosSeed = flag.Int64("chaos-seed", 0, "seed for deterministic fault injection; 0 disables chaos unless -chaos-spec is set")
 		chaosSpec = flag.String("chaos-spec", "", "JSON fault-schedule spec file for chaos injection (implies chaos on, even with seed 0)")
 	)
 	flag.Parse()
 	err := run(runConfig{
-		addr: *addr, shards: *shards, workers: *workers, queue: *queue,
+		addr: *addr, shards: *shards, workers: *workers,
 		parallelism: *par, pprofAddr: *pprofSrv,
 		maxStreams: *maxStreams, streamHeartbeat: *heartbeat,
 		dataDir: *dataDir, fsyncInterval: *fsyncEvery, fsyncBytes: *fsyncBytes,
@@ -95,7 +95,6 @@ func main() {
 type runConfig struct {
 	addr            string
 	shards, workers int
-	queue           int
 	parallelism     int
 	pprofAddr       string
 	maxStreams      int
@@ -170,7 +169,6 @@ func run(cfg runConfig) error {
 	svc, err := service.New(service.Config{
 		Shards:           cfg.shards,
 		WorkersPerShard:  cfg.workers,
-		QueueDepth:       cfg.queue,
 		Parallelism:      cfg.parallelism,
 		MaxStreams:       cfg.maxStreams,
 		StreamHeartbeat:  cfg.streamHeartbeat,
@@ -189,8 +187,8 @@ func run(cfg runConfig) error {
 	}
 	gate.Set(svc.Handler())
 	// Deferred last: runs after the API and pprof listeners are down, so
-	// no new ticks can arrive while it drains the shard queues (bounded by
-	// -drain-timeout) and flushes + closes the store.
+	// no new ticks can arrive while it waits for the running ones and
+	// flushes + closes the store.
 	defer svc.Close()
 	if st != nil {
 		fmt.Printf("tempod: durable state in %s (%d clusters recovered)\n", cfg.dataDir, len(svc.List()))
@@ -239,8 +237,8 @@ func run(cfg runConfig) error {
 		return err
 	case sig := <-sigc:
 		// Shutdown order: stop the API listener (no new requests), close
-		// the pprof listener, then the deferred svc.Close drains the shard
-		// queues and flushes durable state.
+		// the pprof listener, then the deferred svc.Close waits for running
+		// ticks and flushes durable state.
 		fmt.Printf("tempod: %v, draining\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -143,7 +143,12 @@ type PlanError struct {
 	Op     int
 	OpName string
 	Msg    string
+	// Err is the read or decode failure behind a plan that could not be
+	// parsed at all, so callers can tell a cut-off body from a bad plan.
+	Err error
 }
+
+func (e *PlanError) Unwrap() error { return e.Err }
 
 func (e *PlanError) Error() string {
 	if e.Op < 0 {
@@ -163,7 +168,7 @@ func ParsePlan(r io.Reader) (*Plan, error) {
 	dec.DisallowUnknownFields()
 	var p Plan
 	if err := dec.Decode(&p); err != nil {
-		return nil, &PlanError{Op: -1, Msg: "decoding plan: " + err.Error()}
+		return nil, &PlanError{Op: -1, Msg: "decoding plan: " + err.Error(), Err: err}
 	}
 	if dec.More() {
 		return nil, &PlanError{Op: -1, Msg: "trailing data after plan"}

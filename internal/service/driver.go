@@ -61,10 +61,9 @@ type DriveOptions struct {
 	// backoff; 0 disables retries. Only refusals that prove the request
 	// never executed are retried — 503/429 responses carrying a
 	// retryable envelope code (overloaded, degraded, unavailable,
-	// subscription_limit). Transport errors and "interrupted" 503s (cut
-	// off by shutdown after admission) are NOT retried: the request may
-	// have reached the server and executed, and blindly replaying a tick
-	// could double-apply it.
+	// subscription_limit). Transport errors and 500 "internal" are NOT
+	// retried: the request may have reached the server and executed, and
+	// blindly replaying a tick could double-apply it.
 	Retries int
 	// RetryBase and RetryMax bound the capped exponential backoff:
 	// attempt k waits jitter(RetryBase·2^k) capped at RetryMax, then
@@ -413,10 +412,9 @@ func NewClient(opts DriveOptions) *Client {
 
 // retryableCode reports whether an envelope code promises the request was
 // refused before execution, so replaying it is safe. "unavailable"
-// qualifies: the server uses it only for refusals at the door (closed
-// service, startup gate, chaos shed). Shutdown that severs an ALREADY
-// admitted job — which may still commit — is the distinct "interrupted"
-// code, deliberately absent here: replaying it could double-apply a tick.
+// qualifies: the server uses it only for refusals at the door (closed or
+// draining service, startup gate, chaos shed). "internal" does not: a tick
+// that failed on the server's side may be in the WAL.
 func retryableCode(code string) bool {
 	switch code {
 	case CodeOverloaded, CodeDegraded, CodeUnavailable, CodeStreamLimit:

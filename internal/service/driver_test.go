@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,9 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"tempo"
-	"tempo/internal/linalg"
-	"tempo/internal/pald"
 	"tempo/internal/store"
 )
 
@@ -166,32 +164,19 @@ func TestRetryableCodeTable(t *testing.T) {
 			t.Errorf("retryableCode(%q) = false, want true", code)
 		}
 	}
-	for _, code := range []string{CodeBadRequest, CodeNotFound, CodeInternal, CodeInterrupted, "", "gibberish"} {
+	for _, code := range []string{CodeBadRequest, CodeNotFound, CodeInternal, CodeTooLarge, "", "gibberish"} {
 		if retryableCode(code) {
 			t.Errorf("retryableCode(%q) = true, want false", code)
 		}
 	}
 }
 
-// failOnce is a Strategy whose first Propose fails.
-type failOnce struct {
-	pald.Strategy
-	failed bool
-}
-
-func (f *failOnce) Propose(x linalg.Vector, obs []float64, n int) ([]linalg.Vector, error) {
-	if !f.failed {
-		f.failed = true
-		return nil, errors.New("injected propose failure")
-	}
-	return f.Strategy.Propose(x, obs, n)
-}
-
 // TestApplyFailureAfterAppendFailStops: when the control step fails
 // after its schedule was logged, the WAL is a tick ahead of the session.
 // The cluster must fail-stop into degraded (cause attached, error NOT
-// the retryable ErrDegraded — the tick is durable), and re-arm must bring
-// the logged tick back from the store.
+// the retryable ErrDegraded — the tick is durable: over HTTP a 500
+// "internal" with no Retry-After, not the client's bad request), and
+// re-arm must bring the logged tick back from the store.
 func TestApplyFailureAfterAppendFailStops(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -202,28 +187,24 @@ func TestApplyFailureAfterAppendFailStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	spec, err := SmallSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := pald.NewRandomSearch(tempo.DefaultSpace(spec.Capacity, spec.TenantNames()).Dim(), 0.2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := tempo.NewSession(spec, tempo.ScenarioOptions{Parallelism: 1, Strategy: &failOnce{Strategy: inner}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := st.Create("c1", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCluster("c1", svc.shardFor("c1"), sess, cs)
-	svc.clusters["c1"] = c
+	failed := false
+	c := hookedCluster(t, svc, "c1", func() error {
+		if failed {
+			return nil
+		}
+		failed = true
+		return errors.New("injected propose failure")
+	})
+	sess, cs := c.Session(), c.store
 
-	_, _, err = svc.Tick(context.Background(), c)
-	if err == nil || errors.Is(err, ErrDegraded) {
-		t.Fatalf("tick with a failing control step returned %v, want a non-retryable error", err)
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/clusters/c1/tick", nil))
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusInternalServerError || env.Code != CodeInternal {
+		t.Fatalf("tick with a failing control step answered %d %s, want 500 with code %q", rec.Code, rec.Body, CodeInternal)
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "" {
+		t.Fatalf("logged-but-not-applied tick carried Retry-After %q; it is durable and must not be retried", ra)
 	}
 	if !c.Degraded() || sess.Ticks() != 0 || cs.Ticks() != 1 {
 		t.Fatalf("after the failed apply: degraded=%v session ticks=%d wal ticks=%d, want true/0/1", c.Degraded(), sess.Ticks(), cs.Ticks())

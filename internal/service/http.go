@@ -34,9 +34,11 @@ import (
 // All bodies are JSON — POSTs with a body must say so in Content-Type or
 // get a 415. Errors are a uniform envelope
 // {"error": "...", "code": "..."} with conventional status codes (400
-// malformed input, 404 unknown cluster, 409 conflicts, 415 wrong media
-// type, 429 subscription limit, 503 shutting down); code is a stable
-// machine-readable discriminator, error the human-readable detail.
+// malformed input, 404 unknown cluster, 409 conflicts, 413 body over
+// maxBodyBytes, 415 wrong media type, 429 subscription limit, 500 a tick
+// or delete failed on the server's side, 503 shed, degraded or shutting
+// down); code is a stable machine-readable discriminator, error the
+// human-readable detail.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/clusters", s.handleCreate)
@@ -127,19 +129,23 @@ const (
 	CodeUnavailable      = "unavailable"
 	CodeUnsupportedMedia = "unsupported_media_type"
 	CodeStreamLimit      = "subscription_limit"
-	CodeInternal         = "internal"
-	// CodeOverloaded marks a request shed at admission (queue full past
-	// the deadline); CodeDegraded a write refused because the cluster's
-	// durable store is failing. Both guarantee no state changed, so both
-	// are safe to retry after the Retry-After hint.
+	CodeTooLarge         = "too_large"
+	// CodeInternal marks a failure on the server's side of a tick or
+	// delete. The tick may be durable (logged but not applied), so it is
+	// not safe to retry automatically.
+	CodeInternal = "internal"
+	// CodeOverloaded marks a request shed at admission (every slot taken
+	// past the deadline); CodeDegraded a write refused because the
+	// cluster's durable store is failing. Both guarantee no state changed,
+	// so both are safe to retry after the Retry-After hint.
 	CodeOverloaded = "overloaded"
 	CodeDegraded   = "degraded"
-	// CodeInterrupted marks a request cut off by shutdown AFTER it was
-	// admitted: the job may or may not have executed, so unlike
-	// "unavailable" (refused before execution) it is NOT safe to retry
-	// automatically — a replayed tick could double-apply.
-	CodeInterrupted = "interrupted"
 )
+
+// maxBodyBytes bounds every request body the API reads. The largest spec
+// in the tree is 13 KB; the bound keeps a client from making the server
+// buffer an arbitrary CreateRequest.Spec.
+const maxBodyBytes = 8 << 20
 
 // ErrorEnvelope is the uniform JSON error body.
 type ErrorEnvelope struct {
@@ -160,7 +166,8 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, ErrorEnvelope{Error: err.Error(), Code: code})
 }
 
-// errStatus maps service errors to (HTTP status, envelope code).
+// errStatus maps the service's sentinel errors to (HTTP status, envelope
+// code); an error matching none of them yields (0, "").
 func errStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -173,27 +180,43 @@ func errStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, CodeOverloaded
 	case errors.Is(err, ErrDegraded):
 		return http.StatusServiceUnavailable, CodeDegraded
-	case errors.Is(err, ErrInterrupted):
-		return http.StatusServiceUnavailable, CodeInterrupted
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable, CodeUnavailable
 	default:
-		return http.StatusBadRequest, CodeBadRequest
+		return 0, ""
 	}
 }
 
-// writeServiceError maps and emits a service-layer error.
+// writeServiceError maps and emits an error from a create or read path.
+// There an error matching no sentinel is the request's own fault — a spec
+// that fails to build, an inverted window — so it is a 400.
 func writeServiceError(w http.ResponseWriter, err error) {
 	status, code := errStatus(err)
+	if code == "" {
+		status, code = http.StatusBadRequest, CodeBadRequest
+	}
 	writeError(w, status, code, err)
 }
 
-// requireJSON enforces Content-Type on requests carrying a body; it
-// answers 415 and returns false on violation. Bodyless POSTs (tick) pass.
+// writeBodyError emits a failure to decode a request body: 413 when the
+// body ran past maxBodyBytes, otherwise 400 with the given code.
+func writeBodyError(w http.ResponseWriter, code string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, code, err)
+}
+
+// requireJSON admits a request body: it bounds it at maxBodyBytes and
+// enforces Content-Type, answering 415 and returning false on violation.
+// Bodyless POSTs (tick) pass.
 func requireJSON(w http.ResponseWriter, r *http.Request) bool {
 	if r.ContentLength == 0 {
 		return true
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	ct := r.Header.Get("Content-Type")
 	mt, _, err := mime.ParseMediaType(ct)
 	if err != nil || mt != "application/json" {
@@ -225,7 +248,7 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req CreateRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		writeBodyError(w, CodeBadRequest, err)
 		return
 	}
 	if len(req.Spec) == 0 {
@@ -289,22 +312,25 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// writeRetryableError maps and emits a write-path error, attaching a
+// writeRetryableError maps and emits a tick or delete error, attaching a
 // Retry-After hint to the retryable 503s (shed, degraded, draining) so
-// backoff clients don't have to guess. shard, when >= 0, selects whose
-// p99-derived hint to use for overload; other causes hint 1s.
+// backoff clients don't have to guess: the shard's p99-derived hint for
+// overload, 1s for the other causes. A tick or delete carries no input
+// beyond the cluster id, so an error matching no sentinel is the server's
+// failure (Observe failing, a tick logged but not applied): 500, and no
+// hint, because that tick may be durable.
 func (s *Service) writeRetryableError(w http.ResponseWriter, shard int, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		secs := 1
-		if shard >= 0 {
-			secs = s.shards[shard].retryAfterSeconds()
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(s.shards[shard].retryAfterSeconds()))
 	case errors.Is(err, ErrDegraded), errors.Is(err, ErrClosed):
 		w.Header().Set("Retry-After", "1")
 	}
-	writeServiceError(w, err)
+	status, code := errStatus(err)
+	if code == "" {
+		status, code = http.StatusInternalServerError, CodeInternal
+	}
+	writeError(w, status, code, err)
 }
 
 // TickResponse is one completed control interval.
@@ -407,7 +433,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	plan, err := tempo.ParseQueryPlan(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidPlan, err)
+		writeBodyError(w, CodeInvalidPlan, err)
 		return
 	}
 	res, err := s.Query(c, plan)
@@ -438,7 +464,7 @@ func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req WhatIfRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		writeBodyError(w, CodeBadRequest, err)
 		return
 	}
 	c, err := s.Get(id)

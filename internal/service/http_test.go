@@ -97,8 +97,8 @@ func do(t *testing.T, method, url string, body string) (int, []byte) {
 }
 
 // TestHandlerErrors locks the API's failure modes: malformed input is
-// 400, unknown clusters are 404, conflicts are 409 — never a 200 with
-// garbage, never a 500.
+// 400, unknown clusters are 404, conflicts are 409, a body past the 8 MiB
+// bound is 413 — never a 200 with garbage, never a 500.
 func TestHandlerErrors(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})
 	spec := smallSpec(t, 0)
@@ -106,6 +106,7 @@ func TestHandlerErrors(t *testing.T) {
 
 	badSpec := `{"id":"bad","spec":{"name":"x","seed":1,"capacity":4,"interval_minutes":5,"iterations":1,"tenants":[],"slos":[{"metric":"utilization"}],"initial":{},"controller":{"disabled":true}}}`
 	typoSpec := `{"id":"typo","spec":{"name":"x","seeed":1}}`
+	tooLong := strings.Repeat("a", 8<<20) // one JSON string that alone fills the body bound
 	cases := []struct {
 		name   string
 		method string
@@ -119,6 +120,7 @@ func TestHandlerErrors(t *testing.T) {
 		{"create: spec fails validation", "POST", "/v1/clusters", badSpec, http.StatusBadRequest},
 		{"create: unknown spec field", "POST", "/v1/clusters", typoSpec, http.StatusBadRequest},
 		{"create: duplicate id", "POST", "/v1/clusters", mustCreateBody(t, "c1", spec), http.StatusConflict},
+		{"create: body over the bound", "POST", "/v1/clusters", `{"id":"big","spec":"` + tooLong + `"}`, http.StatusRequestEntityTooLarge},
 		{"tick: unknown cluster", "POST", "/v1/clusters/nope/tick", "", http.StatusNotFound},
 		{"status: unknown cluster", "GET", "/v1/clusters/nope", "", http.StatusNotFound},
 		{"report: unknown cluster", "GET", "/v1/clusters/nope/report", "", http.StatusNotFound},
@@ -131,6 +133,8 @@ func TestHandlerErrors(t *testing.T) {
 		{"whatif: no candidates", "POST", "/v1/clusters/c1/whatif", `{"candidates":[]}`, http.StatusBadRequest},
 		{"whatif: unknown tenant", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"ghost":{"weight":2}}]}`, http.StatusBadRequest},
 		{"whatif: invalid weight", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"deadline":{"weight":-1}}]}`, http.StatusBadRequest},
+		{"whatif: body over the bound", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"` + tooLong + `":{}}]}`, http.StatusRequestEntityTooLarge},
+		{"query: body over the bound", "POST", "/v1/clusters/c1/query", `{"version":1,"source":"` + tooLong + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

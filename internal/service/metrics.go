@@ -30,7 +30,8 @@ type Metrics struct {
 	Shards           []ShardMetrics `json:"shards"`
 }
 
-// ShardMetrics is one shard's slice of the snapshot. Tick and decision
+// ShardMetrics is one shard's slice of the snapshot. QueueLength is the
+// requests waiting for one of its Workers tick slots. Tick and decision
 // latencies are quantiles over the shard's recent-latency window; they
 // are zero until the shard has completed a tick (for decision latencies:
 // a controller-enabled tick).
@@ -78,7 +79,7 @@ func (s *Service) Metrics() Metrics {
 			Shard:            i,
 			Clusters:         perShard[i],
 			Workers:          s.cfg.WorkersPerShard,
-			QueueLength:      len(sh.jobs),
+			QueueLength:      int(sh.waiting.get()),
 			Ticks:            sh.ticks.get(),
 			WhatIfEvals:      sh.whatifEvals.get(),
 			ScoredCandidates: sh.scored.get(),

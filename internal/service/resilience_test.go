@@ -48,8 +48,8 @@ func sequentialReport(t *testing.T, spec *scenario.Spec) []byte {
 	return want
 }
 
-// TestOverloadShedsWithRetryAfter saturates a one-worker, one-slot
-// service with slow ticks and requires the API to shed the overflow as
+// TestOverloadShedsWithRetryAfter saturates a one-slot service with slow
+// ticks and requires the API to shed the overflow as
 // 503 {error, code: overloaded} with an integer Retry-After hint — then
 // proves the sheds were free: retrying the shed ticks to completion
 // yields a report byte-identical to the sequential run.
@@ -60,16 +60,15 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	svc, ts := newTestServer(t, service.Config{
 		Shards:           1,
 		WorkersPerShard:  1,
-		QueueDepth:       1,
 		AdmissionTimeout: 30 * time.Millisecond,
 		Chaos: mustChaos(t, 1, chaos.Spec{
 			TickLatency: 1.0, TickLatencyMs: 150,
-			// Handler-level shedding off: this test isolates queue overload.
+			// Handler-level shedding off: this test isolates slot overload.
 		}),
 	})
 	createCluster(t, ts.URL, "c1", spec)
 
-	// First wave: more concurrent ticks than worker+queue can hold. The
+	// First wave: more concurrent ticks than the one slot can run. The
 	// overflow must come back 503 overloaded, not block and not execute.
 	const wave = 8
 	type outcome struct {
@@ -151,12 +150,11 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 // TestAdmissionHonorsRequestDeadline: a caller whose context expires
 // while its tick is stuck in admission gets ErrOverloaded promptly — the
 // wait is bounded by the earlier of the request deadline and
-// AdmissionTimeout, not by queue drain.
+// AdmissionTimeout, not by how long the slot holder takes.
 func TestAdmissionHonorsRequestDeadline(t *testing.T) {
 	svc, ts := newTestServer(t, service.Config{
 		Shards:           1,
 		WorkersPerShard:  1,
-		QueueDepth:       1,
 		AdmissionTimeout: 10 * time.Second, // deliberately long: the ctx must win
 		Chaos:            mustChaos(t, 1, chaos.Spec{TickLatency: 1.0, TickLatencyMs: 300}),
 	})
@@ -167,7 +165,7 @@ func TestAdmissionHonorsRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fill the worker and the queue slot with slow ticks.
+	// One slow tick holds the slot and a second waits behind it.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -176,7 +174,7 @@ func TestAdmissionHonorsRequestDeadline(t *testing.T) {
 			svc.Tick(context.Background(), c) //nolint:errcheck
 		}()
 	}
-	time.Sleep(50 * time.Millisecond) // let both occupy worker + queue
+	time.Sleep(50 * time.Millisecond) // let the first take the slot
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -203,7 +201,6 @@ func TestShedsNeverCorruptSerialization(t *testing.T) {
 	svc, ts := newTestServer(t, service.Config{
 		Shards:           1,
 		WorkersPerShard:  1,
-		QueueDepth:       1,
 		AdmissionTimeout: 2 * time.Millisecond,
 		Chaos:            mustChaos(t, 3, chaos.Spec{TickLatency: 0.5, TickLatencyMs: 5}),
 	})
@@ -326,7 +323,7 @@ func TestDegradedMode(t *testing.T) {
 			}
 
 			// A second write is refused at the door — degraded clusters never
-			// reach the worker, so the broken store is not hammered.
+			// take a slot, so the broken store is not hammered.
 			if code, _ := do(t, "POST", ts.URL+"/v1/clusters/c1/tick", ""); code != http.StatusServiceUnavailable {
 				t.Fatalf("second tick on degraded cluster = %d, want 503", code)
 			}
@@ -575,7 +572,7 @@ func chaosDrive(t *testing.T, seed int64, clusters int) (*service.DriveReport, c
 // fault-free sequential golden (asserted inside the drive), every failed
 // request carried the {error, code} envelope (the driver only retries
 // envelope refusals — a bare failure would surface as a drive error),
-// and no shard worker deadlocks (the drive completes). Run twice, the
+// and no shard slot is leaked (the drive completes). Run twice, the
 // per-cluster fault schedule is identical: tick-stream decisions are
 // pure functions of (seed, cluster, tick sequence), untouched by timing.
 func TestChaosDeterministicOutcome(t *testing.T) {
@@ -835,7 +832,6 @@ func TestDeleteShedKeepsCluster(t *testing.T) {
 	svc, ts := newTestServer(t, service.Config{
 		Shards:           1,
 		WorkersPerShard:  1,
-		QueueDepth:       1,
 		AdmissionTimeout: 5 * time.Millisecond,
 		Chaos:            mustChaos(t, 1, chaos.Spec{TickLatency: 1.0, TickLatencyMs: 200}),
 	})
@@ -846,7 +842,7 @@ func TestDeleteShedKeepsCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate worker + queue, then try to delete through the full queue.
+	// Keep the slot busy, then try to delete past it.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -877,61 +873,152 @@ func TestDeleteShedKeepsCluster(t *testing.T) {
 	}
 }
 
-// TestShutdownInterruptsAdmittedTick: shutdown that severs a tick AFTER
-// admission must answer 503 {code: "interrupted"} — NOT "unavailable" —
-// because the admitted tick may still commit durably; "unavailable"
-// would invite the driver's auto-retry to double-apply it. No
-// Retry-After accompanies it: there is nothing safe to retry.
-func TestShutdownInterruptsAdmittedTick(t *testing.T) {
-	svc, ts := newTestServer(t, service.Config{
-		Shards:          1,
-		WorkersPerShard: 1,
-		QueueDepth:      1,
-		DrainTimeout:    20 * time.Millisecond,
-		Chaos:           mustChaos(t, 1, chaos.Spec{TickLatency: 1.0, TickLatencyMs: 400}),
-	})
-	spec := smallSpec(t, 10)
-	createCluster(t, ts.URL, "c1", spec)
+// tickOutcome is what a tick request issued from a helper goroutine came
+// back with.
+type tickOutcome struct {
+	code       int // -1: the transport failed before a response
+	body       []byte
+	retryAfter string
+}
 
-	type result struct {
-		code       int
-		body       []byte
-		retryAfter string
-	}
-	done := make(chan result, 1)
+// postTick issues one tick request from its own goroutine.
+func postTick(url, id string) <-chan tickOutcome {
+	done := make(chan tickOutcome, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/clusters/c1/tick", "application/json", nil)
+		resp, err := http.Post(url+"/v1/clusters/"+id+"/tick", "application/json", nil)
 		if err != nil {
-			done <- result{code: -1}
+			done <- tickOutcome{code: -1}
 			return
 		}
 		defer resp.Body.Close()
 		var buf bytes.Buffer
 		buf.ReadFrom(resp.Body) //nolint:errcheck
-		done <- result{resp.StatusCode, buf.Bytes(), resp.Header.Get("Retry-After")}
+		done <- tickOutcome{resp.StatusCode, buf.Bytes(), resp.Header.Get("Retry-After")}
 	}()
-	time.Sleep(100 * time.Millisecond) // the tick is admitted and executing under chaos latency
-	svc.Close()                        // drain deadline (20ms) expires well inside the 400ms tick
+	return done
+}
+
+// waitFor polls cond until it holds; the conditions waited on here are
+// counters the service publishes, not elapsed time.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestShutdownInterruptsAdmittedTick pins the contract that replaced the
+// "interrupted" outcome. A tick runs on its request's goroutine, so
+// shutdown cannot sever a caller from a tick that is executing: the tick
+// in flight when Close begins answers 200 with its real iteration even
+// though the drain deadline expires under it, Close does not return
+// before it has committed, and the reopened store holds it in the WAL.
+// No write ends with an unknown outcome short of a transport error.
+func TestShutdownInterruptsAdmittedTick(t *testing.T) {
+	dir := t.TempDir()
+	inj := mustChaos(t, 1, chaos.Spec{TickLatency: 1.0, TickLatencyMs: 400})
+	svc, ts := newTestServer(t, service.Config{
+		Shards:          1,
+		WorkersPerShard: 1,
+		DrainTimeout:    20 * time.Millisecond,
+		Store:           openStore(t, dir),
+		Chaos:           inj,
+	})
+	createCluster(t, ts.URL, "c1", smallSpec(t, 10))
+	c, err := svc.Get("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := postTick(ts.URL, "c1")
+	waitFor(t, "the tick to start executing", func() bool { return inj.Counts().TickDelays == 1 })
+	svc.Close() // the drain deadline (20ms) expires well inside the 400ms tick
+	if got := c.Session().Ticks(); got != 1 {
+		t.Fatalf("Close returned with the session at tick %d: it did not wait for the running tick", got)
+	}
 
 	select {
 	case r := <-done:
 		if r.code == -1 {
-			t.Skip("connection failed before a response; cannot observe the envelope")
+			t.Skip("connection failed before a response; cannot observe the reply")
 		}
-		if r.code != http.StatusServiceUnavailable {
-			t.Fatalf("interrupted tick returned %d (%s), want 503", r.code, r.body)
+		if r.code != http.StatusOK {
+			t.Fatalf("tick running at Close returned %d (%s), want 200", r.code, r.body)
 		}
-		var env service.ErrorEnvelope
-		if err := json.Unmarshal(r.body, &env); err != nil {
-			t.Fatalf("interrupted response is not the error envelope: %s", r.body)
-		}
-		if env.Code != service.CodeInterrupted {
-			t.Fatalf("interrupted tick code = %q, want %q (%s)", env.Code, service.CodeInterrupted, r.body)
-		}
-		if r.retryAfter != "" {
-			t.Fatalf("interrupted tick carried Retry-After %q; outcome-unknown errors must not invite retries", r.retryAfter)
+		var tick service.TickResponse
+		if err := json.Unmarshal(r.body, &tick); err != nil || tick.Iteration != 0 {
+			t.Fatalf("tick running at Close answered %s, want iteration 0", r.body)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("tick request never returned after Close")
+	}
+
+	st := openStore(t, dir)
+	defer st.Close()
+	cs, err := st.Get("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.Ticks(); got != 1 {
+		t.Fatalf("reopened WAL holds %d ticks, want the one acked at Close", got)
+	}
+}
+
+// TestCloseRefusesWaiters: a request still waiting for a slot when the
+// drain deadline passes is refused with 503 unavailable and Retry-After 1
+// — it never ran, so it is safe to retry elsewhere — while the tick
+// holding the slot finishes. Driving the session through the rest of its
+// budget lands on the sequential report: the refused tick left no trace.
+func TestCloseRefusesWaiters(t *testing.T) {
+	spec := smallSpec(t, 4)
+	want := sequentialReport(t, spec)
+	inj := mustChaos(t, 1, chaos.Spec{TickLatency: 1.0, TickLatencyMs: 400})
+	svc, ts := newTestServer(t, service.Config{
+		Shards:           1,
+		WorkersPerShard:  1,
+		DrainTimeout:     20 * time.Millisecond,
+		AdmissionTimeout: time.Minute, // deliberately long: Close must cut the wait
+		Chaos:            inj,
+	})
+	createCluster(t, ts.URL, "c1", spec)
+	c, err := svc.Get("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	running := postTick(ts.URL, "c1")
+	waitFor(t, "the first tick to take the slot", func() bool { return inj.Counts().TickDelays == 1 })
+	waiting := postTick(ts.URL, "c1")
+	waitFor(t, "the second tick to wait for the slot", func() bool { return svc.Metrics().Shards[0].QueueLength == 1 })
+	svc.Close()
+
+	if r := <-running; r.code != http.StatusOK {
+		t.Fatalf("tick holding the slot at Close returned %d (%s), want 200", r.code, r.body)
+	}
+	r := <-waiting
+	var env service.ErrorEnvelope
+	if err := json.Unmarshal(r.body, &env); err != nil || r.code != http.StatusServiceUnavailable || env.Code != service.CodeUnavailable {
+		t.Fatalf("waiter at Close returned %d %s, want 503 with code %q", r.code, r.body, service.CodeUnavailable)
+	}
+	if r.retryAfter != "1" {
+		t.Fatalf("refused waiter carried Retry-After %q, want 1", r.retryAfter)
+	}
+	sess := c.Session()
+	if got := sess.Ticks(); got != 1 {
+		t.Fatalf("session at tick %d after Close, want 1: the refused waiter ran", got)
+	}
+	for !sess.Done() {
+		if _, err := sess.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := sess.Report().MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("report after a refused waiter differs from the sequential run")
 	}
 }

@@ -4,13 +4,13 @@
 // accumulators, and What-if Model) concurrently.
 //
 // Clusters are pinned to shards by an FNV hash of their id. Each shard
-// owns a fixed worker pool that drives control-loop ticks: tick requests
-// enqueue on the owning shard and a worker executes them, so the tick
-// concurrency of the whole process is bounded by shards × workers no
-// matter how many clusters are resident or how many requests are in
-// flight. Ticks on one cluster serialize (the Session enforces it; the
-// shard queue orders it), while ticks on different clusters proceed in
-// parallel across workers and shards.
+// has a fixed number of tick slots: a tick runs on the goroutine of the
+// request that asked for it while holding a slot of the owning shard, so
+// the tick concurrency of the whole process is bounded by shards × slots
+// no matter how many clusters are resident or how many requests are in
+// flight, and an idle in-memory service runs no goroutine at all. Ticks
+// on one cluster serialize (the cluster mutex enforces it), while ticks
+// on different clusters proceed in parallel across slots and shards.
 //
 // The HTTP/JSON API (see Handler) exposes cluster creation from a
 // declarative scenario spec, ticks, windowed QS queries served off the
@@ -20,14 +20,14 @@
 // to the same spec run sequentially by scenario.Run — cmd/loadgen asserts
 // exactly that under concurrent traffic.
 //
-// Serving is allocation-lean: the control-loop work a shard worker drives
+// Serving is allocation-lean: the control-loop work a tick drives
 // (schedule prediction, emulation, QS evaluation) runs on pooled scratch
 // arenas (cluster.Sim via whatif's per-worker Scratch and cluster.Run's
 // shared pool), so per-run simulation state is recycled across the ticks
 // of all resident clusters instead of churning the heap — at 1000
 // clusters the process would otherwise be GC-bound. The pools are
-// process-wide sync.Pools: workers on any shard reuse whatever arena the
-// last tick parked, and memory pressure shrinks them automatically.
+// process-wide sync.Pools: a tick on any shard reuses whatever arena the
+// last one parked, and memory pressure shrinks them automatically.
 package service
 
 import (
@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,16 +50,12 @@ import (
 type Config struct {
 	// Shards is the number of cluster shards; 0 means 4.
 	Shards int
-	// WorkersPerShard is each shard's tick worker-pool size; 0 means 2.
+	// WorkersPerShard is how many ticks one shard runs at once; 0 means 2.
 	WorkersPerShard int
-	// QueueDepth is each shard's pending-tick queue capacity; 0 means 64.
-	// Enqueues beyond it block the caller (backpressure), they are never
-	// dropped.
-	QueueDepth int
 	// Parallelism caps every hosted cluster's what-if worker pool; 0 means
 	// 1. The default is deliberate: the service's parallelism comes from
 	// driving many clusters at once, and per-cluster fan-out on top of
-	// shard workers would oversubscribe the host. Results are
+	// the shards' tick slots would oversubscribe the host. Results are
 	// bit-identical for every setting.
 	Parallelism int
 	// Store enables durability. When non-nil, New recovers every cluster
@@ -72,8 +69,8 @@ type Config struct {
 	// snapshots; 0 means 8. A snapshot bounds recovery's re-drive cost to
 	// at most SnapshotEvery ticks. Ignored without Store.
 	SnapshotEvery int
-	// DrainTimeout bounds how long Close waits for queued and in-flight
-	// ticks to finish before cutting the shard workers off; 0 means 5s.
+	// DrainTimeout bounds how long Close lets requests keep waiting for a
+	// tick slot before failing them with ErrClosed; 0 means 5s.
 	DrainTimeout time.Duration
 	// MaxStreams caps concurrent standing query subscriptions (SSE)
 	// across all clusters; 0 means 64. Requests past the cap get 429 with
@@ -85,8 +82,8 @@ type Config struct {
 	// (an SSE comment, so proxies don't reap quiet connections); 0 means
 	// 15s.
 	StreamHeartbeat time.Duration
-	// AdmissionTimeout bounds how long a tick or delete may wait on a
-	// full shard queue before being shed with ErrOverloaded (503
+	// AdmissionTimeout bounds how long a tick or delete may wait for one
+	// of its shard's slots before being shed with ErrOverloaded (503
 	// "overloaded" over HTTP, with a Retry-After hint derived from the
 	// shard's p99 tick latency); 0 means 1s. A caller context with an
 	// earlier deadline shortens the wait further. Shed requests touch no
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkersPerShard <= 0 {
 		c.WorkersPerShard = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 1
@@ -143,20 +137,13 @@ func (c Config) withDefaults() Config {
 // client may safely retry against a restarted server.
 var ErrClosed = errors.New("service: closed")
 
-// ErrInterrupted is returned when shutdown cuts off a job AFTER it was
-// admitted to a shard queue: the job may or may not have executed (an
-// admitted tick can still commit durably while the caller's wait is
-// severed), so unlike ErrClosed the outcome is unknown and the request
-// must NOT be retried automatically — a replay could double-apply it.
-var ErrInterrupted = errors.New("service: shut down mid-request; outcome unknown")
-
 // ErrNotFound is returned for operations naming an unknown cluster id.
 var ErrNotFound = errors.New("service: unknown cluster")
 
 // ErrExists is returned when creating a cluster under a taken id.
 var ErrExists = errors.New("service: cluster id already exists")
 
-// ErrOverloaded is returned when a shard's queue stays full past the
+// ErrOverloaded is returned when a shard's slots all stay taken past the
 // admission deadline: the request was shed before touching any state,
 // so retrying after backoff is always safe.
 var ErrOverloaded = errors.New("service: overloaded")
@@ -184,6 +171,11 @@ type Service struct {
 	draining atomic.Bool
 	// probeWG tracks the degraded-cluster recovery probe goroutine.
 	probeWG sync.WaitGroup
+	// drain counts the ticks and teardowns between shard.enter and
+	// shard.leave, waiting for a slot or holding one.
+	drain sync.WaitGroup
+	// crash is crashProcess; a field so a test can watch the hand-over.
+	crash func(v any)
 
 	qsQueries    counter
 	whatifEvals  counter
@@ -211,14 +203,14 @@ type Cluster struct {
 	session atomic.Pointer[tempo.Session]
 
 	// mu serializes the tick (observe+append+apply), re-arm and deletion:
-	// a worker holds it for the whole commit, so Delete can never tear down
+	// a tick holds it for the whole commit, so Delete can never tear down
 	// the on-disk state (or drop the session) under a tick's feet.
 	mu sync.Mutex
 	// store is the cluster's durable state; nil when durability is off.
 	store *store.ClusterStore
 	// life is the cluster's one lifecycle state. Only Service.transition
-	// writes it, under mu; reads are lock-free — a worker holds mu for a
-	// whole tick, and admission must never wait behind execution.
+	// writes it, under mu; reads are lock-free — a tick holds mu for its
+	// whole commit, and admission must never wait behind execution.
 	life atomic.Pointer[lifecycle]
 	// tickc is the change-notification channel standing query streams
 	// wait on: closed and replaced under mu whenever a tick commits or
@@ -325,7 +317,7 @@ func (c *Cluster) notifyLocked() {
 // defaults). With cfg.Store set, every cluster with on-disk state is
 // recovered before New returns: snapshot restored, WAL re-driven, and the
 // session resumes mid-scenario on a trajectory byte-identical to the
-// uninterrupted run. Close it to stop the shard workers.
+// uninterrupted run. Close it to drain running ticks and close the store.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -333,9 +325,10 @@ func New(cfg Config) (*Service, error) {
 		start:    time.Now(),
 		quit:     make(chan struct{}),
 		clusters: map[string]*Cluster{},
+		crash:    crashProcess,
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(i, s, cfg))
+		s.shards = append(s.shards, &shard{idx: i, svc: s, slots: make(chan struct{}, cfg.WorkersPerShard)})
 	}
 	if cfg.Store != nil {
 		for _, id := range cfg.Store.IDs() {
@@ -377,11 +370,20 @@ func (s *Service) resumeFromStore(cs *store.ClusterStore) (*tempo.Session, error
 	return sess, err
 }
 
-// Close stops accepting work, drains queued and in-flight ticks (bounded
-// by DrainTimeout), stops the shard workers, and — when durability is on
-// — flushes and closes the store. Ticks still queued when the deadline
-// cuts off fail with ErrClosed; their clusters recover the lost tail
-// deterministically on the next start.
+// crashProcess keeps a panic inside a tick process-fatal. net/http would
+// recover it on the request's goroutine and keep serving a session that
+// stopped part-way through Apply; re-raised on a goroutine nothing
+// recovers, it ends the process and the restart rebuilds from the WAL.
+func crashProcess(v any) {
+	go panic(fmt.Sprintf("service: panic inside a tick: %v\n\n%s", v, debug.Stack()))
+	select {}
+}
+
+// Close stops accepting work and drains. Ticks and teardowns already
+// running finish and return their real result (durable, with a store), so
+// shutdown leaves no write with an unknown outcome. Requests still
+// waiting for a slot after DrainTimeout fail with ErrClosed, having never
+// run. Close then stops the recovery probe and closes the store.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -394,24 +396,14 @@ func (s *Service) Close() {
 	// still finish cleanly.
 	s.draining.Store(true)
 	s.mu.Unlock()
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
-	for time.Now().Before(deadline) {
-		idle := true
-		for _, sh := range s.shards {
-			if sh.pending.get() != 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	drained := make(chan struct{})
+	go func() { s.drain.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(s.cfg.DrainTimeout):
 	}
-	close(s.quit)
-	for _, sh := range s.shards {
-		sh.wait()
-	}
+	close(s.quit) // waiters give up; whoever holds a slot runs to the end
+	<-drained
 	s.probeWG.Wait()
 	if s.cfg.Store != nil {
 		s.cfg.Store.Close()
@@ -497,13 +489,13 @@ func (s *Service) Get(id string) (*Cluster, error) {
 }
 
 // Delete tears the cluster down and, with durability on, removes its
-// on-disk state. The teardown is routed through the cluster's shard queue
-// and serialized against ticks by the cluster mutex, so an in-flight tick
-// either commits fully before the teardown or observes the deletion and
-// fails with ErrNotFound — it can never append to removed state. Delete
-// works on degraded clusters (teardown is how a hopelessly broken store
-// is cleared). The context bounds admission only; an admitted teardown
-// always completes.
+// on-disk state. The teardown takes a slot of the cluster's shard like a
+// tick and is serialized against ticks by the cluster mutex, so an
+// in-flight tick either commits fully before the teardown or observes the
+// deletion and fails with ErrNotFound — it can never append to removed
+// state. Delete works on degraded clusters (teardown is how a hopelessly
+// broken store is cleared). The context bounds admission only; an
+// admitted teardown always completes.
 //
 // The cluster stays registered until its teardown actually runs: during
 // the admission wait reads keep serving, a racing Create(id) sees
@@ -513,17 +505,11 @@ func (s *Service) Get(id string) (*Cluster, error) {
 // gone, so a request that resolves the id in that last window is fenced
 // by the lifecycle state and fails with ErrNotFound.
 func (s *Service) Delete(ctx context.Context, id string) error {
-	s.mu.RLock()
-	closed := s.closed
-	c, ok := s.clusters[id]
-	s.mu.RUnlock()
-	if closed {
-		return ErrClosed
+	c, err := s.Get(id)
+	if err != nil {
+		return err
 	}
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	err := s.shards[c.Shard].remove(ctx, c)
+	err = s.shards[c.Shard].remove(ctx, c)
 	if err == nil || c.isDeleted() {
 		// Torn down (by this call or a racing one that won execDelete):
 		// drop the registry entry so the id becomes available again.
@@ -536,7 +522,7 @@ func (s *Service) Delete(ctx context.Context, id string) error {
 	return err
 }
 
-// execTick runs one tick on a shard worker, in log-then-apply order:
+// execTick runs one tick inside a shard slot, in log-then-apply order:
 // observe the next interval (the session does not change), append the
 // schedule to the WAL, and only then apply it to the session. The
 // session therefore never holds a tick the log does not, and no failure
@@ -552,7 +538,7 @@ func (s *Service) execTick(c *Cluster) (tempo.ScenarioIteration, error) {
 	}
 	if delay, tearWAL, tearAt := s.cfg.Chaos.TickFaults(c.ID); delay > 0 || tearWAL {
 		if delay > 0 {
-			// Injected chaos latency stalls the worker only; tick output is
+			// Injected chaos latency stalls this slot only; tick output is
 			// untouched.
 			time.Sleep(delay)
 		}
@@ -673,7 +659,7 @@ func (s *Service) rearm(c *Cluster) bool {
 	return s.transition(c, phaseActive, nil)
 }
 
-// execDelete tears one cluster down on a shard worker.
+// execDelete tears one cluster down inside a shard slot.
 func (s *Service) execDelete(c *Cluster) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -698,17 +684,18 @@ func (s *Service) List() []string {
 	return out
 }
 
-// Tick schedules one control-loop tick for the cluster on its shard's
-// worker pool and waits for the result. Concurrent Ticks on one cluster
-// are serialized; Ticks on different clusters run in parallel up to the
-// pool sizes. The context bounds admission only (further capped by
-// Config.AdmissionTimeout): a tick shed with ErrOverloaded never ran,
-// and an admitted tick always runs to completion. done reports whether
-// the cluster's iteration budget is now exhausted — read from the same
-// session that ticked, so it cannot race with registry changes.
+// Tick runs one control-loop tick for the cluster on the caller's
+// goroutine, inside one of its shard's slots. Concurrent Ticks on one
+// cluster are serialized; Ticks on different clusters run in parallel up
+// to shards × WorkersPerShard. The context bounds admission only (further
+// capped by Config.AdmissionTimeout): a tick shed with ErrOverloaded or
+// refused with ErrClosed never ran, and an admitted tick always runs to
+// completion, Close included. done reports whether the cluster's
+// iteration budget is now exhausted — read from the same session that
+// ticked, so it cannot race with registry changes.
 func (s *Service) Tick(ctx context.Context, c *Cluster) (it tempo.ScenarioIteration, done bool, err error) {
-	// Refuse writes the lifecycle state rules out before queueing: a
-	// cluster waiting on store recovery must not occupy shard workers.
+	// Refuse writes the lifecycle state rules out before admission: a
+	// cluster waiting on store recovery must not occupy a shard slot.
 	if err := c.writeError(); err != nil {
 		return tempo.ScenarioIteration{}, false, err
 	}

@@ -1,6 +1,6 @@
 // The tick execution path below is part of the deterministic surface:
-// a cluster's report bytes must not depend on which worker or shard ran
-// its ticks. Wall-clock reads and channel races here are confined to
+// a cluster's report bytes must not depend on which goroutine or shard
+// ran its ticks. Wall-clock reads and channel races here are confined to
 // operator metrics and shutdown, and each is individually justified.
 //
 //tempolint:deterministic
@@ -23,31 +23,15 @@ type counter struct{ n atomic.Int64 }
 func (c *counter) add(d int64) { c.n.Add(d) }
 func (c *counter) get() int64  { return c.n.Load() }
 
-// tickJob is one queued unit of per-cluster work — a control-loop tick
-// or (remove set) the cluster's teardown; the worker answers on reply.
-// Routing teardown through the same queue gives Delete the same
-// worker-pool bounds as ticks and keeps every mutation of one cluster on
-// machinery that respects the cluster mutex.
-type tickJob struct {
-	cluster *Cluster
-	remove  bool
-	reply   chan tickResult
-}
-
-type tickResult struct {
-	it  tempo.ScenarioIteration
-	err error
-}
-
-// shard owns a slice of the cluster population: a bounded tick queue and
-// a fixed worker pool draining it. The pool size bounds the shard's tick
-// concurrency regardless of resident clusters or in-flight requests.
+// shard owns a slice of the cluster population and bounds its tick
+// concurrency: a tick or teardown runs on the goroutine that asked for it
+// while holding one of the shard's WorkersPerShard slots.
 type shard struct {
-	idx  int
-	svc  *Service
-	jobs chan tickJob
-	quit chan struct{}
-	wg   sync.WaitGroup
+	idx int
+	svc *Service
+	// slots is a semaphore: a send takes a slot, a receive returns it.
+	// Blocked senders are served in arrival order, so waiters go FIFO.
+	slots chan struct{}
 
 	ticks       counter
 	whatifEvals counter
@@ -58,10 +42,9 @@ type shard struct {
 	// work the incremental search is saving.
 	scored counter
 	pruned counter
-	// pending counts jobs enqueued but not yet replied to — the signal
-	// Close's bounded drain polls for.
-	pending counter
-	// shed counts admissions refused because the queue stayed full past
+	// waiting gauges the requests blocked on a slot right now.
+	waiting counter
+	// shed counts admissions refused because every slot stayed taken past
 	// the deadline — requests turned away with zero state change.
 	shed counter
 	lat  latencyRing
@@ -71,81 +54,97 @@ type shard struct {
 	decLat latencyRing
 }
 
-func newShard(idx int, svc *Service, cfg Config) *shard {
-	sh := &shard{
-		idx:  idx,
-		svc:  svc,
-		jobs: make(chan tickJob, cfg.QueueDepth),
-		quit: svc.quit,
-	}
-	sh.wg.Add(cfg.WorkersPerShard)
-	for i := 0; i < cfg.WorkersPerShard; i++ {
-		go sh.worker()
-	}
-	return sh
-}
-
-func (sh *shard) wait() { sh.wg.Wait() }
-
-// tick enqueues one tick for the cluster and waits for a worker to run
-// it. A full queue applies backpressure bounded by the caller's context
-// deadline and the service's AdmissionTimeout; waiting past either sheds
-// the request with ErrOverloaded instead of blocking forever. A closed
-// service fails the call instead of hanging.
+// tick runs one tick for the cluster inside one of the shard's slots.
 func (sh *shard) tick(ctx context.Context, c *Cluster) (tempo.ScenarioIteration, error) {
-	return sh.run(ctx, tickJob{cluster: c, reply: make(chan tickResult, 1)})
+	if err := sh.enter(ctx); err != nil {
+		return tempo.ScenarioIteration{}, err
+	}
+	defer sh.leave()
+	//tempolint:ignore determinism wall-clock feeds the latency ring metric only, never report bytes
+	start := time.Now()
+	it, err := sh.svc.execTick(c)
+	if err == nil {
+		sh.ticks.add(1)
+		sh.lat.record(time.Since(start))
+	}
+	return it, err
 }
 
-// remove enqueues the cluster's teardown and waits for it, under the
-// same bounded admission as ticks.
+// remove runs the cluster's teardown under the same admission as ticks.
 func (sh *shard) remove(ctx context.Context, c *Cluster) error {
-	_, err := sh.run(ctx, tickJob{cluster: c, remove: true, reply: make(chan tickResult, 1)})
-	return err
+	if err := sh.enter(ctx); err != nil {
+		return err
+	}
+	defer sh.leave()
+	return sh.svc.execDelete(c)
 }
 
-func (sh *shard) run(ctx context.Context, job tickJob) (tempo.ScenarioIteration, error) {
-	sh.pending.add(1)
-	// Admission: deadline-bounded. A request shed here has touched no
-	// state whatsoever, so the 503 it becomes is always safe to retry.
-	actx, cancel := context.WithTimeout(ctx, sh.svc.cfg.AdmissionTimeout)
+// enter admits one tick or teardown: it joins the service's drain group
+// and takes a slot, a free one without building a timer. With every slot
+// taken the wait is bounded by the caller's context and AdmissionTimeout
+// (ErrOverloaded) and cut short by Close (ErrClosed). An error means the
+// request never ran, so the 503 it becomes is always safe to retry; after
+// a nil return the caller owes one leave.
+func (sh *shard) enter(ctx context.Context) error {
+	s := sh.svc
+	// Close latches closed under the write lock before it waits for the
+	// group, so an Add under the read lock cannot race that Wait.
+	s.mu.RLock()
+	if s.closed {
+		s.mu.RUnlock()
+		return ErrClosed
+	}
+	s.drain.Add(1)
+	s.mu.RUnlock()
+	select {
+	case sh.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	sh.waiting.add(1)
+	defer sh.waiting.add(-1)
+	actx, cancel := context.WithTimeout(ctx, s.cfg.AdmissionTimeout)
 	defer cancel()
 	//tempolint:ignore determinism admission races only select which request is shed with zero state change, never tick output
 	select {
-	case sh.jobs <- job:
-	case <-sh.quit:
-		sh.pending.add(-1)
-		return tempo.ScenarioIteration{}, ErrClosed
+	case sh.slots <- struct{}{}:
+		return nil
+	case <-s.quit:
+		s.drain.Done()
+		return ErrClosed
 	case <-actx.Done():
-		sh.pending.add(-1)
+		s.drain.Done()
 		sh.shed.add(1)
-		sh.svc.shedRequests.add(1)
-		return tempo.ScenarioIteration{}, fmt.Errorf("%w: shard %d queue full past the admission deadline (%v)", ErrOverloaded, sh.idx, actx.Err())
+		s.shedRequests.add(1)
+		return fmt.Errorf("%w: shard %d busy past the admission deadline (%v)", ErrOverloaded, sh.idx, actx.Err())
 	}
-	// Once admitted the job WILL run — abandoning it on a deadline would
-	// mean an error response for a tick that still commits, breaking the
-	// "error means no state change" retry contract. Only service shutdown
-	// cuts the wait, and that cut is ErrInterrupted, not ErrClosed: the
-	// job may have executed (or still commit durably) after the wait is
-	// severed, so the outcome is unknown and clients must not auto-retry.
-	//tempolint:ignore determinism reply-vs-shutdown race only selects ErrInterrupted, never alters tick output
-	select {
-	case res := <-job.reply:
-		return res.it, res.err
-	case <-sh.quit:
-		return tempo.ScenarioIteration{}, fmt.Errorf("%w: shard %d stopped while the job was queued or running", ErrInterrupted, sh.idx)
+}
+
+// leave, deferred, ends what enter admitted. A panic in between goes to
+// Service.crash with the slot still held: the session may have stopped
+// part-way through Apply, and nothing may tick it again.
+func (sh *shard) leave() {
+	v := recover()
+	if v != nil {
+		sh.svc.crash(v) // returns only under a test's substitute
+	}
+	<-sh.slots
+	sh.svc.drain.Done()
+	if v != nil {
+		panic(v)
 	}
 }
 
 // retryAfterSeconds estimates when a shed caller should come back: the
-// time for the current queue to drain at the shard's p99 tick latency
-// across its workers, rounded up to whole seconds and clamped to
+// time for the requests waiting now to get through the shard's slots at
+// its p99 tick latency, rounded up to whole seconds and clamped to
 // [1, 30] — an honest hint, not a promise.
 func (sh *shard) retryAfterSeconds() int {
 	_, p99, ok := sh.lat.quantiles()
 	if !ok {
 		return 1
 	}
-	est := time.Duration(len(sh.jobs)+1) * p99 / time.Duration(sh.svc.cfg.WorkersPerShard)
+	est := time.Duration(sh.waiting.get()+1) * p99 / time.Duration(sh.svc.cfg.WorkersPerShard)
 	secs := int((est + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -154,32 +153,6 @@ func (sh *shard) retryAfterSeconds() int {
 		secs = 30
 	}
 	return secs
-}
-
-func (sh *shard) worker() {
-	defer sh.wg.Done()
-	for {
-		//tempolint:ignore determinism job-vs-quit race only decides when the worker stops; ticks are serialized per cluster
-		select {
-		case <-sh.quit:
-			return
-		case job := <-sh.jobs:
-			if job.remove {
-				job.reply <- tickResult{err: sh.svc.execDelete(job.cluster)}
-				sh.pending.add(-1)
-				continue
-			}
-			//tempolint:ignore determinism wall-clock feeds the latency ring metric only, never report bytes
-			start := time.Now()
-			it, err := sh.svc.execTick(job.cluster)
-			if err == nil {
-				sh.ticks.add(1)
-				sh.lat.record(time.Since(start))
-			}
-			job.reply <- tickResult{it: it, err: err}
-			sh.pending.add(-1)
-		}
-	}
 }
 
 // latencyWindow is how many recent latencies a latencyRing retains for

@@ -235,7 +235,9 @@ func sortedIndexInto(idx []int32, less func(i, j int32) bool) []int32 {
 // ReplaySchedule reconstructs a Schedule from its event stream. Capacity
 // and Horizon are not part of the stream and are supplied by the caller.
 // For a stream produced by Events, the result is deeply equal to the
-// original schedule.
+// original schedule. It copies what it keeps and retains nothing of
+// events: the caller may overwrite the slice as soon as the call returns
+// (the WAL decoder reuses one across a log's records).
 func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedule {
 	s := &Schedule{Capacity: capacity, Horizon: horizon}
 	maxJob, maxTask := -1, -1

@@ -115,6 +115,14 @@ func checkEventStream(t *testing.T, s *Schedule) {
 	if !got.Equal(s) || got.Fingerprint() != s.Fingerprint() {
 		t.Fatal("replayed schedule not Equal / fingerprint mismatch")
 	}
+	// ReplaySchedule retains nothing of its input: the WAL decoder reuses
+	// one event slice across records.
+	for i := range events {
+		events[i] = Event{Tenant: "scribbled", JobID: "scribbled", Seq: -1, Time: -1}
+	}
+	if !reflect.DeepEqual(got, s) {
+		t.Fatal("replayed schedule changed when the caller reused its event slice")
+	}
 }
 
 // TestEventsEmulatedSchedule locks the stream invariants on a real emulated

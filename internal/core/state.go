@@ -18,9 +18,11 @@ import (
 // observation, the iteration history (whose length indexes the
 // environment), and the optimizer's sample cloud + RNG position.
 
-// ControllerState is the serializable snapshot of a Controller. All
-// float64 fields round-trip exactly through encoding/json (shortest
-// round-trip formatting), so a restored controller continues bit-for-bit.
+// ControllerState is the serializable snapshot of a Controller. The
+// store's snapshot codec writes every float64 field as its bit pattern,
+// so a restored controller continues bit-for-bit. (The json tags serve
+// tests and tooling; finite floats survive encoding/json too, through its
+// shortest round-trip formatting.)
 type ControllerState struct {
 	Current      cluster.Config `json:"current"`
 	CurrentX     []float64      `json:"current_x"`

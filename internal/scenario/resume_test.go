@@ -24,8 +24,10 @@ func walRoundTrip(t *testing.T, s *cluster.Schedule) *cluster.Schedule {
 	return cluster.ReplaySchedule(s.Capacity, s.Horizon, s.Events())
 }
 
-// snapshotRoundTrip serializes a runtime snapshot through JSON, as the
-// real persistence path does.
+// snapshotRoundTrip serializes a runtime snapshot through JSON. (The
+// store persists snapshots in its own binary encoding, which this package
+// cannot import; internal/store's TestResumeParityThroughCodecs runs this
+// file's sweep through it.)
 func snapshotRoundTrip(t *testing.T, rt *Runtime) *Snapshot {
 	t.Helper()
 	snap, err := rt.Snapshot()

@@ -123,25 +123,46 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkColdRecovery measures the full crash-recovery path: open the
 // data directory, scan + decode the WAL, load the snapshot, and resume
 // the runtime to the recovered tick — what tempod pays per cluster at
-// startup.
+// startup. The small row is BENCH_7's ColdRecovery entry (store-small,
+// snapshot at the midpoint, the rest re-driven); the stress row is the
+// shape that dominates a real restart: 100 tenants, 173 templates, 32
+// ticks, a snapshot every 8 as the service takes them.
 func BenchmarkColdRecovery(b *testing.B) {
-	f := benchSchedules(b)
+	b.Run("small", func(b *testing.B) {
+		spec := benchSchedules(b).spec
+		ns := coldRecovery(b, spec, func(cursor int) bool { return cursor == spec.Iterations/2 })
+		benchrec.Record("ColdRecovery", map[string]float64{
+			"recovery_ns": ns,
+			// "ticks" is an exact metric for benchdiff: the recovered tick
+			// count is a deterministic output of the seeded fixture run.
+			"ticks": float64(spec.Iterations),
+		})
+	})
+	b.Run("stress", func(b *testing.B) {
+		coldRecovery(b, stressSpec(b, 32), func(cursor int) bool { return cursor > 0 && cursor%8 == 0 })
+	})
+}
+
+// coldRecovery drives spec to its end through a store, snapshotting
+// whenever snapshotAt(ticks done) says so, then times b.N cold recoveries
+// of that directory and returns the mean in nanoseconds.
+func coldRecovery(b *testing.B, spec *scenario.Spec, snapshotAt func(cursor int) bool) float64 {
 	dir := b.TempDir()
 	{
 		s, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cs, err := s.Create("bench", f.spec)
+		cs, err := s.Create("bench", spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt, err := scenario.Build(f.spec, scenario.Options{Parallelism: 1})
+		rt, err := scenario.Build(spec, scenario.Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < f.spec.Iterations; i++ {
-			if i == f.spec.Iterations/2 {
+		for i := 0; i <= spec.Iterations; i++ {
+			if snapshotAt(i) {
 				snap, err := rt.Snapshot()
 				if err != nil {
 					b.Fatal(err)
@@ -149,6 +170,9 @@ func BenchmarkColdRecovery(b *testing.B) {
 				if err := cs.WriteSnapshot(snap); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if i == spec.Iterations {
+				break
 			}
 			if _, err := rt.Step(); err != nil {
 				b.Fatal(err)
@@ -161,6 +185,7 @@ func BenchmarkColdRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := Open(dir, Options{})
@@ -183,16 +208,46 @@ func BenchmarkColdRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rt.StepsDone() != f.spec.Iterations {
+		if rt.StepsDone() != spec.Iterations {
 			b.Fatalf("recovered to tick %d", rt.StepsDone())
 		}
 		s.Close()
 	}
 	b.StopTimer()
-	benchrec.Record("ColdRecovery", map[string]float64{
-		"recovery_ns": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		// "ticks" is an exact metric for benchdiff: the recovered tick
-		// count is a deterministic output of the seeded fixture run.
-		"ticks": float64(f.spec.Iterations),
-	})
+	return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 }
+
+// BenchmarkSnapshotCodec times EncodeSnapshot and DecodeSnapshot on the
+// two snapshot shapes a data directory holds: a small cluster late in a
+// long run (2 tenants, 128 ticks of history) and a stress cluster (100
+// tenants, 173 templates, 32 ticks — about a megabyte as JSON).
+func BenchmarkSnapshotCodec(b *testing.B) {
+	small := storeSpec(b)
+	small.Iterations = 128
+	for _, shape := range []struct {
+		name string
+		spec *scenario.Spec
+	}{{"small", small}, {"stress", stressSpec(b, 32)}} {
+		snap := runtimeSnapshot(b, shape.spec, shape.spec.Iterations)
+		enc := EncodeSnapshot(nil, snap)
+		b.Run("encode/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				benchSink = EncodeSnapshot(nil, snap)
+			}
+		})
+		b.Run("decode/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeSnapshot(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchSink keeps the compiler from discarding an encode's result.
+var benchSink []byte

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/scenario"
 	"tempo/internal/workload"
 )
 
@@ -68,6 +69,46 @@ func FuzzDecodeTick(f *testing.F) {
 			t.Fatalf("re-encoded payload decodes to a different tick or schedule (tick %d -> %d)", tick, tick2)
 		}
 		if third := EncodeTick(nil, tick2, sched2); !bytes.Equal(third, again) {
+			t.Fatalf("encoding is not a fixed point: %d bytes then %d bytes", len(again), len(third))
+		}
+	})
+}
+
+// FuzzDecodeSnapshot does for snapshot.bin what FuzzDecodeTick does for a
+// WAL record, and with less protection in front of it: the file has no
+// CRC, so whatever is on disk goes to the decoder. DecodeSnapshot must
+// return an error or a snapshot — never panic, and never hold more than a
+// constant multiple of the payload's length (every count is checked
+// against the bytes left before its slice is made). A payload that
+// decodes must re-encode to one that decodes again, to the same bytes on
+// the second round. (A hand-made payload may spell a number with an
+// overlong varint, so byte equality with the input is claimed only for
+// what EncodeSnapshot wrote — TestSnapshotCodecRoundTrip.)
+func FuzzDecodeSnapshot(f *testing.F) {
+	small := EncodeSnapshot(nil, runtimeSnapshot(f, storeSpec(f), 3))
+	stress := EncodeSnapshot(nil, runtimeSnapshot(f, stressSpec(f, 2), 2))
+	f.Add(small)
+	f.Add(stress)
+	f.Add(small[:len(small)/2])
+	f.Add(append(append([]byte(nil), small...), 0))
+	f.Add(EncodeSnapshot(nil, &scenario.Snapshot{}))
+	f.Add([]byte{snapshotFormat, 0, tagPresent, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		snap, err := DecodeSnapshot(payload)
+		if err != nil {
+			return
+		}
+		if n := snapshotFootprint(snap); n > snapshotAllocFactor*len(payload) {
+			t.Fatalf("%d-byte payload decoded into at least %d bytes", len(payload), n)
+		}
+		again := EncodeSnapshot(nil, snap)
+		snap2, err := DecodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if third := EncodeSnapshot(nil, snap2); !bytes.Equal(third, again) {
 			t.Fatalf("encoding is not a fixed point: %d bytes then %d bytes", len(again), len(third))
 		}
 	})

@@ -17,9 +17,13 @@ import (
 
 // On-disk layout:
 //
-//	<root>/clusters/<escaped-id>/spec.json      the scenario (create-time, immutable)
-//	<root>/clusters/<escaped-id>/snapshot.json  newest control-loop snapshot (atomic replace)
-//	<root>/clusters/<escaped-id>/wal.log        one CRC-framed record per committed tick
+//	<root>/clusters/<escaped-id>/spec.json     the scenario (create-time, immutable)
+//	<root>/clusters/<escaped-id>/snapshot.bin  newest control-loop snapshot (EncodeSnapshot, atomic replace)
+//	<root>/clusters/<escaped-id>/wal.log       one CRC-framed record per committed tick
+//
+// A snapshot.json is what tempod wrote before snapshot.bin existed. It is
+// never read — the WAL is authoritative, so such a directory recovers by
+// full re-drive — and the next snapshot write removes it.
 //
 // Cluster ids come from the HTTP API, so directory names use an injective
 // percent-escaping of the id; everything outside [A-Za-z0-9_-] (including
@@ -200,9 +204,11 @@ type ClusterStore struct {
 
 	mu  sync.Mutex
 	wal *WAL
-	// recovered holds the WAL payloads that survived the open-time scan;
-	// Schedules decodes them on the recovery path.
+	// recovered holds the WAL payloads that survived the open-time scan
+	// (they alias one buffer the size of the log) until Schedules decodes
+	// them and lets them go; drained records that it has.
 	recovered [][]byte
+	drained   bool
 	// ticks is the next tick index AppendTick accepts: recovered records
 	// plus live appends.
 	ticks int
@@ -263,13 +269,21 @@ func (c *ClusterStore) AppendTick(tick int, sched *cluster.Schedule) error {
 // Schedules decodes the recovered WAL records into the observed
 // schedules, oldest first — the WAL half of the durable state
 // scenario.Resume consumes. It reflects the log as of Open; live appends
-// come from the running session, which already has them.
+// come from the running session, which already has them. The records are
+// handed over, not kept: the store releases its copy of the log, and a
+// second call without a Reopen in between is an error.
 func (c *ClusterStore) Schedules() ([]*cluster.Schedule, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*cluster.Schedule, 0, len(c.recovered))
-	for i, payload := range c.recovered {
-		tick, sched, err := DecodeTick(payload)
+	if c.drained {
+		return nil, fmt.Errorf("store: cluster %s: recovered schedules already handed over; Reopen re-reads the log", c.id)
+	}
+	records := c.recovered
+	c.recovered, c.drained = nil, true
+	out := make([]*cluster.Schedule, 0, len(records))
+	var dec tickDecoder
+	for i, payload := range records {
+		tick, sched, err := dec.decode(payload)
 		if err != nil {
 			return nil, fmt.Errorf("store: cluster %s: wal record %d: %w", c.id, i, err)
 		}
@@ -283,29 +297,31 @@ func (c *ClusterStore) Schedules() ([]*cluster.Schedule, error) {
 
 // WriteSnapshot atomically replaces the cluster's snapshot.
 func (c *ClusterStore) WriteSnapshot(snap *scenario.Snapshot) error {
-	raw, err := json.Marshal(snap)
-	if err != nil {
+	if err := writeFileAtomic(filepath.Join(c.dir, "snapshot.bin"), EncodeSnapshot(nil, snap)); err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(c.dir, "snapshot.json"), raw)
+	// A stale snapshot.json is never read; failing to remove it changes
+	// nothing a later start would do.
+	_ = os.Remove(filepath.Join(c.dir, "snapshot.json"))
+	return nil
 }
 
 // LoadSnapshot returns the newest snapshot, or (nil, nil) when none has
-// been written. A snapshot that fails to parse is discarded (recovery
+// been written. A snapshot that fails to decode is discarded (recovery
 // falls back to a full WAL re-drive) rather than failing recovery.
 func (c *ClusterStore) LoadSnapshot() (*scenario.Snapshot, error) {
-	raw, err := os.ReadFile(filepath.Join(c.dir, "snapshot.json"))
+	raw, err := os.ReadFile(filepath.Join(c.dir, "snapshot.bin"))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	var snap scenario.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	snap, err := DecodeSnapshot(raw)
+	if err != nil {
 		return nil, nil
 	}
-	return &snap, nil
+	return snap, nil
 }
 
 // Sync forces the WAL's dirty tail to stable storage.
@@ -361,7 +377,7 @@ func (c *ClusterStore) Reopen() error {
 		return err
 	}
 	c.wal = wal
-	c.recovered = records
+	c.recovered, c.drained = records, false
 	c.ticks = len(records)
 	return nil
 }

@@ -3,14 +3,17 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tempo/internal/cluster"
 	"tempo/internal/scenario"
@@ -72,12 +75,21 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// shared decodes the same records the way Schedules does, through one
+	// decoder whose event scratch and name table outlive each record.
+	var shared tickDecoder
+	var fromShared []*cluster.Schedule
 	for i := 0; i < spec.Iterations; i++ {
 		if _, err := rt.Step(); err != nil {
 			t.Fatal(err)
 		}
 		sched := rt.ObservedSchedule(i)
 		payload := EncodeTick(nil, i, sched)
+		if _, again, err := shared.decode(payload); err != nil {
+			t.Fatalf("tick %d through a shared decoder: %v", i, err)
+		} else {
+			fromShared = append(fromShared, again)
+		}
 		tick, decoded, err := DecodeTick(payload)
 		if err != nil {
 			t.Fatalf("tick %d: %v", i, err)
@@ -90,6 +102,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(decoded.Events(), sched.Events()) {
 			t.Fatalf("tick %d: decoded event stream differs", i)
+		}
+	}
+	for i, again := range fromShared {
+		if !reflect.DeepEqual(again, rt.ObservedSchedule(i)) {
+			t.Fatalf("tick %d: a later record's decode changed an earlier schedule", i)
 		}
 	}
 	// Corruption fails loudly, never panics.
@@ -477,7 +494,7 @@ func TestAppendTickOrdering(t *testing.T) {
 }
 
 // TestSnapshotAtomicReplace overwrites a snapshot and reads back the
-// newest one; a scribbled snapshot file is discarded, not fatal.
+// newest one; a scribbled or torn snapshot file is discarded, not fatal.
 func TestSnapshotAtomicReplace(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -516,10 +533,223 @@ func TestSnapshotAtomicReplace(t *testing.T) {
 		t.Fatalf("snapshot cursor = %+v, want 1", snap)
 	}
 	// Scribble the file: recovery treats it as absent.
-	if err := os.WriteFile(filepath.Join(cs.dir, "snapshot.json"), []byte("{torn"), 0o644); err != nil {
+	path := filepath.Join(cs.dir, "snapshot.bin")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if snap, err := cs.LoadSnapshot(); err != nil || snap != nil {
 		t.Fatalf("scribbled snapshot = %v, %v; want nil, nil", snap, err)
+	}
+	// So is every strict prefix of a good one — never a panic, never a
+	// partial snapshot — and so is a good one with a byte appended.
+	for cut := 0; cut <= len(good); cut++ {
+		torn := good[:cut]
+		if cut == len(good) {
+			torn = append(append([]byte(nil), good...), 0)
+		}
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err := cs.LoadSnapshot(); err != nil || snap != nil {
+			t.Fatalf("snapshot cut at %d of %d bytes = %v, %v; want nil, nil", cut, len(good), snap, err)
+		}
+	}
+}
+
+// TestUpgradeFromJSONSnapshot: a cluster directory left by a tempod that
+// wrote snapshot.json recovers by WAL re-drive — the old file is not read
+// — to the byte-identical report, and the next snapshot write removes it.
+func TestUpgradeFromJSONSnapshot(t *testing.T) {
+	spec := storeSpec(t)
+	want := runReference(t, spec)
+	opts := scenario.Options{Parallelism: 1}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := s.Create("old", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := scenario.Build(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const crashAfter = 4
+	stale := filepath.Join(cs.dir, "snapshot.json")
+	for i := 0; i < crashAfter; i++ {
+		if _, err := rt.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.AppendTick(i, rt.ObservedSchedule(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			snap, err := rt.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(stale, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	cs2, err := s2.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedules, err := cs2.Schedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := cs2.LoadSnapshot()
+	if err != nil || snap != nil {
+		t.Fatalf("LoadSnapshot beside a snapshot.json = %v, %v; want nil, nil", snap, err)
+	}
+	resumed, err := scenario.Resume(cs2.Spec(), opts, nil, schedules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.StepsDone() != crashAfter {
+		t.Fatalf("re-drove %d ticks, want %d", resumed.StepsDone(), crashAfter)
+	}
+	for i := crashAfter; i < spec.Iterations; i++ {
+		if _, err := resumed.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs2.AppendTick(i, resumed.ObservedSchedule(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(stale); err != nil {
+			t.Fatalf("snapshot.json gone before any snapshot was written: %v", err)
+		}
+	}
+	got, err := resumed.Report().MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("report recovered from an old-format directory differs from the uninterrupted run")
+	}
+	next, err := resumed.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs2.WriteSnapshot(next); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("snapshot.json after a snapshot write: stat err %v, want not-exist", err)
+	}
+	if snap, err := cs2.LoadSnapshot(); err != nil || snap == nil || snap.Cursor != spec.Iterations {
+		t.Fatalf("snapshot.bin after the upgrade = %+v, %v", snap, err)
+	}
+}
+
+// TestSchedulesReleasesLog: the recovered records alias one buffer the
+// size of the log, and Schedules hands them over instead of keeping them
+// — afterwards nothing in the store reaches that buffer, a second call is
+// an error, not an empty result, and the cluster still appends and
+// re-recovers.
+func TestSchedulesReleasesLog(t *testing.T) {
+	spec := storeSpec(t)
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := s.Create("c", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := scenario.Build(spec, scenario.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 3
+	for i := 0; i < ticks; i++ {
+		if _, err := rt.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.AppendTick(i, rt.ObservedSchedule(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	cs2, err := s2.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first payload starts one frame header into the read buffer.
+	released := make(chan struct{})
+	buf := (*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(cs2.recovered[0])), -walHeaderSize))
+	runtime.SetFinalizer(buf, func(*byte) { close(released) })
+	schedules, err := cs2.Schedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(schedules) != ticks {
+		t.Fatalf("decoded %d schedules, want %d", len(schedules), ticks)
+	}
+	timeout := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-released:
+			collected = true
+		case <-timeout:
+			t.Fatal("the WAL read buffer is still reachable after Schedules")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for i, sched := range schedules {
+		if !sched.Equal(rt.ObservedSchedule(i)) {
+			t.Fatalf("schedule %d differs once the buffer is gone", i)
+		}
+	}
+	if _, err := cs2.Schedules(); err == nil {
+		t.Fatal("a second Schedules call without Reopen decoded nothing and said nothing")
+	}
+	if _, err := rt.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs2.AppendTick(ticks, rt.ObservedSchedule(ticks)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs2.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := cs2.Schedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != ticks+1 || !again[ticks].Equal(rt.ObservedSchedule(ticks)) {
+		t.Fatalf("re-recovered %d schedules after an append, want %d ending in the appended one", len(again), ticks+1)
 	}
 }

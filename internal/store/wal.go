@@ -1,6 +1,7 @@
 // Package store is tempod's durable control-plane state: one directory
 // per hosted cluster holding the scenario spec, a periodic snapshot of
-// the control loop (internal/scenario.Snapshot), and an append-only
+// the control loop (internal/scenario.Snapshot, in the binary encoding
+// codec.go defines beside the tick record's), and an append-only
 // schedule-event WAL with one CRC-framed record per committed tick.
 //
 // Durability is relaxed where determinism makes it free: a crash may lose
@@ -97,40 +98,64 @@ type WAL struct {
 
 // OpenWAL opens (creating if absent) the log at path, scans it, truncates
 // any torn tail, and returns the WAL positioned for appends plus every
-// intact record payload in append order.
+// intact record payload in append order. The payloads alias one buffer
+// holding the whole file — the caller drops them all to release it.
 func OpenWAL(path string, opts WALOptions) (*WAL, [][]byte, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: reading wal %s: %w", path, err)
-	}
-	records, good := scanRecords(raw)
-	if int64(good) != int64(len(raw)) {
-		// Torn tail: a crash cut the last write short. Drop it — the ticks
-		// it carried re-run deterministically.
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: truncating torn wal tail %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+	fail := func(err error) (*WAL, [][]byte, error) {
 		f.Close()
 		return nil, nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return fail(err)
+	}
+	raw, err := readLog(f, st.Size())
+	if err != nil {
+		return fail(fmt.Errorf("store: reading wal %s: %w", path, err))
+	}
+	records, good := scanRecords(raw)
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fail(err)
+	}
+	if end != int64(good) {
+		// Torn tail: a crash cut the last write short (or bytes landed after
+		// Stat and were never scanned). Drop it — the ticks it carried re-run
+		// deterministically.
+		if err := f.Truncate(int64(good)); err != nil {
+			return fail(fmt.Errorf("store: truncating torn wal tail %s: %w", path, err))
+		}
+		if err := f.Sync(); err != nil {
+			return fail(err)
+		}
+		if _, err := f.Seek(int64(good), io.SeekStart); err != nil {
+			return fail(err)
+		}
 	}
 	w := &WAL{f: f, path: path, opts: opts, size: int64(good), records: len(records)}
 	return w, records, nil
 }
 
+// readLog reads the size bytes Stat reported in one read into one buffer
+// of exactly that size. A short read (the file shrank since) is a shorter
+// durable prefix, not an error.
+func readLog(f *os.File, size int64) ([]byte, error) {
+	raw := make([]byte, size)
+	n, err := io.ReadFull(f, raw)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	return raw[:n], nil
+}
+
 // scanRecords walks the framed records in raw and returns the intact
-// payloads plus the byte length of the durable prefix.
+// payloads plus the byte length of the durable prefix. Each payload is a
+// sub-slice of raw, its capacity clipped to its length so an append to one
+// reallocates instead of writing into its neighbour.
 func scanRecords(raw []byte) (records [][]byte, good int) {
 	off := 0
 	for {
@@ -142,12 +167,13 @@ func scanRecords(raw []byte) (records [][]byte, good int) {
 		if n > walMaxRecord || len(raw)-off-walHeaderSize < int(n) {
 			return records, off
 		}
-		payload := raw[off+walHeaderSize : off+walHeaderSize+int(n)]
+		end := off + walHeaderSize + int(n)
+		payload := raw[off+walHeaderSize : end : end]
 		if crc32.Checksum(payload, walCRC) != sum {
 			return records, off
 		}
-		records = append(records, append([]byte(nil), payload...))
-		off += walHeaderSize + int(n)
+		records = append(records, payload)
+		off = end
 	}
 }
 

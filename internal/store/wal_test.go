@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -256,5 +257,151 @@ func TestWALGroupCommit(t *testing.T) {
 	w.mu.Unlock()
 	if dirty != 0 {
 		t.Fatalf("dirty=%d after threshold-crossing append", dirty)
+	}
+}
+
+// TestWALOpenShortFiles: an empty file and a file shorter than one frame
+// header both open as an empty log, cut back to zero bytes, and append
+// from there.
+func TestWALOpenShortFiles(t *testing.T) {
+	for size := 0; size < walHeaderSize; size++ {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		if err := os.WriteFile(path, bytes.Repeat([]byte{0xa5}, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, records, err := OpenWAL(path, WALOptions{})
+		if err != nil {
+			t.Fatalf("size=%d: %v", size, err)
+		}
+		if len(records) != 0 || w.Size() != 0 {
+			t.Fatalf("size=%d: opened with %d records, %d bytes", size, len(records), w.Size())
+		}
+		appendAll(t, w, testPayloads(2))
+		w.Close()
+		_, records, err = OpenWAL(path, WALOptions{})
+		if err != nil || len(records) != 2 {
+			t.Fatalf("size=%d: after two appends reopened %d records, err %v", size, len(records), err)
+		}
+	}
+}
+
+// TestWALLastRecordTornAtEveryOffset cuts the log at every byte of its
+// last record: the earlier records come back, the file is cut to their
+// boundary, and an append lands where the torn record began.
+func TestWALLastRecordTornAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	payloads := testPayloads(6)
+	ref := filepath.Join(dir, "ref.log")
+	w, _, err := OpenWAL(ref, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, payloads)
+	w.Close()
+	full, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(payloads) - 1
+	boundary := len(full) - walHeaderSize - len(payloads[last])
+	for cut := boundary; cut < len(full); cut++ {
+		path := filepath.Join(dir, fmt.Sprintf("cut-%d.log", cut))
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, records, err := OpenWAL(path, WALOptions{})
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if len(records) != last || w.Size() != int64(boundary) {
+			t.Fatalf("cut=%d: %d records, %d bytes; want %d records, %d bytes", cut, len(records), w.Size(), last, boundary)
+		}
+		if err := w.Append(payloads[last]); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, full) {
+			t.Fatalf("cut=%d: re-appending the torn record did not restore the log (err %v)", cut, err)
+		}
+	}
+}
+
+// TestWALFileChangesAfterStat covers the two ways the file can disagree
+// with the size OpenWAL read it at. Bytes that land after the Stat are
+// not read (OpenWAL then finds the file longer than the prefix it scanned
+// and cuts it back, the branch the torn-tail tests drive); a file that
+// shrank gives a short read, which is a shorter durable prefix and not an
+// error.
+func TestWALFileChangesAfterStat(t *testing.T) {
+	payloads := testPayloads(5)
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, payloads)
+	w.Close()
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := 0
+	for _, p := range payloads[:3] {
+		three += walHeaderSize + len(p)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// Grew: the size says three records and a bit, the file holds five.
+	raw, err := readLog(f, int64(three+5))
+	if err != nil || !bytes.Equal(raw, full[:three+5]) {
+		t.Fatalf("reading %d bytes of a longer file: %d bytes, err %v", three+5, len(raw), err)
+	}
+	// Shrank: the size says twice the file.
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	raw, err = readLog(f, int64(2*len(full)))
+	if err != nil || !bytes.Equal(raw, full) {
+		t.Fatalf("reading %d bytes of a %d-byte file: %d bytes, err %v", 2*len(full), len(full), len(raw), err)
+	}
+	if raw, err = readLog(f, 64); err != nil || len(raw) != 0 {
+		t.Fatalf("reading at end of file: %d bytes, err %v", len(raw), err)
+	}
+}
+
+// TestWALRecordsAreClippedAndStable: the recovered payloads share one
+// buffer, so each must be capacity-clipped (an append to one reallocates
+// instead of scribbling on the next frame) and none may change when the
+// WAL appends to the file afterwards.
+func TestWALRecordsAreClippedAndStable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	payloads := testPayloads(12)
+	w, _, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, payloads)
+	w.Close()
+
+	w, records, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i, r := range records {
+		if cap(r) != len(r) {
+			t.Fatalf("record %d: len %d, cap %d", i, len(r), cap(r))
+		}
+		_ = append(r, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	}
+	appendAll(t, w, testPayloads(40))
+	for i := range payloads {
+		if !bytes.Equal(records[i], payloads[i]) {
+			t.Fatalf("record %d changed under a neighbour's append or a later WAL append", i)
+		}
 	}
 }

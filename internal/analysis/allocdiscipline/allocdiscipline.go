@@ -15,6 +15,9 @@
 //   - closures passed to (*sim.Engine).At: each schedules a fresh
 //     heap-allocated func value per event; use AtArg with a shared
 //     handler and an argument;
+//   - sort.Slice / sort.SliceStable: every call boxes the slice into an
+//     interface, builds a reflection swapper and escapes its less
+//     closure; slices.SortFunc sorts the typed slice in place;
 //   - boxing: passing a non-pointer-shaped value (int, struct, string,
 //     slice, ...) where an interface is expected heap-allocates the
 //     box. Pointers, maps, channels, and funcs fit the interface word
@@ -32,7 +35,7 @@ import (
 // Analyzer is the allocdiscipline analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocdiscipline",
-	Doc:  "flag allocation churn (pop-front reslice, fmt, closure events, boxing) in //tempo:hot functions",
+	Doc:  "flag allocation churn (pop-front reslice, fmt, sort.Slice, closure events, boxing) in //tempo:hot functions",
 	Run:  run,
 }
 
@@ -56,8 +59,8 @@ func checkHot(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.AssignStmt:
 			checkPopFront(pass, n)
 		case *ast.CallExpr:
-			if checkFmt(pass, n) {
-				// Don't also flag the fmt call's arguments as boxing;
+			if checkFmt(pass, n) || checkSort(pass, n) {
+				// Don't also flag the call's arguments as boxing;
 				// one diagnostic per sin.
 				return true
 			}
@@ -99,6 +102,19 @@ func checkFmt(pass *analysis.Pass, call *ast.CallExpr) bool {
 	switch f.Name() {
 	case "Sprintf", "Sprint", "Sprintln", "Errorf", "Appendf", "Append", "Appendln":
 		pass.Reportf(call.Pos(), "fmt.%s in hot path: formatting allocates its result and boxes every operand; preformat outside the loop or use strconv into a scratch buffer", f.Name())
+		return true
+	}
+	return false
+}
+
+func checkSort(pass *analysis.Pass, call *ast.CallExpr) bool {
+	f := analysis.CalleeFunc(pass.TypesInfo, call)
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sort" {
+		return false
+	}
+	switch f.Name() {
+	case "Slice", "SliceStable":
+		pass.Reportf(call.Pos(), "sort.%s in hot path: it boxes the slice, builds a reflection swapper and escapes its less closure on every call; use slices.SortFunc", f.Name())
 		return true
 	}
 	return false

@@ -3,7 +3,11 @@
 // guards //tempo:hot functions against.
 package hot
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 type Engine struct{}
 
@@ -79,9 +83,31 @@ func suppressed(n int) string {
 	return fmt.Sprintf("%d", n)
 }
 
+//tempo:hot
+func sortSlice(xs []int) {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] }) // want `sort.Slice in hot path`
+}
+
+//tempo:hot
+func sortSliceStable(xs []int) {
+	sort.SliceStable(xs, func(i, j int) bool { return xs[i] > xs[j] }) // want `sort.SliceStable in hot path`
+}
+
+//tempo:hot
+func sortFuncOK(xs []int) {
+	slices.SortFunc(xs, func(a, b int) int { return a - b })
+}
+
+//tempo:hot
+func sortSuppressed(xs []int) {
+	//tempolint:ignore allocdiscipline runs once per run on a handful of tenants, not per event
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+}
+
 // coldFormat has no annotation: nothing in it is flagged.
 func coldFormat(q []int, n int) string {
 	q = q[1:]
 	_ = q
+	sort.Slice(q, func(i, j int) bool { return q[i] < q[j] })
 	return fmt.Sprintf("%d", n)
 }

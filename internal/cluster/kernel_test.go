@@ -223,6 +223,8 @@ var (
 // kernel as the tenant count grows, with capacity above total demand (the
 // what-if common case: nothing waits) and at a quarter of it (every
 // event finds a queue). One pooled Sim, as the what-if workers run it.
+// The detach row is the above run plus Detach: what a what-if pair costs
+// when the schedule tier misses and keeps the schedule.
 func BenchmarkSchedulerKernel(b *testing.B) {
 	// Every tenant submits a few jobs, so the work grows with the tenant
 	// count; ns/event is what compares across rows.
@@ -236,18 +238,28 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 		for _, load := range []struct {
 			name     string
 			capacity int
-		}{{"above", demand + 1}, {"quarter", demand/4 + 1}} {
+			detach   bool
+		}{{"capacity=above", demand + 1, false}, {"capacity=quarter", demand/4 + 1, false}, {"detach", demand + 1, true}} {
 			cfg := kernelConfig(tr, load.capacity, func(i int) TenantConfig {
 				return TenantConfig{Weight: 1 + float64(i%3), MinShare: 1, MinSharePreemptTimeout: time.Minute, SharePreemptTimeout: 5 * time.Minute}
 			})
-			b.Run(fmt.Sprintf("tenants=%d/capacity=%s", pop.n, load.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("tenants=%d/%s", pop.n, load.name), func(b *testing.B) {
+				b.ReportAllocs()
+				// Warm the Sim once, untimed: a what-if worker's arena has
+				// run the trace before, so allocs/op is the steady state.
 				sm := NewSim()
+				if _, err := sm.RunInto(tr, cfg, Options{}); err != nil {
+					b.Fatal(err)
+				}
 				events := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					s, err := sm.RunInto(tr, cfg, Options{})
 					if err != nil {
 						b.Fatal(err)
+					}
+					if load.detach {
+						sm.Detach()
 					}
 					kernelSink = s
 					events += sm.s.engine.Fired()

@@ -8,10 +8,12 @@ import (
 
 // Sim is a reusable simulation arena for the cluster emulator / Schedule
 // Predictor: one value owns a scheduler whose event queue, per-job stage
-// bookkeeping, task and attempt records, tenant state, and Schedule
-// backing arrays are all recycled across runs. What-if candidate scoring
-// runs thousands of simulations per control interval; recycling turns the
-// per-run cost from tens of thousands of heap allocations into near zero.
+// bookkeeping, task and attempt records, tenant state and buffers, and
+// Schedule backing arrays are all recycled across runs. What-if candidate
+// scoring runs thousands of simulations per control interval; recycling
+// turns the per-run cost from tens of thousands of heap allocations into
+// a constant handful (TestSimSteadyStateAllocs): the trace's validation
+// map, the *Schedule, and nothing that grows with the trace.
 //
 // A Sim is not safe for concurrent use; give each worker its own (or Get
 // one from the shared pool via Run). Results are bit-identical to a fresh
@@ -32,11 +34,13 @@ func NewSim() *Sim {
 // arena's storage, and returns the task schedule. The returned schedule
 // BORROWS the arena's backing arrays: it is valid until the next RunInto
 // on this Sim, which recycles them. Callers that retain the schedule past
-// that point must call Detach first (the schedule then owns its arrays
-// and the next run allocates fresh ones). It is deterministic: the same
-// inputs (including the noise model's seed) always produce the same
-// schedule, whatever the arena previously ran.
+// that point must call Detach first, which gives it copies of its own.
+// It is deterministic: the same inputs (including the noise model's seed)
+// always produce the same schedule, whatever the arena previously ran.
 func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedule, error) {
+	// Forget the last schedule first: if validation fails, a Detach must
+	// not rewrite a schedule the caller may already own.
+	sm.s.schedule = nil
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,12 +56,31 @@ func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedu
 	return sched, nil
 }
 
-// Detach releases the last returned schedule from the arena: its record
-// arrays will not be recycled, so it stays valid indefinitely. The next
-// RunInto allocates fresh backing.
+// Detach releases the last returned schedule from the arena by copying
+// its records into arrays of exact size that the schedule owns, so it
+// stays valid indefinitely; the arena keeps its own arrays for the next
+// run. It costs two allocations and never regrows anything. Detach must
+// come before the schedule is shared, since it rewrites the schedule's
+// Tasks and Jobs. It is a no-op when there is no schedule to release:
+// after a failed RunInto, or a second Detach.
 func (sm *Sim) Detach() {
-	sm.s.tasksBuf = nil
-	sm.s.jobsBuf = nil
+	sched := sm.s.schedule
+	if sched == nil {
+		return
+	}
+	sched.Tasks = exactCopy(sched.Tasks)
+	sched.Jobs = exactCopy(sched.Jobs)
+	sm.s.schedule = nil
+}
+
+// exactCopy returns a copy of s with cap == len, nil for nil.
+func exactCopy[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // simPool recycles simulation arenas across all callers of Run — under
@@ -71,9 +94,10 @@ var simPool = sync.Pool{New: func() any { return NewSim() }}
 // model's seed) always produce the same schedule.
 //
 // Run is a thin wrapper over a pooled Sim: the simulation's internal
-// bookkeeping is recycled, while the returned schedule is detached (owned
-// by the caller, retainable forever). Hot loops that score and discard
-// many schedules should hold their own Sim and skip the detach.
+// bookkeeping is recycled, while the returned schedule is detached (a
+// copy owned by the caller, retainable forever; the pooled arena keeps
+// its buffers). Hot loops that score and discard many schedules should
+// hold their own Sim and skip the detach.
 func Run(trace *workload.Trace, cfg Config, opts Options) (*Schedule, error) {
 	sm := simPool.Get().(*Sim)
 	sched, err := sm.RunInto(trace, cfg, opts)

@@ -94,3 +94,62 @@ func TestSimDetach(t *testing.T) {
 		t.Fatal("detached schedule was mutated by a later run on the same arena")
 	}
 }
+
+// TestDetachOwnsRecords locks copy-on-detach: Detach gives the schedule
+// exact-size copies of its records and the arena keeps its own arrays,
+// so ten later runs of other rows on the same Sim change nothing in it.
+func TestDetachOwnsRecords(t *testing.T) {
+	cases := kernelCases(t)
+	kc := cases[0]
+	want, err := NewSim().RunInto(kc.trace, kc.cfg, kc.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := NewSim()
+	got, err := sm.RunInto(kc.trace, kc.cfg, kc.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.Detach()
+	if cap(got.Tasks) != len(got.Tasks) || cap(got.Jobs) != len(got.Jobs) {
+		t.Fatalf("detached arrays have cap %d/%d for len %d/%d", cap(got.Tasks), cap(got.Jobs), len(got.Tasks), len(got.Jobs))
+	}
+	fp := got.Fingerprint()
+	for _, other := range cases[1:11] {
+		if _, err := sm.RunInto(other.trace, other.cfg, other.opts); err != nil {
+			t.Fatalf("%s: %v", other.name, err)
+		}
+	}
+	if !got.Equal(want) || got.Fingerprint() != fp {
+		t.Fatal("detached schedule changed under later runs on the same Sim")
+	}
+}
+
+// TestDetachAfterFailedRun: a RunInto that fails validation forgets the
+// last schedule, so a Detach after it (cluster.Run always detaches) cannot
+// rewrite a schedule the caller already owns.
+func TestDetachAfterFailedRun(t *testing.T) {
+	trace := runTestTrace(t, 9, time.Hour)
+	cfg := Config{TotalContainers: 10, Tenants: map[string]TenantConfig{"etl": {Weight: 1}, "adhoc": {Weight: 1}}}
+	sm := NewSim()
+	first, err := sm.RunInto(trace, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.Detach()
+	want, err := NewSim().RunInto(trace, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, tasks, jobs := first.Fingerprint(), &first.Tasks[0], &first.Jobs[0]
+	if _, err := sm.RunInto(trace, Config{}, Options{}); err == nil {
+		t.Fatal("RunInto accepted a zero-capacity config")
+	}
+	sm.Detach()
+	if !first.Equal(want) || first.Fingerprint() != fp || &first.Tasks[0] != tasks || &first.Jobs[0] != jobs {
+		t.Fatal("Detach after a failed RunInto rewrote the previously detached schedule")
+	}
+	if sched, err := Run(trace, Config{}, Options{}); sched != nil || err == nil {
+		t.Fatalf("Run with an invalid config = %v, %v; want nil and an error", sched, err)
+	}
+}

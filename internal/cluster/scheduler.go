@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"tempo/internal/arena"
@@ -51,6 +53,9 @@ type runningTask struct {
 	recIdx    int
 	launchSeq uint64
 	done      bool
+	// nextOfJob links the attempts of a job that has a kill event (see
+	// jobRun.running).
+	nextOfJob *runningTask
 	// plannedOutcome is how the attempt will end if it runs to its finish
 	// event: TaskFinished, or TaskFailed when the noise model injected a
 	// failure at launch. Preemption and kills override it via release.
@@ -66,7 +71,11 @@ type jobRun struct {
 	finished  bool
 	killed    bool
 	killEv    *sim.Event
-	running   []*runningTask
+	// running heads the job's attempts, newest first, linked through
+	// runningTask.nextOfJob. It is kept only for jobs with a kill event:
+	// killJob is its only reader, and its releases commute, so the order
+	// does not matter. An intrusive list costs no allocation per job.
+	running *runningTask
 }
 
 // taskDeque is the tenant's pending-task FIFO with O(1) front pushes for
@@ -169,11 +178,19 @@ type ws struct {
 	fixed bool
 }
 
+// tenantBufs is one tenant's growable buffers, kept across runs: a
+// tenantState comes zeroed from its arena, so without them every run would
+// regrow every tenant's deque and ranked list from nil.
+type tenantBufs struct {
+	pending []*task
+	ranked  []*runningTask
+}
+
 // scheduler is the RM simulation state. It is built to be reused: init
 // returns every field to its start-of-run state while keeping the engine's
-// event arena, the bookkeeping arenas, and the hot-loop buffers, so one
-// scheduler value can run many simulations with near-zero steady-state
-// allocation (see Sim).
+// event arena, the bookkeeping arenas, the tenants' buffers and the
+// hot-loop buffers, so a warmed scheduler runs a simulation with a
+// constant number of heap allocations, whatever the trace (see Sim).
 type scheduler struct {
 	engine   sim.Engine
 	cfg      Config
@@ -199,6 +216,7 @@ type scheduler struct {
 	// Reused hot-loop buffers.
 	fair    []ws           // computeFairShares scratch
 	victims []*runningTask // killVictims scratch
+	spare   []tenantBufs   // the last runs' tenant buffers, by tenantList index
 
 	// Arenas for per-run bookkeeping objects.
 	jobRuns arena.Arena[jobRun]
@@ -208,8 +226,8 @@ type scheduler struct {
 	ints    arena.SliceArena[int]
 	bools   arena.SliceArena[bool]
 
-	// Backing arrays for the produced Schedule, reused across runs unless
-	// the caller detaches the schedule (see Sim.Detach).
+	// Backing arrays for the produced Schedule, reused across runs; a
+	// detached schedule gets copies (see Sim.Detach).
 	tasksBuf []TaskRecord
 	jobsBuf  []JobRecord
 
@@ -250,9 +268,10 @@ func (s *scheduler) bind() {
 
 // init resets the scheduler for a fresh run of the trace under cfg. Every
 // piece of per-run state is restored to its start state; arena blocks, the
-// event queue's backing array, and (unless detached) the schedule's record
-// arrays are recycled rather than re-allocated.
+// event queue's backing array, the tenants' buffers and the schedule's
+// record arrays are recycled rather than re-allocated.
 func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
+	s.reclaimTenantBufs()
 	s.engine.Reset()
 	s.cfg = cfg
 	s.capacity = cfg.TotalContainers
@@ -302,11 +321,29 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 			s.tenantList = append(s.tenantList, ts)
 		}
 	}
-	sort.Slice(s.tenantList, func(i, j int) bool {
-		return s.tenantList[i].name < s.tenantList[j].name
-	})
+	slices.SortFunc(s.tenantList, func(a, b *tenantState) int { return strings.Compare(a.name, b.name) })
+	for i, ts := range s.tenantList {
+		if i < len(s.spare) {
+			ts.pending.buf, ts.ranked = s.spare[i].pending, s.spare[i].ranked
+		}
+	}
 	for i := range trace.Jobs {
 		s.engine.AtArg(trace.Jobs[i].Submit, prioSubmit, s.fnSubmit, &trace.Jobs[i])
+	}
+}
+
+// reclaimTenantBufs takes the last run's tenant buffers back into spare,
+// cleared so nothing of that run stays reachable through them. Buffers
+// only grow, and init hands spare[i] to the i-th tenant by name, so a Sim
+// rerunning one trace regrows nothing.
+func (s *scheduler) reclaimTenantBufs() {
+	for i, ts := range s.tenantList {
+		if i == len(s.spare) {
+			s.spare = append(s.spare, tenantBufs{})
+		}
+		clear(ts.pending.buf[:cap(ts.pending.buf)])
+		clear(ts.ranked[:cap(ts.ranked)])
+		s.spare[i] = tenantBufs{pending: ts.pending.buf[:0], ranked: ts.ranked[:0]}
 	}
 }
 
@@ -464,7 +501,10 @@ func (s *scheduler) launch(now time.Duration, ts *tenantState) {
 	s.free--
 	ts.running++
 	ts.ranked = append(ts.ranked, rt)
-	t.job.running = append(t.job.running, rt)
+	if t.job.killEv != nil {
+		rt.nextOfJob = t.job.running
+		t.job.running = rt
+	}
 	s.allRun = append(s.allRun, rt)
 	rt.finishEv = s.engine.AtArg(now+dur, prioFinish, s.fnFinish, rt)
 }
@@ -569,7 +609,7 @@ func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
 	if had && ts.pending.len() == 0 {
 		s.waiting--
 	}
-	for _, rt := range jr.running {
+	for rt := jr.running; rt != nil; rt = rt.nextOfJob {
 		if !rt.done {
 			s.release(now, rt, TaskKilled)
 		}
@@ -757,7 +797,10 @@ func (s *scheduler) preemptCheck(now time.Duration, ts *tenantState, minLevel bo
 }
 
 // killVictims preempts up to need containers from tenants running above
-// their fair share, most recently launched attempts first.
+// their fair share, most recently launched attempts first. launchSeq is
+// unique, so any correct sort yields the one order.
+//
+//tempo:hot
 func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need int) {
 	victims := s.victims[:0]
 	for _, ts := range s.tenantList {
@@ -783,7 +826,7 @@ func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need in
 		ts.compactRanked()
 	}
 	s.victims = victims // keep the grown backing for the next call
-	sort.Slice(victims, func(i, j int) bool { return victims[i].launchSeq > victims[j].launchSeq })
+	slices.SortFunc(victims, func(a, b *runningTask) int { return cmp.Compare(b.launchSeq, a.launchSeq) })
 	for _, rt := range victims {
 		if need <= 0 {
 			break

@@ -11,10 +11,14 @@
 // Events with equal timestamps are delivered in a total order defined by
 // (time, priority, sequence number), so a simulation run is exactly
 // reproducible given the same inputs.
+//
+// A reused Engine (Reset between runs) schedules and dispatches without
+// heap allocation: events come from a recycled arena, the queue is a
+// hand-written heap on []*Event that keeps its backing array, and AtArg
+// events carry their state in an argument instead of a fresh closure.
 package sim
 
 import (
-	"container/heap"
 	"time"
 
 	"tempo/internal/arena"
@@ -101,7 +105,7 @@ func (e *Engine) At(t time.Duration, priority int, fn func(now time.Duration)) *
 	ev := e.events.Get()
 	ev.Time, ev.Priority, ev.Fire, ev.seq = t, priority, fn, e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -117,7 +121,7 @@ func (e *Engine) AtArg(t time.Duration, priority int, fn func(now time.Duration,
 	ev := e.events.Get()
 	ev.Time, ev.Priority, ev.fireArg, ev.arg, ev.seq = t, priority, fn, arg, e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -130,8 +134,8 @@ func (e *Engine) After(d time.Duration, priority int, fn func(now time.Duration)
 // Now, like At) and clears its canceled mark, so a canceled-but-unpopped
 // event can be revived in place. The event is assigned a fresh sequence
 // number, making the result indistinguishable from Cancel followed by a new
-// At — but in O(log n) via heap.Fix and without allocating or leaving a
-// dead entry in the queue. It reports whether the event was still pending;
+// At — but in O(log n), re-sifted in place, without allocating or leaving
+// a dead entry in the queue. It reports whether the event was still pending;
 // an event that already fired or was discarded cannot be rescheduled.
 func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
 	if ev == nil || ev.index < 0 || ev.index >= len(e.queue) || e.queue[ev.index] != ev {
@@ -144,7 +148,7 @@ func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
 	ev.canceled = false
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.queue, ev.index)
+	e.queue.fix(ev.index)
 	return true
 }
 
@@ -152,7 +156,7 @@ func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
 // reports whether an event was dispatched.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -199,18 +203,24 @@ func (e *Engine) peek() *Event {
 		if !ev.canceled {
 			return ev
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 	}
 	return nil
 }
 
-// eventQueue is a min-heap ordered by (Time, Priority, seq).
+// eventQueue is a binary min-heap on (Time, Priority, seq), written out
+// for *Event rather than reached through container/heap: the sift loops
+// compare and move pointers directly instead of making a dynamic Less and
+// Swap call per step, and pop returns a *Event instead of boxing it into
+// an interface. Every move keeps Event.index equal to the event's slot,
+// which is what Reschedule's membership check and fix rely on; a popped
+// event's index is -1. The key is a strict total order (seq is unique),
+// so the pop sequence is the one any correct heap would produce.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
+// before is the heap order: earlier time, then lower priority, then
+// earlier scheduling.
+func (a *Event) before(b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
@@ -220,24 +230,73 @@ func (q eventQueue) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
+func (q *eventQueue) push(ev *Event) {
 	*q = append(*q, ev)
+	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// pop removes and returns the earliest event. The queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	n := len(h) - 1
+	ev := h[0]
+	h[0] = h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.down(0)
+	}
 	ev.index = -1 // no longer in the heap: rejects late Reschedule calls
-	*q = old[:n-1]
 	return ev
+}
+
+// fix restores the heap order after the key of the event at i changed.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+// up moves the event at i toward the root until its parent is earlier.
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !ev.before(parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down moves the event at i0 toward the leaves until no child is earlier,
+// and reports whether it moved.
+func (q eventQueue) down(i0 int) bool {
+	n := len(q)
+	ev := q[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !child.before(ev) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i > i0
 }

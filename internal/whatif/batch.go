@@ -145,8 +145,10 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // With a non-nil scratch (built-in predictor only) the prediction runs in
 // the scratch's simulation arena: the predicted schedule borrows arena
 // storage and is recycled by the worker's next pair, unless the schedule
-// tier pins it — then it is detached and owns its records for the state's
-// lifetime.
+// tier pins it — then it is detached first, getting exact-size copies of
+// its records that it owns for the state's lifetime. Detach rewrites the
+// schedule's fields, so it must happen before store publishes the
+// schedule to other workers' lookups.
 //
 //tempo:hot
 func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
@@ -170,9 +172,9 @@ func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, 
 		return vals, nil
 	}
 	vals := qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	st.store(sample, sched, fp, vals)
 	if sc != nil {
 		sc.sim.Detach()
 	}
+	st.store(sample, sched, fp, vals)
 	return vals, nil
 }

@@ -162,7 +162,8 @@ func room[E any](tier []E, limit int) []E {
 }
 
 // store pins the (schedule, vector) pair in the schedule tier, evicting
-// FIFO at capacity; the caller detaches the schedule from its arena.
+// FIFO at capacity. The caller has already detached the schedule from its
+// arena: from here on other workers read it without a lock.
 func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -83,35 +83,43 @@ func (j *JobSpec) TotalWork() time.Duration {
 // CriticalPath returns a lower bound on the job's completion time given
 // unlimited containers: the longest dependency chain of per-stage maximum
 // task durations.
+//
+// It does not allocate for jobs of up to eight stages: the noisy cluster
+// emulation calls it for every job it decides to kill.
 func (j *JobSpec) CriticalPath() time.Duration {
-	memo := make([]time.Duration, len(j.Stages))
-	var longest func(i int) time.Duration
-	longest = func(i int) time.Duration {
-		if memo[i] != 0 {
-			return memo[i]
-		}
-		var dep time.Duration
-		for _, d := range j.Stages[i].DependsOn {
-			if v := longest(d); v > dep {
-				dep = v
-			}
-		}
-		var maxTask time.Duration
-		for _, t := range j.Stages[i].Tasks {
-			if t.Duration > maxTask {
-				maxTask = t.Duration
-			}
-		}
-		memo[i] = dep + maxTask
-		return memo[i]
+	var small [8]time.Duration
+	memo := small[:]
+	if len(j.Stages) > len(small) {
+		memo = make([]time.Duration, len(j.Stages))
 	}
 	var cp time.Duration
 	for i := range j.Stages {
-		if v := longest(i); v > cp {
+		if v := j.longest(i, memo); v > cp {
 			cp = v
 		}
 	}
 	return cp
+}
+
+// longest is CriticalPath's memoised chain length ending at stage i.
+func (j *JobSpec) longest(i int, memo []time.Duration) time.Duration {
+	if memo[i] != 0 {
+		return memo[i]
+	}
+	var dep time.Duration
+	for _, d := range j.Stages[i].DependsOn {
+		if v := j.longest(d, memo); v > dep {
+			dep = v
+		}
+	}
+	var maxTask time.Duration
+	for _, t := range j.Stages[i].Tasks {
+		if t.Duration > maxTask {
+			maxTask = t.Duration
+		}
+	}
+	memo[i] = dep + maxTask
+	return memo[i]
 }
 
 // Validate checks the structural invariants of the job: nonempty stages,

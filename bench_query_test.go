@@ -14,14 +14,16 @@ import (
 // re-expressed as a query plan (an slos aggregate over the events
 // relation), evaluated over the same schedule qs.EvalStream scores
 // directly. The two must agree bit for bit — the query layer's contract
-// is that it adds vocabulary, not arithmetic — and the recorded overhead
-// ratio (plan compile + row materialization over the bare evaluator) is
-// the BENCH_9.json quantity the benchdiff gate holds flat.
+// is that it adds vocabulary, not arithmetic. The overhead ratio (plan
+// compile + row materialization over the bare evaluator) is reported, not
+// gated: it is a wall-clock ratio. The fixture shape is pinned and the
+// allocations are held under ceilings.
 func BenchmarkQueryVsOracle(b *testing.B) {
 	sched, templates, err := stressEvalFixture()
 	if err != nil {
 		b.Fatal(err)
 	}
+	checkStressShape(b, sched, templates)
 	end := sched.Horizon + time.Nanosecond
 	// One control interval covering the whole schedule: the plan's tick 0
 	// window is then exactly the oracle's full evaluation window.
@@ -59,23 +61,14 @@ func BenchmarkQueryVsOracle(b *testing.B) {
 	oracleNs := minDuration(3, func() { qs.EvalStream(templates, sched, 0, end) })
 	overhead := float64(queryNs) / float64(oracleNs)
 	allocs, bytes := measureAllocs(3, func() { runOnce() })
-	b.ReportMetric(overhead, "overhead")
-	b.ReportMetric(float64(queryNs.Nanoseconds()), "query-ns")
-	b.ReportMetric(float64(oracleNs.Nanoseconds()), "oracle-ns")
-	recordBench("QueryVsOracle", map[string]float64{
-		"tenants":       1000,
-		"templates":     float64(len(templates)),
-		"jobs":          float64(len(sched.Jobs)),
-		"tasks":         float64(len(sched.Tasks)),
-		"query_ns":      float64(queryNs.Nanoseconds()),
-		"oracle_ns":     float64(oracleNs.Nanoseconds()),
-		"overhead":      overhead,
-		"allocs_per_op": allocs,
-		"bytes_per_op":  bytes,
-	})
+	checkCeiling(b, "allocs_per_op", allocs, 54_698)
+	checkCeiling(b, "bytes_per_op", bytes, 10_422_903)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runOnce()
 	}
+	b.ReportMetric(overhead, "overhead")
+	b.ReportMetric(float64(queryNs.Nanoseconds()), "query-ns")
+	b.ReportMetric(float64(oracleNs.Nanoseconds()), "oracle-ns")
 }

@@ -1,8 +1,9 @@
 // Package allocdiscipline guards the allocation budget of functions
 // annotated "//tempo:hot" — the what-if inner loop paths whose
-// allocs/op floor BENCH_5.json records and cmd/benchdiff gates. The
-// benchmark gate catches a regression after the fact and only on the
-// benched path; this analyzer points at the line that caused it.
+// allocations TestSimSteadyStateAllocs and BenchmarkWhatIfBatch's
+// ceiling hold down. Those gates catch a regression after the fact and
+// only on the paths they drive; this analyzer points at the line that
+// caused it.
 //
 // Inside a hot function (closures included) it reports:
 //

@@ -349,7 +349,8 @@ func (s *scheduler) reclaimTenantBufs() {
 
 // run drives the event loop to completion (or the horizon). Together
 // with the handlers below it is the what-if inner loop's simulation
-// kernel, alloc-gated by BENCH_5.json.
+// kernel, alloc-gated by TestSimSteadyStateAllocs and by
+// BenchmarkWhatIfBatch's allocation ceiling.
 //
 //tempo:hot
 func (s *scheduler) run() *Schedule {

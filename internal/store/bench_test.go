@@ -1,32 +1,14 @@
 package store
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"tempo/internal/benchrec"
 	"tempo/internal/cluster"
 	"tempo/internal/scenario"
 )
-
-// TestMain persists the durability benchmarks' headline metrics when
-// TEMPO_BENCH_OUT names a file — the BENCH_7.json record CI regenerates
-// and gates with cmd/benchdiff (see EXPERIMENTS.md, "Reading
-// BENCH_7.json").
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("TEMPO_BENCH_OUT"); path != "" && code == 0 {
-		if err := benchrec.Write(path); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 // benchFixture is the shared benchmark substrate: the store-small run's
 // observed schedules and their encoded tick payloads.
@@ -42,8 +24,8 @@ var benchOnce struct {
 	f benchFixture
 }
 
-func benchSchedules(b *testing.B) *benchFixture {
-	b.Helper()
+func benchSchedules(tb testing.TB) *benchFixture {
+	tb.Helper()
 	benchOnce.Do(func() {
 		f := &benchOnce.f
 		spec, err := scenario.Load(strings.NewReader(storeSpecJSON))
@@ -68,15 +50,36 @@ func benchSchedules(b *testing.B) *benchFixture {
 		}
 	})
 	if benchOnce.f.err != nil {
-		b.Fatal(benchOnce.f.err)
+		tb.Fatal(benchOnce.f.err)
 	}
 	return &benchOnce.f
 }
 
+// walBytesPerTick is the mean framed WAL record size of the store-small
+// fixture's ticks. It is a pure function of the codec and the seeded
+// schedules, so any change is an encoding change, not noise; re-commit it
+// only when the change is intended.
+const walBytesPerTick = 2098
+
+// checkWALBytesPerTick fails tb unless one full cycle of the fixture's
+// encoded ticks, framed as the WAL frames them, averages walBytesPerTick.
+func checkWALBytesPerTick(tb testing.TB) {
+	tb.Helper()
+	f := benchSchedules(tb)
+	var total int
+	for _, p := range f.payloads {
+		total += len(p) + walHeaderSize
+	}
+	if got := float64(total) / float64(len(f.payloads)); got != walBytesPerTick {
+		tb.Fatalf("WAL bytes per tick = %v, committed value %d", got, walBytesPerTick)
+	}
+}
+
 // BenchmarkWALAppend measures group-committed append throughput: one
 // committed tick's schedule encoded and framed per op, fsync batched at
-// the default byte threshold.
+// the default byte threshold. It fails if the record size drifted.
 func BenchmarkWALAppend(b *testing.B) {
+	checkWALBytesPerTick(b)
 	f := benchSchedules(b)
 	path := filepath.Join(b.TempDir(), "wal.log")
 	w, _, err := OpenWAL(path, WALOptions{SyncBytes: 1 << 20})
@@ -99,44 +102,22 @@ func BenchmarkWALAppend(b *testing.B) {
 		bytesAppended += int64(len(enc)) + walHeaderSize
 	}
 	b.StopTimer()
-	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	mbPerSec := 0.0
 	if b.Elapsed() > 0 {
-		mbPerSec = float64(bytesAppended) / b.Elapsed().Seconds() / (1 << 20)
+		b.ReportMetric(float64(bytesAppended)/b.Elapsed().Seconds()/(1<<20), "MB/s")
 	}
-	b.ReportMetric(mbPerSec, "MB/s")
-	// bytes_per_tick is computed over one full cycle of the fixture's
-	// schedules, not over b.N, so it is a deterministic property of the
-	// codec + seeded run (benchdiff gates it exactly): codec drift shows
-	// up as a byte-count change, whatever b.N the run used.
-	var cycleBytes int64
-	for _, p := range f.payloads {
-		cycleBytes += int64(len(p)) + walHeaderSize
-	}
-	benchrec.Record("WALAppend", map[string]float64{
-		"append_ns":      nsPerOp,
-		"mb_per_sec":     mbPerSec,
-		"bytes_per_tick": float64(cycleBytes) / float64(len(f.payloads)),
-	})
 }
 
 // BenchmarkColdRecovery measures the full crash-recovery path: open the
 // data directory, scan + decode the WAL, load the snapshot, and resume
 // the runtime to the recovered tick — what tempod pays per cluster at
-// startup. The small row is BENCH_7's ColdRecovery entry (store-small,
-// snapshot at the midpoint, the rest re-driven); the stress row is the
-// shape that dominates a real restart: 100 tenants, 173 templates, 32
-// ticks, a snapshot every 8 as the service takes them.
+// startup. The small row is the store-small fixture (snapshot at the
+// midpoint, the rest re-driven); the stress row is the shape that
+// dominates a real restart: 100 tenants, 173 templates, 32 ticks, a
+// snapshot every 8 as the service takes them.
 func BenchmarkColdRecovery(b *testing.B) {
 	b.Run("small", func(b *testing.B) {
 		spec := benchSchedules(b).spec
-		ns := coldRecovery(b, spec, func(cursor int) bool { return cursor == spec.Iterations/2 })
-		benchrec.Record("ColdRecovery", map[string]float64{
-			"recovery_ns": ns,
-			// "ticks" is an exact metric for benchdiff: the recovered tick
-			// count is a deterministic output of the seeded fixture run.
-			"ticks": float64(spec.Iterations),
-		})
+		coldRecovery(b, spec, func(cursor int) bool { return cursor == spec.Iterations/2 })
 	})
 	b.Run("stress", func(b *testing.B) {
 		coldRecovery(b, stressSpec(b, 32), func(cursor int) bool { return cursor > 0 && cursor%8 == 0 })
@@ -145,8 +126,8 @@ func BenchmarkColdRecovery(b *testing.B) {
 
 // coldRecovery drives spec to its end through a store, snapshotting
 // whenever snapshotAt(ticks done) says so, then times b.N cold recoveries
-// of that directory and returns the mean in nanoseconds.
-func coldRecovery(b *testing.B, spec *scenario.Spec, snapshotAt func(cursor int) bool) float64 {
+// of that directory, each of which must recover every tick.
+func coldRecovery(b *testing.B, spec *scenario.Spec, snapshotAt func(cursor int) bool) {
 	dir := b.TempDir()
 	{
 		s, err := Open(dir, Options{})
@@ -213,8 +194,6 @@ func coldRecovery(b *testing.B, spec *scenario.Spec, snapshotAt func(cursor int)
 		}
 		s.Close()
 	}
-	b.StopTimer()
-	return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 }
 
 // BenchmarkSnapshotCodec times EncodeSnapshot and DecodeSnapshot on the

@@ -31,6 +31,13 @@ func appendAll(t *testing.T, w *WAL, payloads [][]byte) {
 	}
 }
 
+// TestWALBytesPerTick pins the WAL encoding of real schedules: the
+// store-small fixture's ticks, encoded and framed, must keep their
+// committed mean record size.
+func TestWALBytesPerTick(t *testing.T) {
+	checkWALBytesPerTick(t)
+}
+
 func TestWALAppendReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	payloads := testPayloads(50)

@@ -319,7 +319,7 @@ func (s *Session) Query(p *QueryPlan) (*QueryResult, error) {
 	return r.Result(), nil
 }
 
-// QueryRunner compiles a plan into a standing runner for this session;
+// NewQueryRunner compiles a plan into a standing runner for this session;
 // the caller feeds it ticks (Session.ObservedSchedule) as they commit.
 // Each session tick is an independent emulation of its control interval,
 // which is exactly the granularity the runner ingests.

@@ -55,6 +55,23 @@ func kernelTrace(tb testing.TB, profiles []workload.TenantProfile, horizon time.
 	return tr
 }
 
+// tieTrace is three tenants' jobs on a nanosecond grid: tasks of one to
+// three nanoseconds, one job submitted every nanosecond, so event
+// instants collide constantly. A job's kill lands a random fraction of
+// its few-nanosecond critical path after its submission, which puts it
+// on the same grid.
+func tieTrace() *workload.Trace {
+	jobs := make([]workload.JobSpec, 40)
+	for i := range jobs {
+		d := time.Duration(1 + i%3)
+		jobs[i] = workload.NewMapReduceJob(fmt.Sprintf("j%02d", i), string(rune('A'+i%3)), time.Duration(i),
+			uniformTasks(1+i%4, d), []time.Duration{d})
+	}
+	tr := &workload.Trace{Name: "ties", Horizon: time.Hour, Jobs: jobs}
+	tr.Sort()
+	return tr
+}
+
 // kernelConfig gives every tenant of the trace the parameters tune
 // returns for its index.
 func kernelConfig(tr *workload.Trace, capacity int, tune func(i int) TenantConfig) Config {
@@ -68,6 +85,7 @@ func kernelConfig(tr *workload.Trace, capacity int, tune func(i int) TenantConfi
 func kernelCases(tb testing.TB) []kernelCase {
 	hundred := kernelTrace(tb, manyTenants(100, 0.3), time.Hour, 11)
 	six := kernelTrace(tb, manyTenants(6, 1), 2*time.Hour, 12)
+	ties := tieTrace()
 	mixed := func(i int) TenantConfig {
 		tc := TenantConfig{Weight: 1 + float64(i%4)}
 		if i%5 == 0 {
@@ -95,6 +113,27 @@ func kernelCases(tb testing.TB) []kernelCase {
 		{"noise-starved-100", hundred, kernelConfig(hundred, 25, mixed),
 			Options{Noise: &NoiseModel{DurationSigma: 0.3, FailureProb: 0.1, JobKillProb: 0.1, Seed: 14}, Horizon: 90 * time.Minute}},
 		{"horizon-truncated", six, kernelConfig(six, 16, mixed), Options{Horizon: 50 * time.Minute}},
+		// Long timeouts on a contended cluster: starvation windows close
+		// and reopen while their check events are still queued, so
+		// cancelled checks are re-armed many times before one fires.
+		{"check-rearmed", six, kernelConfig(six, 18, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1 + float64(i%3), MinShare: 2, MinSharePreemptTimeout: 10 * time.Minute, SharePreemptTimeout: 15 * time.Minute}
+		}), Options{}},
+		// Hair-trigger preemption under heavy failures and kills: killed
+		// jobs carry preempted and failed attempts when the kill lands.
+		{"kill-after-preempt-and-fail", six, kernelConfig(six, 24, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1 + float64(i), MinShare: 3, MinSharePreemptTimeout: time.Second, SharePreemptTimeout: time.Second}
+		}), Options{Noise: &NoiseModel{DurationSigma: 0.3, FailureProb: 0.3, JobKillProb: 0.5, Seed: 16}}},
+		// Everything on a nanosecond grid: finishes, kills, submissions and
+		// both preemption checks keep meeting at one instant.
+		{"four-priority-ties", ties, kernelConfig(ties, 2, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1 + float64(i), MinShare: 1, MinSharePreemptTimeout: 1, SharePreemptTimeout: 2}
+		}), Options{Noise: &NoiseModel{JobKillProb: 0.4, Seed: 17}}},
+		// A horizon that cuts the run while starved tenants still have
+		// live check events queued.
+		{"horizon-live-checks", hundred, kernelConfig(hundred, 12, func(i int) TenantConfig {
+			return TenantConfig{Weight: 1 + float64(i%4), MinShare: 1, MinSharePreemptTimeout: 5 * time.Minute, SharePreemptTimeout: 20 * time.Minute}
+		}), Options{Horizon: 25 * time.Minute}},
 	}
 	// Small random traces and configurations (the property tests'
 	// generator), half of them noisy: breadth where the rows above are

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"tempo/internal/sim"
 	"tempo/internal/workload"
 )
 
@@ -221,18 +220,18 @@ func TestKernelDigests(t *testing.T) {
 // TestKernelCounters steps the engine event by event over the same table
 // and checks after every event that the scheduler's two skip counters
 // equal a from-scratch recount, and the invariant the skip rests on: a
-// live preemption-check event implies an open starvation window.
+// pending preemption-check event implies an open starvation window.
 func TestKernelCounters(t *testing.T) {
 	for _, kc := range kernelCases(t) {
 		sm := NewSim()
 		s := &sm.s
 		s.init(kc.trace, kc.cfg, kc.opts)
-		for s.engine.Step() {
+		for s.step() {
 			waiting, open := 0, 0
-			window := func(ts *tenantState, since time.Duration, ev *sim.Event) {
+			window := func(ts *tenantState, since time.Duration, ev int32) {
 				if since >= 0 {
 					open++
-				} else if ev != nil && !ev.Canceled() {
+				} else if s.engine.Pending(ev) {
 					t.Fatalf("%s: event %d at %v: tenant %s has a live check event on a closed window",
 						kc.name, s.engine.Fired(), s.engine.Now(), ts.name)
 				}

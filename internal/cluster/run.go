@@ -25,9 +25,7 @@ type Sim struct {
 
 // NewSim returns an empty simulation arena.
 func NewSim() *Sim {
-	sm := &Sim{}
-	sm.s.bind()
-	return sm
+	return &Sim{}
 }
 
 // RunInto simulates the trace under the RM configuration, reusing the

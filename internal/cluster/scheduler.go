@@ -24,6 +24,15 @@ const (
 	prioPreempt
 )
 
+// Event kinds, and what each event's argument indexes.
+const (
+	evSubmit     = iota // trace.Jobs
+	evFinish            // allRun
+	evKill              // jobList
+	evMinCheck          // tenantList
+	evShareCheck        // tenantList
+)
+
 // Options configure a cluster run.
 type Options struct {
 	// Noise, when non-nil, turns the run into a noisy emulation of a
@@ -49,7 +58,7 @@ type runningTask struct {
 	t         *task
 	tenant    *tenantState
 	start     time.Duration
-	finishEv  *sim.Event
+	finishEv  int32
 	recIdx    int
 	launchSeq uint64
 	done      bool
@@ -70,7 +79,7 @@ type jobRun struct {
 	recIdx    int
 	finished  bool
 	killed    bool
-	killEv    *sim.Event
+	killEv    int32
 	// running heads the job's attempts, newest first, linked through
 	// runningTask.nextOfJob. It is kept only for jobs with a kill event:
 	// killJob is its only reader, and its releases commute, so the order
@@ -142,8 +151,8 @@ type tenantState struct {
 
 	starvedMinSince   time.Duration
 	starvedShareSince time.Duration
-	minCheckEv        *sim.Event
-	shareCheckEv      *sim.Event
+	minCheckEv        int32
+	shareCheckEv      int32
 }
 
 func (t *tenantState) demand() int { return t.running + t.pending.len() }
@@ -201,10 +210,12 @@ type scheduler struct {
 
 	tenants    map[string]*tenantState
 	tenantList []*tenantState // sorted by name for determinism
+	jobList    []*jobRun      // by recIdx
+	trace      *workload.Trace
 
 	schedule  *Schedule
 	launchSeq uint64
-	allRun    []*runningTask // live attempts for horizon truncation
+	allRun    []*runningTask // attempts by launchSeq
 
 	// waiting counts the tenants with a non-empty pending deque, open the
 	// starvation windows with since >= 0. While both are zero no tenant
@@ -230,40 +241,6 @@ type scheduler struct {
 	// detached schedule gets copies (see Sim.Detach).
 	tasksBuf []TaskRecord
 	jobsBuf  []JobRecord
-
-	// Shared event handlers (sim.Engine.AtArg): bound once per scheduler,
-	// so scheduling an event does not allocate a closure.
-	fnSubmit       func(now time.Duration, arg any)
-	fnFinish       func(now time.Duration, arg any)
-	fnKill         func(now time.Duration, arg any)
-	fnPreemptMin   func(now time.Duration, arg any)
-	fnPreemptShare func(now time.Duration, arg any)
-}
-
-// bind installs the shared event handlers. Called once per scheduler
-// value, before its first run.
-func (s *scheduler) bind() {
-	s.fnSubmit = func(now time.Duration, arg any) {
-		s.submit(now, arg.(*workload.JobSpec))
-	}
-	s.fnFinish = func(now time.Duration, arg any) {
-		rt := arg.(*runningTask)
-		s.finish(now, rt, rt.plannedOutcome)
-	}
-	s.fnKill = func(now time.Duration, arg any) {
-		jr := arg.(*jobRun)
-		s.killJob(now, s.tenants[jr.spec.Tenant], jr)
-	}
-	s.fnPreemptMin = func(now time.Duration, arg any) {
-		ts := arg.(*tenantState)
-		ts.minCheckEv = nil
-		s.preemptCheck(now, ts, true)
-	}
-	s.fnPreemptShare = func(now time.Duration, arg any) {
-		ts := arg.(*tenantState)
-		ts.shareCheckEv = nil
-		s.preemptCheck(now, ts, false)
-	}
 }
 
 // init resets the scheduler for a fresh run of the trace under cfg. Every
@@ -283,8 +260,12 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 		clear(s.tenants)
 	}
 	s.tenantList = s.tenantList[:0]
+	clear(s.jobList)
+	s.jobList = s.jobList[:0]
+	s.trace = trace
 	s.launchSeq = 0
 	s.waiting, s.open = 0, 0
+	clear(s.allRun)
 	s.allRun = s.allRun[:0]
 	s.fair = s.fair[:0]
 	s.victims = s.victims[:0]
@@ -317,6 +298,7 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 			ts.cfg = cfg.Tenant(name)
 			ts.starvedMinSince = -1
 			ts.starvedShareSince = -1
+			ts.minCheckEv, ts.shareCheckEv = sim.NoEvent, sim.NoEvent
 			s.tenants[name] = ts
 			s.tenantList = append(s.tenantList, ts)
 		}
@@ -328,7 +310,7 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 		}
 	}
 	for i := range trace.Jobs {
-		s.engine.AtArg(trace.Jobs[i].Submit, prioSubmit, s.fnSubmit, &trace.Jobs[i])
+		s.engine.At(trace.Jobs[i].Submit, prioSubmit, evSubmit, int32(i))
 	}
 }
 
@@ -354,14 +336,47 @@ func (s *scheduler) reclaimTenantBufs() {
 //
 //tempo:hot
 func (s *scheduler) run() *Schedule {
+	for s.step() {
+	}
 	if s.opts.Horizon > 0 {
-		s.engine.RunUntil(s.opts.Horizon)
 		s.truncate(s.opts.Horizon)
-	} else {
-		s.engine.Run()
 	}
 	s.schedule.Horizon = s.engine.Now()
 	return s.schedule
+}
+
+// step dispatches the next event due before the horizon, and reports
+// whether there was one.
+//
+//tempo:hot
+func (s *scheduler) step() bool {
+	var kind uint8
+	var arg int32
+	var ok bool
+	if s.opts.Horizon > 0 {
+		kind, arg, ok = s.engine.StepUntil(s.opts.Horizon)
+	} else {
+		kind, arg, ok = s.engine.Step()
+	}
+	if !ok {
+		return false
+	}
+	now := s.engine.Now()
+	switch kind {
+	case evSubmit:
+		s.submit(now, &s.trace.Jobs[arg])
+	case evFinish:
+		rt := s.allRun[arg]
+		s.finish(now, rt, rt.plannedOutcome)
+	case evKill:
+		jr := s.jobList[arg]
+		s.killJob(now, s.tenants[jr.spec.Tenant], jr)
+	case evMinCheck:
+		s.preemptCheck(now, s.tenantList[arg], true)
+	case evShareCheck:
+		s.preemptCheck(now, s.tenantList[arg], false)
+	}
+	return true
 }
 
 // submit admits a job: record it, unlock dependency-free stages, enqueue
@@ -374,6 +389,8 @@ func (s *scheduler) submit(now time.Duration, spec *workload.JobSpec) {
 	jr.remaining = s.ints.Take(len(spec.Stages))
 	jr.unlocked = s.bools.Take(len(spec.Stages))
 	jr.recIdx = len(s.schedule.Jobs)
+	jr.killEv = sim.NoEvent
+	s.jobList = append(s.jobList, jr)
 	s.schedule.Jobs = append(s.schedule.Jobs, JobRecord{
 		ID:       spec.ID,
 		Tenant:   spec.Tenant,
@@ -391,7 +408,7 @@ func (s *scheduler) submit(now time.Duration, spec *workload.JobSpec) {
 	}
 	if s.opts.Noise != nil {
 		if killAt, ok := s.opts.Noise.jobKillTime(s.rng, spec, now); ok {
-			jr.killEv = s.engine.AtArg(killAt, prioKill, s.fnKill, jr)
+			jr.killEv = s.engine.At(killAt, prioKill, evKill, int32(jr.recIdx))
 		}
 	}
 	s.assign(now)
@@ -502,12 +519,12 @@ func (s *scheduler) launch(now time.Duration, ts *tenantState) {
 	s.free--
 	ts.running++
 	ts.ranked = append(ts.ranked, rt)
-	if t.job.killEv != nil {
+	if t.job.killEv != sim.NoEvent {
 		rt.nextOfJob = t.job.running
 		t.job.running = rt
 	}
 	s.allRun = append(s.allRun, rt)
-	rt.finishEv = s.engine.AtArg(now+dur, prioFinish, s.fnFinish, rt)
+	rt.finishEv = s.engine.At(now+dur, prioFinish, evFinish, int32(rt.launchSeq))
 }
 
 // popPending removes and returns the tenant's next live pending task,
@@ -554,9 +571,7 @@ func (s *scheduler) release(now time.Duration, rt *runningTask, outcome TaskOutc
 		return
 	}
 	rt.done = true
-	if rt.finishEv != nil {
-		rt.finishEv.Cancel()
-	}
+	s.engine.Cancel(rt.finishEv)
 	rec := &s.schedule.Tasks[rt.recIdx]
 	rec.End = now
 	rec.Outcome = outcome
@@ -589,9 +604,7 @@ func (s *scheduler) stageComplete(now time.Duration, jr *jobRun, stage int) {
 		}
 	}
 	jr.finished = true
-	if jr.killEv != nil {
-		jr.killEv.Cancel()
-	}
+	s.engine.Cancel(jr.killEv)
 	rec := &s.schedule.Jobs[jr.recIdx]
 	rec.Finish = now
 	rec.Completed = true
@@ -716,28 +729,22 @@ func (s *scheduler) updateStarvation(now time.Duration) {
 
 // armClocks is updateStarvation's pass, over just-computed fair shares.
 func (s *scheduler) armClocks(now time.Duration) {
-	for _, ts := range s.tenantList {
+	for i, ts := range s.tenantList {
 		starvedMin := ts.pending.len() > 0 && ts.running < ts.minTarget(s.capacity)
 		starvedShare := ts.pending.len() > 0 && float64(ts.running) < ts.fairShare-1e-9
-		s.armClock(now, ts, starvedMin, &ts.starvedMinSince, &ts.minCheckEv, ts.cfg.MinSharePreemptTimeout, true)
-		s.armClock(now, ts, starvedShare, &ts.starvedShareSince, &ts.shareCheckEv, ts.cfg.SharePreemptTimeout, false)
+		s.armClock(now, int32(i), starvedMin, &ts.starvedMinSince, &ts.minCheckEv, ts.cfg.MinSharePreemptTimeout, evMinCheck)
+		s.armClock(now, int32(i), starvedShare, &ts.starvedShareSince, &ts.shareCheckEv, ts.cfg.SharePreemptTimeout, evShareCheck)
 	}
 }
 
 //tempo:hot
-func (s *scheduler) armClock(now time.Duration, ts *tenantState, starved bool, since *time.Duration, ev **sim.Event, timeout time.Duration, minLevel bool) {
+func (s *scheduler) armClock(now time.Duration, tenant int32, starved bool, since *time.Duration, ev *int32, timeout time.Duration, kind uint8) {
 	if !starved {
 		if *since >= 0 {
 			s.open--
 		}
 		*since = -1
-		if *ev != nil {
-			// Keep the pointer: tenants oscillate between starved and
-			// satisfied on every assignment, and the next re-arm revives
-			// this event in place via Reschedule instead of allocating a
-			// fresh one and leaving a dead entry in the queue.
-			(*ev).Cancel()
-		}
+		s.engine.Cancel(*ev)
 		return
 	}
 	if timeout <= 0 {
@@ -746,18 +753,13 @@ func (s *scheduler) armClock(now time.Duration, ts *tenantState, starved bool, s
 	if *since < 0 {
 		*since = now
 		s.open++
-	} else if *ev != nil && !(*ev).Canceled() {
+	} else if s.engine.Pending(*ev) {
 		return // already armed for the current starvation window
 	}
-	fireAt := *since + timeout
-	if *ev != nil && s.engine.Reschedule(*ev, fireAt) {
-		return
-	}
-	fn := s.fnPreemptShare
-	if minLevel {
-		fn = s.fnPreemptMin
-	}
-	*ev = s.engine.AtArg(fireAt, prioPreempt, fn, ts)
+	// A closed window has no pending check (TestKernelCounters), so this
+	// arms a fresh one. Its sequence number is the one a Reschedule of the
+	// cancelled check would have drawn, so dispatch order is unchanged.
+	*ev = s.engine.At(*since+timeout, prioPreempt, kind, tenant)
 }
 
 // preemptCheck fires when a tenant has been continuously starved for its

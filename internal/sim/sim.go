@@ -12,78 +12,63 @@
 // (time, priority, sequence number), so a simulation run is exactly
 // reproducible given the same inputs.
 //
-// A reused Engine (Reset between runs) schedules and dispatches without
-// heap allocation: events come from a recycled arena, the queue is a
-// hand-written heap on []*Event that keeps its backing array, and AtArg
-// events carry their state in an argument instead of a fresh closure.
+// An event is a value: a caller-defined kind tag and an int32 argument
+// that indexes the caller's own state. The engine hands both back from
+// Step and the caller dispatches them itself, so the engine holds no
+// pointer, interface or func value and the collector never scans its
+// storage. Reset truncates that storage, so a reused Engine schedules and
+// dispatches without heap allocation.
 package sim
 
-import (
-	"time"
+import "time"
 
-	"tempo/internal/arena"
-)
+// NoEvent is the id of no event. Pending reports false for it and Cancel
+// ignores it, so a caller can keep it in a field that has no event yet.
+const NoEvent int32 = -1
 
-// Event is a unit of work scheduled at a virtual time instant.
-type Event struct {
-	// Time is the virtual time at which the event fires.
-	Time time.Duration
-	// Priority breaks ties between events with the same Time. Lower values
-	// fire first. Engines use this to impose a deterministic ordering
-	// between event kinds (e.g. finishes before submissions at the same
-	// instant).
-	Priority int
-	// Fire is invoked when the event is dispatched. It may schedule
-	// further events. Events scheduled with AtArg leave Fire nil and
-	// dispatch through fireArg instead.
-	Fire func(now time.Duration)
-
-	// fireArg and arg are the allocation-lean dispatch path (AtArg): the
-	// handler is shared across events and the per-event state rides in arg,
-	// so scheduling an event does not capture a closure.
-	fireArg func(now time.Duration, arg any)
-	arg     any
-
-	seq      uint64
-	index    int
-	canceled bool
+// entry is one queued event. The heap compares entries in place: time
+// first, then ord, which packs the priority above the sequence number so
+// (time, priority, seq) is two integer comparisons.
+type entry struct {
+	time time.Duration
+	ord  uint64
+	id   int32
+	arg  int32
+	kind uint8
 }
 
-// Cancel marks the event so it will be skipped when reached. Canceling an
-// already-fired or already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
+// seqBits is the width of the sequence number inside entry.ord.
+const seqBits = 56
 
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
+func (a *entry) before(b *entry) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.ord < b.ord
+}
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	queue eventQueue
+	heap []entry
+	// pos maps an event id to its slot in heap, or -1 once the event has
+	// fired or been cancelled. Ids are handed out in scheduling order and
+	// never reused before Reset.
+	pos   []int32
 	now   time.Duration
 	seq   uint64
 	fired int
-
-	// Event arena: fixed-size blocks recycled by Reset, so a reused engine
-	// schedules events without per-event heap allocations. Pointers into
-	// blocks stay valid until Reset.
-	events arena.Arena[Event]
 }
 
 // Reset returns the engine to its zero state — empty queue, time 0,
-// sequence 0 — while keeping the queue's backing array and the event arena
-// for reuse. Event pointers obtained before the Reset are invalidated:
-// the next run's events are served from the same arena blocks. Reset is
-// what makes one Engine value reusable across many simulation runs without
-// re-allocating its event storage.
+// sequence 0 — keeping its backing arrays for reuse. Event ids handed out
+// before the Reset are invalidated: the next run hands out the same ids
+// again.
 func (e *Engine) Reset() {
-	for i := range e.queue {
-		e.queue[i] = nil
-	}
-	e.queue = e.queue[:0]
+	e.heap = e.heap[:0]
+	e.pos = e.pos[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
-	e.events.Reset()
 }
 
 // Now returns the current virtual time.
@@ -92,211 +77,166 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of events dispatched so far.
 func (e *Engine) Fired() int { return e.fired }
 
-// Len returns the number of pending (possibly canceled) events.
-func (e *Engine) Len() int { return len(e.queue) }
+// Len returns the number of pending events.
+func (e *Engine) Len() int { return len(e.heap) }
 
-// At schedules fn to run at time t with the given tie-break priority and
-// returns the scheduled event, which the caller may Cancel. Scheduling in
-// the past (t < Now) is clamped to Now: the event fires next.
-func (e *Engine) At(t time.Duration, priority int, fn func(now time.Duration)) *Event {
+// At schedules an event of the given kind and argument at time t with the
+// given tie-break priority (lower fires first) and returns its id.
+// Scheduling in the past (t < Now) is clamped to Now: the event fires
+// next.
+func (e *Engine) At(t time.Duration, priority, kind uint8, arg int32) int32 {
 	if t < e.now {
 		t = e.now
 	}
-	ev := e.events.Get()
-	ev.Time, ev.Priority, ev.Fire, ev.seq = t, priority, fn, e.seq
-	e.seq++
-	e.queue.push(ev)
-	return ev
+	id := int32(len(e.pos))
+	e.pos = append(e.pos, int32(len(e.heap)))
+	e.heap = append(e.heap, entry{time: t, ord: e.nextOrd(priority), id: id, arg: arg, kind: kind})
+	e.up(len(e.heap) - 1)
+	return id
 }
 
-// AtArg schedules fn(t, arg) like At, but through a handler that is shared
-// across events: the per-event state travels in arg instead of a captured
-// closure, so hot loops that schedule one event per task do not allocate a
-// closure per event. A pointer-typed arg also avoids the interface boxing
-// allocation.
-func (e *Engine) AtArg(t time.Duration, priority int, fn func(now time.Duration, arg any), arg any) *Event {
-	if t < e.now {
-		t = e.now
+func (e *Engine) nextOrd(priority uint8) uint64 {
+	ord := uint64(priority)<<seqBits | e.seq
+	e.seq++
+	return ord
+}
+
+// Pending reports whether the event is still queued: scheduled, and
+// neither fired nor cancelled.
+func (e *Engine) Pending(id int32) bool {
+	return id >= 0 && int(id) < len(e.pos) && e.pos[id] >= 0
+}
+
+// Cancel removes a pending event from the queue; it will not fire.
+// Cancelling NoEvent or an event that already fired or was cancelled is a
+// no-op. Removal leaves the order of the remaining events unchanged, since
+// (time, priority, seq) is a strict total order.
+func (e *Engine) Cancel(id int32) {
+	if !e.Pending(id) {
+		return
 	}
-	ev := e.events.Get()
-	ev.Time, ev.Priority, ev.fireArg, ev.arg, ev.seq = t, priority, fn, arg, e.seq
-	e.seq++
-	e.queue.push(ev)
-	return ev
+	i := int(e.pos[id])
+	e.pos[id] = -1
+	last := len(e.heap) - 1
+	e.heap[i] = e.heap[last]
+	e.heap = e.heap[:last]
+	if i < last {
+		e.fix(i) // also records the moved entry's new slot
+	}
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d time.Duration, priority int, fn func(now time.Duration)) *Event {
-	return e.At(e.now+d, priority, fn)
-}
-
-// Reschedule moves a still-pending event to fire at time t (clamped to
-// Now, like At) and clears its canceled mark, so a canceled-but-unpopped
-// event can be revived in place. The event is assigned a fresh sequence
-// number, making the result indistinguishable from Cancel followed by a new
-// At — but in O(log n), re-sifted in place, without allocating or leaving
-// a dead entry in the queue. It reports whether the event was still pending;
-// an event that already fired or was discarded cannot be rescheduled.
-func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
-	if ev == nil || ev.index < 0 || ev.index >= len(e.queue) || e.queue[ev.index] != ev {
+// Reschedule moves a pending event to fire at time t (clamped to Now, like
+// At). The event is assigned a fresh sequence number, making the result
+// indistinguishable from Cancel followed by a new At — but in O(log n),
+// re-sifted in place, keeping its id. It reports whether the event was
+// still pending; an event that already fired or was cancelled cannot be
+// rescheduled.
+func (e *Engine) Reschedule(id int32, t time.Duration) bool {
+	if !e.Pending(id) {
 		return false
 	}
 	if t < e.now {
 		t = e.now
 	}
-	ev.Time = t
-	ev.canceled = false
-	ev.seq = e.seq
-	e.seq++
-	e.queue.fix(ev.index)
+	i := int(e.pos[id])
+	en := &e.heap[i]
+	en.time = t
+	en.ord = e.nextOrd(uint8(en.ord >> seqBits))
+	e.fix(i)
 	return true
 }
 
-// Step dispatches the next pending event, skipping canceled ones, and
-// reports whether an event was dispatched.
-func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.canceled {
-			continue
+// Step dispatches the next pending event: it advances the clock to the
+// event's time and returns the event's kind and argument for the caller to
+// act on. It reports false when the queue is empty.
+func (e *Engine) Step() (kind uint8, arg int32, ok bool) {
+	if len(e.heap) == 0 {
+		return 0, 0, false
+	}
+	return e.pop()
+}
+
+// StepUntil is Step restricted to events with time <= horizon. When no
+// such event is pending it leaves the queue alone, advances the clock to
+// horizon if it is behind, and reports false.
+func (e *Engine) StepUntil(horizon time.Duration) (kind uint8, arg int32, ok bool) {
+	if len(e.heap) == 0 || e.heap[0].time > horizon {
+		if e.now < horizon {
+			e.now = horizon
 		}
-		e.now = ev.Time
-		e.fired++
-		if ev.fireArg != nil {
-			ev.fireArg(e.now, ev.arg)
-		} else {
-			ev.Fire(e.now)
-		}
-		return true
+		return 0, 0, false
 	}
-	return false
+	return e.pop()
 }
 
-// Run dispatches events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
+// pop removes the earliest event and fires it. The queue must not be
+// empty.
+func (e *Engine) pop() (kind uint8, arg int32, ok bool) {
+	top := e.heap[0]
+	e.pos[top.id] = -1
+	last := len(e.heap) - 1
+	e.heap[0] = e.heap[last]
+	e.heap = e.heap[:last]
+	if last > 0 {
+		e.down(0)
 	}
+	e.now = top.time
+	e.fired++
+	return top.kind, top.arg, true
 }
 
-// RunUntil dispatches events with Time <= horizon. The clock is left at the
-// later of its current value and horizon.
-func (e *Engine) RunUntil(horizon time.Duration) {
-	for len(e.queue) > 0 {
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.Time > horizon {
-			break
-		}
-		e.Step()
-	}
-	if e.now < horizon {
-		e.now = horizon
+// The heap is a binary min-heap on entry.before, written out for value
+// entries: sifts move entries by hole-moving and keep pos in step with
+// every move. The key is a strict total order (seq is unique), so the pop
+// sequence is the one any correct heap would produce.
+
+// fix restores the heap order after the key of the entry at i changed.
+func (e *Engine) fix(i int) {
+	if !e.down(i) {
+		e.up(i)
 	}
 }
 
-// peek returns the next non-canceled event without removing it, or nil.
-func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if !ev.canceled {
-			return ev
-		}
-		e.queue.pop()
-	}
-	return nil
-}
-
-// eventQueue is a binary min-heap on (Time, Priority, seq), written out
-// for *Event rather than reached through container/heap: the sift loops
-// compare and move pointers directly instead of making a dynamic Less and
-// Swap call per step, and pop returns a *Event instead of boxing it into
-// an interface. Every move keeps Event.index equal to the event's slot,
-// which is what Reschedule's membership check and fix rely on; a popped
-// event's index is -1. The key is a strict total order (seq is unique),
-// so the pop sequence is the one any correct heap would produce.
-type eventQueue []*Event
-
-// before is the heap order: earlier time, then lower priority, then
-// earlier scheduling.
-func (a *Event) before(b *Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	if a.Priority != b.Priority {
-		return a.Priority < b.Priority
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) push(ev *Event) {
-	*q = append(*q, ev)
-	q.up(len(*q) - 1)
-}
-
-// pop removes and returns the earliest event. The queue must not be empty.
-func (q *eventQueue) pop() *Event {
-	h := *q
-	n := len(h) - 1
-	ev := h[0]
-	h[0] = h[n]
-	h[n] = nil
-	*q = h[:n]
-	if n > 0 {
-		q.down(0)
-	}
-	ev.index = -1 // no longer in the heap: rejects late Reschedule calls
-	return ev
-}
-
-// fix restores the heap order after the key of the event at i changed.
-func (q eventQueue) fix(i int) {
-	if !q.down(i) {
-		q.up(i)
-	}
-}
-
-// up moves the event at i toward the root until its parent is earlier.
-func (q eventQueue) up(i int) {
-	ev := q[i]
+// up moves the entry at i toward the root until its parent is earlier.
+func (e *Engine) up(i int) {
+	h := e.heap
+	en := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		parent := q[p]
-		if !ev.before(parent) {
+		if !en.before(&h[p]) {
 			break
 		}
-		q[i] = parent
-		parent.index = i
+		h[i] = h[p]
+		e.pos[h[i].id] = int32(i)
 		i = p
 	}
-	q[i] = ev
-	ev.index = i
+	h[i] = en
+	e.pos[en.id] = int32(i)
 }
 
-// down moves the event at i0 toward the leaves until no child is earlier,
+// down moves the entry at i0 toward the leaves until no child is earlier,
 // and reports whether it moved.
-func (q eventQueue) down(i0 int) bool {
-	n := len(q)
-	ev := q[i0]
+func (e *Engine) down(i0 int) bool {
+	h := e.heap
+	n := len(h)
+	en := h[i0]
 	i := i0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(q[c]) {
+		if r := c + 1; r < n && h[r].before(&h[c]) {
 			c = r
 		}
-		child := q[c]
-		if !child.before(ev) {
+		if !h[c].before(&en) {
 			break
 		}
-		q[i] = child
-		child.index = i
+		h[i] = h[c]
+		e.pos[h[i].id] = int32(i)
 		i = c
 	}
-	q[i] = ev
-	ev.index = i
+	h[i] = en
+	e.pos[en.id] = int32(i)
 	return i > i0
 }

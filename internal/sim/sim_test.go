@@ -8,45 +8,64 @@ import (
 	"time"
 )
 
+// drain steps e until its queue is empty, handing every fired event to
+// fire with the clock at its time.
+func drain(e *Engine, fire func(now time.Duration, kind uint8, arg int32)) {
+	for {
+		kind, arg, ok := e.Step()
+		if !ok {
+			return
+		}
+		fire(e.Now(), kind, arg)
+	}
+}
+
 func TestEngineZeroValueUsable(t *testing.T) {
 	var e Engine
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
-	if e.Step() {
+	if _, _, ok := e.Step(); ok {
 		t.Fatal("Step() on empty engine returned true")
 	}
+	if e.Pending(NoEvent) {
+		t.Fatal("Pending(NoEvent) = true")
+	}
+	e.Cancel(NoEvent) // a no-op
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	var e Engine
-	var got []time.Duration
-	times := []time.Duration{5, 1, 3, 2, 4}
-	for _, d := range times {
-		d := d
-		e.At(d, 0, func(now time.Duration) { got = append(got, now) })
+	for i, d := range []time.Duration{5, 1, 3, 2, 4} {
+		e.At(d, 0, 0, int32(i))
 	}
-	e.Run()
+	var got []time.Duration
+	var args []int32
+	drain(&e, func(now time.Duration, _ uint8, arg int32) {
+		got = append(got, now)
+		args = append(args, arg)
+	})
 	want := []time.Duration{1, 2, 3, 4, 5}
+	wantArgs := []int32{1, 3, 2, 4, 0}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d fired at %v, want %v", i, got[i], want[i])
+		if got[i] != want[i] || args[i] != wantArgs[i] {
+			t.Errorf("event %d fired at %v with arg %d, want %v with %d", i, got[i], args[i], want[i], wantArgs[i])
 		}
 	}
 }
 
 func TestPriorityBreaksTies(t *testing.T) {
 	var e Engine
-	var order []int
-	e.At(10, 2, func(time.Duration) { order = append(order, 2) })
-	e.At(10, 0, func(time.Duration) { order = append(order, 0) })
-	e.At(10, 1, func(time.Duration) { order = append(order, 1) })
-	e.Run()
+	e.At(10, 2, 2, 0)
+	e.At(10, 0, 0, 0)
+	e.At(10, 1, 1, 0)
+	var order []uint8
+	drain(&e, func(_ time.Duration, kind uint8, _ int32) { order = append(order, kind) })
 	for i, v := range order {
-		if i != v {
+		if uint8(i) != v {
 			t.Fatalf("order = %v, want [0 1 2]", order)
 		}
 	}
@@ -54,14 +73,13 @@ func TestPriorityBreaksTies(t *testing.T) {
 
 func TestSequenceBreaksEqualPriorityTies(t *testing.T) {
 	var e Engine
-	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(7, 0, func(time.Duration) { order = append(order, i) })
+		e.At(7, 0, 0, int32(i))
 	}
-	e.Run()
+	var order []int32
+	drain(&e, func(_ time.Duration, _ uint8, arg int32) { order = append(order, arg) })
 	for i, v := range order {
-		if i != v {
+		if int32(i) != v {
 			t.Fatalf("insertion order not preserved: %v", order)
 		}
 	}
@@ -69,16 +87,19 @@ func TestSequenceBreaksEqualPriorityTies(t *testing.T) {
 
 func TestCancelSkipsEvent(t *testing.T) {
 	var e Engine
-	fired := false
-	ev := e.At(1, 0, func(time.Duration) { fired = true })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	id := e.At(1, 0, 0, 0)
+	if !e.Pending(id) {
+		t.Fatal("Pending() = false for a scheduled event")
 	}
-	e.Run()
-	if fired {
-		t.Fatal("canceled event fired")
+	e.Cancel(id)
+	if e.Pending(id) {
+		t.Fatal("Pending() = true after Cancel")
 	}
+	if e.Len() != 0 {
+		t.Fatalf("Len() = %d after Cancel, want 0: Cancel removes the event", e.Len())
+	}
+	e.Cancel(id) // a second Cancel is a no-op
+	drain(&e, func(time.Duration, uint8, int32) { t.Fatal("canceled event fired") })
 	if e.Fired() != 0 {
 		t.Fatalf("Fired() = %d, want 0", e.Fired())
 	}
@@ -86,35 +107,35 @@ func TestCancelSkipsEvent(t *testing.T) {
 
 func TestSchedulingInPastClampsToNow(t *testing.T) {
 	var e Engine
+	e.At(10, 0, 0, 0)
 	var at time.Duration = -1
-	e.At(10, 0, func(now time.Duration) {
-		e.At(3, 0, func(inner time.Duration) { at = inner })
+	drain(&e, func(now time.Duration, kind uint8, _ int32) {
+		if kind == 0 {
+			e.At(3, 0, 1, 0)
+		} else {
+			at = now
+		}
 	})
-	e.Run()
 	if at != 10 {
 		t.Fatalf("past event fired at %v, want clamped to 10", at)
 	}
 }
 
-func TestAfterSchedulesRelative(t *testing.T) {
+func TestStepUntilStopsAtHorizon(t *testing.T) {
 	var e Engine
-	var at time.Duration
-	e.At(4, 0, func(now time.Duration) {
-		e.After(6, 0, func(inner time.Duration) { at = inner })
-	})
-	e.Run()
-	if at != 10 {
-		t.Fatalf("After fired at %v, want 10", at)
-	}
-}
-
-func TestRunUntilStopsAtHorizon(t *testing.T) {
-	var e Engine
-	var fired []time.Duration
 	for _, d := range []time.Duration{1, 5, 9, 11, 20} {
-		e.At(d, 0, func(now time.Duration) { fired = append(fired, now) })
+		e.At(d, 0, 0, 0)
 	}
-	e.RunUntil(10)
+	var fired []time.Duration
+	until := func(h time.Duration) {
+		for {
+			if _, _, ok := e.StepUntil(h); !ok {
+				return
+			}
+			fired = append(fired, e.Now())
+		}
+	}
+	until(10)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events before horizon, want 3 (%v)", len(fired), fired)
 	}
@@ -124,15 +145,17 @@ func TestRunUntilStopsAtHorizon(t *testing.T) {
 	if e.Len() != 2 {
 		t.Fatalf("Len() = %d pending, want 2", e.Len())
 	}
-	e.RunUntil(25)
+	until(25)
 	if len(fired) != 5 {
 		t.Fatalf("fired %d events total, want 5", len(fired))
 	}
 }
 
-func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
+func TestStepUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 	var e Engine
-	e.RunUntil(42)
+	if _, _, ok := e.StepUntil(42); ok {
+		t.Fatal("StepUntil on an empty engine returned true")
+	}
 	if e.Now() != 42 {
 		t.Fatalf("Now() = %v, want 42", e.Now())
 	}
@@ -141,15 +164,13 @@ func TestRunUntilAdvancesClockWithEmptyQueue(t *testing.T) {
 func TestEventsScheduledDuringRunFire(t *testing.T) {
 	var e Engine
 	count := 0
-	var chain func(now time.Duration)
-	chain = func(now time.Duration) {
+	e.At(0, 0, 0, 0)
+	drain(&e, func(now time.Duration, _ uint8, _ int32) {
 		count++
 		if count < 100 {
-			e.After(1, 0, chain)
+			e.At(now+1, 0, 0, 0)
 		}
-	}
-	e.At(0, 0, chain)
-	e.Run()
+	})
 	if count != 100 {
 		t.Fatalf("chain fired %d times, want 100", count)
 	}
@@ -161,11 +182,29 @@ func TestEventsScheduledDuringRunFire(t *testing.T) {
 func TestFiredCounts(t *testing.T) {
 	var e Engine
 	for i := 0; i < 5; i++ {
-		e.At(time.Duration(i), 0, func(time.Duration) {})
+		e.At(time.Duration(i), 0, 0, 0)
 	}
-	e.Run()
+	drain(&e, func(time.Duration, uint8, int32) {})
 	if e.Fired() != 5 {
 		t.Fatalf("Fired() = %d, want 5", e.Fired())
+	}
+}
+
+// Reset empties the queue and hands out the same ids again.
+func TestResetReusesIds(t *testing.T) {
+	var e Engine
+	first := e.At(3, 0, 0, 0)
+	e.At(1, 0, 0, 0)
+	e.Step()
+	e.Reset()
+	if e.Len() != 0 || e.Now() != 0 || e.Fired() != 0 {
+		t.Fatalf("after Reset: Len %d, Now %v, Fired %d", e.Len(), e.Now(), e.Fired())
+	}
+	if e.Pending(first) {
+		t.Fatal("an event from before Reset is still pending")
+	}
+	if id := e.At(5, 0, 0, 0); id != first {
+		t.Fatalf("first id after Reset = %d, want %d", id, first)
 	}
 }
 
@@ -177,18 +216,23 @@ func TestPropertyFireOrderSorted(t *testing.T) {
 		var e Engine
 		type key struct {
 			t time.Duration
-			p int
+			p uint8
 		}
-		var fired []key
 		count := int(n%64) + 1
 		for i := 0; i < count; i++ {
-			tm := time.Duration(rng.Intn(50))
-			pr := rng.Intn(5)
-			e.At(tm, pr, func(now time.Duration) {
-				fired = append(fired, key{tm, pr})
-			})
+			e.At(time.Duration(rng.Intn(50)), uint8(rng.Intn(5)), 0, 0)
 		}
-		e.Run()
+		var fired []key
+		for {
+			// The priority is not handed back, so read it off the top
+			// entry before stepping.
+			if e.Len() == 0 {
+				break
+			}
+			p := uint8(e.heap[0].ord >> seqBits)
+			e.Step()
+			fired = append(fired, key{e.Now(), p})
+		}
 		if len(fired) != count {
 			return false
 		}
@@ -210,20 +254,30 @@ func TestPropertyCancelComplement(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var e Engine
 		count := int(n%32) + 1
-		events := make([]*Event, count)
-		firedCount := 0
-		for i := 0; i < count; i++ {
-			events[i] = e.At(time.Duration(rng.Intn(20)), 0, func(time.Duration) { firedCount++ })
+		ids := make([]int32, count)
+		for i := range ids {
+			ids[i] = e.At(time.Duration(rng.Intn(20)), 0, 0, int32(i))
 		}
-		canceled := 0
-		for _, ev := range events {
+		canceled := make([]bool, count)
+		for i, id := range ids {
 			if rng.Intn(2) == 0 {
-				ev.Cancel()
-				canceled++
+				e.Cancel(id)
+				canceled[i] = true
 			}
 		}
-		e.Run()
-		return firedCount == count-canceled
+		ok := true
+		fired := 0
+		drain(&e, func(_ time.Duration, _ uint8, arg int32) {
+			ok = ok && !canceled[arg]
+			fired++
+		})
+		want := 0
+		for _, c := range canceled {
+			if !c {
+				want++
+			}
+		}
+		return ok && fired == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -232,39 +286,35 @@ func TestPropertyCancelComplement(t *testing.T) {
 
 func TestRescheduleMovesEvent(t *testing.T) {
 	var e Engine
-	var at time.Duration = -1
-	ev := e.At(5, 0, func(now time.Duration) { at = now })
-	if !e.Reschedule(ev, 12) {
+	id := e.At(5, 0, 0, 0)
+	if !e.Reschedule(id, 12) {
 		t.Fatal("Reschedule on pending event returned false")
 	}
-	e.Run()
+	var at time.Duration = -1
+	drain(&e, func(now time.Duration, _ uint8, _ int32) { at = now })
 	if at != 12 {
 		t.Fatalf("rescheduled event fired at %v, want 12", at)
 	}
 }
 
-func TestRescheduleRevivesCanceledEvent(t *testing.T) {
+// Cancel removes the event outright, so there is nothing left to revive.
+func TestRescheduleRejectsCanceledEvent(t *testing.T) {
 	var e Engine
-	fired := 0
-	ev := e.At(5, 0, func(time.Duration) { fired++ })
-	ev.Cancel()
-	if !e.Reschedule(ev, 7) {
-		t.Fatal("Reschedule on canceled-but-unpopped event returned false")
+	id := e.At(5, 0, 0, 0)
+	e.Cancel(id)
+	if e.Reschedule(id, 7) {
+		t.Fatal("Reschedule on a canceled event returned true")
 	}
-	if ev.Canceled() {
-		t.Fatal("Reschedule did not clear the canceled mark")
-	}
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("revived event fired %d times, want 1", fired)
+	if e.Pending(id) || e.Len() != 0 {
+		t.Fatalf("canceled event pending %v, Len %d after a rejected Reschedule", e.Pending(id), e.Len())
 	}
 }
 
 func TestRescheduleRejectsFiredEvent(t *testing.T) {
 	var e Engine
-	ev := e.At(1, 0, func(time.Duration) {})
-	e.Run()
-	if e.Reschedule(ev, 5) {
+	id := e.At(1, 0, 0, 0)
+	drain(&e, func(time.Duration, uint8, int32) {})
+	if e.Reschedule(id, 5) {
 		t.Fatal("Reschedule on already-fired event returned true")
 	}
 	if e.Len() != 0 {
@@ -274,24 +324,27 @@ func TestRescheduleRejectsFiredEvent(t *testing.T) {
 
 func TestRescheduleRejectsPoppedCanceledEvent(t *testing.T) {
 	var e Engine
-	ev := e.At(1, 0, func(time.Duration) {})
-	ev.Cancel()
-	e.At(2, 0, func(time.Duration) {})
-	e.Run() // pops and discards the canceled event
-	if e.Reschedule(ev, 5) {
+	id := e.At(1, 0, 0, 0)
+	e.Cancel(id)
+	e.At(2, 0, 0, 0)
+	drain(&e, func(time.Duration, uint8, int32) {})
+	if e.Reschedule(id, 5) {
 		t.Fatal("Reschedule on discarded event returned true")
 	}
 }
 
 func TestRescheduleClampsToNow(t *testing.T) {
 	var e Engine
+	late := e.At(20, 0, 1, 0)
+	e.At(10, 0, 0, 0)
 	var at time.Duration = -1
-	var ev *Event
-	ev = e.At(20, 0, func(now time.Duration) { at = now })
-	e.At(10, 0, func(now time.Duration) {
-		e.Reschedule(ev, 3) // in the past: clamps to now
+	drain(&e, func(now time.Duration, kind uint8, _ int32) {
+		if kind == 0 {
+			e.Reschedule(late, 3) // in the past: clamps to now
+		} else {
+			at = now
+		}
 	})
-	e.Run()
 	if at != 10 {
 		t.Fatalf("past-rescheduled event fired at %v, want clamped to 10", at)
 	}
@@ -302,17 +355,14 @@ func TestRescheduleClampsToNow(t *testing.T) {
 // everything scheduled before the reschedule, earlier than everything after.
 func TestRescheduleTieBreaksLikeFreshEvent(t *testing.T) {
 	var e Engine
-	var order []string
-	evA := e.At(1, 0, func(time.Duration) { order = append(order, "a") })
-	e.At(10, 0, func(time.Duration) { order = append(order, "b") })
-	e.Reschedule(evA, 10)
-	e.At(10, 0, func(time.Duration) { order = append(order, "c") })
-	e.Run()
-	want := []string{"b", "a", "c"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	a := e.At(1, 0, 'a', 0)
+	e.At(10, 0, 'b', 0)
+	e.Reschedule(a, 10)
+	e.At(10, 0, 'c', 0)
+	var order []byte
+	drain(&e, func(_ time.Duration, kind uint8, _ int32) { order = append(order, kind) })
+	if string(order) != "bac" {
+		t.Fatalf("order = %q, want %q", order, "bac")
 	}
 }
 
@@ -326,14 +376,10 @@ func TestPropertyRescheduleFiresOnceAtFinalTime(t *testing.T) {
 		fired := make([]int, count)
 		finalAt := make([]time.Duration, count)
 		firedAt := make([]time.Duration, count)
-		events := make([]*Event, count)
-		for i := 0; i < count; i++ {
-			i := i
+		ids := make([]int32, count)
+		for i := range ids {
 			finalAt[i] = time.Duration(rng.Intn(30))
-			events[i] = e.At(finalAt[i], 0, func(now time.Duration) {
-				fired[i]++
-				firedAt[i] = now
-			})
+			ids[i] = e.At(finalAt[i], 0, 0, int32(i))
 		}
 		live := make([]bool, count)
 		for i := range live {
@@ -343,17 +389,20 @@ func TestPropertyRescheduleFiresOnceAtFinalTime(t *testing.T) {
 			i := rng.Intn(count)
 			switch rng.Intn(3) {
 			case 0:
-				events[i].Cancel()
+				e.Cancel(ids[i])
 				live[i] = false
 			case 1:
 				to := time.Duration(rng.Intn(30))
-				if e.Reschedule(events[i], to) {
+				if e.Reschedule(ids[i], to) {
 					finalAt[i] = to
 					live[i] = true
 				}
 			}
 		}
-		e.Run()
+		drain(&e, func(now time.Duration, _ uint8, arg int32) {
+			fired[arg]++
+			firedAt[arg] = now
+		})
 		for i := range fired {
 			if !live[i] && fired[i] != 0 {
 				return false
@@ -369,12 +418,82 @@ func TestPropertyRescheduleFiresOnceAtFinalTime(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+// Property: under any interleaving of At, Cancel, Reschedule and Step, the
+// engine fires exactly what a linear scan for the least (time, priority,
+// seq) among the live events would fire.
+func TestPropertyDispatchMatchesLinearScan(t *testing.T) {
+	type ref struct {
+		t    time.Duration
+		p    uint8
+		seq  int
+		live bool
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		var e Engine
-		for j := 0; j < 1000; j++ {
-			e.At(time.Duration(j%97), j%3, func(time.Duration) {})
+		var model []ref
+		seq := 0
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				t := e.Now() + time.Duration(rng.Intn(20))
+				p := uint8(rng.Intn(4))
+				if id := e.At(t, p, 0, int32(len(model))); int(id) != len(model) {
+					return false
+				}
+				model = append(model, ref{t, p, seq, true})
+				seq++
+			case r < 5 && len(model) > 0:
+				i := rng.Intn(len(model))
+				e.Cancel(int32(i))
+				model[i].live = false
+			case r < 6 && len(model) > 0:
+				i := rng.Intn(len(model))
+				to := e.Now() + time.Duration(rng.Intn(20))
+				if e.Reschedule(int32(i), to) != model[i].live {
+					return false
+				}
+				if model[i].live {
+					model[i].t, model[i].seq = to, seq
+					seq++
+				}
+			default:
+				want := -1
+				for i, m := range model {
+					if !m.live {
+						continue
+					}
+					if w := model[max(want, 0)]; want < 0 || m.t < w.t || m.t == w.t && (m.p < w.p || m.p == w.p && m.seq < w.seq) {
+						want = i
+					}
+				}
+				_, arg, ok := e.Step()
+				if ok != (want >= 0) || ok && int(arg) != want {
+					return false
+				}
+				if ok {
+					model[want].live = false
+				}
+			}
 		}
-		e.Run()
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkEngineScheduleAndRun(b *testing.B) {
+	var e Engine
+	for i := 0; i < b.N; i++ {
+		e.Reset()
+		for j := 0; j < 1000; j++ {
+			e.At(time.Duration(j%97), uint8(j%3), 0, int32(j))
+		}
+		for {
+			if _, _, ok := e.Step(); !ok {
+				break
+			}
+		}
 	}
 }

@@ -27,18 +27,22 @@ import "time"
 const NoEvent int32 = -1
 
 // entry is one queued event. The heap compares entries in place: time
-// first, then ord, which packs the priority above the sequence number so
-// (time, priority, seq) is two integer comparisons.
+// first, then ord, which packs priority, sequence number and kind from the
+// top bit down, so (time, priority, seq) is two integer comparisons (seq
+// is unique, so the kind bits never decide).
 type entry struct {
 	time time.Duration
 	ord  uint64
 	id   int32
 	arg  int32
-	kind uint8
 }
 
-// seqBits is the width of the sequence number inside entry.ord.
-const seqBits = 56
+// prioShift and seqShift place the priority and the sequence number
+// inside entry.ord; the kind takes the low byte.
+const (
+	prioShift = 56
+	seqShift  = 8
+)
 
 func (a *entry) before(b *entry) bool {
 	if a.time != b.time {
@@ -89,14 +93,14 @@ func (e *Engine) At(t time.Duration, priority, kind uint8, arg int32) int32 {
 		t = e.now
 	}
 	id := int32(len(e.pos))
-	e.pos = append(e.pos, int32(len(e.heap)))
-	e.heap = append(e.heap, entry{time: t, ord: e.nextOrd(priority), id: id, arg: arg, kind: kind})
-	e.up(len(e.heap) - 1)
+	e.pos = append(e.pos, 0)
+	e.heap = append(e.heap, entry{})
+	e.up(len(e.heap)-1, entry{time: t, ord: e.nextOrd(priority, kind), id: id, arg: arg})
 	return id
 }
 
-func (e *Engine) nextOrd(priority uint8) uint64 {
-	ord := uint64(priority)<<seqBits | e.seq
+func (e *Engine) nextOrd(priority, kind uint8) uint64 {
+	ord := uint64(priority)<<prioShift | e.seq<<seqShift | uint64(kind)
 	e.seq++
 	return ord
 }
@@ -118,10 +122,10 @@ func (e *Engine) Cancel(id int32) {
 	i := int(e.pos[id])
 	e.pos[id] = -1
 	last := len(e.heap) - 1
-	e.heap[i] = e.heap[last]
+	moved := e.heap[last]
 	e.heap = e.heap[:last]
 	if i < last {
-		e.fix(i) // also records the moved entry's new slot
+		e.fix(i, moved)
 	}
 }
 
@@ -139,10 +143,10 @@ func (e *Engine) Reschedule(id int32, t time.Duration) bool {
 		t = e.now
 	}
 	i := int(e.pos[id])
-	en := &e.heap[i]
+	en := e.heap[i]
 	en.time = t
-	en.ord = e.nextOrd(uint8(en.ord >> seqBits))
-	e.fix(i)
+	en.ord = e.nextOrd(uint8(en.ord>>prioShift), uint8(en.ord))
+	e.fix(i, en)
 	return true
 }
 
@@ -175,51 +179,54 @@ func (e *Engine) pop() (kind uint8, arg int32, ok bool) {
 	top := e.heap[0]
 	e.pos[top.id] = -1
 	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
+	moved := e.heap[last]
 	e.heap = e.heap[:last]
 	if last > 0 {
-		e.down(0)
+		e.down(0, moved)
 	}
 	e.now = top.time
 	e.fired++
-	return top.kind, top.arg, true
+	return uint8(top.ord), top.arg, true
 }
 
 // The heap is a binary min-heap on entry.before, written out for value
-// entries: sifts move entries by hole-moving and keep pos in step with
-// every move. The key is a strict total order (seq is unique), so the pop
-// sequence is the one any correct heap would produce.
+// entries. A sift moves a hole, not an entry: the entry being placed
+// travels as an argument, in registers, and is stored once at its final
+// slot. (Reading it back from its slot right after it was written field
+// by field stalls on store forwarding, at about a tenth of a run's time.)
+// Every move keeps pos in step. The key is a strict total order (seq is
+// unique), so the pop sequence is the one any correct heap would produce.
 
-// fix restores the heap order after the key of the entry at i changed.
-func (e *Engine) fix(i int) {
-	if !e.down(i) {
-		e.up(i)
+// fix places en at slot i, whose previous key may differ, and restores
+// the heap order.
+func (e *Engine) fix(i int, en entry) {
+	if !e.down(i, en) {
+		e.up(i, en)
 	}
 }
 
-// up moves the entry at i toward the root until its parent is earlier.
-func (e *Engine) up(i int) {
-	h := e.heap
-	en := h[i]
+// up places en at the hole i, moving it toward the root until its parent
+// is earlier.
+func (e *Engine) up(i int, en entry) {
+	h, pos := e.heap, e.pos
 	for i > 0 {
 		p := (i - 1) / 2
 		if !en.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
-		e.pos[h[i].id] = int32(i)
+		pos[h[i].id] = int32(i)
 		i = p
 	}
 	h[i] = en
-	e.pos[en.id] = int32(i)
+	pos[en.id] = int32(i)
 }
 
-// down moves the entry at i0 toward the leaves until no child is earlier,
-// and reports whether it moved.
-func (e *Engine) down(i0 int) bool {
-	h := e.heap
+// down places en at the hole i0, moving it toward the leaves until no
+// child is earlier, and reports whether it moved.
+func (e *Engine) down(i0 int, en entry) bool {
+	h, pos := e.heap, e.pos
 	n := len(h)
-	en := h[i0]
 	i := i0
 	for {
 		c := 2*i + 1
@@ -233,10 +240,10 @@ func (e *Engine) down(i0 int) bool {
 			break
 		}
 		h[i] = h[c]
-		e.pos[h[i].id] = int32(i)
+		pos[h[i].id] = int32(i)
 		i = c
 	}
 	h[i] = en
-	e.pos[en.id] = int32(i)
+	pos[en.id] = int32(i)
 	return i > i0
 }

@@ -220,17 +220,15 @@ func TestPropertyFireOrderSorted(t *testing.T) {
 		}
 		count := int(n%64) + 1
 		for i := 0; i < count; i++ {
-			e.At(time.Duration(rng.Intn(50)), uint8(rng.Intn(5)), 0, 0)
+			p := uint8(rng.Intn(5))
+			e.At(time.Duration(rng.Intn(50)), p, p, 0) // the kind echoes the priority
 		}
 		var fired []key
 		for {
-			// The priority is not handed back, so read it off the top
-			// entry before stepping.
-			if e.Len() == 0 {
+			p, _, ok := e.Step()
+			if !ok {
 				break
 			}
-			p := uint8(e.heap[0].ord >> seqBits)
-			e.Step()
 			fired = append(fired, key{e.Now(), p})
 		}
 		if len(fired) != count {

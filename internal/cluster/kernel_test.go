@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -218,9 +219,10 @@ func TestKernelDigests(t *testing.T) {
 }
 
 // TestKernelCounters steps the engine event by event over the same table
-// and checks after every event that the scheduler's two skip counters
-// equal a from-scratch recount, and the invariant the skip rests on: a
-// pending preemption-check event implies an open starvation window.
+// and checks after every event that the scheduler's two skip counters and
+// its waiting set equal a from-scratch recount, and the invariant the
+// skip rests on: a pending preemption-check event implies an open
+// starvation window.
 func TestKernelCounters(t *testing.T) {
 	for _, kc := range kernelCases(t) {
 		sm := NewSim()
@@ -228,20 +230,25 @@ func TestKernelCounters(t *testing.T) {
 		s.init(kc.trace, kc.cfg, kc.opts)
 		for s.step() {
 			waiting, open := 0, 0
-			window := func(ts *tenantState, since time.Duration, ev int32) {
+			window := func(i int, since time.Duration, ev int32) {
 				if since >= 0 {
 					open++
 				} else if s.engine.Pending(ev) {
-					t.Fatalf("%s: event %d at %v: tenant %s has a live check event on a closed window",
-						kc.name, s.engine.Fired(), s.engine.Now(), ts.name)
+					t.Fatalf("%s: event %d at %v: tenant %s has a pending check event on a closed window",
+						kc.name, s.engine.Fired(), s.engine.Now(), s.names[i])
 				}
 			}
-			for _, ts := range s.tenantList {
+			for i := range s.tenants {
+				ts := &s.tenants[i]
 				if ts.pending.len() > 0 {
 					waiting++
 				}
-				window(ts, ts.starvedMinSince, ts.minCheckEv)
-				window(ts, ts.starvedShareSince, ts.shareCheckEv)
+				if inSet := s.waitSet[i/64]>>(i%64)&1 == 1; inSet != (ts.pending.len() > 0) {
+					t.Fatalf("%s: event %d at %v: tenant %s in waitSet %t with %d pending",
+						kc.name, s.engine.Fired(), s.engine.Now(), s.names[i], inSet, ts.pending.len())
+				}
+				window(i, ts.starvedMinSince, ts.minCheckEv)
+				window(i, ts.starvedShareSince, ts.shareCheckEv)
 			}
 			if waiting != s.waiting || open != s.open {
 				t.Fatalf("%s: event %d at %v: waiting/open = %d/%d, recount %d/%d",
@@ -249,6 +256,56 @@ func TestKernelCounters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelStateNoscan holds the kernel's per-run state to element types
+// the collector never scans: the engine's heap and position slices and
+// the scheduler's job, task, attempt and index slices. A field that
+// brings a pointer, string, slice, map, interface or func back into one
+// of them fails here rather than in a profile.
+func TestKernelStateNoscan(t *testing.T) {
+	sched := reflect.TypeOf(scheduler{})
+	engine, _ := sched.FieldByName("engine")
+	for _, c := range []struct {
+		owner  reflect.Type
+		fields []string
+	}{
+		{engine.Type, []string{"heap", "pos"}},
+		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "fair", "victims"}},
+	} {
+		for _, name := range c.fields {
+			f, ok := c.owner.FieldByName(name)
+			if !ok || f.Type.Kind() != reflect.Slice {
+				t.Fatalf("%s.%s: no such slice field", c.owner, name)
+			}
+			if p := scanned(f.Type.Elem(), f.Type.Elem().String()); p != "" {
+				t.Errorf("%s.%s: the collector scans %s", c.owner, name, p)
+			}
+		}
+	}
+	// The walk itself: a tenant keeps its deque and ranked buffers.
+	if scanned(reflect.TypeOf(tenantState{}), "tenantState") == "" {
+		t.Error("scanned finds no slice in tenantState")
+	}
+}
+
+// scanned names the first part of a value of type t that holds a
+// pointer the collector follows, or returns "".
+func scanned(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := scanned(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Array:
+		return scanned(t.Elem(), path+"[i]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Interface, reflect.Func, reflect.Chan:
+		return fmt.Sprintf("%s (%s)", path, t.Kind())
+	}
+	return ""
 }
 
 // Sinks keep the benchmarked calls from being optimised away.

@@ -4,12 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
-	"strings"
 	"time"
 
-	"tempo/internal/arena"
 	"tempo/internal/sim"
 	"tempo/internal/workload"
 )
@@ -26,11 +25,11 @@ const (
 
 // Event kinds, and what each event's argument indexes.
 const (
-	evSubmit     = iota // trace.Jobs
-	evFinish            // allRun
-	evKill              // jobList
-	evMinCheck          // tenantList
-	evShareCheck        // tenantList
+	evSubmit     = iota // order
+	evFinish            // runs
+	evKill              // jobs
+	evMinCheck          // tenants
+	evShareCheck        // tenants
 )
 
 // Options configure a cluster run.
@@ -43,48 +42,52 @@ type Options struct {
 	Horizon time.Duration
 }
 
+// The scheduler's per-run state lives in slices it owns, and its records
+// refer to each other by int32 index into them, never by pointer: the
+// collector does not scan the slices (TestKernelStateNoscan), and a reset
+// truncates them. A runningTask's index is also its TaskRecord's, and a
+// jobRun's its JobRecord's.
+
 // task is one task of one job; it may go through several attempts.
 type task struct {
-	job      *jobRun
-	stage    int
-	index    int
-	kind     workload.TaskKind
 	duration time.Duration
-	attempt  int
+	kind     workload.TaskKind
+	job      int32 // jobs
+	stage    int32
+	attempt  int32
 }
 
-// runningTask is a task attempt currently occupying a container.
+// runningTask is one attempt of a task in a container.
 type runningTask struct {
-	t         *task
-	tenant    *tenantState
-	start     time.Duration
-	finishEv  int32
-	recIdx    int
-	launchSeq uint64
-	done      bool
+	task   int32 // tasks
+	tenant int32 // tenants
+	// finishEv is the attempt's finish event, cancelled by an early end.
+	finishEv int32
 	// nextOfJob links the attempts of a job that has a kill event (see
-	// jobRun.running).
-	nextOfJob *runningTask
+	// jobRun.running); -1 ends the list.
+	nextOfJob int32
 	// plannedOutcome is how the attempt will end if it runs to its finish
 	// event: TaskFinished, or TaskFailed when the noise model injected a
 	// failure at launch. Preemption and kills override it via release.
 	plannedOutcome TaskOutcome
+	done           bool
 }
 
 // jobRun tracks a job's progress through its stages.
 type jobRun struct {
-	spec      *workload.JobSpec
-	remaining []int // unfinished task count per stage
-	unlocked  []bool
-	recIdx    int
-	finished  bool
-	killed    bool
-	killEv    int32
+	spec   int32 // trace.Jobs
+	tenant int32 // tenants
+	// stage0 and stages locate the job's per-stage unfinished task counts
+	// and unlocked flags in the scheduler's remaining and unlocked.
+	stage0, stages int32
+	killEv         int32
 	// running heads the job's attempts, newest first, linked through
-	// runningTask.nextOfJob. It is kept only for jobs with a kill event:
-	// killJob is its only reader, and its releases commute, so the order
-	// does not matter. An intrusive list costs no allocation per job.
-	running *runningTask
+	// runningTask.nextOfJob; -1 for none. It is kept only for jobs with a
+	// kill event: killJob is its only reader, and its releases commute, so
+	// the order does not matter.
+	running  int32
+	finished bool
+	killed   bool
 }
 
 // taskDeque is the tenant's pending-task FIFO with O(1) front pushes for
@@ -93,31 +96,30 @@ type jobRun struct {
 // base kept advancing, so the backing array was re-allocated over and
 // over on steady task flow).
 type taskDeque struct {
-	buf  []*task
+	buf  []int32 // tasks
 	head int
 }
 
 func (d *taskDeque) len() int { return len(d.buf) - d.head }
 
-func (d *taskDeque) pushBack(t *task) { d.buf = append(d.buf, t) }
+func (d *taskDeque) pushBack(t int32) { d.buf = append(d.buf, t) }
 
 // pushFront reuses the slot freed by the last popFront when one exists;
 // preemptions (the only front-pushers) always follow pops, so the
 // allocating fallback is rare.
-func (d *taskDeque) pushFront(t *task) {
+func (d *taskDeque) pushFront(t int32) {
 	if d.head > 0 {
 		d.head--
 		d.buf[d.head] = t
 		return
 	}
-	d.buf = append(d.buf, nil)
+	d.buf = append(d.buf, 0)
 	copy(d.buf[1:], d.buf)
 	d.buf[0] = t
 }
 
-func (d *taskDeque) popFront() *task {
+func (d *taskDeque) popFront() int32 {
 	t := d.buf[d.head]
-	d.buf[d.head] = nil
 	d.head++
 	if d.head == len(d.buf) {
 		d.buf = d.buf[:0]
@@ -127,25 +129,24 @@ func (d *taskDeque) popFront() *task {
 }
 
 // filter keeps only tasks satisfying keep, preserving order.
-func (d *taskDeque) filter(keep func(*task) bool) {
+func (d *taskDeque) filter(keep func(int32) bool) {
 	kept := d.buf[:d.head]
 	for _, t := range d.buf[d.head:] {
 		if keep(t) {
 			kept = append(kept, t)
 		}
 	}
-	clear(d.buf[len(kept):])
 	d.buf = kept
 }
 
-// tenantState is a tenant queue inside the RM.
+// tenantState is a tenant queue inside the RM. Its name is the
+// scheduler's names entry at the same index.
 type tenantState struct {
-	name string
-	cfg  TenantConfig
+	cfg TenantConfig
 
 	pending taskDeque // FIFO; preempted tasks are pushed to the front
 	running int
-	ranked  []*runningTask // launch order, lazily compacted
+	ranked  []int32 // runs in launch order, lazily compacted
 
 	fairShare float64 // instantaneous weighted fair share
 
@@ -180,26 +181,16 @@ func (t *tenantState) minTarget(capacity int) int {
 
 // ws is one active tenant's state inside computeFairShares' water-filling.
 type ws struct {
-	ts    *tenantState
-	cap   float64
-	floor float64
-	share float64
-	fixed bool
-}
-
-// tenantBufs is one tenant's growable buffers, kept across runs: a
-// tenantState comes zeroed from its arena, so without them every run would
-// regrow every tenant's deque and ranked list from nil.
-type tenantBufs struct {
-	pending []*task
-	ranked  []*runningTask
+	cap, floor, share, weight float64
+	ts                        int32 // tenants
+	fixed                     bool
 }
 
 // scheduler is the RM simulation state. It is built to be reused: init
-// returns every field to its start-of-run state while keeping the engine's
-// event arena, the bookkeeping arenas, the tenants' buffers and the
-// hot-loop buffers, so a warmed scheduler runs a simulation with a
-// constant number of heap allocations, whatever the trace (see Sim).
+// truncates every per-run slice and restores every field to its
+// start-of-run state, keeping the backing arrays, the tenants' buffers
+// included, so a warmed scheduler runs a simulation with a constant number
+// of heap allocations, whatever the trace (see Sim).
 type scheduler struct {
 	engine   sim.Engine
 	cfg      Config
@@ -207,35 +198,34 @@ type scheduler struct {
 	free     int
 	opts     Options
 	rng      *rand.Rand
+	trace    *workload.Trace
+	schedule *Schedule
 
-	tenants    map[string]*tenantState
-	tenantList []*tenantState // sorted by name for determinism
-	jobList    []*jobRun      // by recIdx
-	trace      *workload.Trace
-
-	schedule  *Schedule
-	launchSeq uint64
-	allRun    []*runningTask // attempts by launchSeq
+	tenants  []tenantState // sorted by name for determinism
+	names    []string      // tenant names, by tenants index
+	tenantOf map[string]int32
+	jobs     []jobRun      // in submission order
+	tasks    []task        // in unlock order
+	runs     []runningTask // in launch order
+	// order lists trace.Jobs by submission time, ties in trace order.
+	order []int32
+	// remaining and unlocked hold every job's per-stage unfinished task
+	// counts and unlocked flags (see jobRun.stage0).
+	remaining []int32
+	unlocked  []bool
 
 	// waiting counts the tenants with a non-empty pending deque, open the
 	// starvation windows with since >= 0. While both are zero no tenant
-	// can be picked or starve and every check event is nil or cancelled (a
-	// live one implies since >= 0), so assign and updateStarvation skip
-	// their per-tenant passes.
+	// can be picked or starve and no check event is pending (a pending
+	// one implies since >= 0), so assign and updateStarvation skip their
+	// per-tenant passes. waitSet holds the waiting tenants, one bit per
+	// tenants index, so pickTenant visits only them.
 	waiting, open int
+	waitSet       []uint64
 
 	// Reused hot-loop buffers.
-	fair    []ws           // computeFairShares scratch
-	victims []*runningTask // killVictims scratch
-	spare   []tenantBufs   // the last runs' tenant buffers, by tenantList index
-
-	// Arenas for per-run bookkeeping objects.
-	jobRuns arena.Arena[jobRun]
-	tasks   arena.Arena[task]
-	runs    arena.Arena[runningTask]
-	tstates arena.Arena[tenantState]
-	ints    arena.SliceArena[int]
-	bools   arena.SliceArena[bool]
+	fair    []ws    // computeFairShares scratch
+	victims []int32 // killVictims scratch
 
 	// Backing arrays for the produced Schedule, reused across runs; a
 	// detached schedule gets copies (see Sim.Detach).
@@ -243,38 +233,20 @@ type scheduler struct {
 	jobsBuf  []JobRecord
 }
 
-// init resets the scheduler for a fresh run of the trace under cfg. Every
-// piece of per-run state is restored to its start state; arena blocks, the
-// event queue's backing array, the tenants' buffers and the schedule's
-// record arrays are recycled rather than re-allocated.
+// init resets the scheduler for a fresh run of the trace under cfg.
 func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
-	s.reclaimTenantBufs()
 	s.engine.Reset()
 	s.cfg = cfg
 	s.capacity = cfg.TotalContainers
 	s.free = cfg.TotalContainers
 	s.opts = opts
-	if s.tenants == nil {
-		s.tenants = make(map[string]*tenantState)
-	} else {
-		clear(s.tenants)
-	}
-	s.tenantList = s.tenantList[:0]
-	clear(s.jobList)
-	s.jobList = s.jobList[:0]
 	s.trace = trace
-	s.launchSeq = 0
+	s.jobs = s.jobs[:0]
+	s.tasks = s.tasks[:0]
+	s.runs = s.runs[:0]
+	s.remaining = s.remaining[:0]
+	s.unlocked = s.unlocked[:0]
 	s.waiting, s.open = 0, 0
-	clear(s.allRun)
-	s.allRun = s.allRun[:0]
-	s.fair = s.fair[:0]
-	s.victims = s.victims[:0]
-	s.jobRuns.Reset()
-	s.tasks.Reset()
-	s.runs.Reset()
-	s.tstates.Reset()
-	s.ints.Reset()
-	s.bools.Reset()
 	s.schedule = &Schedule{
 		Capacity: cfg.TotalContainers,
 		Tasks:    s.tasksBuf[:0],
@@ -290,42 +262,64 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 			s.rng.Seed(opts.Noise.Seed)
 		}
 	}
-	for i := range trace.Jobs {
-		name := trace.Jobs[i].Tenant
-		if _, ok := s.tenants[name]; !ok {
-			ts := s.tstates.Get()
-			ts.name = name
-			ts.cfg = cfg.Tenant(name)
-			ts.starvedMinSince = -1
-			ts.starvedShareSince = -1
-			ts.minCheckEv, ts.shareCheckEv = sim.NoEvent, sim.NoEvent
-			s.tenants[name] = ts
-			s.tenantList = append(s.tenantList, ts)
-		}
+	s.initTenants(trace, cfg)
+	words := (len(s.tenants) + 63) / 64
+	s.waitSet = slices.Grow(s.waitSet[:0], words)[:words]
+	clear(s.waitSet)
+	// Submissions enter the queue one at a time, each scheduled by the
+	// one before, instead of all up front: the queue then holds only work
+	// in flight. Dispatch order is unchanged, since only submissions
+	// have prioSubmit, so a submission's place among other events is
+	// fixed by time and priority alone, and order keeps their own
+	// (time, trace index) order.
+	jobs := trace.Jobs
+	s.order = s.order[:0]
+	for i := range jobs {
+		s.order = append(s.order, int32(i))
 	}
-	slices.SortFunc(s.tenantList, func(a, b *tenantState) int { return strings.Compare(a.name, b.name) })
-	for i, ts := range s.tenantList {
-		if i < len(s.spare) {
-			ts.pending.buf, ts.ranked = s.spare[i].pending, s.spare[i].ranked
-		}
+	bySubmit := func(a, b int32) int { return cmp.Compare(jobs[a].Submit, jobs[b].Submit) }
+	if !slices.IsSortedFunc(s.order, bySubmit) {
+		slices.SortStableFunc(s.order, bySubmit)
 	}
-	for i := range trace.Jobs {
-		s.engine.At(trace.Jobs[i].Submit, prioSubmit, evSubmit, int32(i))
+	if len(jobs) > 0 {
+		s.engine.At(jobs[s.order[0]].Submit, prioSubmit, evSubmit, 0)
 	}
 }
 
-// reclaimTenantBufs takes the last run's tenant buffers back into spare,
-// cleared so nothing of that run stays reachable through them. Buffers
-// only grow, and init hands spare[i] to the i-th tenant by name, so a Sim
-// rerunning one trace regrows nothing.
-func (s *scheduler) reclaimTenantBufs() {
-	for i, ts := range s.tenantList {
-		if i == len(s.spare) {
-			s.spare = append(s.spare, tenantBufs{})
+// initTenants builds the trace's tenants, sorted by name. A tenant slot
+// keeps its pending and ranked buffers from the last run that used it,
+// so a Sim rerunning one trace regrows nothing.
+func (s *scheduler) initTenants(trace *workload.Trace, cfg Config) {
+	if s.tenantOf == nil {
+		s.tenantOf = make(map[string]int32)
+	} else {
+		clear(s.tenantOf)
+	}
+	s.names = s.names[:0]
+	for i := range trace.Jobs {
+		name := trace.Jobs[i].Tenant
+		if _, ok := s.tenantOf[name]; !ok {
+			s.tenantOf[name] = 0 // indexed below, once sorted
+			s.names = append(s.names, name)
 		}
-		clear(ts.pending.buf[:cap(ts.pending.buf)])
-		clear(ts.ranked[:cap(ts.ranked)])
-		s.spare[i] = tenantBufs{pending: ts.pending.buf[:0], ranked: ts.ranked[:0]}
+	}
+	slices.Sort(s.names)
+	if n := len(s.names); n > cap(s.tenants) {
+		s.tenants = append(s.tenants[:cap(s.tenants)], make([]tenantState, n-cap(s.tenants))...)
+	}
+	s.tenants = s.tenants[:len(s.names)]
+	for i, name := range s.names {
+		s.tenantOf[name] = int32(i)
+		ts := &s.tenants[i]
+		*ts = tenantState{
+			cfg:               cfg.Tenant(name),
+			pending:           taskDeque{buf: ts.pending.buf[:0]},
+			ranked:            ts.ranked[:0],
+			starvedMinSince:   -1,
+			starvedShareSince: -1,
+			minCheckEv:        sim.NoEvent,
+			shareCheckEv:      sim.NoEvent,
+		}
 	}
 }
 
@@ -364,71 +358,93 @@ func (s *scheduler) step() bool {
 	now := s.engine.Now()
 	switch kind {
 	case evSubmit:
-		s.submit(now, &s.trace.Jobs[arg])
+		if next := arg + 1; int(next) < len(s.order) {
+			s.engine.At(s.trace.Jobs[s.order[next]].Submit, prioSubmit, evSubmit, next)
+		}
+		s.submit(now, s.order[arg])
 	case evFinish:
-		rt := s.allRun[arg]
-		s.finish(now, rt, rt.plannedOutcome)
+		s.finish(now, arg, s.runs[arg].plannedOutcome)
 	case evKill:
-		jr := s.jobList[arg]
-		s.killJob(now, s.tenants[jr.spec.Tenant], jr)
+		s.killJob(now, arg)
 	case evMinCheck:
-		s.preemptCheck(now, s.tenantList[arg], true)
+		s.preemptCheck(now, arg, true)
 	case evShareCheck:
-		s.preemptCheck(now, s.tenantList[arg], false)
+		s.preemptCheck(now, arg, false)
 	}
 	return true
 }
 
-// submit admits a job: record it, unlock dependency-free stages, enqueue
-// their tasks, and try to place work.
+// setWaiting records that tenant i's pending deque became non-empty (on)
+// or empty (!on).
+func (s *scheduler) setWaiting(i int32, on bool) {
+	bit := uint64(1) << (i & 63)
+	if on {
+		s.waiting++
+		s.waitSet[i>>6] |= bit
+	} else {
+		s.waiting--
+		s.waitSet[i>>6] &^= bit
+	}
+}
+
+// stages returns the job's per-stage unfinished task counts and unlocked
+// flags.
+func (s *scheduler) stages(jr *jobRun) ([]int32, []bool) {
+	lo, hi := jr.stage0, jr.stage0+jr.stages
+	return s.remaining[lo:hi], s.unlocked[lo:hi]
+}
+
+// submit admits trace job i: record it, unlock dependency-free stages,
+// enqueue their tasks, and try to place work.
 //
 //tempo:hot
-func (s *scheduler) submit(now time.Duration, spec *workload.JobSpec) {
-	jr := s.jobRuns.Get()
-	jr.spec = spec
-	jr.remaining = s.ints.Take(len(spec.Stages))
-	jr.unlocked = s.bools.Take(len(spec.Stages))
-	jr.recIdx = len(s.schedule.Jobs)
-	jr.killEv = sim.NoEvent
-	s.jobList = append(s.jobList, jr)
+func (s *scheduler) submit(now time.Duration, i int32) {
+	spec := &s.trace.Jobs[i]
+	j := int32(len(s.jobs))
+	s.jobs = append(s.jobs, jobRun{
+		spec:    i,
+		tenant:  s.tenantOf[spec.Tenant],
+		stage0:  int32(len(s.remaining)),
+		stages:  int32(len(spec.Stages)),
+		killEv:  sim.NoEvent,
+		running: -1,
+	})
 	s.schedule.Jobs = append(s.schedule.Jobs, JobRecord{
 		ID:       spec.ID,
 		Tenant:   spec.Tenant,
 		Submit:   now,
 		Deadline: spec.Deadline,
 	})
-	for i := range spec.Stages {
-		jr.remaining[i] = len(spec.Stages[i].Tasks)
+	for k := range spec.Stages {
+		s.remaining = append(s.remaining, int32(len(spec.Stages[k].Tasks)))
+		s.unlocked = append(s.unlocked, false)
 	}
-	ts := s.tenants[spec.Tenant]
-	for i := range spec.Stages {
-		if len(spec.Stages[i].DependsOn) == 0 {
-			s.unlockStage(ts, jr, i)
+	for k := range spec.Stages {
+		if len(spec.Stages[k].DependsOn) == 0 {
+			s.unlockStage(j, k)
 		}
 	}
 	if s.opts.Noise != nil {
 		if killAt, ok := s.opts.Noise.jobKillTime(s.rng, spec, now); ok {
-			jr.killEv = s.engine.At(killAt, prioKill, evKill, int32(jr.recIdx))
+			s.jobs[j].killEv = s.engine.At(killAt, prioKill, evKill, j)
 		}
 	}
 	s.assign(now)
 }
 
 // unlockStage enqueues a stage's tasks at the tail of the tenant queue.
-func (s *scheduler) unlockStage(ts *tenantState, jr *jobRun, stage int) {
-	jr.unlocked[stage] = true
-	specs := jr.spec.Stages[stage].Tasks
+func (s *scheduler) unlockStage(j int32, stage int) {
+	jr := &s.jobs[j]
+	_, unlocked := s.stages(jr)
+	unlocked[stage] = true
+	ts := &s.tenants[jr.tenant]
+	specs := s.trace.Jobs[jr.spec].Stages[stage].Tasks
 	if ts.pending.len() == 0 && len(specs) > 0 {
-		s.waiting++
+		s.setWaiting(jr.tenant, true)
 	}
 	for i := range specs {
-		t := s.tasks.Get()
-		t.job = jr
-		t.stage = stage
-		t.index = i
-		t.kind = specs[i].Kind
-		t.duration = specs[i].Duration
-		ts.pending.pushBack(t)
+		ts.pending.pushBack(int32(len(s.tasks)))
+		s.tasks = append(s.tasks, task{duration: specs[i].Duration, kind: specs[i].Kind, job: j, stage: int32(stage)})
 	}
 }
 
@@ -440,7 +456,7 @@ func (s *scheduler) unlockStage(ts *tenantState, jr *jobRun, stage int) {
 func (s *scheduler) assign(now time.Duration) {
 	for s.free > 0 && s.waiting > 0 {
 		ts := s.pickTenant()
-		if ts == nil {
+		if ts < 0 {
 			break
 		}
 		s.launch(now, ts)
@@ -448,36 +464,41 @@ func (s *scheduler) assign(now time.Duration) {
 	s.updateStarvation(now)
 }
 
-// pickTenant returns the next tenant entitled to a container, or nil.
+// pickTenant returns the next tenant entitled to a container, or -1.
 // Order: below-min-share tenants first (most deficient relative to the
 // floor), then lowest running/weight ratio; ratio ties go to the heavier
 // tenant (as in YARN's fair-share comparator) so synchronized task waves
 // don't systematically skew the split, then to the lexicographically
-// smaller name for determinism.
+// smaller name for determinism. Only waiting tenants qualify, and
+// waitSet yields them in index order, which is name order.
 //
 //tempo:hot
-func (s *scheduler) pickTenant() *tenantState {
-	var best *tenantState
+func (s *scheduler) pickTenant() int32 {
+	best := int32(-1)
 	var bestBelowMin bool
-	var bestKey float64
+	var bestKey, bestWeight float64
 	const eps = 1e-9
-	for _, ts := range s.tenantList {
-		if ts.pending.len() == 0 || ts.running >= ts.effMax(s.capacity) {
-			continue
-		}
-		belowMin := ts.running < ts.minTarget(s.capacity)
-		var key float64
-		if belowMin {
-			key = float64(ts.running) / math.Max(float64(ts.cfg.MinShare), 1)
-		} else {
-			key = float64(ts.running) / ts.cfg.Weight
-		}
-		switch {
-		case best == nil,
-			belowMin && !bestBelowMin,
-			belowMin == bestBelowMin && key < bestKey-eps,
-			belowMin == bestBelowMin && math.Abs(key-bestKey) <= eps && ts.cfg.Weight > best.cfg.Weight:
-			best, bestBelowMin, bestKey = ts, belowMin, key
+	for w, word := range s.waitSet {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			ts := &s.tenants[i]
+			if ts.running >= ts.effMax(s.capacity) {
+				continue
+			}
+			belowMin := ts.running < ts.minTarget(s.capacity)
+			var key float64
+			if belowMin {
+				key = float64(ts.running) / math.Max(float64(ts.cfg.MinShare), 1)
+			} else {
+				key = float64(ts.running) / ts.cfg.Weight
+			}
+			switch {
+			case best < 0,
+				belowMin && !bestBelowMin,
+				belowMin == bestBelowMin && key < bestKey-eps,
+				belowMin == bestBelowMin && math.Abs(key-bestKey) <= eps && ts.cfg.Weight > bestWeight:
+				best, bestBelowMin, bestKey, bestWeight = int32(i), belowMin, key, ts.cfg.Weight
+			}
 		}
 	}
 	return best
@@ -486,150 +507,153 @@ func (s *scheduler) pickTenant() *tenantState {
 // launch starts the tenant's next pending task in a free container.
 //
 //tempo:hot
-func (s *scheduler) launch(now time.Duration, ts *tenantState) {
-	t := s.popPending(ts)
-	if t == nil {
+func (s *scheduler) launch(now time.Duration, tenant int32) {
+	ts := &s.tenants[tenant]
+	k := s.popPending(tenant)
+	if k < 0 {
 		return
 	}
+	t := &s.tasks[k]
 	t.attempt++
 	dur := t.duration
 	fail := false
 	if s.opts.Noise != nil {
 		dur, fail = s.opts.Noise.attemptDuration(s.rng, dur)
 	}
-	rt := s.runs.Get()
-	rt.t = t
-	rt.tenant = ts
-	rt.start = now
-	rt.recIdx = len(s.schedule.Tasks)
-	rt.launchSeq = s.launchSeq
-	rt.plannedOutcome = TaskFinished
+	r := int32(len(s.runs))
+	rt := runningTask{task: k, tenant: tenant, nextOfJob: -1, plannedOutcome: TaskFinished}
 	if fail {
 		rt.plannedOutcome = TaskFailed
 	}
-	s.launchSeq++
+	jr := &s.jobs[t.job]
 	s.schedule.Tasks = append(s.schedule.Tasks, TaskRecord{
-		JobID:   t.job.spec.ID,
-		Tenant:  ts.name,
+		JobID:   s.trace.Jobs[jr.spec].ID,
+		Tenant:  s.names[tenant],
 		Kind:    t.kind,
-		Attempt: t.attempt,
+		Attempt: int(t.attempt),
 		Start:   now,
 		Outcome: TaskTruncated, // finalized on completion
 	})
 	s.free--
 	ts.running++
-	ts.ranked = append(ts.ranked, rt)
-	if t.job.killEv != sim.NoEvent {
-		rt.nextOfJob = t.job.running
-		t.job.running = rt
+	ts.ranked = append(ts.ranked, r)
+	if jr.killEv != sim.NoEvent {
+		rt.nextOfJob = jr.running
+		jr.running = r
 	}
-	s.allRun = append(s.allRun, rt)
-	rt.finishEv = s.engine.At(now+dur, prioFinish, evFinish, int32(rt.launchSeq))
+	rt.finishEv = s.engine.At(now+dur, prioFinish, evFinish, r)
+	s.runs = append(s.runs, rt)
 }
 
 // popPending removes and returns the tenant's next live pending task,
-// discarding tasks whose job has been killed.
-func (s *scheduler) popPending(ts *tenantState) *task {
+// discarding tasks whose job has been killed, or -1.
+func (s *scheduler) popPending(tenant int32) int32 {
+	ts := &s.tenants[tenant]
 	for ts.pending.len() > 0 {
-		t := ts.pending.popFront()
+		k := ts.pending.popFront()
 		if ts.pending.len() == 0 {
-			s.waiting--
+			s.setWaiting(tenant, false)
 		}
-		if !t.job.killed {
-			return t
+		if !s.jobs[s.tasks[k].job].killed {
+			return k
 		}
 	}
-	return nil
+	return -1
 }
 
-// finish ends an attempt with the given outcome. Failed attempts requeue.
+// finish ends attempt r with the given outcome. Failed attempts requeue.
 //
 //tempo:hot
-func (s *scheduler) finish(now time.Duration, rt *runningTask, outcome TaskOutcome) {
-	s.release(now, rt, outcome)
-	t := rt.t
+func (s *scheduler) finish(now time.Duration, r int32, outcome TaskOutcome) {
+	s.release(now, r, outcome)
+	rt := &s.runs[r]
 	switch outcome {
 	case TaskFinished:
-		jr := t.job
-		jr.remaining[t.stage]--
-		if jr.remaining[t.stage] == 0 {
-			s.stageComplete(now, jr, t.stage)
+		t := &s.tasks[rt.task]
+		remaining, _ := s.stages(&s.jobs[t.job])
+		remaining[t.stage]--
+		if remaining[t.stage] == 0 {
+			s.stageComplete(now, t.job)
 		}
 	case TaskFailed:
 		// Lost work; the task restarts from scratch at the queue tail.
-		if rt.tenant.pending.len() == 0 {
-			s.waiting++
+		ts := &s.tenants[rt.tenant]
+		if ts.pending.len() == 0 {
+			s.setWaiting(rt.tenant, true)
 		}
-		rt.tenant.pending.pushBack(t)
+		ts.pending.pushBack(rt.task)
 	}
 	s.assign(now)
 }
 
-// release frees the container and finalizes the attempt record.
-func (s *scheduler) release(now time.Duration, rt *runningTask, outcome TaskOutcome) {
+// release frees attempt r's container and finalizes its record.
+func (s *scheduler) release(now time.Duration, r int32, outcome TaskOutcome) {
+	rt := &s.runs[r]
 	if rt.done {
 		return
 	}
 	rt.done = true
 	s.engine.Cancel(rt.finishEv)
-	rec := &s.schedule.Tasks[rt.recIdx]
+	rec := &s.schedule.Tasks[r]
 	rec.End = now
 	rec.Outcome = outcome
-	rt.tenant.running--
+	s.tenants[rt.tenant].running--
 	s.free++
 }
 
 // stageComplete unlocks dependent stages and finishes the job when all
 // stages are done.
-func (s *scheduler) stageComplete(now time.Duration, jr *jobRun, stage int) {
-	ts := s.tenants[jr.spec.Tenant]
-	for i := range jr.spec.Stages {
-		if jr.unlocked[i] {
+func (s *scheduler) stageComplete(now time.Duration, j int32) {
+	jr := &s.jobs[j]
+	spec := &s.trace.Jobs[jr.spec]
+	remaining, unlocked := s.stages(jr)
+	for i := range spec.Stages {
+		if unlocked[i] {
 			continue
 		}
 		ready := true
-		for _, d := range jr.spec.Stages[i].DependsOn {
-			if jr.remaining[d] > 0 {
+		for _, d := range spec.Stages[i].DependsOn {
+			if remaining[d] > 0 {
 				ready = false
 				break
 			}
 		}
 		if ready {
-			s.unlockStage(ts, jr, i)
+			s.unlockStage(j, i)
 		}
 	}
-	for _, rem := range jr.remaining {
+	for _, rem := range remaining {
 		if rem > 0 {
 			return
 		}
 	}
 	jr.finished = true
 	s.engine.Cancel(jr.killEv)
-	rec := &s.schedule.Jobs[jr.recIdx]
+	rec := &s.schedule.Jobs[j]
 	rec.Finish = now
 	rec.Completed = true
 }
 
 // killJob emulates a user/DBA killing a job: pending tasks evaporate and
 // running attempts are terminated, their work lost.
-func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
+func (s *scheduler) killJob(now time.Duration, j int32) {
+	jr := &s.jobs[j]
 	if jr.finished || jr.killed {
 		return
 	}
 	jr.killed = true
 	// Remove the job's pending tasks from the tenant queue.
+	ts := &s.tenants[jr.tenant]
 	had := ts.pending.len() > 0
-	ts.pending.filter(func(t *task) bool { return t.job != jr })
+	ts.pending.filter(func(k int32) bool { return s.tasks[k].job != j })
 	if had && ts.pending.len() == 0 {
-		s.waiting--
+		s.setWaiting(jr.tenant, false)
 	}
-	for rt := jr.running; rt != nil; rt = rt.nextOfJob {
-		if !rt.done {
-			s.release(now, rt, TaskKilled)
-		}
+	for r := jr.running; r >= 0; r = s.runs[r].nextOfJob {
+		s.release(now, r, TaskKilled)
 	}
-	jr.running = nil
-	rec := &s.schedule.Jobs[jr.recIdx]
+	jr.running = -1
+	rec := &s.schedule.Jobs[j]
 	rec.Finish = now
 	rec.Killed = true
 	s.assign(now)
@@ -646,7 +670,8 @@ func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
 func (s *scheduler) computeFairShares() {
 	active := s.fair[:0]
 	var floorSum float64
-	for _, ts := range s.tenantList {
+	for i := range s.tenants {
+		ts := &s.tenants[i]
 		ts.fairShare = 0
 		d := ts.demand()
 		if d == 0 {
@@ -654,7 +679,7 @@ func (s *scheduler) computeFairShares() {
 		}
 		capacity := math.Min(float64(ts.effMax(s.capacity)), float64(d))
 		floor := math.Min(float64(ts.minTarget(s.capacity)), capacity)
-		active = append(active, ws{ts: ts, cap: capacity, floor: floor})
+		active = append(active, ws{ts: int32(i), cap: capacity, floor: floor, weight: ts.cfg.Weight})
 		floorSum += floor
 	}
 	s.fair = active // keep the grown backing for the next call
@@ -667,7 +692,7 @@ func (s *scheduler) computeFairShares() {
 		for i := range active {
 			w := &active[i]
 			w.share = w.floor * total / floorSum
-			w.ts.fairShare = w.share
+			s.tenants[w.ts].fairShare = w.share
 		}
 		return
 	}
@@ -680,7 +705,7 @@ func (s *scheduler) computeFairShares() {
 		var wsum float64
 		for i := range active {
 			if !active[i].fixed {
-				wsum += active[i].ts.cfg.Weight
+				wsum += active[i].weight
 			}
 		}
 		if wsum == 0 || remaining <= 1e-9 {
@@ -692,7 +717,7 @@ func (s *scheduler) computeFairShares() {
 			if w.fixed {
 				continue
 			}
-			prop := w.share + remaining*w.ts.cfg.Weight/wsum
+			prop := w.share + remaining*w.weight/wsum
 			if prop >= w.cap {
 				remaining -= w.cap - w.share
 				w.share = w.cap
@@ -703,20 +728,21 @@ func (s *scheduler) computeFairShares() {
 		if !overflow {
 			for i := range active {
 				if !active[i].fixed {
-					active[i].share += remaining * active[i].ts.cfg.Weight / wsum
+					active[i].share += remaining * active[i].weight / wsum
 				}
 			}
 			break
 		}
 	}
 	for i := range active {
-		active[i].ts.fairShare = active[i].share
+		s.tenants[active[i].ts].fairShare = active[i].share
 	}
 }
 
 // updateStarvation maintains the two starvation clocks per tenant and the
 // preemption-check events they arm. With no tenant waiting and no window
-// open the pass would write -1 over -1 and cancel nil-or-cancelled events.
+// open the pass would write -1 over -1 and cancel events that are not
+// pending.
 //
 //tempo:hot
 func (s *scheduler) updateStarvation(now time.Duration) {
@@ -729,7 +755,8 @@ func (s *scheduler) updateStarvation(now time.Duration) {
 
 // armClocks is updateStarvation's pass, over just-computed fair shares.
 func (s *scheduler) armClocks(now time.Duration) {
-	for i, ts := range s.tenantList {
+	for i := range s.tenants {
+		ts := &s.tenants[i]
 		starvedMin := ts.pending.len() > 0 && ts.running < ts.minTarget(s.capacity)
 		starvedShare := ts.pending.len() > 0 && float64(ts.running) < ts.fairShare-1e-9
 		s.armClock(now, int32(i), starvedMin, &ts.starvedMinSince, &ts.minCheckEv, ts.cfg.MinSharePreemptTimeout, evMinCheck)
@@ -765,8 +792,9 @@ func (s *scheduler) armClock(now time.Duration, tenant int32, starved bool, sinc
 // preemptCheck fires when a tenant has been continuously starved for its
 // configured timeout: kill the most recently launched tasks of over-share
 // tenants until the starved tenant can reach its target.
-func (s *scheduler) preemptCheck(now time.Duration, ts *tenantState, minLevel bool) {
+func (s *scheduler) preemptCheck(now time.Duration, tenant int32, minLevel bool) {
 	s.computeFairShares()
+	ts := &s.tenants[tenant]
 	var since time.Duration
 	var target int
 	if minLevel {
@@ -794,20 +822,21 @@ func (s *scheduler) preemptCheck(now time.Duration, ts *tenantState, minLevel bo
 	}
 	need := target - ts.running - s.free
 	if need > 0 {
-		s.killVictims(now, ts, need)
+		s.killVictims(now, tenant, need)
 	}
 	s.assign(now)
 }
 
 // killVictims preempts up to need containers from tenants running above
-// their fair share, most recently launched attempts first. launchSeq is
-// unique, so any correct sort yields the one order.
+// their fair share, most recently launched attempts first. An attempt's
+// index is its launch order.
 //
 //tempo:hot
-func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need int) {
+func (s *scheduler) killVictims(now time.Duration, starved int32, need int) {
 	victims := s.victims[:0]
-	for _, ts := range s.tenantList {
-		if ts == starved {
+	for i := range s.tenants {
+		ts := &s.tenants[i]
+		if int32(i) == starved {
 			continue
 		}
 		over := float64(ts.running) - ts.fairShare
@@ -818,56 +847,57 @@ func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need in
 		// never push a victim below its own fair share.
 		allowed := int(over)
 		taken := 0
-		for i := len(ts.ranked) - 1; i >= 0 && taken < allowed; i-- {
-			rt := ts.ranked[i]
-			if rt.done {
+		for k := len(ts.ranked) - 1; k >= 0 && taken < allowed; k-- {
+			r := ts.ranked[k]
+			if s.runs[r].done {
 				continue
 			}
-			victims = append(victims, rt)
+			victims = append(victims, r)
 			taken++
 		}
-		ts.compactRanked()
+		s.compactRanked(ts)
 	}
 	s.victims = victims // keep the grown backing for the next call
-	slices.SortFunc(victims, func(a, b *runningTask) int { return cmp.Compare(b.launchSeq, a.launchSeq) })
-	for _, rt := range victims {
-		if need <= 0 {
-			break
-		}
-		s.preempt(now, rt)
+	slices.Sort(victims)
+	for k := len(victims) - 1; k >= 0 && need > 0; k-- {
+		s.preempt(now, victims[k])
 		need--
 	}
 }
 
-// preempt kills one attempt; the task restarts from scratch at the front of
+// preempt kills attempt r; the task restarts from scratch at the front of
 // its tenant's queue (it keeps its place in line, but its work is lost —
 // the effect Figure 1 illustrates).
-func (s *scheduler) preempt(now time.Duration, rt *runningTask) {
-	s.release(now, rt, TaskPreempted)
-	if rt.tenant.pending.len() == 0 {
-		s.waiting++
+func (s *scheduler) preempt(now time.Duration, r int32) {
+	s.release(now, r, TaskPreempted)
+	rt := &s.runs[r]
+	ts := &s.tenants[rt.tenant]
+	if ts.pending.len() == 0 {
+		s.setWaiting(rt.tenant, true)
 	}
-	rt.tenant.pending.pushFront(rt.t)
+	ts.pending.pushFront(rt.task)
 }
 
-// compactRanked drops completed attempts from the launch-order list.
-func (t *tenantState) compactRanked() {
-	kept := t.ranked[:0]
-	for _, rt := range t.ranked {
-		if !rt.done {
-			kept = append(kept, rt)
+// compactRanked drops completed attempts from the tenant's launch-order
+// list.
+func (s *scheduler) compactRanked(ts *tenantState) {
+	kept := ts.ranked[:0]
+	for _, r := range ts.ranked {
+		if !s.runs[r].done {
+			kept = append(kept, r)
 		}
 	}
-	t.ranked = kept
+	ts.ranked = kept
 }
 
 // truncate finalizes attempts still running at the horizon.
 func (s *scheduler) truncate(horizon time.Duration) {
-	for _, rt := range s.allRun {
+	for r := range s.runs {
+		rt := &s.runs[r]
 		if rt.done {
 			continue
 		}
-		rec := &s.schedule.Tasks[rt.recIdx]
+		rec := &s.schedule.Tasks[r]
 		rec.End = horizon
 		rec.Outcome = TaskTruncated
 		rt.done = true

@@ -13,9 +13,6 @@
 //   - fmt.Sprintf / Sprint / Sprintln / Errorf / Appendf: formatting
 //     allocates; hot paths preformat or use strconv into a scratch
 //     buffer;
-//   - closures passed to (*sim.Engine).At: each schedules a fresh
-//     heap-allocated func value per event; use AtArg with a shared
-//     handler and an argument;
 //   - sort.Slice / sort.SliceStable: every call boxes the slice into an
 //     interface, builds a reflection swapper and escapes its less
 //     closure; slices.SortFunc sorts the typed slice in place;
@@ -36,7 +33,7 @@ import (
 // Analyzer is the allocdiscipline analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocdiscipline",
-	Doc:  "flag allocation churn (pop-front reslice, fmt, sort.Slice, closure events, boxing) in //tempo:hot functions",
+	Doc:  "flag allocation churn (pop-front reslice, fmt, sort.Slice, boxing) in //tempo:hot functions",
 	Run:  run,
 }
 
@@ -65,7 +62,6 @@ func checkHot(pass *analysis.Pass, fd *ast.FuncDecl) {
 				// one diagnostic per sin.
 				return true
 			}
-			checkAtClosure(pass, n)
 			checkBoxing(pass, info, n)
 		}
 		return true
@@ -119,18 +115,6 @@ func checkSort(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return true
 	}
 	return false
-}
-
-func checkAtClosure(pass *analysis.Pass, call *ast.CallExpr) {
-	if _, ok := analysis.IsMethodCall(pass.TypesInfo, call, "Engine", "At"); !ok {
-		return
-	}
-	for _, arg := range call.Args {
-		if _, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			pass.Reportf(call.Pos(), "closure passed to Engine.At in hot path: every event heap-allocates a func value; bind a shared handler once and schedule with AtArg")
-			return
-		}
-	}
 }
 
 // checkBoxing flags arguments whose static type is value-shaped (not

@@ -1,6 +1,5 @@
-// Package hot is the allocdiscipline fixture: a miniature of the sim
-// engine's At/AtArg API plus every allocation pattern the analyzer
-// guards //tempo:hot functions against.
+// Package hot is the allocdiscipline fixture: every allocation pattern
+// the analyzer guards //tempo:hot functions against.
 package hot
 
 import (
@@ -8,12 +7,6 @@ import (
 	"slices"
 	"sort"
 )
-
-type Engine struct{}
-
-func (e *Engine) At(t int, fn func(now int)) {}
-
-func (e *Engine) AtArg(t int, fn func(now int, arg any), arg any) {}
 
 //tempo:hot
 func popFront(q []int) int {
@@ -51,18 +44,13 @@ func wrap(err error) error {
 }
 
 //tempo:hot
-func closureEvent(e *Engine, x int) {
-	e.At(1, func(now int) { _ = x }) // want `closure passed to Engine.At`
+func pointerNoBoxOK(sink func(any), x *int) {
+	sink(x)
 }
 
 //tempo:hot
-func sharedHandlerOK(e *Engine, handler func(now int, arg any), x *int) {
-	e.AtArg(1, handler, x)
-}
-
-//tempo:hot
-func boxedInt(e *Engine, handler func(now int, arg any), x int) {
-	e.AtArg(1, handler, x) // want `value of type int boxed into any`
+func boxedInt(sink func(any), x int) {
+	sink(x) // want `value of type int boxed into any`
 }
 
 type pair struct{ a, b int }

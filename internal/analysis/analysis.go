@@ -3,7 +3,7 @@
 // go/analysis contract (Analyzer, Pass, Diagnostic) plus the repo's
 // suppression convention. The four analyzers under this directory
 // encode invariants the test suite otherwise only checks at runtime —
-// golden-report determinism, pooled-arena ownership, hot-path
+// golden-report determinism, borrowed-schedule ownership, hot-path
 // allocation discipline, and the canonical event-stream order — so a
 // violation is caught when the code is linted, not after a golden has
 // already diverged.

@@ -167,7 +167,7 @@ func checkMapRange(pass *analysis.Pass, r *ast.RangeStmt, encl ast.Node) {
 				}
 			} else if f := analysis.CalleeFunc(info, n); f != nil {
 				name := f.Name()
-				if name == "At" || name == "AtArg" {
+				if name == "At" {
 					pass.Reportf(n.Pos(), "scheduling simulator events inside range over map: event insertion order follows map iteration order")
 				}
 				if isOutputCall(f) {

@@ -1,10 +1,11 @@
-// Package poolsafety flags violations of the repo's pooled-arena
-// ownership contracts, which only runtime sweeps (the pooled-determinism
-// goldens, the scratch-pool race hammer) would otherwise catch:
+// Package poolsafety flags violations of the repo's ownership contracts
+// for borrowed schedule records and pooled values, which only runtime
+// sweeps (the pooled-determinism goldens, the scratch-pool race hammer)
+// would otherwise catch:
 //
 //   - escape without Detach: a *Schedule returned by (*cluster.Sim).
-//     RunInto borrows the arena's backing arrays, valid only until the
-//     arena's next run. Returning it, storing it into a field, map, or
+//     RunInto borrows the Sim's record arrays, valid only until the Sim's
+//     next run. Returning it, storing it into a field, map, or
 //     package variable, or sending it on a channel is flagged unless
 //     Detach was called on that Sim first (transferring ownership).
 //   - use after Put: any value used after being handed back to a
@@ -27,7 +28,7 @@ import (
 // Analyzer is the poolsafety analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolsafety",
-	Doc:  "flag pooled-arena schedules escaping without Detach and sync.Pool values used after Put",
+	Doc:  "flag borrowed schedules escaping without Detach and sync.Pool values used after Put",
 	Run:  run,
 }
 
@@ -47,14 +48,14 @@ func run(pass *analysis.Pass) error {
 // borrowed tracks one variable bound to a RunInto result.
 type borrowed struct {
 	obj  types.Object // the schedule variable
-	sim  types.Object // the arena it borrows from (nil if receiver isn't a plain ident)
+	sim  types.Object // the Sim it borrows from (nil if receiver isn't a plain ident)
 	call *ast.CallExpr
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 
-	// Pass 1: collect RunInto bindings, Detach positions per arena, and
+	// Pass 1: collect RunInto bindings, Detach positions per Sim, and
 	// Put positions per pooled object.
 	var borrows []*borrowed
 	detachPos := map[types.Object][]ast.Node{} // sim object -> Detach calls
@@ -140,7 +141,7 @@ func isSyncPool(info *types.Info, recv ast.Expr) bool {
 	return ok && n.Obj().Name() == "Pool" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync"
 }
 
-// detachedBefore reports whether Detach was called on b's arena at a
+// detachedBefore reports whether Detach was called on b's Sim at a
 // position before pos. A borrow whose receiver was not a plain
 // identifier (for example sm.inner.RunInto) is treated as never
 // detached — conservative, and not a pattern the tree uses.
@@ -175,12 +176,12 @@ func checkEscapes(pass *analysis.Pass, fd *ast.FuncDecl, borrows []*borrowed, de
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				if b := find(res); b != nil && n.Pos() > b.call.Pos() && !detachedBefore(b, detachPos, n) {
-					pass.Reportf(n.Pos(), "returning schedule %q borrowed from arena %q without Detach: its backing arrays are recycled by the arena's next RunInto", b.obj.Name(), simName(b))
+					pass.Reportf(n.Pos(), "returning schedule %q borrowed from Sim %q without Detach: its backing arrays are recycled by the Sim's next RunInto", b.obj.Name(), simName(b))
 				}
 			}
 		case *ast.SendStmt:
 			if b := find(n.Value); b != nil && n.Pos() > b.call.Pos() && !detachedBefore(b, detachPos, n) {
-				pass.Reportf(n.Pos(), "sending schedule %q borrowed from arena %q without Detach: the receiver outlives the arena's next RunInto", b.obj.Name(), simName(b))
+				pass.Reportf(n.Pos(), "sending schedule %q borrowed from Sim %q without Detach: the receiver outlives the Sim's next RunInto", b.obj.Name(), simName(b))
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
@@ -192,7 +193,7 @@ func checkEscapes(pass *analysis.Pass, fd *ast.FuncDecl, borrows []*borrowed, de
 					continue
 				}
 				if n.Pos() > b.call.Pos() && !detachedBefore(b, detachPos, n) {
-					pass.Reportf(n.Pos(), "storing schedule %q borrowed from arena %q without Detach: the store outlives the arena's next RunInto", b.obj.Name(), simName(b))
+					pass.Reportf(n.Pos(), "storing schedule %q borrowed from Sim %q without Detach: the store outlives the Sim's next RunInto", b.obj.Name(), simName(b))
 				}
 			}
 		}

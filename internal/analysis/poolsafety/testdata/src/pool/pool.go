@@ -1,5 +1,5 @@
 // Package pool is the poolsafety fixture: a miniature of the repo's
-// arena contract ((*Sim).RunInto borrows, Detach transfers ownership)
+// borrowed-records contract ((*Sim).RunInto borrows, Detach transfers ownership)
 // plus sync.Pool Get/Put cycles.
 package pool
 
@@ -17,7 +17,7 @@ var simPool = sync.Pool{New: func() any { return new(Sim) }}
 
 func escapeReturn(sm *Sim) *Schedule {
 	sched, _ := sm.RunInto(1)
-	return sched // want `returning schedule "sched" borrowed from arena "sm" without Detach`
+	return sched // want `returning schedule "sched" borrowed from Sim "sm" without Detach`
 }
 
 func detachedReturnOK(sm *Sim) *Schedule {
@@ -30,12 +30,12 @@ type holder struct{ last *Schedule }
 
 func escapeStore(h *holder, sm *Sim) {
 	sched, _ := sm.RunInto(1)
-	h.last = sched // want `storing schedule "sched" borrowed from arena "sm" without Detach`
+	h.last = sched // want `storing schedule "sched" borrowed from Sim "sm" without Detach`
 }
 
 func escapeSend(ch chan *Schedule, sm *Sim) {
 	sched, _ := sm.RunInto(1)
-	ch <- sched // want `sending schedule "sched" borrowed from arena "sm" without Detach`
+	ch <- sched // want `sending schedule "sched" borrowed from Sim "sm" without Detach`
 }
 
 func escapeGlobal(sm *Sim) {

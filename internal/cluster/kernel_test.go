@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,6 +220,43 @@ func TestKernelDigests(t *testing.T) {
 	}
 }
 
+// TestKernelSubmitOrder runs every table row whose submissions are all
+// at distinct instants on its trace reversed: submissions are dispatched
+// by time whatever the trace order, so each must reproduce its digest.
+func TestKernelSubmitOrder(t *testing.T) {
+	sm := NewSim()
+	rows := 0
+	for _, kc := range kernelCases(t) {
+		jobs := kc.trace.Jobs
+		distinct := true
+		for i := 1; i < len(jobs); i++ {
+			distinct = distinct && jobs[i].Submit > jobs[i-1].Submit
+		}
+		if !distinct {
+			continue
+		}
+		want, err := sm.RunInto(kc.trace, kc.cfg, kc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDigest := scheduleDigest(want)
+		rev := *kc.trace
+		rev.Jobs = slices.Clone(jobs)
+		slices.Reverse(rev.Jobs)
+		got, err := sm.RunInto(&rev, kc.cfg, kc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := scheduleDigest(got); d != wantDigest {
+			t.Errorf("%s reversed: digest %s, want %s", kc.name, d, wantDigest)
+		}
+		rows++
+	}
+	if rows < 3 {
+		t.Fatalf("only %d rows have distinct submission instants", rows)
+	}
+}
+
 // TestKernelCounters steps the engine event by event over the same table
 // and checks after every event that the scheduler's two skip counters and
 // its waiting set equal a from-scratch recount, and the invariant the
@@ -319,7 +358,10 @@ var (
 // what-if common case: nothing waits) and at a quarter of it (every
 // event finds a queue). One pooled Sim, as the what-if workers run it.
 // The detach row is the above run plus Detach: what a what-if pair costs
-// when the schedule tier misses and keeps the schedule.
+// when the schedule tier misses and keeps the schedule. Each row fails if
+// a warmed run allocates more than the kernel's steady state: the
+// *Schedule and Trace.Validate's map, which needs more allocations for
+// the 1000-tenant trace, plus Detach's two record copies.
 func BenchmarkSchedulerKernel(b *testing.B) {
 	// Every tenant submits a few jobs, so the work grows with the tenant
 	// count; ns/event is what compares across rows.
@@ -327,7 +369,8 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 		n       int
 		scale   float64
 		horizon time.Duration
-	}{{2, 1, 4 * time.Hour}, {100, 0.3, time.Hour}, {1000, 0.1, 2 * time.Hour}} {
+		allocs  float64 // per warmed RunInto
+	}{{2, 1, 4 * time.Hour, 4}, {100, 0.3, time.Hour, 4}, {1000, 0.1, 2 * time.Hour, 10}} {
 		tr := kernelTrace(b, manyTenants(pop.n, pop.scale), pop.horizon, 21)
 		demand := peakDemand(b, tr)
 		for _, load := range []struct {
@@ -340,13 +383,16 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("tenants=%d/%s", pop.n, load.name), func(b *testing.B) {
 				b.ReportAllocs()
-				// Warm the Sim once, untimed: a what-if worker's arena has
+				// Warm the Sim once, untimed: a what-if worker's Sim has
 				// run the trace before, so allocs/op is the steady state.
 				sm := NewSim()
 				if _, err := sm.RunInto(tr, cfg, Options{}); err != nil {
 					b.Fatal(err)
 				}
 				events := 0
+				var before, after runtime.MemStats
+				runtime.GC() // a collection starting mid-loop could count its own allocations
+				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					s, err := sm.RunInto(tr, cfg, Options{})
@@ -359,8 +405,17 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 					kernelSink = s
 					events += sm.s.engine.Fired()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+				elapsed := b.Elapsed()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(elapsed.Nanoseconds())/float64(events), "ns/event")
 				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+				ceiling := pop.allocs
+				if load.detach {
+					ceiling += 2
+				}
+				if allocs := float64(after.Mallocs-before.Mallocs) / float64(b.N); allocs > ceiling {
+					b.Fatalf("a warmed run allocates %.1f times, ceiling %.0f", allocs, ceiling)
+				}
 			})
 		}
 	}

@@ -6,14 +6,14 @@ import (
 	"tempo/internal/workload"
 )
 
-// Sim is a reusable simulation arena for the cluster emulator / Schedule
-// Predictor: one value owns a scheduler whose event queue, per-job stage
-// bookkeeping, task and attempt records, tenant state and buffers, and
-// Schedule backing arrays are all recycled across runs. What-if candidate
-// scoring runs thousands of simulations per control interval; recycling
-// turns the per-run cost from tens of thousands of heap allocations into
-// a constant handful (TestSimSteadyStateAllocs): the trace's validation
-// map, the *Schedule, and nothing that grows with the trace.
+// Sim is a reusable simulator for the cluster emulator / Schedule
+// Predictor: one value owns a scheduler whose event queue, job, task,
+// attempt and tenant slices, and Schedule record arrays are truncated,
+// not freed, between runs. What-if candidate scoring runs thousands of
+// simulations per control interval; keeping the buffers turns the per-run
+// cost from tens of thousands of heap allocations into a constant handful
+// (TestSimSteadyStateAllocs): the trace's validation map, the *Schedule,
+// and nothing that grows with the trace.
 //
 // A Sim is not safe for concurrent use; give each worker its own (or Get
 // one from the shared pool via Run). Results are bit-identical to a fresh
@@ -23,18 +23,18 @@ type Sim struct {
 	s scheduler
 }
 
-// NewSim returns an empty simulation arena.
+// NewSim returns a Sim with no buffers yet.
 func NewSim() *Sim {
 	return &Sim{}
 }
 
 // RunInto simulates the trace under the RM configuration, reusing the
-// arena's storage, and returns the task schedule. The returned schedule
-// BORROWS the arena's backing arrays: it is valid until the next RunInto
-// on this Sim, which recycles them. Callers that retain the schedule past
+// Sim's buffers, and returns the task schedule. The returned schedule
+// BORROWS the Sim's record arrays: it is valid until the next RunInto on
+// this Sim, which overwrites them. Callers that retain the schedule past
 // that point must call Detach first, which gives it copies of its own.
 // It is deterministic: the same inputs (including the noise model's seed)
-// always produce the same schedule, whatever the arena previously ran.
+// always produce the same schedule, whatever the Sim previously ran.
 func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedule, error) {
 	// Forget the last schedule first: if validation fails, a Detach must
 	// not rewrite a schedule the caller may already own.
@@ -54,9 +54,9 @@ func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedu
 	return sched, nil
 }
 
-// Detach releases the last returned schedule from the arena by copying
+// Detach releases the last returned schedule from the Sim by copying
 // its records into arrays of exact size that the schedule owns, so it
-// stays valid indefinitely; the arena keeps its own arrays for the next
+// stays valid indefinitely; the Sim keeps its own arrays for the next
 // run. It costs two allocations and never regrows anything. Detach must
 // come before the schedule is shared, since it rewrites the schedule's
 // Tasks and Jobs. It is a no-op when there is no schedule to release:
@@ -81,10 +81,10 @@ func exactCopy[T any](s []T) []T {
 	return out
 }
 
-// simPool recycles simulation arenas across all callers of Run — under
-// tempod every shard worker's control-loop ticks and what-if probes draw
-// from it, so steady-state serving stops churning the heap. sync.Pool
-// drops arenas under memory pressure, bounding retention.
+// simPool recycles Sims across all callers of Run — under tempod every
+// shard worker's control-loop ticks and what-if probes draw from it, so
+// steady-state serving stops churning the heap. sync.Pool drops Sims
+// under memory pressure, bounding retention.
 var simPool = sync.Pool{New: func() any { return NewSim() }}
 
 // Run simulates the trace under the RM configuration and returns the task
@@ -93,7 +93,7 @@ var simPool = sync.Pool{New: func() any { return NewSim() }}
 //
 // Run is a thin wrapper over a pooled Sim: the simulation's internal
 // bookkeeping is recycled, while the returned schedule is detached (a
-// copy owned by the caller, retainable forever; the pooled arena keeps
+// copy owned by the caller, retainable forever; the pooled Sim keeps
 // its buffers). Hot loops that score and discard many schedules should
 // hold their own Sim and skip the detach.
 func Run(trace *workload.Trace, cfg Config, opts Options) (*Schedule, error) {

@@ -22,7 +22,7 @@ func runTestTrace(t *testing.T, seed int64, horizon time.Duration) *workload.Tra
 	return tr
 }
 
-// TestSimReuseDeterministic locks the arena contract: a Sim dirtied by
+// TestSimReuseDeterministic locks the reuse contract: a Sim dirtied by
 // arbitrary other runs must reproduce a fresh simulator's schedule
 // bit-for-bit, for both the deterministic predictor and the noisy
 // emulation. This is the property that makes pooling invisible to every
@@ -49,11 +49,11 @@ func TestSimReuseDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// want borrows its Sim's arena; that Sim runs nothing else, so
+			// want borrows its Sim's records; that Sim runs nothing else, so
 			// it stays valid for the comparisons below.
 			sm := NewSim()
 			if _, err := sm.RunInto(traceB, cfg, Options{}); err != nil {
-				t.Fatal(err) // dirty the arena with a different shape
+				t.Fatal(err) // dirty the Sim with a different shape
 			}
 			for i := 0; i < 3; i++ {
 				got, err := sm.RunInto(traceA, cfg, tc.opts)
@@ -61,7 +61,7 @@ func TestSimReuseDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !got.Equal(want) {
-					t.Fatalf("rerun %d on a dirty arena diverged: %v vs %v", i, got, want)
+					t.Fatalf("rerun %d on a dirty Sim diverged: %v vs %v", i, got, want)
 				}
 			}
 		})
@@ -69,7 +69,7 @@ func TestSimReuseDeterministic(t *testing.T) {
 }
 
 // TestSimDetach locks Detach's ownership transfer: a detached schedule
-// must survive later runs on the same arena unchanged, while an
+// must survive later runs on the same Sim unchanged, while an
 // undetached one is recycled (its backing is reused).
 func TestSimDetach(t *testing.T) {
 	trace := runTestTrace(t, 9, time.Hour)
@@ -91,12 +91,12 @@ func TestSimDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !first.Equal(snapshot) {
-		t.Fatal("detached schedule was mutated by a later run on the same arena")
+		t.Fatal("detached schedule was mutated by a later run on the same Sim")
 	}
 }
 
 // TestDetachOwnsRecords locks copy-on-detach: Detach gives the schedule
-// exact-size copies of its records and the arena keeps its own arrays,
+// exact-size copies of its records and the Sim keeps its own arrays,
 // so ten later runs of other rows on the same Sim change nothing in it.
 func TestDetachOwnsRecords(t *testing.T) {
 	cases := kernelCases(t)

@@ -49,9 +49,9 @@ type Accumulator struct {
 // The accumulator borrows the schedule: it reads s.Jobs and s.Tasks in
 // place, during the call and again on the first sub-window job query, and
 // never writes them. It is valid exactly as long as those records are
-// left alone — what-if scoring evaluates and drops it before the
-// simulation arena recycles the schedule; a Session keeps accumulators
-// only over observed schedules it owns and never mutates.
+// left alone — what-if scoring evaluates and drops it before the Sim's
+// next run overwrites the schedule's records; a Session keeps
+// accumulators only over observed schedules it owns and never mutates.
 func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
 	ix := indexer{
 		sched:         s,

@@ -21,12 +21,12 @@
 // exactly that under concurrent traffic.
 //
 // Serving is allocation-lean: the control-loop work a tick drives
-// (schedule prediction, emulation, QS evaluation) runs on pooled scratch
-// arenas (cluster.Sim via whatif's per-worker Scratch and cluster.Run's
-// shared pool), so per-run simulation state is recycled across the ticks
+// (schedule prediction, emulation, QS evaluation) runs on pooled
+// simulators (cluster.Sim via whatif's per-worker Scratch and
+// cluster.Run's shared pool), whose run buffers are kept across the ticks
 // of all resident clusters instead of churning the heap — at 1000
 // clusters the process would otherwise be GC-bound. The pools are
-// process-wide sync.Pools: a tick on any shard reuses whatever arena the
+// process-wide sync.Pools: a tick on any shard reuses whatever Sim the
 // last one parked, and memory pressure shrinks them automatically.
 package service
 

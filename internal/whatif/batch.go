@@ -32,11 +32,11 @@ func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
 	return preds, err
 }
 
-// Scratch is one worker's reusable evaluation state: a simulation arena
-// for the built-in Schedule Predictor. Workers draw one from scratchPool
-// per batch, so steady-state candidate scoring performs near-zero heap
-// allocation; sync.Pool returns arenas under memory pressure, bounding
-// retention.
+// Scratch is one worker's reusable evaluation state: a cluster.Sim for
+// the built-in Schedule Predictor, whose run buffers are kept across
+// runs. Workers draw one from scratchPool per batch, so steady-state
+// candidate scoring performs near-zero heap allocation; sync.Pool drops
+// them under memory pressure, bounding retention.
 type Scratch struct {
 	sim *cluster.Sim
 }
@@ -143,8 +143,8 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // for the same sample reuse its vector through the state's schedule tier.
 //
 // With a non-nil scratch (built-in predictor only) the prediction runs in
-// the scratch's simulation arena: the predicted schedule borrows arena
-// storage and is recycled by the worker's next pair, unless the schedule
+// the scratch's Sim: the predicted schedule borrows the Sim's record
+// arrays, which the worker's next pair overwrites, unless the schedule
 // tier pins it — then it is detached first, getting exact-size copies of
 // its records that it owns for the state's lifetime. Detach rewrites the
 // schedule's fields, so it must happen before store publishes the

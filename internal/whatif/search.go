@@ -163,7 +163,7 @@ func room[E any](tier []E, limit int) []E {
 
 // store pins the (schedule, vector) pair in the schedule tier, evicting
 // FIFO at capacity. The caller has already detached the schedule from its
-// arena: from here on other workers read it without a lock.
+// Sim: from here on other workers read it without a lock.
 func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -333,7 +333,7 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int, keep 
 			}
 		}
 		if len(pending) == 0 {
-			return nil // fully warm: no worker, no pooled arena drawn
+			return nil // fully warm: no worker, no pooled Sim drawn
 		}
 		errs := make([]error, len(pending))
 		// With the built-in predictor each worker runs its pairs through a

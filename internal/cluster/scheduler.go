@@ -683,7 +683,11 @@ func (s *scheduler) killJob(now time.Duration, j int32) {
 //
 //tempo:hot
 func (s *scheduler) computeFairShares() {
-	active := s.fair[:0]
+	if len(s.tenants) > cap(s.fair) {
+		s.fair = make([]ws, len(s.tenants))
+	}
+	active := s.fair[:len(s.tenants)]
+	n := 0
 	var floorSum float64
 	for i := range s.tenants {
 		ts := &s.tenants[i]
@@ -692,17 +696,22 @@ func (s *scheduler) computeFairShares() {
 		if d == 0 {
 			continue
 		}
-		capacity := math.Min(float64(ts.effMax(s.capacity)), float64(d))
-		floor := math.Min(float64(ts.minTarget(s.capacity)), capacity)
-		w := push(&active)
+		// The bounds are container counts: taking the minimum before the
+		// conversion gives math.Min's result without its NaN and
+		// signed-zero handling.
+		capacity := min(ts.effMax(s.capacity), d)
+		floor := float64(min(ts.minTarget(s.capacity), capacity))
+		w := &active[n]
+		n++
 		w.ts = int32(i)
-		w.cap = capacity
+		w.cap = float64(capacity)
 		w.floor = floor
 		w.weight = ts.cfg.Weight
+		w.fixed = false
 		floorSum += floor
 	}
-	s.fair = active // keep the grown backing for the next call
-	if len(active) == 0 {
+	active = active[:n]
+	if n == 0 {
 		return
 	}
 	total := float64(s.capacity)

@@ -20,7 +20,10 @@
 // dispatches without heap allocation.
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // NoEvent is the id of no event. Pending reports false for it and Cancel
 // ignores it, so a caller can keep it in a field that has no event yet.
@@ -29,13 +32,18 @@ const NoEvent int32 = -1
 // entry is one queued event. The heap compares entries in place: time
 // first, then ord, which packs priority, sequence number and kind from the
 // top bit down, so (time, priority, seq) is two integer comparisons (seq
-// is unique, so the kind bits never decide).
+// is unique, so the kind bits never decide). ref packs the event id (high
+// half) and argument (low half) into one word: a sift spills the entry it
+// carries, and reloading two 32-bit halves as one word stalls on store
+// forwarding.
 type entry struct {
 	time time.Duration
 	ord  uint64
-	id   int32
-	arg  int32
+	ref  uint64
 }
+
+func (en *entry) id() int32  { return int32(en.ref >> 32) }
+func (en *entry) arg() int32 { return int32(uint32(en.ref)) }
 
 // prioShift and seqShift place the priority and the sequence number
 // inside entry.ord; the kind takes the low byte.
@@ -49,6 +57,16 @@ func (a *entry) before(b *entry) bool {
 		return a.time < b.time
 	}
 	return a.ord < b.ord
+}
+
+// less is before as 0 or 1, without branches: the borrow out of the
+// 128-bit subtraction (a.time, a.ord) - (b.time, b.ord). Times are never
+// negative (At clamps them to Now), so they compare as unsigned. Which
+// child is earlier is a coin toss to the branch predictor.
+func (a *entry) less(b *entry) uint64 {
+	_, borrow := bits.Sub64(a.ord, b.ord, 0)
+	_, borrow = bits.Sub64(uint64(a.time), uint64(b.time), borrow)
+	return borrow
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
@@ -95,7 +113,7 @@ func (e *Engine) At(t time.Duration, priority, kind uint8, arg int32) int32 {
 	id := int32(len(e.pos))
 	e.pos = append(e.pos, 0)
 	e.heap = append(e.heap, entry{})
-	e.up(len(e.heap)-1, entry{time: t, ord: e.nextOrd(priority, kind), id: id, arg: arg})
+	e.up(len(e.heap)-1, entry{time: t, ord: e.nextOrd(priority, kind), ref: uint64(id)<<32 | uint64(uint32(arg))})
 	return id
 }
 
@@ -177,7 +195,7 @@ func (e *Engine) StepUntil(horizon time.Duration) (kind uint8, arg int32, ok boo
 // empty.
 func (e *Engine) pop() (kind uint8, arg int32, ok bool) {
 	top := e.heap[0]
-	e.pos[top.id] = -1
+	e.pos[top.id()] = -1
 	last := len(e.heap) - 1
 	moved := e.heap[last]
 	e.heap = e.heap[:last]
@@ -186,7 +204,7 @@ func (e *Engine) pop() (kind uint8, arg int32, ok bool) {
 	}
 	e.now = top.time
 	e.fired++
-	return uint8(top.ord), top.arg, true
+	return uint8(top.ord), top.arg(), true
 }
 
 // The heap is a binary min-heap on entry.before, written out for value
@@ -215,11 +233,11 @@ func (e *Engine) up(i int, en entry) {
 			break
 		}
 		h[i] = h[p]
-		pos[h[i].id] = int32(i)
+		pos[h[i].id()] = int32(i)
 		i = p
 	}
 	h[i] = en
-	pos[en.id] = int32(i)
+	pos[en.id()] = int32(i)
 }
 
 // down places en at the hole i0, moving it toward the leaves until no
@@ -233,17 +251,17 @@ func (e *Engine) down(i0 int, en entry) bool {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].before(&h[c]) {
-			c = r
+		if r := c + 1; r < n {
+			c += int(h[r].less(&h[c]))
 		}
 		if !h[c].before(&en) {
 			break
 		}
 		h[i] = h[c]
-		pos[h[i].id] = int32(i)
+		pos[h[i].id()] = int32(i)
 		i = c
 	}
 	h[i] = en
-	pos[en.id] = int32(i)
+	pos[en.id()] = int32(i)
 	return i > i0
 }

@@ -365,7 +365,7 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 	}
 
 	// Allocation ceilings for the batch path: the pooled default against
-	// the same batch scored through fresh, single-use arenas — the cost
+	// the same batch scored through fresh, single-use Sims — the cost
 	// the pre-pooling code paid per run and a custom Predictor still pays
 	// today. Sequential workers so MemStats deltas are attributable.
 	model.Parallelism = 1
@@ -377,7 +377,7 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 	unpooled := *model
 	unpooled.Parallelism = 1
 	unpooled.Predict = func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
-		sm := cluster.NewSim() // fresh arena per run: nothing is recycled
+		sm := cluster.NewSim() // fresh buffers per run: nothing is recycled
 		sched, err := sm.RunInto(trace, cfg, cluster.Options{Horizon: horizon})
 		sm.Detach()
 		return sched, err

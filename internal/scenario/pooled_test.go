@@ -9,11 +9,11 @@ import (
 
 // TestPooledDeterminismGoldens locks the allocation-lean hot path to the
 // committed goldens: every scenario is run twice in one process, so the
-// second pass executes entirely on simulation arenas, QS scratch, and
-// event buffers dirtied by *other* scenarios' runs (the pools are
-// process-global), and both passes must still produce byte-identical
-// canonical reports. Any incomplete per-run reset in the pooled scheduler
-// — a stale tenant queue, an unreset event arena, a reused Schedule
+// second pass executes entirely on Sims, QS scratch, and event buffers
+// dirtied by *other* scenarios' runs (the pools are process-global), and
+// both passes must still produce byte-identical canonical reports. Any
+// incomplete per-run reset in the pooled scheduler — a stale tenant
+// queue, an untruncated event heap, a reused Schedule
 // backing array leaking records — shows up here as golden drift.
 func TestPooledDeterminismGoldens(t *testing.T) {
 	dir := filepath.Join("testdata", "scenarios")

@@ -1,14 +1,12 @@
 package tempo
 
-// BenchmarkControllerDecision measures the PR-8 tentpole: the
-// controller's incremental candidate search (cross-tick warm-starting +
-// QS-bound pruning) against exhaustive scoring, at the stress tier and
-// on a contended pruning fixture. It fails outright — the CI regression
-// gate — if the incremental search stops saving at least 30% of the
-// fully scored candidates per steady-state decision, if pruning stops
-// firing on the contended fixture, or if either mechanism perturbs the
-// decision trajectory. The search counters are pinned at their committed
-// values: the fixtures are seeded, so any drift means the search behaved
+// BenchmarkControllerDecision measures the controller's incremental
+// candidate search (cross-tick warm-starting) against exhaustive scoring
+// at the stress tier. It fails outright — the CI regression gate — if the
+// incremental search stops saving at least 30% of the fully scored
+// candidates per steady-state decision or perturbs the decision
+// trajectory. The search counters are pinned at their committed values:
+// the fixture is seeded, so any drift means the search behaved
 // differently.
 
 import (
@@ -19,11 +17,9 @@ import (
 
 	"tempo/internal/cluster"
 	"tempo/internal/core"
-	"tempo/internal/linalg"
 	"tempo/internal/pald"
 	"tempo/internal/scenario"
 	"tempo/internal/whatif"
-	"tempo/internal/workload"
 )
 
 // decisionTicks is how many control intervals the stress-tier comparison
@@ -41,9 +37,9 @@ func (b *batchOnlyWhatIf) EvaluateBatch(cfgs []cluster.Config) ([][]float64, err
 }
 
 // stressController builds a controller over the committed stress-1000
-// tenant mix (1000 tenants, capacity 400) with a prune-eligible
-// RandomSearch strategy and two candidates per tick — the stress-scale
-// shape of the incremental-search win.
+// tenant mix (1000 tenants, capacity 400) with a RandomSearch strategy
+// and two candidates per tick — the stress-scale shape of the
+// incremental-search win.
 func stressController(b *testing.B, exhaustive bool) *core.Controller {
 	b.Helper()
 	spec, err := scenario.LoadFile("internal/scenario/testdata/scenarios/stress-1000.json")
@@ -84,70 +80,6 @@ func stressController(b *testing.B, exhaustive bool) *core.Controller {
 	return ctl
 }
 
-// floodedController builds the contended pruning fixture: a tiny cluster
-// flooded with identical jobs under a constrained throughput SLO, and a
-// strategy proposing the most starved corner of the configuration space
-// — candidates whose QS lower bound proves them hopeless before any
-// simulation.
-func floodedController(b *testing.B, exhaustive bool) *core.Controller {
-	b.Helper()
-	const capacity = 8
-	interval := 30 * time.Minute
-	trace := &workload.Trace{Name: "flood", Horizon: interval}
-	for i := 0; i < 40; i++ {
-		id := "flood-" + string(rune('a'+i/26)) + string(rune('a'+i%26))
-		trace.Jobs = append(trace.Jobs, workload.NewMapReduceJob(id, "batch", 0,
-			[]time.Duration{5 * time.Minute, 5 * time.Minute, 5 * time.Minute, 5 * time.Minute}, nil))
-	}
-	if err := trace.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	templates := []Template{
-		Template{Queue: "batch", Metric: Throughput}.WithTarget(-8),
-	}
-	model, err := whatif.FromTrace(templates, trace)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model.Horizon = interval
-	var coreModel core.Model = model
-	if exhaustive {
-		coreModel = &batchOnlyWhatIf{m: model}
-	}
-	space := cluster.DefaultSpace(capacity, []string{"batch"})
-	ctl, err := core.NewController(core.Config{
-		Space:       space,
-		Templates:   templates,
-		Model:       coreModel,
-		Environment: &core.ReplayEnvironment{Trace: trace},
-		Interval:    interval,
-		Candidates:  3,
-		Strategy:    &cornerProposer{dim: space.Dim()},
-		Now:         time.Now,
-	}, cluster.Config{TotalContainers: capacity, Tenants: map[string]cluster.TenantConfig{
-		"batch": {Weight: 1},
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ctl
-}
-
-// cornerProposer proposes the origin of the normalized cube (decoding to
-// a one-container MaxShare cap). It deliberately does not implement
-// pald.PredictionObserver, which licenses the controller to prune it.
-type cornerProposer struct{ dim int }
-
-func (s *cornerProposer) Name() string                           { return "corner" }
-func (s *cornerProposer) Observe(linalg.Vector, []float64) error { return nil }
-func (s *cornerProposer) Propose(_ linalg.Vector, _ []float64, n int) ([]linalg.Vector, error) {
-	out := make([]linalg.Vector, n)
-	for i := range out {
-		out[i] = linalg.NewVector(s.dim)
-	}
-	return out, nil
-}
-
 // driveDecisions steps the controller n ticks and returns the stripped
 // trajectory plus aggregated search stats over ticks [from, n).
 func driveDecisions(b *testing.B, c *core.Controller, n, from int) ([]core.Iteration, core.SearchStats) {
@@ -165,7 +97,6 @@ func driveDecisions(b *testing.B, c *core.Controller, n, from int) ([]core.Itera
 		agg.Candidates += st.Candidates
 		agg.FullyScored += st.FullyScored
 		agg.WarmStarted += st.WarmStarted
-		agg.Pruned += st.Pruned
 		agg.SimsRun += st.SimsRun
 		agg.SimsReused += st.SimsReused
 		if agg.DecisionNanos == 0 || st.DecisionNanos < agg.DecisionNanos {
@@ -192,17 +123,6 @@ func BenchmarkControllerDecision(b *testing.B) {
 			incStats.FullyScored, exStats.FullyScored, reduction)
 	}
 
-	// Contended fixture: the QS lower bound must prune the hopeless
-	// candidates outright, again without perturbing the trajectory.
-	floodEx, floodExStats := driveDecisions(b, floodedController(b, true), decisionTicks, 0)
-	floodInc, floodIncStats := driveDecisions(b, floodedController(b, false), decisionTicks, 0)
-	if !reflect.DeepEqual(floodEx, floodInc) {
-		b.Fatalf("pruning changed the flooded trajectory:\nexhaustive: %+v\npruned:     %+v", floodEx, floodInc)
-	}
-	if floodExStats.Pruned != 0 || floodIncStats.Pruned == 0 {
-		b.Fatalf("pruning counters wrong: exhaustive %d, incremental %d", floodExStats.Pruned, floodIncStats.Pruned)
-	}
-
 	checkCounts(b,
 		count{"candidates", incStats.Candidates, 6},
 		count{"fully_scored", incStats.FullyScored, 4},
@@ -210,7 +130,6 @@ func BenchmarkControllerDecision(b *testing.B) {
 		count{"warm_started", incStats.WarmStarted, 2},
 		count{"sims_run", incStats.SimsRun, 4},
 		count{"sims_reused", incStats.SimsReused, 2},
-		count{"pruned_flood", floodIncStats.Pruned, 9},
 	)
 
 	// The benched op: one steady-state decision (observe → propose →

@@ -128,11 +128,11 @@ func (d *taskDeque) popFront() int32 {
 	return t
 }
 
-// filter keeps only tasks satisfying keep, preserving order.
-func (d *taskDeque) filter(keep func(int32) bool) {
+// filter keeps only tasks satisfying pred, preserving order.
+func (d *taskDeque) filter(pred func(int32) bool) {
 	kept := d.buf[:d.head]
 	for _, t := range d.buf[d.head:] {
-		if keep(t) {
+		if pred(t) {
 			kept = append(kept, t)
 		}
 	}

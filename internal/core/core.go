@@ -36,17 +36,16 @@ type BatchModel interface {
 }
 
 // SearchModel is implemented by models that support the controller's
-// incremental decision search: cross-tick reuse of candidate scores plus
-// optional bound-based pruning through the keep callback, with fresh[i] /
-// reused[i] reporting how much simulation work candidate i actually cost.
-// *whatif.Model implements it; the controller routes candidate scoring
-// through it when available and falls back to BatchModel/Model otherwise.
-// The contract mirrors whatif.(*Model).EvaluateSearch: cfgs[0] is the
-// incumbent, preds[i] == nil marks a pruned candidate, and every non-nil
-// prediction is bit-identical to an exhaustive EvaluateBatch row.
+// incremental decision search: cross-tick reuse of candidate scores, with
+// fresh[i] / reused[i] reporting how much simulation work candidate i
+// actually cost. *whatif.Model implements it; the controller routes
+// candidate scoring through it when available and falls back to
+// BatchModel/Model otherwise. The contract mirrors
+// whatif.(*Model).EvaluateSearch: every prediction is bit-identical to an
+// exhaustive EvaluateBatch row.
 type SearchModel interface {
 	Model
-	EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, base []float64) bool) (preds [][]float64, fresh, reused []int, err error)
+	EvaluateSearch(cfgs []cluster.Config) (preds [][]float64, fresh, reused []int, err error)
 }
 
 // scoreBatch scores every configuration through the model, using the batch
@@ -213,10 +212,9 @@ type Config struct {
 // SearchStats instruments one iteration's candidate search: how many
 // candidates the strategy proposed (plus the incumbent), how many were
 // fully scored through the predictor, how many were warm-started entirely
-// from the cross-tick cache, how many the QS bounds pruned before any
-// simulation, and the per-sample simulation counts behind those. The
-// serving layer aggregates these into the scored/pruned-candidates
-// counters and the decision-latency quantiles on /metrics.
+// from the cross-tick cache, and the per-sample simulation counts behind
+// those. The serving layer aggregates these into the scored-candidates
+// counter and the decision-latency quantiles on /metrics.
 type SearchStats struct {
 	// Candidates is the size of the scored set: the incumbent plus every
 	// proposal.
@@ -227,8 +225,9 @@ type SearchStats struct {
 	// WarmStarted counts candidates resolved entirely from the cross-tick
 	// cache — scored, but with zero simulations.
 	WarmStarted int `json:"warm_started"`
-	// Pruned counts candidates the QS lower bounds eliminated before any
-	// simulation.
+	// Pruned is always zero: the controller scores every candidate and no
+	// longer sets it. The field stays so recorded stats and snapshots keep
+	// their shape.
 	Pruned int `json:"pruned"`
 	// SimsRun and SimsReused count (candidate, sample) predictor runs and
 	// cache hits across the whole decision.
@@ -434,33 +433,19 @@ func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 	for _, x := range cands {
 		configs = append(configs, c.cfg.Space.Decode(x))
 	}
-	feedback, _ := c.strategy.(pald.PredictionObserver)
-	preds, stats, err := c.scoreCandidates(configs, normTargets, feedback != nil)
+	preds, stats, err := c.scoreCandidates(configs)
 	if err != nil {
 		return Iteration{}, fmt.Errorf("core: what-if scoring: %w", err)
 	}
-	basePred := preds[0]
 	bestX := c.currentX
-	bestPred := basePred
+	bestPred := preds[0]
 	switched := false
 	for i, x := range cands {
 		pred := preds[i+1]
-		if pred == nil {
-			// Pruned: its QS lower bound already proved it cannot replace
-			// the running best (see the keep callback in scoreCandidates).
-			continue
-		}
 		// Feed predicted samples back to the strategy too: cheap gradient
-		// information, exactly what Steps (5)-(7) of Figure 3 circulate.
-		// Strategies implementing PredictionObserver receive it through the
-		// dedicated path; for the rest the historical Observe call is kept
-		// (a no-op for the model-free baselines).
-		if feedback != nil {
-			err = feedback.ObservePrediction(x, c.normalize(pred))
-		} else {
-			err = c.strategy.Observe(x, c.normalize(pred))
-		}
-		if err != nil {
+		// information, exactly what Steps (5)-(7) of Figure 3 circulate (a
+		// no-op for the model-free baselines).
+		if err := c.strategy.Observe(x, c.normalize(pred)); err != nil {
 			return Iteration{}, err
 		}
 		if pald.Better(c.normalize(pred), c.normalize(bestPred), normTargets, nil, c.cfg.RankRho) {
@@ -489,35 +474,10 @@ func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 // scoreCandidates resolves the QS prediction for every configuration
 // (configs[0] is the incumbent), routing through the model's incremental
 // search when it offers one and the plain batch path otherwise, and
-// returns per-iteration search statistics alongside.
-//
-// Pruning is enabled only when the strategy consumes no prediction
-// feedback (does not implement pald.PredictionObserver): for such
-// strategies a skipped candidate can influence the trajectory only by
-// winning the selection scan, so proving it cannot win proves the
-// decision identical to exhaustive scoring. The keep callback implements
-// that proof arithmetic over normalized vectors:
-//
-//   - the model guarantees lower is a coordinatewise lower bound on the
-//     candidate's averaged prediction, and normalize (division by
-//     positive per-objective scales) plus pald.MaxRegret (coordinatewise
-//     nondecreasing) preserve that ordering, so the candidate's true
-//     normalized max-regret is at least MaxRegret(normalize(lower));
-//   - the selection scan starts from the incumbent's regret and each
-//     pald.Better replacement can raise the running best's regret by at
-//     most the 1e-12 comparison tolerance, at most len(configs)-1 times,
-//     so the running best's regret never exceeds the incumbent's by more
-//     than (len(configs)-1)·1e-12;
-//   - a candidate is pruned only when its bound exceeds the incumbent's
-//     regret by more than (len(configs)+1)·1e-12, which keeps it more
-//     than 1e-12 above the running best at every point of the scan —
-//     pald.Better then takes its strict regret branch and returns false,
-//     so the pruned candidate could never have replaced the best.
-//
-// Every golden therefore stays byte-identical: pruning removes only
-// candidates that provably lose, and surviving predictions are
-// bit-identical to exhaustive scoring (exact-verified cache reuse).
-func (c *Controller) scoreCandidates(configs []cluster.Config, normTargets []pald.Target, feedback bool) ([][]float64, *SearchStats, error) {
+// returns per-iteration search statistics alongside. Both paths return
+// bit-identical predictions (the search reuses only exact-verified cache
+// entries), so the decision never depends on which one ran.
+func (c *Controller) scoreCandidates(configs []cluster.Config) ([][]float64, *SearchStats, error) {
 	stats := &SearchStats{Candidates: len(configs)}
 	sm, ok := c.cfg.Model.(SearchModel)
 	if !ok {
@@ -530,26 +490,14 @@ func (c *Controller) scoreCandidates(configs []cluster.Config, normTargets []pal
 		stats.FullyScored = len(configs)
 		return preds, stats, nil
 	}
-	var keep func(i int, lower, base []float64) bool
-	if !feedback {
-		slack := float64(len(configs)+1) * 1e-12
-		keep = func(_ int, lower, base []float64) bool {
-			bound := pald.MaxRegret(c.normalize(lower), normTargets)
-			incumbent := pald.MaxRegret(c.normalize(base), normTargets)
-			return bound <= incumbent+slack
-		}
-	}
-	preds, fresh, reused, err := sm.EvaluateSearch(configs, keep)
+	preds, fresh, reused, err := sm.EvaluateSearch(configs)
 	if err != nil {
 		return nil, nil, err
 	}
 	for i := range configs {
-		switch {
-		case preds[i] == nil:
-			stats.Pruned++
-		case fresh[i] > 0:
+		if fresh[i] > 0 {
 			stats.FullyScored++
-		default:
+		} else {
 			stats.WarmStarted++
 		}
 		stats.SimsRun += fresh[i]

@@ -15,36 +15,18 @@ import (
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Observe records a (configuration, QS vector) measurement.
+	// Observe records a (configuration, QS vector) pair. The control loop
+	// calls it with the applied configuration's measurement and with every
+	// scored candidate's predicted QS vector.
 	Observe(x linalg.Vector, f []float64) error
 	// Propose returns up to n candidates around the current configuration.
 	Propose(x linalg.Vector, f []float64, n int) ([]linalg.Vector, error)
 }
 
-// PredictionObserver is the optional score-feedback side of a Strategy:
-// the control loop hands back each scored candidate's *predicted* QS
-// vector, not just the applied configuration's measurement. A strategy
-// that implements it declares that it learns from every scored
-// candidate — so the controller must score all of its proposals. A
-// strategy that does not (RandomSearch keeps no model) frees the
-// controller to skip candidates that provably cannot win, which is what
-// licenses bound-based pruning in core.Controller.Step.
-type PredictionObserver interface {
-	// ObservePrediction records a (candidate, predicted QS vector) pair.
-	ObservePrediction(x linalg.Vector, f []float64) error
-}
-
 // Name implements Strategy.
 func (p *Optimizer) Name() string { return "pald" }
 
-// ObservePrediction implements PredictionObserver: PALD's LOESS gradient
-// model treats predicted candidate scores exactly like measurements, so
-// the delegation is bit-identical to the controller's historical
-// strategy.Observe call on each scored candidate.
-func (p *Optimizer) ObservePrediction(x linalg.Vector, f []float64) error { return p.Observe(x, f) }
-
 var _ Strategy = (*Optimizer)(nil)
-var _ PredictionObserver = (*Optimizer)(nil)
 
 // WeightedSum is the classic scalarization baseline: descend the uniformly
 // weighted sum of QS gradients, ignoring constraint structure (ρ = 0 in
@@ -76,14 +58,7 @@ func (w *WeightedSum) Propose(x linalg.Vector, f []float64, n int) ([]linalg.Vec
 	return w.inner.Propose(x, f, n)
 }
 
-// ObservePrediction implements PredictionObserver by delegating to the
-// inner optimizer, like Observe.
-func (w *WeightedSum) ObservePrediction(x linalg.Vector, f []float64) error {
-	return w.inner.Observe(x, f)
-}
-
 var _ Strategy = (*WeightedSum)(nil)
-var _ PredictionObserver = (*WeightedSum)(nil)
 
 // RandomSearch proposes uniformly random points inside the trust region —
 // the no-model baseline. With the same what-if budget, PALD's gradient

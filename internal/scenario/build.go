@@ -44,10 +44,10 @@ type Options struct {
 	Clock func() time.Time
 	// ExhaustiveSearch hides the what-if model's incremental search from
 	// the controller, forcing the plain exhaustive batch path — no
-	// warm-starting, no pruning. Pruning is provably ranking-safe, so
-	// reports are bit-identical with or without it; the parity regression
-	// suite runs every committed scenario both ways to keep that proof
-	// honest.
+	// warm-starting. Warm starts reuse only exact-verified scores, so
+	// reports are bit-identical with or without them; the parity
+	// regression suite runs every committed scenario both ways to keep
+	// that proof honest.
 	ExhaustiveSearch bool
 }
 

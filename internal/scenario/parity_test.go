@@ -11,16 +11,15 @@ import (
 	"tempo/internal/scenario"
 )
 
-// TestSearchParityExhaustiveVsPruned is the standing proof obligation
-// behind the controller's incremental candidate search: every committed
-// controller-enabled scenario must produce a byte-identical canonical
-// report whether candidates are scored exhaustively or through the
-// warm-started, bound-pruned search. Each scenario runs under two
-// strategies: the default PALD optimizer (consumes prediction feedback,
-// so pruning is disabled but cross-tick warm-starting is live) and
-// RandomSearch (no feedback, so the QS lower bounds actually prune).
-// The nightly workflow runs this sweep under -race.
-func TestSearchParityExhaustiveVsPruned(t *testing.T) {
+// TestSearchParityExhaustiveVsIncremental is the standing proof
+// obligation behind the controller's incremental candidate search: every
+// committed controller-enabled scenario must produce a byte-identical
+// canonical report whether candidates are scored exhaustively or through
+// the search that warm-starts them from the cross-tick cache. Each
+// scenario runs under two strategies, the default PALD optimizer and
+// RandomSearch, which propose differently shaped candidate streams. The
+// nightly workflow runs this sweep under -race.
+func TestSearchParityExhaustiveVsIncremental(t *testing.T) {
 	for _, path := range specPaths(t) {
 		path := path
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
@@ -61,10 +60,10 @@ func TestSearchParityExhaustiveVsPruned(t *testing.T) {
 					}
 					return b
 				}
-				pruned := run(false)
+				incremental := run(false)
 				exhaustive := run(true)
-				if !bytes.Equal(pruned, exhaustive) {
-					t.Errorf("incremental search changed the report:\n%s", firstDiff(pruned, exhaustive))
+				if !bytes.Equal(incremental, exhaustive) {
+					t.Errorf("incremental search changed the report:\n%s", firstDiff(incremental, exhaustive))
 				}
 			})
 		}

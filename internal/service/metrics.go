@@ -14,12 +14,10 @@ type Metrics struct {
 	// Config.MaxStreams).
 	AdHocQueries  int64 `json:"adhoc_queries"`
 	ActiveStreams int64 `json:"active_streams"`
-	// ScoredCandidates and PrunedCandidates total the controllers' search
-	// stats across all clusters: candidates fully scored through the
-	// what-if simulator vs. discarded by the QS lower bound before
-	// simulation. pruned/(scored+pruned) is the live pruning rate.
+	// ScoredCandidates totals the controllers' search stats across all
+	// clusters: candidates fully scored through the what-if simulator
+	// rather than warm-started from the cross-tick cache.
 	ScoredCandidates int64 `json:"scored_candidates"`
-	PrunedCandidates int64 `json:"pruned_candidates"`
 	// DegradedClusters is the read-only-cluster gauge: clusters whose
 	// durable store is failing, serving reads from the last committed
 	// state while the recovery probe retries. ShedRequests totals
@@ -43,7 +41,6 @@ type ShardMetrics struct {
 	Ticks            int64   `json:"ticks"`
 	WhatIfEvals      int64   `json:"whatif_evals"`
 	ScoredCandidates int64   `json:"scored_candidates"`
-	PrunedCandidates int64   `json:"pruned_candidates"`
 	ShedRequests     int64   `json:"shed_requests"`
 	TickLatencyP50Ms float64 `json:"tick_latency_p50_ms"`
 	TickLatencyP99Ms float64 `json:"tick_latency_p99_ms"`
@@ -83,7 +80,6 @@ func (s *Service) Metrics() Metrics {
 			Ticks:            sh.ticks.get(),
 			WhatIfEvals:      sh.whatifEvals.get(),
 			ScoredCandidates: sh.scored.get(),
-			PrunedCandidates: sh.pruned.get(),
 			ShedRequests:     sh.shed.get(),
 		}
 		if p50, p99, ok := sh.lat.quantiles(); ok {
@@ -96,7 +92,6 @@ func (s *Service) Metrics() Metrics {
 		}
 		m.Ticks += sm.Ticks
 		m.ScoredCandidates += sm.ScoredCandidates
-		m.PrunedCandidates += sm.PrunedCandidates
 		m.Shards = append(m.Shards, sm)
 	}
 	return m

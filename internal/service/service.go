@@ -573,7 +573,6 @@ func (s *Service) execTick(c *Cluster) (tempo.ScenarioIteration, error) {
 	if st := sess.Search(tick); st != nil {
 		sh := s.shards[c.Shard]
 		sh.scored.add(int64(st.FullyScored))
-		sh.pruned.add(int64(st.Pruned))
 		if st.DecisionNanos > 0 {
 			sh.decLat.record(time.Duration(st.DecisionNanos))
 		}

@@ -35,13 +35,11 @@ type shard struct {
 
 	ticks       counter
 	whatifEvals counter
-	// scored and pruned aggregate the controller's per-tick search stats
+	// scored aggregates the controller's per-tick search stats
 	// (tempo.SearchStats) over every resident cluster: candidates fully
-	// scored through the what-if simulator vs. discarded by the QS lower
-	// bound before simulation. Their ratio is the live view of how much
-	// work the incremental search is saving.
+	// scored through the what-if simulator rather than warm-started from
+	// the cross-tick cache.
 	scored counter
-	pruned counter
 	// waiting gauges the requests blocked on a slot right now.
 	waiting counter
 	// shed counts admissions refused because every slot stayed taken past

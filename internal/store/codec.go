@@ -189,6 +189,10 @@ func (t *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule,
 //	slice(T)   := 0 | 1 count T*                    0 is nil, "1 0" is empty
 //	pointer(T) := 0 | 1 T
 //
+// The search production's pruned slot is always 0 in snapshots this
+// version writes: the controller scores every candidate. The slot stays
+// so the format does not change.
+//
 // format is the byte 1; integers are uvarints (a negative int is its
 // two's-complement uint64); bools are one byte, 0 or 1. The decoder
 // checks every count against the bytes left before allocating for it,

@@ -24,11 +24,11 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // returned vectors are bit-identical to sequential evaluation. Row i of
 // the result corresponds to cfgs[i].
 //
-// It is EvaluateSearch without memory or pruning: the same engine scores
-// the pairs against a state that dies with the call, so EvaluateBatch is
-// stateless and safe for concurrent use.
+// It is EvaluateSearch without memory: the same engine scores the pairs
+// against a state that dies with the call, so EvaluateBatch is stateless
+// and safe for concurrent use.
 func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	preds, _, _, err := m.evaluate(&searchState{}, cfgs, nil)
+	preds, _, _, err := m.evaluate(&searchState{}, cfgs)
 	return preds, err
 }
 

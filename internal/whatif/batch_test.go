@@ -137,8 +137,7 @@ func TestEvaluateBatchEmpty(t *testing.T) {
 // TestEvaluateBatchDeterministicError pins the error-aggregation contract:
 // whichever worker hits an error first, the reported failure is always the
 // lowest (config, sample) pair — the one sequential evaluation would see —
-// and EvaluateSearch reports the same error even when its keep callback
-// would have pruned the offending candidate.
+// and EvaluateSearch reports the same error.
 func TestEvaluateBatchDeterministicError(t *testing.T) {
 	boom := errors.New("boom")
 	gen := func(failFrom int) Generator {
@@ -185,7 +184,7 @@ func TestEvaluateBatchDeterministicError(t *testing.T) {
 		if !strings.HasPrefix(errPar.Error(), tc.want) || (tc.cause != nil && !errors.Is(errPar, tc.cause)) {
 			t.Fatalf("%s: error %q, want prefix %q and cause %v", tc.name, errPar, tc.want, tc.cause)
 		}
-		preds, _, _, errSearch := m.EvaluateSearch(tc.cfgs, func(int, []float64, []float64) bool { return false })
+		preds, _, _, errSearch := m.EvaluateSearch(tc.cfgs)
 		if errSearch == nil || errSearch.Error() != errSeq.Error() {
 			t.Fatalf("%s: EvaluateSearch returned (%v, %v), want EvaluateBatch's error %q", tc.name, preds, errSearch, errSeq)
 		}

@@ -126,7 +126,7 @@ func FuzzFromProfiles(f *testing.F) {
 // FuzzScoreMatchesOracle locks the scoring engine to its independent
 // reference (oracleScores) over fuzzed candidate sets: weights,
 // max-shares, sample count and parallelism vary; the set always carries a
-// duplicate candidate, and the engine runs with and without pruning.
+// duplicate candidate, and the engine runs both cold and warm.
 func FuzzScoreMatchesOracle(f *testing.F) {
 	f.Add(1.0, 2.0, byte(0), byte(0), byte(1), byte(1))
 	f.Add(0.25, 8.0, byte(1), byte(3), byte(2), byte(4))

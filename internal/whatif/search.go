@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
-	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
 
@@ -45,10 +44,6 @@ import (
 // path, content comparison otherwise) and drops that sample's entries
 // when the trace changed, and an epoch guard drops everything when the
 // model's shape (template count, horizon, sample count) changes.
-//
-// EvaluateSearch optionally prunes candidates through qs.BoundSet lower
-// bounds before simulating them — see the method comment for the
-// contract the caller's keep callback must honor to stay ranking-safe.
 
 // maxSearchConfigPerSample caps the config tier. 64 covers many ticks of
 // candidate churn around the incumbent; the tier is FIFO, so a
@@ -80,17 +75,16 @@ type cfgCacheEntry struct {
 
 // searchSample is one sample's slice of the search state.
 type searchSample struct {
-	trace  *workload.Trace
-	bounds *qs.BoundSet
-	sched  []schedCacheEntry
-	cfgs   []cfgCacheEntry
+	trace *workload.Trace
+	sched []schedCacheEntry
+	cfgs  []cfgCacheEntry
 }
 
-// searchState is what the scoring engine works against: both tiers and
-// the pruning bounds, per sample. The mutex guards slice headers only;
-// entries are immutable once appended, and eviction moves the survivors
-// to a fresh array instead of shifting them in place (see room), so a
-// reader's unlocked snapshot is never written through.
+// searchState is what the scoring engine works against: both tiers, per
+// sample. The mutex guards slice headers only; entries are immutable once
+// appended, and eviction moves the survivors to a fresh array instead of
+// shifting them in place (see room), so a reader's unlocked snapshot is
+// never written through.
 type searchState struct {
 	mu        sync.Mutex
 	templates int
@@ -194,86 +188,58 @@ func (st *searchState) storeConfig(sample int, fp uint64, cfg cluster.Config, va
 	sm.cfgs = append(room(sm.cfgs, maxSearchConfigPerSample), cfgCacheEntry{fp: fp, cfg: cfg.Clone(), vals: vals})
 }
 
-// boundsFor lazily builds the sample's qs.BoundSet; nil when the horizon
-// is unbounded (bounds need a finite prediction window).
-func (st *searchState) boundsFor(sample int, templates []qs.Template, horizon time.Duration) *qs.BoundSet {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sm := &st.samples[sample]
-	if sm.bounds == nil {
-		sm.bounds = qs.NewBoundSet(templates, sm.trace, horizon)
-	}
-	return sm.bounds
-}
-
 // EvaluateSearch scores candidate configurations like EvaluateBatch —
 // row i of preds is cfgs[i] averaged over the model's samples, and every
-// returned prediction is bit-identical to what EvaluateBatch would
-// produce — but with cross-tick reuse and optional bound-based pruning.
-// cfgs[0] must be the incumbent (the currently applied configuration):
-// when pruning can fire it is fully resolved first and its averaged
-// prediction becomes the pruning baseline. An invalid configuration is an
-// error whether or not keep would have pruned it.
-//
-// keep, when non-nil, is consulted for each candidate i >= 1 before any
-// simulation work, with a coordinatewise lower bound on cfgs[i]'s
-// averaged QS vector (optimistic: no schedule under cfgs[i] can score
-// below it) and cfgs[0]'s actual averaged prediction. Returning false
-// prunes the candidate: preds[i] stays nil and the candidate is never
-// simulated. Callers guarantee ranking safety — keep must return true
-// for any candidate whose bound leaves it any chance of being selected.
-// Both vectors are only valid during the call. Bounds require the
-// built-in predictor and a finite horizon; otherwise keep is never
-// invoked and no candidate is pruned.
+// prediction is bit-identical to what EvaluateBatch would produce — but
+// against the model's cross-tick state, so a configuration scored on an
+// earlier call is served from the config tier without simulating.
 //
 // fresh[i] counts the samples whose predictor actually ran for cfgs[i];
 // reused[i] counts config-tier hits (no simulation at all). A warm-
-// started candidate has fresh[i] == 0 with a non-nil preds[i].
+// started candidate has fresh[i] == 0.
 //
 // The model's search state is only touched by this method. Calls on the
 // same Model must not be concurrent (the control loop serializes
 // decisions); EvaluateBatch remains stateless and safe alongside.
-func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, base []float64) bool) (preds [][]float64, fresh, reused []int, err error) {
+func (m *Model) EvaluateSearch(cfgs []cluster.Config) (preds [][]float64, fresh, reused []int, err error) {
 	if m.search == nil {
 		m.search = &searchState{}
 	}
-	return m.evaluate(m.search, cfgs, keep)
+	return m.evaluate(m.search, cfgs)
 }
 
 // evaluate scores cfgs over the model's sample count against st and
-// averages each surviving configuration's rows in sample order.
-func (m *Model) evaluate(st *searchState, cfgs []cluster.Config, keep func(i int, lower, base []float64) bool) (preds [][]float64, fresh, reused []int, err error) {
+// averages each configuration's rows in sample order.
+func (m *Model) evaluate(st *searchState, cfgs []cluster.Config) (preds [][]float64, fresh, reused []int, err error) {
 	samples := m.Samples
 	if samples < 1 {
 		samples = 1
 	}
-	vals, fresh, reused, err := m.score(st, cfgs, samples, keep)
+	vals, fresh, reused, err := m.score(st, cfgs, samples)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	preds = make([][]float64, len(cfgs))
 	for c := range cfgs {
-		if vals[c*samples] != nil {
-			preds[c] = averageSamples(vals, c, samples, len(m.Templates))
-		}
+		preds[c] = averageSamples(vals, c, samples, len(m.Templates))
 	}
 	return preds, fresh, reused, nil
 }
 
 // score is the only place a (configuration, sample) pair is resolved. It
-// returns the per-sample QS vectors indexed by cfg*samples + sample (nil
-// rows for a pruned configuration), with fresh[c] counting the pairs of
-// cfgs[c] whose predictor ran and reused[c] its config-tier hits.
+// returns the per-sample QS vectors indexed by cfg*samples + sample, with
+// fresh[c] counting the pairs of cfgs[c] whose predictor ran and
+// reused[c] its config-tier hits.
 //
 // The S sample traces are generated exactly once, up front, and shared
 // (read-only) by all C candidates. Errors are deterministic and
 // independent of worker timing: generation errors first (lowest sample
 // wins, attributed to config 0), then the lowest-indexed invalid
-// configuration — before any lookup or bound, so neither a cache hit nor
-// a prune can hide it — then prediction errors (lowest flat pair index).
+// configuration — before any lookup, so a cache hit cannot hide it —
+// then prediction errors (lowest flat pair index).
 //
 //tempo:hot
-func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int, keep func(i int, lower, base []float64) bool) (vals [][]float64, fresh, reused []int, err error) {
+func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals [][]float64, fresh, reused []int, err error) {
 	fresh = make([]int, len(cfgs))
 	reused = make([]int, len(cfgs))
 	vals = make([][]float64, len(cfgs)*samples)
@@ -299,11 +265,11 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int, keep 
 	}
 	st.reconcile(len(m.Templates), m.Horizon, traces)
 
-	// The config tier (and the bounds that lean on predictor purity) only
-	// apply to the built-in predictor; a custom Predict is an opaque
-	// function we must call per (config, sample) pair. The schedule tier
-	// stays on either way: equal schedules have equal QS vectors no matter
-	// who predicted them.
+	// The config tier only applies to the built-in predictor, whose output
+	// is a pure function of (trace, configuration, horizon); a custom
+	// Predict is an opaque function we must call per (config, sample)
+	// pair. The schedule tier stays on either way: equal schedules have
+	// equal QS vectors no matter who predicted them.
 	cacheable := m.Predict == nil
 	fps := make([]uint64, len(cfgs))
 	if cacheable {
@@ -312,84 +278,44 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int, keep 
 		}
 	}
 
-	// resolve fully scores the given candidates: config-tier lookups
-	// first (serial, so fresh/reused counts are deterministic), then one
-	// fan-out over the missing pairs — every pair runs even if one fails,
-	// so the winning error is the lowest pending position's — then
-	// config-tier stores in deterministic pair order.
-	resolve := func(cands []int) error {
-		var pending []int
-		for _, c := range cands {
-			for s := 0; s < samples; s++ {
-				idx := c*samples + s
-				if cacheable {
-					if v := st.lookupConfig(s, fps[c], &cfgs[c]); v != nil {
-						vals[idx] = v
-						reused[c]++
-						continue
-					}
-				}
-				pending = append(pending, idx)
-			}
-		}
-		if len(pending) == 0 {
-			return nil // fully warm: no worker, no pooled Sim drawn
-		}
-		errs := make([]error, len(pending))
-		// With the built-in predictor each worker runs its pairs through a
-		// pooled Scratch; custom predictors manage their own storage.
-		runIndexedScratch(workersFor(m.Parallelism, len(pending)), len(pending), cacheable, func(pi int, sc *Scratch) {
-			idx := pending[pi]
-			vals[idx], errs[pi] = m.evalSample(st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-		})
-		for pi, err := range errs {
-			if err != nil {
-				return wrap(pending[pi]/samples, err)
-			}
-		}
-		for _, idx := range pending {
-			fresh[idx/samples]++
+	// Config-tier lookups first (serial, so fresh/reused counts are
+	// deterministic), then one fan-out over the missing pairs — every pair
+	// runs even if one fails, so the winning error is the lowest pending
+	// position's — then config-tier stores in deterministic pair order.
+	var pending []int
+	for c := range cfgs {
+		for s := 0; s < samples; s++ {
+			idx := c*samples + s
 			if cacheable {
-				st.storeConfig(idx%samples, fps[idx/samples], cfgs[idx/samples], vals[idx])
-			}
-		}
-		return nil
-	}
-
-	cands := make([]int, 0, len(cfgs))
-	if keep != nil && cacheable && m.Horizon > 0 {
-		// Pruning can fire: the incumbent is resolved first, and its
-		// averaged prediction is the baseline keep judges the others by.
-		if err := resolve([]int{0}); err != nil {
-			return nil, nil, nil, err
-		}
-		base := averageSamples(vals, 0, samples, len(m.Templates))
-		for i := 1; i < len(cfgs); i++ {
-			// Average the per-sample lower bounds with the same summation
-			// order predictions use: float addition and division by a
-			// positive count are monotone, so the averaged bound stays a
-			// coordinatewise lower bound on the averaged prediction.
-			lower := make([]float64, len(m.Templates))
-			for s := 0; s < samples; s++ {
-				lb := st.boundsFor(s, m.Templates, m.Horizon).Lower(&cfgs[i])
-				for k := range lower {
-					lower[k] += lb[k]
+				if v := st.lookupConfig(s, fps[c], &cfgs[c]); v != nil {
+					vals[idx] = v
+					reused[c]++
+					continue
 				}
 			}
-			for k := range lower {
-				lower[k] /= float64(samples)
-			}
-			if keep(i, lower, base) {
-				cands = append(cands, i)
-			}
-		}
-	} else {
-		for i := range cfgs {
-			cands = append(cands, i)
+			pending = append(pending, idx)
 		}
 	}
-	if err := resolve(cands); err != nil {
-		return nil, nil, nil, err
+	if len(pending) == 0 {
+		return vals, fresh, reused, nil // fully warm: no worker, no pooled Sim drawn
+	}
+	errs := make([]error, len(pending))
+	// With the built-in predictor each worker runs its pairs through a
+	// pooled Scratch; custom predictors manage their own storage.
+	runIndexedScratch(workersFor(m.Parallelism, len(pending)), len(pending), cacheable, func(pi int, sc *Scratch) {
+		idx := pending[pi]
+		vals[idx], errs[pi] = m.evalSample(st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+	})
+	for pi, err := range errs {
+		if err != nil {
+			return nil, nil, nil, wrap(pending[pi]/samples, err)
+		}
+	}
+	for _, idx := range pending {
+		fresh[idx/samples]++
+		if cacheable {
+			st.storeConfig(idx%samples, fps[idx/samples], cfgs[idx/samples], vals[idx])
+		}
 	}
 	return vals, fresh, reused, nil
 }

@@ -58,22 +58,18 @@ func oracleScores(t testing.TB, m *Model, cfgs []cluster.Config) [][]float64 {
 	return out
 }
 
-// checkAgainstOracle asserts that EvaluateBatch, EvaluateSearch without
-// pruning (cold, then warm out of the config tier) and EvaluateSearch
-// with a pruning keep (its non-nil rows) are all Float64bits-equal to
+// checkAgainstOracle asserts that EvaluateBatch and EvaluateSearch (cold,
+// then warm out of the config tier) are all Float64bits-equal to
 // oracleScores.
 func checkAgainstOracle(t testing.TB, m *Model, cfgs []cluster.Config) {
 	t.Helper()
 	want := oracleScores(t, m, cfgs)
-	check := func(what string, got [][]float64, mayPrune bool) {
+	check := func(what string, got [][]float64) {
 		t.Helper()
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
 		}
 		for c := range want {
-			if got[c] == nil && mayPrune && c > 0 {
-				continue
-			}
 			if len(got[c]) != len(want[c]) {
 				t.Fatalf("%s: row %d is %v, want %v", what, c, got[c], want[c])
 			}
@@ -89,20 +85,13 @@ func checkAgainstOracle(t testing.TB, m *Model, cfgs []cluster.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("EvaluateBatch", rows, false)
-	// Pruned first, so the survivors are scored cold rather than served
-	// from a config tier the unpruned calls filled.
-	preds, _, _, err := m.EvaluateSearch(cfgs, func(i int, _, _ []float64) bool { return i%2 == 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("EvaluateSearch(pruning)", preds, true)
-	for _, what := range []string{"EvaluateSearch(nil) cold", "EvaluateSearch(nil) warm"} {
-		preds, _, _, err := m.EvaluateSearch(cfgs, nil)
+	check("EvaluateBatch", rows)
+	for _, what := range []string{"EvaluateSearch cold", "EvaluateSearch warm"} {
+		preds, _, _, err := m.EvaluateSearch(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(what, preds, false)
+		check(what, preds)
 	}
 }
 
@@ -140,7 +129,7 @@ func TestEvaluateSearchMatchesBatch(t *testing.T) {
 	m.Horizon = time.Hour
 	cfgs = searchConfigs()
 	for call := 0; call < 3; call++ {
-		_, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
+		_, fresh, reused, err := m.EvaluateSearch(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,10 +167,10 @@ func TestEvaluateSearchProfileModeReuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := m.EvaluateSearch(cfgs, nil); err != nil {
+		if _, _, _, err := m.EvaluateSearch(cfgs); err != nil {
 			t.Fatal(err)
 		}
-		preds, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
+		preds, fresh, reused, err := m.EvaluateSearch(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +208,7 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 	}
 	m.Horizon = time.Hour
 	cfgs := searchConfigs()
-	oldPreds, _, _, err := m.EvaluateSearch(cfgs, nil)
+	oldPreds, _, _, err := m.EvaluateSearch(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +224,7 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, fresh, reused, err := m.EvaluateSearch(cfgs, nil)
+	preds, fresh, reused, err := m.EvaluateSearch(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,68 +240,6 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 		}
 		if fresh[i] != 1 {
 			t.Fatalf("config %d fresh=%d, want full re-simulation", i, fresh[i])
-		}
-	}
-}
-
-// TestEvaluateSearchPruning: a rejected candidate is never simulated
-// (nil prediction, zero fresh count), the incumbent is always resolved,
-// and the lower bounds handed to keep really are coordinatewise lower
-// bounds on the candidates' actual predictions.
-func TestEvaluateSearchPruning(t *testing.T) {
-	m, err := FromTrace(testTemplates(), testTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Horizon = time.Hour
-	cfgs := searchConfigs()
-	actual, err := m.EvaluateBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lowers := make([][]float64, len(cfgs))
-	preds, fresh, _, err := m.EvaluateSearch(cfgs, func(i int, lower, base []float64) bool {
-		if !reflect.DeepEqual(base, actual[0]) {
-			t.Fatalf("keep saw baseline %v, want incumbent prediction %v", base, actual[0])
-		}
-		lowers[i] = append([]float64(nil), lower...)
-		return false // prune everything
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preds[0] == nil {
-		t.Fatal("incumbent pruned")
-	}
-	for i := 1; i < len(cfgs); i++ {
-		if preds[i] != nil || fresh[i] != 0 {
-			t.Fatalf("candidate %d not pruned: preds=%v fresh=%d", i, preds[i], fresh[i])
-		}
-		if lowers[i] == nil {
-			t.Fatalf("keep never consulted for candidate %d", i)
-		}
-		for k := range lowers[i] {
-			if lowers[i][k] > actual[i][k] {
-				t.Fatalf("candidate %d: lower bound %v exceeds actual prediction %v", i, lowers[i][k], actual[i][k])
-			}
-		}
-	}
-
-	// keep==nil or an unbounded horizon must disable pruning entirely.
-	m2, err := FromTrace(testTemplates(), testTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds2, _, _, err := m2.EvaluateSearch(cfgs, func(int, []float64, []float64) bool {
-		t.Fatal("keep consulted without a finite horizon")
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range preds2 {
-		if preds2[i] == nil {
-			t.Fatalf("candidate %d pruned with pruning disabled", i)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func (m *Model) Sensitivity(cfg cluster.Config, n int) (mean, stddev []float64, 
 	if n < 2 {
 		return nil, nil, errors.New("whatif: sensitivity needs n >= 2 samples")
 	}
-	vecs, _, _, err := m.score(&searchState{}, []cluster.Config{cfg}, n, nil)
+	vecs, _, _, err := m.score(&searchState{}, []cluster.Config{cfg}, n)
 	if err != nil {
 		return nil, nil, err
 	}

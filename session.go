@@ -57,8 +57,8 @@ type (
 	// other half is the per-tick observed schedules from the WAL.
 	SessionSnapshot = scenario.Snapshot
 	// SearchStats instruments one tick's candidate search (scored /
-	// warm-started / pruned candidates, simulation counts, decision
-	// latency). The serving layer aggregates them onto /metrics.
+	// warm-started candidates, simulation counts, decision latency). The
+	// serving layer aggregates them onto /metrics.
 	SearchStats = core.SearchStats
 )
 

@@ -14,7 +14,8 @@ const maxWarmRunAllocs = 8
 // TestSimSteadyStateAllocs locks the kernel's allocation contract: on a
 // Sim warmed by a kernelCases row, rerunning that row allocates a small
 // constant number of times, whatever its trace size, tenant count,
-// contention or noise, and Detach adds exactly its two record copies.
+// contention or noise, Detach adds exactly its two record copies, and
+// AppendDigest into a warmed buffer allocates nothing.
 func TestSimSteadyStateAllocs(t *testing.T) {
 	for _, kc := range kernelCases(t) {
 		sm := NewSim()
@@ -31,7 +32,14 @@ func TestSimSteadyStateAllocs(t *testing.T) {
 			run()
 			sm.Detach()
 		})
-		t.Logf("%-20s tenants=%3d jobs=%4d  RunInto %2.0f  +Detach %2.0f", kc.name, len(kc.trace.Tenants()), len(kc.trace.Jobs), allocs, detached)
+		run()
+		digest, _ := sm.AppendDigest(nil)
+		digested := testing.AllocsPerRun(20, func() { digest, _ = sm.AppendDigest(digest[:0]) })
+		t.Logf("%-20s tenants=%3d jobs=%4d  RunInto %2.0f  +Detach %2.0f  AppendDigest %.0f",
+			kc.name, len(kc.trace.Tenants()), len(kc.trace.Jobs), allocs, detached, digested)
+		if digested != 0 {
+			t.Errorf("%s: AppendDigest into a warmed buffer allocates %.0f times, want 0", kc.name, digested)
+		}
 		if allocs > maxWarmRunAllocs {
 			t.Errorf("%s: warmed RunInto allocates %.0f times, want at most %d", kc.name, allocs, maxWarmRunAllocs)
 		}

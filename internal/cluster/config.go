@@ -125,7 +125,7 @@ func (c *Config) Validate() error {
 		if bad != "" && name >= bad {
 			continue
 		}
-		if tc.Weight <= 0 || tc.MinShare < 0 || tc.MaxShare < 0 ||
+		if !validWeight(tc.Weight) || tc.MinShare < 0 || tc.MaxShare < 0 ||
 			(tc.MaxShare > 0 && tc.MinShare > tc.MaxShare) ||
 			tc.SharePreemptTimeout < 0 || tc.MinSharePreemptTimeout < 0 {
 			bad = name
@@ -134,8 +134,8 @@ func (c *Config) Validate() error {
 	if bad != "" {
 		tc := c.Tenants[bad]
 		switch {
-		case tc.Weight <= 0:
-			return fmt.Errorf("cluster: tenant %s has non-positive weight %g", bad, tc.Weight)
+		case !validWeight(tc.Weight):
+			return fmt.Errorf("cluster: tenant %s has non-positive or non-finite weight %g", bad, tc.Weight)
 		case tc.MinShare < 0 || tc.MaxShare < 0:
 			return fmt.Errorf("cluster: tenant %s has negative share limit", bad)
 		case tc.MaxShare > 0 && tc.MinShare > tc.MaxShare:
@@ -146,6 +146,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// validWeight reports whether w is positive and finite; NaN fails both.
+func validWeight(w float64) bool { return w > 0 && w <= math.MaxFloat64 }
 
 // WithSubTenants returns a copy of the configuration in which the parent
 // tenant's entry is replaced by one entry per sub-queue. The parent's

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,6 +28,14 @@ func TestConfigValidate(t *testing.T) {
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+	// Non-finite weights fail with the weight message, not a later
+	// check's: NaN compares false against every bound.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := Config{TotalContainers: 10, Tenants: map[string]TenantConfig{"A": {Weight: w}}}
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("weight %v: error %v, want the weight message", w, err)
 		}
 	}
 }

@@ -285,9 +285,9 @@ func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedu
 }
 
 // FNV-1a's 64-bit parameters, but a whole word absorbed per multiply where
-// FNV-1a absorbs a byte: both fingerprints (Schedule's and Config's) are
-// in-process pre-filters, persisted nowhere and always verified with
-// Equal, so only speed and sensitivity to every field matter.
+// FNV-1a absorbs a byte: Config's fingerprint and Sim.AppendDigest's hash
+// are in-process pre-filters, persisted nowhere and always verified
+// exactly, so only speed and sensitivity to every field matter.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -311,48 +311,9 @@ func fnvString(h uint64, s string) uint64 {
 	return fnvUint64(h, tail)
 }
 
-func fnvBool(h uint64, v bool) uint64 {
-	if v {
-		return fnvUint64(h, 1)
-	}
-	return fnvUint64(h, 0)
-}
-
-// Fingerprint returns a 64-bit digest of the schedule's full record
-// view (capacity, horizon, every job and task field). Schedules with equal
-// fingerprints are almost certainly identical; callers that must be exact
-// (the what-if evaluation cache) verify with Equal before trusting a match.
-func (s *Schedule) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvUint64(h, uint64(s.Capacity))
-	h = fnvUint64(h, uint64(s.Horizon))
-	h = fnvUint64(h, uint64(len(s.Jobs)))
-	for i := range s.Jobs {
-		j := &s.Jobs[i]
-		h = fnvString(h, j.ID)
-		h = fnvString(h, j.Tenant)
-		h = fnvUint64(h, uint64(j.Submit))
-		h = fnvUint64(h, uint64(j.Finish))
-		h = fnvUint64(h, uint64(j.Deadline))
-		h = fnvBool(h, j.Completed)
-		h = fnvBool(h, j.Killed)
-	}
-	h = fnvUint64(h, uint64(len(s.Tasks)))
-	for i := range s.Tasks {
-		t := &s.Tasks[i]
-		h = fnvString(h, t.JobID)
-		h = fnvString(h, t.Tenant)
-		h = fnvUint64(h, uint64(t.Kind))
-		h = fnvUint64(h, uint64(t.Attempt))
-		h = fnvUint64(h, uint64(t.Start))
-		h = fnvUint64(h, uint64(t.End))
-		h = fnvUint64(h, uint64(t.Outcome))
-	}
-	return h
-}
-
-// Equal reports whether two schedules have identical record views. It is
-// the exact check behind Fingerprint matches.
+// Equal reports whether two schedules have identical record views. Two
+// runs of one trace have Equal schedules exactly when their
+// Sim.AppendDigest digests are equal.
 func (s *Schedule) Equal(o *Schedule) bool {
 	if s == nil || o == nil {
 		return s == o

@@ -158,7 +158,7 @@ func kernelCases(tb testing.TB) []kernelCase {
 
 // scheduleDigest is sha256 over a fixed text rendering of the schedule's
 // header and canonical event stream. It deliberately does not go through
-// Fingerprint, whose function is free to change.
+// AppendDigest, whose encoding is free to change.
 func scheduleDigest(s *Schedule) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "capacity=%d horizon=%d jobs=%d tasks=%d\n", s.Capacity, s.Horizon, len(s.Jobs), len(s.Tasks))
@@ -255,6 +255,126 @@ func TestKernelSubmitOrder(t *testing.T) {
 	}
 	if rows < 3 {
 		t.Fatalf("only %d rows have distinct submission instants", rows)
+	}
+}
+
+// digestVariants returns configurations to run one table row under: the
+// row's own, the same again, one with every unset max-share raised to
+// the capacity (the same ceiling, so the same schedule), one with a
+// container fewer, and one with the first tenant's weight doubled.
+func digestVariants(cfg Config) []Config {
+	capped, fewer, heavier := cfg.Clone(), cfg.Clone(), cfg.Clone()
+	for name, tc := range capped.Tenants {
+		if tc.MaxShare == 0 && tc.MinShare <= cfg.TotalContainers {
+			tc.MaxShare = cfg.TotalContainers
+			capped.Tenants[name] = tc
+		}
+	}
+	fewer.TotalContainers = max(cfg.TotalContainers-1, 1)
+	first := ""
+	for name := range heavier.Tenants {
+		if first == "" || name < first {
+			first = name
+		}
+	}
+	if tc, ok := heavier.Tenants[first]; ok {
+		tc.Weight *= 2
+		heavier.Tenants[first] = tc
+	}
+	return []Config{cfg, cfg, capped, fewer, heavier}
+}
+
+// TestScheduleDigestExact holds AppendDigest to its contract on every
+// table row: for runs of one trace, equal digests exactly when the
+// schedules are Equal, with equal hashes; four words per task and two
+// per job after a four-word header; and a one-field change of any
+// encoded task or job field, or of a task's job, changes the digest.
+func TestScheduleDigestExact(t *testing.T) {
+	sm := NewSim()
+	equalPairs := 0
+	for _, kc := range kernelCases(t) {
+		var digests [][]uint64
+		var hashes []uint64
+		var scheds []*Schedule
+		for _, cfg := range digestVariants(kc.cfg) {
+			s, err := sm.RunInto(kc.trace, cfg, kc.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", kc.name, err)
+			}
+			d, h := sm.AppendDigest(nil)
+			if want := 4 + 2*len(s.Jobs) + 4*len(s.Tasks); len(d) != want {
+				t.Fatalf("%s: digest holds %d words, want %d", kc.name, len(d), want)
+			}
+			sm.Detach()
+			digests, hashes, scheds = append(digests, d), append(hashes, h), append(scheds, s)
+		}
+		for i := range scheds {
+			for j := i + 1; j < len(scheds); j++ {
+				eq := slices.Equal(digests[i], digests[j])
+				if eq != scheds[i].Equal(scheds[j]) {
+					t.Errorf("%s: variants %d and %d: digests equal %t, schedules equal %t", kc.name, i, j, eq, !eq)
+				}
+				if eq && hashes[i] != hashes[j] {
+					t.Errorf("%s: variants %d and %d: equal digests, hashes %x and %x", kc.name, i, j, hashes[i], hashes[j])
+				}
+				if eq && j > 1 {
+					equalPairs++ // two distinct configurations, one schedule
+				}
+			}
+		}
+
+		s, err := sm.RunInto(kc.trace, kc.cfg, kc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, _ := sm.AppendDigest(nil)
+		changed := func(what string, i int, mutate, undo func()) {
+			mutate()
+			d, _ := sm.AppendDigest(nil)
+			undo()
+			if slices.Equal(d, base) {
+				t.Errorf("%s: changing the %s (record %d) leaves the digest unchanged", kc.name, what, i)
+			}
+		}
+		for _, i := range []int{0, len(s.Tasks) / 2, len(s.Tasks) - 1} {
+			if i < 0 {
+				continue
+			}
+			r := &s.Tasks[i]
+			changed("task start", i, func() { r.Start++ }, func() { r.Start-- })
+			changed("task end", i, func() { r.End++ }, func() { r.End-- })
+			changed("task attempt", i, func() { r.Attempt++ }, func() { r.Attempt-- })
+			changed("task outcome", i, func() { r.Outcome ^= 1 }, func() { r.Outcome ^= 1 })
+			changed("task kind", i, func() { r.Kind++ }, func() { r.Kind-- })
+			if len(s.Jobs) > 1 {
+				tk := &sm.s.tasks[sm.s.runs[i].task]
+				job := tk.job
+				changed("task job", i, func() { tk.job = (job + 1) % int32(len(s.Jobs)) }, func() { tk.job = job })
+			}
+		}
+		for _, i := range []int{0, len(s.Jobs) / 2, len(s.Jobs) - 1} {
+			if i < 0 {
+				continue
+			}
+			j := &s.Jobs[i]
+			changed("job finish", i, func() { j.Finish++ }, func() { j.Finish-- })
+			changed("job completed", i, func() { j.Completed = !j.Completed }, func() { j.Completed = !j.Completed })
+			changed("job killed", i, func() { j.Killed = !j.Killed }, func() { j.Killed = !j.Killed })
+		}
+		changed("capacity", 0, func() { s.Capacity++ }, func() { s.Capacity-- })
+		changed("horizon", 0, func() { s.Horizon++ }, func() { s.Horizon-- })
+		if d, _ := sm.AppendDigest(nil); !slices.Equal(d, base) {
+			t.Fatalf("%s: digest differs after the mutations were undone", kc.name)
+		}
+	}
+	if equalPairs == 0 {
+		t.Error("no two distinct configurations of any row ran the same schedule: the equal side of the contract went untested")
+	}
+
+	// Nothing to digest after a Detach or a failed run.
+	sm.Detach()
+	if d, h := sm.AppendDigest([]uint64{7}); len(d) != 1 || h != 0 {
+		t.Errorf("after Detach: AppendDigest appended %d words, hash %x", len(d)-1, h)
 	}
 }
 
@@ -367,18 +487,20 @@ func fewestAllocs(runs int, fn func()) uint64 {
 // Sinks keep the benchmarked calls from being optimised away.
 var (
 	kernelSink *Schedule
-	kernelFP   uint64
+	kernelHash uint64
 )
 
 // BenchmarkSchedulerKernel prices one dispatched event of the scheduler
 // kernel as the tenant count grows, with capacity above total demand (the
 // what-if common case: nothing waits) and at a quarter of it (every
 // event finds a queue). One pooled Sim, as the what-if workers run it.
-// The detach row is the above run plus Detach: what a what-if pair costs
-// when the schedule tier misses and keeps the schedule. Each row fails if
-// a warmed run allocates more than the kernel's steady state: the
-// *Schedule and Trace.Validate's map, which needs more allocations for
-// the 1000-tenant trace, plus Detach's two record copies.
+// The detach row is the above run plus Detach: what cluster.Run pays to
+// hand a caller its own schedule. The digest row is the run plus
+// AppendDigest into a warmed buffer: what a what-if pair pays before its
+// schedule-tier lookup. Each row fails if a warmed run allocates more
+// than the kernel's steady state: the *Schedule and Trace.Validate's map,
+// which needs more allocations for the 1000-tenant trace, plus Detach's
+// two record copies; the digest adds none.
 func BenchmarkSchedulerKernel(b *testing.B) {
 	// Every tenant submits a few jobs, so the work grows with the tenant
 	// count; ns/event is what compares across rows.
@@ -391,10 +513,13 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 		tr := kernelTrace(b, manyTenants(pop.n, pop.scale), pop.horizon, 21)
 		demand := peakDemand(b, tr)
 		for _, load := range []struct {
-			name     string
-			capacity int
-			detach   bool
-		}{{"capacity=above", demand + 1, false}, {"capacity=quarter", demand/4 + 1, false}, {"detach", demand + 1, true}} {
+			name           string
+			capacity       int
+			detach, digest bool
+		}{
+			{"capacity=above", demand + 1, false, false}, {"capacity=quarter", demand/4 + 1, false, false},
+			{"detach", demand + 1, true, false}, {"digest", demand + 1, false, true},
+		} {
 			cfg := kernelConfig(tr, load.capacity, func(i int) TenantConfig {
 				return TenantConfig{Weight: 1 + float64(i%3), MinShare: 1, MinSharePreemptTimeout: time.Minute, SharePreemptTimeout: 5 * time.Minute}
 			})
@@ -406,6 +531,7 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 				if _, err := sm.RunInto(tr, cfg, Options{}); err != nil {
 					b.Fatal(err)
 				}
+				digest, _ := sm.AppendDigest(nil)
 				run := func() {
 					s, err := sm.RunInto(tr, cfg, Options{})
 					if err != nil {
@@ -413,6 +539,9 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 					}
 					if load.detach {
 						sm.Detach()
+					}
+					if load.digest {
+						digest, kernelHash = sm.AppendDigest(digest[:0])
 					}
 					kernelSink = s
 				}
@@ -435,21 +564,6 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 			})
 		}
 	}
-	b.Run("Fingerprint", func(b *testing.B) {
-		tr := kernelTrace(b, manyTenants(100, 0.3), time.Hour, 11)
-		s, err := Predict(tr, kernelConfig(tr, 400, func(int) TenantConfig { return TenantConfig{Weight: 1} }))
-		if err != nil {
-			b.Fatal(err)
-		}
-		records := len(s.Jobs) + len(s.Tasks)
-		var fp uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fp ^= s.Fingerprint()
-		}
-		kernelFP = fp
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
-	})
 }
 
 // peakDemand is the trace's peak concurrent container demand when nothing

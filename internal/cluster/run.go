@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 
 	"tempo/internal/workload"
@@ -32,7 +33,8 @@ func NewSim() *Sim {
 // Sim's buffers, and returns the task schedule. The returned schedule
 // BORROWS the Sim's record arrays: it is valid until the next RunInto on
 // this Sim, which overwrites them. Callers that retain the schedule past
-// that point must call Detach first, which gives it copies of its own.
+// that point must call Detach first, which gives it copies of its own;
+// callers that only need to recognise it again keep an AppendDigest.
 // It is deterministic: the same inputs (including the noise model's seed)
 // always produce the same schedule, whatever the Sim previously ran.
 func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedule, error) {
@@ -60,7 +62,8 @@ func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedu
 // run. It costs two allocations and never regrows anything. Detach must
 // come before the schedule is shared, since it rewrites the schedule's
 // Tasks and Jobs. It is a no-op when there is no schedule to release:
-// after a failed RunInto, or a second Detach.
+// after a failed RunInto, or a second Detach. Run is its one caller: the
+// what-if schedule tier keeps an AppendDigest instead.
 func (sm *Sim) Detach() {
 	sched := sm.s.schedule
 	if sched == nil {
@@ -69,6 +72,54 @@ func (sm *Sim) Detach() {
 	sched.Tasks = exactCopy(sched.Tasks)
 	sched.Jobs = exactCopy(sched.Jobs)
 	sm.s.schedule = nil
+}
+
+// AppendDigest appends a lossless encoding of the last RunInto's schedule,
+// relative to its trace, to dst and returns it with a hash of the
+// appended words. It reads index state and numeric fields, never strings:
+// capacity, horizon and both counts; per job its finish, completed and
+// killed; per task its start, end, trace job index, attempt (below 2^29),
+// outcome and kind. A record's ID, tenant, submit and deadline follow from
+// its trace job, so two runs of one trace digest alike exactly when their
+// schedules are Equal. Into a buffer with room it allocates nothing; after
+// a failed RunInto or a Detach it appends nothing.
+//
+//tempo:hot
+func (sm *Sim) AppendDigest(dst []uint64) ([]uint64, uint64) {
+	s, sched := &sm.s, sm.s.schedule
+	if sched == nil {
+		return dst, 0
+	}
+	dst = slices.Grow(dst, 4+2*len(sched.Jobs)+4*len(sched.Tasks))
+	h := uint64(fnvOffset64)
+	put := func(w uint64) {
+		dst = append(dst, w)
+		h = fnvUint64(h, w)
+	}
+	put(uint64(sched.Capacity))
+	put(uint64(sched.Horizon))
+	put(uint64(len(sched.Jobs)))
+	put(uint64(len(sched.Tasks)))
+	for i := range sched.Jobs {
+		rec := &sched.Jobs[i]
+		put(uint64(rec.Finish))
+		put(b2u(rec.Completed) | b2u(rec.Killed)<<1)
+	}
+	for r := range sched.Tasks {
+		rec := &sched.Tasks[r]
+		put(uint64(rec.Start))
+		put(uint64(rec.End))
+		put(uint64(s.jobs[s.tasks[s.runs[r].task].job].spec)<<32 | uint64(rec.Attempt)<<3 | uint64(rec.Outcome))
+		put(uint64(rec.Kind))
+	}
+	return dst, h
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // exactCopy returns a copy of s with cap == len, nil for nil.

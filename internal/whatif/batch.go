@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tempo/internal/cluster"
-	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
 
@@ -34,11 +32,13 @@ func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
 
 // Scratch is one worker's reusable evaluation state: a cluster.Sim for
 // the built-in Schedule Predictor, whose run buffers are kept across
-// runs. Workers draw one from scratchPool per batch, so steady-state
+// runs, and the buffer its schedules are digested into for the schedule
+// tier. Workers draw one from scratchPool per batch, so steady-state
 // candidate scoring performs near-zero heap allocation; sync.Pool drops
 // them under memory pressure, bounding retention.
 type Scratch struct {
-	sim *cluster.Sim
+	sim    *cluster.Sim
+	digest []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{sim: cluster.NewSim()} }}
@@ -139,16 +139,14 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // evalSample scores cfg on one workload sample: it predicts the task
 // schedule, then derives the full QS vector from the schedule's records
 // (qs.EvalStream, which reads them in place and keeps nothing).
-// Candidates whose predicted schedule is identical to one already scored
-// for the same sample reuse its vector through the state's schedule tier.
 //
-// With a non-nil scratch (built-in predictor only) the prediction runs in
-// the scratch's Sim: the predicted schedule borrows the Sim's record
-// arrays, which the worker's next pair overwrites, unless the schedule
-// tier pins it — then it is detached first, getting exact-size copies of
-// its records that it owns for the state's lifetime. Detach rewrites the
-// schedule's fields, so it must happen before store publishes the
-// schedule to other workers' lookups.
+// A nil scratch means a custom predictor, which is scored every time.
+// Otherwise the prediction runs in the scratch's Sim, and the predicted
+// schedule borrows the Sim's record arrays, which the worker's next pair
+// overwrites. The Sim digests it into the scratch's buffer; a candidate
+// whose digest equals one already scored for the same sample reuses that
+// vector through the state's schedule tier, and a miss stores an
+// exact-size copy of the digest, never the schedule or the buffer.
 //
 //tempo:hot
 func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
@@ -167,14 +165,15 @@ func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, 
 		//tempolint:ignore allocdiscipline cold error exit, never on the scored pair path
 		return nil, fmt.Errorf("predicting sample %d: predictor returned a nil schedule", sample)
 	}
-	fp := sched.Fingerprint()
-	if vals := st.lookup(sample, sched, fp); vals != nil {
+	if sc == nil {
+		return m.EvaluateSchedule(sched), nil
+	}
+	var fp uint64
+	sc.digest, fp = sc.sim.AppendDigest(sc.digest[:0])
+	if vals := st.lookup(sample, fp, sc.digest); vals != nil {
 		return vals, nil
 	}
-	vals := qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	if sc != nil {
-		sc.sim.Detach()
-	}
-	st.store(sample, sched, fp, vals)
+	vals := m.EvaluateSchedule(sched)
+	st.store(sample, fp, append(make([]uint64, 0, len(sc.digest)), sc.digest...), vals)
 	return vals, nil
 }

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,72 +11,83 @@ import (
 	"tempo/internal/workload"
 )
 
-func cacheSchedule(submit time.Duration) *cluster.Schedule {
-	return &cluster.Schedule{
-		Capacity: 4,
-		Horizon:  time.Hour,
-		Jobs: []cluster.JobRecord{
-			{ID: "j", Tenant: "a", Submit: submit, Finish: submit + time.Minute, Completed: true},
-		},
-		Tasks: []cluster.TaskRecord{
-			{JobID: "j", Tenant: "a", Start: submit, End: submit + time.Minute, Outcome: cluster.TaskFinished},
-		},
+// cacheTrace is a two-tenant trace small enough to digest by hand.
+func cacheTrace(t testing.TB) *workload.Trace {
+	t.Helper()
+	tr, err := workload.Generate([]workload.TenantProfile{workload.BestEffort("a", 0.5), workload.DeadlineDriven("b", 0.5)},
+		workload.GenerateOptions{Horizon: 20 * time.Minute, Seed: 3, Name: "cache"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tr
+}
+
+// cacheDigest returns an owned digest of the trace's schedule on a
+// cluster of the given capacity, and its hash.
+func cacheDigest(t testing.TB, sm *cluster.Sim, tr *workload.Trace, capacity int) ([]uint64, uint64) {
+	t.Helper()
+	if _, err := sm.RunInto(tr, cluster.Config{TotalContainers: capacity}, cluster.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return sm.AppendDigest(nil)
 }
 
 // TestEvalCacheReuseAndCollisionSafety pins the schedule tier's sharing
-// semantics: a schedule with identical records hits the tier, a different
-// schedule presented with a colliding fingerprint is rejected by the
-// exact record comparison, and samples never share entries.
+// semantics: an equal digest hits the tier, a different digest presented
+// with a colliding hash is rejected by the exact word comparison, and
+// samples never share entries.
 func TestEvalCacheReuseAndCollisionSafety(t *testing.T) {
 	c := &searchState{samples: make([]searchSample, 2)}
-	s1 := cacheSchedule(time.Second)
-	fp := s1.Fingerprint()
+	sm, tr := cluster.NewSim(), cacheTrace(t)
+	d1, fp := cacheDigest(t, sm, tr, 4)
 	vals := []float64{1, 2}
-	c.store(0, s1, fp, vals)
+	c.store(0, fp, d1, vals)
 
-	same := cacheSchedule(time.Second)
-	if got := c.lookup(0, same, same.Fingerprint()); got == nil || &got[0] != &vals[0] {
-		t.Fatal("identical schedule did not reuse the cached vector")
+	same, sameFP := cacheDigest(t, sm, tr, 4)
+	if got := c.lookup(0, sameFP, same); got == nil || &got[0] != &vals[0] {
+		t.Fatal("an equal digest did not reuse the cached vector")
 	}
-	// A forged fingerprint collision must be caught by the exact compare.
-	different := cacheSchedule(2 * time.Second)
-	if got := c.lookup(0, different, fp); got != nil {
-		t.Fatal("colliding fingerprint with different records reused a vector")
+	// A forged hash collision must be caught by the exact compare.
+	different, _ := cacheDigest(t, sm, tr, 5)
+	if slices.Equal(different, d1) {
+		t.Fatal("fixture: capacities 4 and 5 digest alike")
 	}
-	// Entries are per sample: the same schedule under another sample index
+	if got := c.lookup(0, fp, different); got != nil {
+		t.Fatal("a colliding hash with a different digest reused a vector")
+	}
+	// Entries are per sample: the same digest under another sample index
 	// must not match (its workload draw differs).
-	if got := c.lookup(1, same, fp); got != nil {
+	if got := c.lookup(1, fp, same); got != nil {
 		t.Fatal("cache leaked a vector across sample indexes")
 	}
 }
 
 // TestCacheTiersHoldNoEvictedEntries: both tiers keep exactly their cap's
 // worth of array however many entries pass through, so an evicted entry
-// (a full schedule, in the schedule tier) is unreachable at once, and
-// eviction never writes through a concurrent reader's snapshot. Run under
-// -race.
+// (a digest, in the schedule tier) is unreachable at once, and eviction
+// never writes through a concurrent reader's snapshot. Run under -race.
 func TestCacheTiersHoldNoEvictedEntries(t *testing.T) {
 	st := &searchState{samples: make([]searchSample, 1)}
+	sim, tr := cluster.NewSim(), cacheTrace(t)
+	probe, probeFP := cacheDigest(t, sim, tr, 1)
 	cfg := cluster.Config{TotalContainers: 4}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		probe := cacheSchedule(0)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				st.lookup(0, probe, probe.Fingerprint())
+				st.lookup(0, probeFP, probe)
 			}
 		}
 	}()
 	for i := 0; i < 10*maxSearchConfigPerSample; i++ {
-		sched := cacheSchedule(time.Duration(i) * time.Second)
-		st.store(0, sched, sched.Fingerprint(), []float64{float64(i)})
+		digest, fp := cacheDigest(t, sim, tr, 2+i)
+		st.store(0, fp, digest, []float64{float64(i)})
 		cfg.TotalContainers = 4 + i
 		st.storeConfig(0, cfg.Fingerprint(), cfg, []float64{float64(i)})
 		sm := &st.samples[0]
@@ -97,6 +109,41 @@ func TestCacheTiersHoldNoEvictedEntries(t *testing.T) {
 	}
 	if got := st.lookupConfig(0, cfg.Fingerprint(), &cfg); got == nil || got[0] != float64(last) {
 		t.Fatalf("newest config entry = %v, want store %d", got, last)
+	}
+}
+
+// TestStoredDigestsOwnTheirWords: a schedule-tier entry keeps an
+// exact-size copy of its digest, never the worker's buffer, so the ten
+// pairs the same Scratch scores next leave every stored digest as it
+// was stored.
+func TestStoredDigestsOwnTheirWords(t *testing.T) {
+	tr := cacheTrace(t)
+	m, err := FromTrace([]qs.Template{{Metric: qs.Utilization}}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &searchState{}
+	st.reconcile(len(m.Templates), m.Horizon, []*workload.Trace{tr})
+	sc := &Scratch{sim: cluster.NewSim()}
+	score := func(capacity int) {
+		if _, err := m.evalSample(st, sc, tr, cluster.Config{TotalContainers: capacity}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	score(3)
+	stored := st.samples[0].sched[0].digest
+	want := slices.Clone(stored)
+	if cap(stored) != len(stored) {
+		t.Errorf("stored digest has cap %d for %d words, want exact size", cap(stored), len(stored))
+	}
+	for capacity := 4; capacity < 14; capacity++ {
+		score(capacity)
+	}
+	if n := len(st.samples[0].sched); n != 11 {
+		t.Fatalf("tier holds %d entries after 11 distinct capacities, want 11", n)
+	}
+	if !slices.Equal(stored, want) {
+		t.Fatal("a stored digest changed while its Scratch scored more pairs: it aliases the worker's buffer")
 	}
 }
 

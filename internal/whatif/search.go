@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,17 +21,19 @@ import (
 //     scored against an identical trace reuses the whole QS vector with
 //     no simulation at all — this is what makes warm-starting the
 //     incumbent free;
-//   - a schedule tier keyed by schedule fingerprint (verified with
-//     cluster.Schedule.Equal): small configuration deltas frequently leave
-//     the predicted schedule unchanged (a weight tweak beyond the
-//     contention point, a max-share above demand), and distinct
+//   - a schedule tier keyed by the predicted schedule's digest
+//     (cluster.Sim.AppendDigest: pointer-free, lossless relative to the
+//     sample's trace, compared word for word): small configuration deltas
+//     frequently leave the predicted schedule unchanged (a weight tweak
+//     beyond the contention point, a max-share above demand), and distinct
 //     configurations that predict identical schedules share one QS
 //     derivation.
 //
-// Neither tier subsumes the other — a config hit skips the simulation, a
-// schedule hit only the QS derivation — and both reuse values only after
-// an exact equality check, so reuse is bit-identical to recomputation no
-// matter which worker populated an entry first.
+// Both serve the built-in predictor only; a custom Predictor is scored
+// for every pair. Neither tier subsumes the other — a config hit skips
+// the simulation, a schedule hit only the QS derivation — and both reuse
+// values only after an exact equality check, so reuse is bit-identical to
+// recomputation no matter which worker populated an entry first.
 //
 // The entry points differ only in the state's lifetime. EvaluateSearch
 // passes the model's own state, which remembers across ticks: the
@@ -50,18 +53,18 @@ import (
 // wandering optimizer evicts its oldest points first.
 const maxSearchConfigPerSample = 64
 
-// maxSchedPerSample caps the schedule tier: each entry pins a full
-// predicted schedule (jobs + tasks) for the state's lifetime. PALD
+// maxSchedPerSample caps the schedule tier: each entry pins a schedule's
+// digest (four words per task) for the state's lifetime. PALD
 // batches score a handful of candidates, so a single call never reaches
 // the cap in the control loop; like the config tier it evicts FIFO.
 const maxSchedPerSample = 32
 
-// schedCacheEntry is one schedule-tier record: the pinned schedule and
-// the QS vector derived from it.
+// schedCacheEntry is one schedule-tier record: a schedule's digest (an
+// exact-size copy it owns), its hash, and the QS vector derived from it.
 type schedCacheEntry struct {
-	fp    uint64
-	sched *cluster.Schedule
-	vals  []float64
+	fp     uint64
+	digest []uint64
+	vals   []float64
 }
 
 // cfgCacheEntry is one config-tier record: the exact configuration (a
@@ -121,17 +124,17 @@ func (st *searchState) reconcile(templates int, horizon time.Duration, traces []
 	}
 }
 
-// lookup returns the QS vector already derived from an identical
-// (sample, schedule) pair, or nil. The O(records) exact comparison runs
+// lookup returns the QS vector already derived from a schedule with this
+// digest on this sample, or nil. The O(records) exact comparison runs
 // outside the lock — entries are immutable once stored, so only the slice
-// snapshot needs the mutex, and workers comparing large schedules do not
+// snapshot needs the mutex, and workers comparing large digests do not
 // serialize each other.
-func (st *searchState) lookup(sample int, sched *cluster.Schedule, fp uint64) []float64 {
+func (st *searchState) lookup(sample int, fp uint64, digest []uint64) []float64 {
 	st.mu.Lock()
 	entries := st.samples[sample].sched
 	st.mu.Unlock()
 	for _, e := range entries {
-		if e.fp == fp && e.sched.Equal(sched) {
+		if e.fp == fp && slices.Equal(e.digest, digest) {
 			return e.vals
 		}
 	}
@@ -141,8 +144,8 @@ func (st *searchState) lookup(sample int, sched *cluster.Schedule, fp uint64) []
 // room returns tier with a free slot at its end, evicting the oldest entry
 // of a full one. The tier's array has exactly limit slots from the first
 // store on, and eviction copies the survivors into a fresh one: advancing
-// the slice base instead would keep every evicted entry (a full schedule,
-// in the schedule tier) reachable from the old array until the next
+// the slice base instead would keep every evicted entry (a digest, in the
+// schedule tier) reachable from the old array until the next
 // reallocation, and clearing the slot would write through a reader's
 // unlocked snapshot.
 func room[E any](tier []E, limit int) []E {
@@ -155,14 +158,14 @@ func room[E any](tier []E, limit int) []E {
 	return append(make([]E, 0, limit), tier[1:]...)
 }
 
-// store pins the (schedule, vector) pair in the schedule tier, evicting
-// FIFO at capacity. The caller has already detached the schedule from its
-// Sim: from here on other workers read it without a lock.
-func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) {
+// store pins the (digest, vector) pair in the schedule tier, evicting
+// FIFO at capacity. The digest must be the caller's own copy, never a
+// worker's buffer: from here on other workers read it without a lock.
+func (st *searchState) store(sample int, fp uint64, digest []uint64, vals []float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sm := &st.samples[sample]
-	sm.sched = append(room(sm.sched, maxSchedPerSample), schedCacheEntry{fp: fp, sched: sched, vals: vals})
+	sm.sched = append(room(sm.sched, maxSchedPerSample), schedCacheEntry{fp: fp, digest: digest, vals: vals})
 }
 
 // lookupConfig returns the cached per-sample QS vector for an exactly
@@ -265,11 +268,10 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 	}
 	st.reconcile(len(m.Templates), m.Horizon, traces)
 
-	// The config tier only applies to the built-in predictor, whose output
-	// is a pure function of (trace, configuration, horizon); a custom
-	// Predict is an opaque function we must call per (config, sample)
-	// pair. The schedule tier stays on either way: equal schedules have
-	// equal QS vectors no matter who predicted them.
+	// Both tiers only apply to the built-in predictor, whose output is a
+	// pure function of (trace, configuration, horizon) and whose Sim
+	// digests its schedules; a custom Predict is an opaque function we
+	// must call, and score, per (config, sample) pair.
 	cacheable := m.Predict == nil
 	fps := make([]uint64, len(cfgs))
 	if cacheable {

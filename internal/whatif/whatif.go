@@ -2,7 +2,8 @@
 // would the QS vector be if the RM ran configuration x on workload w?" by
 // composing the Workload Generator, the fast Schedule Predictor, and QS
 // evaluation. The Optimizer calls it for every candidate configuration it
-// explores.
+// explores; scoring reuses exact-verified QS vectors per configuration and
+// per schedule digest, never pinning a schedule (search.go).
 package whatif
 
 import (
@@ -33,7 +34,8 @@ type Generator func(sample int) (*workload.Trace, error)
 // Scheduler Load Simulator, ...) — an adapter for such a simulator
 // implements this signature. The trace is shared by every candidate of a
 // batch (and, with Parallelism > 1, by concurrent workers): predictors
-// must treat it as read-only.
+// must treat it as read-only. A custom predictor is opaque to the scoring
+// engine's reuse tiers: it is called, and its schedule scored, per pair.
 type Predictor func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error)
 
 // DefaultPredictor is the built-in time-warp Schedule Predictor.

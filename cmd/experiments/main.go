@@ -7,9 +7,9 @@
 //	experiments -run figure6    # run one experiment
 //	experiments -seed 7 -iters 20
 //
-// Experiment names: table1, table2, figure1, figure2, figure5, figure6,
-// figure7, figure8, figure9, figure10, figure11, figure12, proxy,
-// strategies, guard, gradient.
+// Experiment names are those of exp.Experiments: table1, table2, figure1,
+// figure2, figure5, figure6, figure7, figure8, figure9, figure10,
+// figure11, figure12, proxy, strategies, guard, gradient.
 package main
 
 import (
@@ -21,41 +21,6 @@ import (
 
 	"tempo/internal/exp"
 )
-
-// renderer runs one experiment and returns its rendered output.
-type renderer func(seed int64, iters int) (string, error)
-
-var registry = []struct {
-	name string
-	run  renderer
-}{
-	{"table1", func(s int64, _ int) (string, error) { r, err := exp.Table1(s); return render(r, err) }},
-	{"table2", func(s int64, _ int) (string, error) { r, err := exp.Table2(s); return render(r, err) }},
-	{"figure1", func(int64, int) (string, error) { r, err := exp.Figure1(); return render(r, err) }},
-	{"figure2", func(s int64, _ int) (string, error) { r, err := exp.Figure2(s); return render(r, err) }},
-	{"figure5", func(s int64, _ int) (string, error) { r, err := exp.Figure5(s); return render(r, err) }},
-	{"figure6", func(s int64, n int) (string, error) { r, err := exp.Figure6(s, n); return render(r, err) }},
-	{"figure7", func(s int64, _ int) (string, error) { r, err := exp.Figure7(s); return render(r, err) }},
-	{"figure8", func(s int64, _ int) (string, error) { r, err := exp.Figure8(s); return render(r, err) }},
-	{"figure9", func(s int64, n int) (string, error) { r, err := exp.Figure9(s, n); return render(r, err) }},
-	{"figure10", func(s int64, _ int) (string, error) { r, err := exp.Figure10(s); return render(r, err) }},
-	{"figure11", func(s int64, _ int) (string, error) { r, err := exp.Figure11(s); return render(r, err) }},
-	{"figure12", func(s int64, _ int) (string, error) { r, err := exp.Figure12(s); return render(r, err) }},
-	{"proxy", func(int64, int) (string, error) { return exp.ProxyCounterexample().Render(), nil }},
-	{"strategies", func(s int64, n int) (string, error) { r, err := exp.CompareStrategies(s, n); return render(r, err) }},
-	{"guard", func(s int64, n int) (string, error) { r, err := exp.GuardAblation(s, n); return render(r, err) }},
-	{"gradient", func(s int64, _ int) (string, error) { r, err := exp.GradientAblation(s); return render(r, err) }},
-}
-
-// renderable is implemented by every experiment result.
-type renderable interface{ Render() string }
-
-func render(r renderable, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
 
 func main() {
 	var (
@@ -75,18 +40,18 @@ func main() {
 		}
 	}
 	ranAny := false
-	for _, e := range registry {
-		if len(selected) > 0 && !selected[e.name] {
+	for _, e := range exp.Experiments {
+		if len(selected) > 0 && !selected[e.Name] {
 			continue
 		}
 		ranAny = true
 		start := time.Now()
-		out, err := e.run(*seed, *iters)
+		res, err := e.Run(*seed, *iters)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("===== %s (%.1fs) =====\n%s\n", e.name, time.Since(start).Seconds(), out)
+		fmt.Printf("===== %s (%.1fs) =====\n%s\n", e.Name, time.Since(start).Seconds(), res.Render())
 	}
 	if !ranAny {
 		fmt.Fprintf(os.Stderr, "experiments: no experiment matched %q\n", *only)

@@ -219,7 +219,7 @@ func BenchmarkSchedulePredictorThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := exp.ExpertABCConfig(exp.ABCCapacity)
+	cfg := scenario.ExpertABCConfig(exp.ABCCapacity)
 	tasks := trace.TaskCount()
 	b.ResetTimer()
 	start := time.Now()
@@ -327,7 +327,7 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 	}
 	// One base config plus seven candidates: weight/min-share variations of
 	// the expert configuration, the shape PALD proposes each iteration.
-	base := exp.ExpertABCConfig(exp.ABCCapacity)
+	base := scenario.ExpertABCConfig(exp.ABCCapacity)
 	cfgs := []ClusterConfig{base}
 	for i := 1; i < 8; i++ {
 		cand := base.Clone()

@@ -33,6 +33,7 @@ import (
 	"tempo/internal/exp"
 	"tempo/internal/pald"
 	"tempo/internal/qs"
+	"tempo/internal/scenario"
 	"tempo/internal/whatif"
 	"tempo/internal/workload"
 )
@@ -118,7 +119,7 @@ func run(mix string, capacity int, scale float64, iterations int, interval time.
 		Candidates:  candidates,
 		Strategy:    strategy,
 		PALD:        pald.Options{Seed: seed + 29, MaxStep: 0.2},
-	}, exp.ExpertTwoTenantConfig(capacity))
+	}, scenario.ExpertTwoTenantConfig(capacity))
 	if err != nil {
 		return err
 	}

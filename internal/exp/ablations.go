@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"tempo/internal/core"
 	"tempo/internal/linalg"
@@ -56,7 +55,7 @@ func CompareStrategies(seed int64, iterations int) (*StrategyComparisonResult, e
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := buildTwoTenantController(seed, 0.25, nil, time.Hour, strategy, core.RevertOnWorse)
+		ctl, err := buildTwoTenantController(seed, 0.25, strategy, core.RevertOnWorse)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +142,7 @@ func GuardAblation(seed int64, iterations int) (*GuardAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := buildTwoTenantController(seed, 0.25, nil, time.Hour, strategy, v.revert)
+		ctl, err := buildTwoTenantController(seed, 0.25, strategy, v.revert)
 		if err != nil {
 			return nil, err
 		}

@@ -39,47 +39,63 @@ const EC2Capacity = 160
 // ABCScale tunes the Company ABC arrival rates to the emulated capacity.
 const ABCScale = 0.5
 
-// ExpertABCConfig returns the hand-tuned "expert" RM configuration for the
-// six ABC tenants — the baseline every end-to-end experiment starts from.
-// The configuration itself lives in the scenario layer so declarative
-// scenario specs can name it as a preset.
-func ExpertABCConfig(capacity int) cluster.Config {
-	return scenario.ExpertABCConfig(capacity)
-}
-
-// ExpertTwoTenantConfig is the skewed expert baseline of the two-tenant
-// end-to-end scenarios (scenario preset "expert-two-tenant").
-func ExpertTwoTenantConfig(capacity int) cluster.Config {
-	return scenario.ExpertTwoTenantConfig(capacity)
-}
-
-// TwoTenantProfiles returns the deadline-driven + best-effort pair used by
+// TwoTenantMix is the deadline-driven + best-effort pair used by
 // §8.2.1–8.2.3 (scaled from Facebook/Cloudera-like mixes). Deadlines are
 // tight — about 30% of deadline jobs miss under the expert configuration,
 // echoing the paper's Concern A ("about 30% of high-priority jobs in APP
 // miss deadlines").
-func TwoTenantProfiles(scale float64) []workload.TenantProfile {
-	dd := workload.DeadlineDriven("deadline", scale)
-	dd.DeadlineFactor = workload.Uniform{Lo: 1.0, Hi: 1.5}
-	dd.DeadlineParallelism = 32
-	return []workload.TenantProfile{
-		dd,
-		workload.BestEffort("besteffort", scale),
+func TwoTenantMix(scale float64) []scenario.TenantSpec {
+	return []scenario.TenantSpec{
+		{
+			Name:     "deadline",
+			Profile:  "deadline-driven",
+			Scale:    scale,
+			Deadline: &scenario.DeadlineSpec{FactorLo: 1.0, FactorHi: 1.5, Parallelism: 32},
+		},
+		{Name: "besteffort", Profile: "best-effort", Scale: scale},
 	}
 }
 
-// EC2TwoTenantProfiles returns the tenant pair of the end-to-end EC2
-// experiments (§8.2): the paper scaled and replayed Facebook and Cloudera
-// customer traces via SWIM. The Cloudera-like tenant carries deadlines;
-// the Facebook-like tenant (a torrent of small jobs with a heavy tail) is
-// best-effort. Most jobs complete well within a control interval, so the
-// windowed QS metrics are stable.
+// EC2Mix is the tenant pair of the end-to-end EC2 experiments (§8.2): the
+// paper scaled and replayed Facebook and Cloudera customer traces via
+// SWIM. The Cloudera-like tenant carries deadlines; the Facebook-like
+// tenant (a torrent of small jobs with a heavy tail) is best-effort. Most
+// jobs complete well within a control interval, so the windowed QS
+// metrics are stable.
+func EC2Mix(scale float64) []scenario.TenantSpec {
+	return []scenario.TenantSpec{
+		{
+			Name:     "deadline",
+			Profile:  "cloudera",
+			Scale:    scale,
+			Deadline: &scenario.DeadlineSpec{FactorLo: 1.1, FactorHi: 1.8, Parallelism: 16},
+		},
+		{Name: "besteffort", Profile: "facebook", Scale: scale},
+	}
+}
+
+// TwoTenantProfiles returns the statistical profiles of TwoTenantMix.
+func TwoTenantProfiles(scale float64) []workload.TenantProfile {
+	return profiles(TwoTenantMix(scale))
+}
+
+// EC2TwoTenantProfiles returns the statistical profiles of EC2Mix.
 func EC2TwoTenantProfiles(scale float64) []workload.TenantProfile {
-	dd := workload.Cloudera("deadline", scale)
-	dd.DeadlineFactor = workload.Uniform{Lo: 1.1, Hi: 1.8}
-	dd.DeadlineParallelism = 16
-	be := workload.Facebook("besteffort", scale)
-	return []workload.TenantProfile{dd, be}
+	return profiles(EC2Mix(scale))
+}
+
+// profiles materializes fixed tenant presets; they name only known
+// profiles, so an error is a programming error.
+func profiles(tenants []scenario.TenantSpec) []workload.TenantProfile {
+	out := make([]workload.TenantProfile, len(tenants))
+	for i := range tenants {
+		p, err := tenants[i].Materialize()
+		if err != nil {
+			panic(err)
+		}
+		out[i] = p
+	}
+	return out
 }
 
 // ABCTrace generates the Company ABC mix over the horizon.

@@ -6,15 +6,16 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/scenario"
 	"tempo/internal/workload"
 )
 
 func TestExpertConfigsValid(t *testing.T) {
-	abc := ExpertABCConfig(ABCCapacity)
+	abc := scenario.ExpertABCConfig(ABCCapacity)
 	if err := abc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	two := ExpertTwoTenantConfig(EC2Capacity)
+	two := scenario.ExpertTwoTenantConfig(EC2Capacity)
 	if err := two.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestReconstructTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cluster.Run(tr, ExpertTwoTenantConfig(80), cluster.Options{Horizon: 2 * time.Hour})
+	s, err := cluster.Run(tr, scenario.ExpertTwoTenantConfig(80), cluster.Options{Horizon: 2 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"tempo/internal/cluster"
 	"tempo/internal/metrics"
+	"tempo/internal/scenario"
 	"tempo/internal/workload"
 )
 
@@ -199,7 +200,7 @@ func Figure5(seed int64) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := cluster.Run(tr, ExpertABCConfig(ABCCapacity), cluster.Options{Horizon: horizon + 12*time.Hour})
+	s, err := cluster.Run(tr, scenario.ExpertABCConfig(ABCCapacity), cluster.Options{Horizon: horizon + 12*time.Hour})
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +489,7 @@ func Figure10(seed int64) (*Figure10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sWeek, err := cluster.Run(trWeek, ExpertTwoTenantConfig(ABCCapacity), cluster.Options{Horizon: week})
+	sWeek, err := cluster.Run(trWeek, scenario.ExpertTwoTenantConfig(ABCCapacity), cluster.Options{Horizon: week})
 	if err != nil {
 		return nil, err
 	}
@@ -510,7 +511,7 @@ func Figure10(seed int64) (*Figure10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sTwo, err := cluster.Run(trTwo, ExpertTwoTenantConfig(EC2Capacity), cluster.Options{Horizon: two})
+	sTwo, err := cluster.Run(trTwo, scenario.ExpertTwoTenantConfig(EC2Capacity), cluster.Options{Horizon: two})
 	if err != nil {
 		return nil, err
 	}

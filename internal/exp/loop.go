@@ -21,26 +21,18 @@ const (
 	loopScale    = 2.2
 )
 
-// buildTwoTenantController wires the §8.2 scenario through the declarative
-// scenario layer: TwoTenantSpec describes the tenants, SLOs, replay
-// protocol, and expert starting point; scenario.Build materializes the
-// controller. The derived seeds match the pre-scenario bespoke wiring, so
-// the experiment trajectories are unchanged. Optional extra templates
-// (Figure 9 adds utilization) and a strategy override hook in through
-// scenario.Options.
-func buildTwoTenantController(seed int64, slack float64, extra []qs.Template, interval time.Duration, strategy pald.Strategy, revert core.RevertPolicy) (*core.Controller, error) {
-	spec := TwoTenantSpec(seed, slack, interval, 1)
+// buildTwoTenantController builds the §8.2.1 scenario (TwoTenantSpec)
+// through scenario.Build, with an optional optimizer override (nil keeps
+// PALD) and revert policy.
+func buildTwoTenantController(seed int64, slack float64, strategy pald.Strategy, revert core.RevertPolicy) (*core.Controller, error) {
+	spec := TwoTenantSpec(seed, slack, time.Hour, 1)
 	switch revert {
 	case core.RevertOnNonDominance:
 		spec.Controller.Revert = "non-dominance"
 	case core.RevertOff:
 		spec.Controller.Revert = "off"
 	}
-	rt, err := scenario.Build(spec, scenario.Options{
-		Strategy:       strategy,
-		Parallelism:    Parallelism,
-		ExtraTemplates: extra,
-	})
+	rt, err := scenario.Build(spec, scenario.Options{Strategy: strategy, Parallelism: Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +64,7 @@ func Figure6(seed int64, iterations int) (*Figure6Result, error) {
 	}
 	res := &Figure6Result{Iterations: iterations}
 	for _, slack := range []float64{0.25, 0.5} {
-		ctl, err := buildTwoTenantController(seed, slack, nil, time.Hour, nil, core.RevertOnWorse)
+		ctl, err := buildTwoTenantController(seed, slack, nil, core.RevertOnWorse)
 		if err != nil {
 			return nil, err
 		}
@@ -131,24 +123,6 @@ type Figure9Result struct {
 	PreemptionsOriginal, PreemptionsOptimized int
 }
 
-// fig9Profiles is the §8.2.2 mix: a deadline tenant plus a best-effort
-// tenant with long reduce tasks, the preemption victims the paper reports
-// (23% of reduce tasks preempted, mostly best-effort).
-func fig9Profiles() []workload.TenantProfile {
-	dd := workload.Cloudera("deadline", 2.2)
-	dd.DeadlineFactor = workload.Uniform{Lo: 1.1, Hi: 1.8}
-	dd.DeadlineParallelism = 16
-	be := workload.BestEffort("besteffort", 1.6)
-	return []workload.TenantProfile{dd, be}
-}
-
-// fig9Expert is the badly tuned expert configuration: hair-trigger
-// preemption timeouts for the deadline tenant, which shred the best-effort
-// tenant's long reduces (scenario preset "hair-trigger").
-func fig9Expert(capacity int) cluster.Config {
-	return scenario.HairTriggerConfig(capacity)
-}
-
 // Figure9 is the utilization scenario (§8.2.2): the preemption-prone mix
 // plus map/reduce effective-utilization SLOs whose targets are set to the
 // levels measured under the expert configuration.
@@ -156,64 +130,43 @@ func Figure9(seed int64, iterations int) (*Figure9Result, error) {
 	if iterations <= 0 {
 		iterations = 15
 	}
-	mapKind := workload.Map
-	redKind := workload.Reduce
-	profiles := fig9Profiles()
-	capacity := loopCapacity
-	interval := 2 * time.Hour
-	trace, err := workload.Generate(profiles, workload.GenerateOptions{Horizon: interval, Seed: seed + 977, Name: "fig9"})
+	spec := figure9Spec(seed, iterations)
+	// A build with the loop off yields the replayed trace, the expert
+	// configuration and the target-less templates to probe with.
+	spec.Controller.Disabled = true
+	probeRT, err := scenario.Build(spec, scenario.Options{})
 	if err != nil {
 		return nil, err
 	}
-	expert := fig9Expert(capacity)
+	trace, expert, interval := probeRT.Trace, probeRT.Initial, probeRT.Interval
 	probe, err := cluster.Run(trace, expert, cluster.Options{Horizon: interval, Noise: cluster.DefaultNoise(seed + 4)})
 	if err != nil {
 		return nil, err
 	}
-	utilMapTpl := qs.Template{Metric: qs.Utilization, TaskKind: &mapKind, EffectiveOnly: true}
-	utilRedTpl := qs.Template{Metric: qs.Utilization, TaskKind: &redKind, EffectiveOnly: true}
-	dlTpl := qs.Template{Queue: "deadline", Metric: qs.DeadlineViolations, Slack: 0.25}
-	end := probe.Horizon + time.Nanosecond
 	// As in the paper, every r_i is the level measured under the expert
 	// configuration: deadlines must not get worse, utilizations must not
 	// drop, and the best-effort response time ratchets downward.
-	templates := []qs.Template{
-		dlTpl.WithTarget(dlTpl.Eval(probe, 0, end)),
-		{Queue: "besteffort", Metric: qs.AvgResponseTime},
-		utilMapTpl.WithTarget(utilMapTpl.Eval(probe, 0, end)),
-		utilRedTpl.WithTarget(utilRedTpl.Eval(probe, 0, end)),
+	end := probe.Horizon + time.Nanosecond
+	for _, i := range []int{0, 2, 3} {
+		target := probeRT.Templates[i].Eval(probe, 0, end)
+		spec.SLOs[i].Target = &target
 	}
-	model, err := whatif.FromTrace(templates, trace)
+	spec.Controller.Disabled = false
+	rt, err := scenario.Build(spec, scenario.Options{Parallelism: Parallelism})
 	if err != nil {
 		return nil, err
 	}
-	model.Horizon = interval
-	model.Parallelism = Parallelism
-	ctl, err := core.NewController(core.Config{
-		Space:       cluster.DefaultSpace(capacity, []string{"deadline", "besteffort"}),
-		Templates:   templates,
-		Model:       model,
-		Environment: &core.ReplayEnvironment{Trace: trace, Noise: cluster.DefaultNoise(seed + 13), Seed: seed},
-		Interval:    interval,
-		Candidates:  5,
-		PALD:        pald.Options{Seed: seed + 29, MaxStep: 0.2},
-	}, expert)
-	if err != nil {
-		return nil, err
-	}
-	history, err := ctl.Run(iterations)
-	if err != nil {
+	if _, err := rt.Run(); err != nil {
 		return nil, err
 	}
 
 	// Verify on a deterministic replay of the same workload: expert vs
 	// final configuration.
-	finalCfg := ctl.Current()
 	sExpert, err := cluster.Run(trace, expert, cluster.Options{Horizon: interval})
 	if err != nil {
 		return nil, err
 	}
-	sFinal, err := cluster.Run(trace, finalCfg, cluster.Options{Horizon: interval})
+	sFinal, err := cluster.Run(trace, rt.Current(), cluster.Options{Horizon: interval})
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +175,7 @@ func Figure9(seed int64, iterations int) (*Figure9Result, error) {
 		PreemptionsOptimized: sFinal.PreemptionCount("", nil),
 	}
 	fill := func(s *cluster.Schedule, out *[4]float64) {
-		e := s.Horizon + time.Nanosecond
-		out[1] = qs.Template{Queue: "deadline", Metric: qs.DeadlineViolations, Slack: 0.25}.Eval(s, 0, e)
+		out[1] = probeRT.Templates[0].Eval(s, 0, s.Horizon+time.Nanosecond)
 		out[2] = effectiveWorkFraction(s, workload.Map)
 		out[3] = effectiveWorkFraction(s, workload.Reduce)
 	}
@@ -244,7 +196,6 @@ func Figure9(seed int64, iterations int) (*Figure9Result, error) {
 			}
 		}
 	}
-	_ = history
 	return res, nil
 }
 
@@ -354,7 +305,7 @@ func Figure11(seed int64) (*Figure11Result, error) {
 		qs.Template{Queue: "deadline", Metric: qs.DeadlineViolations, Slack: 0.25}.WithTarget(0.0),
 		{Queue: "besteffort", Metric: qs.AvgResponseTime},
 	}
-	expert := ExpertTwoTenantConfig(capacity)
+	expert := scenario.ExpertTwoTenantConfig(capacity)
 
 	// Baseline: the whole trace under the untuned expert configuration.
 	base, err := cluster.Run(trace, expert, cluster.Options{Horizon: horizon, Noise: cluster.DefaultNoise(seed + 7)})
@@ -455,7 +406,7 @@ func Figure12(seed int64) (*Figure12Result, error) {
 		return nil, err
 	}
 	cfgFor := func(capacity int) cluster.Config {
-		return ExpertTwoTenantConfig(capacity)
+		return scenario.ExpertTwoTenantConfig(capacity)
 	}
 	mapKind := workload.Map
 	redKind := workload.Reduce

@@ -6,11 +6,10 @@ import (
 	"tempo/internal/scenario"
 )
 
-// This file re-expresses the end-to-end experiment setups (§8.2) as
-// declarative scenario specs. The control-loop experiments (Figure 6, the
-// strategy and guard ablations) build their controllers through
-// scenario.Build rather than bespoke wiring; the specs double as the seed
-// content of the scenario regression suite.
+// This file expresses the end-to-end experiment setups (§8.2) as
+// declarative scenario specs. Every control-loop experiment (Figures 6, 9
+// and 11, the strategy and guard ablations) builds its controller through
+// scenario.Build; none wires one by hand.
 
 // TwoTenantSpec is the §8.2.1 convergence scenario: a Cloudera-like
 // deadline tenant with a hard QS_DL constraint plus a Facebook-like
@@ -28,20 +27,44 @@ func TwoTenantSpec(seed int64, slack float64, interval time.Duration, iterations
 		Iterations:      iterations,
 		Replay:          true,
 		Noise:           &scenario.NoiseSpec{},
-		Tenants: []scenario.TenantSpec{
-			{
-				Name:     "deadline",
-				Profile:  "cloudera",
-				Scale:    loopScale,
-				Deadline: &scenario.DeadlineSpec{FactorLo: 1.1, FactorHi: 1.8, Parallelism: 16},
-			},
-			{Name: "besteffort", Profile: "facebook", Scale: loopScale},
-		},
+		Tenants:         EC2Mix(loopScale),
 		SLOs: []scenario.SLOSpec{
 			{Queue: "deadline", Metric: "deadline_violations", Slack: slack, Target: &target},
 			{Queue: "besteffort", Metric: "avg_response_time"},
 		},
 		Initial:    scenario.InitialSpec{Preset: "expert-two-tenant"},
+		Controller: scenario.ControllerSpec{Candidates: 5, MaxStep: 0.2},
+	}
+}
+
+// figure9Spec is the §8.2.2 utilization scenario: a deadline tenant plus a
+// best-effort tenant with long reduce tasks, the preemption victims the
+// paper reports (23% of reduce tasks preempted, mostly best-effort),
+// replayed from the badly tuned "hair-trigger" expert configuration. Its
+// SLOs are the deadline fraction, the best-effort response time and the
+// map and reduce effective utilizations; Figure9 sets the targets of all
+// but the response time from a probe run.
+func figure9Spec(seed int64, iterations int) *scenario.Spec {
+	return &scenario.Spec{
+		Name:            "figure9-utilization",
+		Description:     "§8.2.2 utilization: preemption-prone mix, effective-utilization SLOs held at the expert level",
+		Seed:            seed,
+		Capacity:        loopCapacity,
+		IntervalMinutes: 120,
+		Iterations:      iterations,
+		Replay:          true,
+		Noise:           &scenario.NoiseSpec{},
+		Tenants: []scenario.TenantSpec{
+			EC2Mix(2.2)[0],
+			{Name: "besteffort", Profile: "best-effort", Scale: 1.6},
+		},
+		SLOs: []scenario.SLOSpec{
+			{Queue: "deadline", Metric: "deadline_violations", Slack: 0.25},
+			{Queue: "besteffort", Metric: "avg_response_time"},
+			{Metric: "utilization", TaskKind: "map", EffectiveOnly: true},
+			{Metric: "utilization", TaskKind: "reduce", EffectiveOnly: true},
+		},
+		Initial:    scenario.InitialSpec{Preset: "hair-trigger"},
 		Controller: scenario.ControllerSpec{Candidates: 5, MaxStep: 0.2},
 	}
 }

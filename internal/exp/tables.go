@@ -8,6 +8,7 @@ import (
 
 	"tempo/internal/cluster"
 	"tempo/internal/metrics"
+	"tempo/internal/scenario"
 	"tempo/internal/workload"
 )
 
@@ -142,7 +143,7 @@ func Table2(seed int64) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := ExpertABCConfig(ABCCapacity)
+	cfg := scenario.ExpertABCConfig(ABCCapacity)
 	observed, err := cluster.Run(tr, cfg, cluster.Options{
 		Noise: &cluster.NoiseModel{
 			DurationSigma: 0.15,

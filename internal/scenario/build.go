@@ -32,10 +32,6 @@ type Options struct {
 	// Strategy overrides the optimizer (nil builds the default PALD
 	// optimizer). Used by the experiment harness's strategy ablations.
 	Strategy pald.Strategy
-	// ExtraTemplates are appended to the spec's SLOs — the hook the
-	// experiment harness uses to bolt ablation-specific objectives onto a
-	// declarative scenario.
-	ExtraTemplates []qs.Template
 	// Clock supplies wall-clock timestamps for the controller's
 	// decision-latency stats (core.SearchStats.DecisionNanos). nil keeps
 	// decision latencies at zero; latencies never influence decisions, so
@@ -87,7 +83,7 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 		}
 		profiles = append(profiles, p)
 	}
-	templates := make([]qs.Template, 0, len(spec.SLOs)+len(opts.ExtraTemplates))
+	templates := make([]qs.Template, 0, len(spec.SLOs))
 	for i := range spec.SLOs {
 		t, err := spec.SLOs[i].Template()
 		if err != nil {
@@ -95,7 +91,6 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 		}
 		templates = append(templates, t)
 	}
-	templates = append(templates, opts.ExtraTemplates...)
 
 	horizon := spec.Horizon()
 	if spec.Replay {

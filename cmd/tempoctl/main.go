@@ -32,10 +32,8 @@ import (
 	"tempo/internal/core"
 	"tempo/internal/exp"
 	"tempo/internal/pald"
-	"tempo/internal/qs"
 	"tempo/internal/scenario"
 	"tempo/internal/whatif"
-	"tempo/internal/workload"
 )
 
 func main() {
@@ -70,38 +68,27 @@ func main() {
 }
 
 func run(mix string, capacity int, scale float64, iterations int, interval time.Duration, slack, dlTarget float64, seed int64, candidates int, strategyName string, parallelism int) error {
-	var profiles []workload.TenantProfile
+	spec := exp.TwoTenantSpec(seed, slack, interval, iterations)
 	switch mix {
 	case "ec2":
-		profiles = exp.EC2TwoTenantProfiles(scale)
+		spec.Tenants = exp.EC2Mix(scale)
 	case "two-tenant":
-		profiles = exp.TwoTenantProfiles(scale)
+		spec.Tenants = exp.TwoTenantMix(scale)
 	default:
 		return fmt.Errorf("unknown mix %q", mix)
 	}
-	trace, err := workload.Generate(profiles, workload.GenerateOptions{
-		Horizon: interval, Seed: seed + 977, Name: "tempoctl",
-	})
-	if err != nil {
-		return err
-	}
-	templates := []qs.Template{
-		qs.Template{Queue: "deadline", Metric: qs.DeadlineViolations, Slack: slack}.WithTarget(dlTarget),
-		{Queue: "besteffort", Metric: qs.AvgResponseTime},
-	}
-	model, err := whatif.FromTrace(templates, trace)
-	if err != nil {
-		return err
-	}
-	model.Horizon = interval
-	model.Parallelism = parallelism
+	spec.Name = "tempoctl"
+	spec.Capacity = capacity
+	spec.SLOs[0].Target = &dlTarget
+	spec.Controller.Candidates = candidates
 	var strategy pald.Strategy
-	space := cluster.DefaultSpace(capacity, []string{"deadline", "besteffort"})
+	var err error
+	space := cluster.DefaultSpace(capacity, spec.TenantNames())
 	switch strategyName {
 	case "pald":
-		strategy = nil // controller builds the default PALD optimizer
+		strategy = nil // the controller builds the default PALD optimizer
 	case "weighted-sum":
-		strategy, err = pald.NewWeightedSum(space.Dim(), len(templates), pald.Options{Seed: seed, MaxStep: 0.2})
+		strategy, err = pald.NewWeightedSum(space.Dim(), len(spec.SLOs), pald.Options{Seed: seed, MaxStep: 0.2})
 	case "random":
 		strategy, err = pald.NewRandomSearch(space.Dim(), 0.2, seed)
 	default:
@@ -110,16 +97,7 @@ func run(mix string, capacity int, scale float64, iterations int, interval time.
 	if err != nil {
 		return err
 	}
-	ctl, err := core.NewController(core.Config{
-		Space:       space,
-		Templates:   templates,
-		Model:       model,
-		Environment: &core.ReplayEnvironment{Trace: trace, Noise: cluster.DefaultNoise(seed + 13), Seed: seed},
-		Interval:    interval,
-		Candidates:  candidates,
-		Strategy:    strategy,
-		PALD:        pald.Options{Seed: seed + 29, MaxStep: 0.2},
-	}, scenario.ExpertTwoTenantConfig(capacity))
+	rt, err := scenario.Build(spec, scenario.Options{Parallelism: parallelism, Strategy: strategy})
 	if err != nil {
 		return err
 	}
@@ -127,17 +105,16 @@ func run(mix string, capacity int, scale float64, iterations int, interval time.
 	fmt.Printf("tempoctl: %s mix, %d containers, %d iterations, interval %s, strategy %s\n",
 		mix, capacity, iterations, interval, strategyName)
 	fmt.Printf("%5s  %10s  %10s  %8s  %8s\n", "iter", "DL viol", "AJR (s)", "switched", "reverted")
-	for i := 0; i < iterations; i++ {
-		it, err := ctl.Step()
+	for !rt.Done() {
+		it, err := rt.Step()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%5d  %10.3f  %10.1f  %8v  %8v\n",
 			it.Index, it.Observed[0], it.Observed[1], it.Switched, it.Reverted)
 	}
-	history := ctl.History()
-	fmt.Printf("\nbest-effort AJR improvement: %.1f%%\n", core.Improvement(history, 1)*100)
-	final := ctl.Current()
+	fmt.Printf("\nbest-effort AJR improvement: %.1f%%\n", core.Improvement(rt.Controller.History(), 1)*100)
+	final := rt.Current()
 	fmt.Println("final RM configuration:")
 	for _, name := range space.TenantNames {
 		tc := final.Tenant(name)

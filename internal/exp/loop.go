@@ -273,88 +273,39 @@ func (r *Figure9Result) Render() string {
 // Figure11Row is one control-interval length's outcome.
 type Figure11Row struct {
 	Interval time.Duration
-	// NormalizedAJR is the final-half mean best-effort AJR divided by the
-	// untuned (expert) baseline on the same trace.
+	// NormalizedAJR is the tuned run's final-half mean best-effort AJR
+	// divided by the untuned run's, both observed over the same windows.
 	NormalizedAJR float64
-	// DeadlinePct is the final-half deadline violation percentage.
-	DeadlinePct float64
+	// DeadlinePct and BaselineDeadlinePct are the final-half deadline
+	// violation percentages of the tuned and the untuned run.
+	DeadlinePct, BaselineDeadlinePct float64
 }
 
 // Figure11Result is the adaptivity-to-interval-length experiment (§8.2.3).
 type Figure11Result struct {
-	BaselineDeadlinePct float64
-	Rows                []Figure11Row
+	Rows []Figure11Row
 }
 
-// Figure11 replays one drifting trace through the control loop with
-// interval lengths of 15, 30, and 45 minutes, plus the untuned expert
-// baseline, and compares the SLOs.
+// Figure11 plays one drifting workload through the control loop with
+// interval lengths of 15, 30, and 45 minutes. Each length's baseline is
+// the same scenario with the controller disabled, so tuned and untuned
+// runs are summarised over the same windows and the same final half.
 func Figure11(seed int64) (*Figure11Result, error) {
-	horizon := 8 * time.Hour
-	capacity := loopCapacity
-	// A drifting workload: rates shift over the day.
-	profiles := EC2TwoTenantProfiles(loopScale)
-	for i := range profiles {
-		profiles[i].Rate = workload.DiurnalWeekly(0.4, 1)
-	}
-	trace, err := workload.Generate(profiles, workload.GenerateOptions{Horizon: horizon, Seed: seed, Name: "fig11"})
-	if err != nil {
-		return nil, err
-	}
-	templates := []qs.Template{
-		qs.Template{Queue: "deadline", Metric: qs.DeadlineViolations, Slack: 0.25}.WithTarget(0.0),
-		{Queue: "besteffort", Metric: qs.AvgResponseTime},
-	}
-	expert := scenario.ExpertTwoTenantConfig(capacity)
-
-	// Baseline: the whole trace under the untuned expert configuration.
-	base, err := cluster.Run(trace, expert, cluster.Options{Horizon: horizon, Noise: cluster.DefaultNoise(seed + 7)})
-	if err != nil {
-		return nil, err
-	}
-	baseVals := qs.EvalStream(templates, base, 0, base.Horizon+time.Nanosecond)
-	baseAJR := baseVals[1]
-	res := &Figure11Result{BaselineDeadlinePct: baseVals[0] * 100}
-
+	res := &Figure11Result{}
 	for _, interval := range []time.Duration{15 * time.Minute, 30 * time.Minute, 45 * time.Minute} {
-		model, err := whatif.FromProfiles(templates, profiles, interval, seed+101)
+		spec := figure11Spec(seed, interval)
+		tuned, err := scenario.Run(spec, scenario.Options{Parallelism: Parallelism})
 		if err != nil {
 			return nil, err
 		}
-		model.Parallelism = Parallelism
-		env := &core.TraceEnvironment{Trace: trace, Noise: cluster.DefaultNoise(seed + 11), Seed: seed}
-		ctl, err := core.NewController(core.Config{
-			Space:       cluster.DefaultSpace(capacity, []string{"deadline", "besteffort"}),
-			Templates:   templates,
-			Model:       model,
-			Environment: env,
-			Interval:    interval,
-			Candidates:  5,
-			PALD:        pald.Options{Seed: seed + 31, MaxStep: 0.25},
-		}, expert)
+		spec.Controller.Disabled = true
+		untuned, err := scenario.Run(spec, scenario.Options{})
 		if err != nil {
 			return nil, err
 		}
-		iters := int(horizon / interval)
-		history, err := ctl.Run(iters)
-		if err != nil {
-			return nil, err
-		}
-		half := history[len(history)/2:]
-		var ajr, dl float64
-		n := 0
-		for _, it := range half {
-			if it.Observed[1] > 0 {
-				ajr += it.Observed[1]
-				dl += it.Observed[0]
-				n++
-			}
-		}
-		if n > 0 {
-			ajr /= float64(n)
-			dl /= float64(n)
-		}
-		row := Figure11Row{Interval: interval, DeadlinePct: dl * 100}
+		ajr, dl := finalHalf(tuned)
+		baseAJR, baseDL := finalHalf(untuned)
+		row := Figure11Row{Interval: interval, DeadlinePct: dl * 100, BaselineDeadlinePct: baseDL * 100}
 		if baseAJR > 0 {
 			row.NormalizedAJR = ajr / baseAJR
 		}
@@ -363,18 +314,37 @@ func Figure11(seed int64) (*Figure11Result, error) {
 	return res, nil
 }
 
+// finalHalf averages the best-effort AJR and the deadline violations over
+// the second half of a Figure 11 run, skipping windows in which no
+// best-effort job completed.
+func finalHalf(rep *scenario.Report) (ajr, dl float64) {
+	n := 0
+	for _, it := range rep.Iterations[len(rep.Iterations)/2:] {
+		if it.Observed[1] > 0 {
+			ajr += it.Observed[1]
+			dl += it.Observed[0]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return ajr / float64(n), dl / float64(n)
+}
+
 // Render prints the comparison.
 func (r *Figure11Result) Render() string {
-	rows := [][]string{{"original", "1.000", fmt.Sprintf("%.1f", r.BaselineDeadlinePct)}}
+	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Interval.String(),
 			fmt.Sprintf("%.3f", row.NormalizedAJR),
 			fmt.Sprintf("%.1f", row.DeadlinePct),
+			fmt.Sprintf("%.1f", row.BaselineDeadlinePct),
 		})
 	}
-	return "Figure 11: SLOs vs control-loop interval length\n" +
-		table([]string{"interval", "AJR (norm)", "DL viol %"}, rows)
+	return "Figure 11: SLOs vs control-loop interval length (AJR normalized to the untuned run over the same windows)\n" +
+		table([]string{"interval", "AJR (norm)", "DL viol %", "untuned DL viol %"}, rows)
 }
 
 // Figure12Row is one source-cluster size's estimation errors.

@@ -68,3 +68,30 @@ func figure9Spec(seed int64, iterations int) *scenario.Spec {
 		Controller: scenario.ControllerSpec{Candidates: 5, MaxStep: 0.2},
 	}
 }
+
+// figure11Spec is the §8.2.3 drift scenario at one control-interval
+// length: the EC2 pair with diurnally drifting arrival rates, one
+// eight-hour trace played in consecutive windows.
+func figure11Spec(seed int64, interval time.Duration) *scenario.Spec {
+	target := 0.0
+	tenants := EC2Mix(loopScale)
+	for i := range tenants {
+		tenants[i].Arrival = []scenario.ArrivalSpec{{Kind: "diurnal", Night: 0.4, Weekend: 1}}
+	}
+	return &scenario.Spec{
+		Name:            "figure11-drift",
+		Description:     "§8.2.3 adaptivity: diurnal drift played in consecutive windows of one interval length",
+		Seed:            seed,
+		Capacity:        loopCapacity,
+		IntervalMinutes: interval.Minutes(),
+		Iterations:      int(8 * time.Hour / interval),
+		Noise:           &scenario.NoiseSpec{},
+		Tenants:         tenants,
+		SLOs: []scenario.SLOSpec{
+			{Queue: "deadline", Metric: "deadline_violations", Slack: 0.25, Target: &target},
+			{Queue: "besteffort", Metric: "avg_response_time"},
+		},
+		Initial:    scenario.InitialSpec{Preset: "expert-two-tenant"},
+		Controller: scenario.ControllerSpec{Candidates: 5, MaxStep: 0.25},
+	}
+}

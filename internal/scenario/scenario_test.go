@@ -83,6 +83,21 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 			s.Tenants[0].Name = "etl"
 			s.SLOs[0].Queue = "etl"
 		}, "unknown tenant"},
+		{"negative max step", func(s *Spec) { s.Controller.MaxStep = -1 }, "max_step"},
+		{"negative candidates", func(s *Spec) { s.Controller.Candidates = -2 }, "candidates"},
+		{"negative whatif samples", func(s *Spec) { s.Controller.WhatIfSamples = -1 }, "whatif_samples"},
+		{"negative duration sigma", func(s *Spec) {
+			sigma := -0.1
+			s.Noise = &NoiseSpec{DurationSigma: &sigma}
+		}, "duration_sigma"},
+		{"failure prob above one", func(s *Spec) {
+			p := 1.5
+			s.Noise = &NoiseSpec{FailureProb: &p}
+		}, "failure_prob"},
+		{"negative job kill prob", func(s *Spec) {
+			p := -0.01
+			s.Noise = &NoiseSpec{JobKillProb: &p}
+		}, "job_kill_prob"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -589,6 +589,30 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: unknown revert policy %q", s.Name, s.Controller.Revert)
 	}
+	// Zero selects each documented default; a negative value must not
+	// silently select some other one downstream.
+	c := s.Controller
+	for _, f := range []struct {
+		name  string
+		value float64
+	}{{"candidates", float64(c.Candidates)}, {"max_step", c.MaxStep}, {"whatif_samples", float64(c.WhatIfSamples)}} {
+		if f.value < 0 {
+			return fmt.Errorf("scenario %s: negative controller %s %g", s.Name, f.name, f.value)
+		}
+	}
+	if n := s.Noise; n != nil {
+		if n.DurationSigma != nil && *n.DurationSigma < 0 {
+			return fmt.Errorf("scenario %s: negative noise duration_sigma %g", s.Name, *n.DurationSigma)
+		}
+		for _, f := range []struct {
+			name string
+			p    *float64
+		}{{"failure_prob", n.FailureProb}, {"job_kill_prob", n.JobKillProb}} {
+			if f.p != nil && (*f.p < 0 || *f.p > 1) {
+				return fmt.Errorf("scenario %s: noise %s %g outside [0, 1]", s.Name, f.name, *f.p)
+			}
+		}
+	}
 	return nil
 }
 

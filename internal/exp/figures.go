@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
-	"tempo/internal/metrics"
 	"tempo/internal/scenario"
 	"tempo/internal/workload"
 )
@@ -78,7 +77,7 @@ func uniformDurations(n int, d time.Duration) []time.Duration {
 // per-tenant limits leave one tenant capped while the other idles.
 type Figure2Result struct {
 	// UsageA and UsageB are downsampled container-usage series.
-	UsageA, UsageB []metrics.TimePoint
+	UsageA, UsageB []timePoint
 	// LimitA and LimitB are the configured max shares.
 	LimitA, LimitB int
 	// CappedWhileIdleFrac is the fraction of the day during which one
@@ -139,12 +138,12 @@ func Figure2(seed int64) (*Figure2Result, error) {
 	return res, nil
 }
 
-func downsampleUsage(points []cluster.UsagePoint, n int) []metrics.TimePoint {
-	series := make([]metrics.TimePoint, len(points))
+func downsampleUsage(points []cluster.UsagePoint, n int) []timePoint {
+	series := make([]timePoint, len(points))
 	for i, p := range points {
-		series[i] = metrics.TimePoint{At: p.Time, Value: float64(p.Count)}
+		series[i] = timePoint{At: p.Time, Value: float64(p.Count)}
 	}
-	return metrics.Downsample(series, n)
+	return downsample(series, n)
 }
 
 // cappedWhileIdle integrates the time one tenant is at its limit while the
@@ -260,8 +259,8 @@ func Figure5(seed int64) (*Figure5Result, error) {
 }
 
 func quantileTriple(xs []float64) [3]float64 {
-	c := metrics.NewCDF(xs)
-	return [3]float64{c.Quantile(0.1), c.Quantile(0.5), c.Quantile(0.9)}
+	c := newCDF(xs)
+	return [3]float64{c.quantile(0.1), c.quantile(0.5), c.quantile(0.9)}
 }
 
 // Render prints the quantile table.
@@ -469,9 +468,9 @@ func (r *Figure8Result) Render() string {
 // Figure10Result holds the instant (moving-average) job response series.
 type Figure10Result struct {
 	// Week is the ABC-style week, per class.
-	WeekDeadline, WeekBestEffort []metrics.TimePoint
+	WeekDeadline, WeekBestEffort []timePoint
 	// TwoHour is the EC2-style two-hour Facebook/Cloudera replay.
-	TwoHourDeadline, TwoHourBestEffort []metrics.TimePoint
+	TwoHourDeadline, TwoHourBestEffort []timePoint
 	// Variability: ratio of p90 to p10 of the best-effort series (the
 	// paper: best-effort "changes dramatically", deadline-driven is
 	// periodic).
@@ -520,20 +519,20 @@ func Figure10(seed int64) (*Figure10Result, error) {
 	return res, nil
 }
 
-func instantLatency(s *cluster.Schedule, tenant string, window time.Duration, points int) []metrics.TimePoint {
-	var series []metrics.TimePoint
+func instantLatency(s *cluster.Schedule, tenant string, window time.Duration, points int) []timePoint {
+	var series []timePoint
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
 		if j.Tenant != tenant || !j.Completed {
 			continue
 		}
-		series = append(series, metrics.TimePoint{At: j.Finish, Value: (j.Finish - j.Submit).Seconds()})
+		series = append(series, timePoint{At: j.Finish, Value: (j.Finish - j.Submit).Seconds()})
 	}
-	ma := metrics.MovingAverage(series, window)
-	return metrics.Downsample(ma, points)
+	ma := movingAverage(series, window)
+	return downsample(ma, points)
 }
 
-func spread(series []metrics.TimePoint) float64 {
+func spread(series []timePoint) float64 {
 	if len(series) == 0 {
 		return 0
 	}
@@ -541,12 +540,12 @@ func spread(series []metrics.TimePoint) float64 {
 	for i, p := range series {
 		vals[i] = p.Value
 	}
-	c := metrics.NewCDF(vals)
-	p10 := c.Quantile(0.1)
+	c := newCDF(vals)
+	p10 := c.quantile(0.1)
 	if p10 <= 0 {
 		return 0
 	}
-	return c.Quantile(0.9) / p10
+	return c.quantile(0.9) / p10
 }
 
 // Render prints series summaries.

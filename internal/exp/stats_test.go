@@ -1,4 +1,4 @@
-package metrics
+package exp
 
 import (
 	"math"
@@ -10,7 +10,7 @@ import (
 
 func TestRAEPerfectPrediction(t *testing.T) {
 	obs := []float64{1, 2, 3, 4}
-	got, err := RAE(obs, obs)
+	got, err := rae(obs, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,9 +21,9 @@ func TestRAEPerfectPrediction(t *testing.T) {
 
 func TestRAEMeanPredictorIsOne(t *testing.T) {
 	obs := []float64{1, 2, 3, 4, 10}
-	mean := Mean(obs)
-	pred := []float64{mean, mean, mean, mean, mean}
-	got, err := RAE(pred, obs)
+	m := mean(obs)
+	pred := []float64{m, m, m, m, m}
+	got, err := rae(pred, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRAEMeanPredictorIsOne(t *testing.T) {
 func TestRSEKnownValue(t *testing.T) {
 	obs := []float64{0, 2}
 	pred := []float64{1, 1} // mean predictor
-	got, err := RSE(pred, obs)
+	got, err := rse(pred, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,109 +45,76 @@ func TestRSEKnownValue(t *testing.T) {
 }
 
 func TestRAERSEErrors(t *testing.T) {
-	if _, err := RAE([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := rae([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := RSE([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := rse([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := RAE(nil, nil); err == nil {
+	if _, err := rae(nil, nil); err == nil {
 		t.Fatal("empty series accepted")
 	}
-	if _, err := RSE(nil, nil); err == nil {
+	if _, err := rse(nil, nil); err == nil {
 		t.Fatal("empty series accepted")
 	}
 }
 
 func TestRAEConstantSeries(t *testing.T) {
 	// Zero denominator: perfect prediction → 0, otherwise +Inf.
-	got, err := RAE([]float64{5, 5}, []float64{5, 5})
+	got, err := rae([]float64{5, 5}, []float64{5, 5})
 	if err != nil || got != 0 {
 		t.Fatalf("constant perfect RAE = %v, %v", got, err)
 	}
-	got, err = RAE([]float64{6, 6}, []float64{5, 5})
+	got, err = rae([]float64{6, 6}, []float64{5, 5})
 	if err != nil || !math.IsInf(got, 1) {
 		t.Fatalf("constant imperfect RAE = %v", got)
 	}
-	gotR, err := RSE([]float64{5, 5}, []float64{5, 5})
+	gotR, err := rse([]float64{5, 5}, []float64{5, 5})
 	if err != nil || gotR != 0 {
 		t.Fatalf("constant perfect RSE = %v", gotR)
 	}
-	gotR, _ = RSE([]float64{6, 6}, []float64{5, 5})
+	gotR, _ = rse([]float64{6, 6}, []float64{5, 5})
 	if !math.IsInf(gotR, 1) {
 		t.Fatalf("constant imperfect RSE = %v", gotR)
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
-	if Mean(nil) != 0 || Stddev(nil) != 0 {
+func TestMean(t *testing.T) {
+	if mean(nil) != 0 {
 		t.Fatal("empty should be 0")
 	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Fatalf("Mean = %v", Mean(xs))
-	}
-	if Stddev(xs) != 2 {
-		t.Fatalf("Stddev = %v", Stddev(xs))
+	if got := mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); got != 5 {
+		t.Fatalf("mean = %v", got)
 	}
 }
 
-func TestCDFAtAndQuantile(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if got := c.At(2); got != 0.5 {
-		t.Fatalf("At(2) = %v, want 0.5", got)
-	}
-	if got := c.At(0.5); got != 0 {
-		t.Fatalf("At(0.5) = %v, want 0", got)
-	}
-	if got := c.At(9); got != 1 {
-		t.Fatalf("At(9) = %v, want 1", got)
-	}
-	if got := c.Quantile(0); got != 1 {
+func TestCDFQuantile(t *testing.T) {
+	c := newCDF([]float64{4, 2, 3, 1})
+	if got := c.quantile(0); got != 1 {
 		t.Fatalf("Q(0) = %v", got)
 	}
-	if got := c.Quantile(1); got != 4 {
+	if got := c.quantile(1); got != 4 {
 		t.Fatalf("Q(1) = %v", got)
 	}
-	if got := c.Quantile(0.5); math.Abs(got-2.5) > 1e-12 {
+	if got := c.quantile(0.5); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("median = %v, want 2.5", got)
 	}
 }
 
 func TestCDFEmpty(t *testing.T) {
-	c := NewCDF(nil)
-	if c.At(1) != 0 || c.Quantile(0.5) != 0 || c.Points(5) != nil {
+	if newCDF(nil).quantile(0.5) != 0 {
 		t.Fatal("empty CDF should be all zeros")
 	}
 }
 
-func TestCDFPointsMonotone(t *testing.T) {
-	c := NewCDF([]float64{5, 1, 9, 3, 7})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y {
-			t.Fatalf("points not monotone at %d: %+v", i, pts)
-		}
-	}
-	if pts[0].Y != 0 || pts[10].Y != 1 {
-		t.Fatal("endpoints wrong")
-	}
-}
-
 func TestMovingAverageWindow(t *testing.T) {
-	series := []TimePoint{
+	series := []timePoint{
 		{At: 0, Value: 10},
 		{At: time.Minute, Value: 20},
 		{At: 2 * time.Minute, Value: 30},
 		{At: 10 * time.Minute, Value: 100},
 	}
-	ma := MovingAverage(series, 5*time.Minute)
+	ma := movingAverage(series, 5*time.Minute)
 	if len(ma) != 4 {
 		t.Fatalf("len = %d", len(ma))
 	}
@@ -167,19 +134,19 @@ func TestMovingAverageWindow(t *testing.T) {
 }
 
 func TestMovingAverageZeroWindowIdentity(t *testing.T) {
-	series := []TimePoint{{At: 0, Value: 1}, {At: 1, Value: 9}}
-	ma := MovingAverage(series, 0)
+	series := []timePoint{{At: 0, Value: 1}, {At: 1, Value: 9}}
+	ma := movingAverage(series, 0)
 	if len(ma) != 2 || ma[1].Value != 9 {
 		t.Fatalf("identity MA = %v", ma)
 	}
 }
 
 func TestDownsample(t *testing.T) {
-	var series []TimePoint
+	var series []timePoint
 	for i := 0; i < 100; i++ {
-		series = append(series, TimePoint{At: time.Duration(i) * time.Second, Value: float64(i)})
+		series = append(series, timePoint{At: time.Duration(i) * time.Second, Value: float64(i)})
 	}
-	ds := Downsample(series, 10)
+	ds := downsample(series, 10)
 	if len(ds) > 10 {
 		t.Fatalf("downsampled to %d, want <= 10", len(ds))
 	}
@@ -189,43 +156,18 @@ func TestDownsample(t *testing.T) {
 		}
 	}
 	// Short series pass through.
-	if got := Downsample(series[:5], 10); len(got) != 5 {
+	if got := downsample(series[:5], 10); len(got) != 5 {
 		t.Fatalf("short series = %d", len(got))
 	}
 	// Degenerate time span.
-	same := []TimePoint{{At: 5, Value: 1}, {At: 5, Value: 3}}
-	if got := Downsample(same, 1); len(got) != 1 {
+	same := []timePoint{{At: 5, Value: 1}, {At: 5, Value: 3}}
+	if got := downsample(same, 1); len(got) != 1 {
 		t.Fatalf("degenerate = %v", got)
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{1, 3, 5, 7, 9, -5, 15} {
-		h.Add(v)
-	}
-	if h.Total != 7 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	if h.Counts[0] != 2 { // 1 and clamped -5
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9 and clamped 15
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/7) > 1e-12 {
-		t.Fatalf("Fraction = %v", got)
-	}
-	if NewHistogram(0, 1, 0).Counts == nil {
-		t.Fatal("zero bins not clamped")
-	}
-	if (&Histogram{Counts: make([]int, 1)}).Fraction(0) != 0 {
-		t.Fatal("empty histogram fraction")
-	}
-}
-
-// Property: RAE and RSE are zero iff prediction equals observation, and
-// scale-invariant: scaling both series leaves them unchanged.
+// Property: RAE and RSE are scale-invariant: scaling both series leaves
+// them unchanged.
 func TestPropertyErrorScaleInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -236,7 +178,7 @@ func TestPropertyErrorScaleInvariance(t *testing.T) {
 			obs[i] = rng.NormFloat64() * 10
 			pred[i] = obs[i] + rng.NormFloat64()
 		}
-		r1, err1 := RAE(pred, obs)
+		r1, err1 := rae(pred, obs)
 		if err1 != nil {
 			return false
 		}
@@ -247,15 +189,15 @@ func TestPropertyErrorScaleInvariance(t *testing.T) {
 			obs2[i] = obs[i] * scale
 			pred2[i] = pred[i] * scale
 		}
-		r2, err2 := RAE(pred2, obs2)
+		r2, err2 := rae(pred2, obs2)
 		if err2 != nil {
 			return false
 		}
 		if math.Abs(r1-r2) > 1e-9 {
 			return false
 		}
-		s1, _ := RSE(pred, obs)
-		s2, _ := RSE(pred2, obs2)
+		s1, _ := rse(pred, obs)
+		s2, _ := rse(pred2, obs2)
 		return math.Abs(s1-s2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -263,7 +205,8 @@ func TestPropertyErrorScaleInvariance(t *testing.T) {
 	}
 }
 
-// Property: CDF.At is a nondecreasing function from 0 to 1.
+// Property: the quantile function is nondecreasing in q and stays within
+// the sample range.
 func TestPropertyCDFMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -272,14 +215,15 @@ func TestPropertyCDFMonotone(t *testing.T) {
 		for i := range samples {
 			samples[i] = rng.NormFloat64()
 		}
-		c := NewCDF(samples)
-		prev := -1.0
-		for x := -3.0; x <= 3.0; x += 0.25 {
-			p := c.At(x)
-			if p < prev || p < 0 || p > 1 {
+		c := newCDF(samples)
+		lo, hi := c.quantile(0), c.quantile(1)
+		prev := lo
+		for q := 0.0; q <= 1.0; q += 0.05 {
+			x := c.quantile(q)
+			if x < prev || x < lo || x > hi {
 				return false
 			}
-			prev = p
+			prev = x
 		}
 		return true
 	}

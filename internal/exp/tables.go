@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
-	"tempo/internal/metrics"
 	"tempo/internal/scenario"
 	"tempo/internal/workload"
 )
@@ -201,19 +200,19 @@ func Table2(seed int64) (*Table2Result, error) {
 		res.TasksPerSec = float64(tr.TaskCount()) / elapsed
 	}
 	for _, tenant := range sortedKeys(perTenantObs) {
-		rae, err := metrics.RAE(perTenantPred[tenant], perTenantObs[tenant])
+		absErr, err := rae(perTenantPred[tenant], perTenantObs[tenant])
 		if err != nil {
 			return nil, err
 		}
-		rse, err := metrics.RSE(perTenantPred[tenant], perTenantObs[tenant])
+		sqErr, err := rse(perTenantPred[tenant], perTenantObs[tenant])
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Table2Row{
-			Tenant: tenant, RAE: rae, RSE: rse, Jobs: len(perTenantObs[tenant]),
+			Tenant: tenant, RAE: absErr, RSE: sqErr, Jobs: len(perTenantObs[tenant]),
 		})
-		if rae > res.WorstRAE {
-			res.WorstRAE, res.WorstTenant = rae, tenant
+		if absErr > res.WorstRAE {
+			res.WorstRAE, res.WorstTenant = absErr, tenant
 		}
 	}
 	res.PreemptedJobs = observed.PreemptionCount("", nil)

@@ -31,8 +31,9 @@
 //   - paper experiments: internal/exp
 //
 // This root package re-exports the user-facing API so applications depend
-// on a single import path. See examples/ for runnable programs, README.md
-// for the architecture and EXPERIMENTS.md for the reproduction methodology.
+// on a single import path. See the package examples for complete programs,
+// README.md for the architecture and EXPERIMENTS.md for the reproduction
+// methodology.
 package tempo
 
 import (

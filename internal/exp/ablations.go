@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"tempo/internal/core"
 	"tempo/internal/linalg"
 	"tempo/internal/pald"
 )
@@ -55,32 +54,23 @@ func CompareStrategies(seed int64, iterations int) (*StrategyComparisonResult, e
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := buildTwoTenantController(seed, 0.25, strategy, core.RevertOnWorse)
+		rep, err := runTwoTenant(seed, 0.25, iterations, strategy, "")
 		if err != nil {
 			return nil, err
 		}
-		history, err := ctl.Run(iterations)
-		if err != nil {
-			return nil, err
-		}
-		row := StrategyComparisonRow{Strategy: e.name}
-		tail := history[(3*len(history))/4:]
 		var regret float64
-		for _, it := range history {
+		for _, it := range rep.Iterations {
 			if r := it.Observed[0] - 0.0; r > 0 { // DL target is 0
 				regret += r
 			}
 		}
-		row.MeanMaxRegret = regret / float64(len(history))
-		var ajr, dl float64
-		for _, it := range tail {
-			ajr += it.Observed[1]
-			dl += it.Observed[0]
-		}
-		row.FinalAJR = ajr / float64(len(tail))
-		row.FinalDLViolations = dl / float64(len(tail))
-		row.AJRImprovement = core.Improvement(history, 1)
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, StrategyComparisonRow{
+			Strategy:          e.name,
+			FinalAJR:          rep.Summary.LastQuarterMean[1],
+			FinalDLViolations: rep.Summary.LastQuarterMean[0],
+			AJRImprovement:    rep.Summary.Improvement[1],
+			MeanMaxRegret:     regret / float64(len(rep.Iterations)),
+		})
 	}
 	return res, nil
 }
@@ -129,12 +119,12 @@ func GuardAblation(seed int64, iterations int) (*GuardAblationResult, error) {
 	type variant struct {
 		name    string
 		maxStep float64
-		revert  core.RevertPolicy
+		revert  string
 	}
 	variants := []variant{
-		{"trust=0.2 guard=on", 0.2, core.RevertOnWorse},
-		{"trust=0.8 guard=on", 0.8, core.RevertOnWorse},
-		{"trust=0.2 guard=off", 0.2, core.RevertOff},
+		{"trust=0.2 guard=on", 0.2, "on-worse"},
+		{"trust=0.8 guard=on", 0.8, "on-worse"},
+		{"trust=0.2 guard=off", 0.2, "off"},
 	}
 	res := &GuardAblationResult{}
 	for _, v := range variants {
@@ -142,27 +132,19 @@ func GuardAblation(seed int64, iterations int) (*GuardAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctl, err := buildTwoTenantController(seed, 0.25, strategy, v.revert)
+		rep, err := runTwoTenant(seed, 0.25, iterations, strategy, v.revert)
 		if err != nil {
 			return nil, err
 		}
-		history, err := ctl.Run(iterations)
-		if err != nil {
-			return nil, err
-		}
-		row := GuardAblationRow{Name: v.name, AJRImprovement: core.Improvement(history, 1)}
+		history := rep.Iterations
+		row := GuardAblationRow{Name: v.name, AJRImprovement: rep.Summary.Improvement[1], Reverts: rep.Summary.Reverts}
 		base := history[0].Observed[1]
 		if base <= 0 {
 			base = 1
 		}
 		for i := 1; i < len(history); i++ {
 			delta := (history[i].Observed[1] - history[i-1].Observed[1]) / base
-			if delta > row.WorstStepRegression {
-				row.WorstStepRegression = delta
-			}
-			if history[i].Reverted {
-				row.Reverts++
-			}
+			row.WorstStepRegression = max(row.WorstStepRegression, delta)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
-	"tempo/internal/core"
 	"tempo/internal/pald"
 	"tempo/internal/qs"
 	"tempo/internal/scenario"
@@ -21,22 +20,13 @@ const (
 	loopScale    = 2.2
 )
 
-// buildTwoTenantController builds the §8.2.1 scenario (TwoTenantSpec)
-// through scenario.Build, with an optional optimizer override (nil keeps
-// PALD) and revert policy.
-func buildTwoTenantController(seed int64, slack float64, strategy pald.Strategy, revert core.RevertPolicy) (*core.Controller, error) {
-	spec := TwoTenantSpec(seed, slack, time.Hour, 1)
-	switch revert {
-	case core.RevertOnNonDominance:
-		spec.Controller.Revert = "non-dominance"
-	case core.RevertOff:
-		spec.Controller.Revert = "off"
-	}
-	rt, err := scenario.Build(spec, scenario.Options{Strategy: strategy, Parallelism: Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return rt.Controller, nil
+// runTwoTenant runs the §8.2.1 scenario (TwoTenantSpec) for the given
+// number of one-hour intervals, with an optional optimizer override (nil
+// keeps PALD) and revert guard ("" keeps on-worse).
+func runTwoTenant(seed int64, slack float64, iterations int, strategy pald.Strategy, revert string) (*scenario.Report, error) {
+	spec := TwoTenantSpec(seed, slack, time.Hour, iterations)
+	spec.Controller.Revert = revert
+	return scenario.Run(spec, scenario.Options{Strategy: strategy, Parallelism: Parallelism})
 }
 
 // Figure6Series is one slack setting's trajectory.
@@ -64,24 +54,19 @@ func Figure6(seed int64, iterations int) (*Figure6Result, error) {
 	}
 	res := &Figure6Result{Iterations: iterations}
 	for _, slack := range []float64{0.25, 0.5} {
-		ctl, err := buildTwoTenantController(seed, slack, nil, core.RevertOnWorse)
+		rep, err := runTwoTenant(seed, slack, iterations, nil, "")
 		if err != nil {
 			return nil, err
 		}
-		history, err := ctl.Run(iterations)
-		if err != nil {
-			return nil, err
-		}
-		series := Figure6Series{Slack: slack}
-		base := history[0].Observed[1]
+		series := Figure6Series{Slack: slack, Improvement: rep.Summary.Improvement[1]}
+		base := rep.Iterations[0].Observed[1]
 		if base <= 0 {
 			base = 1
 		}
-		for _, it := range history {
+		for _, it := range rep.Iterations {
 			series.NormalizedAJR = append(series.NormalizedAJR, it.Observed[1]/base)
 			series.DeadlineViolationPct = append(series.DeadlineViolationPct, it.Observed[0]*100)
 		}
-		series.Improvement = core.Improvement(history, 1)
 		res.Series = append(res.Series, series)
 	}
 	return res, nil

@@ -15,7 +15,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -91,79 +90,6 @@ func BenchmarkSchedulePredictorThroughput(b *testing.B) {
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(tasks*b.N)/elapsed, "tasks/sec")
-	}
-}
-
-// BenchmarkProxyVsWeightedSum regenerates the §6.3 counterexample: the
-// weighted-sum scalarization violates the SLO constraints that PALD's
-// proxy ordering honors.
-func BenchmarkProxyVsWeightedSum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := exp.ProxyCounterexample()
-		printResult("Proxy counterexample (§6.3)", res.Render())
-		feasible := 0.0
-		if res.PALDFeasible {
-			feasible = 1
-		}
-		b.ReportMetric(feasible, "pald-feasible")
-	}
-}
-
-// BenchmarkPALDVsRandom regenerates the optimizer-strategy ablation: PALD
-// vs weighted-sum vs random search under an equal what-if budget.
-func BenchmarkPALDVsRandom(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.CompareStrategies(loopSeed, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printResult("Ablation: strategies", res.Render())
-		for _, row := range res.Rows {
-			b.ReportMetric(row.AJRImprovement, row.Strategy+"-AJR-improvement")
-		}
-	}
-}
-
-// BenchmarkTrustRegionAblation regenerates the trust-region / revert-guard
-// ablation: regression risk versus convergence speed.
-func BenchmarkTrustRegionAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.GuardAblation(loopSeed, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printResult("Ablation: trust region & revert guard", res.Render())
-		for _, row := range res.Rows {
-			b.ReportMetric(row.WorstStepRegression, strings.ReplaceAll(row.Name, " ", "_")+"-worst-regression")
-		}
-	}
-}
-
-// BenchmarkRevertGuardAblation aliases the guard rows of the ablation for
-// the per-experiment index in EXPERIMENTS.md.
-func BenchmarkRevertGuardAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.GuardAblation(loopSeed+1, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printResult("Ablation: revert guard (alternate seed)", res.Render())
-		b.ReportMetric(float64(res.Rows[0].Reverts), "reverts-guard-on")
-		b.ReportMetric(float64(res.Rows[2].Reverts), "reverts-guard-off")
-	}
-}
-
-// BenchmarkGradientEstimatorAblation regenerates the LOESS vs
-// finite-difference gradient ablation.
-func BenchmarkGradientEstimatorAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.GradientAblation(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printResult("Ablation: gradient estimators", res.Render())
-		b.ReportMetric(res.LoessCosine, "loess-cosine")
-		b.ReportMetric(res.FDCosine, "fd-cosine")
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"tempo/internal/exp"
 	"tempo/internal/pald"
 	"tempo/internal/scenario"
-	"tempo/internal/whatif"
 )
 
 func main() {
@@ -58,9 +57,6 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "what-if worker count (0 = one per CPU)")
 	)
 	flag.Parse()
-	if *parallelism <= 0 {
-		*parallelism = whatif.DefaultParallelism()
-	}
 	if err := run(*mix, *capacity, *scale, *iterations, *interval, *slack, *dlTarget, *seed, *candidates, *strategy, *parallelism); err != nil {
 		fmt.Fprintln(os.Stderr, "tempoctl:", err)
 		os.Exit(1)

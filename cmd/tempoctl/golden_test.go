@@ -37,6 +37,12 @@ var cliRows = []cliRow{
 	{name: "tempoctl-random", args: []string{"-strategy", "random", "-capacity", "32"}},
 	{name: "tempoctl-candidates", args: []string{"-candidates", "0", "-interval", "37m"}},
 	{name: "tempoctl-short", args: []string{"-iterations", "2", "-parallelism", "2"}},
+	{name: "run-weighted-sum", golden: "tempoctl-weighted-sum", args: []string{"run", "-mix", "two-tenant", "-strategy", "weighted-sum", "-deadline-target", "0.05"}},
+	{name: "run-flash-crowd", args: []string{"run", "-spec", scenarios + "/flash-crowd.json"}},
+	{name: "run-flash-crowd-parallelism", golden: "run-flash-crowd", args: []string{"run", "-spec", scenarios + "/flash-crowd.json", "-parallelism", "8"}},
+	{name: "run-flash-crowd-report", args: []string{"run", "-spec", scenarios + "/flash-crowd.json", "-report", "$TMP/report.json", "-parallelism", "3"}, outs: []string{"report.json"}},
+	{name: "run-dir", args: []string{"run", "-dir", scenarios}},
+	{name: "run-dir-quiet", args: []string{"run", "-dir", scenarios, "-quiet"}},
 }
 
 // wallClock masks the fields that vary run to run.

@@ -1,31 +1,32 @@
-// Command tempoctl runs Tempo's self-tuning control loop on an emulated
-// multi-tenant cluster and reports the per-iteration SLO trajectory —
-// the closest thing to "running Tempo" without a live YARN/Mesos cluster.
+// Command tempoctl is Tempo's command line: it runs control loops and
+// declarative scenarios, regenerates the paper's experiments, generates
+// and simulates workload traces, load-tests a tempod and queries one.
 //
 // Usage:
 //
-//	tempoctl -mix ec2 -capacity 48 -iterations 15 -interval 1h \
+//	tempoctl [run] -mix ec2 -capacity 48 -iterations 15 -interval 1h \
 //	         -deadline-slack 0.25 -deadline-target 0.05
+//	tempoctl run -spec internal/scenario/testdata/scenarios/flash-crowd.json [-report out.json]
+//	tempoctl run -dir internal/scenario/testdata/scenarios [-quiet]
+//	tempoctl experiments [-run figure6,figure11] [-seed 7] [-iters 20]
+//	tempoctl trace -mix abc -hours 24 -scale 0.5 -seed 1 -out trace.json
+//	tempoctl simulate -trace trace.json [-config rm.json] [-noise] [-seed 7]
+//	tempoctl simulate -trace trace.json -compare a.json,b.json [-parallelism 8]
+//	tempoctl load -clusters 100 [-json]
+//	tempoctl query -addr http://localhost:8080 -cluster c1 -plan plan.json [-stream]
 //
-// The loop starts from a deliberately skewed "expert" configuration and
-// prints, per iteration, the observed QS metrics, whether a new RM
-// configuration was adopted, and whether the revert guard rolled one back.
-//
-// The query subcommand is a client for a running tempod's ad-hoc query
-// API instead:
-//
-//	tempoctl query -addr http://localhost:8080 -cluster c1 -plan plan.json
-//	tempoctl query -cluster c1 -plan '{"version":1,"source":"jobs",...}' -stream
-//
-// -plan accepts inline JSON, a file path, or "-" for stdin; -stream
-// subscribes to the live SSE feed and prints per-tick deltas until the
-// session completes.
+// Without a subcommand, tempoctl runs. Every subcommand's -h lists its
+// flags; a flag that would be silently ignored is an error instead.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"time"
 
 	"tempo/internal/cluster"
@@ -35,35 +36,98 @@ import (
 	"tempo/internal/scenario"
 )
 
+var subcommands = map[string]func(args []string) error{
+	"run":   runCmd,
+	"query": runQuery,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "query" {
-		if err := runQuery(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "tempoctl: query:", err)
-			os.Exit(1)
-		}
-		return
+	name, args := "run", os.Args[1:]
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		name, args = args[0], args[1:]
 	}
-	var (
-		mix         = flag.String("mix", "ec2", "workload mix: ec2 or two-tenant")
-		capacity    = flag.Int("capacity", 48, "cluster capacity in containers")
-		scale       = flag.Float64("scale", 2.2, "arrival-rate scale")
-		iterations  = flag.Int("iterations", 15, "control-loop iterations")
-		interval    = flag.Duration("interval", time.Hour, "control interval L")
-		slack       = flag.Float64("deadline-slack", 0.25, "QS_DL slack γ")
-		dlTarget    = flag.Float64("deadline-target", 0.0, "deadline-violation target r")
-		seed        = flag.Int64("seed", 42, "random seed")
-		candidates  = flag.Int("candidates", 5, "candidate configurations per loop")
-		strategy    = flag.String("strategy", "pald", "optimizer: pald, weighted-sum, random")
-		parallelism = flag.Int("parallelism", 0, "what-if worker count (0 = one per CPU)")
-	)
-	flag.Parse()
-	if err := run(*mix, *capacity, *scale, *iterations, *interval, *slack, *dlTarget, *seed, *candidates, *strategy, *parallelism); err != nil {
-		fmt.Fprintln(os.Stderr, "tempoctl:", err)
+	if err := subcommands[name](args); err != nil {
+		fmt.Fprintf(os.Stderr, "tempoctl: %s: %v\n", name, err)
 		os.Exit(1)
 	}
 }
 
-func run(mix string, capacity int, scale float64, iterations int, interval time.Duration, slack, dlTarget float64, seed int64, candidates int, strategyName string, parallelism int) error {
+// runCmd is `tempoctl run`. With -spec or -dir it runs scenario specs
+// (see internal/scenario and the README for the format) and prints their
+// canonical reports, which are byte-identical for any -parallelism.
+// Otherwise its flags build a two-tenant spec that starts from a
+// deliberately skewed "expert" configuration, and it prints, per
+// iteration, the observed QS metrics, whether a new RM configuration was
+// adopted, and whether the revert guard rolled one back.
+func runCmd(args []string) error {
+	fs := flag.NewFlagSet("tempoctl run", flag.ExitOnError)
+	var (
+		mix         = fs.String("mix", "ec2", "workload mix: ec2 or two-tenant")
+		capacity    = fs.Int("capacity", 48, "cluster capacity in containers")
+		scale       = fs.Float64("scale", 2.2, "arrival-rate scale")
+		iterations  = fs.Int("iterations", 15, "control-loop iterations")
+		interval    = fs.Duration("interval", time.Hour, "control interval L")
+		slack       = fs.Float64("deadline-slack", 0.25, "QS_DL slack γ")
+		dlTarget    = fs.Float64("deadline-target", 0.0, "deadline-violation target r")
+		seed        = fs.Int64("seed", 42, "random seed")
+		candidates  = fs.Int("candidates", 5, "candidate configurations per loop")
+		strategy    = fs.String("strategy", "pald", "optimizer: pald, weighted-sum, random")
+		parallelism = fs.Int("parallelism", 0, "what-if worker count (0 = one per CPU); results are identical for any value")
+		specPath    = fs.String("spec", "", "scenario spec JSON to run")
+		dir         = fs.String("dir", "", "run every *.json spec in this directory (golden files are skipped)")
+		reportPath  = fs.String("report", "", "write the canonical report JSON here (-spec only)")
+		quiet       = fs.Bool("quiet", false, "suppress the per-iteration table (-spec or -dir only)")
+	)
+	fs.Parse(args) //nolint:errcheck // ExitOnError exits instead
+	var built, fileOnly []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "spec", "dir", "parallelism":
+		case "report", "quiet":
+			fileOnly = append(fileOnly, "-"+f.Name)
+		default:
+			built = append(built, "-"+f.Name)
+		}
+	})
+	switch {
+	case *specPath == "" && *dir == "":
+		if len(fileOnly) > 0 {
+			return fmt.Errorf("%s requires -spec or -dir", strings.Join(fileOnly, ", "))
+		}
+		return runFlags(*mix, *capacity, *scale, *iterations, *interval, *slack, *dlTarget, *seed, *candidates, *strategy, *parallelism)
+	case *specPath != "" && *dir != "":
+		return errors.New("-spec and -dir cannot be combined")
+	case len(built) > 0:
+		return fmt.Errorf("-spec and -dir cannot be combined with %s", strings.Join(built, ", "))
+	case *reportPath != "" && *dir != "":
+		return errors.New("-report requires -spec")
+	}
+	paths := []string{*specPath}
+	if *dir != "" {
+		all, err := filepath.Glob(filepath.Join(*dir, "*.json"))
+		if err != nil {
+			return err
+		}
+		paths = paths[:0]
+		for _, p := range all {
+			if !strings.HasSuffix(p, ".golden.json") {
+				paths = append(paths, p)
+			}
+		}
+		sort.Strings(paths)
+		if len(paths) == 0 {
+			return fmt.Errorf("no scenario specs in %s", *dir)
+		}
+	}
+	for _, p := range paths {
+		if err := runSpec(p, *parallelism, *reportPath, *quiet); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runFlags(mix string, capacity int, scale float64, iterations int, interval time.Duration, slack, dlTarget float64, seed int64, candidates int, strategyName string, parallelism int) error {
 	spec := exp.TwoTenantSpec(seed, slack, interval, iterations)
 	switch mix {
 	case "ec2":
@@ -118,5 +182,54 @@ func run(mix string, capacity int, scale float64, iterations int, interval time.
 			name, tc.Weight, tc.MinShare, tc.MaxShare,
 			tc.SharePreemptTimeout.Round(time.Second), tc.MinSharePreemptTimeout.Round(time.Second))
 	}
+	return nil
+}
+
+func runSpec(path string, parallelism int, reportPath string, quiet bool) error {
+	spec, err := scenario.LoadFile(path)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	rep, err := scenario.Run(spec, scenario.Options{Parallelism: parallelism})
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+
+	controller := "controller on"
+	if !rep.ControllerEnabled {
+		controller = "controller off"
+	}
+	fmt.Printf("%s: %d tenants, %d containers, %d x %gmin intervals, %s (%s wall)\n",
+		rep.Scenario, len(spec.TenantNames()), rep.Capacity, len(rep.Iterations), rep.IntervalMinutes,
+		controller, elapsed.Round(time.Millisecond))
+	if !quiet {
+		fmt.Printf("%5s  %4s  %8s  %8s  %9s", "iter", "cap", "switched", "reverted", "preempted")
+		for _, o := range rep.Objectives {
+			fmt.Printf("  %*s", max(10, len(o)), o)
+		}
+		fmt.Println()
+		for _, it := range rep.Iterations {
+			fmt.Printf("%5d  %4d  %8v  %8v  %9d", it.Index, it.Capacity, it.Switched, it.Reverted, it.Preemptions)
+			for i, o := range rep.Objectives {
+				fmt.Printf("  %*.4f", max(10, len(o)), it.Observed[i])
+			}
+			fmt.Println()
+		}
+	}
+	fmt.Printf("summary: %d switches, %d reverts, %d preemptions, %d jobs completed\n",
+		rep.Summary.Switches, rep.Summary.Reverts, rep.Summary.TotalPreemptions, rep.Summary.TotalCompletedJobs)
+	for i, o := range rep.Objectives {
+		fmt.Printf("  %-32s %12.4f -> %12.4f  (%+.1f%%)\n",
+			o, rep.Summary.FirstObserved[i], rep.Summary.LastQuarterMean[i], rep.Summary.Improvement[i]*100)
+	}
+	if reportPath != "" {
+		if err := rep.SaveFile(reportPath); err != nil {
+			return err
+		}
+		fmt.Printf("report written to %s\n", reportPath)
+	}
+	fmt.Println()
 	return nil
 }

@@ -43,6 +43,19 @@ var cliRows = []cliRow{
 	{name: "run-flash-crowd-report", args: []string{"run", "-spec", scenarios + "/flash-crowd.json", "-report", "$TMP/report.json", "-parallelism", "3"}, outs: []string{"report.json"}},
 	{name: "run-dir", args: []string{"run", "-dir", scenarios}},
 	{name: "run-dir-quiet", args: []string{"run", "-dir", scenarios, "-quiet"}},
+	{name: "experiments-all", args: []string{"experiments"}},
+	{name: "experiments-proxy", args: []string{"experiments", "-run", "proxy"}},
+	{name: "experiments-figure6", args: []string{"experiments", "-run", "figure6"}},
+	{name: "experiments-figure6-11", args: []string{"experiments", "-run", "figure6,figure11", "-seed", "7"}},
+	{name: "experiments-iters", args: []string{"experiments", "-run", "figure7,guard", "-seed", "7", "-iters", "6", "-parallelism", "2"}},
+	{name: "trace-two-tenant", args: []string{"trace", "-mix", "two-tenant", "-hours", "2"}},
+	{name: "trace-abc", args: []string{"trace", "-mix", "abc", "-hours", "24", "-scale", "0.5", "-seed", "1"}},
+	{name: "trace-out", args: []string{"trace", "-mix", "two-tenant", "-hours", "2", "-out", "$TMP/trace.json"}, outs: []string{"trace.json"}},
+	{name: "simulate-single", args: []string{"simulate", "-trace", "$TMP/trace.json"}},
+	{name: "simulate-config", args: []string{"simulate", "-trace", "$TMP/trace.json", "-config", "testdata/rm-a.json", "-horizon-hours", "1.5",
+		"-out-tasks", "$TMP/tasks.csv", "-out-jobs", "$TMP/jobs.csv"}, outs: []string{"tasks.csv", "jobs.csv"}},
+	{name: "simulate-noise", args: []string{"simulate", "-trace", "$TMP/trace.json", "-noise", "-seed", "7", "-capacity", "24"}},
+	{name: "simulate-compare", args: []string{"simulate", "-trace", "$TMP/trace.json", "-compare", "testdata/rm-a.json,testdata/rm-b.json", "-parallelism", "2"}},
 }
 
 // wallClock masks the fields that vary run to run.

@@ -37,8 +37,11 @@ import (
 )
 
 var subcommands = map[string]func(args []string) error{
-	"run":   runCmd,
-	"query": runQuery,
+	"run":         runCmd,
+	"experiments": experimentsCmd,
+	"trace":       traceCmd,
+	"simulate":    simulateCmd,
+	"query":       runQuery,
 }
 
 func main() {
@@ -231,5 +234,48 @@ func runSpec(path string, parallelism int, reportPath string, quiet bool) error 
 		fmt.Printf("report written to %s\n", reportPath)
 	}
 	fmt.Println()
+	return nil
+}
+
+// experimentsCmd regenerates the tables and figures of the paper's
+// evaluation (§8) plus the design ablations, each as a text table. Names
+// are those of exp.Experiments.
+func experimentsCmd(args []string) error {
+	fs := flag.NewFlagSet("tempoctl experiments", flag.ExitOnError)
+	var (
+		only        = fs.String("run", "", "comma-separated experiment names (default: all)")
+		seed        = fs.Int64("seed", 42, "random seed")
+		iters       = fs.Int("iters", 0, "control-loop iterations (0 = per-experiment default)")
+		parallelism = fs.Int("parallelism", 0, "what-if worker count (0 = one per CPU); results are identical for any value")
+	)
+	fs.Parse(args) //nolint:errcheck // ExitOnError exits instead
+	if *iters < 0 {
+		return fmt.Errorf("negative -iters %d", *iters)
+	}
+	if *parallelism > 0 {
+		exp.Parallelism = *parallelism
+	}
+	selected := map[string]bool{}
+	if *only != "" {
+		for _, n := range strings.Split(*only, ",") {
+			selected[strings.TrimSpace(n)] = true
+		}
+	}
+	ranAny := false
+	for _, e := range exp.Experiments {
+		if len(selected) > 0 && !selected[e.Name] {
+			continue
+		}
+		ranAny = true
+		start := time.Now()
+		res, err := e.Run(*seed, *iters)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Printf("===== %s (%.1fs) =====\n%s\n", e.Name, time.Since(start).Seconds(), res.Render())
+	}
+	if !ranAny {
+		return fmt.Errorf("no experiment matched %q", *only)
+	}
 	return nil
 }

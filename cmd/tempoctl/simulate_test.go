@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,37 +9,6 @@ import (
 
 	"tempo/internal/workload"
 )
-
-// TestMain lets the test binary double as the simulate binary: when
-// SIMULATE_RUN_MAIN is set, it runs main() with the process arguments
-// instead of the test suite. Tests re-exec themselves with that variable
-// set to exercise real flag parsing, exit codes, and stderr output.
-func TestMain(m *testing.M) {
-	if os.Getenv("SIMULATE_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runCLI executes the simulate binary (this test binary re-exec'd) with the
-// given arguments.
-func runCLI(t *testing.T, args ...string) (stdout, stderr string, exitCode int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "SIMULATE_RUN_MAIN=1")
-	var out, errBuf bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errBuf
-	err := cmd.Run()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			return out.String(), errBuf.String(), ee.ExitCode()
-		}
-		t.Fatalf("running CLI: %v", err)
-	}
-	return out.String(), errBuf.String(), 0
-}
 
 // writeTrace generates a small two-tenant trace file for CLI runs.
 func writeTrace(t *testing.T) string {
@@ -77,7 +44,7 @@ func TestCompareRejectsConflictingFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-trace", trace, "-compare", "a.json,b.json"}, tc.extra...)
+			args := append([]string{"simulate", "-trace", trace, "-compare", "a.json,b.json"}, tc.extra...)
 			_, stderr, code := runCLI(t, args...)
 			if code != 1 {
 				t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr)
@@ -95,7 +62,7 @@ func TestCompareRejectsConflictingFlags(t *testing.T) {
 }
 
 func TestCompareRequiresTrace(t *testing.T) {
-	_, stderr, code := runCLI(t, "-compare", "a.json,b.json")
+	_, stderr, code := runCLI(t, "simulate", "-compare", "a.json,b.json")
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
@@ -115,7 +82,7 @@ func TestCompareScoresConfigs(t *testing.T) {
 	if err := os.WriteFile(cfgB, []byte(`{"total_containers": 24, "tenants": {"etl": {"weight": 1}, "adhoc": {"weight": 3}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, code := runCLI(t, "-trace", trace, "-compare", cfgA+","+cfgB, "-parallelism", "2")
+	stdout, stderr, code := runCLI(t, "simulate", "-trace", trace, "-compare", cfgA+","+cfgB, "-parallelism", "2")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}
@@ -131,7 +98,7 @@ func TestCompareScoresConfigs(t *testing.T) {
 
 func TestSingleRunHappyPath(t *testing.T) {
 	trace := writeTrace(t)
-	stdout, stderr, code := runCLI(t, "-trace", trace, "-capacity", "24")
+	stdout, stderr, code := runCLI(t, "simulate", "-trace", trace, "-capacity", "24")
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}

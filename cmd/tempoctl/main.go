@@ -41,6 +41,7 @@ var subcommands = map[string]func(args []string) error{
 	"experiments": experimentsCmd,
 	"trace":       traceCmd,
 	"simulate":    simulateCmd,
+	"load":        loadCmd,
 	"query":       runQuery,
 }
 

@@ -21,7 +21,7 @@ import (
 // over the HTTP API and drive concurrent tick/qs/what-if traffic against
 // them, then (optionally) prove that sharded, interleaved execution
 // changed nothing — every cluster's report must be byte-identical to the
-// same scenario run sequentially in process. cmd/loadgen wraps Drive
+// same scenario run sequentially in process. `tempoctl load` wraps Drive
 // behind flags; the service-throughput benchmark drives it directly.
 
 // DriveOptions configure one load-generation run.
@@ -34,11 +34,9 @@ type DriveOptions struct {
 	Workers int
 	// BaseSpec is the scenario every cluster derives from; nil means
 	// SmallSpec. Cluster i runs the base spec with Name "<name>-<i>" and
-	// Seed base+i·SeedStride, so clusters share the scenario shape but not
-	// their random streams.
+	// Seed base+i, so clusters share the scenario shape but not their
+	// random streams.
 	BaseSpec *scenario.Spec
-	// SeedStride spaces the per-cluster seeds; 0 means 1.
-	SeedStride int64
 	// TickRate caps the aggregate tick request rate per second; 0 means
 	// unthrottled.
 	TickRate float64
@@ -55,8 +53,6 @@ type DriveOptions struct {
 	// Verify re-runs every cluster's scenario sequentially in process and
 	// compares the canonical report bytes against the service's.
 	Verify bool
-	// RequestTimeout bounds every HTTP request end to end; 0 means 30s.
-	RequestTimeout time.Duration
 	// Retries is how many times a refused request is retried after
 	// backoff; 0 disables retries. Only refusals that prove the request
 	// never executed are retried — 503/429 responses carrying a
@@ -89,9 +85,6 @@ func (o DriveOptions) withDefaults() (DriveOptions, error) {
 			return o, err
 		}
 		o.BaseSpec = spec
-	}
-	if o.SeedStride == 0 {
-		o.SeedStride = 1
 	}
 	return o, nil
 }
@@ -134,7 +127,7 @@ func Drive(baseURL string, opts DriveOptions) (*DriveReport, error) {
 	specs := make([]*scenario.Spec, opts.Clusters)
 	ids := make([]string, opts.Clusters)
 	for i := range specs {
-		spec, err := deriveSpec(base, opts.BaseSpec.Name, i, opts.SeedStride)
+		spec, err := deriveSpec(base, opts.BaseSpec.Name, i)
 		if err != nil {
 			return nil, err
 		}
@@ -248,13 +241,13 @@ func Drive(baseURL string, opts DriveOptions) (*DriveReport, error) {
 
 // deriveSpec clones the marshaled base spec and gives clone i its own
 // name and seed.
-func deriveSpec(base []byte, baseName string, i int, stride int64) (*scenario.Spec, error) {
+func deriveSpec(base []byte, baseName string, i int) (*scenario.Spec, error) {
 	spec, err := scenario.Load(bytes.NewReader(base))
 	if err != nil {
 		return nil, fmt.Errorf("driver: re-parsing base spec: %w", err)
 	}
 	spec.Name = fmt.Sprintf("%s-%04d", baseName, i)
-	spec.Seed += int64(i) * stride
+	spec.Seed += int64(i)
 	return spec, nil
 }
 
@@ -387,13 +380,13 @@ type Client struct {
 	sleep     func(time.Duration) // swapped out by tests to record waits
 }
 
-// NewClient returns a client under the timeout and retry fields of opts
-// (RequestTimeout, Retries, RetryBase, RetryMax, RetrySeed; zero values
-// take the defaults documented there).
+// requestTimeout bounds every HTTP request a Client makes, end to end.
+const requestTimeout = 30 * time.Second
+
+// NewClient returns a client under the retry fields of opts (Retries,
+// RetryBase, RetryMax, RetrySeed; zero values take the defaults
+// documented there).
 func NewClient(opts DriveOptions) *Client {
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 30 * time.Second
-	}
 	if opts.RetryBase <= 0 {
 		opts.RetryBase = 25 * time.Millisecond
 	}
@@ -401,7 +394,7 @@ func NewClient(opts DriveOptions) *Client {
 		opts.RetryMax = 2 * time.Second
 	}
 	return &Client{
-		c:       &http.Client{Timeout: opts.RequestTimeout},
+		c:       &http.Client{Timeout: requestTimeout},
 		retries: opts.Retries,
 		base:    opts.RetryBase,
 		max:     opts.RetryMax,

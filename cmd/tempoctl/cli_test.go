@@ -46,6 +46,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"run", "-dir", scenarios, "-report", "r.json"}, "-report requires -spec"},
 		{[]string{"-report", "r.json", "-quiet"}, "-quiet, -report requires -spec or -dir"},
 		{[]string{"run", "-quiet"}, "-quiet requires -spec or -dir"},
+		{[]string{"-scale", "-1", "-iterations", "1"}, "negative scale"},
 		{[]string{"simulate", "-trace", "t.json", "-horizon-hours", "-1"}, "negative -horizon-hours"},
 		{[]string{"experiments", "-run", "proxy", "-iters", "-3"}, "negative -iters"},
 		{[]string{"load", "-clusters", "-5"}, "non-positive -clusters"},

@@ -98,6 +98,23 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 			p := -0.01
 			s.Noise = &NoiseSpec{JobKillProb: &p}
 		}, "job_kill_prob"},
+		{"negative scale", func(s *Spec) { s.Tenants[0].Scale = -1 }, "scale"},
+		{"negative grow", func(s *Spec) { s.Tenants[1].Grow = -2 }, "grow"},
+		{"negative arrive hours", func(s *Spec) {
+			s.Replay = false
+			s.Tenants[1].ArriveAfterHours = -1
+		}, "arrive_after_hours"},
+		{"negative depart hours", func(s *Spec) {
+			s.Replay = false
+			s.Tenants[1].DepartAfterHours = -1
+		}, "depart_after_hours"},
+		{"deadline factors inverted", func(s *Spec) { s.Tenants[0].Deadline.FactorHi = 1 }, "factor_hi"},
+		{"negative deadline factor", func(s *Spec) {
+			s.Tenants[0].Deadline = &DeadlineSpec{FactorLo: -1, FactorHi: 2}
+		}, "factor_lo"},
+		{"negative deadline parallelism", func(s *Spec) { s.Tenants[0].Deadline.Parallelism = -4 }, "parallelism"},
+		{"horizon overflows", func(s *Spec) { s.Iterations = 2000000000 }, "overflows"},
+		{"interval overflows", func(s *Spec) { s.IntervalMinutes = 1e12 }, "interval_minutes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -504,6 +505,11 @@ func (s *Spec) Validate() error {
 	if s.Iterations <= 0 {
 		return fmt.Errorf("scenario %s: non-positive iterations %d", s.Name, s.Iterations)
 	}
+	// Past time.Duration's range, Interval and Horizon wrap or truncate.
+	if s.IntervalMinutes*float64(time.Minute) >= math.MaxInt64 || s.Interval() > math.MaxInt64/time.Duration(s.Iterations) {
+		return fmt.Errorf("scenario %s: interval_minutes %g × iterations %d overflows the horizon",
+			s.Name, s.IntervalMinutes, s.Iterations)
+	}
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("scenario %s: no tenants", s.Name)
 	}
@@ -518,6 +524,18 @@ func (s *Spec) Validate() error {
 		if t.Count > maxTenantCount {
 			return fmt.Errorf("scenario %s: tenant %s count %d exceeds the %d-replica cap",
 				s.Name, t.Name, t.Count, maxTenantCount)
+		}
+		fields := []field{{"scale", t.Scale}, {"grow", t.Grow},
+			{"arrive_after_hours", t.ArriveAfterHours}, {"depart_after_hours", t.DepartAfterHours}}
+		if d := t.Deadline; d != nil {
+			if d.FactorHi < d.FactorLo {
+				return fmt.Errorf("scenario %s: tenant %s deadline factor_hi %g below factor_lo %g",
+					s.Name, t.Name, d.FactorHi, d.FactorLo)
+			}
+			fields = append(fields, field{"deadline factor_lo", d.FactorLo}, field{"deadline parallelism", float64(d.Parallelism)})
+		}
+		if err := negative(fmt.Sprintf("scenario %s: tenant %s", s.Name, t.Name), fields...); err != nil {
+			return err
 		}
 	}
 	// Structural checks run over the expanded list, so replica-name
@@ -589,16 +607,10 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: unknown revert policy %q", s.Name, s.Controller.Revert)
 	}
-	// Zero selects each documented default; a negative value must not
-	// silently select some other one downstream.
 	c := s.Controller
-	for _, f := range []struct {
-		name  string
-		value float64
-	}{{"candidates", float64(c.Candidates)}, {"max_step", c.MaxStep}, {"whatif_samples", float64(c.WhatIfSamples)}} {
-		if f.value < 0 {
-			return fmt.Errorf("scenario %s: negative controller %s %g", s.Name, f.name, f.value)
-		}
+	if err := negative("scenario "+s.Name, field{"controller candidates", float64(c.Candidates)},
+		field{"controller max_step", c.MaxStep}, field{"controller whatif_samples", float64(c.WhatIfSamples)}); err != nil {
+		return err
 	}
 	if n := s.Noise; n != nil {
 		if n.DurationSigma != nil && *n.DurationSigma < 0 {
@@ -611,6 +623,24 @@ func (s *Spec) Validate() error {
 			if f.p != nil && (*f.p < 0 || *f.p > 1) {
 				return fmt.Errorf("scenario %s: noise %s %g outside [0, 1]", s.Name, f.name, *f.p)
 			}
+		}
+	}
+	return nil
+}
+
+// field is one numeric spec field, named as in the JSON, for a range check.
+type field struct {
+	name  string
+	value float64
+}
+
+// negative returns an error naming the first negative field, or nil. Zero
+// selects each documented default; a negative value must not silently
+// select some other one downstream.
+func negative(scope string, fields ...field) error {
+	for _, f := range fields {
+		if f.value < 0 {
+			return fmt.Errorf("%s: negative %s %g", scope, f.name, f.value)
 		}
 	}
 	return nil

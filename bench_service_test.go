@@ -13,9 +13,9 @@ import (
 )
 
 // BenchmarkServiceThroughput measures the sharded control plane end to
-// end over real HTTP: N clusters created from the builtin loadgen preset
-// and driven through their full control-loop budgets with interleaved
-// tick, QS, and what-if traffic. At 100 clusters every per-cluster report
+// end over real HTTP: N clusters created from service.SmallSpec (the
+// preset `tempoctl load` uses by default) and driven through their full
+// control-loop budgets with interleaved tick, QS, and what-if traffic. At 100 clusters every per-cluster report
 // is verified byte-identical to the scenario run sequentially — the
 // acceptance criterion — so the reported throughput is the throughput of
 // provably deterministic execution; 1000 clusters measures scale. Each

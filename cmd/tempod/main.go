@@ -26,8 +26,8 @@
 // goroutine inside one of its shard's -workers slots, so tick concurrency
 // is bounded by shards × workers no matter how many clusters are
 // resident. Ticks on one cluster are serialized; reports remain
-// bit-identical to sequential scenario runs (cmd/loadgen asserts this
-// under concurrent traffic).
+// bit-identical to sequential scenario runs (`tempoctl load` asserts
+// this under concurrent traffic).
 //
 // With -data set, every committed tick is logged to a per-cluster
 // schedule-event WAL and the control loop is snapshotted periodically; a

@@ -26,7 +26,7 @@ func runTestTrace(t *testing.T, seed int64, horizon time.Duration) *workload.Tra
 // arbitrary other runs must reproduce a fresh simulator's schedule
 // bit-for-bit, for both the deterministic predictor and the noisy
 // emulation. This is the property that makes pooling invisible to every
-// downstream consumer (what-if scoring, goldens, loadgen verification).
+// downstream consumer (what-if scoring, goldens, load verification).
 func TestSimReuseDeterministic(t *testing.T) {
 	traceA := runTestTrace(t, 7, 2*time.Hour)
 	traceB := runTestTrace(t, 8, time.Hour)

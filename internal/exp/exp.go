@@ -1,7 +1,7 @@
 // Package exp is the experiment harness: one entry point per table and
 // figure of the paper's evaluation (§8), listed in the Experiments
 // registry that the repository-level benchmark (bench_test.go), the
-// cmd/experiments binary and the golden test loop over. Each experiment
+// `tempoctl experiments` subcommand and the golden test loop over. Each experiment
 // returns a Result whose Render method prints the same rows/series the
 // paper reports. The control-loop experiments are scenario specs run by
 // scenario.Build.
@@ -25,7 +25,7 @@ import (
 )
 
 // Parallelism is the What-if Model worker count every experiment uses;
-// cmd/experiments' -parallelism flag overrides it. QS vectors are
+// `tempoctl experiments -parallelism` overrides it. QS vectors are
 // bit-identical for any setting, so the reproduced tables and figures do
 // not depend on it — only wall-clock time does.
 var Parallelism = runtime.GOMAXPROCS(0)

@@ -500,8 +500,8 @@ func TestHammer32Goroutines(t *testing.T) {
 	}
 }
 
-// TestDriveVerifies exercises the loadgen driver end to end against an
-// in-process server, with verification on — the same path CI's loadgen
+// TestDriveVerifies exercises the load driver end to end against an
+// in-process server, with verification on — the same path CI's load
 // step takes at 100 clusters.
 func TestDriveVerifies(t *testing.T) {
 	_, ts := newTestServer(t, service.Config{})

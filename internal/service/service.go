@@ -17,8 +17,8 @@
 // incremental accumulators, what-if candidate scoring, canonical reports,
 // and liveness/metrics endpoints. Determinism survives the sharding:
 // a cluster driven through the service produces a report byte-identical
-// to the same spec run sequentially by scenario.Run — cmd/loadgen asserts
-// exactly that under concurrent traffic.
+// to the same spec run sequentially by scenario.Run — `tempoctl load`
+// asserts exactly that under concurrent traffic.
 //
 // Serving is allocation-lean: the control-loop work a tick drives
 // (schedule prediction, emulation, QS evaluation) runs on pooled

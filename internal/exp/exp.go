@@ -1,10 +1,10 @@
 // Package exp is the experiment harness: one entry point per table and
 // figure of the paper's evaluation (§8), listed in the Experiments
 // registry that the repository-level benchmark (bench_test.go), the
-// `tempoctl experiments` subcommand and the golden test loop over. Each experiment
-// returns a Result whose Render method prints the same rows/series the
-// paper reports. The control-loop experiments are scenario specs run by
-// scenario.Build.
+// `tempoctl experiments` subcommand and the golden test loop over. Each
+// experiment returns a Result whose Render method prints the same
+// rows/series the paper reports. The control-loop experiments are
+// scenario specs run by scenario.Build.
 //
 // Absolute numbers differ from the paper (the substrate is an emulator, not
 // a 700-node production cluster); the experiments are judged on shape: who

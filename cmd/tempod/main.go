@@ -29,8 +29,8 @@
 // bit-identical to sequential scenario runs (`tempoctl load` asserts
 // this under concurrent traffic).
 //
-// With -data set, every committed tick is logged to a per-cluster
-// schedule-event WAL and the control loop is snapshotted periodically; a
+// With -data set, every committed tick's schedule records are logged to
+// a per-cluster WAL and the control loop is snapshotted periodically; a
 // crashed or killed tempod recovers every cluster on restart to a
 // trajectory byte-identical to an uninterrupted run (see README,
 // "Durability").

@@ -1,11 +1,11 @@
 // Package ordercontract enforces the documented contract of the
 // canonical schedule event stream: Schedule.Events()/AppendEvents()
 // return events in the total order (Time, Kind, Seq), and window
-// consumers treat [From, To) as half-open. The incremental QS path, the
-// replay path, and (next on the roadmap) WAL recovery all assume every
-// consumer preserves that order — a consumer that re-sorts by another
-// key or appends concurrently produces a stream that replays into a
-// different schedule.
+// consumers treat [From, To) as half-open. The query layer's "events"
+// relation assumes every consumer preserves that order — a consumer that
+// re-sorts by another key or appends concurrently produces rows in a
+// different order from run to run. (The WAL encodes a schedule's
+// records, not this stream, so durable state does not depend on it.)
 //
 // It reports, in any package:
 //
@@ -96,7 +96,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if f := analysis.CalleeFunc(info, n); f != nil && f.Pkg() != nil && isSortFunc(f) {
 				for _, arg := range n.Args {
 					if mentionsStream(arg) {
-						pass.Reportf(n.Pos(), "re-sorting a canonical event stream: Events() is already totally ordered by (Time, Kind, Seq); sorting by another key breaks the replay contract, by the same key is a wasted O(n log n)")
+						pass.Reportf(n.Pos(), "re-sorting a canonical event stream: Events() is already totally ordered by (Time, Kind, Seq); sorting by another key breaks the order contract, by the same key is a wasted O(n log n)")
 					}
 				}
 			}

@@ -9,10 +9,11 @@ import (
 
 // This file defines the canonical event-stream view of a Schedule. It
 // carries the same information as the record view (Schedule.Jobs / Tasks)
-// and serves the consumers whose contract is a stream: the WAL's tick codec
-// (internal/store) and internal/query's "events" relation. QS evaluation
-// reads the records in place, not this view. The stream is a pure function
-// of the schedule: same records, same bytes of events, in the same order.
+// and serves the consumer whose contract is a stream: internal/query's
+// "events" relation. QS evaluation and the WAL's tick codec
+// (internal/store) read the records in place, not this view. The stream
+// is a pure function of the schedule: same records, same bytes of events,
+// in the same order.
 
 // EventKind classifies one schedule event.
 type EventKind uint8
@@ -53,8 +54,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one element of a schedule's canonical event stream. Together the
-// four kinds carry every field of the record view, so the stream can be
-// replayed into an identical Schedule (see ReplaySchedule).
+// four kinds carry every field of the record view.
 type Event struct {
 	// Time is the virtual time of the event.
 	Time time.Duration
@@ -230,58 +230,6 @@ func sortedIndexInto(idx []int32, less func(i, j int32) bool) []int32 {
 		return 1
 	})
 	return idx
-}
-
-// ReplaySchedule reconstructs a Schedule from its event stream. Capacity
-// and Horizon are not part of the stream and are supplied by the caller.
-// For a stream produced by Events, the result is deeply equal to the
-// original schedule. It copies what it keeps and retains nothing of
-// events: the caller may overwrite the slice as soon as the call returns
-// (the WAL decoder reuses one across a log's records).
-func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedule {
-	s := &Schedule{Capacity: capacity, Horizon: horizon}
-	maxJob, maxTask := -1, -1
-	for i := range events {
-		switch events[i].Kind {
-		case EventJobSubmit, EventJobFinish:
-			if events[i].Seq > maxJob {
-				maxJob = events[i].Seq
-			}
-		case EventTaskStart, EventTaskEnd:
-			if events[i].Seq > maxTask {
-				maxTask = events[i].Seq
-			}
-		}
-	}
-	if maxJob >= 0 {
-		s.Jobs = make([]JobRecord, maxJob+1)
-	}
-	if maxTask >= 0 {
-		s.Tasks = make([]TaskRecord, maxTask+1)
-	}
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case EventJobSubmit:
-			j := &s.Jobs[ev.Seq]
-			j.ID, j.Tenant = ev.JobID, ev.Tenant
-			j.Submit, j.Deadline = ev.Time, ev.Deadline
-		case EventJobFinish:
-			j := &s.Jobs[ev.Seq]
-			j.ID, j.Tenant = ev.JobID, ev.Tenant
-			j.Finish, j.Completed, j.Killed = ev.Time, ev.Completed, ev.Killed
-		case EventTaskStart:
-			t := &s.Tasks[ev.Seq]
-			t.JobID, t.Tenant = ev.JobID, ev.Tenant
-			t.Kind, t.Attempt, t.Start = ev.TaskKind, ev.Attempt, ev.Time
-		case EventTaskEnd:
-			t := &s.Tasks[ev.Seq]
-			t.JobID, t.Tenant = ev.JobID, ev.Tenant
-			t.Kind, t.Attempt = ev.TaskKind, ev.Attempt
-			t.End, t.Outcome = ev.Time, ev.Outcome
-		}
-	}
-	return s
 }
 
 // FNV-1a's 64-bit parameters, but a whole word absorbed per multiply where

@@ -14,8 +14,8 @@ import (
 //     the controller's full state (sample cloud, RNG position, guard
 //     memory) — everything Apply consults besides what Build derives from
 //     the spec;
-//   - the observed schedules, recovered from the schedule-event WAL via
-//     cluster.ReplaySchedule.
+//   - the observed schedules, one WAL record per tick, each an encoding of
+//     the schedule's record view (Jobs and Tasks).
 //
 // Resume rebuilds the runtime from the spec, restores the snapshot, and
 // Applies the WAL schedules past the snapshot cursor — the same Apply a

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"tempo/internal/cluster"
@@ -12,16 +13,22 @@ import (
 	"tempo/internal/pald"
 )
 
-// walRoundTrip simulates recovery of an observed schedule from the
-// schedule-event WAL: serialize to the canonical event stream, rebuild
-// with ReplaySchedule. Resume must produce byte-identical reports from
-// the rebuilt schedules, not just from shared in-memory pointers.
+// walRoundTrip stands in for recovering an observed schedule from the
+// WAL: a deep copy of its records. Resume must produce byte-identical
+// reports from the copies, not just from shared in-memory pointers. (The
+// store's tick codec, which this package cannot import, is covered by
+// internal/store's TestResumeParityThroughCodecs.)
 func walRoundTrip(t *testing.T, s *cluster.Schedule) *cluster.Schedule {
 	t.Helper()
 	if s == nil {
 		t.Fatal("nil schedule")
 	}
-	return cluster.ReplaySchedule(s.Capacity, s.Horizon, s.Events())
+	return &cluster.Schedule{
+		Capacity: s.Capacity,
+		Horizon:  s.Horizon,
+		Jobs:     slices.Clone(s.Jobs),
+		Tasks:    slices.Clone(s.Tasks),
+	}
 }
 
 // snapshotRoundTrip serializes a runtime snapshot through JSON. (The

@@ -59,7 +59,7 @@ func benchSchedules(tb testing.TB) *benchFixture {
 // fixture's ticks. It is a pure function of the codec and the seeded
 // schedules, so any change is an encoding change, not noise; re-commit it
 // only when the change is intended.
-const walBytesPerTick = 2098
+const walBytesPerTick = 482
 
 // checkWALBytesPerTick fails tb unless one full cycle of the fixture's
 // encoded ticks, framed as the WAL frames them, averages walBytesPerTick.

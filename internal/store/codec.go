@@ -21,59 +21,95 @@ import (
 // here, and snapshot.bin, whose grammar stands above EncodeSnapshot.
 //
 // Tick-record codec. One WAL record carries one committed tick: the tick
-// index, the observed schedule's capacity and horizon, and its canonical
-// event stream (cluster.Schedule.Events). The encoding is a pure function
-// of the schedule — same observation, same bytes — and DecodeTick +
-// cluster.ReplaySchedule invert it exactly, which is what makes a
-// recovered trajectory byte-identical to the live one.
+// index and the observed schedule's record view (Capacity, Horizon, Jobs
+// and Tasks). The encoding is a pure function of the schedule — same
+// observation, same bytes — and DecodeTick inverts it exactly, which is
+// what makes a recovered trajectory byte-identical to the live one.
 //
-// The layout is uvarint-packed, with Delta omitted (it is a function of
-// the event kind) and per-kind fields only where meaningful:
+//	record := format tick capacity horizon names jobs tasks
+//	names  := slice(string)     distinct tenants and job IDs, first use first
+//	jobs   := slice(job)
+//	job    := tenant id submit finish flags deadline?
+//	tasks  := slice(task)
+//	task   := tenant job kind outcome attempt start duration
 //
-//	record  := tick capacity horizon nEvents event*
-//	event   := time kind seq tenant jobID kindFields
-//	string  := len bytes
-//
-// All integers are uvarints; kind and the task/outcome enums are single
-// bytes (their value ranges are frozen by the event contract).
+// format is the byte 1 and slice(T) is snapshot.bin's (below). tenant,
+// id and job index names. submit and start are deltas from the previous
+// job's submit and the previous task's start (the first from zero);
+// finish and deadline are deltas from the job's own submit, and duration
+// is End − Start. These five are zigzag varints, so records in any order
+// round-trip. flags is a byte: Completed (1), Killed (2), and 4 when a
+// deadline follows (a zero Deadline, meaning none, is not written). kind
+// and outcome are a byte each; every other integer is a uvarint. The
+// decoder holds every count to the bytes left and every name index to
+// names, and treats trailing bytes as an error.
+const (
+	tickFormat = 1
+
+	jobCompleted   = 1
+	jobKilled      = 2
+	jobHasDeadline = 4
+
+	minName = 1
+	minJob  = 5
+	minTask = 7
+)
 
 // EncodeTick appends the record for (tick, sched) to dst and returns the
 // extended slice.
 func EncodeTick(dst []byte, tick int, sched *cluster.Schedule) []byte {
-	dst = binary.AppendUvarint(dst, uint64(tick))
-	dst = binary.AppendUvarint(dst, uint64(sched.Capacity))
+	dst = append(dst, tickFormat)
+	dst = appendInt(dst, tick)
+	dst = appendInt(dst, sched.Capacity)
 	dst = binary.AppendUvarint(dst, uint64(sched.Horizon))
-	events := sched.Events()
-	dst = binary.AppendUvarint(dst, uint64(len(events)))
-	for i := range events {
-		ev := &events[i]
-		dst = binary.AppendUvarint(dst, uint64(ev.Time))
-		dst = append(dst, byte(ev.Kind))
-		dst = binary.AppendUvarint(dst, uint64(ev.Seq))
-		dst = appendString(dst, ev.Tenant)
-		dst = appendString(dst, ev.JobID)
-		switch ev.Kind {
-		case cluster.EventJobSubmit:
-			dst = binary.AppendUvarint(dst, uint64(ev.Deadline))
-		case cluster.EventTaskStart:
-			dst = append(dst, byte(ev.TaskKind))
-			dst = binary.AppendUvarint(dst, uint64(ev.Attempt))
-		case cluster.EventTaskEnd:
-			dst = append(dst, byte(ev.TaskKind))
-			dst = binary.AppendUvarint(dst, uint64(ev.Attempt))
-			dst = append(dst, byte(ev.Outcome))
-		case cluster.EventJobFinish:
-			var flags byte
-			if ev.Completed {
-				flags |= 1
-			}
-			if ev.Killed {
-				flags |= 2
-			}
-			dst = append(dst, flags)
+
+	refs := map[string]int{}
+	var names []string
+	name := func(s string) {
+		if _, ok := refs[s]; !ok {
+			refs[s] = len(names)
+			names = append(names, s)
 		}
 	}
-	return dst
+	for i := range sched.Jobs {
+		name(sched.Jobs[i].Tenant)
+		name(sched.Jobs[i].ID)
+	}
+	for i := range sched.Tasks {
+		name(sched.Tasks[i].Tenant)
+		name(sched.Tasks[i].JobID)
+	}
+	dst = appendSlice(dst, names, func(dst []byte, s *string) []byte { return appendString(dst, *s) })
+
+	var submit time.Duration
+	dst = appendSlice(dst, sched.Jobs, func(dst []byte, j *cluster.JobRecord) []byte {
+		dst = appendInt(dst, refs[j.Tenant])
+		dst = appendInt(dst, refs[j.ID])
+		dst = binary.AppendVarint(dst, int64(j.Submit-submit))
+		submit = j.Submit
+		dst = binary.AppendVarint(dst, int64(j.Finish-submit))
+		var flags byte
+		if j.Completed {
+			flags |= jobCompleted
+		}
+		if j.Killed {
+			flags |= jobKilled
+		}
+		if j.Deadline == 0 {
+			return append(dst, flags)
+		}
+		return binary.AppendVarint(append(dst, flags|jobHasDeadline), int64(j.Deadline-submit))
+	})
+
+	var start time.Duration
+	return appendSlice(dst, sched.Tasks, func(dst []byte, t *cluster.TaskRecord) []byte {
+		dst = appendInt(dst, refs[t.Tenant])
+		dst = appendInt(dst, refs[t.JobID])
+		dst = appendInt(append(dst, byte(t.Kind), byte(t.Outcome)), t.Attempt)
+		dst = binary.AppendVarint(dst, int64(t.Start-start))
+		start = t.Start
+		return binary.AppendVarint(dst, int64(t.End-t.Start))
+	})
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -81,95 +117,70 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// DecodeTick inverts EncodeTick, rebuilding the schedule via
-// cluster.ReplaySchedule.
+// DecodeTick inverts EncodeTick.
 func DecodeTick(payload []byte) (tick int, sched *cluster.Schedule, err error) {
 	return new(tickDecoder).decode(payload)
 }
 
 // tickDecoder carries what one WAL's records share across DecodeTick
-// calls: the event scratch (ReplaySchedule copies what it keeps and
-// retains nothing, so the next record overwrites it) and the name table
-// (each distinct tenant and job name is allocated once, not per event).
+// calls: the interned names, so each distinct tenant and job name is
+// allocated once per log, not once per record.
 type tickDecoder struct {
-	events []cluster.Event
-	names  map[string]string
+	names map[string]string
 }
 
-func (t *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule, err error) {
-	if t.names == nil {
-		t.names = map[string]string{}
+func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule, err error) {
+	if td.names == nil {
+		td.names = map[string]string{}
 	}
-	d := decoder{buf: payload, names: t.names}
-	tick = int(d.uvarint())
-	capacity := int(d.uvarint())
-	horizon := time.Duration(d.uvarint())
-	n := d.uvarint()
-	if d.err != nil {
-		return 0, nil, d.err
+	d := decoder{buf: payload, names: td.names}
+	if f := d.byte(); d.err == nil && f != tickFormat {
+		return 0, nil, fmt.Errorf("store: unknown tick record format %d, want %d", f, tickFormat)
 	}
-	if n > uint64(len(payload)) {
-		// Each event costs at least one byte, so a count beyond the payload
-		// length is corruption; fail before allocating for it.
-		return 0, nil, fmt.Errorf("store: event count %d exceeds payload size %d", n, len(payload))
-	}
-	if uint64(cap(t.events)) < n {
-		t.events = make([]cluster.Event, 0, n)
-	}
-	evs := t.events[:0]
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		ev := cluster.Event{
-			Time: time.Duration(d.uvarint()),
-			Kind: cluster.EventKind(d.byte()),
+	tick = d.int()
+	sched = &cluster.Schedule{Capacity: d.int(), Horizon: time.Duration(d.uvarint())}
+	names := decodeSlice(&d, minName, func(d *decoder, s *string) { *s = d.string() })
+
+	var submit time.Duration
+	sched.Jobs = decodeSlice(&d, minJob, func(d *decoder, j *cluster.JobRecord) {
+		j.Tenant, j.ID = d.ref(names), d.ref(names)
+		submit += time.Duration(d.varint())
+		j.Submit = submit
+		j.Finish = submit + time.Duration(d.varint())
+		flags := d.byte()
+		if flags&^(jobCompleted|jobKilled|jobHasDeadline) != 0 && d.err == nil {
+			d.err = fmt.Errorf("store: unknown job flags %#x", flags)
 		}
-		seq := d.uvarint()
-		if d.err == nil && seq >= n {
-			// Seq indexes a record and every record emits two events;
-			// ReplaySchedule sizes its record slices from the largest Seq, so
-			// an unbounded one is an allocation the payload never paid for.
-			d.err = fmt.Errorf("store: event seq %d out of range for %d events", seq, n)
+		j.Completed, j.Killed = flags&jobCompleted != 0, flags&jobKilled != 0
+		if flags&jobHasDeadline != 0 {
+			j.Deadline = submit + time.Duration(d.varint())
 		}
-		ev.Seq = int(seq)
-		ev.Tenant = d.string()
-		ev.JobID = d.string()
-		switch ev.Kind {
-		case cluster.EventJobSubmit:
-			ev.Deadline = time.Duration(d.uvarint())
-		case cluster.EventTaskStart:
-			ev.TaskKind = workload.TaskKind(d.byte())
-			ev.Attempt = int(d.uvarint())
-			ev.Delta = +1
-		case cluster.EventTaskEnd:
-			ev.TaskKind = workload.TaskKind(d.byte())
-			ev.Attempt = int(d.uvarint())
-			ev.Outcome = cluster.TaskOutcome(d.byte())
-			ev.Delta = -1
-		case cluster.EventJobFinish:
-			flags := d.byte()
-			ev.Completed = flags&1 != 0
-			ev.Killed = flags&2 != 0
-		default:
-			if d.err == nil {
-				d.err = fmt.Errorf("store: unknown event kind %d", ev.Kind)
-			}
-		}
-		evs = append(evs, ev)
-	}
+	})
+
+	var start time.Duration
+	sched.Tasks = decodeSlice(&d, minTask, func(d *decoder, t *cluster.TaskRecord) {
+		t.Tenant, t.JobID = d.ref(names), d.ref(names)
+		t.Kind, t.Outcome = workload.TaskKind(d.byte()), cluster.TaskOutcome(d.byte())
+		t.Attempt = d.int()
+		start += time.Duration(d.varint())
+		t.Start, t.End = start, start+time.Duration(d.varint())
+	})
+
 	if d.err != nil {
 		return 0, nil, d.err
 	}
 	if len(d.buf) != 0 {
 		return 0, nil, fmt.Errorf("store: %d trailing bytes after tick record", len(d.buf))
 	}
-	return tick, cluster.ReplaySchedule(capacity, horizon, evs), nil
+	return tick, sched, nil
 }
 
 // Snapshot codec. snapshot.bin holds one scenario.Snapshot, built from the
-// tick codec's primitives plus two more: a float64 is its
+// tick codec's primitives plus one more: a float64 is its
 // math.Float64bits, little-endian (exact by bit pattern — NaN payloads,
-// -0 and subnormals survive), and every slice, map and pointer leads with
-// a tag byte so nil and empty stay distinct ("observed": null versus []
-// in the canonical report). Like the tick codec it is a pure function of
+// -0 and subnormals survive). Every slice, map and pointer leads with a
+// tag byte so nil and empty stay distinct ("observed": null versus [] in
+// the canonical report). Like the tick codec it is a pure function of
 // its input: Config.Tenants is written in ascending name order, and the
 // wall-clock SearchStats.DecisionNanos is not written at all (it restores
 // as zero), so two runs of one spec and seed write the same bytes.
@@ -474,6 +485,22 @@ func (d *decoder) uvarint() uint64 {
 }
 
 func (d *decoder) int() int { return int(d.uvarint()) }
+
+// varint reads a zigzag varint, as binary.AppendVarint writes it.
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// ref reads an index into a tick record's names.
+func (d *decoder) ref(names []string) string {
+	if i := d.uvarint(); i < uint64(len(names)) {
+		return names[i]
+	} else if d.err == nil {
+		d.err = fmt.Errorf("store: name ref %d beyond the %d names", i, len(names))
+	}
+	return ""
+}
 
 func (d *decoder) byte() byte {
 	if d.err != nil {

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,9 +12,9 @@ import (
 	"tempo/internal/workload"
 )
 
-// fuzzSeedSchedule is a hand-built schedule covering every event shape the
-// codec branches on: a deadline job, an uncompleted killed job, map and
-// reduce attempts, a preempted and a zero-length attempt.
+// fuzzSeedSchedule is a hand-built schedule covering every record shape
+// the codec branches on: a deadline job, an uncompleted killed job, map
+// and reduce attempts, a preempted and a zero-length attempt.
 func fuzzSeedSchedule() *cluster.Schedule {
 	return &cluster.Schedule{
 		Capacity: 4,
@@ -34,23 +36,24 @@ func fuzzSeedSchedule() *cluster.Schedule {
 // payloads (the WAL's CRC vouches for the bytes it framed, not for who
 // wrote them). DecodeTick must return an error or a schedule — never
 // panic, and never size an allocation from a field the payload did not
-// pay for: the replayed record counts stay within the payload length. A
+// pay for: the decoded record counts stay within the payload length. A
 // payload that decodes is then held to the codec's inverse property from
 // the decoded side: re-encoding the (tick, schedule) gives bytes that
 // decode to an Equal schedule and re-encode to themselves. (Byte equality
 // with the input is TestCodecRoundTrip's claim, for payloads EncodeTick
-// wrote; a hand-made payload may spell the same schedule with out-of-order
-// events or overlong varints.)
+// wrote; a hand-made payload may spell the same schedule with a repeated
+// or unused name or overlong varints.)
 func FuzzDecodeTick(f *testing.F) {
-	seed := fuzzSeedSchedule()
-	canonical := EncodeTick(nil, 7, seed)
+	canonical := EncodeTick(nil, 7, fuzzSeedSchedule())
 	f.Add(canonical)
 	f.Add(EncodeTick(nil, 0, &cluster.Schedule{Capacity: 1, Horizon: time.Second}))
 	f.Add(canonical[:len(canonical)/2])
 	f.Add(append(append([]byte(nil), canonical...), 0))
 	f.Add(craftedHeader(1 << 40))
-	f.Add(craftedSubmit(craftedHeader(1), 1<<40))
+	f.Add(craftedCount(craftedNames(), 1<<40))
 	f.Add([]byte{})
+	f.Add(craftedCount(craftedJob(craftedNames(), 1), 0))
+	f.Add(EncodeTick(nil, 3, genSchedule(1, 12)))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tick, sched, err := DecodeTick(payload)
@@ -58,7 +61,7 @@ func FuzzDecodeTick(f *testing.F) {
 			return
 		}
 		if len(sched.Jobs) > len(payload) || len(sched.Tasks) > len(payload) {
-			t.Fatalf("%d-byte payload replayed into %d jobs and %d tasks", len(payload), len(sched.Jobs), len(sched.Tasks))
+			t.Fatalf("%d-byte payload decoded into %d jobs and %d tasks", len(payload), len(sched.Jobs), len(sched.Tasks))
 		}
 		again := EncodeTick(nil, tick, sched)
 		tick2, sched2, err := DecodeTick(again)
@@ -70,6 +73,72 @@ func FuzzDecodeTick(f *testing.F) {
 		}
 		if third := EncodeTick(nil, tick2, sched2); !bytes.Equal(third, again) {
 			t.Fatalf("encoding is not a fixed point: %d bytes then %d bytes", len(again), len(third))
+		}
+	})
+}
+
+// genSchedule synthesizes a schedule from a seed with the shapes the
+// emulator rarely or never writes: tasks whose job is not in Jobs,
+// repeated job IDs, zero-length and negative-length attempts, starts and
+// submits out of order, negative times, and every flag and outcome.
+func genSchedule(seed int64, n int) *cluster.Schedule {
+	rng := rand.New(rand.NewSource(seed))
+	at := func() time.Duration {
+		d := time.Duration(rng.Int63n(int64(2 * time.Hour)))
+		if rng.Intn(16) == 0 {
+			d = -d
+		}
+		return d
+	}
+	s := &cluster.Schedule{Capacity: rng.Intn(64), Horizon: at()}
+	for i := 0; i < n; i++ {
+		tenant := fmt.Sprintf("t%d", rng.Intn(4))
+		id := fmt.Sprintf("%s-%d", tenant, rng.Intn(n))
+		if rng.Intn(4) > 0 { // otherwise the tasks below have no job record
+			job := cluster.JobRecord{
+				ID: id, Tenant: tenant, Submit: at(), Finish: at(),
+				Completed: rng.Intn(2) == 0, Killed: rng.Intn(4) == 0,
+			}
+			if rng.Intn(2) == 0 {
+				job.Deadline = at()
+			}
+			s.Jobs = append(s.Jobs, job)
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			task := cluster.TaskRecord{
+				JobID: id, Tenant: tenant,
+				Kind:    workload.TaskKind(rng.Intn(2)),
+				Attempt: 1 + rng.Intn(3),
+				Start:   at(),
+				Outcome: cluster.TaskOutcome(rng.Intn(5)),
+			}
+			task.End = task.Start
+			if rng.Intn(4) > 0 {
+				task.End = at()
+			}
+			s.Tasks = append(s.Tasks, task)
+		}
+	}
+	return s
+}
+
+// FuzzTickRoundTrip holds the codec to losslessness on generated
+// schedules: decode(encode(s)) is Equal to s for any record view, not
+// just the emulator's sorted, self-consistent one. n = 0 is the empty
+// schedule.
+func FuzzTickRoundTrip(f *testing.F) {
+	f.Add(int64(1), byte(12))
+	f.Add(int64(2), byte(0))
+	f.Add(int64(3), byte(1))
+	f.Add(int64(-9), byte(200))
+	f.Fuzz(func(t *testing.T, seed int64, n byte) {
+		s := genSchedule(seed, int(n))
+		tick, got, err := DecodeTick(EncodeTick(nil, int(n), s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tick != int(n) || !got.Equal(s) {
+			t.Fatalf("round trip changed the tick (%d -> %d) or the schedule", n, tick)
 		}
 	})
 }

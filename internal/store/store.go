@@ -434,6 +434,8 @@ func escapeID(id string) string {
 	return b.String()
 }
 
+// unescapeID inverts escapeID and accepts only names escapeID writes, so
+// no two directories decode to one id.
 func unescapeID(name string) (string, error) {
 	var b strings.Builder
 	for i := 0; i < len(name); i++ {
@@ -452,5 +454,8 @@ func unescapeID(name string) (string, error) {
 		b.WriteByte(byte(v))
 		i += 2
 	}
-	return b.String(), nil
+	if id := b.String(); escapeID(id) == name {
+		return id, nil
+	}
+	return "", fmt.Errorf("%q is not the canonical escaping of its id", name)
 }

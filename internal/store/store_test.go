@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -24,7 +25,7 @@ import (
 // carry real state, small enough to run many crash trials. The scale is
 // deliberately high enough that this seed synthesizes jobs: at scale 0.4
 // seed 1234 draws an empty workload, and empty schedules would let the
-// codec's per-event paths pass these tests vacuously.
+// codec's per-record paths pass these tests vacuously.
 const storeSpecJSON = `{
   "name": "store-small",
   "seed": 1234,
@@ -76,7 +77,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// shared decodes the same records the way Schedules does, through one
-	// decoder whose event scratch and name table outlive each record.
+	// decoder whose name interning outlives each record.
 	var shared tickDecoder
 	var fromShared []*cluster.Schedule
 	for i := 0; i < spec.Iterations; i++ {
@@ -100,9 +101,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !decoded.Equal(sched) {
 			t.Fatalf("tick %d: decoded schedule differs", i)
 		}
-		if !reflect.DeepEqual(decoded.Events(), sched.Events()) {
-			t.Fatalf("tick %d: decoded event stream differs", i)
-		}
 	}
 	for i, again := range fromShared {
 		if !reflect.DeepEqual(again, rt.ObservedSchedule(i)) {
@@ -122,42 +120,110 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestDecodeTickBoundsAllocations feeds DecodeTick short, well-formed
-// records whose one oversized field would size an allocation: the event
-// count (the event slice) and an event's Seq (ReplaySchedule's record
-// slices). A CRC cannot catch these — the WAL frames whatever bytes it was
-// given — and the failure is not a recoverable panic but the runtime's
-// out-of-memory abort, so each must come back as an error.
+// records whose one oversized field would size an allocation (the name,
+// job and task counts) or index past one (a name ref). A CRC cannot catch
+// these — the WAL frames whatever bytes it was given — and an oversized
+// count is not a recoverable panic but the runtime's out-of-memory abort,
+// so each must come back as an error.
 func TestDecodeTickBoundsAllocations(t *testing.T) {
 	for name, payload := range map[string][]byte{
-		"event count beyond the payload": craftedHeader(1 << 40),
-		"job seq beyond the event count": craftedSubmit(craftedHeader(1), 1<<40),
-		"seq equal to the event count":   craftedSubmit(craftedHeader(1), 1),
+		"name count beyond the payload": craftedHeader(1 << 40),
+		"job count beyond the payload":  craftedCount(craftedNames(), 1<<40),
+		"task count beyond the payload": craftedCount(craftedCount(craftedNames(), 0), 1<<40),
+		"name ref beyond the names":     craftedCount(craftedJob(craftedNames(), 1), 0),
 	} {
 		if _, sched, err := DecodeTick(payload); err == nil {
-			t.Errorf("%s: accepted, replayed %d jobs", name, len(sched.Jobs))
+			t.Errorf("%s: accepted, decoded %d jobs and %d tasks", name, len(sched.Jobs), len(sched.Tasks))
 		}
 	}
-	if _, sched, err := DecodeTick(craftedSubmit(craftedHeader(1), 0)); err != nil || len(sched.Jobs) != 1 {
-		t.Errorf("in-range seq rejected or misreplayed: err %v", err)
+	if _, sched, err := DecodeTick(craftedCount(craftedJob(craftedNames(), 0), 0)); err != nil || len(sched.Jobs) != 1 || sched.Jobs[0].ID != "a" {
+		t.Errorf("in-range name ref rejected or misdecoded: err %v", err)
 	}
 }
 
-// craftedHeader hand-encodes a tick record's header claiming nEvents
-// events; craftedSubmit appends one job-submit event with the given Seq.
-func craftedHeader(nEvents uint64) []byte {
-	p := binary.AppendUvarint(nil, 0) // tick
-	p = binary.AppendUvarint(p, 4)    // capacity
+// craftedHeader hand-encodes a tick record's header claiming nNames
+// names; craftedNames is a header whose names are the one name "a";
+// craftedCount appends a present slice's count, and craftedJob the jobs
+// slice of one job whose id is the given name ref.
+func craftedHeader(nNames uint64) []byte {
+	p := []byte{tickFormat}
+	p = binary.AppendUvarint(p, 0) // tick
+	p = binary.AppendUvarint(p, 4) // capacity
 	p = binary.AppendUvarint(p, uint64(time.Hour))
-	return binary.AppendUvarint(p, nEvents)
+	return craftedCount(p, nNames)
 }
 
-func craftedSubmit(p []byte, seq uint64) []byte {
-	p = binary.AppendUvarint(p, 0) // time
-	p = append(p, byte(cluster.EventJobSubmit))
-	p = binary.AppendUvarint(p, seq)
-	p = appendString(p, "a")
-	p = appendString(p, "a-0")
-	return binary.AppendUvarint(p, 0) // deadline
+func craftedNames() []byte { return appendString(craftedHeader(1), "a") }
+
+func craftedCount(p []byte, n uint64) []byte { return binary.AppendUvarint(append(p, tagPresent), n) }
+
+func craftedJob(p []byte, id uint64) []byte {
+	p = craftedCount(p, 1)
+	p = binary.AppendUvarint(p, 0) // tenant
+	p = binary.AppendUvarint(p, id)
+	p = binary.AppendVarint(p, 0) // submit
+	p = binary.AppendVarint(p, 0) // finish
+	return append(p, jobCompleted)
+}
+
+// eventStreamRecord is EncodeTick(nil, 0, fuzzSeedSchedule()) as written
+// by the codec before this one, which logged a schedule's event stream
+// and had no format byte: the record opens with tick 0's uvarint, 0x00.
+const eventStreamRecord = "" +
+	"000480c0e285e3680c80b09dc2df010000016103612d3080e0a596bb1180b09d" +
+	"c2df010100016103612d30000180e0ba84bf030001016203622d30008090d8c6" +
+	"9e050103016203622d3000018090d8c69e050203016203622d3000010380c0f5" +
+	"88fe060101016103612d30000280c0f588fe060200016103612d3000010180f0" +
+	"92cbdd080301016203622d30028080eb91fc0d0102016103612d3001018080eb" +
+	"91fc0d0201016103612d3000020080b088d4db0f0202016103612d3001010080" +
+	"b088d4db0f0300016103612d3001"
+
+// TestEventStreamWALRefused: a WAL written by the event-stream codec is
+// refused with an error naming the format, by DecodeTick and by recovery
+// through a data dir, never misread as a schedule.
+func TestEventStreamWALRefused(t *testing.T) {
+	payload, err := hex.DecodeString(eventStreamRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeTick(payload); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Fatalf("DecodeTick on an event-stream record: %v, want a format error", err)
+	}
+
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create("old", storeSpec(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := OpenWAL(filepath.Join(dir, "clusters", "old", "wal.log"), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cs, err := s.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Schedules(); err == nil || !strings.Contains(err.Error(), "wal record 0: store: unknown tick record format 0") {
+		t.Fatalf("Schedules on an event-stream WAL: %v, want a format error", err)
+	}
 }
 
 // TestStoreRecoverByteIdentical is the store-level acceptance test: drive
@@ -459,6 +525,30 @@ func TestEscapeID(t *testing.T) {
 	}
 	if _, err := unescapeID("%2"); err == nil {
 		t.Error("truncated escape accepted")
+	}
+}
+
+// TestUnescapeIDCanonical: only names escapeID writes decode, so two
+// directories can never map to one cluster id (Open would keep only one).
+func TestUnescapeIDCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		id   string // "" means rejected
+	}{
+		{"%4g", ""},      // not hex
+		{"%+4", ""},      // a sign is not hex
+		{"%-1", ""},      // nor is a minus
+		{"%4A", ""},      // escapeID writes lowercase hex
+		{"%41", ""},      // 'A' is written bare
+		{"a%2fb", "a/b"}, // the one valid round trip
+	} {
+		id, err := unescapeID(tc.name)
+		if tc.id == "" && err == nil {
+			t.Errorf("unescapeID(%q) = %q, want an error", tc.name, id)
+		}
+		if tc.id != "" && (err != nil || id != tc.id) {
+			t.Errorf("unescapeID(%q) = %q, %v, want %q", tc.name, id, err, tc.id)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package store is tempod's durable control-plane state: one directory
 // per hosted cluster holding the scenario spec, a periodic snapshot of
 // the control loop (internal/scenario.Snapshot, in the binary encoding
-// codec.go defines beside the tick record's), and an append-only
-// schedule-event WAL with one CRC-framed record per committed tick.
+// codec.go defines beside the tick record's), and an append-only WAL with
+// one CRC-framed record per committed tick: the observed schedule's
+// record view (Jobs and Tasks).
 //
 // Durability is relaxed where determinism makes it free: a crash may lose
 // the un-fsynced WAL tail and any snapshot staleness, but never a

@@ -120,11 +120,6 @@ const (
 	EventJobFinish = cluster.EventJobFinish
 )
 
-// ReplaySchedule reconstructs a Schedule from its event stream.
-func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedule {
-	return cluster.ReplaySchedule(capacity, horizon, events)
-}
-
 // Accumulator answers QS queries over arbitrary [From, To) windows of one
 // schedule after indexing its records once — the incremental counterpart
 // of per-template evaluation.

@@ -90,7 +90,7 @@ func driveDecisions(b *testing.B, c *core.Controller, n, from int) ([]core.Itera
 	}
 	var agg core.SearchStats
 	for i := from; i < n; i++ {
-		st := c.Search(i)
+		st := hist[i].Search
 		if st == nil {
 			b.Fatalf("tick %d has no search stats", i)
 		}

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
-	"tempo/internal/core"
 	"tempo/internal/exp"
 	"tempo/internal/pald"
 	"tempo/internal/scenario"
@@ -177,7 +176,7 @@ func runFlags(mix string, capacity int, scale float64, iterations int, interval 
 		fmt.Printf("%5d  %10.3f  %10.1f  %8v  %8v\n",
 			it.Index, it.Observed[0], it.Observed[1], it.Switched, it.Reverted)
 	}
-	fmt.Printf("\nbest-effort AJR improvement: %.1f%%\n", core.Improvement(rt.Controller.History(), 1)*100)
+	fmt.Printf("\nbest-effort AJR improvement: %.1f%%\n", rt.Report().Summary.Improvement[1]*100)
 	final := rt.Current()
 	fmt.Println("final RM configuration:")
 	for _, name := range space.TenantNames {

@@ -226,8 +226,8 @@ type SearchStats struct {
 	// cache — scored, but with zero simulations.
 	WarmStarted int `json:"warm_started"`
 	// Pruned is always zero: the controller scores every candidate and no
-	// longer sets it. The field stays so recorded stats and snapshots keep
-	// their shape.
+	// longer sets it, and snapshot.bin does not persist it. The field stays
+	// because benchmark tooling still reads it.
 	Pruned int `json:"pruned"`
 	// SimsRun and SimsReused count (candidate, sample) predictor runs and
 	// cache hits across the whole decision.
@@ -236,15 +236,6 @@ type SearchStats struct {
 	// DecisionNanos is the wall-clock propose→score→select span, when the
 	// controller has a clock (Config.Now); zero otherwise.
 	DecisionNanos int64 `json:"decision_ns"`
-}
-
-// clone returns a copy, nil-safe.
-func (s *SearchStats) clone() *SearchStats {
-	if s == nil {
-		return nil
-	}
-	cp := *s
-	return &cp
 }
 
 // Iteration records one pass of the control loop for reporting.
@@ -288,8 +279,11 @@ type Controller struct {
 	// sample fed to the optimizer is divided by these so no objective can
 	// silently dominate the others. This realizes the paper's note that
 	// the c vector is "normalized using any desirable metrics".
-	scales  []float64
-	history []Iteration
+	scales []float64
+	// steps counts applied iterations: it indexes the environment in Step
+	// and numbers each Iteration. The controller keeps no per-iteration
+	// record; its callers do (scenario.Runtime, Run's return value).
+	steps int
 }
 
 // NewController validates wiring and positions the loop at the initial
@@ -352,18 +346,12 @@ func (c *Controller) Targets() []pald.Target {
 	return append([]pald.Target(nil), c.targets...)
 }
 
-// History returns all recorded iterations.
-func (c *Controller) History() []Iteration {
-	return append([]Iteration(nil), c.history...)
-}
-
 // Step runs one control-loop iteration: observe the next interval in the
 // environment, then Apply the schedule.
 func (c *Controller) Step() (Iteration, error) {
-	iterIdx := len(c.history)
-	sched, err := c.cfg.Environment.Observe(c.current, c.cfg.Interval, iterIdx)
+	sched, err := c.cfg.Environment.Observe(c.current, c.cfg.Interval, c.steps)
 	if err != nil {
-		return Iteration{}, fmt.Errorf("core: observing interval %d: %w", iterIdx, err)
+		return Iteration{}, fmt.Errorf("core: observing interval %d: %w", c.steps, err)
 	}
 	return c.Apply(sched)
 }
@@ -374,7 +362,7 @@ func (c *Controller) Step() (Iteration, error) {
 // recovery a logged one.
 func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 	observed := qs.EvalStream(c.cfg.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	it := Iteration{Index: len(c.history), Config: c.current.Clone(), Observed: observed}
+	it := Iteration{Index: c.steps, Config: c.current.Clone(), Observed: observed}
 	if c.scales == nil {
 		c.scales = make([]float64, len(observed))
 		for i, v := range observed {
@@ -467,7 +455,7 @@ func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 	}
 	c.prevObserved = observed
 	c.hasPrev = true
-	c.history = append(c.history, it)
+	c.steps++
 	return it, nil
 }
 
@@ -506,16 +494,6 @@ func (c *Controller) scoreCandidates(configs []cluster.Config) ([][]float64, *Se
 	return preds, stats, nil
 }
 
-// Search returns iteration i's search statistics, or nil when the index
-// is out of range. The returned struct is shared with the history;
-// callers treat it as read-only.
-func (c *Controller) Search(i int) *SearchStats {
-	if i < 0 || i >= len(c.history) {
-		return nil
-	}
-	return c.history[i].Search
-}
-
 // shouldRevert applies the configured guard policy.
 func (c *Controller) shouldRevert(observed []float64) bool {
 	switch c.cfg.Revert {
@@ -552,36 +530,16 @@ func (c *Controller) normalizedTargets() []pald.Target {
 	return out
 }
 
-// Run executes n iterations and returns the full history.
+// Run executes n iterations and returns them, oldest first; on error,
+// the iterations that completed before it.
 func (c *Controller) Run(n int) ([]Iteration, error) {
+	out := make([]Iteration, 0, n)
 	for i := 0; i < n; i++ {
-		if _, err := c.Step(); err != nil {
-			return c.History(), err
+		it, err := c.Step()
+		if err != nil {
+			return out, err
 		}
+		out = append(out, it)
 	}
-	return c.History(), nil
-}
-
-// Improvement summarizes the loop's effect on one objective: the relative
-// change from the first iteration's observation to the mean of the last
-// quarter of iterations (positive = QS reduced = SLO improved).
-func Improvement(history []Iteration, objective int) float64 {
-	if len(history) == 0 {
-		return 0
-	}
-	first := history[0].Observed[objective]
-	// Guard before the tail computation: a ~zero first observation makes
-	// the relative change undefined no matter what the tail averages to
-	// (and for a single-iteration history the tail is just the first
-	// observation again), so it short-circuits the whole summary.
-	if math.Abs(first) < 1e-12 {
-		return 0
-	}
-	tail := history[(3*len(history))/4:]
-	var sum float64
-	for _, it := range tail {
-		sum += it.Observed[objective]
-	}
-	last := sum / float64(len(tail))
-	return (first - last) / math.Abs(first)
+	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -109,8 +110,8 @@ func TestStepRecordsIteration(t *testing.T) {
 	if len(it.Observed) != 2 {
 		t.Fatalf("observed = %v", it.Observed)
 	}
-	if len(c.History()) != 1 {
-		t.Fatal("history not recorded")
+	if it, err := c.Step(); err != nil || it.Index != 1 {
+		t.Fatalf("second step = index %d, %v; want index 1", it.Index, err)
 	}
 }
 
@@ -158,7 +159,7 @@ func TestControlLoopImprovesBestEffortLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := Improvement(history, 1)
+	imp := improvement(history, 1)
 	if imp < 0.1 {
 		t.Fatalf("best-effort AJR improvement = %.1f%%, want >= 10%%", imp*100)
 	}
@@ -304,8 +305,29 @@ func TestEmulatedClusterDifferentIterationsDiffer(t *testing.T) {
 	}
 }
 
+// improvement is scenario.Summary.Improvement over iterations: the
+// relative change from the first observation to the mean of the last
+// quarter (positive = QS reduced), 0 when the first is ~zero.
+func improvement(iters []Iteration, objective int) float64 {
+	if len(iters) == 0 {
+		return 0
+	}
+	first := iters[0].Observed[objective]
+	if math.Abs(first) < 1e-12 {
+		return 0
+	}
+	tail := iters[(3*len(iters))/4:]
+	var sum float64
+	for _, it := range tail {
+		sum += it.Observed[objective]
+	}
+	return (first - sum/float64(len(tail))) / math.Abs(first)
+}
+
+// TestImprovementHelper checks the helper the convergence test judges
+// the loop by.
 func TestImprovementHelper(t *testing.T) {
-	if Improvement(nil, 0) != 0 {
+	if improvement(nil, 0) != 0 {
 		t.Fatal("empty history")
 	}
 	hist := []Iteration{
@@ -314,11 +336,11 @@ func TestImprovementHelper(t *testing.T) {
 		{Observed: []float64{60}},
 		{Observed: []float64{50}},
 	}
-	if got := Improvement(hist, 0); got != 0.5 {
+	if got := improvement(hist, 0); got != 0.5 {
 		t.Fatalf("Improvement = %v, want 0.5", got)
 	}
 	zero := []Iteration{{Observed: []float64{0}}, {Observed: []float64{1}}}
-	if Improvement(zero, 0) != 0 {
+	if improvement(zero, 0) != 0 {
 		t.Fatal("zero baseline should return 0")
 	}
 }
@@ -334,10 +356,11 @@ func TestRandomSearchStrategyWorksInLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(2); err != nil {
+	iters, err := c.Run(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.History()) != 2 {
+	if len(iters) != 2 {
 		t.Fatal("history incomplete")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -10,38 +9,6 @@ import (
 	"tempo/internal/pald"
 	"tempo/internal/whatif"
 )
-
-// TestImprovementTable (PR-8 satellite): the ~zero-first guard must fire
-// before the tail computation, and the tail window math must hold for
-// every small history length.
-func TestImprovementTable(t *testing.T) {
-	hist := func(vals ...float64) []Iteration {
-		out := make([]Iteration, len(vals))
-		for i, v := range vals {
-			out[i] = Iteration{Index: i, Observed: []float64{v}}
-		}
-		return out
-	}
-	cases := []struct {
-		name    string
-		history []Iteration
-		want    float64
-	}{
-		{"len0", hist(), 0},
-		{"len1", hist(4), 0},                               // tail is the first observation again
-		{"len1-zero-first", hist(0), 0},                    // guard, not 0/0
-		{"len2", hist(4, 2), 0.5},                          // tail = last element
-		{"len3", hist(4, 3, 2), 0.5},                       // tail index (3*3)/4 = 2
-		{"len3-zero-first", hist(0, 5, 5), 0},              // guard fires before tail math
-		{"len4", hist(4, 9, 9, 3), 0.25},                   // tail index 3
-		{"len4-negative-first", hist(-4, 0, 0, -3), -0.25}, // |first| denominator
-	}
-	for _, tc := range cases {
-		if got := Improvement(tc.history, 0); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: Improvement = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
 
 // batchOnlyModel hides EvaluateSearch from the controller so scoring
 // falls back to the exhaustive batch path — the reference the
@@ -88,7 +55,7 @@ func TestIncrementalSearchMatchesExhaustive(t *testing.T) {
 		}
 		stats := make([]*SearchStats, steps)
 		for i := range stats {
-			stats[i] = c.Search(i)
+			stats[i] = hist[i].Search
 		}
 		return hist, c.Current(), stats
 	}
@@ -131,14 +98,11 @@ func TestDecisionLatencyUsesInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Step(); err != nil {
+	it, err := c.Step()
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Search(0)
-	if st == nil || st.DecisionNanos != 1_000_000 {
+	if st := it.Search; st == nil || st.DecisionNanos != 1_000_000 {
 		t.Fatalf("DecisionNanos = %+v, want exactly one fake-clock delta", st)
-	}
-	if c.Search(-1) != nil || c.Search(1) != nil {
-		t.Fatal("out-of-range Search index returned stats")
 	}
 }

@@ -15,8 +15,10 @@ import (
 // share of that state is everything Step consults besides its immutable
 // wiring: the current/previous configurations, the regression-guard
 // memory, the ratcheted targets, the normalization scales frozen at first
-// observation, the iteration history (whose length indexes the
-// environment), and the optimizer's sample cloud + RNG position.
+// observation, the count of applied iterations (which indexes the
+// environment), and the optimizer's sample cloud + RNG position. No
+// per-iteration record is part of it (the controller keeps none), so past
+// the optimizer's sample cap it does not grow with iterations.
 
 // ControllerState is the serializable snapshot of a Controller. The
 // store's snapshot codec writes every float64 field as its bit pattern,
@@ -31,7 +33,7 @@ type ControllerState struct {
 	HasPrev      bool           `json:"has_prev"`
 	Targets      []pald.Target  `json:"targets"`
 	Scales       []float64      `json:"scales,omitempty"`
-	History      []Iteration    `json:"history"`
+	Steps        int            `json:"steps"`
 	Optimizer    *pald.State    `json:"optimizer"`
 }
 
@@ -58,16 +60,8 @@ func (c *Controller) Snapshot() (*ControllerState, error) {
 		HasPrev:      c.hasPrev,
 		Targets:      append([]pald.Target(nil), c.targets...),
 		Scales:       append([]float64(nil), c.scales...),
-		History:      make([]Iteration, 0, len(c.history)),
+		Steps:        c.steps,
 		Optimizer:    opt.State(),
-	}
-	for _, it := range c.history {
-		cp := it
-		cp.Config = it.Config.Clone()
-		cp.Observed = append([]float64(nil), it.Observed...)
-		cp.Predicted = append([]float64(nil), it.Predicted...)
-		cp.Search = it.Search.clone()
-		st.History = append(st.History, cp)
 	}
 	return st, nil
 }
@@ -115,12 +109,6 @@ func (c *Controller) Restore(st *ControllerState) error {
 		// distinction for snapshots taken before the first Step.
 		c.scales = nil
 	}
-	c.history = c.history[:0]
-	for _, it := range st.History {
-		cp := it
-		cp.Config = it.Config.Clone()
-		cp.Search = it.Search.clone()
-		c.history = append(c.history, cp)
-	}
+	c.steps = st.Steps
 	return nil
 }

@@ -33,22 +33,21 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 	const total, half = 8, 4
 	seed := int64(11)
 
-	run := func(steps int) *Controller {
+	run := func(steps int) (*Controller, []Iteration) {
 		cfg, initial := twoTenantSetup(t, seed)
 		c, err := NewController(cfg, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < steps; i++ {
-			if _, err := c.Step(); err != nil {
-				t.Fatal(err)
-			}
+		iters, err := c.Run(steps)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return c
+		return c, iters
 	}
 
-	ref := run(total)
-	mid := run(half)
+	ref, want := run(total)
+	mid, _ := run(half)
 
 	snap, err := mid.Snapshot()
 	if err != nil {
@@ -71,16 +70,11 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 	if err := restored.Restore(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	for i := half; i < total; i++ {
-		if _, err := restored.Step(); err != nil {
-			t.Fatal(err)
-		}
+	got, err := restored.Run(total - half)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	got, want := restored.History(), ref.History()
-	if len(got) != len(want) {
-		t.Fatalf("restored history has %d iterations, want %d", len(got), len(want))
-	}
+	want = want[half:]
 	for i := range want {
 		// Search stats are cache-temperature diagnostics, not trajectory: a
 		// restored controller re-drives the identical decisions from a cold
@@ -90,7 +84,7 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 		// still match exactly.
 		got[i].Search, want[i].Search = nil, nil
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("iteration %d diverges after restore:\n got %+v\nwant %+v", i, got[i], want[i])
+			t.Errorf("iteration %d diverges after restore:\n got %+v\nwant %+v", half+i, got[i], want[i])
 		}
 	}
 	if !reflect.DeepEqual(restored.Current(), ref.Current()) {

@@ -63,8 +63,10 @@ type Runtime struct {
 	Controller *core.Controller
 
 	env *runEnv
-	// iterations and schedules grow together, one entry per applied tick.
+	// iterations, search and schedules grow together, one entry per
+	// applied tick; search entries are nil when the controller is disabled.
 	iterations []IterationReport
+	search     []*core.SearchStats
 	schedules  []*cluster.Schedule
 }
 

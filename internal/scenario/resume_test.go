@@ -197,6 +197,18 @@ func TestResumeValidates(t *testing.T) {
 	if _, err := Resume(spec, opts, &bad, schedules); err == nil {
 		t.Error("cursor/iterations mismatch accepted")
 	}
+	bad = *snap
+	bad.Search = bad.Search[:2]
+	if _, err := Resume(spec, opts, &bad, schedules); err == nil {
+		t.Error("cursor/search mismatch accepted")
+	}
+	bad = *snap
+	steps := *snap.Controller
+	steps.Steps = 2
+	bad.Controller = &steps
+	if _, err := Resume(spec, opts, &bad, schedules); err == nil {
+		t.Error("cursor/controller steps mismatch accepted")
+	}
 	// Controller toggle mismatch.
 	off := *spec
 	off.Controller.Disabled = true

@@ -92,6 +92,7 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 		return IterationReport{}, fmt.Errorf("scenario %s: applying tick %d, expected %d", rt.Spec.Name, tick, len(rt.iterations))
 	}
 	it := IterationReport{Index: tick}
+	var search *core.SearchStats
 	if rt.Controller != nil {
 		step, err := rt.Controller.Apply(sched)
 		if err != nil {
@@ -100,11 +101,13 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 		it.Observed = step.Observed
 		it.Switched = step.Switched
 		it.Reverted = step.Reverted
+		search = step.Search
 	} else {
 		it.Observed = qs.EvalStream(rt.Templates, sched, 0, sched.Horizon+time.Nanosecond)
 	}
 	fillScheduleStats(&it, sched)
 	rt.iterations = append(rt.iterations, it)
+	rt.search = append(rt.search, search)
 	rt.schedules = append(rt.schedules, sched)
 	return it, nil
 }
@@ -114,12 +117,13 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 // Deliberately not part of IterationReport: the stats depend on cache
 // temperature (a resumed run re-drives identical decisions with
 // different warm-start tallies), so folding them into the
-// golden-committed report would break byte-identical resume.
+// golden-committed report would break byte-identical resume. The
+// returned struct is shared; treat it as read-only.
 func (rt *Runtime) Search(i int) *core.SearchStats {
-	if rt.Controller == nil {
+	if i < 0 || i >= len(rt.search) {
 		return nil
 	}
-	return rt.Controller.Search(i)
+	return rt.search[i]
 }
 
 // ObservedSchedule returns the task schedule iteration i ran under, or nil

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +116,12 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 		{"negative deadline parallelism", func(s *Spec) { s.Tenants[0].Deadline.Parallelism = -4 }, "parallelism"},
 		{"horizon overflows", func(s *Spec) { s.Iterations = 2000000000 }, "overflows"},
 		{"interval overflows", func(s *Spec) { s.IntervalMinutes = 1e12 }, "interval_minutes"},
+		{"share preempt overflows", func(s *Spec) {
+			s.Initial.Tenants = map[string]TenantConfigSpec{"deadline": {Weight: 1, SharePreemptSeconds: 1e10}}
+		}, "deadline share_preempt_seconds"},
+		{"min share preempt overflows", func(s *Spec) {
+			s.Initial.Tenants = map[string]TenantConfigSpec{"deadline": {Weight: 1, MinSharePreemptSeconds: 1e10}}
+		}, "deadline min_share_preempt_seconds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,6 +135,43 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestImprovementTable: Summary.Improvement's ~zero-first guard fires
+// before the tail computation, and the tail window math holds for every
+// small iteration count.
+func TestImprovementTable(t *testing.T) {
+	iters := func(vals ...float64) []IterationReport {
+		out := make([]IterationReport, len(vals))
+		for i, v := range vals {
+			out[i] = IterationReport{Index: i, Observed: []float64{v}}
+		}
+		return out
+	}
+	cases := []struct {
+		name       string
+		iterations []IterationReport
+		want       float64
+	}{
+		{"len0", iters(), 0},
+		{"len1", iters(4), 0},                               // tail is the first observation again
+		{"len1-zero-first", iters(0), 0},                    // guard, not 0/0
+		{"len2", iters(4, 2), 0.5},                          // tail = last element
+		{"len3", iters(4, 3, 2), 0.5},                       // tail index (3*3)/4 = 2
+		{"len3-zero-first", iters(0, 5, 5), 0},              // guard fires before tail math
+		{"len4", iters(4, 9, 9, 3), 0.25},                   // tail index 3
+		{"len4-negative-first", iters(-4, 0, 0, -3), -0.25}, // |first| denominator
+	}
+	for _, tc := range cases {
+		sum := summarize(&Report{Objectives: []string{"qs"}, Iterations: tc.iterations}, &Runtime{Spec: &Spec{}})
+		got := 0.0
+		if len(sum.Improvement) > 0 {
+			got = sum.Improvement[0]
+		}
+		if math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: Improvement = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -458,7 +458,20 @@ func (in *InitialSpec) Config(capacity int, tenants []string) (cluster.Config, e
 	default:
 		return cluster.Config{}, fmt.Errorf("scenario: unknown initial-config preset %q", in.Preset)
 	}
-	for name, tc := range in.Tenants {
+	names := make([]string, 0, len(in.Tenants))
+	for name := range in.Tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names) // the first bad tenant reported must not vary across runs
+	for _, name := range names {
+		tc := in.Tenants[name]
+		// Past time.Duration's range the conversion below is platform-defined.
+		for _, f := range []field{{"share_preempt_seconds", tc.SharePreemptSeconds},
+			{"min_share_preempt_seconds", tc.MinSharePreemptSeconds}} {
+			if f.value*float64(time.Second) >= math.MaxInt64 {
+				return cluster.Config{}, fmt.Errorf("scenario: tenant %s %s %g overflows the preemption timeout", name, f.name, f.value)
+			}
+		}
 		cfg.Tenants[name] = cluster.TenantConfig{
 			Weight:                 tc.Weight,
 			MinShare:               tc.MinShare,

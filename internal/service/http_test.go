@@ -133,6 +133,7 @@ func TestHandlerErrors(t *testing.T) {
 		{"whatif: no candidates", "POST", "/v1/clusters/c1/whatif", `{"candidates":[]}`, http.StatusBadRequest},
 		{"whatif: unknown tenant", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"ghost":{"weight":2}}]}`, http.StatusBadRequest},
 		{"whatif: invalid weight", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"deadline":{"weight":-1}}]}`, http.StatusBadRequest},
+		{"whatif: preemption overflows", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"deadline":{"weight":1,"share_preempt_seconds":1e10}}]}`, http.StatusBadRequest},
 		{"whatif: body over the bound", "POST", "/v1/clusters/c1/whatif", `{"candidates":[{"` + tooLong + `":{}}]}`, http.StatusRequestEntityTooLarge},
 		{"query: body over the bound", "POST", "/v1/clusters/c1/query", `{"version":1,"source":"` + tooLong + `"}`, http.StatusRequestEntityTooLarge},
 	}

@@ -196,25 +196,51 @@ func coldRecovery(b *testing.B, spec *scenario.Spec, snapshotAt func(cursor int)
 	}
 }
 
-// BenchmarkSnapshotCodec times EncodeSnapshot and DecodeSnapshot on the
-// two snapshot shapes a data directory holds: a small cluster late in a
-// long run (2 tenants, 128 ticks of history) and a stress cluster (100
-// tenants, 173 templates, 32 ticks — about a megabyte as JSON).
-func BenchmarkSnapshotCodec(b *testing.B) {
-	small := storeSpec(b)
+// snapshotShape is one of the two snapshot shapes a data directory
+// holds, at its final tick, with the exact size of its encoding.
+type snapshotShape struct {
+	name  string
+	snap  *scenario.Snapshot
+	bytes int
+}
+
+// snapshotShapes builds the two shapes: a small cluster late in a long
+// run (2 tenants, 128 ticks) and a stress cluster (100 tenants, 173
+// templates, 32 ticks). Their encoded sizes are pure functions of the
+// codec and the seeded runs, like walBytesPerTick; re-commit them only
+// when an encoding change is intended.
+func snapshotShapes(tb testing.TB) []snapshotShape {
+	small := storeSpec(tb)
 	small.Iterations = 128
-	for _, shape := range []struct {
-		name string
-		spec *scenario.Spec
-	}{{"small", small}, {"stress", stressSpec(b, 32)}} {
-		snap := runtimeSnapshot(b, shape.spec, shape.spec.Iterations)
+	return []snapshotShape{
+		{"small", runtimeSnapshot(tb, small, small.Iterations), 32254},
+		{"stress", runtimeSnapshot(tb, stressSpec(tb, 32), 32), 577252},
+	}
+}
+
+// checkSnapshotBytes fails tb unless shape encodes to its committed size.
+func checkSnapshotBytes(tb testing.TB, shape snapshotShape, enc []byte) {
+	tb.Helper()
+	if len(enc) != shape.bytes {
+		tb.Fatalf("%s snapshot encodes to %d bytes, committed value %d", shape.name, len(enc), shape.bytes)
+	}
+}
+
+// BenchmarkSnapshotCodec times EncodeSnapshot and DecodeSnapshot on
+// snapshotShapes and reports each shape's encoded size. It fails if a
+// size drifted.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	for _, shape := range snapshotShapes(b) {
+		snap := shape.snap
 		enc := EncodeSnapshot(nil, snap)
+		checkSnapshotBytes(b, shape, enc)
 		b.Run("encode/"+shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(enc)))
 			for i := 0; i < b.N; i++ {
 				benchSink = EncodeSnapshot(nil, snap)
 			}
+			b.ReportMetric(float64(len(enc)), "snapshot-bytes")
 		})
 		b.Run("decode/"+shape.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -185,32 +185,36 @@ func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule
 // wall-clock SearchStats.DecisionNanos is not written at all (it restores
 // as zero), so two runs of one spec and seed write the same bytes.
 //
-//	snapshot   := format cursor slice(iteration) pointer(controller)
+//	snapshot   := format cursor slice(iteration) slice(pointer(search))
+//	              pointer(controller)
 //	iteration  := index capacity floats switched reverted submitted completed
 //	              killed deadlineJobs deadlineMisses preemptions useful wasted
+//	search     := candidates fullyScored warmStarted simsRun simsReused
 //	controller := config floats config floats hasPrev slice(target) floats
-//	              slice(history) pointer(optimizer)
+//	              steps pointer(optimizer)
 //	config     := totalContainers slice(tenant)     names strictly ascending
 //	tenant     := string weight minShare maxShare shareTimeout minShareTimeout
 //	target     := r constrained
-//	history    := index config floats floats reverted switched pointer(search)
-//	search     := candidates fullyScored warmStarted pruned simsRun simsReused
 //	optimizer  := draws slice(floats) slice(floats)
 //	floats     := slice(float)
 //	slice(T)   := 0 | 1 count T*                    0 is nil, "1 0" is empty
 //	pointer(T) := 0 | 1 T
 //
-// The search production's pruned slot is always 0 in snapshots this
-// version writes: the controller scores every candidate. The slot stays
-// so the format does not change.
+// The controller's part is bounded in ticks: steps is a count, not a
+// record per iteration, and the optimizer's sample cloud stops growing at
+// its cap. What grows with ticks is the iteration and search slices, one
+// entry each per tick.
 //
-// format is the byte 1; integers are uvarints (a negative int is its
+// format is the byte 2; integers are uvarints (a negative int is its
 // two's-complement uint64); bools are one byte, 0 or 1. The decoder
 // checks every count against the bytes left before allocating for it,
 // rejects any tag or bool byte other than 0 and 1, and treats trailing
 // bytes as an error — so every strict prefix of a snapshot is rejected.
+// Format 1, which held the controller's per-iteration history, is not
+// decoded: LoadSnapshot treats it as absent and recovery re-drives the
+// WAL.
 const (
-	snapshotFormat = 1
+	snapshotFormat = 2
 
 	tagNil     = 0
 	tagPresent = 1
@@ -222,7 +226,7 @@ const (
 	minTarget    = 9
 	minTenant    = 13
 	minIteration = 27
-	minHistory   = 8
+	minPointer   = 1
 )
 
 // EncodeSnapshot appends snap's encoding to dst and returns the extended
@@ -231,6 +235,9 @@ func EncodeSnapshot(dst []byte, snap *scenario.Snapshot) []byte {
 	dst = append(dst, snapshotFormat)
 	dst = appendInt(dst, snap.Cursor)
 	dst = appendSlice(dst, snap.Iterations, appendIteration)
+	dst = appendSlice(dst, snap.Search, func(dst []byte, s **core.SearchStats) []byte {
+		return appendPointer(dst, *s, appendSearch)
+	})
 	return appendPointer(dst, snap.Controller, appendController)
 }
 
@@ -242,6 +249,9 @@ func DecodeSnapshot(payload []byte) (*scenario.Snapshot, error) {
 	}
 	snap := &scenario.Snapshot{Cursor: d.int()}
 	snap.Iterations = decodeSlice(&d, minIteration, decodeIteration)
+	snap.Search = decodeSlice(&d, minPointer, func(d *decoder, s **core.SearchStats) {
+		*s = decodePointer(d, decodeSearch)
+	})
 	snap.Controller = decodePointer(&d, decodeController)
 	if d.err != nil {
 		return nil, d.err
@@ -294,7 +304,7 @@ func appendController(dst []byte, c *core.ControllerState) []byte {
 		return appendBool(appendFloat(dst, t.R), t.Constrained)
 	})
 	dst = appendFloats(dst, c.Scales)
-	dst = appendSlice(dst, c.History, appendHistory)
+	dst = appendInt(dst, c.Steps)
 	return appendPointer(dst, c.Optimizer, func(dst []byte, o *pald.State) []byte {
 		dst = binary.AppendUvarint(dst, o.Draws)
 		dst = appendSlice(dst, o.Xs, appendFloatsAt)
@@ -312,7 +322,7 @@ func decodeController(d *decoder, c *core.ControllerState) {
 		t.R, t.Constrained = d.float(), d.bool()
 	})
 	c.Scales = d.floats()
-	c.History = decodeSlice(d, minHistory, decodeHistory)
+	c.Steps = d.int()
 	c.Optimizer = decodePointer(d, func(d *decoder, o *pald.State) {
 		o.Draws = d.uvarint()
 		o.Xs = decodeSlice(d, minFloats, decodeFloatsAt)
@@ -320,38 +330,20 @@ func decodeController(d *decoder, c *core.ControllerState) {
 	})
 }
 
-func appendHistory(dst []byte, it *core.Iteration) []byte {
-	dst = appendInt(dst, it.Index)
-	dst = appendConfig(dst, &it.Config)
-	dst = appendFloats(dst, it.Observed)
-	dst = appendFloats(dst, it.Predicted)
-	dst = appendBool(dst, it.Reverted)
-	dst = appendBool(dst, it.Switched)
-	return appendPointer(dst, it.Search, func(dst []byte, s *core.SearchStats) []byte {
-		dst = appendInt(dst, s.Candidates)
-		dst = appendInt(dst, s.FullyScored)
-		dst = appendInt(dst, s.WarmStarted)
-		dst = appendInt(dst, s.Pruned)
-		dst = appendInt(dst, s.SimsRun)
-		return appendInt(dst, s.SimsReused)
-	})
+func appendSearch(dst []byte, s *core.SearchStats) []byte {
+	dst = appendInt(dst, s.Candidates)
+	dst = appendInt(dst, s.FullyScored)
+	dst = appendInt(dst, s.WarmStarted)
+	dst = appendInt(dst, s.SimsRun)
+	return appendInt(dst, s.SimsReused)
 }
 
-func decodeHistory(d *decoder, it *core.Iteration) {
-	it.Index = d.int()
-	d.config(&it.Config)
-	it.Observed = d.floats()
-	it.Predicted = d.floats()
-	it.Reverted = d.bool()
-	it.Switched = d.bool()
-	it.Search = decodePointer(d, func(d *decoder, s *core.SearchStats) {
-		s.Candidates = d.int()
-		s.FullyScored = d.int()
-		s.WarmStarted = d.int()
-		s.Pruned = d.int()
-		s.SimsRun = d.int()
-		s.SimsReused = d.int()
-	})
+func decodeSearch(d *decoder, s *core.SearchStats) {
+	s.Candidates = d.int()
+	s.FullyScored = d.int()
+	s.WarmStarted = d.int()
+	s.SimsRun = d.int()
+	s.SimsReused = d.int()
 }
 
 func appendConfig(dst []byte, c *cluster.Config) []byte {

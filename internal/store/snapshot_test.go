@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,11 +79,8 @@ func runtimeSnapshot(t testing.TB, spec *scenario.Spec, ticks int) *scenario.Sna
 // stripDecisionNanos zeroes the one field the codec does not persist, so
 // a live snapshot can be compared with its decoded self.
 func stripDecisionNanos(snap *scenario.Snapshot) {
-	if snap.Controller == nil {
-		return
-	}
-	for i := range snap.Controller.History {
-		if s := snap.Controller.History[i].Search; s != nil {
+	for _, s := range snap.Search {
+		if s != nil {
 			s.DecisionNanos = 0
 		}
 	}
@@ -142,6 +140,9 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			"nil observed":     {Cursor: 1, Iterations: []scenario.IterationReport{{Observed: nil}}},
 			"empty observed":   {Cursor: 1, Iterations: []scenario.IterationReport{{Observed: []float64{}}}},
 			"negative ints":    {Cursor: -1, Iterations: []scenario.IterationReport{{Index: math.MinInt64, Capacity: -7}}},
+			"empty search":     {Search: []*core.SearchStats{}},
+			"nil search":       {Cursor: 2, Search: []*core.SearchStats{nil, {Candidates: -1}}},
+			"negative steps":   {Controller: &core.ControllerState{Steps: -3}},
 			"zero controller":  {Controller: &core.ControllerState{}},
 			"empty controller": {Controller: &core.ControllerState{
 				Current:      cluster.Config{Tenants: map[string]cluster.TenantConfig{}},
@@ -149,7 +150,6 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 				PrevObserved: []float64{},
 				Targets:      []pald.Target{},
 				Scales:       []float64{},
-				History:      []core.Iteration{},
 				Optimizer:    &pald.State{Xs: [][]float64{}, Fs: [][]float64{{}, nil}},
 			}},
 			"odd floats": {Controller: &core.ControllerState{
@@ -195,6 +195,17 @@ func randomSnapshot(rng *rand.Rand) *scenario.Snapshot {
 			}
 		}
 	}
+	if n := sliceLen(rng); n >= 0 {
+		snap.Search = make([]*core.SearchStats, n)
+		for i := range snap.Search {
+			if rng.Intn(3) > 0 {
+				snap.Search[i] = &core.SearchStats{
+					Candidates: rng.Intn(9), FullyScored: rng.Intn(9), WarmStarted: rng.Intn(9),
+					SimsRun: rng.Intn(99), SimsReused: rng.Intn(99),
+				}
+			}
+		}
+	}
 	if rng.Intn(4) == 0 {
 		return snap
 	}
@@ -206,27 +217,12 @@ func randomSnapshot(rng *rand.Rand) *scenario.Snapshot {
 		PrevObserved: randomFloats(rng),
 		HasPrev:      rng.Intn(2) == 0,
 		Scales:       randomFloats(rng),
+		Steps:        rng.Intn(200),
 	}
 	if n := sliceLen(rng); n >= 0 {
 		c.Targets = make([]pald.Target, n)
 		for i := range c.Targets {
 			c.Targets[i] = pald.Target{R: rng.NormFloat64(), Constrained: rng.Intn(2) == 0}
-		}
-	}
-	if n := sliceLen(rng); n >= 0 {
-		c.History = make([]core.Iteration, n)
-		for i := range c.History {
-			it := core.Iteration{
-				Index: i, Config: randomConfig(rng, tenants), Observed: randomFloats(rng), Predicted: randomFloats(rng),
-				Reverted: rng.Intn(2) == 0, Switched: rng.Intn(2) == 0,
-			}
-			if rng.Intn(3) > 0 {
-				it.Search = &core.SearchStats{
-					Candidates: rng.Intn(9), FullyScored: rng.Intn(9), WarmStarted: rng.Intn(9),
-					Pruned: rng.Intn(9), SimsRun: rng.Intn(99), SimsReused: rng.Intn(99),
-				}
-			}
-			c.History[i] = it
 		}
 	}
 	if rng.Intn(5) > 0 {
@@ -293,17 +289,18 @@ func snapshotFootprint(snap *scenario.Snapshot) int {
 	for i := range snap.Iterations {
 		n += floats(snap.Iterations[i].Observed)
 	}
+	n += 8 * len(snap.Search)
+	for _, s := range snap.Search {
+		if s != nil {
+			n += int(reflect.TypeOf(core.SearchStats{}).Size())
+		}
+	}
 	c := snap.Controller
 	if c == nil {
 		return n
 	}
 	n += config(&c.Current) + config(&c.PrevConfig) + floats(c.CurrentX) + floats(c.PrevObserved) + floats(c.Scales)
 	n += len(c.Targets) * int(reflect.TypeOf(pald.Target{}).Size())
-	n += len(c.History) * int(reflect.TypeOf(core.Iteration{}).Size())
-	for i := range c.History {
-		it := &c.History[i]
-		n += config(&it.Config) + floats(it.Observed) + floats(it.Predicted)
-	}
 	if o := c.Optimizer; o != nil {
 		n += 24 * (len(o.Xs) + len(o.Fs))
 		for _, x := range o.Xs {
@@ -323,36 +320,47 @@ const snapshotAllocFactor = 24
 
 // TestDecodeSnapshotBoundsAllocations is TestDecodeTickBoundsAllocations'
 // twin: short, well-formed snapshots whose one oversized count would size
-// an allocation must fail before allocating for it.
+// an allocation must fail before allocating for it, and on that count.
 func TestDecodeSnapshotBoundsAllocations(t *testing.T) {
 	head := []byte{snapshotFormat, 0} // format, cursor
 	huge := binary.AppendUvarint(nil, 1<<40)
-	controller := func(fields ...[]byte) []byte {
-		p := append(append([]byte(nil), head...), tagNil, tagPresent) // nil iterations, controller present
-		for _, f := range fields {
-			p = append(p, f...)
+	payload := func(parts ...[]byte) []byte {
+		p := append([]byte(nil), head...)
+		for _, part := range parts {
+			p = append(p, part...)
 		}
 		return p
 	}
+	controller := func(fields ...[]byte) []byte {
+		// nil iterations, nil search, controller present
+		return payload(append([][]byte{{tagNil, tagNil, tagPresent}}, fields...)...)
+	}
 	config := []byte{0, tagNil}
-	for name, payload := range map[string][]byte{
-		"iterations":      append(append(append([]byte(nil), head...), tagPresent), huge...),
-		"observed floats": append(append(append([]byte(nil), head...), tagPresent, 1, 0, 0, tagPresent), huge...),
+	for name, p := range map[string][]byte{
+		"iterations": payload([]byte{tagPresent}, huge),
+		// One iteration (index 0, capacity 0) whose observed count is 2^40,
+		// padded so that the iteration count itself fits.
+		"observed floats": payload([]byte{tagPresent, 1, 0, 0, tagPresent}, huge, make([]byte, minIteration)),
+		"search":          payload([]byte{tagNil, tagPresent}, huge),
 		"tenants":         controller([]byte{0, tagPresent}, huge),
 		"current x":       controller(config, []byte{tagPresent}, huge),
 		"targets":         controller(config, []byte{tagNil}, config, []byte{tagNil, 0, tagPresent}, huge),
-		"history":         controller(config, []byte{tagNil}, config, []byte{tagNil, 0, tagNil, tagNil, tagPresent}, huge),
-		"optimizer rows":  controller(config, []byte{tagNil}, config, []byte{tagNil, 0, tagNil, tagNil, tagNil, tagPresent, 0, tagPresent}, huge),
+		// prevObserved, hasPrev, targets, scales, steps 0, optimizer
+		// present, draws 0, then the Xs count.
+		"optimizer rows": controller(config, []byte{tagNil}, config,
+			[]byte{tagNil, 0, tagNil, tagNil, 0, tagPresent, 0, tagPresent}, huge),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		snap, err := DecodeSnapshot(payload)
+		snap, err := DecodeSnapshot(p)
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Errorf("%s: a count of 2^40 in a %d-byte payload was accepted: %+v", name, len(payload), snap)
+			t.Errorf("%s: a count of 2^40 in a %d-byte payload was accepted: %+v", name, len(p), snap)
+		} else if !strings.Contains(err.Error(), "count 1099511627776 exceeds") {
+			t.Errorf("%s: refused for %q, not for the 2^40 count", name, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: rejecting a %d-byte payload allocated %d bytes", name, len(payload), grew)
+			t.Errorf("%s: rejecting a %d-byte payload allocated %d bytes", name, len(p), grew)
 		}
 	}
 	// A count that is one too many for the bytes behind it is still refused.
@@ -365,6 +373,14 @@ func TestDecodeSnapshotBoundsAllocations(t *testing.T) {
 	snap := runtimeSnapshot(t, storeSpec(t), 3)
 	if enc := EncodeSnapshot(nil, snap); snapshotFootprint(snap) > snapshotAllocFactor*len(enc) {
 		t.Errorf("a real snapshot's footprint %d exceeds %d x its %d encoded bytes", snapshotFootprint(snap), snapshotAllocFactor, len(enc))
+	}
+}
+
+// TestSnapshotBytes pins the encoded size of BenchmarkSnapshotCodec's
+// two shapes, so a snapshot that grows is an intended change.
+func TestSnapshotBytes(t *testing.T) {
+	for _, shape := range snapshotShapes(t) {
+		checkSnapshotBytes(t, shape, EncodeSnapshot(nil, shape.snap))
 	}
 }
 

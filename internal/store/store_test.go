@@ -654,6 +654,46 @@ func TestSnapshotAtomicReplace(t *testing.T) {
 // wrote snapshot.json recovers by WAL re-drive — the old file is not read
 // — to the byte-identical report, and the next snapshot write removes it.
 func TestUpgradeFromJSONSnapshot(t *testing.T) {
+	stale := upgradeFrom(t, "snapshot.json", func(snap *scenario.Snapshot) []byte {
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	})
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("snapshot.json after a snapshot write: stat err %v, want not-exist", err)
+	}
+}
+
+// TestUpgradeFromFormat1Snapshot: a snapshot.bin in format 1, which held
+// the controller's per-iteration history, is treated as absent — one WAL
+// re-drive recovers the byte-identical report — and the next snapshot
+// write replaces it with the current format. The decoder refuses a
+// snapshot on its format byte, so the body behind the 1 is immaterial.
+func TestUpgradeFromFormat1Snapshot(t *testing.T) {
+	path := upgradeFrom(t, "snapshot.bin", func(snap *scenario.Snapshot) []byte {
+		raw := EncodeSnapshot(nil, snap)
+		raw[0] = 1
+		return raw
+	})
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[0] != 2 {
+		t.Fatalf("snapshot.bin after the upgrade has format %d, want 2", raw[0])
+	}
+}
+
+// upgradeFrom leaves a store-small cluster four ticks into its run with
+// an older tempod's snapshot file: name, holding old(the snapshot after
+// tick 1). Reopened, LoadSnapshot must return (nil, nil) and a WAL
+// re-drive must finish on the uninterrupted run's report, with the old
+// file untouched until the first snapshot write. That write must load
+// back at the final cursor. upgradeFrom returns the old file's path.
+func upgradeFrom(t *testing.T, name string, old func(*scenario.Snapshot) []byte) string {
+	t.Helper()
 	spec := storeSpec(t)
 	want := runReference(t, spec)
 	opts := scenario.Options{Parallelism: 1}
@@ -671,7 +711,7 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	const crashAfter = 4
-	stale := filepath.Join(cs.dir, "snapshot.json")
+	stale := filepath.Join(cs.dir, name)
 	for i := 0; i < crashAfter; i++ {
 		if _, err := rt.Step(); err != nil {
 			t.Fatal(err)
@@ -684,11 +724,7 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := json.Marshal(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(stale, raw, 0o644); err != nil {
+			if err := os.WriteFile(stale, old(snap), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -712,7 +748,7 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 	}
 	snap, err := cs2.LoadSnapshot()
 	if err != nil || snap != nil {
-		t.Fatalf("LoadSnapshot beside a snapshot.json = %v, %v; want nil, nil", snap, err)
+		t.Fatalf("LoadSnapshot beside an old %s = %v, %v; want nil, nil", name, snap, err)
 	}
 	resumed, err := scenario.Resume(cs2.Spec(), opts, nil, schedules)
 	if err != nil {
@@ -729,7 +765,7 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := os.Stat(stale); err != nil {
-			t.Fatalf("snapshot.json gone before any snapshot was written: %v", err)
+			t.Fatalf("%s gone before any snapshot was written: %v", name, err)
 		}
 	}
 	got, err := resumed.Report().MarshalCanonical()
@@ -737,7 +773,7 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("report recovered from an old-format directory differs from the uninterrupted run")
+		t.Fatalf("report recovered beside an old %s differs from the uninterrupted run", name)
 	}
 	next, err := resumed.Snapshot()
 	if err != nil {
@@ -746,12 +782,10 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 	if err := cs2.WriteSnapshot(next); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot.json after a snapshot write: stat err %v, want not-exist", err)
-	}
 	if snap, err := cs2.LoadSnapshot(); err != nil || snap == nil || snap.Cursor != spec.Iterations {
 		t.Fatalf("snapshot.bin after the upgrade = %+v, %v", snap, err)
 	}
+	return stale
 }
 
 // TestSchedulesReleasesLog: the recovered records alias one buffer the

@@ -19,7 +19,6 @@ import (
 	"tempo/internal/core"
 	"tempo/internal/pald"
 	"tempo/internal/scenario"
-	"tempo/internal/whatif"
 )
 
 // decisionTicks is how many control intervals the stress-tier comparison
@@ -27,66 +26,53 @@ import (
 // gate is computed over the steady-state ticks after it.
 const decisionTicks = 3
 
-// batchOnlyWhatIf hides EvaluateSearch so the controller's SearchModel
-// assertion fails and scoring falls back to the exhaustive batch path.
-type batchOnlyWhatIf struct{ m *whatif.Model }
-
-func (b *batchOnlyWhatIf) Evaluate(cfg cluster.Config) ([]float64, error) { return b.m.Evaluate(cfg) }
-func (b *batchOnlyWhatIf) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	return b.m.EvaluateBatch(cfgs)
-}
-
-// stressController builds a controller over the committed stress-1000
-// tenant mix (1000 tenants, capacity 400) with a RandomSearch strategy
-// and two candidates per tick — the stress-scale shape of the
-// incremental-search win.
-func stressController(b *testing.B, exhaustive bool) *core.Controller {
+// stressRuntime builds the committed stress-1000 tenant mix (1000
+// tenants, capacity 400) with its controller enabled: a RandomSearch
+// strategy and two candidates per tick — the stress-scale shape of the
+// incremental-search win. exhaustive scores every candidate through the
+// exhaustive batch path instead.
+func stressRuntime(b *testing.B, exhaustive bool) *scenario.Runtime {
 	b.Helper()
 	spec, err := scenario.LoadFile("internal/scenario/testdata/scenarios/stress-1000.json")
 	if err != nil {
 		b.Fatal(err)
 	}
 	spec.Iterations = decisionTicks // extend the trace to cover every benched tick
-	rt, err := scenario.Build(spec, scenario.Options{Parallelism: 1})
+	spec.Controller = scenario.ControllerSpec{Candidates: 2}
+	rs, err := pald.NewRandomSearch(cluster.DefaultSpace(spec.Capacity, spec.TenantNames()).Dim(), 0.2, spec.Seed+7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := rt.NewWhatIfModel(1)
+	rt, err := scenario.Build(spec, scenario.Options{Parallelism: 1, Strategy: rs, ExhaustiveSearch: exhaustive, Clock: time.Now})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var coreModel core.Model = model
-	if exhaustive {
-		coreModel = &batchOnlyWhatIf{m: model}
-	}
-	space := cluster.DefaultSpace(spec.Capacity, spec.TenantNames())
-	rs, err := pald.NewRandomSearch(space.Dim(), 0.2, spec.Seed+7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctl, err := core.NewController(core.Config{
-		Space:       space,
-		Templates:   rt.Templates,
-		Model:       coreModel,
-		Environment: &core.TraceEnvironment{Trace: rt.Trace, Seed: spec.Seed},
-		Interval:    rt.Interval,
-		Candidates:  2,
-		Strategy:    rs,
-		Now:         time.Now,
-	}, rt.Initial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ctl
+	return rt
 }
 
-// driveDecisions steps the controller n ticks and returns the stripped
-// trajectory plus aggregated search stats over ticks [from, n).
-func driveDecisions(b *testing.B, c *core.Controller, n, from int) ([]core.Iteration, core.SearchStats) {
+// decide runs tick i's window of the trace, noise-free, under the
+// controller's current configuration and applies the schedule.
+func decide(b *testing.B, rt *scenario.Runtime, i int) core.Iteration {
 	b.Helper()
-	hist, err := c.Run(n)
+	from := time.Duration(i) * rt.Interval
+	sched, err := cluster.Run(rt.Trace.Window(from, from+rt.Interval), rt.Controller.Current(), cluster.Options{Horizon: rt.Interval})
 	if err != nil {
 		b.Fatal(err)
+	}
+	it, err := rt.Controller.Apply(sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return it
+}
+
+// driveDecisions decides n ticks and returns the stripped trajectory plus
+// aggregated search stats over ticks [from, n).
+func driveDecisions(b *testing.B, rt *scenario.Runtime, n, from int) ([]core.Iteration, core.SearchStats) {
+	b.Helper()
+	hist := make([]core.Iteration, n)
+	for i := range hist {
+		hist[i] = decide(b, rt, i)
 	}
 	var agg core.SearchStats
 	for i := from; i < n; i++ {
@@ -112,8 +98,8 @@ func driveDecisions(b *testing.B, c *core.Controller, n, from int) ([]core.Itera
 func BenchmarkControllerDecision(b *testing.B) {
 	// Stress tier: warm-starting must cut fully scored candidates per
 	// steady-state decision by >= 30% without changing any decision.
-	exHist, exStats := driveDecisions(b, stressController(b, true), decisionTicks, 1)
-	incHist, incStats := driveDecisions(b, stressController(b, false), decisionTicks, 1)
+	exHist, exStats := driveDecisions(b, stressRuntime(b, true), decisionTicks, 1)
+	incHist, incStats := driveDecisions(b, stressRuntime(b, false), decisionTicks, 1)
 	if !reflect.DeepEqual(exHist, incHist) {
 		b.Fatalf("incremental search changed the stress trajectory:\nexhaustive:  %+v\nincremental: %+v", exHist, incHist)
 	}
@@ -134,15 +120,11 @@ func BenchmarkControllerDecision(b *testing.B) {
 
 	// The benched op: one steady-state decision (observe → propose →
 	// warm-started incremental scoring → select) at stress-1000 scale.
-	ctl := stressController(b, false)
-	if _, err := ctl.Step(); err != nil { // cold tick outside the timer
-		b.Fatal(err)
-	}
+	rt := stressRuntime(b, false)
+	decide(b, rt, 0) // cold tick outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctl.Step(); err != nil {
-			b.Fatal(err)
-		}
+		decide(b, rt, 1+i)
 	}
 	b.ReportMetric(reduction, "scored-reduction")
 	b.ReportMetric(float64(incStats.DecisionNanos), "decision-ns")

@@ -110,8 +110,8 @@ func ExampleClusterConfig_WithSubTenants() {
 	// analytics/large: weight 1.0, min 5
 }
 
-// ExampleNewController declares SLOs for two tenants, points Tempo at an
-// emulated cluster, and lets the control loop tune the Resource Manager.
+// ExampleNewController declares SLOs for two tenants, observes an emulated
+// cluster, and lets the control loop tune the Resource Manager.
 func ExampleNewController() {
 	// 1. Describe the tenants' workloads. In production this is recorded
 	// history; here the library's statistical profiles stand in: a
@@ -155,17 +155,11 @@ func ExampleNewController() {
 		},
 	}
 
-	// 5. Wire the control loop against a noisy emulated cluster that
-	// replays the same workload each interval.
+	// 5. Wire the control loop.
 	ctl, err := tempo.NewController(tempo.ControllerConfig{
-		Space:     tempo.DefaultSpace(capacity, []string{"ETL", "BI"}),
-		Templates: templates,
-		Model:     model,
-		Environment: &tempo.ReplayEnvironment{
-			Trace: trace,
-			Noise: tempo.DefaultNoise(11),
-		},
-		Interval:   interval,
+		Space:      tempo.DefaultSpace(capacity, []string{"ETL", "BI"}),
+		Templates:  templates,
+		Model:      model,
 		Candidates: 5,
 	}, initial)
 	if err != nil {
@@ -173,10 +167,20 @@ func ExampleNewController() {
 		return
 	}
 
-	// 6. Run a few control-loop iterations and watch the SLOs.
+	// 6. Run a few control-loop iterations and watch the SLOs. Each
+	// interval a noisy emulated cluster replays the same workload under
+	// the current RM configuration; Apply takes the observed schedule.
 	fmt.Println("iter  ETL deadline-miss  BI avg response (s)")
 	for i := 0; i < 8; i++ {
-		it, err := ctl.Step()
+		sched, err := tempo.Run(trace, ctl.Current(), tempo.RunOptions{
+			Horizon: interval,
+			Noise:   tempo.DefaultNoise(11 + int64(i)*3571),
+		})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		it, err := ctl.Apply(sched)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

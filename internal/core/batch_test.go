@@ -15,13 +15,13 @@ import (
 // a fully sequential loop.
 func TestControllerParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) ([]Iteration, cluster.Config) {
-		cfg, initial := twoTenantSetup(t, 21)
+		cfg, initial, env := twoTenantSetup(t, 21)
 		cfg.Model.(*whatif.Model).Parallelism = parallelism
 		c, err := NewController(cfg, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		history, err := c.Run(3)
+		history, err := env.run(c, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,57 +42,5 @@ func TestControllerParallelMatchesSequential(t *testing.T) {
 	}
 	if !switched {
 		t.Log("no iteration switched configurations; determinism check is vacuous for this seed")
-	}
-}
-
-// countingModel implements only the minimal Model interface — no
-// EvaluateBatch — standing in for user-supplied what-if implementations.
-type countingModel struct {
-	inner *whatif.Model
-	calls int
-}
-
-func (m *countingModel) Evaluate(cfg cluster.Config) ([]float64, error) {
-	m.calls++
-	return m.inner.Evaluate(cfg)
-}
-
-// TestSequentialAdapterForCustomModel checks that a custom Model without
-// batch support still drives the loop: the controller falls back to one
-// Evaluate call per configuration (base + candidates) and produces the
-// same decisions as the batch path over the same model.
-func TestSequentialAdapterForCustomModel(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 22)
-	inner := cfg.Model.(*whatif.Model)
-	wrapped := &countingModel{inner: inner}
-	cfg.Model = wrapped
-	c, err := NewController(cfg, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := c.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := cfg.Candidates + 1; wrapped.calls != want {
-		t.Fatalf("adapter made %d Evaluate calls, want %d", wrapped.calls, want)
-	}
-
-	// Same seed, batch-capable model: identical first iteration.
-	cfg2, initial2 := twoTenantSetup(t, 22)
-	c2, err := NewController(cfg2, initial2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it2, err := c2.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Search stats describe the scoring mechanism (sequential adapter vs
-	// incremental search), so they legitimately differ; the decision and
-	// everything derived from it must not.
-	it.Search, it2.Search = nil, nil
-	if !reflect.DeepEqual(it, it2) {
-		t.Fatalf("adapter iteration %+v != batch iteration %+v", it, it2)
 	}
 }

@@ -1,9 +1,12 @@
-// Package core implements Tempo's control loop (§4, Figure 3): the glue
-// that observes the task schedule of the live (here: emulated) cluster,
-// evaluates QS metrics for the registered SLO templates, asks the Optimizer
+// Package core implements Tempo's control loop (§4, Figure 3). The caller
+// runs each control interval under Current() and hands the observed task
+// schedule to Apply, the only way to advance a Controller: internal/scenario
+// emulates the interval live, and crash recovery re-applies a logged
+// schedule. Apply evaluates QS metrics for the registered SLO templates,
+// reverts when the observation shows a regression, asks the Optimizer
 // (PALD) for candidate RM configurations within a bounded distance of the
-// current one, scores the candidates in the What-if Model, applies the
-// best, and reverts when the next observation shows a regression.
+// current one, scores the candidates in the What-if Model and applies the
+// best.
 package core
 
 import (
@@ -16,144 +19,16 @@ import (
 	"tempo/internal/linalg"
 	"tempo/internal/pald"
 	"tempo/internal/qs"
-	"tempo/internal/workload"
 )
 
 // Model is the what-if interface the control loop drives: predict the QS
-// vector a candidate RM configuration would attain. *whatif.Model is the
-// canonical implementation.
+// vector each candidate RM configuration would attain, in one call per
+// iteration. fresh[i] and reused[i] report how many predictor runs and
+// cross-tick cache hits candidate i cost; they feed SearchStats only,
+// never the decision. *whatif.Model is the canonical implementation, with
+// every prediction bit-identical to an exhaustive EvaluateBatch row.
 type Model interface {
-	Evaluate(cfg cluster.Config) ([]float64, error)
-}
-
-// BatchModel is implemented by models that can score many candidate
-// configurations in one call — *whatif.Model fans the batch out over a
-// worker pool. The controller routes all candidate scoring through it when
-// available; plain Model implementations fall back to sequential calls.
-type BatchModel interface {
-	Model
-	EvaluateBatch(cfgs []cluster.Config) ([][]float64, error)
-}
-
-// SearchModel is implemented by models that support the controller's
-// incremental decision search: cross-tick reuse of candidate scores, with
-// fresh[i] / reused[i] reporting how much simulation work candidate i
-// actually cost. *whatif.Model implements it; the controller routes
-// candidate scoring through it when available and falls back to
-// BatchModel/Model otherwise. The contract mirrors
-// whatif.(*Model).EvaluateSearch: every prediction is bit-identical to an
-// exhaustive EvaluateBatch row.
-type SearchModel interface {
-	Model
 	EvaluateSearch(cfgs []cluster.Config) (preds [][]float64, fresh, reused []int, err error)
-}
-
-// scoreBatch scores every configuration through the model, using the batch
-// API when the model supports it and a sequential adapter otherwise. Row i
-// corresponds to cfgs[i] in both paths.
-func scoreBatch(m Model, cfgs []cluster.Config) ([][]float64, error) {
-	if bm, ok := m.(BatchModel); ok {
-		return bm.EvaluateBatch(cfgs)
-	}
-	out := make([][]float64, len(cfgs))
-	for i := range cfgs {
-		v, err := m.Evaluate(cfgs[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Environment is the live system under management: given an RM
-// configuration, run one control interval and return the observed task
-// schedule. Production deployments would adapt a real RM here; the
-// reproduction uses the noisy cluster emulator.
-type Environment interface {
-	Observe(cfg cluster.Config, interval time.Duration, iteration int) (*cluster.Schedule, error)
-}
-
-// EmulatedCluster is the Environment used throughout the evaluation: every
-// control interval it synthesizes a fresh workload draw from the tenant
-// profiles and replays it on the noisy cluster emulator.
-type EmulatedCluster struct {
-	// Profiles describe the tenants' workloads.
-	Profiles []workload.TenantProfile
-	// Noise configures the emulation disturbances; nil means deterministic
-	// (useful in tests).
-	Noise *cluster.NoiseModel
-	// Seed bases the per-iteration workload and noise seeds.
-	Seed int64
-}
-
-// Observe implements Environment.
-func (e *EmulatedCluster) Observe(cfg cluster.Config, interval time.Duration, iteration int) (*cluster.Schedule, error) {
-	trace, err := workload.Generate(e.Profiles, workload.GenerateOptions{
-		Horizon: interval,
-		Seed:    e.Seed + int64(iteration)*104729,
-		Name:    fmt.Sprintf("iter-%d", iteration),
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := cluster.Options{Horizon: interval}
-	if e.Noise != nil {
-		n := *e.Noise
-		n.Seed = e.Noise.Seed + int64(iteration)*7907
-		opts.Noise = &n
-	}
-	return cluster.Run(trace, cfg, opts)
-}
-
-// TraceEnvironment replays consecutive windows of one long recorded trace —
-// the setup of the adaptivity experiment (§8.2.3), where each iteration
-// sees the workload distribution drift.
-type TraceEnvironment struct {
-	// Trace is the full recorded workload.
-	Trace *workload.Trace
-	// Noise configures emulation disturbances (may be nil).
-	Noise *cluster.NoiseModel
-	// Seed bases per-iteration noise seeds.
-	Seed int64
-}
-
-// Observe implements Environment.
-func (e *TraceEnvironment) Observe(cfg cluster.Config, interval time.Duration, iteration int) (*cluster.Schedule, error) {
-	from := time.Duration(iteration) * interval
-	win := e.Trace.Window(from, from+interval)
-	opts := cluster.Options{Horizon: interval}
-	if e.Noise != nil {
-		n := *e.Noise
-		n.Seed = e.Noise.Seed + int64(iteration)*6151
-		opts.Noise = &n
-	}
-	return cluster.Run(win, cfg, opts)
-}
-
-// ReplayEnvironment replays the same recorded trace every control interval
-// with fresh noise — the protocol of the §8.2.1/§8.2.2 experiments, where
-// one production workload is replayed (via SWIM) under each candidate RM
-// configuration. Because the workload is held fixed, QS changes across
-// iterations are attributable to configuration changes plus noise.
-type ReplayEnvironment struct {
-	// Trace is the workload replayed each interval.
-	Trace *workload.Trace
-	// Noise configures emulation disturbances (may be nil).
-	Noise *cluster.NoiseModel
-	// Seed bases per-iteration noise seeds.
-	Seed int64
-}
-
-// Observe implements Environment.
-func (e *ReplayEnvironment) Observe(cfg cluster.Config, interval time.Duration, iteration int) (*cluster.Schedule, error) {
-	opts := cluster.Options{Horizon: interval}
-	if e.Noise != nil {
-		n := *e.Noise
-		n.Seed = e.Noise.Seed + e.Seed + int64(iteration)*3571
-		opts.Noise = &n
-	}
-	return cluster.Run(e.Trace, cfg, opts)
 }
 
 // RevertPolicy selects the regression guard behaviour.
@@ -183,15 +58,11 @@ type Config struct {
 	// Templates are the registered SLOs; their order fixes the QS vector.
 	Templates []qs.Template
 	// Model predicts QS vectors for candidate configurations, typically a
-	// *whatif.Model. Implementations that also satisfy BatchModel score the
-	// per-iteration candidate set in one (possibly parallel) batch call.
+	// *whatif.Model, which scores the per-iteration candidate set in one
+	// (possibly parallel) call.
 	Model Model
 	// Strategy proposes candidates; nil builds a default PALD optimizer.
 	Strategy pald.Strategy
-	// Environment is the system under management.
-	Environment Environment
-	// Interval is the control window L (default 30 min).
-	Interval time.Duration
 	// Candidates per loop iteration (default 5, as in §8.2).
 	Candidates int
 	// Revert selects the regression-guard policy.
@@ -280,9 +151,9 @@ type Controller struct {
 	// silently dominate the others. This realizes the paper's note that
 	// the c vector is "normalized using any desirable metrics".
 	scales []float64
-	// steps counts applied iterations: it indexes the environment in Step
-	// and numbers each Iteration. The controller keeps no per-iteration
-	// record; its callers do (scenario.Runtime, Run's return value).
+	// steps counts applied iterations and numbers each Iteration. The
+	// controller keeps no per-iteration record; its caller does
+	// (scenario.Runtime).
 	steps int
 }
 
@@ -298,14 +169,8 @@ func NewController(cfg Config, initial cluster.Config) (*Controller, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("core: nil what-if model")
 	}
-	if cfg.Environment == nil {
-		return nil, errors.New("core: nil environment")
-	}
 	if err := initial.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 30 * time.Minute
 	}
 	if cfg.Candidates <= 0 {
 		cfg.Candidates = 5
@@ -346,20 +211,10 @@ func (c *Controller) Targets() []pald.Target {
 	return append([]pald.Target(nil), c.targets...)
 }
 
-// Step runs one control-loop iteration: observe the next interval in the
-// environment, then Apply the schedule.
-func (c *Controller) Step() (Iteration, error) {
-	sched, err := c.cfg.Environment.Observe(c.current, c.cfg.Interval, c.steps)
-	if err != nil {
-		return Iteration{}, fmt.Errorf("core: observing interval %d: %w", c.steps, err)
-	}
-	return c.Apply(sched)
-}
-
 // Apply advances the loop one iteration on the schedule observed under
 // Current(): guard → ratchet targets → propose → what-if → apply. Nothing
-// else advances the controller — Step applies a fresh observation, crash
-// recovery a logged one.
+// else advances the controller; live ticks apply a fresh observation,
+// crash recovery a logged one.
 func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 	observed := qs.EvalStream(c.cfg.Templates, sched, 0, sched.Horizon+time.Nanosecond)
 	it := Iteration{Index: c.steps, Config: c.current.Clone(), Observed: observed}
@@ -406,8 +261,8 @@ func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 	}
 
 	// Propose candidates, then score the current configuration and every
-	// candidate in one what-if batch: the evaluations are independent, so a
-	// batch-aware model fans them out across its worker pool.
+	// candidate in one what-if call: the evaluations are independent, so
+	// the model fans them out across its worker pool.
 	var searchStart time.Time
 	if c.cfg.Now != nil {
 		searchStart = c.cfg.Now()
@@ -460,28 +315,14 @@ func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 }
 
 // scoreCandidates resolves the QS prediction for every configuration
-// (configs[0] is the incumbent), routing through the model's incremental
-// search when it offers one and the plain batch path otherwise, and
-// returns per-iteration search statistics alongside. Both paths return
-// bit-identical predictions (the search reuses only exact-verified cache
-// entries), so the decision never depends on which one ran.
+// (configs[0] is the incumbent) in one model call and returns the
+// iteration's search statistics alongside.
 func (c *Controller) scoreCandidates(configs []cluster.Config) ([][]float64, *SearchStats, error) {
-	stats := &SearchStats{Candidates: len(configs)}
-	sm, ok := c.cfg.Model.(SearchModel)
-	if !ok {
-		preds, err := scoreBatch(c.cfg.Model, configs)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Per-sample simulation counts are not observable through the
-		// plain batch path; only the candidate-level tally is meaningful.
-		stats.FullyScored = len(configs)
-		return preds, stats, nil
-	}
-	preds, fresh, reused, err := sm.EvaluateSearch(configs)
+	preds, fresh, reused, err := c.cfg.Model.EvaluateSearch(configs)
 	if err != nil {
 		return nil, nil, err
 	}
+	stats := &SearchStats{Candidates: len(configs)}
 	for i := range configs {
 		if fresh[i] > 0 {
 			stats.FullyScored++
@@ -528,18 +369,4 @@ func (c *Controller) normalizedTargets() []pald.Target {
 		}
 	}
 	return out
-}
-
-// Run executes n iterations and returns them, oldest first; on error,
-// the iterations that completed before it.
-func (c *Controller) Run(n int) ([]Iteration, error) {
-	out := make([]Iteration, 0, n)
-	for i := 0; i < n; i++ {
-		it, err := c.Step()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, it)
-	}
-	return out, nil
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -13,10 +13,61 @@ import (
 	"tempo/internal/workload"
 )
 
+// emulator stands in for the live cluster in these tests: every control
+// interval (one hour) it synthesizes a fresh workload draw from the tenant
+// profiles and runs it on the noisy cluster emulator.
+type emulator struct {
+	profiles []workload.TenantProfile
+	// noise configures the emulation disturbances; nil is deterministic.
+	noise *cluster.NoiseModel
+	// seed bases the per-interval workload and noise seeds.
+	seed int64
+}
+
+// step observes the controller's next interval under its current
+// configuration and applies the schedule.
+func (e *emulator) step(c *Controller) (Iteration, error) {
+	i := c.steps
+	trace, err := workload.Generate(e.profiles, workload.GenerateOptions{
+		Horizon: time.Hour,
+		Seed:    e.seed + int64(i)*104729,
+		Name:    fmt.Sprintf("iter-%d", i),
+	})
+	if err != nil {
+		return Iteration{}, err
+	}
+	opts := cluster.Options{Horizon: time.Hour}
+	if e.noise != nil {
+		n := *e.noise
+		n.Seed = e.noise.Seed + int64(i)*7907
+		opts.Noise = &n
+	}
+	sched, err := cluster.Run(trace, c.Current(), opts)
+	if err != nil {
+		return Iteration{}, err
+	}
+	return c.Apply(sched)
+}
+
+// run steps the controller n times and returns the iterations, oldest
+// first.
+func (e *emulator) run(c *Controller, n int) ([]Iteration, error) {
+	out := make([]Iteration, 0, n)
+	for i := 0; i < n; i++ {
+		it, err := e.step(c)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, it)
+	}
+	return out, nil
+}
+
 // twoTenantSetup builds the canonical §8.2.1 scenario: a deadline-driven
 // tenant and a best-effort tenant on an overcommitted cluster, starting
-// from a deliberately skewed "expert" configuration.
-func twoTenantSetup(t *testing.T, seed int64) (Config, cluster.Config) {
+// from a deliberately skewed "expert" configuration, and the emulator
+// that observes it.
+func twoTenantSetup(t *testing.T, seed int64) (Config, cluster.Config, *emulator) {
 	t.Helper()
 	profiles := []workload.TenantProfile{
 		workload.DeadlineDriven("prod", 1.2),
@@ -32,15 +83,13 @@ func twoTenantSetup(t *testing.T, seed int64) (Config, cluster.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &EmulatedCluster{Profiles: profiles, Noise: cluster.DefaultNoise(seed), Seed: seed}
+	env := &emulator{profiles: profiles, noise: cluster.DefaultNoise(seed), seed: seed}
 	cfg := Config{
-		Space:       space,
-		Templates:   templates,
-		Model:       model,
-		Environment: env,
-		Interval:    time.Hour,
-		Candidates:  4,
-		PALD:        pald.Options{Seed: seed, MaxStep: 0.2},
+		Space:      space,
+		Templates:  templates,
+		Model:      model,
+		Candidates: 4,
+		PALD:       pald.Options{Seed: seed, MaxStep: 0.2},
 	}
 	// A skewed expert config: best-effort tenant starved, huge preemption
 	// exposure for prod.
@@ -48,11 +97,11 @@ func twoTenantSetup(t *testing.T, seed int64) (Config, cluster.Config) {
 		"prod":  {Weight: 4, MinShare: 20, MaxShare: 40, MinSharePreemptTimeout: 20 * time.Second, SharePreemptTimeout: time.Minute},
 		"adhoc": {Weight: 0.5, MaxShare: 10},
 	}}
-	return cfg, initial
+	return cfg, initial, env
 }
 
 func TestNewControllerValidation(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 1)
+	cfg, initial, _ := twoTenantSetup(t, 1)
 	if _, err := NewController(cfg, initial); err != nil {
 		t.Fatal(err)
 	}
@@ -71,36 +120,30 @@ func TestNewControllerValidation(t *testing.T) {
 	if _, err := NewController(bad, initial); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	bad = cfg
-	bad.Environment = nil
-	if _, err := NewController(bad, initial); err == nil {
-		t.Fatal("nil environment accepted")
-	}
 	if _, err := NewController(cfg, cluster.Config{}); err == nil {
 		t.Fatal("invalid initial config accepted")
 	}
 }
 
 func TestControllerDefaults(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 2)
-	cfg.Interval = 0
+	cfg, initial, _ := twoTenantSetup(t, 2)
 	cfg.Candidates = 0
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Interval != 30*time.Minute || c.cfg.Candidates != 5 {
-		t.Fatalf("defaults not applied: %v, %v", c.cfg.Interval, c.cfg.Candidates)
+	if c.cfg.Candidates != 5 || c.cfg.RankRho != 0.5 {
+		t.Fatalf("defaults not applied: %v, %v", c.cfg.Candidates, c.cfg.RankRho)
 	}
 }
 
 func TestStepRecordsIteration(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 3)
+	cfg, initial, env := twoTenantSetup(t, 3)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := c.Step()
+	it, err := env.step(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,18 +153,18 @@ func TestStepRecordsIteration(t *testing.T) {
 	if len(it.Observed) != 2 {
 		t.Fatalf("observed = %v", it.Observed)
 	}
-	if it, err := c.Step(); err != nil || it.Index != 1 {
+	if it, err := env.step(c); err != nil || it.Index != 1 {
 		t.Fatalf("second step = index %d, %v; want index 1", it.Index, err)
 	}
 }
 
 func TestTargetsRatchetForBestEffort(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 4)
+	cfg, initial, env := twoTenantSetup(t, 4)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Step(); err != nil {
+	if _, err := env.step(c); err != nil {
 		t.Fatal(err)
 	}
 	targets := c.Targets()
@@ -133,7 +176,7 @@ func TestTargetsRatchetForBestEffort(t *testing.T) {
 	}
 	first := targets[1].R
 	for i := 0; i < 3; i++ {
-		if _, err := c.Step(); err != nil {
+		if _, err := env.step(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,12 +193,12 @@ func TestControlLoopImprovesBestEffortLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end control loop is slow")
 	}
-	cfg, initial := twoTenantSetup(t, 5)
+	cfg, initial, env := twoTenantSetup(t, 5)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	history, err := c.Run(12)
+	history, err := env.run(c, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +219,7 @@ func TestControlLoopImprovesBestEffortLatency(t *testing.T) {
 }
 
 func TestRevertGuardRollsBack(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 6)
+	cfg, initial, env := twoTenantSetup(t, 6)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +229,7 @@ func TestRevertGuardRollsBack(t *testing.T) {
 	c.hasPrev = true
 	c.prevObserved = []float64{-1, -1}
 	c.prevConfig = initial.Clone()
-	it, err := c.Step()
+	it, err := env.step(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +239,7 @@ func TestRevertGuardRollsBack(t *testing.T) {
 }
 
 func TestRevertOffNeverReverts(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 7)
+	cfg, initial, env := twoTenantSetup(t, 7)
 	cfg.Revert = RevertOff
 	c, err := NewController(cfg, initial)
 	if err != nil {
@@ -205,7 +248,7 @@ func TestRevertOffNeverReverts(t *testing.T) {
 	c.hasPrev = true
 	c.prevObserved = []float64{-1, -1}
 	c.prevConfig = initial.Clone()
-	it, err := c.Step()
+	it, err := env.step(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +258,7 @@ func TestRevertOffNeverReverts(t *testing.T) {
 }
 
 func TestRevertOnNonDominancePolicy(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 8)
+	cfg, initial, env := twoTenantSetup(t, 8)
 	cfg.Revert = RevertOnNonDominance
 	c, err := NewController(cfg, initial)
 	if err != nil {
@@ -224,84 +267,12 @@ func TestRevertOnNonDominancePolicy(t *testing.T) {
 	c.hasPrev = true
 	c.prevObserved = []float64{1e9, 1e9} // everything dominates this
 	c.prevConfig = initial.Clone()
-	it, err := c.Step()
+	it, err := env.step(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.Reverted {
 		t.Fatal("dominating observation should not revert")
-	}
-}
-
-func TestEnvironmentErrorPropagates(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 9)
-	boom := errors.New("boom")
-	cfg.Environment = envFunc(func(cluster.Config, time.Duration, int) (*cluster.Schedule, error) {
-		return nil, boom
-	})
-	c, err := NewController(cfg, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Step(); !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-}
-
-type envFunc func(cluster.Config, time.Duration, int) (*cluster.Schedule, error)
-
-func (f envFunc) Observe(cfg cluster.Config, interval time.Duration, iter int) (*cluster.Schedule, error) {
-	return f(cfg, interval, iter)
-}
-
-func TestTraceEnvironmentWindows(t *testing.T) {
-	tr, err := workload.Generate([]workload.TenantProfile{workload.BestEffort("A", 2)},
-		workload.GenerateOptions{Horizon: 3 * time.Hour, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &TraceEnvironment{Trace: tr}
-	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	s0, err := env.Observe(cfg, time.Hour, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := env.Observe(cfg, time.Hour, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want0 := len(tr.Window(0, time.Hour).Jobs)
-	want1 := len(tr.Window(time.Hour, 2*time.Hour).Jobs)
-	if len(s0.Jobs) != want0 || len(s1.Jobs) != want1 {
-		t.Fatalf("window job counts %d/%d, want %d/%d", len(s0.Jobs), len(s1.Jobs), want0, want1)
-	}
-}
-
-func TestEmulatedClusterDifferentIterationsDiffer(t *testing.T) {
-	env := &EmulatedCluster{
-		Profiles: []workload.TenantProfile{workload.BestEffort("A", 2)},
-		Seed:     11,
-	}
-	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	s0, err := env.Observe(cfg, time.Hour, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := env.Observe(cfg, time.Hour, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s0.Jobs) == len(s1.Jobs) && len(s0.Tasks) == len(s1.Tasks) {
-		same := true
-		for i := range s0.Jobs {
-			if s0.Jobs[i].Submit != s1.Jobs[i].Submit {
-				same = false
-				break
-			}
-		}
-		if same {
-			t.Fatal("iterations produced identical workloads")
-		}
 	}
 }
 
@@ -346,7 +317,7 @@ func TestImprovementHelper(t *testing.T) {
 }
 
 func TestRandomSearchStrategyWorksInLoop(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 12)
+	cfg, initial, env := twoTenantSetup(t, 12)
 	rs, err := pald.NewRandomSearch(cfg.Space.Dim(), 0.2, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +327,7 @@ func TestRandomSearchStrategyWorksInLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters, err := c.Run(2)
+	iters, err := env.run(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

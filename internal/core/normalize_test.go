@@ -12,18 +12,9 @@ import (
 	"tempo/internal/workload"
 )
 
-// fixedEnv returns a canned schedule regardless of configuration, letting
-// tests drive the controller with exact QS values.
-type fixedEnv struct {
-	sched *cluster.Schedule
-}
-
-func (f *fixedEnv) Observe(cluster.Config, time.Duration, int) (*cluster.Schedule, error) {
-	return f.sched, nil
-}
-
 // cannedSchedule yields QS values [DL fraction, AJR seconds] =
-// [violations/total, mean response].
+// [violations/total, mean response], letting tests drive the controller
+// with exact QS values.
 func cannedSchedule(capacity int, responses []time.Duration, deadlines []time.Duration) *cluster.Schedule {
 	s := &cluster.Schedule{Capacity: capacity, Horizon: time.Hour}
 	for i, r := range responses {
@@ -39,7 +30,7 @@ func cannedSchedule(capacity int, responses []time.Duration, deadlines []time.Du
 	return s
 }
 
-func normController(t *testing.T, env Environment) *Controller {
+func normController(t *testing.T) *Controller {
 	t.Helper()
 	templates := []qs.Template{
 		qs.Template{Queue: "T", Metric: qs.DeadlineViolations}.WithTarget(0.1),
@@ -53,13 +44,11 @@ func normController(t *testing.T, env Environment) *Controller {
 		t.Fatal(err)
 	}
 	ctl, err := NewController(Config{
-		Space:       cluster.DefaultSpace(10, []string{"T"}),
-		Templates:   templates,
-		Model:       model,
-		Environment: env,
-		Interval:    time.Hour,
-		Candidates:  2,
-		PALD:        pald.Options{Seed: 1},
+		Space:      cluster.DefaultSpace(10, []string{"T"}),
+		Templates:  templates,
+		Model:      model,
+		Candidates: 2,
+		PALD:       pald.Options{Seed: 1},
 	}, cluster.Config{TotalContainers: 10, Tenants: map[string]cluster.TenantConfig{"T": {Weight: 1}}})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +62,8 @@ func TestScalesFrozenAtFirstObservation(t *testing.T) {
 	sched := cannedSchedule(10,
 		[]time.Duration{100 * time.Second, 300 * time.Second},
 		[]time.Duration{time.Second, 20 * time.Minute})
-	ctl := normController(t, &fixedEnv{sched: sched})
-	if _, err := ctl.Step(); err != nil {
+	ctl := normController(t)
+	if _, err := ctl.Apply(sched); err != nil {
 		t.Fatal(err)
 	}
 	if ctl.scales == nil {
@@ -88,7 +77,7 @@ func TestScalesFrozenAtFirstObservation(t *testing.T) {
 		t.Fatalf("AJR scale = %v, want 200", ctl.scales[1])
 	}
 	first := append([]float64(nil), ctl.scales...)
-	if _, err := ctl.Step(); err != nil {
+	if _, err := ctl.Apply(sched); err != nil {
 		t.Fatal(err)
 	}
 	for i := range first {
@@ -99,7 +88,7 @@ func TestScalesFrozenAtFirstObservation(t *testing.T) {
 }
 
 func TestNormalizeDividesByScales(t *testing.T) {
-	ctl := normController(t, &fixedEnv{sched: cannedSchedule(10, []time.Duration{100 * time.Second}, nil)})
+	ctl := normController(t)
 	ctl.scales = []float64{0.5, 200}
 	got := ctl.normalize([]float64{0.25, 100})
 	if math.Abs(got[0]-0.5) > 1e-12 || math.Abs(got[1]-0.5) > 1e-12 {
@@ -114,7 +103,7 @@ func TestNormalizeDividesByScales(t *testing.T) {
 }
 
 func TestNormalizedTargetsScaleR(t *testing.T) {
-	ctl := normController(t, &fixedEnv{sched: cannedSchedule(10, []time.Duration{100 * time.Second}, nil)})
+	ctl := normController(t)
 	ctl.scales = []float64{0.5, 200}
 	ctl.targets = []pald.Target{{R: 0.1, Constrained: true}, {R: 100, Constrained: true}}
 	nt := ctl.normalizedTargets()
@@ -135,7 +124,7 @@ func TestNormalizedTargetsScaleR(t *testing.T) {
 // a small deadline regression (fractions) must not be drowned out by a
 // larger-looking but proportionally tiny AJR improvement (seconds).
 func TestMixedUnitRegressionGuard(t *testing.T) {
-	ctl := normController(t, &fixedEnv{sched: cannedSchedule(10, []time.Duration{100 * time.Second}, nil)})
+	ctl := normController(t)
 	ctl.scales = []float64{0.1, 600} // typical magnitudes
 	ctl.targets = []pald.Target{{R: 0, Constrained: true}, {R: 600, Constrained: true}}
 	prev := []float64{0.05, 600} // 5% deadline misses, AJR 600s

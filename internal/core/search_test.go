@@ -10,14 +10,15 @@ import (
 	"tempo/internal/whatif"
 )
 
-// batchOnlyModel hides EvaluateSearch from the controller so scoring
-// falls back to the exhaustive batch path — the reference the
-// incremental search is checked against.
+// batchOnlyModel scores through the exhaustive EvaluateBatch path, with
+// no cross-tick warm-starting — the reference the incremental search is
+// checked against. It reports no simulation counts: only the incremental
+// run's are checked.
 type batchOnlyModel struct{ m *whatif.Model }
 
-func (b *batchOnlyModel) Evaluate(cfg cluster.Config) ([]float64, error) { return b.m.Evaluate(cfg) }
-func (b *batchOnlyModel) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	return b.m.EvaluateBatch(cfgs)
+func (b *batchOnlyModel) EvaluateSearch(cfgs []cluster.Config) ([][]float64, []int, []int, error) {
+	preds, err := b.m.EvaluateBatch(cfgs)
+	return preds, make([]int, len(cfgs)), make([]int, len(cfgs)), err
 }
 
 // stripSearch clears the cache-temperature diagnostics so trajectories
@@ -36,7 +37,7 @@ func stripSearch(hist []Iteration) []Iteration {
 func TestIncrementalSearchMatchesExhaustive(t *testing.T) {
 	const steps = 5
 	run := func(exhaustive bool) ([]Iteration, cluster.Config, []*SearchStats) {
-		cfg, initial := twoTenantSetup(t, 31)
+		cfg, initial, env := twoTenantSetup(t, 31)
 		rs, err := pald.NewRandomSearch(cfg.Space.Dim(), 0.2, 77)
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +50,7 @@ func TestIncrementalSearchMatchesExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := c.Run(steps)
+		hist, err := env.run(c, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestIncrementalSearchMatchesExhaustive(t *testing.T) {
 // TestDecisionLatencyUsesInjectedClock: DecisionNanos comes from
 // Config.Now and only from it.
 func TestDecisionLatencyUsesInjectedClock(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 33)
+	cfg, initial, env := twoTenantSetup(t, 33)
 	var fake int64
 	cfg.Now = func() time.Time {
 		fake += 1_000_000 // 1ms per reading
@@ -98,7 +99,7 @@ func TestDecisionLatencyUsesInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := c.Step()
+	it, err := env.step(c)
 	if err != nil {
 		t.Fatal(err)
 	}

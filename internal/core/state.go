@@ -12,11 +12,11 @@ import (
 // Durable control-loop state. The serving layer (internal/store via
 // internal/service) snapshots hosted clusters periodically so a crashed
 // tempod recovers them to byte-identical trajectories; the controller's
-// share of that state is everything Step consults besides its immutable
+// share of that state is everything Apply consults besides its immutable
 // wiring: the current/previous configurations, the regression-guard
 // memory, the ratcheted targets, the normalization scales frozen at first
-// observation, the count of applied iterations (which indexes the
-// environment), and the optimizer's sample cloud + RNG position. No
+// observation, the count of applied iterations, and the optimizer's
+// sample cloud + RNG position. No
 // per-iteration record is part of it (the controller keeps none), so past
 // the optimizer's sample cap it does not grow with iterations.
 
@@ -68,9 +68,10 @@ func (c *Controller) Snapshot() (*ControllerState, error) {
 
 // Restore rewinds a freshly constructed controller to a captured state.
 // The controller must have been built with the same Config (space,
-// templates, interval, PALD seed) as the one that produced the state —
-// exactly what rebuilding from the same scenario spec guarantees. After
-// Restore, Step continues the original trajectory bit-for-bit.
+// templates, PALD seed) as the one that produced the state — exactly what
+// rebuilding from the same scenario spec guarantees. After Restore, Apply
+// on the schedules the original run observed continues its trajectory
+// bit-for-bit.
 func (c *Controller) Restore(st *ControllerState) error {
 	if st == nil {
 		return errors.New("core: nil controller state")
@@ -106,7 +107,7 @@ func (c *Controller) Restore(st *ControllerState) error {
 	c.scales = append([]float64(nil), st.Scales...)
 	if len(st.Scales) == 0 {
 		// nil means "freeze scales at the next observation" — preserve that
-		// distinction for snapshots taken before the first Step.
+		// distinction for snapshots taken before the first Apply.
 		c.scales = nil
 	}
 	c.steps = st.Steps

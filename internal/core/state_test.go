@@ -34,12 +34,12 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 	seed := int64(11)
 
 	run := func(steps int) (*Controller, []Iteration) {
-		cfg, initial := twoTenantSetup(t, seed)
+		cfg, initial, env := twoTenantSetup(t, seed)
 		c, err := NewController(cfg, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
-		iters, err := c.Run(steps)
+		iters, err := env.run(c, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg, initial := twoTenantSetup(t, seed)
+	cfg, initial, env := twoTenantSetup(t, seed)
 	restored, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 	if err := restored.Restore(&decoded); err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.Run(total - half)
+	got, err := env.run(restored, total-half)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func TestControllerSnapshotRoundTrip(t *testing.T) {
 
 // TestControllerSnapshotBeforeFirstStep locks the nil-scales distinction:
 // a snapshot taken before any observation restores to a controller that
-// still freezes its normalization scales at the first Step.
+// still freezes its normalization scales at the first Apply.
 func TestControllerSnapshotBeforeFirstStep(t *testing.T) {
 	seed := int64(3)
-	cfg, initial := twoTenantSetup(t, seed)
+	cfg, initial, _ := twoTenantSetup(t, seed)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestControllerSnapshotBeforeFirstStep(t *testing.T) {
 		t.Fatalf("pre-step snapshot has scales %v, want none", snap.Scales)
 	}
 
-	cfg2, initial2 := twoTenantSetup(t, seed)
+	cfg2, initial2, env := twoTenantSetup(t, seed)
 	restored, err := NewController(cfg2, initial2)
 	if err != nil {
 		t.Fatal(err)
@@ -121,16 +121,16 @@ func TestControllerSnapshotBeforeFirstStep(t *testing.T) {
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	itA, err := restored.Step()
+	itA, err := env.step(restored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg3, initial3 := twoTenantSetup(t, seed)
+	cfg3, initial3, _ := twoTenantSetup(t, seed)
 	fresh, err := NewController(cfg3, initial3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	itB, err := fresh.Step()
+	itB, err := env.step(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestControllerSnapshotBeforeFirstStep(t *testing.T) {
 // TestControllerRestoreValidates rejects shape mismatches and custom
 // strategies.
 func TestControllerRestoreValidates(t *testing.T) {
-	cfg, initial := twoTenantSetup(t, 5)
+	cfg, initial, _ := twoTenantSetup(t, 5)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ type Options struct {
 }
 
 // Runtime is a built scenario, ready to run: the materialized workload,
-// templates, environment, and (unless disabled) the controller.
+// templates, observation protocol, and (unless disabled) the controller.
 type Runtime struct {
 	Spec      *Spec
 	Interval  time.Duration
@@ -111,21 +111,12 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 		return nil, err
 	}
 
-	var inner core.Environment
+	env := &runEnv{trace: trace, replay: spec.Replay, seed: spec.Seed, changes: spec.CapacityChanges}
 	if spec.Replay {
-		inner = &core.ReplayEnvironment{
-			Trace: trace,
-			Noise: spec.noiseModel(spec.Seed + seedReplayNoise),
-			Seed:  spec.Seed,
-		}
+		env.noise = spec.noiseModel(spec.Seed + seedReplayNoise)
 	} else {
-		inner = &core.TraceEnvironment{
-			Trace: trace,
-			Noise: spec.noiseModel(spec.Seed + seedWindowNoise),
-			Seed:  spec.Seed,
-		}
+		env.noise = spec.noiseModel(spec.Seed + seedWindowNoise)
 	}
-	env := &runEnv{inner: inner, changes: spec.CapacityChanges}
 	rt := &Runtime{
 		Spec:      spec,
 		Interval:  interval,
@@ -164,16 +155,14 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 		coreModel = &exhaustiveModel{m: model}
 	}
 	ctl, err := core.NewController(core.Config{
-		Space:       cluster.DefaultSpace(spec.Capacity, spec.TenantNames()),
-		Templates:   templates,
-		Model:       coreModel,
-		Environment: env,
-		Interval:    interval,
-		Candidates:  spec.Controller.Candidates,
-		Strategy:    opts.Strategy,
-		Revert:      revert,
-		PALD:        pald.Options{Seed: spec.Seed + seedPALD, MaxStep: maxStep},
-		Now:         opts.Clock,
+		Space:      cluster.DefaultSpace(spec.Capacity, spec.TenantNames()),
+		Templates:  templates,
+		Model:      coreModel,
+		Candidates: spec.Controller.Candidates,
+		Strategy:   opts.Strategy,
+		Revert:     revert,
+		PALD:       pald.Options{Seed: spec.Seed + seedPALD, MaxStep: maxStep},
+		Now:        opts.Clock,
 	}, initial)
 	if err != nil {
 		return nil, err
@@ -182,20 +171,25 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// exhaustiveModel exposes only the plain evaluation surface of a
-// *whatif.Model, hiding EvaluateSearch so the controller's type assertion
-// for core.SearchModel fails and candidate scoring falls back to the
-// exhaustive batch path. It exists for Options.ExhaustiveSearch.
+// exhaustiveModel scores every candidate through the exhaustive
+// EvaluateBatch path of a *whatif.Model — no cross-tick warm-starting —
+// and reports each as fully simulated. It exists for
+// Options.ExhaustiveSearch.
 type exhaustiveModel struct {
 	m *whatif.Model
 }
 
-func (e *exhaustiveModel) Evaluate(cfg cluster.Config) ([]float64, error) {
-	return e.m.Evaluate(cfg)
-}
-
-func (e *exhaustiveModel) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	return e.m.EvaluateBatch(cfgs)
+// EvaluateSearch implements core.Model.
+func (e *exhaustiveModel) EvaluateSearch(cfgs []cluster.Config) ([][]float64, []int, []int, error) {
+	preds, err := e.m.EvaluateBatch(cfgs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fresh := make([]int, len(cfgs))
+	for i := range fresh {
+		fresh[i] = max(e.m.Samples, 1)
+	}
+	return preds, fresh, make([]int, len(cfgs)), nil
 }
 
 // NewWhatIfModel builds a What-if Model wired exactly the way the
@@ -252,9 +246,23 @@ func (s *Spec) noiseModel(seed int64) *cluster.NoiseModel {
 	return n
 }
 
-// runEnv wraps the inner environment to apply mid-run capacity changes.
+// runEnv is a scenario's observation protocol: it emulates one control
+// interval of the system under management. A replay scenario runs the
+// same interval-long trace every tick with fresh noise — the protocol of
+// the §8.2.1/§8.2.2 experiments, where one production workload is
+// replayed under each candidate configuration, so QS changes across ticks
+// come from configuration changes plus noise. A windowed scenario runs
+// consecutive interval-long windows of the full-horizon trace — the
+// adaptivity setup of §8.2.3, where each tick sees the workload drift.
 type runEnv struct {
-	inner   core.Environment
+	trace  *workload.Trace
+	replay bool
+	// noise is the base emulation noise (nil: deterministic); each tick
+	// runs it with a seed derived from the tick index.
+	noise *cluster.NoiseModel
+	// seed is Spec.Seed, which replay mixes into the per-tick noise seed.
+	seed int64
+	// changes override the configuration's capacity from their iteration on.
 	changes []CapacityChange
 }
 
@@ -270,11 +278,22 @@ func (e *runEnv) capacityAt(iteration int) int {
 	return capacity
 }
 
-// Observe implements core.Environment.
-func (e *runEnv) Observe(cfg cluster.Config, interval time.Duration, iteration int) (*cluster.Schedule, error) {
-	if c := e.capacityAt(iteration); c > 0 && c != cfg.TotalContainers {
+// observe runs control interval tick under cfg and returns its schedule.
+func (e *runEnv) observe(cfg cluster.Config, interval time.Duration, tick int) (*cluster.Schedule, error) {
+	if c := e.capacityAt(tick); c > 0 && c != cfg.TotalContainers {
 		cfg = cfg.Clone()
 		cfg.TotalContainers = c
 	}
-	return e.inner.Observe(cfg, interval, iteration)
+	trace, noiseSeed := e.trace, e.seed+int64(tick)*3571
+	if !e.replay {
+		from := time.Duration(tick) * interval
+		trace, noiseSeed = e.trace.Window(from, from+interval), int64(tick)*6151
+	}
+	opts := cluster.Options{Horizon: interval}
+	if e.noise != nil {
+		n := *e.noise
+		n.Seed += noiseSeed
+		opts.Noise = &n
+	}
+	return cluster.Run(trace, cfg, opts)
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"tempo/internal/cluster"
 	"tempo/internal/linalg"
@@ -226,12 +227,14 @@ func TestResumeValidates(t *testing.T) {
 }
 
 // TestObserveChangesNothing: Observe is the read-only half of a tick.
-// Called twice with no Apply in between — at tick 0 and mid-run, with and
-// without the controller — it returns Equal schedules for the same tick
-// and leaves the runtime's durable state (Snapshot bytes) and its
-// observed-schedule record untouched.
+// Called twice with no Apply in between — at every tick, with and without
+// the controller — it returns Equal schedules for the same tick and leaves
+// the runtime's durable state (Snapshot bytes) and its observed-schedule
+// record untouched. Each schedule follows the observation protocol (see
+// checkObservation): replay (steady-two-tenant), windowed (abc-mix) and a
+// mid-run capacity change (capacity-loss).
 func TestObserveChangesNothing(t *testing.T) {
-	for _, name := range []string{"steady-two-tenant", "abc-mix"} {
+	for _, name := range []string{"steady-two-tenant", "abc-mix", "capacity-loss"} {
 		t.Run(name, func(t *testing.T) {
 			spec, err := LoadFile(filepath.Join("testdata", "scenarios", name+".json"))
 			if err != nil {
@@ -252,7 +255,7 @@ func TestObserveChangesNothing(t *testing.T) {
 				}
 				return raw
 			}
-			for tick := 0; tick < 3; tick++ {
+			for tick := 0; tick < spec.Iterations; tick++ {
 				before := snapshotBytes()
 				t1, s1, err := rt.Observe()
 				if err != nil {
@@ -268,6 +271,7 @@ func TestObserveChangesNothing(t *testing.T) {
 				if !s1.Equal(s2) {
 					t.Fatalf("tick %d: two Observes without an Apply returned different schedules", tick)
 				}
+				checkObservation(t, rt, tick, s1)
 				if !bytes.Equal(before, snapshotBytes()) {
 					t.Fatalf("tick %d: Observe changed the runtime's snapshot", tick)
 				}
@@ -283,6 +287,41 @@ func TestObserveChangesNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkObservation checks tick's schedule against the scenario's
+// observation protocol: a replay scenario runs every job of the trace, a
+// windowed one exactly the jobs of the tick's interval-long window, and
+// the cluster runs at the spec's capacity until a capacity change takes
+// over from its iteration on.
+func checkObservation(t *testing.T, rt *Runtime, tick int, sched *cluster.Schedule) {
+	t.Helper()
+	want := rt.Trace
+	if !rt.Spec.Replay {
+		from := time.Duration(tick) * rt.Interval
+		want = rt.Trace.Window(from, from+rt.Interval)
+	}
+	var got, wantIDs []string
+	for _, j := range sched.Jobs {
+		got = append(got, j.ID)
+	}
+	for _, j := range want.Jobs {
+		wantIDs = append(wantIDs, j.ID)
+	}
+	slices.Sort(got)
+	slices.Sort(wantIDs)
+	if len(wantIDs) == 0 || !slices.Equal(got, wantIDs) {
+		t.Fatalf("tick %d ran jobs %v, want the %d jobs %v", tick, got, len(wantIDs), wantIDs)
+	}
+	capacity := rt.Spec.Capacity
+	for _, cc := range rt.Spec.CapacityChanges {
+		if tick >= cc.AtIteration {
+			capacity = cc.Capacity
+		}
+	}
+	if sched.Capacity != capacity {
+		t.Fatalf("tick %d ran at capacity %d, want %d", tick, sched.Capacity, capacity)
 	}
 }
 

@@ -77,7 +77,7 @@ func (rt *Runtime) Observe() (int, *cluster.Schedule, error) {
 	if tick >= rt.Spec.Iterations {
 		return 0, nil, ErrDone
 	}
-	sched, err := rt.env.Observe(rt.Current(), rt.Interval, tick)
+	sched, err := rt.env.observe(rt.Current(), rt.Interval, tick)
 	return tick, sched, err
 }
 

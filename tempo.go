@@ -12,12 +12,12 @@
 //	    {Queue: "adhoc", Metric: tempo.AvgResponseTime},
 //	}
 //
-// The control loop observes the task schedule every interval, evaluates
-// the QS (Quantitative SLO) metrics, estimates QS gradients with LOESS,
-// runs the PALD multi-objective optimizer to propose candidate
-// configurations inside a trust region, scores them in the What-if Model
-// (workload generator + fast schedule predictor), applies the best, and
-// reverts on observed regressions.
+// The control loop takes the task schedule observed each interval
+// (Controller.Apply), evaluates the QS (Quantitative SLO) metrics,
+// estimates QS gradients with LOESS, runs the PALD multi-objective
+// optimizer to propose candidate configurations inside a trust region,
+// scores them in the What-if Model (workload generator + fast schedule
+// predictor), applies the best, and reverts on observed regressions.
 //
 // The subpackages are assembled from these building blocks:
 //
@@ -184,12 +184,10 @@ type (
 	// evaluations out over a worker pool; results are bit-identical to
 	// sequential evaluation.
 	WhatIfModel = whatif.Model
-	// Evaluator is the minimal what-if interface a Controller accepts, for
-	// plugging in custom models.
+	// Evaluator is the what-if interface a Controller accepts, for plugging
+	// in custom models: one EvaluateSearch call scores an iteration's
+	// candidate set. *WhatIfModel implements it.
 	Evaluator = core.Model
-	// BatchEvaluator is the batch-aware extension of Evaluator; models that
-	// implement it score each iteration's candidate set in one call.
-	BatchEvaluator = core.BatchModel
 )
 
 // DefaultParallelism returns the what-if worker count that saturates the
@@ -204,14 +202,6 @@ type (
 	ControllerConfig = core.Config
 	// Iteration is one recorded control-loop pass.
 	Iteration = core.Iteration
-	// Environment abstracts the live cluster under management.
-	Environment = core.Environment
-	// EmulatedCluster synthesizes a fresh workload per interval.
-	EmulatedCluster = core.EmulatedCluster
-	// ReplayEnvironment replays one fixed trace per interval.
-	ReplayEnvironment = core.ReplayEnvironment
-	// TraceEnvironment replays consecutive windows of a long trace.
-	TraceEnvironment = core.TraceEnvironment
 )
 
 // Revert-guard policies.
@@ -253,7 +243,8 @@ func Evaluate(templates []Template, s *Schedule, from, to time.Duration) []float
 }
 
 // NewController wires a Tempo control loop starting from the given initial
-// (expert) RM configuration.
+// (expert) RM configuration. Run each interval under Current() and hand
+// the observed schedule to Apply to advance it.
 func NewController(cfg ControllerConfig, initial ClusterConfig) (*Controller, error) {
 	return core.NewController(cfg, initial)
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestPublicAPIEndToEnd exercises the facade exactly as the README's
-// quickstart does: declare SLOs, build a space and what-if model, run the
-// control loop, verify improvement plumbing works.
+// quickstart does: declare SLOs, build a space and what-if model, observe
+// each interval and apply it, verify improvement plumbing works.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	profiles := []TenantProfile{
 		func() TenantProfile {
@@ -37,23 +37,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		},
 	}
 	ctl, err := NewController(ControllerConfig{
-		Space:     DefaultSpace(30, []string{"ETL", "BI"}),
-		Templates: templates,
-		Model:     model,
-		Environment: &ReplayEnvironment{
-			Trace: trace,
-			Noise: DefaultNoise(2),
-		},
-		Interval:   30 * time.Minute,
+		Space:      DefaultSpace(30, []string{"ETL", "BI"}),
+		Templates:  templates,
+		Model:      model,
 		Candidates: 3,
 	}, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	history, err := ctl.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	history := replay(t, ctl, trace, 30*time.Minute, 2, 3)
 	if len(history) != 3 {
 		t.Fatalf("history = %d", len(history))
 	}
@@ -66,6 +58,26 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// replay drives n control intervals: each replays trace under the
+// controller's current configuration with fresh noise seeded from seed,
+// and Applies the schedule. It returns the iterations, oldest first.
+func replay(t *testing.T, ctl *Controller, trace *Trace, interval time.Duration, seed int64, n int) []Iteration {
+	t.Helper()
+	out := make([]Iteration, 0, n)
+	for i := 0; i < n; i++ {
+		sched, err := Run(trace, ctl.Current(), RunOptions{Horizon: interval, Noise: DefaultNoise(seed + int64(i)*3571)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := ctl.Apply(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, it)
+	}
+	return out
 }
 
 func TestPublicSimulationHelpers(t *testing.T) {
@@ -128,21 +140,15 @@ func TestDecomposedControlLoop(t *testing.T) {
 	}
 	model.Horizon = time.Hour
 	ctl, err := NewController(ControllerConfig{
-		Space:       DefaultSpace(24, dec.SubTenants),
-		Templates:   templates,
-		Model:       model,
-		Environment: &ReplayEnvironment{Trace: decomposed, Noise: DefaultNoise(4)},
-		Interval:    time.Hour,
-		Candidates:  3,
+		Space:      DefaultSpace(24, dec.SubTenants),
+		Templates:  templates,
+		Model:      model,
+		Candidates: 3,
 	}, split)
 	if err != nil {
 		t.Fatal(err)
 	}
-	history, err := ctl.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range history {
+	for _, it := range replay(t, ctl, decomposed, time.Hour, 4, 3) {
 		if len(it.Observed) != 2 {
 			t.Fatalf("observed = %v", it.Observed)
 		}

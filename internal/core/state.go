@@ -89,6 +89,23 @@ func (c *Controller) Restore(st *ControllerState) error {
 	if err := st.Current.Validate(); err != nil {
 		return fmt.Errorf("core: state current config: %w", err)
 	}
+	// Scales and the previous observation are per-template vectors that
+	// Apply indexes by template; each is empty or one entry per template.
+	k := len(c.cfg.Templates)
+	if n := len(st.Scales); n != 0 && n != k {
+		return fmt.Errorf("core: state has %d scales, controller has %d templates", n, k)
+	}
+	if n := len(st.PrevObserved); n != 0 && n != k {
+		return fmt.Errorf("core: state has %d previous observations, controller has %d templates", n, k)
+	}
+	if st.HasPrev != (len(st.PrevObserved) > 0) {
+		return fmt.Errorf("core: state has_prev %v with %d previous observations", st.HasPrev, len(st.PrevObserved))
+	}
+	if st.HasPrev {
+		if err := st.PrevConfig.Validate(); err != nil {
+			return fmt.Errorf("core: state previous config: %w", err)
+		}
+	}
 	if st.Optimizer == nil {
 		return errors.New("core: state missing optimizer")
 	}

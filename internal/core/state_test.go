@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
+	"tempo/internal/cluster"
 	"tempo/internal/linalg"
 )
 
@@ -140,9 +142,9 @@ func TestControllerSnapshotBeforeFirstStep(t *testing.T) {
 }
 
 // TestControllerRestoreValidates rejects shape mismatches and custom
-// strategies.
+// strategies, before and after the first Apply.
 func TestControllerRestoreValidates(t *testing.T) {
-	cfg, initial, _ := twoTenantSetup(t, 5)
+	cfg, initial, env := twoTenantSetup(t, 5)
 	c, err := NewController(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +170,38 @@ func TestControllerRestoreValidates(t *testing.T) {
 	bad.Optimizer = nil
 	if err := c.Restore(&bad); err == nil {
 		t.Error("missing optimizer state accepted")
+	}
+
+	// A snapshot taken after an Apply carries the per-template scales and
+	// the guard's previous observation; a wrong length of either would
+	// restore cleanly and then panic, or silently change the trajectory,
+	// at the next Apply.
+	if _, err := env.step(c); err != nil {
+		t.Fatal(err)
+	}
+	post, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restore(post); err != nil {
+		t.Fatalf("post-Apply snapshot rejected: %v", err)
+	}
+	for _, row := range []struct {
+		name   string
+		mutate func(*ControllerState)
+	}{
+		{"short scales", func(st *ControllerState) { st.Scales = st.Scales[:1] }},
+		{"long scales", func(st *ControllerState) { st.Scales = append(slices.Clone(st.Scales), 1) }},
+		{"short previous observation", func(st *ControllerState) { st.PrevObserved = st.PrevObserved[:1] }},
+		{"has_prev without a previous observation", func(st *ControllerState) { st.PrevObserved = nil }},
+		{"previous observation without has_prev", func(st *ControllerState) { st.HasPrev = false }},
+		{"invalid previous config", func(st *ControllerState) { st.PrevConfig = cluster.Config{} }},
+	} {
+		bad := *post
+		row.mutate(&bad)
+		if err := c.Restore(&bad); err == nil {
+			t.Errorf("%s accepted", row.name)
+		}
 	}
 
 	// Custom strategies cannot snapshot.

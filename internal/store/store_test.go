@@ -413,19 +413,7 @@ func runCrashTrial(t *testing.T, spec *scenario.Spec, opts scenario.Options, wan
 	if err != nil {
 		t.Fatal(err)
 	}
-	schedules, err := cs2.Schedules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := cs2.LoadSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := scenario.Resume(cs2.Spec(), opts, snap, schedules)
-	if err != nil && snap != nil {
-		// Snapshot reaches past the surviving WAL: fall back to WAL-only.
-		resumed, err = scenario.Resume(cs2.Spec(), opts, nil, schedules)
-	}
+	resumed, _, err := recoverCluster(cs2, opts)
 	if err != nil {
 		t.Fatalf("limit=%d snapshotAt=%d: %v", limit, snapshotAt, err)
 	}
@@ -446,6 +434,97 @@ func runCrashTrial(t *testing.T, spec *scenario.Spec, opts scenario.Options, wan
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("limit=%d snapshotAt=%d: recovered report differs", limit, snapshotAt)
+	}
+}
+
+// recoverCluster resumes a cluster from its durable state the way the
+// service does: from the snapshot when Resume accepts it, by full WAL
+// re-drive when it does not. fellBack reports the latter.
+func recoverCluster(cs *ClusterStore, opts scenario.Options) (rt *scenario.Runtime, fellBack bool, err error) {
+	schedules, err := cs.Schedules()
+	if err != nil {
+		return nil, false, err
+	}
+	snap, err := cs.LoadSnapshot()
+	if err != nil {
+		return nil, false, err
+	}
+	rt, err = scenario.Resume(cs.Spec(), opts, snap, schedules)
+	if err != nil && snap != nil {
+		rt, err = scenario.Resume(cs.Spec(), opts, nil, schedules)
+		fellBack = true
+	}
+	return rt, fellBack, err
+}
+
+// TestRecoverFromIllFittingSnapshot: a snapshot.bin that decodes but whose
+// controller state does not fit the spec — scales for one of its two
+// templates — is refused by Resume, and the WAL re-drive recovers the
+// byte-identical report.
+func TestRecoverFromIllFittingSnapshot(t *testing.T) {
+	spec := storeSpec(t)
+	want := runReference(t, spec)
+	opts := scenario.Options{Parallelism: 1}
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := s.Create("c", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := scenario.Build(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const crashAfter = 4
+	for i := 0; i < crashAfter; i++ {
+		if _, err := rt.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.AppendTick(i, rt.ObservedSchedule(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := rt.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Controller.Scales = snap.Controller.Scales[:1]
+	if err := cs.WriteSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	cs2, err := s2.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, fellBack, err := recoverCluster(cs2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fellBack {
+		t.Fatal("a snapshot with one scale for two templates was accepted")
+	}
+	rep, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rep.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("report recovered beside an ill-fitting snapshot differs from the uninterrupted run")
 	}
 }
 

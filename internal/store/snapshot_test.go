@@ -445,7 +445,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if !timed {
 		t.Fatal("the live run recorded no decision time; the test proves nothing")
 	}
-	snap, err := DecodeSnapshot(a[len(a)-1])
+	snap, err := DecodeSnapshot(a[len(a)-1][walHeaderSize:])
 	if err != nil {
 		t.Fatal(err)
 	}

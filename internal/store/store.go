@@ -18,8 +18,14 @@ import (
 // On-disk layout:
 //
 //	<root>/clusters/<escaped-id>/spec.json     the scenario (create-time, immutable)
-//	<root>/clusters/<escaped-id>/snapshot.bin  newest control-loop snapshot (EncodeSnapshot, atomic replace)
+//	<root>/clusters/<escaped-id>/snapshot.bin  newest control-loop snapshot (atomic replace)
 //	<root>/clusters/<escaped-id>/wal.log       one CRC-framed record per committed tick
+//
+// snapshot.bin is one frame of the WAL's kind — length and CRC-32C, then
+// the EncodeSnapshot payload — so a flipped bit or a torn write is seen,
+// not decoded into a different snapshot. A snapshot.bin that is not
+// exactly one intact frame (one written before the frame, for one) is
+// treated as absent.
 //
 // A snapshot.json is what tempod wrote before snapshot.bin existed. It is
 // never read — the WAL is authoritative, so such a directory recovers by
@@ -297,7 +303,12 @@ func (c *ClusterStore) Schedules() ([]*cluster.Schedule, error) {
 
 // WriteSnapshot atomically replaces the cluster's snapshot.
 func (c *ClusterStore) WriteSnapshot(snap *scenario.Snapshot) error {
-	if err := writeFileAtomic(filepath.Join(c.dir, "snapshot.bin"), EncodeSnapshot(nil, snap)); err != nil {
+	rec := EncodeSnapshot(make([]byte, walHeaderSize), snap)
+	if len(rec)-walHeaderSize > walMaxRecord {
+		return fmt.Errorf("store: cluster %s: snapshot of %d bytes exceeds the %d-byte limit", c.id, len(rec)-walHeaderSize, walMaxRecord)
+	}
+	sealFrame(rec)
+	if err := writeFileAtomic(filepath.Join(c.dir, "snapshot.bin"), rec); err != nil {
 		return err
 	}
 	// A stale snapshot.json is never read; failing to remove it changes
@@ -307,8 +318,9 @@ func (c *ClusterStore) WriteSnapshot(snap *scenario.Snapshot) error {
 }
 
 // LoadSnapshot returns the newest snapshot, or (nil, nil) when none has
-// been written. A snapshot that fails to decode is discarded (recovery
-// falls back to a full WAL re-drive) rather than failing recovery.
+// been written. A snapshot that is not exactly one intact frame, or whose
+// payload fails to decode, is discarded (recovery falls back to a full
+// WAL re-drive) rather than failing recovery.
 func (c *ClusterStore) LoadSnapshot() (*scenario.Snapshot, error) {
 	raw, err := os.ReadFile(filepath.Join(c.dir, "snapshot.bin"))
 	if errors.Is(err, os.ErrNotExist) {
@@ -317,7 +329,11 @@ func (c *ClusterStore) LoadSnapshot() (*scenario.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := DecodeSnapshot(raw)
+	recs, good := scanRecords(raw)
+	if len(recs) != 1 || good != len(raw) {
+		return nil, nil
+	}
+	snap, err := DecodeSnapshot(recs[0])
 	if err != nil {
 		return nil, nil
 	}

@@ -746,10 +746,11 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 }
 
 // TestUpgradeFromFormat1Snapshot: a snapshot.bin in format 1, which held
-// the controller's per-iteration history, is treated as absent — one WAL
-// re-drive recovers the byte-identical report — and the next snapshot
-// write replaces it with the current format. The decoder refuses a
-// snapshot on its format byte, so the body behind the 1 is immaterial.
+// the controller's per-iteration history and had no frame, is treated as
+// absent — one WAL re-drive recovers the byte-identical report — and the
+// next snapshot write replaces it with a framed snapshot in the current
+// format. Such a file fails the frame check, so the body behind the 1 is
+// immaterial.
 func TestUpgradeFromFormat1Snapshot(t *testing.T) {
 	path := upgradeFrom(t, "snapshot.bin", func(snap *scenario.Snapshot) []byte {
 		raw := EncodeSnapshot(nil, snap)
@@ -760,14 +761,28 @@ func TestUpgradeFromFormat1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw[0] != 2 {
-		t.Fatalf("snapshot.bin after the upgrade has format %d, want 2", raw[0])
+	if raw[walHeaderSize] != 2 {
+		t.Fatalf("snapshot.bin after the upgrade has format %d, want 2", raw[walHeaderSize])
 	}
 }
 
+// TestFlippedBitSnapshot: a current snapshot.bin with one bit flipped in
+// its payload — a float bit, which the codec alone cannot tell from a
+// different value — fails the frame's checksum and is treated as absent,
+// so one WAL re-drive recovers the byte-identical report instead of a
+// restore onto a different trajectory.
+func TestFlippedBitSnapshot(t *testing.T) {
+	upgradeFrom(t, "snapshot.bin", func(snap *scenario.Snapshot) []byte {
+		rec := EncodeSnapshot(make([]byte, walHeaderSize), snap)
+		sealFrame(rec)
+		rec[walHeaderSize+(len(rec)-walHeaderSize)/2] ^= 0x10
+		return rec
+	})
+}
+
 // upgradeFrom leaves a store-small cluster four ticks into its run with
-// an older tempod's snapshot file: name, holding old(the snapshot after
-// tick 1). Reopened, LoadSnapshot must return (nil, nil) and a WAL
+// a snapshot file an older tempod wrote, or a damaged one: name, holding
+// old(the snapshot after tick 1). Reopened, LoadSnapshot must return (nil, nil) and a WAL
 // re-drive must finish on the uninterrupted run's report, with the old
 // file untouched until the first snapshot write. That write must load
 // back at the final cursor. upgradeFrom returns the old file's path.

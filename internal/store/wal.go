@@ -178,6 +178,16 @@ func scanRecords(raw []byte) (records [][]byte, good int) {
 	}
 }
 
+// sealFrame makes rec one framed record: it writes the length and CRC-32C
+// of the payload rec[walHeaderSize:] into the header rec[:walHeaderSize].
+// The WAL frames each tick record this way, and snapshot.bin is one such
+// frame. The payload must not exceed walMaxRecord.
+func sealFrame(rec []byte) {
+	payload := rec[walHeaderSize:]
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, walCRC))
+}
+
 // Records returns how many intact records the log holds.
 func (w *WAL) Records() int {
 	w.mu.Lock()
@@ -200,9 +210,8 @@ func (w *WAL) Append(payload []byte) error {
 		return fmt.Errorf("store: wal record of %d bytes exceeds the %d-byte limit", len(payload), walMaxRecord)
 	}
 	frame := make([]byte, walHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, walCRC))
 	copy(frame[walHeaderSize:], payload)
+	sealFrame(frame)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

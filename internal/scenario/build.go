@@ -38,8 +38,8 @@ type Options struct {
 	// reports are bit-identical either way. The serving layer passes
 	// time.Now.
 	Clock func() time.Time
-	// ExhaustiveSearch hides the what-if model's incremental search from
-	// the controller, forcing the plain exhaustive batch path — no
+	// ExhaustiveSearch scores every candidate through the what-if model's
+	// exhaustive batch path instead of its incremental search — no
 	// warm-starting. Warm starts reuse only exact-verified scores, so
 	// reports are bit-identical with or without them; the parity
 	// regression suite runs every committed scenario both ways to keep

@@ -16,9 +16,9 @@ import (
 // wiring: the current/previous configurations, the regression-guard
 // memory, the ratcheted targets, the normalization scales frozen at first
 // observation, the count of applied iterations, and the optimizer's
-// sample cloud + RNG position. No
-// per-iteration record is part of it (the controller keeps none), so past
-// the optimizer's sample cap it does not grow with iterations.
+// sample cloud + RNG position. No per-iteration record is part of it (the
+// controller keeps none), so past the optimizer's sample cap it does not
+// grow with iterations.
 
 // ControllerState is the serializable snapshot of a Controller. The
 // store's snapshot codec writes every float64 field as its bit pattern,

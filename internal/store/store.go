@@ -304,10 +304,9 @@ func (c *ClusterStore) Schedules() ([]*cluster.Schedule, error) {
 // WriteSnapshot atomically replaces the cluster's snapshot.
 func (c *ClusterStore) WriteSnapshot(snap *scenario.Snapshot) error {
 	rec := EncodeSnapshot(make([]byte, walHeaderSize), snap)
-	if len(rec)-walHeaderSize > walMaxRecord {
-		return fmt.Errorf("store: cluster %s: snapshot of %d bytes exceeds the %d-byte limit", c.id, len(rec)-walHeaderSize, walMaxRecord)
+	if err := sealFrame(rec); err != nil {
+		return fmt.Errorf("store: cluster %s: snapshot: %w", c.id, err)
 	}
-	sealFrame(rec)
 	if err := writeFileAtomic(filepath.Join(c.dir, "snapshot.bin"), rec); err != nil {
 		return err
 	}

@@ -774,7 +774,9 @@ func TestUpgradeFromFormat1Snapshot(t *testing.T) {
 func TestFlippedBitSnapshot(t *testing.T) {
 	upgradeFrom(t, "snapshot.bin", func(snap *scenario.Snapshot) []byte {
 		rec := EncodeSnapshot(make([]byte, walHeaderSize), snap)
-		sealFrame(rec)
+		if err := sealFrame(rec); err != nil {
+			t.Fatal(err)
+		}
 		rec[walHeaderSize+(len(rec)-walHeaderSize)/2] ^= 0x10
 		return rec
 	})

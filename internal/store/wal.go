@@ -181,11 +181,16 @@ func scanRecords(raw []byte) (records [][]byte, good int) {
 // sealFrame makes rec one framed record: it writes the length and CRC-32C
 // of the payload rec[walHeaderSize:] into the header rec[:walHeaderSize].
 // The WAL frames each tick record this way, and snapshot.bin is one such
-// frame. The payload must not exceed walMaxRecord.
-func sealFrame(rec []byte) {
+// frame. It refuses a payload over walMaxRecord, which scanRecords would
+// read as corruption.
+func sealFrame(rec []byte) error {
 	payload := rec[walHeaderSize:]
+	if len(payload) > walMaxRecord {
+		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte limit", len(payload), walMaxRecord)
+	}
 	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, walCRC))
+	return nil
 }
 
 // Records returns how many intact records the log holds.
@@ -206,12 +211,11 @@ func (w *WAL) Size() int64 {
 // group-commit policy. On return the record survives a process kill; it
 // survives a machine crash once the batch it rides on is synced.
 func (w *WAL) Append(payload []byte) error {
-	if len(payload) > walMaxRecord {
-		return fmt.Errorf("store: wal record of %d bytes exceeds the %d-byte limit", len(payload), walMaxRecord)
-	}
 	frame := make([]byte, walHeaderSize+len(payload))
 	copy(frame[walHeaderSize:], payload)
-	sealFrame(frame)
+	if err := sealFrame(frame); err != nil {
+		return err
+	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

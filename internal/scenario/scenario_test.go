@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"tempo/internal/cluster"
 	"tempo/internal/qs"
+	"tempo/internal/workload"
 )
 
 func validSpec() *Spec {
@@ -208,6 +210,38 @@ func TestCapacityAtStepFunction(t *testing.T) {
 	for i, w := range want {
 		if got := e.capacityAt(i); got != w {
 			t.Errorf("capacityAt(%d) = %d, want %d", i, got, w)
+		}
+	}
+}
+
+// TestRunEnvWindows checks the windowed observation protocol: tick i runs
+// exactly the jobs of the trace's [i·interval, (i+1)·interval) window.
+func TestRunEnvWindows(t *testing.T) {
+	tr, err := workload.Generate([]workload.TenantProfile{workload.BestEffort("A", 2)},
+		workload.GenerateOptions{Horizon: 3 * time.Hour, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &runEnv{trace: tr}
+	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
+	for tick := 0; tick < 2; tick++ {
+		s, err := e.observe(cfg, time.Hour, tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := time.Duration(tick) * time.Hour
+		want := tr.Window(from, from+time.Hour).Jobs
+		if len(want) == 0 || len(s.Jobs) != len(want) {
+			t.Fatalf("tick %d ran %d jobs, want the window's %d", tick, len(s.Jobs), len(want))
+		}
+		ids := map[string]bool{}
+		for _, j := range want {
+			ids[j.ID] = true
+		}
+		for _, j := range s.Jobs {
+			if !ids[j.ID] {
+				t.Fatalf("tick %d ran job %s from outside its window", tick, j.ID)
+			}
 		}
 	}
 }

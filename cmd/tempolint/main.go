@@ -1,9 +1,10 @@
 // Command tempolint statically enforces the repo's determinism,
 // pool-safety, allocation, and event-order invariants — the properties
 // the golden suite, the pooled-determinism sweep, and the benchmark
-// gates otherwise only verify at runtime. It is a multichecker over the
-// four analyzers in internal/analysis/...; see each package's doc for
-// the invariant it encodes.
+// gates otherwise only verify at runtime — and keeps internal packages
+// free of code only tests call. It is a multichecker over the five
+// analyzers in internal/analysis/...; see each package's doc for the
+// invariant it encodes.
 //
 // Usage:
 //
@@ -15,7 +16,8 @@
 //	                  are annotated with their recorded reason
 //	-list             print the analyzers and exit
 //
-// Packages default to ./... resolved against the enclosing module.
+// Packages default to ./... resolved against the enclosing module;
+// testonly reports only when they cover all of it.
 // Exit status is 1 when any unsuppressed finding (or, with -noignore,
 // any finding at all) is reported, 2 on usage or load errors.
 package main
@@ -34,6 +36,7 @@ import (
 	"tempo/internal/analysis/load"
 	"tempo/internal/analysis/ordercontract"
 	"tempo/internal/analysis/poolsafety"
+	"tempo/internal/analysis/testonly"
 )
 
 // All is the full tempolint suite, in reporting order.
@@ -42,6 +45,7 @@ var All = []*analysis.Analyzer{
 	poolsafety.Analyzer,
 	allocdiscipline.Analyzer,
 	ordercontract.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {

@@ -45,6 +45,26 @@ func TestNoignoreSurfacesSuppressions(t *testing.T) {
 	}
 }
 
+// TestTestOnlySilentOnPackageSubset checks that testonly reports only
+// when the run covers the whole module. Over one package, every function
+// another package calls would look test-only, so a subset run reports
+// nothing from it and does not call the package's testonly ignores
+// unused.
+func TestTestOnlySilentOnPackageSubset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks real packages; skipped in -short")
+	}
+	for _, args := range [][]string{
+		{"-analyzers", "testonly", "./internal/linalg"},
+		{"./internal/sim"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 || stdout.Len() != 0 {
+			t.Errorf("tempolint %v = exit %d, want 0 and no findings\nstdout:\n%s\nstderr:\n%s", args, code, stdout.String(), stderr.String())
+		}
+	}
+}
+
 func TestListPrintsAllAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {

@@ -1,12 +1,13 @@
 // Package analysis is tempolint's analyzer framework: a deliberately
 // small, dependency-free re-statement of the golang.org/x/tools
 // go/analysis contract (Analyzer, Pass, Diagnostic) plus the repo's
-// suppression convention. The four analyzers under this directory
-// encode invariants the test suite otherwise only checks at runtime —
+// suppression convention. Four analyzers under this directory encode
+// invariants the test suite otherwise only checks at runtime —
 // golden-report determinism, borrowed-schedule ownership, hot-path
 // allocation discipline, and the canonical event-stream order — so a
 // violation is caught when the code is linted, not after a golden has
-// already diverged.
+// already diverged. The fifth, testonly, keeps product packages free of
+// code that only tests call.
 //
 // Suppression convention: a finding is silenced by a comment
 //
@@ -33,8 +34,12 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant.
 	Doc string
-	// Run applies the analyzer to one package.
+	// Run applies the analyzer to one package. It may be nil.
 	Run func(*Pass) error
+	// RunModule, when set, runs once with one Pass per package, and only
+	// when the run covers the whole module: what no package references
+	// cannot be told from a subset.
+	RunModule func([]*Pass) error
 }
 
 // A Pass is one (analyzer, package) unit of work.
@@ -206,14 +211,4 @@ func FuncIsHot(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// FileFor returns the *ast.File of the pass containing pos.
-func (p *Pass) FileFor(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

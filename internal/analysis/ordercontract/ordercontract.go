@@ -155,7 +155,7 @@ func checkConcurrentAppend(pass *analysis.Pass, fd *ast.FuncDecl, g *ast.GoStmt,
 			}
 			if i < len(as.Rhs) {
 				if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok && analysis.IsBuiltinAppend(info, call) {
-					pass.Reportf(as.Pos(), "concurrent append to canonical event stream %q from a goroutine: interleaving is nondeterministic and unsynchronized; collect per-goroutine slices and merge by EventLess", obj.Name())
+					pass.Reportf(as.Pos(), "concurrent append to canonical event stream %q from a goroutine: interleaving is nondeterministic and unsynchronized; collect per-goroutine slices and merge in (Time, Kind, Seq) order", obj.Name())
 					continue
 				}
 			}

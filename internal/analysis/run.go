@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tempo/internal/analysis/load"
@@ -16,20 +17,75 @@ type Options struct {
 	ReportUnusedIgnores bool
 }
 
+// unit is one loaded package with its diagnostics and ignores.
+type unit struct {
+	pkg     *load.Package
+	diags   []Diagnostic
+	ignores []*Ignore
+}
+
+func (u *unit) pass(l *load.Loader, az *Analyzer) *Pass {
+	return &Pass{Analyzer: az, Fset: l.Fset, Files: u.pkg.Files, Pkg: u.pkg.Types, TypesInfo: u.pkg.Info, diags: &u.diags}
+}
+
 // Run loads each package path and applies every analyzer, returning all
 // diagnostics (suppressed ones included, marked) sorted by position.
+// Analyzers with a RunModule hook see every package at once, and only
+// when paths cover the whole module; otherwise their ignores are not
+// called unused.
 func Run(l *load.Loader, paths []string, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
-	var all []Diagnostic
-	for _, path := range paths {
+	whole, err := coversModule(l, paths)
+	if err != nil {
+		return nil, err
+	}
+	units := make([]*unit, len(paths))
+	for i, path := range paths {
 		pkg, err := l.LoadPackage(path)
 		if err != nil {
 			return nil, err
 		}
-		diags, err := runPackage(l, pkg, analyzers, opts)
-		if err != nil {
-			return nil, err
+		u := &unit{pkg: pkg}
+		units[i] = u
+		u.ignores = collectIgnores(u.pass(l, nil)) // per package, not per analyzer
+		for _, az := range analyzers {
+			if az.Run == nil {
+				continue
+			}
+			if err := az.Run(u.pass(l, az)); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", az.Name, path, err)
+			}
 		}
-		all = append(all, diags...)
+	}
+	skipped := map[string]bool{}
+	for _, az := range analyzers {
+		if az.RunModule == nil {
+			continue
+		}
+		if !whole {
+			skipped[az.Name] = true
+			continue
+		}
+		passes := make([]*Pass, len(units))
+		for i, u := range units {
+			passes[i] = u.pass(l, az)
+		}
+		if err := az.RunModule(passes); err != nil {
+			return nil, fmt.Errorf("%s: %w", az.Name, err)
+		}
+	}
+	var all []Diagnostic
+	for _, u := range units {
+		suppress(u.diags, u.ignores)
+		all = append(all, u.diags...)
+		for _, ig := range u.ignores {
+			if opts.ReportUnusedIgnores && !ig.used && !skipped[ig.Analyzer] {
+				all = append(all, Diagnostic{
+					Pos:      ig.Pos,
+					Analyzer: "tempolint",
+					Message:  fmt.Sprintf("unused tempolint:ignore for %q: nothing is reported here; delete the comment", ig.Analyzer),
+				})
+			}
+		}
 	}
 	all = dedup(all)
 	sort.SliceStable(all, func(i, j int) bool {
@@ -68,38 +124,22 @@ func dedup(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-func runPackage(l *load.Loader, pkg *load.Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	var ignores []*Ignore
-	for i, az := range analyzers {
-		pass := &Pass{
-			Analyzer:  az,
-			Fset:      l.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			diags:     &diags,
-		}
-		if i == 0 {
-			// Ignores (and malformed-ignore diagnostics) are
-			// per-package, not per-analyzer; collect them once.
-			ignores = collectIgnores(pass)
-		}
-		if err := az.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", az.Name, pkg.Path, err)
+// coversModule reports whether paths name every package of l's module,
+// which is when an analysis that looks for missing references is sound.
+// A fixture loader has no module: the packages it is given are the
+// whole program.
+func coversModule(l *load.Loader, paths []string) (bool, error) {
+	if l.ModRoot == "" {
+		return true, nil
+	}
+	module, err := l.Expand([]string{"./..."})
+	if err != nil {
+		return false, err
+	}
+	for _, p := range module {
+		if !slices.Contains(paths, p) {
+			return false, nil
 		}
 	}
-	suppress(diags, ignores)
-	if opts.ReportUnusedIgnores {
-		for _, ig := range ignores {
-			if !ig.used {
-				diags = append(diags, Diagnostic{
-					Pos:      ig.Pos,
-					Analyzer: "tempolint",
-					Message:  fmt.Sprintf("unused tempolint:ignore for %q: nothing is reported here; delete the comment", ig.Analyzer),
-				})
-			}
-		}
-	}
-	return diags, nil
+	return true, nil
 }

@@ -177,10 +177,9 @@ func New(seed int64, spec Spec) (*Injector, error) {
 // failing schedule so it can be replayed).
 func (in *Injector) Seed() int64 { return int64(in.seed) }
 
-// Spec returns the fault schedule in force.
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Counts snapshots how many faults each class has injected so far.
+//
+//tempolint:ignore testonly service's TestChaosDeterministicOutcome, TestShutdownInterruptsAdmittedTick and TestCloseRefusesWaiters read it
 func (in *Injector) Counts() Counts {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -84,19 +84,6 @@ type Event struct {
 	Outcome TaskOutcome
 }
 
-// EventLess is the canonical strict ordering of the stream: by Time, then
-// by Kind (submit < task-start < task-end < job-finish), then by Seq. It is
-// a total order because (Kind, Seq) is unique per event.
-func EventLess(a, b *Event) bool {
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Seq < b.Seq
-}
-
 // EventBuf is a reusable buffer set for repeated event-stream extraction:
 // AppendEvents serves the stream from the buffer's storage, so a consumer
 // that extracts many streams (a standing "events" query, one per tick)
@@ -109,7 +96,9 @@ type EventBuf struct {
 
 // Events returns the schedule as its canonical ordered event stream: one
 // EventJobSubmit/EventJobFinish pair per job record and one
-// EventTaskStart/EventTaskEnd pair per task attempt, sorted by EventLess.
+// EventTaskStart/EventTaskEnd pair per task attempt, sorted by Time, then
+// by Kind (submit < task-start < task-end < job-finish), then by Seq: a
+// total order, because (Kind, Seq) is unique per event.
 // Every job record emits a finish event even when the job did not complete
 // (the record's Finish then marks the kill or horizon-truncation time), so
 // the stream always carries the full record view.

@@ -54,8 +54,20 @@ func eventsSchedule(seed int64, capacity, n int) *Schedule {
 	return s
 }
 
+// eventLess is the canonical strict ordering of the stream that Events
+// documents.
+func eventLess(a, b *Event) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	return a.Seq < b.Seq
+}
+
 // checkEventStream asserts the two stream invariants on one schedule: the
-// stream is strictly totally ordered under EventLess, and allocation
+// stream is strictly totally ordered under eventLess, and allocation
 // deltas sum to zero with a never-negative running count (globally and per
 // tenant).
 func checkEventStream(t *testing.T, s *Schedule) {
@@ -69,11 +81,11 @@ func checkEventStream(t *testing.T, s *Schedule) {
 	for i := range events {
 		if i > 0 {
 			prev, cur := &events[i-1], &events[i]
-			if !EventLess(prev, cur) {
+			if !eventLess(prev, cur) {
 				t.Fatalf("stream not strictly ordered at %d: %+v !< %+v", i, *prev, *cur)
 			}
-			if EventLess(cur, prev) {
-				t.Fatalf("EventLess not antisymmetric at %d", i)
+			if eventLess(cur, prev) {
+				t.Fatalf("eventLess not antisymmetric at %d", i)
 			}
 		}
 		ev := &events[i]

@@ -812,8 +812,7 @@ func (s *scheduler) armClock(now time.Duration, tenant int32, starved bool, sinc
 		return // already armed for the current starvation window
 	}
 	// A closed window has no pending check (TestKernelCounters), so this
-	// arms a fresh one. Its sequence number is the one a Reschedule of the
-	// cancelled check would have drawn, so dispatch order is unchanged.
+	// arms a fresh one.
 	*ev = s.engine.At(*since+timeout, prioPreempt, kind, tenant)
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"tempo/internal/linalg"
 	"tempo/internal/pald"
@@ -36,6 +37,15 @@ func CompareStrategies(seed int64, iterations int) (*StrategyComparisonResult, e
 		iterations = 12
 	}
 	res := &StrategyComparisonResult{Iterations: iterations}
+	const slack = 0.25
+	var targets []pald.Target
+	for _, slo := range TwoTenantSpec(seed, slack, time.Hour, iterations).SLOs {
+		t := pald.Target{Constrained: slo.Target != nil}
+		if t.Constrained {
+			t.R = *slo.Target
+		}
+		targets = append(targets, t)
+	}
 	type entry struct {
 		name  string
 		build func(dim int) (pald.Strategy, error)
@@ -54,15 +64,13 @@ func CompareStrategies(seed int64, iterations int) (*StrategyComparisonResult, e
 		if err != nil {
 			return nil, err
 		}
-		rep, err := runTwoTenant(seed, 0.25, iterations, strategy, "")
+		rep, err := runTwoTenant(seed, slack, iterations, strategy, "")
 		if err != nil {
 			return nil, err
 		}
 		var regret float64
 		for _, it := range rep.Iterations {
-			if r := it.Observed[0] - 0.0; r > 0 { // DL target is 0
-				regret += r
-			}
+			regret += pald.MaxRegret(it.Observed, targets)
 		}
 		res.Rows = append(res.Rows, StrategyComparisonRow{
 			Strategy:          e.name,

@@ -79,17 +79,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm returns the Euclidean norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// NormInf returns the maximum absolute entry of v.
-func (v Vector) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vector) Dist(w Vector) float64 { return v.Sub(w).Norm() }
 
@@ -105,19 +94,6 @@ func (v Vector) Clamp(lo, hi float64) Vector {
 	return v
 }
 
-// Equal reports whether v and w agree entrywise within tol.
-func (v Vector) Equal(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -130,21 +106,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: negative dimension %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices, which must have equal lengths.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
 }
 
 // At returns the (i, j) entry.
@@ -169,19 +130,6 @@ func (m *Matrix) MulVec(v Vector) Vector {
 	out := NewVector(m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		out[i] = m.Row(i).Dot(v)
-	}
-	return out
-}
-
-// TMulVec returns mᵀ·v.
-func (m *Matrix) TMulVec(v Vector) Vector {
-	checkLen(m.Rows, len(v))
-	out := NewVector(m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := 0; j < m.Cols; j++ {
-			out[j] += row[j] * v[i]
-		}
 	}
 	return out
 }

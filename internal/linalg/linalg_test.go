@@ -7,6 +7,61 @@ import (
 	"testing/quick"
 )
 
+// Test-side helpers: the product never builds a matrix from rows or
+// compares vectors, but these tests do.
+
+// NormInf returns the maximum absolute entry of v.
+func (v Vector) NormInf() float64 {
+	var m float64
+	for _, x := range v {
+		if a := math.Abs(x); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// Equal reports whether v and w agree entrywise within tol.
+func (v Vector) Equal(w Vector, tol float64) bool {
+	if len(v) != len(w) {
+		return false
+	}
+	for i := range v {
+		if math.Abs(v[i]-w[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// fromRows builds a matrix from row slices, which must have equal lengths.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return NewMatrix(0, 0)
+	}
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("linalg: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// TMulVec returns mᵀ·v.
+func (m *Matrix) TMulVec(v Vector) Vector {
+	checkLen(m.Rows, len(v))
+	out := NewVector(m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := 0; j < m.Cols; j++ {
+			out[j] += row[j] * v[i]
+		}
+	}
+	return out
+}
+
 func TestVectorArithmetic(t *testing.T) {
 	v := Vector{1, 2, 3}
 	w := Vector{4, 5, 6}
@@ -56,7 +111,7 @@ func TestCloneIndependent(t *testing.T) {
 	if v[0] != 1 {
 		t.Fatal("Clone shares storage")
 	}
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	mc := m.Clone()
 	mc.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -65,7 +120,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestMatrixMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	got := m.MulVec(Vector{1, 1})
 	if !got.Equal(Vector{3, 7, 11}, 0) {
 		t.Errorf("MulVec = %v", got)
@@ -77,10 +132,10 @@ func TestMatrixMulVec(t *testing.T) {
 }
 
 func TestMatrixMulAndTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{0, 1}, {1, 0}})
 	got := a.Mul(b)
-	want := FromRows([][]float64{{2, 1}, {4, 3}})
+	want := fromRows([][]float64{{2, 1}, {4, 3}})
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if got.At(i, j) != want.At(i, j) {
@@ -95,7 +150,7 @@ func TestMatrixMulAndTranspose(t *testing.T) {
 }
 
 func TestGramMatrix(t *testing.T) {
-	j := FromRows([][]float64{{1, 0}, {1, 1}})
+	j := fromRows([][]float64{{1, 0}, {1, 1}})
 	g := j.Gram()
 	want := [][]float64{{1, 1}, {1, 2}}
 	for i := 0; i < 2; i++ {
@@ -108,7 +163,7 @@ func TestGramMatrix(t *testing.T) {
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a := FromRows([][]float64{
+	a := fromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -124,7 +179,7 @@ func TestSolveKnownSystem(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, Vector{1, 2}); err == nil {
 		t.Fatal("expected ErrSingular")
 	}
@@ -139,7 +194,7 @@ func TestSolveRequiresSquare(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Leading zero forces a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, Vector{3, 7})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +206,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 
 func TestLeastSquaresExactFit(t *testing.T) {
 	// Overdetermined but consistent: b = a·[1, 2].
-	a := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	a := fromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	b := Vector{1, 2, 3}
 	x, err := LeastSquares(a, b, 0)
 	if err != nil {
@@ -163,7 +218,7 @@ func TestLeastSquaresExactFit(t *testing.T) {
 }
 
 func TestLeastSquaresRidgeShrinks(t *testing.T) {
-	a := FromRows([][]float64{{1}, {1}})
+	a := fromRows([][]float64{{1}, {1}})
 	b := Vector{2, 2}
 	x0, err := LeastSquares(a, b, 0)
 	if err != nil {
@@ -183,7 +238,7 @@ func TestLeastSquaresRidgeShrinks(t *testing.T) {
 
 func TestWeightedLeastSquaresRespectsWeights(t *testing.T) {
 	// Two incompatible observations of a constant; the heavier one wins.
-	a := FromRows([][]float64{{1}, {1}})
+	a := fromRows([][]float64{{1}, {1}})
 	b := Vector{0, 10}
 	x, err := WeightedLeastSquares(a, b, Vector{1, 9}, 0)
 	if err != nil {
@@ -195,7 +250,7 @@ func TestWeightedLeastSquaresRespectsWeights(t *testing.T) {
 }
 
 func TestWeightedLeastSquaresNegativeWeight(t *testing.T) {
-	a := FromRows([][]float64{{1}})
+	a := fromRows([][]float64{{1}})
 	if _, err := WeightedLeastSquares(a, Vector{1}, Vector{-1}, 0); err == nil {
 		t.Fatal("expected error for negative weight")
 	}

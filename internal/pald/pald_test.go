@@ -307,7 +307,7 @@ func TestMaxRegretAndBetter(t *testing.T) {
 }
 
 func TestChooseRhoNoViolations(t *testing.T) {
-	g := linalg.FromRows([][]float64{{1, 0}, {0, 1}})
+	g := &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}
 	if got := chooseRho(g, linalg.Vector{0.5, 0.5}, nil); got != 0 {
 		t.Fatalf("rho = %v, want 0 without violations", got)
 	}
@@ -316,7 +316,7 @@ func TestChooseRhoNoViolations(t *testing.T) {
 func TestChooseRhoAlignedGradients(t *testing.T) {
 	// Identical gradients: any rho < 1 keeps alignment positive; the
 	// chosen rho must keep the violated objective's alignment >= 0.
-	g := linalg.FromRows([][]float64{{1, 1}, {1, 1}})
+	g := &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 1, 1, 1}}
 	c := linalg.Vector{0.5, 0.5}
 	rho := chooseRho(g, c, []int{0})
 	if rho >= 1 {

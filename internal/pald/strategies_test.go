@@ -8,6 +8,19 @@ import (
 	"tempo/internal/linalg"
 )
 
+// near reports whether v and w agree entrywise within tol.
+func near(v, w linalg.Vector, tol float64) bool {
+	if len(v) != len(w) {
+		return false
+	}
+	for i := range v {
+		if math.Abs(v[i]-w[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestWeightedSumIgnoresConstraints(t *testing.T) {
 	ws, err := NewWeightedSum(2, 2, Options{Seed: 1})
 	if err != nil {
@@ -96,7 +109,7 @@ func TestFiniteDifferenceExactOnQuadratic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := x.Sub(anchor).Scale(2)
-	if !jac.Row(0).Equal(want, 1e-6) {
+	if !near(jac.Row(0), want, 1e-6) {
 		t.Fatalf("FD gradient = %v, want %v", jac.Row(0), want)
 	}
 }
@@ -164,10 +177,10 @@ func TestLoessJacobianMultiObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !jac.Row(0).Equal(linalg.Vector{2, 1}, 1e-6) {
+	if !near(jac.Row(0), linalg.Vector{2, 1}, 1e-6) {
 		t.Fatalf("∇f1 = %v", jac.Row(0))
 	}
-	if !jac.Row(1).Equal(linalg.Vector{-1, 3}, 1e-6) {
+	if !near(jac.Row(1), linalg.Vector{-1, 3}, 1e-6) {
 		t.Fatalf("∇f2 = %v", jac.Row(1))
 	}
 }
@@ -198,10 +211,10 @@ func TestSolveCFavorsWorstViolated(t *testing.T) {
 	// Objective 0's gradient is tiny, objective 1's is huge; the max-min
 	// LP must give objective 0 a much larger weight so its alignment
 	// keeps up.
-	gram := linalg.FromRows([][]float64{
-		{0.01, 0},
-		{0, 100},
-	})
+	gram := &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{
+		0.01, 0,
+		0, 100,
+	}}
 	c := opt.solveC(gram, []int{0, 1})
 	if c[0] <= c[1] {
 		t.Fatalf("c = %v; weak objective should get the larger weight", c)
@@ -214,10 +227,10 @@ func TestSolveCFavorsWorstViolated(t *testing.T) {
 func TestChooseRhoConflictingGradients(t *testing.T) {
 	// Violated objective 0 conflicts with objective 1 (negative cross
 	// term); ρ* must keep objective 0's alignment as high as possible.
-	gram := linalg.FromRows([][]float64{
-		{1, -0.8},
-		{-0.8, 1},
-	})
+	gram := &linalg.Matrix{Rows: 2, Cols: 2, Data: []float64{
+		1, -0.8,
+		-0.8, 1,
+	}}
 	c := linalg.Vector{0.7, 0.3}
 	rho := chooseRho(gram, c, []int{0})
 	if rho >= 1 {

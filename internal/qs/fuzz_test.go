@@ -61,7 +61,7 @@ func fuzzSchedule(seed int64, capacity, n int) *cluster.Schedule {
 // FuzzQS locks the QS-vector invariants: every predefined metric stays in
 // its documented range on arbitrary schedules, EvalAll is shape- and
 // order-stable, Pareto dominance is irreflexive and asymmetric, and
-// MaxRegret is non-negative.
+// maxRegret is non-negative.
 func FuzzQS(f *testing.F) {
 	f.Add(int64(1), byte(4), byte(10), 0.25)
 	f.Add(int64(42), byte(1), byte(0), 0.0)
@@ -130,16 +130,16 @@ func FuzzQS(f *testing.F) {
 		if Dominates(vec, half) && Dominates(half, vec) {
 			t.Fatal("dominance is not asymmetric")
 		}
-		// MaxRegret over targeted templates is never negative.
+		// maxRegret over targeted templates is never negative.
 		targeted := make([]Template, len(templates))
 		for i, tpl := range templates {
 			targeted[i] = tpl.WithTarget(vec[i] - 1 + 2*float64(i%2))
 		}
-		if r := MaxRegret(targeted, vec); r < 0 {
-			t.Fatalf("MaxRegret = %v, want >= 0", r)
+		if r := maxRegret(targeted, vec); r < 0 {
+			t.Fatalf("maxRegret = %v, want >= 0", r)
 		}
-		if r := MaxRegret(templates, vec); r != 0 {
-			t.Fatalf("MaxRegret without targets = %v, want 0", r)
+		if r := maxRegret(templates, vec); r != 0 {
+			t.Fatalf("maxRegret without targets = %v, want 0", r)
 		}
 	})
 }

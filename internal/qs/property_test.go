@@ -171,7 +171,7 @@ func TestPropertyPriorityLinear(t *testing.T) {
 }
 
 // Property: Dominates is a strict partial order — irreflexive and
-// antisymmetric; and MaxRegret is zero exactly when all constrained
+// antisymmetric; and maxRegret is zero exactly when all constrained
 // values meet their targets.
 func TestPropertyDominanceOrder(t *testing.T) {
 	f := func(seed int64) bool {
@@ -205,7 +205,7 @@ func TestPropertyDominanceOrder(t *testing.T) {
 				allMet = false
 			}
 		}
-		regret := MaxRegret(tpls, vals)
+		regret := maxRegret(tpls, vals)
 		if allMet != (regret == 0) {
 			return false
 		}

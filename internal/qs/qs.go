@@ -311,20 +311,3 @@ func Dominates(a, b []float64) bool {
 	}
 	return strictly
 }
-
-// MaxRegret returns the largest constraint violation max_i (f_i − r_i) over
-// templates that carry targets, or 0 if none do. PALD's max-min fairness
-// over SLO satisfactions minimizes exactly this quantity when the problem
-// is infeasible.
-func MaxRegret(templates []Template, values []float64) float64 {
-	regret := 0.0
-	for i, t := range templates {
-		if !t.HasTarget {
-			continue
-		}
-		if r := values[i] - t.Target; r > regret {
-			regret = r
-		}
-	}
-	return regret
-}

@@ -48,30 +48,34 @@ func TestQueryVsOracleGoldens(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			plan := &Plan{
-				Version: Version,
-				Source:  "events",
-				Ops:     []OpSpec{{Op: "aggregate", SLOs: rt.Templates}},
-			}
-			r, err := Compile(plan, rt.Interval)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < rt.StepsDone(); i++ {
-				sched := rt.ObservedSchedule(i)
-				rows, err := r.PushTick(i, sched)
+			// The slos aggregate reads the records whatever the source;
+			// both forms must match the oracle bit for bit.
+			for _, source := range []string{"events", "jobs"} {
+				plan := &Plan{
+					Version: Version,
+					Source:  source,
+					Ops:     []OpSpec{{Op: "aggregate", SLOs: rt.Templates}},
+				}
+				r, err := Compile(plan, rt.Interval)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := qs.EvalStream(rt.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-				if len(rows) != len(want) {
-					t.Fatalf("tick %d: %d rows, want %d", i, len(rows), len(want))
-				}
-				for j, rw := range rows {
-					got := rw.Values["value"]
-					if math.Float64bits(got) != math.Float64bits(want[j]) {
-						t.Fatalf("tick %d slo %d (%s): query %v != oracle %v",
-							i, j, rt.Templates[j].Name(), got, want[j])
+				for i := 0; i < rt.StepsDone(); i++ {
+					sched := rt.ObservedSchedule(i)
+					rows, err := r.PushTick(i, sched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := qs.EvalStream(rt.Templates, sched, 0, sched.Horizon+time.Nanosecond)
+					if len(rows) != len(want) {
+						t.Fatalf("%s: tick %d: %d rows, want %d", source, i, len(rows), len(want))
+					}
+					for j, rw := range rows {
+						got := rw.Values["value"]
+						if math.Float64bits(got) != math.Float64bits(want[j]) {
+							t.Fatalf("%s: tick %d slo %d (%s): query %v != oracle %v",
+								source, i, j, rt.Templates[j].Name(), got, want[j])
+						}
 					}
 				}
 			}

@@ -85,7 +85,9 @@ const (
 // Filter comparator operands are strings; against numeric columns they
 // parse as a Go duration ("30m" = 1800 seconds) or a plain number.
 // The slos aggregate form replaces "aggs" with "slos", a qs.Template
-// list, and evaluates the QS vector per control interval.
+// list, and evaluates the QS vector per control interval. It reads the
+// schedule's records whatever the source, so any source gives the same
+// rows.
 type Plan struct {
 	Version int      `json:"version"`
 	Source  string   `json:"source"`
@@ -375,7 +377,7 @@ func (p *Plan) Validate() error {
 			if sawAggregate {
 				return planErrf(i, op.Op, "at most one aggregate per plan")
 			}
-			if err := validateAggregate(i, op, cur, p.Source, sawGroupBy, sawWindow, p.Ops); err != nil {
+			if err := validateAggregate(i, op, cur, sawGroupBy, sawWindow, p.Ops); err != nil {
 				return err
 			}
 			sawAggregate = true
@@ -457,7 +459,7 @@ var aggFns = map[string]float64{
 func isQuantile(fn string) bool { return len(fn) > 1 && fn[0] == 'p' }
 
 // validateAggregate checks one aggregate operator (generic or slos form).
-func validateAggregate(i int, op *OpSpec, cur *schema, source string, grouped, windowed bool, ops []OpSpec) error {
+func validateAggregate(i int, op *OpSpec, cur *schema, grouped, windowed bool, ops []OpSpec) error {
 	if len(op.Aggs) > 0 && len(op.SLOs) > 0 {
 		return planErrf(i, op.Op, "aggs and slos are mutually exclusive")
 	}
@@ -468,15 +470,12 @@ func validateAggregate(i int, op *OpSpec, cur *schema, source string, grouped, w
 		if len(op.SLOs) > MaxSLOs {
 			return planErrf(i, op.Op, "%d slos exceed the bound %d", len(op.SLOs), MaxSLOs)
 		}
-		if source != "events" {
-			return planErrf(i, op.Op, "slos aggregate requires source \"events\" (the accumulator must observe the full stream), got %q", source)
-		}
 		if grouped {
 			return planErrf(i, op.Op, "slos aggregate does not compose with group_by; each slo already names its queue")
 		}
 		for j := range ops[:i] {
 			if ops[j].Op == "filter" || ops[j].Op == "map" {
-				return planErrf(i, op.Op, "slos aggregate does not compose with %s; the accumulator must observe the full stream", ops[j].Op)
+				return planErrf(i, op.Op, "slos aggregate does not compose with %s; the accumulator must observe the whole schedule", ops[j].Op)
 			}
 		}
 		if windowed {

@@ -118,9 +118,8 @@ func TestPlanValidation(t *testing.T) {
 			{"op":"aggregate","aggs":[{"fn":"count"}]},{"op":"filter","field":"tenant","eq":"a"}]}`,
 			"ops[1] (filter): filter must precede aggregate"},
 
-		{"slos wrong source", `{"version":1,"source":"jobs","ops":[
-			{"op":"aggregate","slos":[{"queue":"a","metric":"throughput"}]}]}`,
-			`ops[0] (aggregate): slos aggregate requires source "events"`},
+		{"slos plan over jobs", `{"version":1,"source":"jobs","ops":[
+			{"op":"aggregate","slos":[{"queue":"a","metric":"throughput"}]}]}`, ""},
 		{"slos with filter", `{"version":1,"source":"events","ops":[
 			{"op":"filter","field":"tenant","eq":"a"},
 			{"op":"aggregate","slos":[{"queue":"a","metric":"throughput"}]}]}`,

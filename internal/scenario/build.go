@@ -63,11 +63,12 @@ type Runtime struct {
 	Controller *core.Controller
 
 	env *runEnv
-	// iterations, search and schedules grow together, one entry per
-	// applied tick; search entries are nil when the controller is disabled.
+	// iterations and schedules grow together, one entry per applied tick.
 	iterations []IterationReport
-	search     []*core.SearchStats
 	schedules  []*cluster.Schedule
+	// lastSearch is the last Apply's search statistics: nil when the
+	// controller is disabled or nothing has been applied since Build.
+	lastSearch *core.SearchStats
 }
 
 // Build materializes a validated spec into a runnable scenario.

@@ -113,12 +113,3 @@ func (r *Report) SaveFile(path string) error {
 	}
 	return os.WriteFile(path, b, 0o644)
 }
-
-// ReadReport parses a report from r.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(rd).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("scenario: decoding report: %w", err)
-	}
-	return &rep, nil
-}

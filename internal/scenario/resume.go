@@ -10,12 +10,12 @@ import (
 // Crash recovery for running scenarios. A live scenario's durable state
 // splits in two (internal/store persists both):
 //
-//   - a periodic Snapshot: the tick cursor, the per-iteration reports and
-//     search statistics, and the controller's state (sample cloud, RNG
-//     position, guard memory, step count) — everything Apply consults
-//     besides what Build derives from the spec. The runtime is the only
-//     per-tick record: the controller keeps none, so its share of a
-//     snapshot does not grow with ticks;
+//   - a periodic Snapshot: the tick cursor, the per-iteration reports
+//     and the controller's state (sample cloud, RNG position, guard
+//     memory, step count) — everything Apply consults besides what
+//     Build derives from the spec. The runtime is the only per-tick
+//     record: the controller keeps none, so its share of a snapshot
+//     does not grow with ticks;
 //   - the observed schedules, one WAL record per tick, each an encoding of
 //     the schedule's record view (Jobs and Tasks).
 //
@@ -30,12 +30,9 @@ import (
 // completed ticks.
 type Snapshot struct {
 	// Cursor is how many control intervals had run when the snapshot was
-	// taken. len(Iterations) == len(Search) == Cursor always.
+	// taken. len(Iterations) == Cursor always.
 	Cursor     int               `json:"cursor"`
 	Iterations []IterationReport `json:"iterations"`
-	// Search holds each tick's search statistics, nil entries where the
-	// controller is disabled. The store does not persist DecisionNanos.
-	Search []*core.SearchStats `json:"search"`
 	// Controller is nil when the spec disables the control loop.
 	Controller *core.ControllerState `json:"controller,omitempty"`
 }
@@ -47,19 +44,11 @@ func (rt *Runtime) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		Cursor:     len(rt.iterations),
 		Iterations: make([]IterationReport, 0, len(rt.iterations)),
-		Search:     make([]*core.SearchStats, 0, len(rt.search)),
 	}
 	for _, it := range rt.iterations {
 		cp := it
 		cp.Observed = append([]float64(nil), it.Observed...)
 		snap.Iterations = append(snap.Iterations, cp)
-	}
-	for _, s := range rt.search {
-		if s != nil {
-			cp := *s
-			s = &cp
-		}
-		snap.Search = append(snap.Search, s)
 	}
 	if rt.Controller != nil {
 		cs, err := rt.Controller.Snapshot()
@@ -94,9 +83,8 @@ func Resume(spec *Spec, opts Options, snap *Snapshot, schedules []*cluster.Sched
 	}
 	cursor := 0
 	if snap != nil {
-		if snap.Cursor != len(snap.Iterations) || snap.Cursor != len(snap.Search) {
-			return nil, fmt.Errorf("scenario %s: snapshot cursor %d != %d recorded iterations and %d search records",
-				spec.Name, snap.Cursor, len(snap.Iterations), len(snap.Search))
+		if snap.Cursor != len(snap.Iterations) {
+			return nil, fmt.Errorf("scenario %s: snapshot cursor %d != %d recorded iterations", spec.Name, snap.Cursor, len(snap.Iterations))
 		}
 		if snap.Cursor > len(schedules) {
 			return nil, fmt.Errorf("scenario %s: snapshot cursor %d reaches past the %d recovered schedules", spec.Name, snap.Cursor, len(schedules))
@@ -114,7 +102,6 @@ func Resume(spec *Spec, opts Options, snap *Snapshot, schedules []*cluster.Sched
 		}
 		cursor = snap.Cursor
 		rt.iterations = append(rt.iterations, snap.Iterations...)
-		rt.search = append(rt.search, snap.Search...)
 		rt.schedules = append(rt.schedules, schedules[:cursor]...)
 	}
 	// Re-drive the WAL tail through the same Apply live ticks use: each

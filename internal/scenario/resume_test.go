@@ -199,11 +199,6 @@ func TestResumeValidates(t *testing.T) {
 		t.Error("cursor/iterations mismatch accepted")
 	}
 	bad = *snap
-	bad.Search = bad.Search[:2]
-	if _, err := Resume(spec, opts, &bad, schedules); err == nil {
-		t.Error("cursor/search mismatch accepted")
-	}
-	bad = *snap
 	steps := *snap.Controller
 	steps.Steps = 2
 	bad.Controller = &steps

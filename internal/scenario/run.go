@@ -107,23 +107,24 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 	}
 	fillScheduleStats(&it, sched)
 	rt.iterations = append(rt.iterations, it)
-	rt.search = append(rt.search, search)
 	rt.schedules = append(rt.schedules, sched)
+	rt.lastSearch = search
 	return it, nil
 }
 
-// Search returns the controller's search statistics for iteration i, or
-// nil when the controller is disabled or the interval has not run.
-// Deliberately not part of IterationReport: the stats depend on cache
-// temperature (a resumed run re-drives identical decisions with
-// different warm-start tallies), so folding them into the
-// golden-committed report would break byte-identical resume. The
-// returned struct is shared; treat it as read-only.
+// Search returns the controller's search statistics for iteration i if
+// it is the last tick Apply ran (the only one callers read), else nil;
+// also nil with the controller disabled. Deliberately not part of
+// IterationReport: the stats depend on cache temperature (a resumed run
+// re-drives identical decisions with different warm-start tallies), so
+// folding them into the golden-committed report would break
+// byte-identical resume. The returned struct is shared; treat it as
+// read-only.
 func (rt *Runtime) Search(i int) *core.SearchStats {
-	if i < 0 || i >= len(rt.search) {
+	if i != len(rt.iterations)-1 {
 		return nil
 	}
-	return rt.search[i]
+	return rt.lastSearch
 }
 
 // ObservedSchedule returns the task schedule iteration i ran under, or nil

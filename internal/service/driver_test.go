@@ -206,8 +206,8 @@ func TestApplyFailureAfterAppendFailStops(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "" {
 		t.Fatalf("logged-but-not-applied tick carried Retry-After %q; it is durable and must not be retried", ra)
 	}
-	if !c.Degraded() || sess.Ticks() != 0 || cs.Ticks() != 1 {
-		t.Fatalf("after the failed apply: degraded=%v session ticks=%d wal ticks=%d, want true/0/1", c.Degraded(), sess.Ticks(), cs.Ticks())
+	if !c.Degraded() || sess.Ticks() != 0 || cs.WALSize() == 0 {
+		t.Fatalf("after the failed apply: degraded=%v session ticks=%d wal bytes=%d, want true/0/>0", c.Degraded(), sess.Ticks(), cs.WALSize())
 	}
 	if _, _, err := svc.Tick(context.Background(), c); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("write to the fail-stopped cluster returned %v, want ErrDegraded", err)

@@ -961,7 +961,11 @@ func TestShutdownInterruptsAdmittedTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.Ticks(); got != 1 {
+	scheds, err := cs.Schedules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(scheds); got != 1 {
 		t.Fatalf("reopened WAL holds %d ticks, want the one acked at Close", got)
 	}
 }

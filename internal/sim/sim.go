@@ -97,10 +97,9 @@ func (e *Engine) Reset() {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Fired returns the number of events dispatched so far.
+//
+//tempolint:ignore testonly cluster's TestKernelCounters and BenchmarkSchedulerKernel count events with it
 func (e *Engine) Fired() int { return e.fired }
-
-// Len returns the number of pending events.
-func (e *Engine) Len() int { return len(e.heap) }
 
 // At schedules an event of the given kind and argument at time t with the
 // given tie-break priority (lower fires first) and returns its id.
@@ -145,27 +144,6 @@ func (e *Engine) Cancel(id int32) {
 	if i < last {
 		e.fix(i, moved)
 	}
-}
-
-// Reschedule moves a pending event to fire at time t (clamped to Now, like
-// At). The event is assigned a fresh sequence number, making the result
-// indistinguishable from Cancel followed by a new At — but in O(log n),
-// re-sifted in place, keeping its id. It reports whether the event was
-// still pending; an event that already fired or was cancelled cannot be
-// rescheduled.
-func (e *Engine) Reschedule(id int32, t time.Duration) bool {
-	if !e.Pending(id) {
-		return false
-	}
-	if t < e.now {
-		t = e.now
-	}
-	i := int(e.pos[id])
-	en := e.heap[i]
-	en.time = t
-	en.ord = e.nextOrd(uint8(en.ord>>prioShift), uint8(en.ord))
-	e.fix(i, en)
-	return true
 }
 
 // Step dispatches the next pending event: it advances the clock to the

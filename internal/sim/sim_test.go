@@ -8,6 +8,34 @@ import (
 	"time"
 )
 
+// Len and Reschedule are test-only Engine methods: the scheduler never
+// needs them, but the heap tests observe the queue with Len and drive
+// fix in both directions with Reschedule.
+
+// Len returns the number of pending events.
+func (e *Engine) Len() int { return len(e.heap) }
+
+// Reschedule moves a pending event to fire at time t (clamped to Now, like
+// At). The event is assigned a fresh sequence number, making the result
+// indistinguishable from Cancel followed by a new At — but in O(log n),
+// re-sifted in place, keeping its id. It reports whether the event was
+// still pending; an event that already fired or was cancelled cannot be
+// rescheduled.
+func (e *Engine) Reschedule(id int32, t time.Duration) bool {
+	if !e.Pending(id) {
+		return false
+	}
+	if t < e.now {
+		t = e.now
+	}
+	i := int(e.pos[id])
+	en := e.heap[i]
+	en.time = t
+	en.ord = e.nextOrd(uint8(en.ord>>prioShift), uint8(en.ord))
+	e.fix(i, en)
+	return true
+}
+
 // drain steps e until its queue is empty, handing every fired event to
 // fire with the clock at its time.
 func drain(e *Engine, fire func(now time.Duration, kind uint8, arg int32)) {

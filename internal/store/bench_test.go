@@ -213,8 +213,8 @@ func snapshotShapes(tb testing.TB) []snapshotShape {
 	small := storeSpec(tb)
 	small.Iterations = 128
 	return []snapshotShape{
-		{"small", runtimeSnapshot(tb, small, small.Iterations), 32254},
-		{"stress", runtimeSnapshot(tb, stressSpec(tb, 32), 32), 577252},
+		{"small", runtimeSnapshot(tb, small, small.Iterations), 31483},
+		{"stress", runtimeSnapshot(tb, stressSpec(tb, 32), 32), 577058},
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // Tick-record codec. One WAL record carries one committed tick: the tick
 // index and the observed schedule's record view (Capacity, Horizon, Jobs
 // and Tasks). The encoding is a pure function of the schedule — same
-// observation, same bytes — and DecodeTick inverts it exactly, which is
+// observation, same bytes — and tickDecoder inverts it exactly, which is
 // what makes a recovered trajectory byte-identical to the live one.
 //
 //	record := format tick capacity horizon names jobs tasks
@@ -117,12 +117,7 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// DecodeTick inverts EncodeTick.
-func DecodeTick(payload []byte) (tick int, sched *cluster.Schedule, err error) {
-	return new(tickDecoder).decode(payload)
-}
-
-// tickDecoder carries what one WAL's records share across DecodeTick
+// tickDecoder carries what one WAL's records share across decode
 // calls: the interned names, so each distinct tenant and job name is
 // allocated once per log, not once per record.
 type tickDecoder struct {
@@ -181,15 +176,12 @@ func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule
 // -0 and subnormals survive). Every slice, map and pointer leads with a
 // tag byte so nil and empty stay distinct ("observed": null versus [] in
 // the canonical report). Like the tick codec it is a pure function of
-// its input: Config.Tenants is written in ascending name order, and the
-// wall-clock SearchStats.DecisionNanos is not written at all (it restores
-// as zero), so two runs of one spec and seed write the same bytes.
+// its input: Config.Tenants is written in ascending name order, so two
+// runs of one spec and seed write the same bytes.
 //
-//	snapshot   := format cursor slice(iteration) slice(pointer(search))
-//	              pointer(controller)
+//	snapshot   := format cursor slice(iteration) pointer(controller)
 //	iteration  := index capacity floats switched reverted submitted completed
 //	              killed deadlineJobs deadlineMisses preemptions useful wasted
-//	search     := candidates fullyScored warmStarted simsRun simsReused
 //	controller := config floats config floats hasPrev slice(target) floats
 //	              steps pointer(optimizer)
 //	config     := totalContainers slice(tenant)     names strictly ascending
@@ -202,19 +194,20 @@ func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule
 //
 // The controller's part is bounded in ticks: steps is a count, not a
 // record per iteration, and the optimizer's sample cloud stops growing at
-// its cap. What grows with ticks is the iteration and search slices, one
-// entry each per tick.
+// its cap. What grows with ticks is the iteration slice, one entry per
+// tick. Search statistics are not persisted: a runtime keeps only the
+// last tick's, and a replay re-derives them.
 //
-// format is the byte 2; integers are uvarints (a negative int is its
+// format is the byte 3; integers are uvarints (a negative int is its
 // two's-complement uint64); bools are one byte, 0 or 1. The decoder
 // checks every count against the bytes left before allocating for it,
 // rejects any tag or bool byte other than 0 and 1, and treats trailing
 // bytes as an error — so every strict prefix of a snapshot is rejected.
-// Format 1, which held the controller's per-iteration history, is not
-// decoded: LoadSnapshot treats it as absent and recovery re-drives the
-// WAL.
+// Older formats are not decoded: format 1 held the controller's
+// per-iteration history and format 2 every tick's search statistics.
+// LoadSnapshot treats either as absent and recovery re-drives the WAL.
 const (
-	snapshotFormat = 2
+	snapshotFormat = 3
 
 	tagNil     = 0
 	tagPresent = 1
@@ -226,7 +219,6 @@ const (
 	minTarget    = 9
 	minTenant    = 13
 	minIteration = 27
-	minPointer   = 1
 )
 
 // EncodeSnapshot appends snap's encoding to dst and returns the extended
@@ -235,9 +227,6 @@ func EncodeSnapshot(dst []byte, snap *scenario.Snapshot) []byte {
 	dst = append(dst, snapshotFormat)
 	dst = appendInt(dst, snap.Cursor)
 	dst = appendSlice(dst, snap.Iterations, appendIteration)
-	dst = appendSlice(dst, snap.Search, func(dst []byte, s **core.SearchStats) []byte {
-		return appendPointer(dst, *s, appendSearch)
-	})
 	return appendPointer(dst, snap.Controller, appendController)
 }
 
@@ -249,9 +238,6 @@ func DecodeSnapshot(payload []byte) (*scenario.Snapshot, error) {
 	}
 	snap := &scenario.Snapshot{Cursor: d.int()}
 	snap.Iterations = decodeSlice(&d, minIteration, decodeIteration)
-	snap.Search = decodeSlice(&d, minPointer, func(d *decoder, s **core.SearchStats) {
-		*s = decodePointer(d, decodeSearch)
-	})
 	snap.Controller = decodePointer(&d, decodeController)
 	if d.err != nil {
 		return nil, d.err
@@ -328,22 +314,6 @@ func decodeController(d *decoder, c *core.ControllerState) {
 		o.Xs = decodeSlice(d, minFloats, decodeFloatsAt)
 		o.Fs = decodeSlice(d, minFloats, decodeFloatsAt)
 	})
-}
-
-func appendSearch(dst []byte, s *core.SearchStats) []byte {
-	dst = appendInt(dst, s.Candidates)
-	dst = appendInt(dst, s.FullyScored)
-	dst = appendInt(dst, s.WarmStarted)
-	dst = appendInt(dst, s.SimsRun)
-	return appendInt(dst, s.SimsReused)
-}
-
-func decodeSearch(d *decoder, s *core.SearchStats) {
-	s.Candidates = d.int()
-	s.FullyScored = d.int()
-	s.WarmStarted = d.int()
-	s.SimsRun = d.int()
-	s.SimsReused = d.int()
 }
 
 func appendConfig(dst []byte, c *cluster.Config) []byte {

@@ -34,7 +34,7 @@ func fuzzSeedSchedule() *cluster.Schedule {
 
 // FuzzDecodeTick hammers the recovery path's parser with arbitrary record
 // payloads (the WAL's CRC vouches for the bytes it framed, not for who
-// wrote them). DecodeTick must return an error or a schedule — never
+// wrote them). decodeTick must return an error or a schedule — never
 // panic, and never size an allocation from a field the payload did not
 // pay for: the decoded record counts stay within the payload length. A
 // payload that decodes is then held to the codec's inverse property from
@@ -56,7 +56,7 @@ func FuzzDecodeTick(f *testing.F) {
 	f.Add(EncodeTick(nil, 3, genSchedule(1, 12)))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		tick, sched, err := DecodeTick(payload)
+		tick, sched, err := decodeTick(payload)
 		if err != nil {
 			return
 		}
@@ -64,7 +64,7 @@ func FuzzDecodeTick(f *testing.F) {
 			t.Fatalf("%d-byte payload decoded into %d jobs and %d tasks", len(payload), len(sched.Jobs), len(sched.Tasks))
 		}
 		again := EncodeTick(nil, tick, sched)
-		tick2, sched2, err := DecodeTick(again)
+		tick2, sched2, err := decodeTick(again)
 		if err != nil {
 			t.Fatalf("re-encoded payload does not decode: %v", err)
 		}
@@ -133,7 +133,7 @@ func FuzzTickRoundTrip(f *testing.F) {
 	f.Add(int64(-9), byte(200))
 	f.Fuzz(func(t *testing.T, seed int64, n byte) {
 		s := genSchedule(seed, int(n))
-		tick, got, err := DecodeTick(EncodeTick(nil, int(n), s))
+		tick, got, err := decodeTick(EncodeTick(nil, int(n), s))
 		if err != nil {
 			t.Fatal(err)
 		}

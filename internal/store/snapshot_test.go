@@ -76,16 +76,6 @@ func runtimeSnapshot(t testing.TB, spec *scenario.Spec, ticks int) *scenario.Sna
 	return snap
 }
 
-// stripDecisionNanos zeroes the one field the codec does not persist, so
-// a live snapshot can be compared with its decoded self.
-func stripDecisionNanos(snap *scenario.Snapshot) {
-	for _, s := range snap.Search {
-		if s != nil {
-			s.DecisionNanos = 0
-		}
-	}
-}
-
 // checkSnapshotRoundTrip holds one snapshot to the codec's contract:
 // decode(encode(s)) re-encodes to the same bytes and, wherever
 // encoding/json can spell the floats, re-marshals to the same JSON — nil
@@ -119,13 +109,9 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	t.Run("real", func(t *testing.T) {
 		spec := storeSpec(t)
 		for ticks := 0; ticks <= spec.Iterations; ticks++ {
-			snap := runtimeSnapshot(t, spec, ticks)
-			stripDecisionNanos(snap)
-			checkSnapshotRoundTrip(t, snap)
+			checkSnapshotRoundTrip(t, runtimeSnapshot(t, spec, ticks))
 		}
-		snap := runtimeSnapshot(t, stressSpec(t, 3), 3)
-		stripDecisionNanos(snap)
-		checkSnapshotRoundTrip(t, snap)
+		checkSnapshotRoundTrip(t, runtimeSnapshot(t, stressSpec(t, 3), 3))
 	})
 	t.Run("generated", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
@@ -140,8 +126,6 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			"nil observed":     {Cursor: 1, Iterations: []scenario.IterationReport{{Observed: nil}}},
 			"empty observed":   {Cursor: 1, Iterations: []scenario.IterationReport{{Observed: []float64{}}}},
 			"negative ints":    {Cursor: -1, Iterations: []scenario.IterationReport{{Index: math.MinInt64, Capacity: -7}}},
-			"empty search":     {Search: []*core.SearchStats{}},
-			"nil search":       {Cursor: 2, Search: []*core.SearchStats{nil, {Candidates: -1}}},
 			"negative steps":   {Controller: &core.ControllerState{Steps: -3}},
 			"zero controller":  {Controller: &core.ControllerState{}},
 			"empty controller": {Controller: &core.ControllerState{
@@ -192,17 +176,6 @@ func randomSnapshot(rng *rand.Rand) *scenario.Snapshot {
 				SubmittedJobs: rng.Intn(50), CompletedJobs: rng.Intn(50), KilledJobs: rng.Intn(5),
 				DeadlineJobs: rng.Intn(50), DeadlineMisses: rng.Intn(50), Preemptions: rng.Intn(1 << 20),
 				UsefulContainerSeconds: rng.ExpFloat64() * 1e4, WastedContainerSeconds: rng.Float64(),
-			}
-		}
-	}
-	if n := sliceLen(rng); n >= 0 {
-		snap.Search = make([]*core.SearchStats, n)
-		for i := range snap.Search {
-			if rng.Intn(3) > 0 {
-				snap.Search[i] = &core.SearchStats{
-					Candidates: rng.Intn(9), FullyScored: rng.Intn(9), WarmStarted: rng.Intn(9),
-					SimsRun: rng.Intn(99), SimsReused: rng.Intn(99),
-				}
 			}
 		}
 	}
@@ -289,12 +262,6 @@ func snapshotFootprint(snap *scenario.Snapshot) int {
 	for i := range snap.Iterations {
 		n += floats(snap.Iterations[i].Observed)
 	}
-	n += 8 * len(snap.Search)
-	for _, s := range snap.Search {
-		if s != nil {
-			n += int(reflect.TypeOf(core.SearchStats{}).Size())
-		}
-	}
 	c := snap.Controller
 	if c == nil {
 		return n
@@ -332,8 +299,8 @@ func TestDecodeSnapshotBoundsAllocations(t *testing.T) {
 		return p
 	}
 	controller := func(fields ...[]byte) []byte {
-		// nil iterations, nil search, controller present
-		return payload(append([][]byte{{tagNil, tagNil, tagPresent}}, fields...)...)
+		// nil iterations, controller present
+		return payload(append([][]byte{{tagNil, tagPresent}}, fields...)...)
 	}
 	config := []byte{0, tagNil}
 	for name, p := range map[string][]byte{
@@ -341,7 +308,6 @@ func TestDecodeSnapshotBoundsAllocations(t *testing.T) {
 		// One iteration (index 0, capacity 0) whose observed count is 2^40,
 		// padded so that the iteration count itself fits.
 		"observed floats": payload([]byte{tagPresent, 1, 0, 0, tagPresent}, huge, make([]byte, minIteration)),
-		"search":          payload([]byte{tagNil, tagPresent}, huge),
 		"tenants":         controller([]byte{0, tagPresent}, huge),
 		"current x":       controller(config, []byte{tagPresent}, huge),
 		"targets":         controller(config, []byte{tagNil}, config, []byte{tagNil, 0, tagPresent}, huge),
@@ -386,8 +352,7 @@ func TestSnapshotBytes(t *testing.T) {
 
 // TestSnapshotBytesDeterministic: two independent runs of one spec and
 // seed write byte-identical snapshot.bin at every snapshot tick — the
-// wall-clock decision time is not persisted — and a restored runtime
-// still reports the persisted search counts, with DecisionNanos zero.
+// wall-clock decision time is not persisted.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	spec := storeSpec(t)
 	var clock time.Duration
@@ -397,7 +362,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 		clock += time.Duration(1+rand.Intn(1000)) * time.Microsecond
 		return time.Unix(0, 0).Add(clock)
 	}}
-	run := func() (files [][]byte, last *scenario.Runtime, schedules []*cluster.Schedule) {
+	run := func() (files [][]byte, timed bool) {
 		s, err := Open(t.TempDir(), Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -415,7 +380,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			if _, err := rt.Step(); err != nil {
 				t.Fatal(err)
 			}
-			schedules = append(schedules, rt.ObservedSchedule(i))
+			timed = timed || rt.Search(i).DecisionNanos != 0
 			snap, err := rt.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -429,36 +394,17 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			}
 			files = append(files, raw)
 		}
-		return files, rt, schedules
+		return files, timed
 	}
-	a, live, schedules := run()
-	b, _, _ := run()
+	a, timed := run()
+	b, _ := run()
 	for i := range a {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("snapshot.bin after tick %d differs between two runs of one spec and seed", i)
 		}
 	}
-	var timed bool
-	for i := 0; i < spec.Iterations; i++ {
-		timed = timed || live.Search(i).DecisionNanos != 0
-	}
 	if !timed {
 		t.Fatal("the live run recorded no decision time; the test proves nothing")
-	}
-	snap, err := DecodeSnapshot(a[len(a)-1][walHeaderSize:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := scenario.Resume(spec, opts, snap, schedules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < spec.Iterations; i++ {
-		want := *live.Search(i)
-		want.DecisionNanos = 0
-		if got := resumed.Search(i); got == nil || *got != want {
-			t.Errorf("tick %d: restored search stats %+v, want %+v", i, got, want)
-		}
 	}
 }
 
@@ -466,7 +412,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 // TestResumeByteIdentical with the store's bytes in the middle: for every
 // (snapshot tick k, crash tick m) pair of two golden scenarios, the
 // snapshot goes through EncodeSnapshot/DecodeSnapshot and each schedule
-// through EncodeTick/DecodeTick, and the resumed run must finish on the
+// through EncodeTick/decodeTick, and the resumed run must finish on the
 // uninterrupted run's report.
 func TestResumeParityThroughCodecs(t *testing.T) {
 	for _, name := range []string{"steady-two-tenant", "abc-mix"} {

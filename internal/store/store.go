@@ -92,9 +92,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the data directory root.
-func (s *Store) Dir() string { return s.dir }
-
 // IDs returns the ids with on-disk state, sorted.
 func (s *Store) IDs() []string {
 	s.mu.Lock()
@@ -151,18 +148,7 @@ func (s *Store) Create(id string, spec *scenario.Spec) (*ClusterStore, error) {
 	return cs, nil
 }
 
-// Delete closes the cluster's WAL and removes its on-disk state.
-func (s *Store) Delete(id string) error {
-	s.mu.Lock()
-	cs, ok := s.clusters[id]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return s.DeleteCluster(cs)
-}
-
-// DeleteCluster removes cs's on-disk state — but only while cs still
+// DeleteCluster closes cs's WAL and removes its on-disk state — but only while cs still
 // backs its id. A teardown queued behind a delete+re-create of the same
 // id must remove the old incarnation's state, never the new one's.
 func (s *Store) DeleteCluster(cs *ClusterStore) error {
@@ -241,19 +227,8 @@ func openCluster(id, dir string, opts Options) (*ClusterStore, error) {
 	return &ClusterStore{id: id, dir: dir, spec: spec, opts: opts, wal: wal, recovered: records, ticks: len(records)}, nil
 }
 
-// ID returns the cluster id.
-func (c *ClusterStore) ID() string { return c.id }
-
 // Spec returns the scenario persisted at create time.
 func (c *ClusterStore) Spec() *scenario.Spec { return c.spec }
-
-// Ticks returns the next tick index AppendTick accepts — equivalently,
-// how many committed ticks the WAL holds.
-func (c *ClusterStore) Ticks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ticks
-}
 
 // AppendTick logs one committed tick's observed schedule. Ticks must
 // arrive in order with no gaps — the WAL's record index is the tick

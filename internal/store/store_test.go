@@ -68,7 +68,13 @@ func runReference(t testing.TB, spec *scenario.Spec) []byte {
 	return raw
 }
 
-// TestCodecRoundTrip locks EncodeTick/DecodeTick as exact inverses on
+// decodeTick inverts EncodeTick with a fresh decoder, as recovery does
+// for a log's first record.
+func decodeTick(payload []byte) (tick int, sched *cluster.Schedule, err error) {
+	return new(tickDecoder).decode(payload)
+}
+
+// TestCodecRoundTrip locks EncodeTick/decodeTick as exact inverses on
 // real emulator output.
 func TestCodecRoundTrip(t *testing.T) {
 	spec := storeSpec(t)
@@ -91,7 +97,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		} else {
 			fromShared = append(fromShared, again)
 		}
-		tick, decoded, err := DecodeTick(payload)
+		tick, decoded, err := decodeTick(payload)
 		if err != nil {
 			t.Fatalf("tick %d: %v", i, err)
 		}
@@ -110,16 +116,16 @@ func TestCodecRoundTrip(t *testing.T) {
 	// Corruption fails loudly, never panics.
 	payload := EncodeTick(nil, 0, rt.ObservedSchedule(0))
 	for _, cut := range []int{0, 1, 3, len(payload) / 2, len(payload) - 1} {
-		if _, _, err := DecodeTick(payload[:cut]); err == nil {
+		if _, _, err := decodeTick(payload[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	if _, _, err := DecodeTick(append(payload, 0)); err == nil {
+	if _, _, err := decodeTick(append(payload, 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
 
-// TestDecodeTickBoundsAllocations feeds DecodeTick short, well-formed
+// TestDecodeTickBoundsAllocations feeds decodeTick short, well-formed
 // records whose one oversized field would size an allocation (the name,
 // job and task counts) or index past one (a name ref). A CRC cannot catch
 // these — the WAL frames whatever bytes it was given — and an oversized
@@ -132,11 +138,11 @@ func TestDecodeTickBoundsAllocations(t *testing.T) {
 		"task count beyond the payload": craftedCount(craftedCount(craftedNames(), 0), 1<<40),
 		"name ref beyond the names":     craftedCount(craftedJob(craftedNames(), 1), 0),
 	} {
-		if _, sched, err := DecodeTick(payload); err == nil {
+		if _, sched, err := decodeTick(payload); err == nil {
 			t.Errorf("%s: accepted, decoded %d jobs and %d tasks", name, len(sched.Jobs), len(sched.Tasks))
 		}
 	}
-	if _, sched, err := DecodeTick(craftedCount(craftedJob(craftedNames(), 0), 0)); err != nil || len(sched.Jobs) != 1 || sched.Jobs[0].ID != "a" {
+	if _, sched, err := decodeTick(craftedCount(craftedJob(craftedNames(), 0), 0)); err != nil || len(sched.Jobs) != 1 || sched.Jobs[0].ID != "a" {
 		t.Errorf("in-range name ref rejected or misdecoded: err %v", err)
 	}
 }
@@ -179,15 +185,15 @@ const eventStreamRecord = "" +
 	"b088d4db0f0300016103612d3001"
 
 // TestEventStreamWALRefused: a WAL written by the event-stream codec is
-// refused with an error naming the format, by DecodeTick and by recovery
+// refused with an error naming the format, by decodeTick and by recovery
 // through a data dir, never misread as a schedule.
 func TestEventStreamWALRefused(t *testing.T) {
 	payload, err := hex.DecodeString(eventStreamRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeTick(payload); err == nil || !strings.Contains(err.Error(), "format 0") {
-		t.Fatalf("DecodeTick on an event-stream record: %v, want a format error", err)
+	if _, _, err := decodeTick(payload); err == nil || !strings.Contains(err.Error(), "format 0") {
+		t.Fatalf("decodeTick on an event-stream record: %v, want a format error", err)
 	}
 
 	dir := t.TempDir()
@@ -280,15 +286,15 @@ func TestStoreRecoverByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cs2.Ticks(); got != crashAfter {
-		t.Fatalf("recovered %d ticks, want %d", got, crashAfter)
-	}
 	if !reflect.DeepEqual(spec, cs2.Spec()) {
 		t.Fatal("recovered spec differs")
 	}
 	schedules, err := cs2.Schedules()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := len(schedules); got != crashAfter {
+		t.Fatalf("recovered %d ticks, want %d", got, crashAfter)
 	}
 	snap, err := cs2.LoadSnapshot()
 	if err != nil {
@@ -536,13 +542,14 @@ func TestStoreDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := storeSpec(t)
-	if _, err := s.Create("gone", spec); err != nil {
+	cs, err := s.Create("gone", spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("gone"); err != nil {
+	if err := s.DeleteCluster(cs); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("gone"); !errors.Is(err, ErrNotFound) {
+	if err := s.DeleteCluster(cs); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
 	s.Close()
@@ -745,24 +752,45 @@ func TestUpgradeFromJSONSnapshot(t *testing.T) {
 	}
 }
 
-// TestUpgradeFromFormat1Snapshot: a snapshot.bin in format 1, which held
-// the controller's per-iteration history and had no frame, is treated as
-// absent — one WAL re-drive recovers the byte-identical report — and the
-// next snapshot write replaces it with a framed snapshot in the current
-// format. Such a file fails the frame check, so the body behind the 1 is
-// immaterial.
+// TestUpgradeFromFormat1Snapshot: a snapshot.bin in an older format is
+// treated as absent — one WAL re-drive recovers the byte-identical
+// report — and the next snapshot write replaces it with a framed
+// snapshot in the current format. Format 1 held the controller's
+// per-iteration history and had no frame, so it fails the frame check
+// and the body behind the 1 is immaterial. Format 2 is framed and
+// carried every tick's search statistics between the iterations and the
+// controller; its format byte refuses it.
 func TestUpgradeFromFormat1Snapshot(t *testing.T) {
-	path := upgradeFrom(t, "snapshot.bin", func(snap *scenario.Snapshot) []byte {
+	format1 := func(snap *scenario.Snapshot) []byte {
 		raw := EncodeSnapshot(nil, snap)
 		raw[0] = 1
 		return raw
-	})
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
 	}
-	if raw[walHeaderSize] != 2 {
-		t.Fatalf("snapshot.bin after the upgrade has format %d, want 2", raw[walHeaderSize])
+	format2 := func(snap *scenario.Snapshot) []byte {
+		rec := append(make([]byte, walHeaderSize), 2)
+		rec = appendInt(rec, snap.Cursor)
+		rec = appendSlice(rec, snap.Iterations, appendIteration)
+		rec = append(rec, tagPresent)
+		rec = binary.AppendUvarint(rec, uint64(snap.Cursor))
+		for i := 0; i < snap.Cursor; i++ {
+			// candidates fullyScored warmStarted simsRun simsReused
+			rec = append(rec, tagPresent, 24, 1, 0, 24, 0)
+		}
+		rec = appendPointer(rec, snap.Controller, appendController)
+		if err := sealFrame(rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	for _, old := range []func(*scenario.Snapshot) []byte{format1, format2} {
+		path := upgradeFrom(t, "snapshot.bin", old)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[walHeaderSize] != 3 {
+			t.Fatalf("snapshot.bin after the upgrade has format %d, want 3", raw[walHeaderSize])
+		}
 	}
 }
 

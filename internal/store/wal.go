@@ -92,7 +92,6 @@ type WAL struct {
 	size     int64
 	dirty    int64
 	lastSync time.Time
-	records  int
 	broken   bool
 	closed   bool
 }
@@ -137,7 +136,7 @@ func OpenWAL(path string, opts WALOptions) (*WAL, [][]byte, error) {
 			return fail(err)
 		}
 	}
-	w := &WAL{f: f, path: path, opts: opts, size: int64(good), records: len(records)}
+	w := &WAL{f: f, path: path, opts: opts, size: int64(good)}
 	return w, records, nil
 }
 
@@ -193,13 +192,6 @@ func sealFrame(rec []byte) error {
 	return nil
 }
 
-// Records returns how many intact records the log holds.
-func (w *WAL) Records() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records
-}
-
 // Size returns the log's current byte length.
 func (w *WAL) Size() int64 {
 	w.mu.Lock()
@@ -231,7 +223,6 @@ func (w *WAL) Append(payload []byte) error {
 	}
 	w.size += int64(len(frame))
 	w.dirty += int64(len(frame))
-	w.records++
 	return w.maybeSync()
 }
 

@@ -32,7 +32,9 @@ func oracleScores(t testing.TB, m *Model, cfgs []cluster.Config) [][]float64 {
 	}
 	predict := m.Predict
 	if predict == nil {
-		predict = DefaultPredictor
+		predict = func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
+			return cluster.Run(trace, cfg, cluster.Options{Horizon: horizon})
+		}
 	}
 	out := make([][]float64, len(cfgs))
 	for c := range cfgs {

@@ -38,11 +38,6 @@ type Generator func(sample int) (*workload.Trace, error)
 // engine's reuse tiers: it is called, and its schedule scored, per pair.
 type Predictor func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error)
 
-// DefaultPredictor is the built-in time-warp Schedule Predictor.
-func DefaultPredictor(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
-	return cluster.Run(trace, cfg, cluster.Options{Horizon: horizon})
-}
-
 // Model evaluates QS vectors for candidate RM configurations.
 type Model struct {
 	// Templates define the QS vector's components, in order.
@@ -55,7 +50,7 @@ type Model struct {
 	// Horizon optionally caps each predicted run; zero runs every job to
 	// completion.
 	Horizon time.Duration
-	// Predict produces the task schedule; nil uses DefaultPredictor.
+	// Predict produces the task schedule; nil runs the built-in cluster.Sim.
 	Predict Predictor
 	// Parallelism caps the worker goroutines Evaluate, EvaluateBatch, and
 	// Sensitivity fan out over (configuration, sample) pairs — the paper's

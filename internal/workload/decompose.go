@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // This file implements the third future-work direction of §10: supporting
@@ -155,39 +154,4 @@ func kmeans1D(points []float64, k int) ([]float64, []int) {
 		assign[i] = rank[assign[i]]
 	}
 	return outCenters, assign
-}
-
-// DecomposeProfiles derives one statistical profile per sub-queue from a
-// decomposed trace, ready for the What-if Model. The horizon is taken from
-// the trace.
-func DecomposeProfiles(decomposed *Trace, dec *Decomposition) ([]TenantProfile, error) {
-	var out []TenantProfile
-	for _, sub := range dec.SubTenants {
-		if len(decomposed.ByTenant(sub)) == 0 {
-			continue // a size class may be empty after re-windowing
-		}
-		p, err := Fit(decomposed, sub)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("workload: decomposition of %q produced no populated sub-queues", dec.Tenant)
-	}
-	return out, nil
-}
-
-// WaitTimes returns per-job queueing delays (first task start − submit) of
-// a tenant, a helper shared by the characterization figures and the
-// decomposition diagnostics.
-func WaitTimes(jobSubmit map[string]time.Duration, firstStart map[string]time.Duration) []time.Duration {
-	var out []time.Duration
-	for id, s := range jobSubmit {
-		if st, ok := firstStart[id]; ok && st >= s {
-			out = append(out, st-s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

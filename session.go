@@ -183,10 +183,10 @@ func (s *Session) Apply(tick int, sched *Schedule) (ScenarioIteration, error) {
 	return s.rt.Apply(tick, sched)
 }
 
-// Search returns tick i's candidate-search statistics, or nil when the
-// controller is disabled or the tick has not run. Diagnostic only —
-// search stats never appear in reports, so they cannot perturb the
-// determinism contract above.
+// Search returns tick i's candidate-search statistics if i is the tick
+// last applied, else nil (also with the controller disabled). Diagnostic
+// only — search stats never appear in reports, so they cannot perturb
+// the determinism contract above.
 func (s *Session) Search(i int) *SearchStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,7 +336,7 @@ func (s *Session) SLOPlan() *QueryPlan {
 	defer s.mu.Unlock()
 	return &query.Plan{
 		Version: query.Version,
-		Source:  "events",
+		Source:  "jobs",
 		Ops: []query.OpSpec{{
 			Op:   "aggregate",
 			SLOs: append([]qs.Template(nil), s.rt.Templates...),

@@ -379,43 +379,124 @@ func TestScheduleDigestExact(t *testing.T) {
 }
 
 // TestKernelCounters steps the engine event by event over the same table
-// and checks after every event that the scheduler's two skip counters and
-// its waiting set equal a from-scratch recount, and the invariant the
-// skip rests on: a pending preemption-check event implies an open
-// starvation window.
+// and recounts the scheduler's incremental state from scratch after every
+// event (see checkKernelCounters). At least one row must have skipped
+// water-fills and tenant visits, or the skips went untested.
 func TestKernelCounters(t *testing.T) {
+	skipped := false
 	for _, kc := range kernelCases(t) {
-		sm := NewSim()
-		s := &sm.s
-		s.init(kc.trace, kc.cfg, kc.opts)
-		for s.step() {
-			waiting, open := 0, 0
-			window := func(i int, since time.Duration, ev int32) {
-				if since >= 0 {
-					open++
-				} else if s.engine.Pending(ev) {
-					t.Fatalf("%s: event %d at %v: tenant %s has a pending check event on a closed window",
-						kc.name, s.engine.Fired(), s.engine.Now(), s.names[i])
-				}
+		c := checkKernelCounters(t, kc.name, kc.trace, kc.cfg, kc.opts)
+		t.Logf("%-28s tenants=%4d passes=%6d fills=%6d visits=%8d", kc.name, c.tenants, c.passes, c.fills, c.visits)
+		skipped = skipped || c.fills < c.passes && c.visits < c.tenants*c.passes
+	}
+	if !skipped {
+		t.Error("no row skipped a water-fill and a tenant visit: the skips went untested")
+	}
+}
+
+// FuzzKernelCounters runs checkKernelCounters on random small scenarios,
+// with and without noise and a horizon.
+func FuzzKernelCounters(f *testing.F) {
+	f.Add(int64(1), false, false)
+	f.Add(int64(15), true, false)
+	f.Add(int64(-3), false, true)
+	f.Add(int64(977), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, noisy, horizon bool) {
+		tr, cfg := randomScenario(rand.New(rand.NewSource(seed)))
+		var opts Options
+		if noisy {
+			opts.Noise = &NoiseModel{DurationSigma: 0.5, FailureProb: 0.2, JobKillProb: 0.15, Seed: seed}
+		}
+		if horizon {
+			opts.Horizon = 8 * time.Minute
+		}
+		checkKernelCounters(t, fmt.Sprint(seed), tr, cfg, opts)
+	})
+}
+
+// kernelCount is what one run's starvation passes did.
+type kernelCount struct{ tenants, passes, fills, visits int }
+
+// checkKernelCounters steps one run event by event and checks after
+// every event that the scheduler's skip counters and sets equal a
+// from-scratch recount:
+//
+//   - waiting, open and waitSet match the tenants' deques and windows,
+//     and a window is open exactly when its check event is pending;
+//   - every tenant outside touched has shareCap == min(effMax, demand);
+//   - after an event that ran a pass, touched is empty;
+//   - while touched is empty, every fairShare bit-equals a water-fill
+//     over the current demands, computed into a copy;
+//   - each window is open (since >= 0) exactly when the tenant is
+//     starved at that level with a positive timeout, as a pass over
+//     every tenant would leave it.
+func checkKernelCounters(t testing.TB, name string, tr *workload.Trace, cfg Config, opts Options) kernelCount {
+	t.Helper()
+	sm := NewSim()
+	s := &sm.s
+	s.init(tr, cfg, opts)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: event %d at %v: %s", name, s.engine.Fired(), s.engine.Now(), fmt.Sprintf(format, args...))
+	}
+	bit := func(set []uint64, i int) bool { return set[i/64]>>(i%64)&1 == 1 }
+	// fresh recomputes the fair shares on slices of its own.
+	fresh := scheduler{capacity: s.capacity, touched: make([]uint64, len(s.touched))}
+	for {
+		passes := s.passes
+		if !s.step() {
+			break
+		}
+		touched := slices.ContainsFunc(s.touched, func(w uint64) bool { return w != 0 })
+		if s.passes > passes && touched {
+			fail("touched is not empty after a pass")
+		}
+		if !touched {
+			fresh.tenants = append(fresh.tenants[:0], s.tenants...)
+			for i := range fresh.tenants {
+				ts := &fresh.tenants[i]
+				ts.shareCap = min(ts.effMax(s.capacity), ts.demand())
+				ts.fairShare = math.NaN()
 			}
-			for i := range s.tenants {
-				ts := &s.tenants[i]
-				if ts.pending.len() > 0 {
-					waiting++
-				}
-				if inSet := s.waitSet[i/64]>>(i%64)&1 == 1; inSet != (ts.pending.len() > 0) {
-					t.Fatalf("%s: event %d at %v: tenant %s in waitSet %t with %d pending",
-						kc.name, s.engine.Fired(), s.engine.Now(), s.names[i], inSet, ts.pending.len())
-				}
-				window(i, ts.starvedMinSince, ts.minCheckEv)
-				window(i, ts.starvedShareSince, ts.shareCheckEv)
+			fresh.computeFairShares()
+		}
+		waiting, open := 0, 0
+		window := func(i int, level string, starved bool, timeout, since time.Duration, ev int32) {
+			if since >= 0 {
+				open++
 			}
-			if waiting != s.waiting || open != s.open {
-				t.Fatalf("%s: event %d at %v: waiting/open = %d/%d, recount %d/%d",
-					kc.name, s.engine.Fired(), s.engine.Now(), s.waiting, s.open, waiting, open)
+			if (since >= 0) != s.engine.Pending(ev) {
+				fail("tenant %s: %s window open %t, check event pending %t", s.names[i], level, since >= 0, s.engine.Pending(ev))
+			}
+			if want := starved && timeout > 0; (since >= 0) != want {
+				fail("tenant %s: %s window open %t, a full pass would leave it %t", s.names[i], level, since >= 0, want)
 			}
 		}
+		for i := range s.tenants {
+			ts := &s.tenants[i]
+			if ts.pending.len() > 0 {
+				waiting++
+			}
+			if inSet := bit(s.waitSet, i); inSet != (ts.pending.len() > 0) {
+				fail("tenant %s in waitSet %t with %d pending", s.names[i], inSet, ts.pending.len())
+			}
+			if c := min(ts.effMax(s.capacity), ts.demand()); !bit(s.touched, i) && ts.shareCap != c {
+				fail("untouched tenant %s has shareCap %d, min(effMax, demand) %d", s.names[i], ts.shareCap, c)
+			}
+			if !touched && math.Float64bits(ts.fairShare) != math.Float64bits(fresh.tenants[i].fairShare) {
+				fail("tenant %s has fair share %v, a fresh water-fill %v", s.names[i], ts.fairShare, fresh.tenants[i].fairShare)
+			}
+			waits := ts.pending.len() > 0
+			window(i, "min", waits && ts.running < ts.minTarget(s.capacity),
+				ts.cfg.MinSharePreemptTimeout, ts.starvedMinSince, ts.minCheckEv)
+			window(i, "share", waits && float64(ts.running) < ts.fairShare-1e-9,
+				ts.cfg.SharePreemptTimeout, ts.starvedShareSince, ts.shareCheckEv)
+		}
+		if waiting != s.waiting || open != s.open {
+			fail("waiting/open = %d/%d, recount %d/%d", s.waiting, s.open, waiting, open)
+		}
 	}
+	return kernelCount{len(s.tenants), s.passes, s.fills, s.visits}
 }
 
 // TestKernelStateNoscan holds the kernel's per-run state to element types
@@ -431,7 +512,7 @@ func TestKernelStateNoscan(t *testing.T) {
 		fields []string
 	}{
 		{engine.Type, []string{"heap", "pos"}},
-		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "fair", "victims"}},
+		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "touched", "fair", "victims"}},
 	} {
 		for _, name := range c.fields {
 			f, ok := c.owner.FieldByName(name)
@@ -493,8 +574,9 @@ var (
 // BenchmarkSchedulerKernel prices one dispatched event of the scheduler
 // kernel as the tenant count grows, with capacity above total demand (the
 // what-if common case: nothing waits) and at a quarter of it (every
-// event finds a queue). One pooled Sim, as the what-if workers run it.
-// The detach row is the above run plus Detach: what cluster.Run pays to
+// event finds a queue), and reports a run's starvation passes, the
+// water-fills they ran and the tenants they visited. One pooled Sim, as
+// the what-if workers run it. The detach row is the above run plus Detach: what cluster.Run pays to
 // hand a caller its own schedule. The digest row is the run plus
 // AppendDigest into a warmed buffer: what a what-if pair pays before its
 // schedule-tier lookup. Each row fails if a warmed run allocates more
@@ -554,6 +636,9 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 				b.ReportMetric(float64(events)/float64(b.N), "events/op")
+				b.ReportMetric(float64(sm.s.passes), "passes/op")
+				b.ReportMetric(float64(sm.s.fills), "fills/op")
+				b.ReportMetric(float64(sm.s.visits), "visits/op")
 				ceiling := pop.allocs
 				if load.detach {
 					ceiling += 2

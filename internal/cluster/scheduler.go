@@ -149,6 +149,9 @@ type tenantState struct {
 	ranked  []int32 // runs in launch order, lazily compacted
 
 	fairShare float64 // instantaneous weighted fair share
+	// shareCap is min(effMax, demand) as the last water-fill saw it: the
+	// only input of the fair shares that moves during a run.
+	shareCap int
 
 	starvedMinSince   time.Duration
 	starvedShareSince time.Duration
@@ -217,11 +220,21 @@ type scheduler struct {
 	// waiting counts the tenants with a non-empty pending deque, open the
 	// starvation windows with since >= 0. While both are zero no tenant
 	// can be picked or starve and no check event is pending (a pending
-	// one implies since >= 0), so assign and updateStarvation skip their
-	// per-tenant passes. waitSet holds the waiting tenants, one bit per
-	// tenants index, so pickTenant visits only them.
+	// one implies since >= 0), so assign places nothing and
+	// updateStarvation skips its pass. waitSet holds the waiting tenants,
+	// one bit per tenants index, so pickTenant visits only them.
 	waiting, open int
 	waitSet       []uint64
+	// touched holds, in waitSet's layout, the tenants the starvation pass
+	// must revisit: those whose running count, pending deque or fair
+	// share changed, or whose check fired, since the pass last ran.
+	// Every other tenant's shareCap is current and its clocks are as a
+	// pass would leave them (TestKernelCounters).
+	touched []uint64
+	// passes, fills and visits count this run's starvation passes, the
+	// water-fills run and the tenants the passes visited; the kernel's
+	// tests and benchmark hold the skips to them.
+	passes, fills, visits int
 
 	// Reused hot-loop buffers.
 	fair    []ws    // computeFairShares scratch
@@ -247,6 +260,7 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 	s.remaining = s.remaining[:0]
 	s.unlocked = s.unlocked[:0]
 	s.waiting, s.open = 0, 0
+	s.passes, s.fills, s.visits = 0, 0, 0
 	s.schedule = &Schedule{
 		Capacity: cfg.TotalContainers,
 		Tasks:    s.tasksBuf[:0],
@@ -266,6 +280,8 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 	words := (len(s.tenants) + 63) / 64
 	s.waitSet = slices.Grow(s.waitSet[:0], words)[:words]
 	clear(s.waitSet)
+	s.touched = slices.Grow(s.touched[:0], words)[:words]
+	clear(s.touched)
 	// Submissions enter the queue one at a time, each scheduled by the
 	// one before, instead of all up front: the queue then holds only work
 	// in flight. Dispatch order is unchanged, since only submissions
@@ -387,6 +403,13 @@ func (s *scheduler) setWaiting(i int32, on bool) {
 	}
 }
 
+// touch marks tenant i for the next starvation pass.
+//
+//tempo:hot
+func (s *scheduler) touch(i int32) {
+	s.touched[i>>6] |= uint64(1) << (i & 63)
+}
+
 // push appends a zero element to *s and returns it for filling in place.
 // Appending a composite literal instead builds the element on the stack
 // with narrow stores and copies it out with wide loads, which stall on
@@ -451,6 +474,7 @@ func (s *scheduler) unlockStage(j int32, stage int) {
 	if ts.pending.len() == 0 && len(specs) > 0 {
 		s.setWaiting(jr.tenant, true)
 	}
+	s.touch(jr.tenant)
 	for i := range specs {
 		ts.pending.pushBack(int32(len(s.tasks)))
 		t := push(&s.tasks)
@@ -564,6 +588,7 @@ func (s *scheduler) launch(now time.Duration, tenant int32) {
 // discarding tasks whose job has been killed, or -1.
 func (s *scheduler) popPending(tenant int32) int32 {
 	ts := &s.tenants[tenant]
+	s.touch(tenant)
 	for ts.pending.len() > 0 {
 		k := ts.pending.popFront()
 		if ts.pending.len() == 0 {
@@ -601,7 +626,9 @@ func (s *scheduler) finish(now time.Duration, r int32, outcome TaskOutcome) {
 	s.assign(now)
 }
 
-// release frees attempt r's container and finalizes its record.
+// release frees attempt r's container and finalizes its record. It
+// touches the tenant, which also covers the requeues finish and preempt
+// make after it.
 func (s *scheduler) release(now time.Duration, r int32, outcome TaskOutcome) {
 	rt := &s.runs[r]
 	if rt.done {
@@ -613,6 +640,7 @@ func (s *scheduler) release(now time.Duration, r int32, outcome TaskOutcome) {
 	rec.End = now
 	rec.Outcome = outcome
 	s.tenants[rt.tenant].running--
+	s.touch(rt.tenant)
 	s.free++
 }
 
@@ -664,6 +692,7 @@ func (s *scheduler) killJob(now time.Duration, j int32) {
 	if had && ts.pending.len() == 0 {
 		s.setWaiting(jr.tenant, false)
 	}
+	s.touch(jr.tenant)
 	for r := jr.running; r >= 0; r = s.runs[r].nextOfJob {
 		s.release(now, r, TaskKilled)
 	}
@@ -674,61 +703,97 @@ func (s *scheduler) killJob(now time.Duration, j int32) {
 	s.assign(now)
 }
 
+// refreshShares brings the touched tenants' shareCap up to date and
+// reruns the water-fill when one moved. The fair shares are a pure
+// function of the shareCap vector, so when none moved they are current.
+//
+//tempo:hot
+func (s *scheduler) refreshShares() {
+	moved := false
+	for w, word := range s.touched {
+		for ; word != 0; word &= word - 1 {
+			ts := &s.tenants[w<<6|bits.TrailingZeros64(word)]
+			if c := min(ts.effMax(s.capacity), ts.demand()); c != ts.shareCap {
+				ts.shareCap = c
+				moved = true
+			}
+		}
+	}
+	if moved {
+		s.computeFairShares()
+	}
+}
+
 // computeFairShares runs weighted water-filling with floors (min shares),
-// ceilings (max shares), and demand caps, storing each tenant's
-// instantaneous fair share. It runs once per event that leaves a tenant
-// waiting or a starvation window open (updateStarvation) and once per
-// preemption check, so its working set is a reused value-slice buffer
-// rather than per-call allocations.
+// ceilings (max shares) and demand caps over the tenants' shareCap,
+// storing each tenant's instantaneous fair share and touching every
+// tenant whose share changed. It runs only when refreshShares finds a cap
+// that moved, on a reused value-slice buffer rather than per-call
+// allocations.
 //
 //tempo:hot
 func (s *scheduler) computeFairShares() {
 	if len(s.tenants) > cap(s.fair) {
 		s.fair = make([]ws, len(s.tenants))
 	}
+	s.fills++
 	active := s.fair[:len(s.tenants)]
 	n := 0
 	var floorSum float64
 	for i := range s.tenants {
 		ts := &s.tenants[i]
-		ts.fairShare = 0
-		d := ts.demand()
-		if d == 0 {
+		// The capacity is positive, so effMax is, and a zero cap means
+		// no demand.
+		if ts.shareCap == 0 {
 			continue
 		}
 		// The bounds are container counts: taking the minimum before the
 		// conversion gives math.Min's result without its NaN and
-		// signed-zero handling.
-		capacity := min(ts.effMax(s.capacity), d)
-		floor := float64(min(ts.minTarget(s.capacity), capacity))
+		// signed-zero handling. shareCap is at most the capacity, so the
+		// floor is minTarget capped by it.
+		floor := float64(min(ts.cfg.MinShare, ts.shareCap))
 		w := &active[n]
 		n++
 		w.ts = int32(i)
-		w.cap = float64(capacity)
+		w.cap = float64(ts.shareCap)
 		w.floor = floor
 		w.weight = ts.cfg.Weight
 		w.fixed = false
 		floorSum += floor
 	}
 	active = active[:n]
-	if n == 0 {
-		return
-	}
-	total := float64(s.capacity)
-	if floorSum > total {
+	if total := float64(s.capacity); floorSum > total {
 		// Overcommitted min shares: scale floors down proportionally.
 		for i := range active {
 			w := &active[i]
 			w.share = w.floor * total / floorSum
-			s.tenants[w.ts].fairShare = w.share
 		}
-		return
+	} else {
+		waterFill(active, total-floorSum)
 	}
-	remaining := total - floorSum
+	// active is in tenants order; every other tenant's share is zero.
+	k := 0
+	for i := range s.tenants {
+		share := 0.0
+		if k < len(active) && active[k].ts == int32(i) {
+			share = active[k].share
+			k++
+		}
+		if ts := &s.tenants[i]; math.Float64bits(share) != math.Float64bits(ts.fairShare) {
+			ts.fairShare = share
+			s.touch(int32(i))
+		}
+	}
+}
+
+// waterFill raises the active tenants from their floors by weight until
+// remaining is spent, fixing tenants that hit their caps.
+//
+//tempo:hot
+func waterFill(active []ws, remaining float64) {
 	for i := range active {
 		active[i].share = active[i].floor
 	}
-	// Water-fill the remainder by weight, fixing tenants that hit caps.
 	for iter := 0; iter < len(active)+1; iter++ {
 		var wsum float64
 		for i := range active {
@@ -737,7 +802,7 @@ func (s *scheduler) computeFairShares() {
 			}
 		}
 		if wsum == 0 || remaining <= 1e-9 {
-			break
+			return
 		}
 		overflow := false
 		for i := range active {
@@ -759,36 +824,46 @@ func (s *scheduler) computeFairShares() {
 					active[i].share += remaining * active[i].weight / wsum
 				}
 			}
-			break
+			return
 		}
-	}
-	for i := range active {
-		s.tenants[active[i].ts].fairShare = active[i].share
 	}
 }
 
 // updateStarvation maintains the two starvation clocks per tenant and the
-// preemption-check events they arm. With no tenant waiting and no window
-// open the pass would write -1 over -1 and cancel events that are not
-// pending.
+// preemption-check events they arm, revisiting only the touched tenants.
+// With no tenant waiting and no window open the pass would close closed
+// windows and cancel events that are not pending, so it is skipped and
+// the touched set carries over to the next pass.
 //
 //tempo:hot
 func (s *scheduler) updateStarvation(now time.Duration) {
 	if s.waiting == 0 && s.open == 0 {
 		return
 	}
-	s.computeFairShares()
+	s.refreshShares()
 	s.armClocks(now)
 }
 
-// armClocks is updateStarvation's pass, over just-computed fair shares.
+// armClocks is updateStarvation's pass, on current fair shares: it runs
+// armClock on the touched tenants in index order and clears touched. On
+// an untouched tenant armClock would do nothing: its starvation
+// predicates read only its running count, pending deque and fair share,
+// and a check it armed is still pending, since a firing touches it. So
+// the engine sees the calls a pass over every tenant would make, in the
+// same order.
 func (s *scheduler) armClocks(now time.Duration) {
-	for i := range s.tenants {
-		ts := &s.tenants[i]
-		starvedMin := ts.pending.len() > 0 && ts.running < ts.minTarget(s.capacity)
-		starvedShare := ts.pending.len() > 0 && float64(ts.running) < ts.fairShare-1e-9
-		s.armClock(now, int32(i), starvedMin, &ts.starvedMinSince, &ts.minCheckEv, ts.cfg.MinSharePreemptTimeout, evMinCheck)
-		s.armClock(now, int32(i), starvedShare, &ts.starvedShareSince, &ts.shareCheckEv, ts.cfg.SharePreemptTimeout, evShareCheck)
+	s.passes++
+	for w, word := range s.touched {
+		s.visits += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			i := int32(w<<6 | bits.TrailingZeros64(word))
+			ts := &s.tenants[i]
+			starvedMin := ts.pending.len() > 0 && ts.running < ts.minTarget(s.capacity)
+			starvedShare := ts.pending.len() > 0 && float64(ts.running) < ts.fairShare-1e-9
+			s.armClock(now, i, starvedMin, &ts.starvedMinSince, &ts.minCheckEv, ts.cfg.MinSharePreemptTimeout, evMinCheck)
+			s.armClock(now, i, starvedShare, &ts.starvedShareSince, &ts.shareCheckEv, ts.cfg.SharePreemptTimeout, evShareCheck)
+		}
+		s.touched[w] = 0
 	}
 }
 
@@ -820,7 +895,8 @@ func (s *scheduler) armClock(now time.Duration, tenant int32, starved bool, sinc
 // configured timeout: kill the most recently launched tasks of over-share
 // tenants until the starved tenant can reach its target.
 func (s *scheduler) preemptCheck(now time.Duration, tenant int32, minLevel bool) {
-	s.computeFairShares()
+	s.touch(tenant)
+	s.refreshShares()
 	ts := &s.tenants[tenant]
 	var since time.Duration
 	var target int
@@ -836,7 +912,7 @@ func (s *scheduler) preemptCheck(now time.Duration, tenant int32, minLevel bool)
 		timeout = ts.cfg.SharePreemptTimeout
 	}
 	if since < 0 || ts.pending.len() == 0 || now < since+timeout {
-		s.armClocks(now) // on the shares computed above: nothing changed since
+		s.armClocks(now) // on the shares refreshed above: nothing changed since
 		return
 	}
 	// Restart the starvation window so the next check (if the tenant stays

@@ -61,8 +61,8 @@ func BenchmarkQueryVsOracle(b *testing.B) {
 	oracleNs := minDuration(3, func() { qs.EvalStream(templates, sched, 0, end) })
 	overhead := float64(queryNs) / float64(oracleNs)
 	allocs, bytes := measureAllocs(3, func() { runOnce() })
-	checkCeiling(b, "allocs_per_op", allocs, 54_698)
-	checkCeiling(b, "bytes_per_op", bytes, 10_422_903)
+	checkCeiling(b, "allocs_per_op", allocs, 48_853)
+	checkCeiling(b, "bytes_per_op", bytes, 6_785_806)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

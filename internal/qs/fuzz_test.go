@@ -60,14 +60,21 @@ func fuzzSchedule(seed int64, capacity, n int) *cluster.Schedule {
 
 // FuzzQS locks the QS-vector invariants: every predefined metric stays in
 // its documented range on arbitrary schedules, EvalAll is shape- and
-// order-stable, Pareto dominance is irreflexive and asymmetric, and
-// maxRegret is non-negative.
+// order-stable, Pareto dominance is irreflexive and asymmetric, maxRegret
+// is non-negative, and the accumulator's whole-schedule vector bit-equals
+// EvalAll before and after sub-window queries have built its lazy indexes.
+// zeroEvery > 0 collapses every zeroEvery-th task attempt to zero width;
+// cut places a sub-window's end that many nanoseconds before the last
+// allocation change (0: exactly at it).
 func FuzzQS(f *testing.F) {
-	f.Add(int64(1), byte(4), byte(10), 0.25)
-	f.Add(int64(42), byte(1), byte(0), 0.0)
-	f.Add(int64(-7), byte(255), byte(40), 1.5)
-	f.Add(int64(977), byte(16), byte(3), 0.5)
-	f.Fuzz(func(t *testing.T, seed int64, capacity, n byte, slack float64) {
+	f.Add(int64(1), byte(4), byte(10), 0.25, byte(0), byte(0))
+	f.Add(int64(42), byte(1), byte(0), 0.0, byte(0), byte(0))
+	f.Add(int64(-7), byte(255), byte(40), 1.5, byte(0), byte(1))
+	f.Add(int64(977), byte(16), byte(3), 0.5, byte(0), byte(0))
+	f.Add(int64(5), byte(8), byte(30), 0.5, byte(2), byte(1)) // zero-width attempts
+	f.Add(int64(6), byte(2), byte(12), 0.0, byte(1), byte(0)) // every attempt zero-width
+	f.Add(int64(9), byte(3), byte(20), 0.0, byte(0), byte(0)) // to == last
+	f.Fuzz(func(t *testing.T, seed int64, capacity, n byte, slack float64, zeroEvery, cut byte) {
 		if slack < 0 || math.IsNaN(slack) || math.IsInf(slack, 0) {
 			slack = 0
 		}
@@ -76,6 +83,13 @@ func FuzzQS(f *testing.F) {
 			cap = 1
 		}
 		s := fuzzSchedule(seed, cap, int(n))
+		if zeroEvery > 0 {
+			for i := range s.Tasks {
+				if i%int(zeroEvery) == 0 {
+					s.Tasks[i].End = s.Tasks[i].Start
+				}
+			}
+		}
 		mapKind := workload.Map
 		templates := []Template{
 			{Queue: "a", Metric: AvgResponseTime},
@@ -141,5 +155,34 @@ func FuzzQS(f *testing.F) {
 		if r := maxRegret(templates, vec); r != 0 {
 			t.Fatalf("maxRegret without targets = %v, want 0", r)
 		}
+		// The accumulator answers a window containing every record from
+		// totals; its sub-window answers build the step functions and job
+		// trees, which must not move a later whole-window answer. A window
+		// ending at the last allocation change still takes the totals, one
+		// ending a nanosecond earlier does not; either way the allocation
+		// integral is exact, so utilization and fairness bit-equal the
+		// oracle on every window.
+		acc := Accumulate(templates, s)
+		wide := coveringWindow(s)
+		checkWindow(t, acc, templates, s, 0, wide, true)
+		var last time.Duration
+		for i := range s.Tasks {
+			if tk := &s.Tasks[i]; tk.End > tk.Start {
+				last = max(last, tk.End)
+			}
+		}
+		to := last - time.Duration(cut)
+		checkWindow(t, acc, templates, s, 0, to, false)
+		want := EvalAll(templates, s, 0, to)
+		for i, tpl := range templates {
+			if tpl.Metric != Utilization && tpl.Metric != Fairness {
+				continue
+			}
+			if got := acc.Value(i, 0, to); math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("%s over [0, %v): accumulator %v, oracle %v (must be bit-identical)", tpl.Name(), to, got, want[i])
+			}
+		}
+		checkWindow(t, acc, templates, s, s.Horizon/3, s.Horizon/2, false)
+		checkWindow(t, acc, templates, s, 0, wide, true)
 	})
 }

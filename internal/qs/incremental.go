@@ -12,10 +12,14 @@
 //     step function — O(log n) per query, bit-identical to the oracle
 //     for every window (the integral is exact integer arithmetic);
 //   - response time, deadline violations, and throughput from a mergesort
-//     tree over (submit, finish) pairs — O(log² n) per query, with an
-//     O(1) fast path for windows covering the whole schedule (the control
-//     loop's only production query shape) that reproduces the oracle's
-//     float summation order bit-for-bit.
+//     tree over (submit, finish) pairs — O(log² n) per query.
+//
+// Both kinds of index answer windows covering the whole schedule — the
+// control loop's only production query shape — in O(1) from totals taken
+// in one pass over the records, and build their sorted structures lazily,
+// on the first query that clips a record. The totals sum in record order,
+// so they reproduce the oracle's float summation order bit-for-bit, and
+// the control loop pays O(jobs + tasks) per accumulator and never a sort.
 //
 // EvalAll remains the reference oracle; TestPropertyIncrementalOracle
 // locks the equivalence (exact on full windows, 1e-9 elsewhere).
@@ -47,21 +51,30 @@ type Accumulator struct {
 // templates costs O(jobs + tasks + k) instead of O(k·(jobs + tasks)).
 //
 // The accumulator borrows the schedule: it reads s.Jobs and s.Tasks in
-// place, during the call and again on the first sub-window job query, and
+// place, during the call and again on the first sub-window query, and
 // never writes them. It is valid exactly as long as those records are
 // left alone — what-if scoring evaluates and drops it before the Sim's
 // next run overwrites the schedule's records; a Session keeps
 // accumulators only over observed schedules it owns and never mutates.
 func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
-	ix := indexer{
+	return newIndexer(s).accumulate(templates)
+}
+
+func newIndexer(s *cluster.Schedule) *indexer {
+	return &indexer{
 		sched:         s,
 		jobsByTenant:  byTenant(len(s.Jobs), func(i int) string { return s.Jobs[i].Tenant }),
 		tasksByTenant: byTenant(len(s.Tasks), func(i int) string { return s.Tasks[i].Tenant }),
 		trees:         map[jobSetKey]*jobTree{},
 		lines:         map[utilKey]*timeline{},
 	}
+}
+
+// accumulate builds the accumulator of the template set over ix's
+// schedule, registering every index it shares in ix.
+func (ix *indexer) accumulate(templates []Template) *Accumulator {
 	a := &Accumulator{evals: make([]func(from, to time.Duration) float64, len(templates))}
-	capacity := s.Capacity
+	capacity := ix.sched.Capacity
 	for i, t := range templates {
 		priority := t.Priority
 		if priority == 0 {
@@ -120,15 +133,15 @@ func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
 
 // streamCutover is the template count from which the incremental path
 // beats per-template rescans for a one-shot evaluation. The oracle pays k
-// record scans; the accumulator pays a near-constant indexing cost (the
-// all-tenants allocation timeline's sort dominates it) plus a little per
-// template — so the crossover is a template count, not a record count.
-// Measured by BenchmarkQSCutoverSweep on the bench stress fixture (1509
-// tasks): the oracle leads up to k = 104, the two tie at 112, the
-// accumulator leads from 120 (1.3x at the fixture's own 173); at 2
-// templates the oracle is 21x (small) to 59–96x (medium, stress) ahead.
+// record scans; the accumulator pays a near-constant indexing cost (one
+// pass partitioning the records by tenant and totalling each distinct
+// filter's records) plus a little per template — so the crossover is a
+// template count, not a record count. Measured by BenchmarkQSCutoverSweep
+// on the bench stress fixture (1509 tasks): the oracle leads up to k = 12,
+// the accumulator from 16 (1.07x there, ~5x at the fixture's own 173); at
+// 2 templates the oracle is 15x (stress) to 46x (medium) ahead.
 // EXPERIMENTS.md has the table; BenchmarkQSIncremental is the far end.
-const streamCutover = 120
+const streamCutover = 16
 
 // EvalStream evaluates every template over [from, to), picking the
 // cheaper evaluation path for the template count: per-template record
@@ -223,15 +236,43 @@ type indexer struct {
 // byTenant partitions the record indexes [0, n) by tenant, each part in
 // record order; "" — the all-tenants filter — holds every index. Record
 // order matters: the fast-path totals must sum in the order the oracle
-// scans.
+// scans. Every part is a window of one backing array: a counting pass
+// looks each record's tenant up once, and a placing pass fills the parts.
 func byTenant(n int, tenant func(i int) string) map[string][]int32 {
-	all := make([]int32, n)
-	parts := map[string][]int32{"": all}
+	backing := make([]int32, 2*n)
+	all, rest := backing[:n:n], backing[n:]
+	number := map[string]int32{}
+	var names []string
+	var slot []int // per part: its size, then its next free index in rest
 	for i := range all {
-		all[i] = int32(i)
+		all[i] = -1 // record i's part number until the placing pass
 		if t := tenant(i); t != "" {
-			parts[t] = append(parts[t], int32(i))
+			p, ok := number[t]
+			if !ok {
+				p = int32(len(names))
+				number[t] = p
+				names = append(names, t)
+				slot = append(slot, 0)
+			}
+			all[i] = p
+			slot[p]++
 		}
+	}
+	parts := make(map[string][]int32, len(names)+1)
+	parts[""] = all
+	off := 0
+	for p, name := range names {
+		size := slot[p]
+		parts[name] = rest[off : off+size : off+size]
+		slot[p] = off
+		off += size
+	}
+	for i, p := range all {
+		if p >= 0 {
+			rest[slot[p]] = int32(i)
+			slot[p]++
+		}
+		all[i] = int32(i)
 	}
 	return parts
 }
@@ -245,32 +286,86 @@ func (ix *indexer) jobTree(key jobSetKey) *jobTree {
 	return t
 }
 
-// timeline builds (once per key) the allocation step function for the
-// key's task filter as sorted change points with prefix integrals.
+// timeline returns the key's allocation timeline, totalling it on first
+// use.
 func (ix *indexer) timeline(key utilKey) *timeline {
-	if l, ok := ix.lines[key]; ok {
-		return l
+	l, ok := ix.lines[key]
+	if !ok {
+		l = newTimeline(ix.sched.Tasks, ix.tasksByTenant[key.tenant], key)
+		ix.lines[key] = l
 	}
+	return l
+}
+
+// timeline is a container-allocation step function over the key's task
+// filter. Whole-schedule windows are answered from totals; the step
+// function itself — sorted change points with prefix integrals — is built
+// lazily on the first query that clips a task, so the control loop, which
+// only asks for whole-schedule windows, never sorts. Like jobTree, it
+// reads the schedule's task records in place.
+type timeline struct {
+	tasks   []cluster.TaskRecord // the schedule's records, borrowed
+	indexes []int32              // the tenant's tasks, in record order
+	key     utilKey              // selects the members among them
+
+	// Whole-schedule totals over the members: attempts of positive width.
+	// total is the exact container·nanosecond integral, so it equals the
+	// step function's integral over any window containing [first, last).
+	n           int
+	first, last time.Duration // earliest Start, latest End
+	total       int64
+
+	// Lazily built step function (see build): counts[i] containers are
+	// allocated on [times[i], times[i+1]), and integ[i] is the exact
+	// integral over [times[0], times[i]).
+	buildOnce sync.Once
+	times     []time.Duration
+	counts    []int64
+	integ     []int64
+}
+
+// member reports whether t is in the key's task set. Zero-width (or
+// malformed) attempts contribute nothing in the oracle and are left out.
+func (k utilKey) member(t *cluster.TaskRecord) bool {
+	if k.kind >= 0 && t.Kind != workload.TaskKind(k.kind) {
+		return false
+	}
+	if k.effectiveOnly && t.Outcome != cluster.TaskFinished {
+		return false
+	}
+	return t.End > t.Start
+}
+
+// newTimeline totals the key's task set among the tenant's records.
+func newTimeline(tasks []cluster.TaskRecord, indexes []int32, key utilKey) *timeline {
+	l := &timeline{tasks: tasks, indexes: indexes, key: key}
+	for _, idx := range indexes {
+		t := &tasks[idx]
+		if !key.member(t) {
+			continue
+		}
+		if l.n == 0 {
+			l.first, l.last = t.Start, t.End
+		}
+		l.first = min(l.first, t.Start)
+		l.last = max(l.last, t.End)
+		l.n++
+		l.total += int64(t.End - t.Start)
+	}
+	return l
+}
+
+// build materializes the step function. Safe under concurrent queries.
+func (l *timeline) build() {
 	type delta struct {
 		at time.Duration
 		d  int64
 	}
-	indexes := ix.tasksByTenant[key.tenant]
-	deltas := make([]delta, 0, 2*len(indexes))
-	for _, idx := range indexes {
-		t := &ix.sched.Tasks[idx]
-		if key.kind >= 0 && t.Kind != workload.TaskKind(key.kind) {
-			continue
+	deltas := make([]delta, 0, 2*l.n)
+	for _, idx := range l.indexes {
+		if t := &l.tasks[idx]; l.key.member(t) {
+			deltas = append(deltas, delta{t.Start, +1}, delta{t.End, -1})
 		}
-		if key.effectiveOnly && t.Outcome != cluster.TaskFinished {
-			continue
-		}
-		if t.End <= t.Start {
-			// Zero-width (or malformed) attempts contribute nothing in the
-			// oracle; keep the step function in agreement.
-			continue
-		}
-		deltas = append(deltas, delta{t.Start, +1}, delta{t.End, -1})
 	}
 	slices.SortFunc(deltas, func(a, b delta) int {
 		switch {
@@ -281,37 +376,23 @@ func (ix *indexer) timeline(key utilKey) *timeline {
 		}
 		return 0
 	})
-	line := &timeline{
-		times:  make([]time.Duration, 0, len(deltas)),
-		counts: make([]int64, 0, len(deltas)),
-		integ:  make([]int64, 0, len(deltas)),
-	}
+	l.times = make([]time.Duration, 0, len(deltas))
+	l.counts = make([]int64, 0, len(deltas))
+	l.integ = make([]int64, 0, len(deltas))
 	var count, integ int64
 	for i := 0; i < len(deltas); {
 		at := deltas[i].at
-		if n := len(line.times); n > 0 {
-			integ += count * int64(at-line.times[n-1])
+		if n := len(l.times); n > 0 {
+			integ += count * int64(at-l.times[n-1])
 		}
 		for i < len(deltas) && deltas[i].at == at {
 			count += deltas[i].d
 			i++
 		}
-		line.times = append(line.times, at)
-		line.counts = append(line.counts, count)
-		line.integ = append(line.integ, integ)
+		l.times = append(l.times, at)
+		l.counts = append(l.counts, count)
+		l.integ = append(l.integ, integ)
 	}
-	ix.lines[key] = line
-	return line
-}
-
-// timeline is a container-allocation step function with prefix integrals:
-// counts[i] containers are allocated on [times[i], times[i+1]), and
-// integ[i] is the exact container·nanosecond integral over
-// [times[0], times[i]).
-type timeline struct {
-	times  []time.Duration
-	counts []int64
-	integ  []int64
 }
 
 // integral returns the exact allocation integral over [times[0], t).
@@ -331,13 +412,18 @@ func (l *timeline) integral(t time.Duration) int64 {
 // usedFraction mirrors the legacy usedFraction: the fraction of the
 // window's total container capacity the filtered tasks occupied. The
 // integral is integer arithmetic, so the result is bit-identical to the
-// record-scanning path for every window.
+// record-scanning path for every window, and a window containing every
+// member reads the total without building the step function.
 func (l *timeline) usedFraction(from, to time.Duration, capacity int) float64 {
 	length := to - from
 	if length <= 0 || capacity <= 0 {
 		return 0
 	}
-	used := l.integral(to) - l.integral(from)
+	used := l.total
+	if l.n > 0 && (from > l.first || to < l.last) {
+		l.buildOnce.Do(l.build)
+		used = l.integral(to) - l.integral(from)
+	}
 	return float64(used) / (float64(length) * float64(capacity))
 }
 

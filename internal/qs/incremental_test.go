@@ -152,32 +152,7 @@ func TestPropertyIncrementalOracleEmulated(t *testing.T) {
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed*7919 + 3))
-			profiles := []workload.TenantProfile{
-				workload.DeadlineDriven("deadline", 0.5+rng.Float64()),
-				workload.BestEffort("besteffort", 0.5+rng.Float64()),
-				workload.Facebook("analytics", 0.3+0.5*rng.Float64()),
-			}
-			trace, err := workload.Generate(profiles, workload.GenerateOptions{
-				Horizon: time.Hour, Seed: rng.Int63(), Name: "prop",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			capacity := 16 + rng.Intn(32)
-			space := cluster.DefaultSpace(capacity, tenants)
-			x := linalg.NewVector(space.Dim())
-			for i := range x {
-				x[i] = rng.Float64()
-			}
-			cfg := space.Decode(x)
-			opts := cluster.Options{Horizon: time.Hour}
-			if rng.Intn(2) == 0 {
-				opts.Noise = cluster.DefaultNoise(rng.Int63())
-			}
-			sched, err := cluster.Run(trace, cfg, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sched := emulatedSchedule(t, rng, tenants)
 			templates := allTemplates(rng, tenants)
 			acc := Accumulate(templates, sched)
 			checkWindow(t, acc, templates, sched, 0, sched.Horizon+time.Nanosecond, true)
@@ -188,10 +163,117 @@ func TestPropertyIncrementalOracleEmulated(t *testing.T) {
 	}
 }
 
+// emulatedSchedule runs a generated hour of three tenants — tenants[0]
+// deadline-driven, tenants[1] best-effort, tenants[2] Facebook-like —
+// through the real emulator under a randomly decoded RM configuration,
+// with noise half the time. No record outlives the horizon, so
+// [0, Horizon+1ns) covers it.
+func emulatedSchedule(t *testing.T, rng *rand.Rand, tenants []string) *cluster.Schedule {
+	t.Helper()
+	profiles := []workload.TenantProfile{
+		workload.DeadlineDriven(tenants[0], 0.5+rng.Float64()),
+		workload.BestEffort(tenants[1], 0.5+rng.Float64()),
+		workload.Facebook(tenants[2], 0.3+0.5*rng.Float64()),
+	}
+	trace, err := workload.Generate(profiles, workload.GenerateOptions{
+		Horizon: time.Hour, Seed: rng.Int63(), Name: "prop",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := 16 + rng.Intn(32)
+	space := cluster.DefaultSpace(capacity, tenants)
+	x := linalg.NewVector(space.Dim())
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	opts := cluster.Options{Horizon: time.Hour}
+	if rng.Intn(2) == 0 {
+		opts.Noise = cluster.DefaultNoise(rng.Int63())
+	}
+	sched, err := cluster.Run(trace, space.Decode(x), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
+// TestAccumulatorWholeWindowBuildsNoIndex locks the control loop's cost:
+// every index answers a whole-schedule window from the totals it keeps,
+// so a fresh accumulator asked only [0, Horizon+1ns) — bit-identically to
+// the oracle — builds no step function and no job tree. A sub-window then
+// builds both kinds, so the check can see a build.
+func TestAccumulatorWholeWindowBuildsNoIndex(t *testing.T) {
+	tenants := []string{"deadline", "besteffort", "analytics"}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := emulatedSchedule(t, rng, tenants)
+		templates := allTemplates(rng, tenants)
+		ix := newIndexer(s)
+		acc := ix.accumulate(templates)
+		built := func() (lines, trees int) {
+			for _, l := range ix.lines {
+				if l.times != nil {
+					lines++
+				}
+			}
+			for _, tr := range ix.trees {
+				if tr.finish != nil {
+					trees++
+				}
+			}
+			return lines, trees
+		}
+		checkWindow(t, acc, templates, s, 0, s.Horizon+time.Nanosecond, true)
+		if lines, trees := built(); lines != 0 || trees != 0 {
+			t.Fatalf("seed %d: whole-window query built %d of %d step functions and %d of %d job trees, want none",
+				seed, lines, len(ix.lines), trees, len(ix.trees))
+		}
+		acc.Values(s.Horizon/3, s.Horizon/2)
+		if lines, trees := built(); lines == 0 || trees == 0 {
+			t.Fatalf("seed %d: sub-window query built %d step functions and %d job trees, want some of each", seed, lines, trees)
+		}
+	}
+}
+
+// TestAccumulatorQueryOrder checks that an answer does not depend on which
+// lazy indexes earlier queries built: one shared accumulator, asked a
+// window list forward and then backward on a second accumulator, must
+// bit-equal a fresh accumulator asked each window alone.
+func TestAccumulatorQueryOrder(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := fuzzSchedule(seed, 1+rng.Intn(48), rng.Intn(30))
+		templates := allTemplates(rng, []string{"a", "b", "c"})
+		windows := append([][2]time.Duration{{0, coveringWindow(s)}}, randomWindows(rng, s)...)
+		fresh := make([][]float64, len(windows))
+		for i, w := range windows {
+			fresh[i] = Accumulate(templates, s).Values(w[0], w[1])
+		}
+		for _, backward := range []bool{false, true} {
+			acc := Accumulate(templates, s)
+			for k := range windows {
+				i := k
+				if backward {
+					i = len(windows) - 1 - k
+				}
+				got := acc.Values(windows[i][0], windows[i][1])
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(fresh[i][j]) {
+						t.Fatalf("seed %d backward=%v window %v template %s: shared %v, fresh %v",
+							seed, backward, windows[i], templates[j].Name(), got[j], fresh[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAccumulatorConcurrentQueries drives one shared accumulator from many
 // goroutines whose first queries are sub-windows — each races the others
-// into the lazy job-tree build — so `go test -race` verifies Value/Values
-// are safe for concurrent use.
+// into the lazy builds of the job trees and of the allocation timelines'
+// step functions — so `go test -race` verifies Value/Values are safe for
+// concurrent use.
 func TestAccumulatorConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := fuzzSchedule(99, 32, 30)

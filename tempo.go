@@ -233,7 +233,7 @@ func Generate(profiles []TenantProfile, opts GenerateOptions) (*Trace, error) {
 // Evaluate computes the QS vector of a schedule over [from, to) for the
 // given SLO templates. It picks the cheaper evaluation path by template
 // count: per-template record scans for small SLO sets, or a single pass
-// over the schedule's event stream shared by every template — the
+// over the schedule's records shared by every template — the
 // incremental path, asymptotically ahead once templates scale with
 // tenants. Results are bit-identical to per-template Template.Eval for
 // windows covering the whole schedule and equal within float round-off

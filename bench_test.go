@@ -363,8 +363,8 @@ func BenchmarkQSIncremental(b *testing.B) {
 			speedup, ratios)
 	}
 	allocs, bytes := measureAllocs(3, func() { qs.EvalStream(templates, sched, 0, end) })
-	checkCeiling(b, "allocs_per_op", allocs, 8_928)
-	checkCeiling(b, "bytes_per_op", bytes, 2_195_660)
+	checkCeiling(b, "allocs_per_op", allocs, 172)
+	checkCeiling(b, "bytes_per_op", bytes, 1_857_687)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -61,8 +61,8 @@ func fuzzSchedule(seed int64, capacity, n int) *cluster.Schedule {
 // FuzzQS locks the QS-vector invariants: every predefined metric stays in
 // its documented range on arbitrary schedules, EvalAll is shape- and
 // order-stable, Pareto dominance is irreflexive and asymmetric, maxRegret
-// is non-negative, and the accumulator's whole-schedule vector bit-equals
-// EvalAll before and after sub-window queries have built its lazy indexes.
+// is non-negative, and the accumulator bit-equals EvalAll on every
+// template, on whole-schedule windows and on sub-windows alike.
 // zeroEvery > 0 collapses every zeroEvery-th task attempt to zero width;
 // cut places a sub-window's end that many nanoseconds before the last
 // allocation change (0: exactly at it).
@@ -156,33 +156,22 @@ func FuzzQS(f *testing.F) {
 			t.Fatalf("maxRegret without targets = %v, want 0", r)
 		}
 		// The accumulator answers a window containing every record from
-		// totals; its sub-window answers build the step functions and job
-		// trees, which must not move a later whole-window answer. A window
+		// totals and any other by scanning its tenant's records; a window
 		// ending at the last allocation change still takes the totals, one
-		// ending a nanosecond earlier does not; either way the allocation
-		// integral is exact, so utilization and fairness bit-equal the
-		// oracle on every window.
+		// ending a nanosecond earlier does not. Either way every template
+		// bit-equals the oracle, and sub-window queries must not move a
+		// later whole-window answer.
 		acc := Accumulate(templates, s)
 		wide := coveringWindow(s)
-		checkWindow(t, acc, templates, s, 0, wide, true)
+		checkWindow(t, acc, templates, s, 0, wide)
 		var last time.Duration
 		for i := range s.Tasks {
 			if tk := &s.Tasks[i]; tk.End > tk.Start {
 				last = max(last, tk.End)
 			}
 		}
-		to := last - time.Duration(cut)
-		checkWindow(t, acc, templates, s, 0, to, false)
-		want := EvalAll(templates, s, 0, to)
-		for i, tpl := range templates {
-			if tpl.Metric != Utilization && tpl.Metric != Fairness {
-				continue
-			}
-			if got := acc.Value(i, 0, to); math.Float64bits(got) != math.Float64bits(want[i]) {
-				t.Fatalf("%s over [0, %v): accumulator %v, oracle %v (must be bit-identical)", tpl.Name(), to, got, want[i])
-			}
-		}
-		checkWindow(t, acc, templates, s, s.Horizon/3, s.Horizon/2, false)
-		checkWindow(t, acc, templates, s, 0, wide, true)
+		checkWindow(t, acc, templates, s, 0, last-time.Duration(cut))
+		checkWindow(t, acc, templates, s, s.Horizon/3, s.Horizon/2)
+		checkWindow(t, acc, templates, s, 0, wide)
 	})
 }

@@ -37,31 +37,18 @@ func allTemplates(rng *rand.Rand, tenants []string) []Template {
 }
 
 // checkWindow compares the incremental path against the oracle for one
-// window. exact demands bit-identical values (the full-window guarantee
-// golden reports rely on); otherwise values must agree within 1e-9
-// relative — float summation order is the only permitted difference.
-func checkWindow(t *testing.T, acc *Accumulator, templates []Template, s *cluster.Schedule, from, to time.Duration, exact bool) {
+// window, bit for bit: Values for the whole template set and Value for
+// each template alone must both equal EvalAll's value exactly.
+func checkWindow(t *testing.T, acc *Accumulator, templates []Template, s *cluster.Schedule, from, to time.Duration) {
 	t.Helper()
 	want := EvalAll(templates, s, from, to)
+	got := acc.Values(from, to)
 	for i := range templates {
-		got := acc.Value(i, from, to)
-		w := want[i]
-		if math.IsNaN(w) != math.IsNaN(got) {
-			t.Fatalf("template %s window [%v, %v): got %v, want %v", templates[i].Name(), from, to, got, w)
-		}
-		if math.IsNaN(w) {
-			continue
-		}
-		if exact {
-			if got != w {
-				t.Fatalf("template %s full window [%v, %v): got %v, want %v (must be bit-identical)",
-					templates[i].Name(), from, to, got, w)
+		for _, g := range []float64{got[i], acc.Value(i, from, to)} {
+			if math.Float64bits(g) != math.Float64bits(want[i]) && !(math.IsNaN(g) && math.IsNaN(want[i])) {
+				t.Fatalf("template %s window [%v, %v): got %v, want %v (must be bit-identical)",
+					templates[i].Name(), from, to, g, want[i])
 			}
-			continue
-		}
-		if diff := math.Abs(got - w); diff > 1e-9*(1+math.Abs(w)) {
-			t.Fatalf("template %s window [%v, %v): got %v, want %v (diff %g)",
-				templates[i].Name(), from, to, got, w, diff)
 		}
 	}
 }
@@ -122,11 +109,9 @@ func randomWindows(rng *rand.Rand, s *cluster.Schedule) [][2]time.Duration {
 }
 
 // TestPropertyIncrementalOracle is the equivalence centerpiece: for
-// randomized schedules — both arbitrary synthetic record sets and real
-// emulated runs under random RM configurations — every incremental QS
-// value equals the full-recompute oracle within 1e-9 across random
-// [From, To) windows, and bit-identically on windows covering the whole
-// schedule.
+// randomized synthetic record sets, every incremental QS value
+// bit-equals the full-recompute oracle, on windows covering the whole
+// schedule and across random [From, To) windows alike.
 func TestPropertyIncrementalOracle(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
@@ -134,10 +119,10 @@ func TestPropertyIncrementalOracle(t *testing.T) {
 		s := fuzzSchedule(rng.Int63(), 1+rng.Intn(64), rng.Intn(40))
 		templates := allTemplates(rng, []string{"a", "b", "c"})
 		acc := Accumulate(templates, s)
-		checkWindow(t, acc, templates, s, 0, coveringWindow(s), true)
-		checkWindow(t, acc, templates, s, 0, s.Horizon+time.Nanosecond, false)
+		checkWindow(t, acc, templates, s, 0, coveringWindow(s))
+		checkWindow(t, acc, templates, s, 0, s.Horizon+time.Nanosecond)
 		for _, w := range randomWindows(rng, s) {
-			checkWindow(t, acc, templates, s, w[0], w[1], false)
+			checkWindow(t, acc, templates, s, w[0], w[1])
 		}
 	}
 }
@@ -155,9 +140,9 @@ func TestPropertyIncrementalOracleEmulated(t *testing.T) {
 			sched := emulatedSchedule(t, rng, tenants)
 			templates := allTemplates(rng, tenants)
 			acc := Accumulate(templates, sched)
-			checkWindow(t, acc, templates, sched, 0, sched.Horizon+time.Nanosecond, true)
+			checkWindow(t, acc, templates, sched, 0, sched.Horizon+time.Nanosecond)
 			for _, w := range randomWindows(rng, sched) {
-				checkWindow(t, acc, templates, sched, w[0], w[1], false)
+				checkWindow(t, acc, templates, sched, w[0], w[1])
 			}
 		})
 	}
@@ -198,46 +183,8 @@ func emulatedSchedule(t *testing.T, rng *rand.Rand, tenants []string) *cluster.S
 	return sched
 }
 
-// TestAccumulatorWholeWindowBuildsNoIndex locks the control loop's cost:
-// every index answers a whole-schedule window from the totals it keeps,
-// so a fresh accumulator asked only [0, Horizon+1ns) — bit-identically to
-// the oracle — builds no step function and no job tree. A sub-window then
-// builds both kinds, so the check can see a build.
-func TestAccumulatorWholeWindowBuildsNoIndex(t *testing.T) {
-	tenants := []string{"deadline", "besteffort", "analytics"}
-	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := emulatedSchedule(t, rng, tenants)
-		templates := allTemplates(rng, tenants)
-		ix := newIndexer(s)
-		acc := ix.accumulate(templates)
-		built := func() (lines, trees int) {
-			for _, l := range ix.lines {
-				if l.times != nil {
-					lines++
-				}
-			}
-			for _, tr := range ix.trees {
-				if tr.finish != nil {
-					trees++
-				}
-			}
-			return lines, trees
-		}
-		checkWindow(t, acc, templates, s, 0, s.Horizon+time.Nanosecond, true)
-		if lines, trees := built(); lines != 0 || trees != 0 {
-			t.Fatalf("seed %d: whole-window query built %d of %d step functions and %d of %d job trees, want none",
-				seed, lines, len(ix.lines), trees, len(ix.trees))
-		}
-		acc.Values(s.Horizon/3, s.Horizon/2)
-		if lines, trees := built(); lines == 0 || trees == 0 {
-			t.Fatalf("seed %d: sub-window query built %d step functions and %d job trees, want some of each", seed, lines, trees)
-		}
-	}
-}
-
-// TestAccumulatorQueryOrder checks that an answer does not depend on which
-// lazy indexes earlier queries built: one shared accumulator, asked a
+// TestAccumulatorQueryOrder checks that an answer does not depend on
+// which windows earlier queries asked: one shared accumulator, asked a
 // window list forward and then backward on a second accumulator, must
 // bit-equal a fresh accumulator asked each window alone.
 func TestAccumulatorQueryOrder(t *testing.T) {
@@ -270,10 +217,9 @@ func TestAccumulatorQueryOrder(t *testing.T) {
 }
 
 // TestAccumulatorConcurrentQueries drives one shared accumulator from many
-// goroutines whose first queries are sub-windows — each races the others
-// into the lazy builds of the job trees and of the allocation timelines'
-// step functions — so `go test -race` verifies Value/Values are safe for
-// concurrent use.
+// goroutines asking sub-windows and whole windows at once, so `go test
+// -race` guards that Value and Values keep no shared mutable state and
+// are safe for concurrent use.
 func TestAccumulatorConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	s := fuzzSchedule(99, 32, 30)
@@ -304,9 +250,9 @@ func TestAccumulatorConcurrentQueries(t *testing.T) {
 
 // TestAccumulateLeavesScheduleUntouched locks the borrowing contract from
 // the accumulator's side: it aliases the schedule's records, so building
-// it and querying whole and sub-windows (the latter force the lazy tree
-// build, which reads the records again) must not change one byte of them,
-// nor what a repeated whole-window query returns.
+// it and querying whole and sub-windows (the latter scan the records
+// again) must not change one byte of them, nor what a repeated
+// whole-window query returns.
 func TestAccumulateLeavesScheduleUntouched(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

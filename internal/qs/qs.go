@@ -25,9 +25,9 @@
 // (cluster.Schedule.Jobs / Tasks): Template.Eval / EvalAll scan every
 // record per template (the reference oracle), while Accumulate indexes the
 // records once per distinct filter and answers window queries from those
-// indexes. EvalStream picks between them by template count. Full-schedule
-// windows are bit-identical across the two; arbitrary windows agree within
-// float round-off.
+// indexes: whole-schedule windows from totals, sub-windows by one scan of
+// the filter's tenant records. EvalStream picks between them by template
+// count. The two are bit-identical on every window.
 package qs
 
 import (

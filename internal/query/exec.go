@@ -129,10 +129,10 @@ type Runner struct {
 	cells      map[string]*cell
 	cellOrder  []*cell
 
-	// MaxGroups bounds the distinct (window, group) cells an aggregate
-	// materializes; PushTick fails once exceeded. Settable before the
-	// first push; defaults to DefaultMaxGroups.
-	MaxGroups int
+	// maxGroups bounds the distinct (window, group) cells an aggregate
+	// materializes; PushTick fails once exceeded. It is DefaultMaxGroups;
+	// in-package tests lower it.
+	maxGroups int
 
 	limit     int // 0 = none
 	emitted   int // raw rows emitted so far
@@ -158,7 +158,7 @@ func Compile(p *Plan, interval time.Duration) (*Runner, error) {
 		plan:      *p,
 		interval:  interval,
 		out:       sourceSchemas[p.Source],
-		MaxGroups: DefaultMaxGroups,
+		maxGroups: DefaultMaxGroups,
 		cells:     map[string]*cell{},
 	}
 	r.from, r.hasFrom, _ = parseBound(p.From)
@@ -568,8 +568,8 @@ func (r *Runner) cellFor(tick int, rw *row) (*cell, error) {
 		r.truncated = true
 		return nil, nil
 	}
-	if len(r.cellOrder) >= r.MaxGroups {
-		return nil, fmt.Errorf("query: result exceeds %d distinct (window, group) cells; narrow the plan or raise the bound", r.MaxGroups)
+	if len(r.cellOrder) >= r.maxGroups {
+		return nil, fmt.Errorf("query: result exceeds %d distinct (window, group) cells; narrow the plan", r.maxGroups)
 	}
 	groupVals := make([]string, len(r.groupIdx))
 	for i, gi := range r.groupIdx {

@@ -51,7 +51,7 @@ func FuzzQueryPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("validated plan failed to compile: %v", err)
 		}
-		r.MaxGroups = 100
+		r.maxGroups = 100
 		s := tickSchedule()
 		for i := 0; i < 2; i++ {
 			if _, err := r.PushTick(i, s); err != nil {

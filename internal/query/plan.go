@@ -55,7 +55,7 @@ const (
 	// MaxGroupKeys bounds group_by's key columns.
 	MaxGroupKeys = 4
 	// DefaultMaxGroups bounds the distinct (window, group) cells a runner
-	// will materialize before PushTick fails; see Runner.MaxGroups.
+	// will materialize before PushTick fails.
 	DefaultMaxGroups = 10000
 	// MaxLimit bounds limit.n.
 	MaxLimit = 1 << 20

@@ -255,7 +255,7 @@ func TestMaxGroupsGuard(t *testing.T) {
 	r := mustRunner(t, `{"version":1,"source":"events","ops":[
 		{"op":"group_by","by":["job"]},
 		{"op":"aggregate","aggs":[{"fn":"count"}]}]}`, interval)
-	r.MaxGroups = 2
+	r.maxGroups = 2
 	_, err := r.PushTick(0, tickSchedule())
 	if err == nil || !strings.Contains(err.Error(), "exceeds 2 distinct") {
 		t.Fatalf("got %v, want group-cap error", err)

@@ -242,10 +242,12 @@ type WindowQS struct {
 
 // QS evaluates the scenario's SLO templates over the session-time window
 // [from, to), answering from per-interval incremental accumulators
-// (internal/qs) that index each observed schedule's records once and then
-// serve arbitrary sub-windows. The result holds one entry per
-// completed interval the window intersects; a window covering an interval
-// entirely reproduces that interval's Observed vector exactly. Windows
+// (internal/qs) that index each observed schedule's records once: a whole
+// interval reads totals, a clipped one scans the records. Every value is
+// bit-identical to Template.Eval over the clipped window. The result
+// holds one entry per completed interval the window intersects; a window
+// covering an interval entirely reproduces that interval's Observed
+// vector exactly. Windows
 // are half-open [from, to); to == 0 means "everything observed so far";
 // negative bounds and reversed windows are invalid.
 func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {

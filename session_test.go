@@ -1,11 +1,13 @@
 package tempo_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"tempo"
+	"tempo/internal/qs"
 	"tempo/internal/scenario"
 )
 
@@ -128,16 +130,55 @@ func TestSessionQSWindows(t *testing.T) {
 		}
 	}
 
-	// A window inside iteration 1 only.
-	windows, err = sess.QS(interval+time.Minute, 2*interval-time.Minute)
+	// Sub-windows: one inside iteration 1 only of the two-SLO session, and
+	// the benchmark's /qs shape [L/2, L) on the first tick of the
+	// 173-template stress fixture. Each hits one interval, is labelled
+	// with its bounds, and bit-equals per-template Template.Eval over the
+	// clipped local window.
+	stressSpec, err := tempo.LoadScenarioFile("bench/workloads/stress.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(windows) != 1 || windows[0].Iteration != 1 {
-		t.Fatalf("sub-window hit %+v, want iteration 1 only", windows)
+	stress, err := tempo.NewSession(stressSpec, tempo.ScenarioOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if windows[0].From != interval+time.Minute || windows[0].To != 2*interval-time.Minute {
-		t.Fatalf("sub-window not clipped: %+v", windows[0])
+	if _, err := stress.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		sess      *tempo.Session
+		iteration int
+		from, to  time.Duration
+	}{
+		{"inside iteration 1", sess, 1, interval + time.Minute, 2*interval - time.Minute},
+		{"stress [L/2, L)", stress, 0, stress.Interval() / 2, stress.Interval()},
+	} {
+		windows, err := c.sess.QS(c.from, c.to)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(windows) != 1 || windows[0].Iteration != c.iteration {
+			t.Fatalf("%s: sub-window hit %+v, want iteration %d only", c.name, windows, c.iteration)
+		}
+		if windows[0].From != c.from || windows[0].To != c.to {
+			t.Fatalf("%s: sub-window not clipped: %+v", c.name, windows[0])
+		}
+		sched := c.sess.ObservedSchedule(c.iteration)
+		lo := time.Duration(c.iteration) * c.sess.Interval()
+		localFrom, _, evalTo := qs.ClipWindow(c.from, c.to, lo, c.sess.Interval(), sched.Horizon)
+		templates := c.sess.SLOPlan().Ops[0].SLOs
+		if len(windows[0].Values) != len(templates) {
+			t.Fatalf("%s: %d values for %d templates", c.name, len(windows[0].Values), len(templates))
+		}
+		for k, tpl := range templates {
+			want := tpl.Eval(sched, localFrom, evalTo)
+			if got := windows[0].Values[k]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: template %s over [%v, %v): session %v, Template.Eval %v (must be bit-identical)",
+					c.name, tpl.Name(), localFrom, evalTo, got, want)
+			}
+		}
 	}
 
 	// A window beyond everything observed yet — with and without an

@@ -122,7 +122,8 @@ const (
 
 // Accumulator answers QS queries over arbitrary [From, To) windows of one
 // schedule after indexing its records once — the incremental counterpart
-// of per-template evaluation.
+// of per-template evaluation, bit-identical to it on every window:
+// whole-schedule windows from totals, sub-windows by scanning.
 type Accumulator = qs.Accumulator
 
 // TaskOutcome classifies how a task attempt ended.
@@ -235,9 +236,8 @@ func Generate(profiles []TenantProfile, opts GenerateOptions) (*Trace, error) {
 // count: per-template record scans for small SLO sets, or a single pass
 // over the schedule's records shared by every template — the
 // incremental path, asymptotically ahead once templates scale with
-// tenants. Results are bit-identical to per-template Template.Eval for
-// windows covering the whole schedule and equal within float round-off
-// for arbitrary windows.
+// tenants. Results are bit-identical to per-template Template.Eval on
+// every window.
 func Evaluate(templates []Template, s *Schedule, from, to time.Duration) []float64 {
 	return qs.EvalStream(templates, s, from, to)
 }

@@ -2,6 +2,7 @@ package tempo
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,4 +72,55 @@ func BenchmarkQueryVsOracle(b *testing.B) {
 	b.ReportMetric(overhead, "overhead")
 	b.ReportMetric(float64(queryNs.Nanoseconds()), "query-ns")
 	b.ReportMetric(float64(oracleNs.Nanoseconds()), "oracle-ns")
+}
+
+// sessionQueryPlan is the bench module's ad-hoc scan (queryPlanJSON in
+// bench/workloads.go): per-tenant job count and p99 response time over
+// the whole history.
+const sessionQueryPlan = `{"version":1,"source":"jobs","ops":[` +
+	`{"op":"group_by","by":["tenant"]},` +
+	`{"op":"aggregate","aggs":[{"fn":"count","as":"jobs"},{"fn":"p99","field":"response_seconds","as":"p99_response"}]}]}`
+
+// BenchmarkSessionQuery prices a one-shot read the way the bench
+// module's tick-stress workload makes it: sessionQueryPlan over a
+// 40-tick bench/workloads/stress.json session, built before the timer.
+// Session.Query folds every tick into its cells without rendering and
+// renders each row once, so its allocations follow the cells, not the
+// rows; they are held under ceilings. The session is only read.
+func BenchmarkSessionQuery(b *testing.B) {
+	spec, err := LoadScenarioFile("bench/workloads/stress.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Iterations = 40
+	sess, err := NewSession(spec, ScenarioOptions{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for !sess.Done() {
+		if _, err := sess.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	plan, err := ParseQueryPlan(strings.NewReader(sessionQueryPlan))
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := func() *QueryResult {
+		res, err := sess.Query(plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	res := query()
+	checkCounts(b, count{"ticks", res.Ticks, 40}, count{"rows", len(res.Rows), 100})
+	allocs, bytes := measureAllocs(3, func() { query() })
+	checkCeiling(b, "allocs_per_op", allocs, 1_815)
+	checkCeiling(b, "bytes_per_op", bytes, 214_330)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
 }

@@ -1,8 +1,11 @@
 package query
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -93,18 +96,25 @@ type aggState struct {
 	count    int
 	sum      float64
 	min, max float64
-	vals     []float64
+	// vals holds a quantile expression's values: vals[:sorted] ascending,
+	// then those folded since the cell was last rendered, in arrival order.
+	vals   []float64
+	sorted int
 }
 
 // Runner is a compiled plan plus its incremental evaluation state. Feed
-// it completed control intervals in order with PushTick — each call
-// returns only the rows that tick produced or updated (the SSE delta) —
-// and read the full deterministic answer with Result at any point. A
-// client that applies every delta last-write-wins, keyed by
-// (window, group) for aggregate rows and by identity for raw rows, ends
-// with exactly Result's rows; TestStreamMatchesOneShot locks this.
-// A Runner is not safe for concurrent use; the service gives each
-// subscription its own.
+// it completed control intervals in order, and read the full
+// deterministic answer with Result at any point. A standing subscription
+// feeds each tick with PushTick, which returns only the rows that tick
+// produced or updated (the SSE delta); a one-shot query feeds every tick
+// with Ingest, which renders nothing, and renders each row once in
+// Result. PushTick is Ingest followed by rendering the tick's changed
+// rows, so the two modes share one ingest path. A client that applies
+// every delta last-write-wins, keyed by (window, group) for aggregate
+// rows and by identity for raw rows, ends with exactly Result's rows;
+// TestDeltasReplayToOneShot and internal/service's
+// TestQueryStreamMatchesOneShot lock this. A Runner is not safe for
+// concurrent use; the service gives each subscription its own.
 type Runner struct {
 	plan     Plan
 	interval time.Duration
@@ -135,12 +145,22 @@ type Runner struct {
 	maxGroups int
 
 	limit     int // 0 = none
-	emitted   int // raw rows emitted so far
 	done      bool
 	truncated bool
 
 	ticks   int
 	rawRows []ResultRow // raw + slos modes accumulate emitted rows here
+
+	// Scratch reused across rows and ticks, so that folding a row
+	// allocates nothing: src holds the source relation's columns, refilled
+	// per record; rw is the row the stages rewrite (a map stage repoints
+	// its columns at the stage's own buffers); key is the cell lookup key;
+	// touched lists the cells the last Ingest updated; merge is a quantile
+	// merge's buffer.
+	src, rw row
+	key     []byte
+	touched []*cell
+	merge   []float64
 
 	evbuf cluster.EventBuf // the events source's stream storage
 }
@@ -161,6 +181,8 @@ func Compile(p *Plan, interval time.Duration) (*Runner, error) {
 		maxGroups: DefaultMaxGroups,
 		cells:     map[string]*cell{},
 	}
+	r.src.str = make([]string, len(r.out.str))
+	r.src.num = make([]float64, len(r.out.num))
 	r.from, r.hasFrom, _ = parseBound(p.From)
 	r.to, r.hasTo, _ = parseBound(p.To)
 
@@ -282,12 +304,12 @@ func compileMap(op *OpSpec, sch *schema) (func(*row) bool, *schema) {
 			numIdx = append(numIdx, idx)
 		}
 	}
+	str := make([]string, len(strIdx))
+	num := make([]float64, len(numIdx))
 	return func(r *row) bool {
-		str := make([]string, len(strIdx))
 		for i, idx := range strIdx {
 			str[i] = r.str[idx]
 		}
-		num := make([]float64, len(numIdx))
 		for i, idx := range numIdx {
 			num[i] = r.num[idx]
 		}
@@ -296,20 +318,25 @@ func compileMap(op *OpSpec, sch *schema) (func(*row) bool, *schema) {
 	}, next
 }
 
-// PushTick feeds one completed control interval's observed schedule and
-// returns the rows that interval produced or updated. Ticks must arrive
-// strictly in order starting at 0; sched is the independent emulation of
-// session window [tick·interval, (tick+1)·interval) in local time.
-func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error) {
+// Ingest folds one completed control interval's observed schedule into
+// the runner's state and renders nothing: aggregate rows are rendered by
+// Result (or by PushTick, for the cells the tick changed). Ticks must
+// arrive strictly in order starting at 0; sched is the independent
+// emulation of session window [tick·interval, (tick+1)·interval) in local
+// time. Folding a row into an existing aggregate cell allocates nothing
+// beyond a quantile cell's amortised value growth; a new cell allocates
+// its key and state once.
+func (r *Runner) Ingest(tick int, sched *cluster.Schedule) error {
+	r.touched = r.touched[:0]
 	if tick != r.ticks {
-		return nil, fmt.Errorf("query: ticks must be pushed in order: got %d, want %d", tick, r.ticks)
+		return fmt.Errorf("query: ticks must be pushed in order: got %d, want %d", tick, r.ticks)
 	}
 	r.ticks++
 	if sched == nil {
-		return nil, fmt.Errorf("query: tick %d has no observed schedule", tick)
+		return fmt.Errorf("query: tick %d has no observed schedule", tick)
 	}
 	if r.done {
-		return nil, nil
+		return nil
 	}
 	lo := time.Duration(tick) * r.interval
 	hi := lo + r.interval
@@ -317,15 +344,35 @@ func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error
 	// bounded "to" every later tick is also outside, so the runner is done.
 	if r.hasTo && lo >= r.to {
 		r.done = true
-		return nil, nil
+		return nil
 	}
 	if r.hasFrom && hi <= r.from {
-		return nil, nil
+		return nil
 	}
 	if r.mode == modeSLO {
-		return r.pushSLO(tick, lo, sched), nil
+		r.pushSLO(tick, lo, sched)
+		return nil
 	}
-	return r.pushRows(tick, lo, sched)
+	return r.foldRows(tick, lo, sched)
+}
+
+// PushTick feeds one completed control interval, as Ingest does, and
+// returns the rows that interval produced or updated.
+func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error) {
+	n := len(r.rawRows)
+	if err := r.Ingest(tick, sched); err != nil {
+		return nil, err
+	}
+	if r.mode != modeAgg {
+		// A copy, so the caller cannot change the runner's history.
+		return append([]ResultRow(nil), r.rawRows[n:]...), nil
+	}
+	sortCells(r.touched)
+	var out []ResultRow
+	for _, c := range r.touched {
+		out = append(out, r.cellRow(c))
+	}
+	return out, nil
 }
 
 // pushSLO evaluates the slos aggregate for one tick: the template vector
@@ -333,7 +380,7 @@ func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error
 // and the same qs.ClipWindow Session.QS uses — which is what makes a
 // whole-window slos plan bit-identical to qs.EvalStream on each tick. The
 // accumulator borrows sched only for this call.
-func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) []ResultRow {
+func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) {
 	to := r.to
 	if !r.hasTo {
 		to = math.MaxInt64
@@ -342,9 +389,9 @@ func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) []
 	vals := qs.Accumulate(r.slos, sched).Values(localFrom, evalTo)
 	wf := (lo + localFrom).Seconds()
 	wt := (lo + localTo).Seconds()
-	out := make([]ResultRow, len(vals))
+	r.rawRows = slices.Grow(r.rawRows, len(vals))
 	for i, v := range vals {
-		out[i] = ResultRow{
+		r.rawRows = append(r.rawRows, ResultRow{
 			Tick:              tick,
 			TimeSeconds:       wf,
 			WindowFromSeconds: wf,
@@ -354,65 +401,49 @@ func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) []
 				"slo_index": strconv.Itoa(i),
 			},
 			Values: map[string]float64{"value": v},
-		}
+		})
 	}
-	r.rawRows = append(r.rawRows, out...)
-	return out
 }
 
-// pushRows streams one tick's source rows through the pipeline into
-// either raw emission or aggregate cells.
-func (r *Runner) pushRows(tick int, lo time.Duration, sched *cluster.Schedule) ([]ResultRow, error) {
-	var out []ResultRow
-	var touched []*cell
-	var pushErr error
-	sink := func(rw *row) bool {
+// foldRows streams one tick's source rows through the pipeline into
+// either raw emission or aggregate cells, listing the cells it updated
+// in r.touched.
+func (r *Runner) foldRows(tick int, lo time.Duration, sched *cluster.Schedule) error {
+	var err error
+	r.scan(lo, sched, func(rw *row) bool {
 		if r.mode == modeRaw {
-			if r.limit > 0 && r.emitted >= r.limit {
+			if r.limit > 0 && len(r.rawRows) >= r.limit {
 				r.done, r.truncated = true, true
 				return false
 			}
-			rr := r.rawResultRow(tick, lo, rw)
-			out = append(out, rr)
-			r.rawRows = append(r.rawRows, rr)
-			r.emitted++
+			r.rawRows = append(r.rawRows, r.rawResultRow(tick, lo, rw))
 			return true
 		}
-		c, err := r.cellFor(tick, rw)
-		if err != nil {
-			pushErr = err
-			return false
-		}
-		if c == nil {
-			return true // over the limit's group cap; drop
+		var c *cell
+		if c, err = r.cellFor(tick, rw); c == nil {
+			// Past the limit's group cap the row is dropped; an error
+			// stops the scan.
+			return err == nil
 		}
 		r.fold(c, rw)
 		c.tick = tick
 		if c.touched != tick {
 			c.touched = tick
-			touched = append(touched, c)
+			r.touched = append(r.touched, c)
 		}
 		return true
-	}
-	r.scan(tick, lo, sched, sink)
-	if pushErr != nil {
-		return nil, pushErr
-	}
-	if r.mode == modeRaw {
-		return out, nil
-	}
-	sortCells(touched)
-	for _, c := range touched {
-		out = append(out, r.cellRow(c))
-	}
-	return out, nil
+	})
+	return err
 }
 
 // scan generates the tick's source relation and pipes each row through
 // the plan window and compiled stages into sink; sink returning false
-// stops the scan.
-func (r *Runner) scan(tick int, lo time.Duration, sched *cluster.Schedule, sink func(*row) bool) {
-	pipe := func(rw *row) bool {
+// stops the scan. Each record refills r.src, and the stages rewrite
+// r.rw, so rows are valid only until sink returns.
+func (r *Runner) scan(lo time.Duration, sched *cluster.Schedule, sink func(*row) bool) {
+	pipe := func() bool {
+		r.rw = r.src
+		rw := &r.rw
 		if (r.hasFrom && rw.t < r.from) || (r.hasTo && rw.t >= r.to) {
 			return true
 		}
@@ -427,29 +458,29 @@ func (r *Runner) scan(tick int, lo time.Duration, sched *cluster.Schedule, sink 
 	case "events":
 		evs := sched.AppendEvents(&r.evbuf)
 		for i := range evs {
-			if !pipe(eventRow(lo, &evs[i])) {
+			if eventRow(&r.src, lo, &evs[i]); !pipe() {
 				return
 			}
 		}
 	case "jobs":
 		for i := range sched.Jobs {
-			if !pipe(jobRow(lo, &sched.Jobs[i])) {
+			if jobRow(&r.src, lo, &sched.Jobs[i]); !pipe() {
 				return
 			}
 		}
 	case "tasks":
 		for i := range sched.Tasks {
-			if !pipe(taskRow(lo, &sched.Tasks[i])) {
+			if taskRow(&r.src, lo, &sched.Tasks[i]); !pipe() {
 				return
 			}
 		}
 	}
 }
 
-// eventRow maps one schedule event to the events relation's row shape.
-// String columns follow sourceSchemas["events"].str order, numeric ones
-// .num order; columns a kind does not carry are ""/0.
-func eventRow(lo time.Duration, ev *cluster.Event) *row {
+// eventRow refills rw with one schedule event in the events relation's
+// row shape. String columns follow sourceSchemas["events"].str order,
+// numeric ones .num order; columns a kind does not carry are ""/0.
+func eventRow(rw *row, lo time.Duration, ev *cluster.Event) {
 	taskKind, outcome := "", ""
 	switch ev.Kind {
 	case cluster.EventTaskStart:
@@ -465,39 +496,33 @@ func eventRow(lo time.Duration, ev *cluster.Event) *row {
 	case cluster.EventJobSubmit:
 		deadline = ev.Deadline.Seconds()
 	}
-	return &row{
-		t:   lo + ev.Time,
-		str: []string{ev.Kind.String(), ev.Tenant, ev.JobID, taskKind, outcome},
-		num: []float64{float64(ev.Delta), float64(ev.Attempt), deadline, completed, killed},
-	}
+	rw.t = lo + ev.Time
+	str, num := rw.str, rw.num
+	str[0], str[1], str[2], str[3], str[4] = ev.Kind.String(), ev.Tenant, ev.JobID, taskKind, outcome
+	num[0], num[1], num[2], num[3], num[4] = float64(ev.Delta), float64(ev.Attempt), deadline, completed, killed
 }
 
-// jobRow maps one job record to the jobs relation's row shape.
-func jobRow(lo time.Duration, j *cluster.JobRecord) *row {
-	return &row{
-		t:   lo + j.Submit,
-		str: []string{j.Tenant},
-		num: []float64{
-			(lo + j.Submit).Seconds(),
-			(lo + j.Finish).Seconds(),
-			(j.Finish - j.Submit).Seconds(),
-			j.Deadline.Seconds(),
-			b2f(j.Completed),
-		},
-	}
+// jobRow refills rw with one job record in the jobs relation's row shape.
+func jobRow(rw *row, lo time.Duration, j *cluster.JobRecord) {
+	rw.t = lo + j.Submit
+	rw.str[0] = j.Tenant
+	num := rw.num
+	num[0] = (lo + j.Submit).Seconds()
+	num[1] = (lo + j.Finish).Seconds()
+	num[2] = (j.Finish - j.Submit).Seconds()
+	num[3] = j.Deadline.Seconds()
+	num[4] = b2f(j.Completed)
 }
 
-// taskRow maps one task attempt to the tasks relation's row shape.
-func taskRow(lo time.Duration, t *cluster.TaskRecord) *row {
-	return &row{
-		t:   lo + t.Start,
-		str: []string{t.Tenant, t.Kind.String(), t.Outcome.String()},
-		num: []float64{
-			(lo + t.Start).Seconds(),
-			(lo + t.End).Seconds(),
-			(t.End - t.Start).Seconds(),
-		},
-	}
+// taskRow refills rw with one task attempt in the tasks relation's row
+// shape.
+func taskRow(rw *row, lo time.Duration, t *cluster.TaskRecord) {
+	rw.t = lo + t.Start
+	str, num := rw.str, rw.num
+	str[0], str[1], str[2] = t.Tenant, t.Kind.String(), t.Outcome.String()
+	num[0] = (lo + t.Start).Seconds()
+	num[1] = (lo + t.End).Seconds()
+	num[2] = (t.End - t.Start).Seconds()
 }
 
 func b2f(b bool) float64 {
@@ -555,11 +580,16 @@ func (r *Runner) cellFor(tick int, rw *row) (*cell, error) {
 		bFrom = time.Duration(bucket) * r.winDur
 		bTo = bFrom + r.winDur
 	}
-	key := strconv.FormatInt(bucket, 10)
+	// The key is the bucket's eight bytes, then each group value behind
+	// its length, so distinct (bucket, group) pairs never share a key
+	// whatever bytes the values hold.
+	key := binary.BigEndian.AppendUint64(r.key[:0], uint64(bucket))
 	for _, gi := range r.groupIdx {
-		key += "\x1f" + rw.str[gi]
+		key = binary.AppendUvarint(key, uint64(len(rw.str[gi])))
+		key = append(key, rw.str[gi]...)
 	}
-	if c, ok := r.cells[key]; ok {
+	r.key = key
+	if c, ok := r.cells[string(key)]; ok {
 		return c, nil
 	}
 	if r.limit > 0 && len(r.cellOrder) >= r.limit {
@@ -583,7 +613,7 @@ func (r *Runner) cellFor(tick int, rw *row) (*cell, error) {
 		touched:    -1,
 		aggs:       make([]aggState, len(r.aggs)),
 	}
-	r.cells[key] = c
+	r.cells[string(key)] = c
 	r.cellOrder = append(r.cellOrder, c)
 	return c, nil
 }
@@ -613,7 +643,7 @@ func (r *Runner) fold(c *cell, rw *row) {
 		}
 		st.count++
 		st.sum += v
-		if isQuantile(e.fn) {
+		if e.q > 0 {
 			st.vals = append(st.vals, v)
 		}
 	}
@@ -640,13 +670,13 @@ func (r *Runner) cellRow(c *cell) ResultRow {
 	for i := range r.aggs {
 		e := &r.aggs[i]
 		st := &c.aggs[i]
-		rr.Values[e.name] = evalAgg(e, st)
+		rr.Values[e.name] = r.evalAgg(e, st)
 	}
 	return rr
 }
 
 // evalAgg computes one expression's current value.
-func evalAgg(e *aggExpr, st *aggState) float64 {
+func (r *Runner) evalAgg(e *aggExpr, st *aggState) float64 {
 	switch e.fn {
 	case "count":
 		return float64(st.count)
@@ -660,16 +690,41 @@ func evalAgg(e *aggExpr, st *aggState) float64 {
 		return st.max
 	}
 	// Exact nearest-rank quantile over the retained values.
-	vals := append([]float64(nil), st.vals...)
-	sort.Float64s(vals)
-	idx := int(math.Ceil(float64(len(vals))*e.q)) - 1
-	if idx < 0 {
-		idx = 0
+	r.settle(st)
+	idx := int(math.Ceil(float64(len(st.vals))*e.q)) - 1
+	return st.vals[max(0, min(idx, len(st.vals)-1))]
+}
+
+// settle sorts the values folded since st was last rendered and merges
+// them into its sorted prefix: O(k log k + n) for k new of n values,
+// where re-sorting the history cost O(n log n) on every render. The
+// order is sort.Float64s', so the nearest-rank read is the value a copy
+// of the history sorted whole holds at that index: values that compare
+// equal differ in bits only as ±0 or NaN payloads, and no relation
+// column produces either.
+func (r *Runner) settle(st *aggState) {
+	n, m := len(st.vals), st.sorted
+	if m == n {
+		return
 	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
+	batch := st.vals[m:]
+	slices.Sort(batch)
+	if m > 0 && cmp.Less(batch[0], st.vals[m-1]) {
+		// Merge from the back, so the prefix moves at most once.
+		b := append(r.merge[:0], batch...)
+		r.merge = b
+		i, j := m-1, len(b)-1
+		for k := n - 1; j >= 0; k-- {
+			if i >= 0 && cmp.Less(b[j], st.vals[i]) {
+				st.vals[k] = st.vals[i]
+				i--
+			} else {
+				st.vals[k] = b[j]
+				j--
+			}
+		}
 	}
-	return vals[idx]
+	st.sorted = n
 }
 
 // sortCells orders cells by (window start, bucket id, group key) — the

@@ -9,9 +9,12 @@ import (
 
 // FuzzQueryPlan hammers the untrusted-input path: arbitrary bytes must
 // either be rejected with a *PlanError-shaped message or produce a plan
-// that compiles and evaluates without panicking, within bounds. Plans are
-// the one client-authored structure tempod executes, so this is the
-// fuzz surface the nightly tier grows.
+// that compiles and evaluates without panicking, within bounds. Every
+// plan it accepts must also answer alike fed through Ingest alone, as
+// Session.Query feeds it, and through PushTick, its deltas replayed
+// last-write-wins over two different schedules (checkDeltasReplay).
+// Plans are the one client-authored structure tempod executes, so this
+// is the fuzz surface the nightly tier grows.
 func FuzzQueryPlan(f *testing.F) {
 	seeds := []string{
 		`{"version":1,"source":"events"}`,
@@ -52,6 +55,7 @@ func FuzzQueryPlan(f *testing.F) {
 			t.Fatalf("validated plan failed to compile: %v", err)
 		}
 		r.maxGroups = 100
+		checkDeltasReplay(t, p, r.maxGroups, tickSchedule(), randomSchedule(1))
 		s := tickSchedule()
 		for i := 0; i < 2; i++ {
 			if _, err := r.PushTick(i, s); err != nil {

@@ -1,18 +1,30 @@
 // Package query is tempod's ad-hoc metric query layer: a small composable
 // operator algebra (filter / map / group_by / window / aggregate / limit)
 // over each control interval's observed schedule, with incremental
-// evaluation — a standing query advances O(one tick's records) per control
-// interval instead of rescanning history.
+// evaluation: each tick is folded in once and history is never rescanned.
 //
 // Queries arrive as a versioned JSON plan (see Plan), are validated and
 // depth/cardinality-bounded up front, and compile to a Runner that is fed
 // one observed schedule per completed control interval. The same Runner
-// serves both evaluation modes the service exposes: one-shot (push every
-// completed tick, read Result) and standing subscriptions (push each tick
-// as it commits; PushTick returns exactly the result rows that tick
-// changed, which the service streams to clients over SSE). The two modes
-// agree by construction: a client that applies a subscription's per-tick
-// deltas last-write-wins ends with the one-shot result.
+// serves both evaluation modes the service exposes: one-shot (Ingest
+// every completed tick, read Result) and standing subscriptions (PushTick
+// each tick as it commits; it returns exactly the result rows that tick
+// changed, which the service streams to clients over SSE). PushTick is
+// Ingest followed by rendering those rows, so the two modes agree by
+// construction: a client that applies a subscription's per-tick deltas
+// last-write-wins ends with the one-shot result.
+//
+// Per tick, Ingest costs O(r) for the tick's r source rows (the events
+// source first merges the tick's records into its event stream), and
+// folding a row into an existing aggregate cell allocates nothing. An
+// slos aggregate instead costs one qs.Accumulate of the tick's schedule.
+// PushTick adds rendering the c cells the tick touched: O(c log c) to
+// order them and, for each quantile expression of a touched cell that
+// holds n values, k of them new, O(k log k + n) to sort the new values
+// and merge them in. Result renders every cell once, sorting what each
+// quantile cell received since it was last rendered, so a one-shot query
+// over T ticks costs O(r) per tick to fold plus O(n log n) per quantile
+// cell to render.
 //
 // Three relations are served from a schedule: "jobs" and "tasks" are its
 // record slices (cluster.Schedule.Jobs / Tasks) in record order, read in
@@ -455,8 +467,6 @@ var aggFns = map[string]float64{
 	"count": 0, "sum": 0, "avg": 0, "min": 0, "max": 0,
 	"p50": 0.50, "p90": 0.90, "p95": 0.95, "p99": 0.99,
 }
-
-func isQuantile(fn string) bool { return len(fn) > 1 && fn[0] == 'p' }
 
 // validateAggregate checks one aggregate operator (generic or slos form).
 func validateAggregate(i int, op *OpSpec, cur *schema, grouped, windowed bool, ops []OpSpec) error {

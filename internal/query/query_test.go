@@ -272,7 +272,9 @@ func TestOutOfOrderTick(t *testing.T) {
 
 // TestDeltasReplayToOneShot is the subscription/one-shot agreement at
 // the runner level: applying every PushTick delta last-write-wins, keyed
-// by (window, group), reproduces Result exactly. The service-level SSE
+// by (window, group), reproduces the Result of a runner fed the same
+// ticks through Ingest alone, as Session.Query feeds it. The ticks differ,
+// so a delta that missed a changed cell would show. The service-level SSE
 // test rides on this same property over HTTP.
 func TestDeltasReplayToOneShot(t *testing.T) {
 	plans := []string{
@@ -285,70 +287,166 @@ func TestDeltasReplayToOneShot(t *testing.T) {
 			{"op":"aggregate","aggs":[{"fn":"sum","field":"duration_seconds"}]}]}`,
 		`{"version":1,"source":"events","from":"50s","to":"250s","ops":[
 			{"op":"filter","field":"kind","eq":"task-end"}]}`,
+		`{"version":1,"source":"tasks","ops":[
+			{"op":"window","size":"30s"},
+			{"op":"aggregate","aggs":[{"fn":"p50","field":"end_seconds"},{"fn":"max","field":"duration_seconds"}]}]}`,
+		`{"version":1,"source":"jobs","ops":[
+			{"op":"aggregate","slos":[{"queue":"A","metric":"avg_response_time"},{"queue":"","metric":"throughput"}]}]}`,
 	}
 	for pi, js := range plans {
-		stream := mustRunner(t, js, interval)
-		oneshot := mustRunner(t, js, interval)
-		s := tickSchedule()
-		replay := map[string]ResultRow{}
-		var order []string
-		for i := 0; i < 3; i++ {
-			rows, err := stream.PushTick(i, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, rw := range rows {
-				key := rowKey(rw, i, j)
-				if _, seen := replay[key]; !seen {
-					order = append(order, key)
-				}
-				replay[key] = rw
-			}
-			if _, err := oneshot.PushTick(i, s); err != nil {
-				t.Fatal(err)
+		for seed := int64(0); seed < 5; seed++ {
+			scheds := []*cluster.Schedule{randomSchedule(seed), tickSchedule(), randomSchedule(seed + 100), randomSchedule(seed + 200)}
+			if !checkDeltasReplay(t, mustPlan(t, js), DefaultMaxGroups, scheds...) {
+				t.Fatalf("plan %d, seed %d: tripped the cardinality guard", pi, seed)
 			}
 		}
-		res := oneshot.Result()
-		if len(res.Rows) != len(order) {
-			t.Fatalf("plan %d: replay has %d rows, one-shot %d", pi, len(order), len(res.Rows))
+	}
+}
+
+// checkDeltasReplay feeds scheds to one runner through PushTick and to
+// another through Ingest alone, and checks that the deltas applied
+// last-write-wins (aggregate rows keyed by (window, group), raw and slos
+// rows appended in order) reproduce the Ingest runner's Result bit for
+// bit, as does the PushTick runner's own Result. When the plan trips the
+// cardinality guard it checks that both runners failed alike and returns
+// false.
+func checkDeltasReplay(t *testing.T, p *Plan, maxGroups int, scheds ...*cluster.Schedule) bool {
+	t.Helper()
+	stream, err := Compile(p, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneshot, err := Compile(p, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream.maxGroups, oneshot.maxGroups = maxGroups, maxGroups
+	var appended []ResultRow
+	latest := map[string]ResultRow{}
+	for i, s := range scheds {
+		rows, errStream := stream.PushTick(i, s)
+		errOneshot := oneshot.Ingest(i, s)
+		if errStream != nil || errOneshot != nil {
+			if errStream == nil || errOneshot == nil || errStream.Error() != errOneshot.Error() {
+				t.Fatalf("tick %d: PushTick failed with %v, Ingest with %v", i, errStream, errOneshot)
+			}
+			return false
 		}
-		// The one-shot result must be exactly the replayed final states
-		// (ordering aside); index replay rows by their identity key.
+		for _, rw := range rows {
+			if stream.mode == modeAgg {
+				latest[cellIdentity(rw)] = rw
+			} else {
+				appended = append(appended, rw)
+			}
+		}
+	}
+	res, standing := oneshot.Result(), stream.Result()
+	if res.Ticks != len(scheds) || standing.Ticks != res.Ticks || standing.Truncated != res.Truncated {
+		t.Fatalf("one-shot ticks %d truncated %v, standing ticks %d truncated %v, want %d ticks",
+			res.Ticks, res.Truncated, standing.Ticks, standing.Truncated, len(scheds))
+	}
+	checkRows(t, "standing result against one-shot", standing.Rows, res.Rows)
+	if stream.mode == modeAgg {
+		if len(latest) != len(res.Rows) {
+			t.Fatalf("replay has %d rows, one-shot %d", len(latest), len(res.Rows))
+		}
 		for _, rw := range res.Rows {
-			key := rowIdentity(rw)
-			found := false
-			for _, k := range order {
-				got := replay[k]
-				if rowIdentity(got) == key && rowsEqual(got, rw) {
-					found = true
-					break
-				}
+			if got, ok := latest[cellIdentity(rw)]; !ok || !rowsEqual(got, rw) {
+				t.Fatalf("one-shot row %+v, replayed %+v", rw, got)
 			}
-			if !found {
-				t.Fatalf("plan %d: one-shot row %+v missing from replayed deltas", pi, rw)
-			}
+		}
+		return true
+	}
+	checkRows(t, "replayed deltas against one-shot", appended, res.Rows)
+	return true
+}
+
+// TestGroupKeyInjective checks that cells are keyed by their group values
+// and nothing else: group values containing any byte, here the unit
+// separator, do not merge distinct groups.
+func TestGroupKeyInjective(t *testing.T) {
+	s := &cluster.Schedule{Capacity: 1, Horizon: interval, Jobs: []cluster.JobRecord{
+		{ID: "b\x1fc", Tenant: "a", Submit: sec(1), Finish: sec(2), Completed: true},
+		{ID: "c", Tenant: "a\x1fb", Submit: sec(3), Finish: sec(4), Completed: true},
+	}}
+	r := mustRunner(t, `{"version":1,"source":"events","ops":[
+		{"op":"filter","field":"kind","eq":"job-submit"},
+		{"op":"group_by","by":["tenant","job"]},
+		{"op":"aggregate","aggs":[{"fn":"count"}]}]}`, interval)
+	if err := r.Ingest(0, s); err != nil {
+		t.Fatal(err)
+	}
+	rows := r.Result().Rows
+	if len(rows) != 2 {
+		t.Fatalf("got %d cells, want 2: %+v", len(rows), rows)
+	}
+	for i, want := range [][2]string{{"a", "b\x1fc"}, {"a\x1fb", "c"}} {
+		if g := rows[i].Group; g["tenant"] != want[0] || g["job"] != want[1] || rows[i].Values["count"] != 1 {
+			t.Fatalf("cell %d = %+v, want group %q with count 1", i, rows[i], want)
 		}
 	}
 }
 
-// rowKey identifies a delta row for last-write-wins replay: aggregate
-// rows by (window, group), raw rows by their emission identity.
-func rowKey(rw ResultRow, tick, j int) string {
-	if rw.Group != nil {
-		return rowIdentity(rw)
+// TestOneShotAllocsFlatInRows checks that folding a row allocates
+// nothing: a one-shot aggregate over the same cells costs the same
+// allocations with ten times the rows. A quantile cell keeps its values,
+// so its slice may grow by doubling, a few allocations per cell.
+func TestOneShotAllocsFlatInRows(t *testing.T) {
+	sched := func(copies int) *cluster.Schedule {
+		s := tickSchedule()
+		jobs := s.Jobs
+		s.Jobs = nil
+		for i := 0; i < 20*copies; i++ {
+			s.Jobs = append(s.Jobs, jobs...)
+		}
+		return s
 	}
-	return fmt.Sprintf("raw/%d/%d", tick, j)
+	for _, c := range []struct {
+		aggs  string
+		slack float64 // allowed extra allocations at 10× the rows
+	}{
+		{`{"fn":"count"},{"fn":"sum","field":"response_seconds"},{"fn":"avg","field":"response_seconds"},{"fn":"min","field":"submit_seconds"},{"fn":"max","field":"time"}`, 0},
+		// Two tenants × two ticks of cells, each of whose value slices
+		// grows by at most ceil(log2(10)) = 4 more doublings.
+		{`{"fn":"count"},{"fn":"p99","field":"response_seconds"}`, 2 * 2 * 4},
+	} {
+		p := mustPlan(t, `{"version":1,"source":"jobs","ops":[
+			{"op":"filter","field":"completed","eq":"1"},
+			{"op":"map","fields":["tenant","submit_seconds","response_seconds"]},
+			{"op":"group_by","by":["tenant"]},
+			{"op":"window","size":"tick"},
+			{"op":"aggregate","aggs":[`+c.aggs+`]}]}`)
+		allocs := func(s *cluster.Schedule) float64 {
+			return testing.AllocsPerRun(5, func() {
+				r, err := Compile(p, interval)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if err := r.Ingest(i, s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rows := r.Result().Rows; len(rows) != 4 {
+					t.Fatalf("got %d cells, want 4", len(rows))
+				}
+			})
+		}
+		one, ten := allocs(sched(1)), allocs(sched(10))
+		if ten > one+c.slack {
+			t.Errorf("aggs %s: %.0f allocations over 10× the rows, %.0f over 1× (slack %.0f)", c.aggs, ten, one, c.slack)
+		}
+	}
 }
 
-func rowIdentity(rw ResultRow) string {
-	if rw.Group == nil {
-		return fmt.Sprintf("raw/%d/%v/%v/%v", rw.Tick, rw.TimeSeconds, rw.Strings, rw.Values)
-	}
+// cellIdentity identifies an aggregate row for last-write-wins replay:
+// its window and group.
+func cellIdentity(rw ResultRow) string {
 	keys := make([]string, 0, len(rw.Group))
 	for _, k := range groupKeysSorted(rw.Group) {
 		keys = append(keys, k+"="+rw.Group[k])
 	}
-	return fmt.Sprintf("agg/%v/%v/%s", rw.WindowFromSeconds, rw.WindowToSeconds, strings.Join(keys, ","))
+	return fmt.Sprintf("%v/%v/%q", rw.WindowFromSeconds, rw.WindowToSeconds, keys)
 }
 
 // groupKeysSorted returns the map's keys in sorted order (tests live in
@@ -390,37 +488,45 @@ func rowsEqual(a, b ResultRow) bool {
 	return true
 }
 
+// randomSchedule is one fuzzed control interval: up to 30 jobs of three
+// tenants, each with up to three task attempts, with uncompleted and
+// killed jobs, zero-length attempts and records out of time order.
+func randomSchedule(seed int64) *cluster.Schedule {
+	outcomes := []cluster.TaskOutcome{cluster.TaskFinished, cluster.TaskPreempted, cluster.TaskFailed, cluster.TaskKilled, cluster.TaskTruncated}
+	rng := rand.New(rand.NewSource(seed))
+	s := &cluster.Schedule{Capacity: 1 + rng.Intn(8), Horizon: interval}
+	for i, n := 0, rng.Intn(30); i < n; i++ {
+		tenant := []string{"A", "B", "C"}[rng.Intn(3)]
+		submit := time.Duration(rng.Int63n(int64(interval)))
+		job := cluster.JobRecord{
+			ID: fmt.Sprintf("%s%d", tenant, i), Tenant: tenant,
+			Submit: submit, Finish: submit + time.Duration(rng.Int63n(int64(interval))),
+			Completed: rng.Intn(3) > 0, Killed: rng.Intn(8) == 0,
+		}
+		if rng.Intn(2) == 0 {
+			job.Deadline = time.Duration(rng.Int63n(int64(interval)))
+		}
+		s.Jobs = append(s.Jobs, job)
+		for k, m := 0, rng.Intn(4); k < m; k++ {
+			start := submit + time.Duration(rng.Int63n(int64(interval/2)))
+			s.Tasks = append(s.Tasks, cluster.TaskRecord{
+				JobID: job.ID, Tenant: tenant, Kind: workload.TaskKind(rng.Intn(2)), Attempt: k + 1,
+				Start: start, End: start + time.Duration(rng.Intn(3))*time.Duration(rng.Int63n(int64(interval/4))),
+				Outcome: outcomes[rng.Intn(len(outcomes))],
+			})
+		}
+	}
+	return s
+}
+
 // TestRawJobsTasksMatchRecords is the differential check of the jobs and
 // tasks sources: a raw plan over each returns exactly sched.Jobs /
 // sched.Tasks — one row per record, in record order, every column equal to
 // the record's field offset into session time — on fuzzed schedules with
 // uncompleted jobs, zero-length attempts and records out of time order.
 func TestRawJobsTasksMatchRecords(t *testing.T) {
-	outcomes := []cluster.TaskOutcome{cluster.TaskFinished, cluster.TaskPreempted, cluster.TaskFailed, cluster.TaskKilled, cluster.TaskTruncated}
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := &cluster.Schedule{Capacity: 1 + rng.Intn(8), Horizon: interval}
-		for i, n := 0, rng.Intn(30); i < n; i++ {
-			tenant := []string{"A", "B", "C"}[rng.Intn(3)]
-			submit := time.Duration(rng.Int63n(int64(interval)))
-			job := cluster.JobRecord{
-				ID: fmt.Sprintf("%s%d", tenant, i), Tenant: tenant,
-				Submit: submit, Finish: submit + time.Duration(rng.Int63n(int64(interval))),
-				Completed: rng.Intn(3) > 0, Killed: rng.Intn(8) == 0,
-			}
-			if rng.Intn(2) == 0 {
-				job.Deadline = time.Duration(rng.Int63n(int64(interval)))
-			}
-			s.Jobs = append(s.Jobs, job)
-			for k, m := 0, rng.Intn(4); k < m; k++ {
-				start := submit + time.Duration(rng.Int63n(int64(interval/2)))
-				s.Tasks = append(s.Tasks, cluster.TaskRecord{
-					JobID: job.ID, Tenant: tenant, Kind: workload.TaskKind(rng.Intn(2)), Attempt: k + 1,
-					Start: start, End: start + time.Duration(rng.Intn(3))*time.Duration(rng.Int63n(int64(interval/4))),
-					Outcome: outcomes[rng.Intn(len(outcomes))],
-				})
-			}
-		}
+		s := randomSchedule(seed)
 		const tick = 1 // a non-zero tick, so the session-time offset is exercised
 		lo := tick * interval
 		push := func(source string) []ResultRow {

@@ -297,10 +297,11 @@ func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 
 // Query runs a one-shot query plan over every control interval observed
 // so far: the plan compiles to an operator pipeline (internal/query)
-// that is fed each interval's schedule in order, exactly as a standing
-// subscription would be — the two modes agree by construction. The
-// result is deterministic: the same session and plan always produce the
-// same rows in the same order.
+// that ingests each interval's schedule in order through the same path
+// a standing subscription's ticks take, and renders the answer once at
+// the end — the two modes agree by construction. The result is
+// deterministic: the same session and plan always produce the same rows
+// in the same order.
 func (s *Session) Query(p *QueryPlan) (*QueryResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,7 +315,7 @@ func (s *Session) Query(p *QueryPlan) (*QueryResult, error) {
 		if sched == nil {
 			break
 		}
-		if _, err := r.PushTick(i, sched); err != nil {
+		if err := r.Ingest(i, sched); err != nil {
 			return nil, err
 		}
 	}

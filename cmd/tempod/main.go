@@ -1,7 +1,7 @@
 // Command tempod is Tempo's serving daemon: a sharded control plane that
 // hosts many independent tenant clusters — each a full control loop
-// (workload, schedule stream, incremental QS accumulators, What-if Model)
-// — behind an HTTP/JSON API.
+// (workload, schedule stream, controller, What-if Model) — behind an
+// HTTP/JSON API.
 //
 // Usage:
 //

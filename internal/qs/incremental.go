@@ -33,8 +33,8 @@ import (
 
 // Accumulator answers QS queries for a fixed template set over arbitrary
 // [From, To) windows of one schedule. Accumulate is its only constructor
-// and returns it complete and immutable: Value and Values keep no state
-// between calls and are safe for concurrent use.
+// and returns it complete and immutable: Values keeps no state between
+// calls and is safe for concurrent use.
 type Accumulator struct {
 	jobs     []cluster.JobRecord  // the schedule's records, borrowed
 	tasks    []cluster.TaskRecord // the schedule's records, borrowed
@@ -70,9 +70,9 @@ type answer struct {
 // The accumulator borrows the schedule: it reads s.Jobs and s.Tasks in
 // place, during the call and again on every sub-window query, and never
 // writes them. It is valid exactly as long as those records are left
-// alone — what-if scoring evaluates and drops it before the Sim's next
-// run overwrites the schedule's records; a Session keeps accumulators
-// only over observed schedules it owns and never mutates.
+// alone. EvalStream, its only production caller, evaluates and drops it
+// within one call, so what-if scoring is done with it before the Sim's
+// next run overwrites the schedule's records.
 func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
 	a := &Accumulator{jobs: s.Jobs, tasks: s.Tasks, capacity: s.Capacity, terms: make([]term, len(templates))}
 	jobsOf := byTenant(len(s.Jobs), func(i int) string { return s.Jobs[i].Tenant })
@@ -135,32 +135,12 @@ const streamCutover = 16
 // scans for small SLO sets (the paper-scale shape), the one-pass
 // accumulator for large ones (the stress tier, where it is asymptotically
 // ahead). The choice is invisible in the results: the two paths are
-// bit-identical on every window. Callers that query many windows of one
-// schedule should hold an Accumulator instead, which amortizes its build
-// across queries.
+// bit-identical on every window.
 func EvalStream(templates []Template, s *cluster.Schedule, from, to time.Duration) []float64 {
 	if len(templates) < streamCutover {
 		return EvalAll(templates, s, from, to)
 	}
 	return Accumulate(templates, s).Values(from, to)
-}
-
-// Value returns template i's QS value over [from, to). It asks only the
-// indexes template i reads.
-func (a *Accumulator) Value(i int, from, to time.Duration) float64 {
-	t := a.terms[i]
-	sets := make([]answer, len(a.sets))
-	fracs := make([]float64, len(a.lines))
-	switch t.metric {
-	case AvgResponseTime, Throughput, DeadlineViolations:
-		sets[t.in] = a.sets[t.in].query(a.jobs, from, to)
-	case Fairness:
-		fracs[t.all] = a.lines[t.all].usedFraction(a.tasks, from, to, a.capacity)
-		fallthrough
-	case Utilization:
-		fracs[t.in] = a.lines[t.in].usedFraction(a.tasks, from, to, a.capacity)
-	}
-	return t.value(sets, fracs)
 }
 
 // Values evaluates every template over the same window, producing the QS

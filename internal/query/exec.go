@@ -58,7 +58,7 @@ type Result struct {
 const (
 	modeRaw = iota // no aggregate: rows stream through
 	modeAgg        // generic aggregate: grouped incremental state
-	modeSLO        // slos aggregate: per-tick qs accumulator evaluation
+	modeSLO        // slos aggregate: per-tick qs.EvalStream evaluation
 )
 
 // Window modes.
@@ -376,17 +376,17 @@ func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error
 }
 
 // pushSLO evaluates the slos aggregate for one tick: the template vector
-// over the tick's slice of the plan window, through the same accumulator
-// and the same qs.ClipWindow Session.QS uses — which is what makes a
-// whole-window slos plan bit-identical to qs.EvalStream on each tick. The
-// accumulator borrows sched only for this call.
+// over the tick's slice of the plan window, through the same
+// qs.ClipWindow and qs.EvalStream Session.QS uses — which is what makes a
+// whole-window slos plan bit-identical to the tick's observed vector.
+// EvalStream reads sched only during this call.
 func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) {
 	to := r.to
 	if !r.hasTo {
 		to = math.MaxInt64
 	}
 	localFrom, localTo, evalTo := qs.ClipWindow(r.from, to, lo, r.interval, sched.Horizon)
-	vals := qs.Accumulate(r.slos, sched).Values(localFrom, evalTo)
+	vals := qs.EvalStream(r.slos, sched, localFrom, evalTo)
 	wf := (lo + localFrom).Seconds()
 	wt := (lo + localTo).Seconds()
 	r.rawRows = slices.Grow(r.rawRows, len(vals))

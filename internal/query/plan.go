@@ -17,7 +17,7 @@
 // Per tick, Ingest costs O(r) for the tick's r source rows (the events
 // source first merges the tick's records into its event stream), and
 // folding a row into an existing aggregate cell allocates nothing. An
-// slos aggregate instead costs one qs.Accumulate of the tick's schedule.
+// slos aggregate instead costs one qs.EvalStream of the tick's schedule.
 // PushTick adds rendering the c cells the tick touched: O(c log c) to
 // order them and, for each quantile expression of a touched cell that
 // holds n values, k of them new, O(k log k + n) to sort the new values
@@ -32,8 +32,8 @@
 // the only source that derives one. The aggregate operator has two
 // families: generic reductions (count, sum, avg, min, max,
 // p50/p90/p95/p99) over any numeric column, and a "slos" family that
-// evaluates qs.Template vectors through a per-tick qs.Accumulate — which
-// is how qs.EvalStream itself is re-expressed as a plan, bit-identically
+// evaluates qs.Template vectors through one qs.EvalStream per tick — the
+// control loop's own QS evaluation re-expressed as a plan, bit-identically
 // to the oracle (TestQueryVsOracleGoldens).
 package query
 
@@ -485,7 +485,7 @@ func validateAggregate(i int, op *OpSpec, cur *schema, grouped, windowed bool, o
 		}
 		for j := range ops[:i] {
 			if ops[j].Op == "filter" || ops[j].Op == "map" {
-				return planErrf(i, op.Op, "slos aggregate does not compose with %s; the accumulator must observe the whole schedule", ops[j].Op)
+				return planErrf(i, op.Op, "slos aggregate does not compose with %s; the slos evaluation must observe the whole schedule", ops[j].Op)
 			}
 		}
 		if windowed {

@@ -137,6 +137,16 @@ func (rt *Runtime) ObservedSchedule(i int) *cluster.Schedule {
 	return rt.schedules[i]
 }
 
+// ObservedQS returns a copy of the QS vector Apply recorded for
+// iteration i (its report's Observed), or nil when that interval has not
+// run yet.
+func (rt *Runtime) ObservedQS(i int) []float64 {
+	if i < 0 || i >= len(rt.iterations) {
+		return nil
+	}
+	return append([]float64(nil), rt.iterations[i].Observed...)
+}
+
 // Report assembles the canonical report over the intervals run so far.
 // After the final Step it is the same report Run returns; mid-run it is a
 // consistent prefix snapshot (the summary aggregates only completed

@@ -1,7 +1,7 @@
 // Package service is tempod's sharded multi-cluster control plane: a
 // long-running daemon core that hosts many independent tenant clusters
-// (tempo.Session instances — each with its own workload, controller, QS
-// accumulators, and What-if Model) concurrently.
+// (tempo.Session instances — each with its own workload, controller and
+// What-if Model) concurrently.
 //
 // Clusters are pinned to shards by an FNV hash of their id. Each shard
 // has a fixed number of tick slots: a tick runs on the goroutine of the
@@ -13,12 +13,13 @@
 // on different clusters proceed in parallel across slots and shards.
 //
 // The HTTP/JSON API (see Handler) exposes cluster creation from a
-// declarative scenario spec, ticks, windowed QS queries served off the
-// incremental accumulators, what-if candidate scoring, canonical reports,
-// and liveness/metrics endpoints. Determinism survives the sharding:
-// a cluster driven through the service produces a report byte-identical
-// to the same spec run sequentially by scenario.Run — `tempoctl load`
-// asserts exactly that under concurrent traffic.
+// declarative scenario spec, ticks, windowed QS queries (a fully covered
+// interval reuses the QS vector its tick recorded), what-if candidate
+// scoring, canonical reports, and liveness/metrics endpoints.
+// Determinism survives the sharding: a cluster driven through the service
+// produces a report byte-identical to the same spec run sequentially by
+// scenario.Run — `tempoctl load` asserts exactly that under concurrent
+// traffic.
 //
 // Serving is allocation-lean: the control-loop work a tick drives
 // (schedule prediction, emulation, QS evaluation) runs on pooled

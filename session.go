@@ -83,7 +83,7 @@ var ErrSessionDone = scenario.ErrDone
 //     Observe and Apply are its two halves, for callers that log the
 //     observation in between;
 //   - QS answers windowed SLO queries over everything observed so far,
-//     served from per-interval incremental accumulators;
+//     reusing the QS vector each tick recorded for a whole interval;
 //   - WhatIf scores candidate RM configurations in the scenario's What-if
 //     Model without touching the control loop's state;
 //   - Report assembles the canonical run report.
@@ -98,11 +98,6 @@ type Session struct {
 	rt          *scenario.Runtime
 	parallelism int
 
-	// accs caches one QS accumulator per completed interval, built lazily
-	// on the first window query that touches the interval. Each borrows
-	// its interval's observed schedule, which the runtime keeps and never
-	// mutates.
-	accs map[int]*Accumulator
 	// model is the lazily built What-if Model serving WhatIf queries; it is
 	// deliberately distinct from the controller's own model so probe
 	// traffic cannot perturb (or contend with) the control loop.
@@ -117,7 +112,7 @@ func NewSession(spec *Scenario, opts ScenarioOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{rt: rt, parallelism: opts.Parallelism, accs: map[int]*Accumulator{}}, nil
+	return &Session{rt: rt, parallelism: opts.Parallelism}, nil
 }
 
 // ResumeSession rebuilds a session mid-scenario from its durable state:
@@ -131,7 +126,7 @@ func ResumeSession(spec *Scenario, opts ScenarioOptions, snap *SessionSnapshot, 
 	if err != nil {
 		return nil, err
 	}
-	return &Session{rt: rt, parallelism: opts.Parallelism, accs: map[int]*Accumulator{}}, nil
+	return &Session{rt: rt, parallelism: opts.Parallelism}, nil
 }
 
 // Spec returns the scenario the session was built from.
@@ -241,14 +236,13 @@ type WindowQS struct {
 }
 
 // QS evaluates the scenario's SLO templates over the session-time window
-// [from, to), answering from per-interval incremental accumulators
-// (internal/qs) that index each observed schedule's records once: a whole
-// interval reads totals, a clipped one scans the records. Every value is
-// bit-identical to Template.Eval over the clipped window. The result
-// holds one entry per completed interval the window intersects; a window
-// covering an interval entirely reproduces that interval's Observed
-// vector exactly. Windows
-// are half-open [from, to); to == 0 means "everything observed so far";
+// [from, to). The result holds one entry per completed interval the
+// window intersects. An interval the window covers entirely is answered
+// with a copy of the QS vector its tick recorded (the report's
+// Observed); a clipped one — at most the window's first and last — is
+// one qs.EvalStream over the clipped local window. Every value is
+// bit-identical to Template.Eval over the clipped window. Windows are
+// half-open [from, to); to == 0 means "everything observed so far";
 // negative bounds and reversed windows are invalid.
 func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 	s.mu.Lock()
@@ -280,16 +274,17 @@ func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 			break
 		}
 		localFrom, localTo, evalTo := qs.ClipWindow(from, to, lo, interval, sched.Horizon)
-		acc := s.accs[i]
-		if acc == nil {
-			acc = qs.Accumulate(s.rt.Templates, sched)
-			s.accs[i] = acc
+		var vals []float64
+		if localFrom == 0 && localTo == interval {
+			vals = s.rt.ObservedQS(i)
+		} else {
+			vals = qs.EvalStream(s.rt.Templates, sched, localFrom, evalTo)
 		}
 		out = append(out, WindowQS{
 			Iteration: i,
 			From:      lo + localFrom,
 			To:        lo + localTo,
-			Values:    acc.Values(localFrom, evalTo),
+			Values:    vals,
 		})
 	}
 	return out, nil

@@ -9,6 +9,7 @@ import (
 	"tempo"
 	"tempo/internal/qs"
 	"tempo/internal/scenario"
+	"tempo/internal/store"
 )
 
 const sessionSpecJSON = `{
@@ -204,6 +205,140 @@ func TestSessionQSWindows(t *testing.T) {
 	if _, err := sess.QS(2*interval, interval); err == nil {
 		t.Fatal("inverted window accepted")
 	}
+}
+
+// TestSessionQSResumed checks QS on resumed sessions: one resumed from a
+// mid-run snapshot round-tripped through the store's codec, and one
+// re-driven from its schedules alone, answer every window bit for bit
+// like the session that never stopped. Whole intervals before the
+// snapshot cursor are read from the snapshot's restored Observed
+// vectors, the rest from re-driven ticks.
+func TestSessionQSResumed(t *testing.T) {
+	stress, err := tempo.LoadScenarioFile("bench/workloads/stress.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stress.Iterations = 5
+	small := newSessionSpec(t)
+	small.Iterations = 6
+	for _, spec := range []*tempo.Scenario{small, stress} {
+		opts := tempo.ScenarioOptions{Parallelism: 1}
+		full, err := tempo.NewSession(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := spec.Iterations
+		var snap *tempo.SessionSnapshot
+		for i := 0; i < n; i++ {
+			if i == n/2 {
+				if snap, err = full.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := full.Tick(); err != nil {
+				t.Fatalf("%s: tick %d: %v", spec.Name, i, err)
+			}
+		}
+		schedules := make([]*tempo.Schedule, n)
+		for i := range schedules {
+			schedules[i] = full.ObservedSchedule(i)
+		}
+		decoded, err := store.DecodeSnapshot(store.EncodeSnapshot(nil, snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromSnap, err := tempo.ResumeSession(spec, opts, decoded, schedules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromWAL, err := tempo.ResumeSession(spec, opts, nil, schedules)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		L := full.Interval()
+		for _, w := range [][2]time.Duration{
+			{0, 0},                              // everything observed
+			{L / 3, time.Duration(n-1)*L + L/3}, // clipped at both ends
+			{time.Duration(n-4)*L + L/2, time.Duration(n) * L}, // the bench's /qs shape
+		} {
+			want, err := full.QS(w[0], w[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []struct {
+				name string
+				sess *tempo.Session
+			}{{"snapshot", fromSnap}, {"nil snapshot", fromWAL}} {
+				got, err := r.sess.QS(w[0], w[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: QS[%v, %v) resumed from %s: %d windows, want %d", spec.Name, w[0], w[1], r.name, len(got), len(want))
+				}
+				for i := range got {
+					g, x := got[i], want[i]
+					if g.Iteration != x.Iteration || g.From != x.From || g.To != x.To || !sameBits(g.Values, x.Values) {
+						t.Fatalf("%s: QS[%v, %v) resumed from %s: window %d is iteration %d [%v, %v), want iteration %d [%v, %v), or its values differ in bits",
+							spec.Name, w[0], w[1], r.name, i, g.Iteration, g.From, g.To, x.Iteration, x.From, x.To)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSessionQSCopies checks that a whole-interval QS answer belongs to
+// the caller: writing into its Values changes neither the next QS answer
+// nor the report's Observed vector it was read from.
+func TestSessionQSCopies(t *testing.T) {
+	sess, err := tempo.NewSession(newSessionSpec(t), tempo.ScenarioOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sess.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := sess.QS(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := make([][]float64, len(want))
+	for i, w := range want {
+		orig[i] = append([]float64(nil), w.Values...)
+		for k := range w.Values {
+			w.Values[k] = math.Inf(1)
+		}
+	}
+	again, err := sess.QS(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := sess.Report()
+	for i := range orig {
+		if !sameBits(again[i].Values, orig[i]) {
+			t.Fatalf("interval %d: QS after a caller write returned %v, want %v", i, again[i].Values, orig[i])
+		}
+		if !sameBits(rep.Iterations[i].Observed, orig[i]) {
+			t.Fatalf("interval %d: report Observed after a caller write is %v, want %v", i, rep.Iterations[i].Observed, orig[i])
+		}
+	}
+}
+
+// sameBits reports whether two vectors are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSessionWhatIfValidation rejects empty and invalid candidate sets.

@@ -120,12 +120,6 @@ const (
 	EventJobFinish = cluster.EventJobFinish
 )
 
-// Accumulator answers QS queries over arbitrary [From, To) windows of one
-// schedule after indexing its records once — the incremental counterpart
-// of per-template evaluation, bit-identical to it on every window:
-// whole-schedule windows from totals, sub-windows by scanning.
-type Accumulator = qs.Accumulator
-
 // TaskOutcome classifies how a task attempt ended.
 type TaskOutcome = cluster.TaskOutcome
 

@@ -62,8 +62,8 @@ func BenchmarkQueryVsOracle(b *testing.B) {
 	oracleNs := minDuration(3, func() { qs.EvalStream(templates, sched, 0, end) })
 	overhead := float64(queryNs) / float64(oracleNs)
 	allocs, bytes := measureAllocs(3, func() { runOnce() })
-	checkCeiling(b, "allocs_per_op", allocs, 40_098)
-	checkCeiling(b, "bytes_per_op", bytes, 6_447_920)
+	checkCeiling(b, "allocs_per_op", allocs, 40_035)
+	checkCeiling(b, "bytes_per_op", bytes, 5_974_468)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -147,10 +147,7 @@ func printStreamEvent(w io.Writer, event, data string, asJSON bool) (done bool, 
 			fmt.Fprintln(w, data)
 			return false, nil
 		}
-		var delta struct {
-			Tick int              `json:"tick"`
-			Rows []tempo.QueryRow `json:"rows"`
-		}
+		var delta service.StreamResult
 		if err := json.Unmarshal([]byte(data), &delta); err != nil {
 			return false, fmt.Errorf("decoding result event: %w", err)
 		}
@@ -166,10 +163,7 @@ func printStreamEvent(w io.Writer, event, data string, asJSON bool) (done bool, 
 		}
 		return true, nil
 	case "error":
-		var env struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
+		var env service.ErrorEnvelope
 		if err := json.Unmarshal([]byte(data), &env); err != nil {
 			return true, fmt.Errorf("stream error: %s", data)
 		}

@@ -155,12 +155,11 @@ func FuzzQS(f *testing.F) {
 		if r := maxRegret(templates, vec); r != 0 {
 			t.Fatalf("maxRegret without targets = %v, want 0", r)
 		}
-		// The accumulator answers a window containing every record from
-		// totals and any other by scanning its tenant's records; a window
-		// ending at the last allocation change still takes the totals, one
-		// ending a nanosecond earlier does not. Either way every template
-		// bit-equals the oracle, and sub-window queries must not move a
-		// later whole-window answer.
+		// The accumulator answers every window by one pass over the
+		// records. On the covering window, on one ending cut nanoseconds
+		// before the last allocation change and on a mid-run sub-window,
+		// every template bit-equals the oracle, and sub-window queries must
+		// not move a later whole-window answer.
 		acc := Accumulate(templates, s)
 		wide := coveringWindow(s)
 		checkWindow(t, acc, templates, s, 0, wide)

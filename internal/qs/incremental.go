@@ -4,23 +4,20 @@
 // scanning every job and task record of the schedule, so evaluating k
 // templates costs O(k·(jobs+tasks)) — the dominant cost of what-if
 // candidate scoring once template counts grow with tenant counts. The
-// Accumulator in this file partitions the same records (Schedule.Jobs and
-// Schedule.Tasks, in place) by tenant once, keeps one index per distinct
-// template filter — a job set or an allocation timeline over its tenant's
-// records — and answers Values(From, To) for any half-open window by
-// asking each index once and combining the answers per template:
+// Accumulator in this file compiles the templates instead: one filter per
+// distinct job set or allocation timeline, shared by every template that
+// reads it, and a dispatch table from tenant to the filters its records
+// feed. Values(From, To) then answers a window in one record-order pass
+// over Schedule.Jobs and one over Schedule.Tasks, in place. Each record
+// passing the oracle's own predicate — a job counts iff it completed with
+// Submit ∈ [From, To) and Finish < To, a task by its width clipped to
+// [From, To) in integer nanoseconds — feeds the all-tenants filters and
+// its own tenant's, and each template combines its filters' sums.
 //
-//   - a window containing every member of an index — the control loop's
-//     only production query shape — is answered in O(1) from totals taken
-//     in one pass over the records at build time;
-//   - any other window is answered by one pass over the index's tenant
-//     records, in record order, with the oracle's own predicate: a job
-//     counts iff Submit ∈ [From, To) and Finish < To, a task by its width
-//     clipped to [From, To) in integer nanoseconds.
-//
-// Both sum in record order, as the oracle does, so every value is
-// bit-identical to the oracle on every window; EvalAll remains the
-// reference, and TestPropertyIncrementalOracle locks the equivalence.
+// Every filter sums its members in record order, as the oracle does, so
+// every value is bit-identical to the oracle on every window; EvalAll
+// remains the reference, and TestPropertyIncrementalOracle locks the
+// equivalence.
 package qs
 
 import (
@@ -39,13 +36,20 @@ type Accumulator struct {
 	jobs     []cluster.JobRecord  // the schedule's records, borrowed
 	tasks    []cluster.TaskRecord // the schedule's records, borrowed
 	capacity int
-	sets     []jobSet   // the distinct job filters, in first-use order
-	lines    []timeline // the distinct allocation filters, in first-use order
-	terms    []term     // one per template
+	sets     []jobSetKey // the distinct job filters, in first-use order
+	lines    []utilKey   // the distinct allocation filters, in first-use order
+	terms    []term      // one per template
+
+	// The dispatch table. group numbers the tenants that own a filter
+	// from 1; group 0 holds the all-tenants filters, which every record
+	// feeds. setFeed and lineFeed list each group's filters.
+	group    map[string]int
+	setFeed  feed
+	lineFeed feed
 }
 
-// term is one template's recipe: which indexes it reads and how it
-// combines their answers, in the oracle's arithmetic.
+// term is one template's recipe: which filters it reads and how it
+// combines their sums, in the oracle's arithmetic.
 type term struct {
 	metric   Kind
 	priority float64
@@ -54,29 +58,55 @@ type term struct {
 	all      int     // Fairness: the all-tenants lines entry
 }
 
-// answer is one job set's answer for a window: its member count and
+// answer is one job filter's sum over a window: its member count and
 // payload sum.
 type answer struct {
 	n   int
 	sum float64
 }
 
-// Accumulate indexes the schedule for the template set — the one-pass
+// feed is a flat group→filters table: group g's filter positions are
+// at[pos[g]:pos[g+1]], in position order.
+type feed struct {
+	at, pos []int
+}
+
+// newFeed groups the filter positions [0, len(groupOf)) by their group
+// numbers, which lie in [0, groups).
+func newFeed(groupOf []int, groups int) feed {
+	f := feed{at: make([]int, len(groupOf)), pos: make([]int, groups+1)}
+	for _, g := range groupOf {
+		f.pos[g+1]++
+	}
+	for g := 1; g <= groups; g++ {
+		f.pos[g] += f.pos[g-1]
+	}
+	next := append([]int(nil), f.pos[:groups]...)
+	for p, g := range groupOf {
+		f.at[next[g]] = p
+		next[g]++
+	}
+	return f
+}
+
+// of returns group g's filter positions.
+func (f feed) of(g int) []int { return f.at[f.pos[g]:f.pos[g+1]] }
+
+// Accumulate compiles the template set for the schedule — the one-pass
 // replacement for k independent EvalAll scans. Templates with identical
-// filters share one job set or allocation timeline, and records are
-// partitioned by tenant once, so building the indexes of k templates
-// costs O(jobs + tasks + k) instead of O(k·(jobs + tasks)).
+// filters share one job or allocation filter, so a window of k templates
+// costs one pass over the records plus O(k), instead of O(k·(jobs +
+// tasks)). Accumulate itself reads no record: its cost is the template
+// count's alone.
 //
-// The accumulator borrows the schedule: it reads s.Jobs and s.Tasks in
-// place, during the call and again on every sub-window query, and never
-// writes them. It is valid exactly as long as those records are left
-// alone. EvalStream, its only production caller, evaluates and drops it
-// within one call, so what-if scoring is done with it before the Sim's
-// next run overwrites the schedule's records.
+// The accumulator borrows the schedule: every Values call reads s.Jobs
+// and s.Tasks in place, and never writes them. It is valid exactly as
+// long as those records are left alone. EvalStream, its only production
+// caller, evaluates and drops it within one call, so what-if scoring is
+// done with it before the Sim's next run overwrites the schedule's
+// records.
 func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
 	a := &Accumulator{jobs: s.Jobs, tasks: s.Tasks, capacity: s.Capacity, terms: make([]term, len(templates))}
-	jobsOf := byTenant(len(s.Jobs), func(i int) string { return s.Jobs[i].Tenant })
-	tasksOf := byTenant(len(s.Tasks), func(i int) string { return s.Tasks[i].Tenant })
 	setAt, lineAt := map[jobSetKey]int{}, map[utilKey]int{}
 	for i, t := range templates {
 		tm := term{metric: t.Metric, priority: t.Priority, share: t.DesiredShare}
@@ -96,14 +126,25 @@ func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
 		}
 		a.terms[i] = tm
 	}
-	a.sets = make([]jobSet, len(setAt))
+	a.sets = make([]jobSetKey, len(setAt))
 	for k, p := range setAt {
-		a.sets[p] = newJobSet(s.Jobs, jobsOf[k.tenant], k)
+		a.sets[p] = k
 	}
-	a.lines = make([]timeline, len(lineAt))
+	a.lines = make([]utilKey, len(lineAt))
 	for k, p := range lineAt {
-		a.lines[p] = newTimeline(s.Tasks, tasksOf[k.tenant], k)
+		a.lines[p] = k
 	}
+	a.group = map[string]int{"": 0}
+	setGroup := make([]int, len(a.sets))
+	for p, k := range a.sets {
+		setGroup[p] = intern(a.group, k.tenant)
+	}
+	lineGroup := make([]int, len(a.lines))
+	for p, k := range a.lines {
+		lineGroup[p] = intern(a.group, k.tenant)
+	}
+	a.setFeed = newFeed(setGroup, len(a.group))
+	a.lineFeed = newFeed(lineGroup, len(a.group))
 	return a
 }
 
@@ -118,17 +159,16 @@ func intern[K comparable](at map[K]int, k K) int {
 	return p
 }
 
-// streamCutover is the template count from which the incremental path
-// beats per-template rescans for a one-shot evaluation. The oracle pays k
-// record scans; the accumulator pays a near-constant indexing cost (one
-// pass partitioning the records by tenant and totalling each distinct
-// filter's records) plus a little per template — so the crossover is a
-// template count, not a record count. Measured by BenchmarkQSCutoverSweep
-// on the bench stress fixture (1509 tasks): the oracle leads up to k = 12,
-// the accumulator from 16 (1.07x there, ~5x at the fixture's own 173); at
-// 2 templates the oracle is 15x (stress) to 46x (medium) ahead.
+// streamCutover is the template count from which the accumulator beats
+// per-template rescans for a one-shot evaluation. The oracle pays k record
+// scans; the accumulator pays one pass over the records, feeding each to
+// its tenant's filters, plus a little per template — so the crossover is
+// a template count, not a record count. Measured by BenchmarkQSCutoverSweep
+// on the bench stress fixture (1509 tasks): the oracle leads at k = 4
+// (2.3x), the accumulator from 8 (1.9x there, ~8x at the fixture's own
+// 173); at 2 templates the oracle is 8x (stress) to 46x (medium) ahead.
 // EXPERIMENTS.md has the table; BenchmarkQSIncremental is the far end.
-const streamCutover = 16
+const streamCutover = 8
 
 // EvalStream evaluates every template over [from, to), picking the
 // cheaper evaluation path for the template count: per-template record
@@ -145,16 +185,38 @@ func EvalStream(templates []Template, s *cluster.Schedule, from, to time.Duratio
 
 // Values evaluates every template over the same window, producing the QS
 // vector f(x; w) in template order — the incremental counterpart of
-// EvalAll. Each distinct index is asked once, however many templates
-// read it.
+// EvalAll. It makes one record-order pass over the jobs and one over the
+// tasks: each in-window record feeds the all-tenants filters and its own
+// tenant's, and each template then reads its filters' sums.
 func (a *Accumulator) Values(from, to time.Duration) []float64 {
 	sets := make([]answer, len(a.sets))
-	for k := range a.sets {
-		sets[k] = a.sets[k].query(a.jobs, from, to)
+	for i := range a.jobs {
+		j := &a.jobs[i]
+		if !j.Completed || j.Submit < from || j.Submit >= to || j.Finish >= to {
+			continue
+		}
+		a.addJob(sets, 0, j)
+		if g := a.group[j.Tenant]; g > 0 {
+			a.addJob(sets, g, j)
+		}
 	}
 	fracs := make([]float64, len(a.lines))
-	for k := range a.lines {
-		fracs[k] = a.lines[k].usedFraction(a.tasks, from, to, a.capacity)
+	if length := to - from; length > 0 && a.capacity > 0 {
+		used := make([]int64, len(a.lines))
+		for i := range a.tasks {
+			t := &a.tasks[i]
+			w := min(t.End, to) - max(t.Start, from)
+			if w <= 0 {
+				continue
+			}
+			a.addTask(used, 0, t, w)
+			if g := a.group[t.Tenant]; g > 0 {
+				a.addTask(used, g, t, w)
+			}
+		}
+		for p, u := range used {
+			fracs[p] = float64(u) / (float64(length) * float64(a.capacity))
+		}
 	}
 	out := make([]float64, len(a.terms))
 	for i, t := range a.terms {
@@ -163,9 +225,29 @@ func (a *Accumulator) Values(from, to time.Duration) []float64 {
 	return out
 }
 
-// value combines the window's index answers into the term's QS value, in
-// the oracle's arithmetic (Template.Eval): sets holds each job set's
-// answer, fracs each timeline's used fraction.
+// addJob adds the in-window job j to the sums of group g's job filters.
+func (a *Accumulator) addJob(sets []answer, g int, j *cluster.JobRecord) {
+	for _, p := range a.setFeed.of(g) {
+		if v, ok := a.sets[p].payload(j); ok {
+			sets[p].n++
+			sets[p].sum += v
+		}
+	}
+}
+
+// addTask adds w, the in-window width of task t, to the integrals of
+// group g's allocation filters.
+func (a *Accumulator) addTask(used []int64, g int, t *cluster.TaskRecord, w time.Duration) {
+	for _, p := range a.lineFeed.of(g) {
+		if a.lines[p].member(t) {
+			used[p] += int64(w)
+		}
+	}
+}
+
+// value combines the window's filter sums into the term's QS value, in
+// the oracle's arithmetic (Template.Eval): sets holds each job filter's
+// answer, fracs each allocation filter's used fraction.
 func (t term) value(sets []answer, fracs []float64) float64 {
 	var v float64
 	switch t.metric {
@@ -188,7 +270,7 @@ func (t term) value(sets []answer, fracs []float64) float64 {
 	return t.priority * v
 }
 
-// jobSetKey identifies a shared job index: the tenant filter plus, for
+// jobSetKey identifies a shared job filter: the tenant ("" = all) plus, for
 // deadline metrics, the slack that fixes per-job violation flags.
 type jobSetKey struct {
 	tenant   string
@@ -196,13 +278,11 @@ type jobSetKey struct {
 	slack    float64
 }
 
-// payload reports whether j belongs to the key's job set — completed
-// jobs, restricted to deadline-carrying ones for deadline keys — and its
-// metric payload: response seconds, or a 0/1 violation flag.
+// payload reports whether j, a completed job of the key's tenant, belongs
+// to the key's job set — every such job, or the deadline-carrying ones
+// for deadline keys — and its metric payload: response seconds, or a 0/1
+// violation flag.
 func (k jobSetKey) payload(j *cluster.JobRecord) (float64, bool) {
-	if !j.Completed {
-		return 0, false
-	}
 	if !k.deadline {
 		return (j.Finish - j.Submit).Seconds(), true
 	}
@@ -219,7 +299,7 @@ func (k jobSetKey) payload(j *cluster.JobRecord) (float64, bool) {
 	return 0, true
 }
 
-// utilKey identifies a shared allocation timeline: tenant filter, task
+// utilKey identifies a shared allocation filter: tenant ("" = all), task
 // kind filter (-1 = all), and the effective-only restriction.
 type utilKey struct {
 	tenant        string
@@ -235,165 +315,11 @@ func utilKeyFor(tenant string, kind *workload.TaskKind, effectiveOnly bool) util
 	return k
 }
 
-// member reports whether t is in the key's task set. Zero-width (or
-// malformed) attempts contribute nothing in the oracle and are left out.
+// member reports whether t, a task of the key's tenant, is in the key's
+// task set.
 func (k utilKey) member(t *cluster.TaskRecord) bool {
 	if k.kind >= 0 && t.Kind != workload.TaskKind(k.kind) {
 		return false
 	}
-	if k.effectiveOnly && t.Outcome != cluster.TaskFinished {
-		return false
-	}
-	return t.End > t.Start
-}
-
-// byTenant partitions the record indexes [0, n) by tenant, each part in
-// record order; "" — the all-tenants filter — holds every index. Record
-// order matters: every answer sums in the order the oracle scans. Every
-// part is a window of one backing array: a counting pass looks each
-// record's tenant up once, and a placing pass fills the parts.
-func byTenant(n int, tenant func(i int) string) map[string][]int32 {
-	backing := make([]int32, 2*n)
-	all, rest := backing[:n:n], backing[n:]
-	number := map[string]int32{}
-	var names []string
-	var slot []int // per part: its size, then its next free index in rest
-	for i := range all {
-		all[i] = -1 // record i's part number until the placing pass
-		if t := tenant(i); t != "" {
-			p, ok := number[t]
-			if !ok {
-				p = int32(len(names))
-				number[t] = p
-				names = append(names, t)
-				slot = append(slot, 0)
-			}
-			all[i] = p
-			slot[p]++
-		}
-	}
-	parts := make(map[string][]int32, len(names)+1)
-	parts[""] = all
-	off := 0
-	for p, name := range names {
-		size := slot[p]
-		parts[name] = rest[off : off+size : off+size]
-		slot[p] = off
-		off += size
-	}
-	for i, p := range all {
-		if p >= 0 {
-			rest[slot[p]] = int32(i)
-			slot[p]++
-		}
-		all[i] = int32(i)
-	}
-	return parts
-}
-
-// jobSet answers "count and payload sum of the key's jobs with Submit ∈
-// [from, to) and Finish < to" — the half-open job-set predicate of §5 —
-// over one tenant's job records, which it reads in place.
-type jobSet struct {
-	key     jobSetKey
-	indexes []int32 // the tenant's jobs, in record order
-
-	// Whole-schedule totals over the members, summed in record order: the
-	// answer of every window containing them all.
-	total       answer
-	first, last time.Duration // earliest Submit; latest Submit or Finish
-}
-
-// newJobSet totals the key's job set among the tenant's records.
-func newJobSet(jobs []cluster.JobRecord, indexes []int32, key jobSetKey) jobSet {
-	s := jobSet{key: key, indexes: indexes}
-	for _, idx := range indexes {
-		j := &jobs[idx]
-		p, ok := key.payload(j)
-		if !ok {
-			continue
-		}
-		if s.total.n == 0 {
-			s.first, s.last = j.Submit, j.Submit
-		}
-		s.first = min(s.first, j.Submit)
-		s.last = max(s.last, j.Submit, j.Finish)
-		s.total.n++
-		s.total.sum += p
-	}
-	return s
-}
-
-// query answers the window from the totals when it contains every member,
-// and otherwise by one pass over the tenant's jobs in record order.
-func (s *jobSet) query(jobs []cluster.JobRecord, from, to time.Duration) answer {
-	if s.total.n == 0 || (from <= s.first && to > s.last) {
-		return s.total
-	}
-	var a answer
-	for _, idx := range s.indexes {
-		j := &jobs[idx]
-		if j.Submit < from || j.Submit >= to || j.Finish >= to {
-			continue
-		}
-		if p, ok := s.key.payload(j); ok {
-			a.n++
-			a.sum += p
-		}
-	}
-	return a
-}
-
-// timeline is the container allocation of the key's task filter over one
-// tenant's task records, which it reads in place.
-type timeline struct {
-	key     utilKey
-	indexes []int32 // the tenant's tasks, in record order
-
-	// Whole-schedule totals over the members (attempts of positive width,
-	// so a zero total means none): the exact container·nanosecond
-	// integral, and the span [first, last) it lies in.
-	total       int64
-	first, last time.Duration // earliest Start, latest End
-}
-
-// newTimeline totals the key's task set among the tenant's records.
-func newTimeline(tasks []cluster.TaskRecord, indexes []int32, key utilKey) timeline {
-	l := timeline{key: key, indexes: indexes}
-	for _, idx := range indexes {
-		t := &tasks[idx]
-		if !key.member(t) {
-			continue
-		}
-		if l.total == 0 {
-			l.first, l.last = t.Start, t.End
-		}
-		l.first = min(l.first, t.Start)
-		l.last = max(l.last, t.End)
-		l.total += int64(t.End - t.Start)
-	}
-	return l
-}
-
-// usedFraction mirrors the oracle's usedFraction: the fraction of the
-// window's total container capacity the filtered tasks occupied. A window
-// containing every member reads the total; any other sums the members'
-// widths clipped to [from, to) in integer nanoseconds, as the oracle
-// does, so the result is bit-identical to it for every window.
-func (l *timeline) usedFraction(tasks []cluster.TaskRecord, from, to time.Duration, capacity int) float64 {
-	length := to - from
-	if length <= 0 || capacity <= 0 {
-		return 0
-	}
-	used := l.total
-	if used > 0 && (from > l.first || to < l.last) {
-		used = 0
-		for _, idx := range l.indexes {
-			t := &tasks[idx]
-			if w := min(t.End, to) - max(t.Start, from); w > 0 && l.key.member(t) {
-				used += int64(w)
-			}
-		}
-	}
-	return float64(used) / (float64(length) * float64(capacity))
+	return !k.effectiveOnly || t.Outcome == cluster.TaskFinished
 }

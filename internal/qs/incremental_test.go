@@ -3,6 +3,7 @@ package qs
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -248,8 +249,8 @@ func TestAccumulatorConcurrentQueries(t *testing.T) {
 
 // TestAccumulateLeavesScheduleUntouched locks the borrowing contract from
 // the accumulator's side: it aliases the schedule's records, so building
-// it and querying whole and sub-windows (the latter scan the records
-// again) must not change one byte of them, nor what a repeated
+// it and querying whole and sub-windows (every query scans the records)
+// must not change one byte of them, nor what a repeated
 // whole-window query returns.
 func TestAccumulateLeavesScheduleUntouched(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -271,6 +272,44 @@ func TestAccumulateLeavesScheduleUntouched(t *testing.T) {
 		}
 		if !s.Equal(before) {
 			t.Fatalf("seed %d: schedule records changed under Accumulate and queries", seed)
+		}
+	}
+}
+
+// TestEvalStreamBytesFlatInRecords checks that the accumulator reads the
+// records in place: an EvalStream on the accumulator's side of the
+// cutover allocates the same bytes on a schedule and on one with ten
+// times its records, under the same tenants and templates, on whole and
+// clipped windows alike.
+func TestEvalStreamBytesFlatInRecords(t *testing.T) {
+	base := fuzzSchedule(1, 16, 40)
+	templates := allTemplates(rand.New(rand.NewSource(1)), []string{"a", "b", "c"})
+	if len(templates) < streamCutover {
+		t.Fatalf("%d templates, want at least streamCutover = %d", len(templates), streamCutover)
+	}
+	scaled := func(copies int) *cluster.Schedule {
+		s := &cluster.Schedule{Capacity: base.Capacity, Horizon: base.Horizon}
+		for i := 0; i < copies; i++ {
+			s.Jobs = append(s.Jobs, base.Jobs...)
+			s.Tasks = append(s.Tasks, base.Tasks...)
+		}
+		return s
+	}
+	bytes := func(s *cluster.Schedule, from, to time.Duration) uint64 {
+		const reps = 5
+		EvalStream(templates, s, from, to)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			EvalStream(templates, s, from, to)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / reps
+	}
+	one, ten := scaled(1), scaled(10)
+	for _, w := range [][2]time.Duration{{0, base.Horizon + time.Nanosecond}, {base.Horizon / 2, base.Horizon}} {
+		if b1, b10 := bytes(one, w[0], w[1]), bytes(ten, w[0], w[1]); b10 != b1 {
+			t.Errorf("window [%v, %v): %d bytes over 10× the records, %d over 1×", w[0], w[1], b10, b1)
 		}
 	}
 }

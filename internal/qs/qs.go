@@ -23,11 +23,11 @@
 //
 // Two evaluation paths compute the same metrics from the same records
 // (cluster.Schedule.Jobs / Tasks): Template.Eval / EvalAll scan every
-// record per template (the reference oracle), while Accumulate indexes the
-// records once per distinct filter and answers window queries from those
-// indexes: whole-schedule windows from totals, sub-windows by one scan of
-// the filter's tenant records. EvalStream picks between them by template
-// count. The two are bit-identical on every window.
+// record per template (the reference oracle), while Accumulate compiles
+// the templates into their distinct filters and answers any window in one
+// pass over the records, feeding each record to the filters of its tenant
+// and of all tenants. EvalStream picks between them by template count.
+// The two are bit-identical on every window.
 package qs
 
 import (

@@ -199,8 +199,11 @@ type Cluster struct {
 
 	// session is the cluster's live control loop. Ticks advance it in place
 	// (observe → log → apply: it never holds a tick the WAL does not); only
-	// rearm swaps the pointer, when it resumes from disk. Reads go through
-	// the atomic pointer and never queue behind an executing tick.
+	// rearm swaps the pointer, when it resumes from disk. Reads load the
+	// atomic pointer without taking mu, so they never wait for the tick's
+	// WAL append or fsync. Every Session read still takes Session.mu,
+	// which Observe and Apply each hold for their whole call, so a read
+	// can wait behind the simulation or the decision of an executing tick.
 	session atomic.Pointer[tempo.Session]
 
 	// mu serializes the tick (observe+append+apply), re-arm and deletion:

@@ -2,7 +2,10 @@
 
 package cluster
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // maxWarmRunAllocs bounds a warmed RunInto's heap allocations. What is
 // left is per run, not per event, task, job or tenant: the *Schedule,
@@ -15,9 +18,27 @@ const maxWarmRunAllocs = 8
 // Sim warmed by a kernelCases row, rerunning that row allocates a small
 // constant number of times, whatever its trace size, tenant count,
 // contention or noise, Detach adds exactly its two record copies, and
-// AppendDigest into a warmed buffer allocates nothing.
+// AppendDigest into a warmed buffer allocates nothing. The extra
+// "contended-certified" row keeps a hundred tenants waiting on twelve
+// containers with no preemption timeout, so every run logs thousands of
+// contended picks for its certificate: the log allocates nothing once
+// warmed, and Certificate adds exactly its three copies.
 func TestSimSteadyStateAllocs(t *testing.T) {
-	for _, kc := range kernelCases(t) {
+	hundred := kernelTrace(t, manyTenants(100, 0.3), time.Hour, 11)
+	contended := kernelCase{"contended-certified", hundred, kernelConfig(hundred, 12, func(i int) TenantConfig {
+		return TenantConfig{Weight: 1 + float64(i%4), MinShare: i % 3}
+	}), Options{}}
+	sm := NewSim()
+	if _, err := sm.RunInto(contended.trace, contended.cfg, contended.opts); err != nil {
+		t.Fatal(err)
+	}
+	if c := sm.Certificate(); c == nil || len(c.log) < 1000 {
+		t.Fatalf("%s: want a certificate with a long pick log, got %v", contended.name, c)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sm.Certificate() }); allocs != 3 {
+		t.Errorf("%s: Certificate allocates %.0f times, want 3", contended.name, allocs)
+	}
+	for _, kc := range append(kernelCases(t), contended) {
 		sm := NewSim()
 		run := func() {
 			if _, err := sm.RunInto(kc.trace, kc.cfg, kc.opts); err != nil {

@@ -512,7 +512,7 @@ func TestKernelStateNoscan(t *testing.T) {
 		fields []string
 	}{
 		{engine.Type, []string{"heap", "pos"}},
-		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "touched", "fair", "victims"}},
+		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "touched", "fair", "victims", "certLog"}},
 	} {
 		for _, name := range c.fields {
 			f, ok := c.owner.FieldByName(name)

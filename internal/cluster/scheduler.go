@@ -157,29 +157,72 @@ type tenantState struct {
 	starvedShareSince time.Duration
 	minCheckEv        int32
 	shareCheckEv      int32
+
+	// peak is the most containers the tenant has held at once, waitFrom
+	// when its pending deque last became non-empty, and longestWait the
+	// longest span it stayed non-empty, up to the last time it emptied:
+	// the run's certificate reads them (see Certificate).
+	peak        int
+	waitFrom    time.Duration
+	longestWait time.Duration
 }
 
 func (t *tenantState) demand() int { return t.running + t.pending.len() }
 
 // effMax returns the tenant's container ceiling.
-func (t *tenantState) effMax(capacity int) int {
-	if t.cfg.MaxShare <= 0 || t.cfg.MaxShare > capacity {
-		return capacity
-	}
-	return t.cfg.MaxShare
-}
+func (t *tenantState) effMax(capacity int) int { return t.cfg.effMax(capacity) }
 
 // minTarget is the containers the tenant is entitled to at the min-share
 // level right now: its floor, capped by demand.
-func (t *tenantState) minTarget(capacity int) int {
-	m := t.cfg.MinShare
-	if m > capacity {
-		m = capacity
+func (t *tenantState) minTarget(capacity int) int { return t.cfg.minTarget(t.demand(), capacity) }
+
+// effMax returns the container ceiling of a tenant under tc.
+func (tc *TenantConfig) effMax(capacity int) int {
+	if tc.MaxShare <= 0 || tc.MaxShare > capacity {
+		return capacity
 	}
-	if d := t.demand(); m > d {
-		m = d
+	return tc.MaxShare
+}
+
+// minTarget returns the min-share level entitlement of a tenant under tc
+// with the given demand: its floor, capped by demand and capacity.
+func (tc *TenantConfig) minTarget(demand, capacity int) int {
+	return min(tc.MinShare, capacity, demand)
+}
+
+// pickRank is a waiting tenant's standing in pickTenant's order.
+type pickRank struct {
+	belowMin    bool
+	key, weight float64
+}
+
+// rankTenant returns the standing of a waiting tenant under tc with the
+// given running count and demand, and false when its ceiling bars it from
+// another container. It and pickRank.before are the pick comparison: the
+// scheduler and Certificate.Covers both call them.
+//
+//tempo:hot
+func rankTenant(tc *TenantConfig, running, demand, capacity int) (pickRank, bool) {
+	if running >= tc.effMax(capacity) {
+		return pickRank{}, false
 	}
-	return m
+	if running < tc.minTarget(demand, capacity) {
+		return pickRank{true, float64(running) / float64(max(tc.MinShare, 1)), tc.Weight}, true
+	}
+	return pickRank{false, float64(running) / tc.Weight, tc.Weight}, true
+}
+
+// before reports whether a tenant standing at a is picked ahead of one at
+// b: below-min-share first, then the lower key, then on a key tie the
+// heavier weight.
+//
+//tempo:hot
+func (a pickRank) before(b pickRank) bool {
+	const eps = 1e-9
+	if a.belowMin != b.belowMin {
+		return a.belowMin
+	}
+	return a.key < b.key-eps || math.Abs(a.key-b.key) <= eps && a.weight > b.weight
 }
 
 // ws is one active tenant's state inside computeFairShares' water-filling.
@@ -236,6 +279,12 @@ type scheduler struct {
 	// tests and benchmark hold the skips to them.
 	passes, fills, visits int
 
+	// certOK reports whether the run still earns a certificate: it is
+	// noise-free and no preemption check has fired. While it holds,
+	// pickTenant logs its contended picks into certLog (see Certificate).
+	certOK  bool
+	certLog []int32
+
 	// Reused hot-loop buffers.
 	fair    []ws    // computeFairShares scratch
 	victims []int32 // killVictims scratch
@@ -261,6 +310,8 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 	s.unlocked = s.unlocked[:0]
 	s.waiting, s.open = 0, 0
 	s.passes, s.fills, s.visits = 0, 0, 0
+	s.certOK = opts.Noise == nil
+	s.certLog = s.certLog[:0]
 	s.schedule = &Schedule{
 		Capacity: cfg.TotalContainers,
 		Tasks:    s.tasksBuf[:0],
@@ -383,8 +434,10 @@ func (s *scheduler) step() bool {
 	case evKill:
 		s.killJob(now, arg)
 	case evMinCheck:
+		s.certOK = false
 		s.preemptCheck(now, arg, true)
 	case evShareCheck:
+		s.certOK = false
 		s.preemptCheck(now, arg, false)
 	}
 	return true
@@ -394,12 +447,15 @@ func (s *scheduler) step() bool {
 // or empty (!on).
 func (s *scheduler) setWaiting(i int32, on bool) {
 	bit := uint64(1) << (i & 63)
+	ts := &s.tenants[i]
 	if on {
 		s.waiting++
 		s.waitSet[i>>6] |= bit
+		ts.waitFrom = s.engine.Now()
 	} else {
 		s.waiting--
 		s.waitSet[i>>6] &^= bit
+		ts.longestWait = max(ts.longestWait, s.engine.Now()-ts.waitFrom)
 	}
 }
 
@@ -512,31 +568,39 @@ func (s *scheduler) assign(now time.Duration) {
 //tempo:hot
 func (s *scheduler) pickTenant() int32 {
 	best := int32(-1)
-	var bestBelowMin bool
-	var bestKey, bestWeight float64
-	const eps = 1e-9
+	var bestRank pickRank
+	// While the run earns a certificate, a pick with two or more tenants
+	// waiting is logged with every waiting tenant's state; a lone waiting
+	// tenant is logged only when it may not take a container (see
+	// Certificate).
+	var rows []int32
+	n := len(s.certLog)
+	if s.certOK && s.waiting >= 2 {
+		s.certLog = slices.Grow(s.certLog, 2+3*s.waiting)[:n+2+3*s.waiting]
+		s.certLog[n] = int32(s.waiting)
+		rows = s.certLog[n+2:]
+	}
+	k, last := 0, 0
 	for w, word := range s.waitSet {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			ts := &s.tenants[i]
-			if ts.running >= ts.effMax(s.capacity) {
-				continue
+			if rows != nil {
+				rows[k], rows[k+1], rows[k+2] = int32(i), int32(ts.running), int32(ts.demand())
+				k += 3
 			}
-			belowMin := ts.running < ts.minTarget(s.capacity)
-			var key float64
-			if belowMin {
-				key = float64(ts.running) / math.Max(float64(ts.cfg.MinShare), 1)
-			} else {
-				key = float64(ts.running) / ts.cfg.Weight
-			}
-			switch {
-			case best < 0,
-				belowMin && !bestBelowMin,
-				belowMin == bestBelowMin && key < bestKey-eps,
-				belowMin == bestBelowMin && math.Abs(key-bestKey) <= eps && ts.cfg.Weight > bestWeight:
-				best, bestBelowMin, bestKey, bestWeight = int32(i), belowMin, key, ts.cfg.Weight
+			last = i
+			if r, ok := rankTenant(&ts.cfg, ts.running, ts.demand(), s.capacity); ok && (best < 0 || r.before(bestRank)) {
+				best, bestRank = int32(i), r
 			}
 		}
+	}
+	switch {
+	case rows != nil:
+		s.certLog[n+1] = best
+	case s.certOK && best < 0:
+		ts := &s.tenants[last]
+		s.certLog = append(s.certLog, 1, -1, int32(last), int32(ts.running), int32(ts.demand()))
 	}
 	return best
 }
@@ -576,6 +640,7 @@ func (s *scheduler) launch(now time.Duration, tenant int32) {
 	rec.Outcome = TaskTruncated // finalized on completion
 	s.free--
 	ts.running++
+	ts.peak = max(ts.peak, ts.running)
 	ts.ranked = append(ts.ranked, r)
 	if jr.killEv != sim.NoEvent {
 		rt.nextOfJob = jr.running

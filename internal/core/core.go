@@ -23,8 +23,9 @@ import (
 
 // Model is the what-if interface the control loop drives: predict the QS
 // vector each candidate RM configuration would attain, in one call per
-// iteration. fresh[i] and reused[i] report how many predictor runs and
-// cross-tick cache hits candidate i cost; they feed SearchStats only,
+// iteration. fresh[i] and reused[i] report how many predictor runs
+// candidate i cost and how many runs were served without simulating
+// (cross-tick cache or certificate hits); they feed SearchStats only,
 // never the decision. *whatif.Model is the canonical implementation, with
 // every prediction bit-identical to an exhaustive EvaluateBatch row.
 type Model interface {
@@ -93,15 +94,19 @@ type SearchStats struct {
 	// FullyScored counts candidates that ran the predictor on at least one
 	// sample this iteration.
 	FullyScored int `json:"fully_scored"`
-	// WarmStarted counts candidates resolved entirely from the cross-tick
-	// cache — scored, but with zero simulations.
+	// WarmStarted counts candidates scored with zero simulations: every
+	// sample served by the cross-tick config tier or by a certificate.
 	WarmStarted int `json:"warm_started"`
 	// Pruned is always zero: the controller scores every candidate and no
 	// longer sets it, and snapshot.bin does not persist it. The field stays
 	// because benchmark tooling still reads it.
 	Pruned int `json:"pruned"`
-	// SimsRun and SimsReused count (candidate, sample) predictor runs and
-	// cache hits across the whole decision.
+	// SimsRun counts the (candidate, sample) pairs whose predictor ran,
+	// across the whole decision. SimsReused counts the pairs served
+	// without a run: config-tier hits, and pairs a stored certificate
+	// proves would schedule exactly as its run did (whatif's certificate
+	// tier). A schedule-tier hit still ran the predictor, so it counts as
+	// run.
 	SimsRun    int `json:"sims_run"`
 	SimsReused int `json:"sims_reused"`
 	// DecisionNanos is the wall-clock propose→score→select span, when the

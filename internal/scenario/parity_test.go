@@ -3,10 +3,12 @@ package scenario_test
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tempo/internal/cluster"
+	"tempo/internal/core"
 	"tempo/internal/pald"
 	"tempo/internal/scenario"
 )
@@ -67,5 +69,42 @@ func TestSearchParityExhaustiveVsIncremental(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSearchStatsAcrossParallelism: every committed controller-enabled
+// scenario reports the same search statistics on every tick with one
+// what-if worker and with four. The certificate tier serves pairs in two
+// waves; which pairs it serves, and so the reused and fresh counts, must
+// not depend on worker timing.
+func TestSearchStatsAcrossParallelism(t *testing.T) {
+	for _, path := range specPaths(t) {
+		spec, err := scenario.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Controller.Disabled {
+			continue
+		}
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".json"), func(t *testing.T) {
+			t.Parallel()
+			stats := func(parallelism int) []core.SearchStats {
+				rt, err := scenario.Build(spec, scenario.Options{Parallelism: parallelism})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []core.SearchStats
+				for i := 0; !rt.Done(); i++ {
+					if _, err := rt.Step(); err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, *rt.Search(i))
+				}
+				return out
+			}
+			if one, four := stats(1), stats(4); !reflect.DeepEqual(one, four) {
+				t.Errorf("search stats differ:\nparallelism 1: %+v\nparallelism 4: %+v", one, four)
+			}
+		})
 	}
 }

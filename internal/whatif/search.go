@@ -12,7 +12,7 @@ import (
 
 // One scoring engine. Evaluate, EvaluateBatch, Sensitivity and
 // EvaluateSearch all resolve their (configuration, sample) pairs through
-// Model.score, working against a searchState that holds two
+// Model.score, working against a searchState that holds three
 // exact-verified tiers per sample:
 //
 //   - a config tier keyed by configuration fingerprint (verified with
@@ -21,19 +21,28 @@ import (
 //     scored against an identical trace reuses the whole QS vector with
 //     no simulation at all — this is what makes warm-starting the
 //     incumbent free;
+//   - a certificate tier: the latest cluster.Certificate a run on the
+//     sample earned, with that run's QS vector. A configuration the
+//     certificate covers provably schedules the sample exactly as the
+//     certified run did, so it too is served with no simulation. PALD's
+//     candidates perturb a weight or a limit that often never binds: a
+//     weight no contended pick depends on, a max share above the peak;
 //   - a schedule tier keyed by the predicted schedule's digest
 //     (cluster.Sim.AppendDigest: pointer-free, lossless relative to the
-//     sample's trace, compared word for word): small configuration deltas
-//     frequently leave the predicted schedule unchanged (a weight tweak
-//     beyond the contention point, a max-share above demand), and distinct
-//     configurations that predict identical schedules share one QS
-//     derivation.
+//     sample's trace, compared word for word): distinct configurations
+//     that predict identical schedules share one QS derivation.
 //
-// Both serve the built-in predictor only; a custom Predictor is scored
-// for every pair. Neither tier subsumes the other — a config hit skips
-// the simulation, a schedule hit only the QS derivation — and both reuse
-// values only after an exact equality check, so reuse is bit-identical to
-// recomputation no matter which worker populated an entry first.
+// All three serve the built-in predictor only; a custom Predictor is
+// scored for every pair. A config or certificate hit skips the
+// simulation, a schedule hit only the QS derivation. The schedule tier
+// stays because certificates prove far from every equal schedule: a run
+// whose preemption check fired earns none, and a candidate whose timeout
+// does not exceed a pending span is refused though its checks may never
+// fire. On the benchmark's stress population the schedule tier still
+// catches about half of the simulations certificates leave (see
+// EXPERIMENTS.md). Every tier reuses values only after an exact check,
+// so reuse is bit-identical to recomputation no matter which worker
+// populated an entry first.
 //
 // The entry points differ only in the state's lifetime. EvaluateSearch
 // passes the model's own state, which remembers across ticks: the
@@ -76,15 +85,23 @@ type cfgCacheEntry struct {
 	vals []float64
 }
 
+// certEntry is the certificate tier's record: the latest certificate a
+// sample's simulations earned and the QS vector of its run.
+type certEntry struct {
+	cert *cluster.Certificate
+	vals []float64
+}
+
 // searchSample is one sample's slice of the search state.
 type searchSample struct {
 	trace *workload.Trace
 	sched []schedCacheEntry
 	cfgs  []cfgCacheEntry
+	cert  certEntry
 }
 
-// searchState is what the scoring engine works against: both tiers, per
-// sample. The mutex guards slice headers only; entries are immutable once
+// searchState is what the scoring engine works against: the three
+// tiers, per sample. The mutex guards slice headers only; entries are immutable once
 // appended, and eviction moves the survivors to a fresh array instead of
 // shifting them in place (see room), so a reader's unlocked snapshot is
 // never written through.
@@ -168,6 +185,22 @@ func (st *searchState) store(sample int, fp uint64, digest []uint64, vals []floa
 	sm.sched = append(room(sm.sched, maxSchedPerSample), schedCacheEntry{fp: fp, digest: digest, vals: vals})
 }
 
+// cert returns the sample's certificate-tier record, whose cert is nil
+// when the sample has none. Records are immutable once stored.
+func (st *searchState) cert(sample int) certEntry {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.samples[sample].cert
+}
+
+// storeCert makes cert, with its run's QS vector, the sample's
+// certificate-tier record.
+func (st *searchState) storeCert(sample int, cert *cluster.Certificate, vals []float64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.samples[sample].cert = certEntry{cert: cert, vals: vals}
+}
+
 // lookupConfig returns the cached per-sample QS vector for an exactly
 // equal configuration, or nil. Called serially by score, never from
 // workers.
@@ -198,8 +231,8 @@ func (st *searchState) storeConfig(sample int, fp uint64, cfg cluster.Config, va
 // earlier call is served from the config tier without simulating.
 //
 // fresh[i] counts the samples whose predictor actually ran for cfgs[i];
-// reused[i] counts config-tier hits (no simulation at all). A warm-
-// started candidate has fresh[i] == 0.
+// reused[i] counts config-tier and certificate hits (no simulation at
+// all). A warm-started candidate has fresh[i] == 0.
 //
 // The model's search state is only touched by this method. Calls on the
 // same Model must not be concurrent (the control loop serializes
@@ -232,7 +265,7 @@ func (m *Model) evaluate(st *searchState, cfgs []cluster.Config) (preds [][]floa
 // score is the only place a (configuration, sample) pair is resolved. It
 // returns the per-sample QS vectors indexed by cfg*samples + sample, with
 // fresh[c] counting the pairs of cfgs[c] whose predictor ran and
-// reused[c] its config-tier hits.
+// reused[c] its config-tier and certificate hits.
 //
 // The S sample traces are generated exactly once, up front, and shared
 // (read-only) by all C candidates. Errors are deterministic and
@@ -268,10 +301,10 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 	}
 	st.reconcile(len(m.Templates), m.Horizon, traces)
 
-	// Both tiers only apply to the built-in predictor, whose output is a
+	// The tiers only apply to the built-in predictor, whose output is a
 	// pure function of (trace, configuration, horizon) and whose Sim
-	// digests its schedules; a custom Predict is an opaque function we
-	// must call, and score, per (config, sample) pair.
+	// digests and certifies its schedules; a custom Predict is an opaque
+	// function we must call, and score, per (config, sample) pair.
 	cacheable := m.Predict == nil
 	fps := make([]uint64, len(cfgs))
 	if cacheable {
@@ -281,9 +314,10 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 	}
 
 	// Config-tier lookups first (serial, so fresh/reused counts are
-	// deterministic), then one fan-out over the missing pairs — every pair
-	// runs even if one fails, so the winning error is the lowest pending
-	// position's — then config-tier stores in deterministic pair order.
+	// deterministic), then the missing pairs in two fan-outs — every pair
+	// resolves even if one fails, so the winning error is the lowest
+	// pending position's — then config-tier stores in deterministic pair
+	// order.
 	var pending []int
 	for c := range cfgs {
 		for s := 0; s < samples; s++ {
@@ -302,24 +336,83 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 		return vals, fresh, reused, nil // fully warm: no worker, no pooled Sim drawn
 	}
 	errs := make([]error, len(pending))
-	// With the built-in predictor each worker runs its pairs through a
-	// pooled Scratch; custom predictors manage their own storage.
-	runIndexedScratch(workersFor(m.Parallelism, len(pending)), len(pending), cacheable, func(pi int, sc *Scratch) {
-		idx := pending[pi]
-		vals[idx], errs[pi] = m.evalSample(st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-	})
+	served := make([]bool, len(pending))
+	// Two waves: each sample's first pending pair, then the rest. A pair
+	// its sample's certificate covers takes the certified run's vector;
+	// the others simulate. A first-wave run stores the certificate it
+	// earns, so the second wave sees it. A first wave holds one pair per
+	// sample, so no two of its workers store to, or read, one sample's
+	// record, and which pairs a certificate serves never depends on worker
+	// timing. A custom predictor earns no certificates, so its pairs form
+	// one wave. With the built-in predictor each worker runs its pairs
+	// through a pooled Scratch; custom predictors manage their own storage.
+	first, rest := waves(pending, samples, cacheable)
+	for w, wave := range [][]int{first, rest} {
+		if len(wave) == 0 {
+			continue
+		}
+		certify := w == 0
+		runIndexedScratch(workersFor(m.Parallelism, len(wave)), len(wave), cacheable, func(k int, sc *Scratch) {
+			pi := wave[k]
+			idx := pending[pi]
+			s, c := idx%samples, idx/samples
+			if e := st.cert(s); e.cert != nil && e.cert.Covers(cfgs[c]) {
+				vals[idx], served[pi] = e.vals, true
+				return
+			}
+			vals[idx], errs[pi] = m.evalSample(st, sc, traces[s], cfgs[c], s)
+			if certify && errs[pi] == nil {
+				if cert := sc.sim.Certificate(); cert != nil {
+					st.storeCert(s, cert, vals[idx])
+				}
+			}
+		})
+	}
 	for pi, err := range errs {
 		if err != nil {
 			return nil, nil, nil, wrap(pending[pi]/samples, err)
 		}
 	}
-	for _, idx := range pending {
-		fresh[idx/samples]++
+	for pi, idx := range pending {
+		if served[pi] {
+			reused[idx/samples]++
+		} else {
+			fresh[idx/samples]++
+		}
 		if cacheable {
 			st.storeConfig(idx%samples, fps[idx/samples], cfgs[idx/samples], vals[idx])
 		}
 	}
 	return vals, fresh, reused, nil
+}
+
+// waves splits the pending pairs (positions into pending) into the two
+// waves score resolves them in, both in pair order: each sample's first
+// pending pair, and the rest. Without the built-in predictor every pair
+// is in the rest.
+func waves(pending []int, samples int, cacheable bool) (first, rest []int) {
+	order := make([]int, 0, len(pending))
+	// firstOf is the position of each sample's first pending pair, -1
+	// for none.
+	firstOf := make([]int, samples)
+	for s := range firstOf {
+		firstOf[s] = -1
+	}
+	if cacheable {
+		for pi, idx := range pending {
+			if s := idx % samples; firstOf[s] < 0 {
+				firstOf[s] = pi
+				order = append(order, pi)
+			}
+		}
+	}
+	n := len(order)
+	for pi, idx := range pending {
+		if firstOf[idx%samples] != pi {
+			order = append(order, pi)
+		}
+	}
+	return order[:n], order[n:]
 }
 
 // averageSamples reduces config c's per-sample rows in sample order; it

@@ -245,3 +245,58 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 		}
 	}
 }
+
+// TestCertificateTierAcrossParallelism scores candidate sets, most of
+// them covered by a certificate, at one worker and at four: every
+// EvaluateSearch row, fresh count and reused count must agree, cold and
+// warm, and every row, EvaluateBatch's too, match the oracle. The first call starts cold, so its reused pairs are
+// certificate hits, and there must be some.
+func TestCertificateTierAcrossParallelism(t *testing.T) {
+	mk := func(capacity int, wA, wB float64, maxA int, timeout time.Duration) cluster.Config {
+		return cluster.Config{TotalContainers: capacity, Tenants: map[string]cluster.TenantConfig{
+			"a": {Weight: wA, MaxShare: maxA, SharePreemptTimeout: timeout},
+			"b": {Weight: wB},
+		}}
+	}
+	calls := [][]cluster.Config{
+		{mk(4, 1, 1, 0, 0), mk(4, 2, 2, 0, 0), mk(4, 1, 1, 4, 0), mk(4, 1, 1, 0, 24*time.Hour), mk(4, 1, 5, 0, 0), mk(5, 1, 1, 0, 0)},
+		{mk(4, 1, 1, 0, 0), mk(4, 3, 3, 0, 0), mk(4, 5, 1, 0, 0), mk(4, 1, 1, 1, 0)},
+	}
+	run := func(parallelism int) (fresh, reused [][]int) {
+		m, err := FromProfiles([]qs.Template{
+			{Queue: "a", Metric: qs.AvgResponseTime},
+			{Queue: "b", Metric: qs.Throughput},
+		}, fuzzProfiles(), time.Hour, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Samples, m.Parallelism = 3, parallelism
+		for _, cfgs := range calls {
+			p, f, r, err := m.EvaluateSearch(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := m.EvaluateBatch(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleScores(t, m, cfgs); !reflect.DeepEqual(p, want) || !reflect.DeepEqual(batch, want) {
+				t.Fatalf("parallelism %d: search %v, batch %v, oracle %v", parallelism, p, batch, want)
+			}
+			fresh, reused = append(fresh, f), append(reused, r)
+		}
+		return fresh, reused
+	}
+	fresh1, reused1 := run(1)
+	fresh4, reused4 := run(4)
+	if !reflect.DeepEqual(fresh1, fresh4) || !reflect.DeepEqual(reused1, reused4) {
+		t.Fatalf("counts differ: parallelism 1 fresh %v reused %v, parallelism 4 fresh %v reused %v", fresh1, reused1, fresh4, reused4)
+	}
+	hits := 0
+	for _, r := range reused1[0] {
+		hits += r
+	}
+	if hits == 0 {
+		t.Errorf("the cold call served no pair from a certificate: fresh %v", fresh1[0])
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,6 +98,9 @@ type Session struct {
 	mu          sync.Mutex
 	rt          *scenario.Runtime
 	parallelism int
+	// objectives names the QS vector's components; templates are fixed
+	// for a session's life.
+	objectives []string
 
 	// model is the lazily built What-if Model serving WhatIf queries; it is
 	// deliberately distinct from the controller's own model so probe
@@ -112,7 +116,16 @@ func NewSession(spec *Scenario, opts ScenarioOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{rt: rt, parallelism: opts.Parallelism}, nil
+	return newSession(rt, opts), nil
+}
+
+// newSession wraps a built or resumed runtime.
+func newSession(rt *scenario.Runtime, opts ScenarioOptions) *Session {
+	names := make([]string, len(rt.Templates))
+	for i, t := range rt.Templates {
+		names[i] = t.Name()
+	}
+	return &Session{rt: rt, parallelism: opts.Parallelism, objectives: names}
 }
 
 // ResumeSession rebuilds a session mid-scenario from its durable state:
@@ -126,7 +139,7 @@ func ResumeSession(spec *Scenario, opts ScenarioOptions, snap *SessionSnapshot, 
 	if err != nil {
 		return nil, err
 	}
-	return &Session{rt: rt, parallelism: opts.Parallelism}, nil
+	return newSession(rt, opts), nil
 }
 
 // Spec returns the scenario the session was built from.
@@ -370,11 +383,6 @@ func (s *Session) WhatIf(cfgs []ClusterConfig) ([][]float64, error) {
 	return s.model.EvaluateBatch(cfgs)
 }
 
-// Objectives names the session's QS vector components, in order.
-func (s *Session) Objectives() []string {
-	names := make([]string, 0, len(s.rt.Templates))
-	for _, t := range s.rt.Templates {
-		names = append(names, t.Name())
-	}
-	return names
-}
+// Objectives names the session's QS vector components, in order. The
+// result is the caller's own copy.
+func (s *Session) Objectives() []string { return slices.Clone(s.objectives) }

@@ -2,6 +2,7 @@ package tempo_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -325,6 +326,32 @@ func TestSessionQSCopies(t *testing.T) {
 		if !sameBits(rep.Iterations[i].Observed, orig[i]) {
 			t.Fatalf("interval %d: report Observed after a caller write is %v, want %v", i, rep.Iterations[i].Observed, orig[i])
 		}
+	}
+}
+
+// TestSessionObjectivesCopies checks that Objectives names every SLO in
+// spec order, and that the names belong to the caller: writing into one
+// answer does not change the next.
+func TestSessionObjectivesCopies(t *testing.T) {
+	spec := newSessionSpec(t)
+	sess, err := tempo.NewSession(spec, tempo.ScenarioOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := sess.Objectives()
+	slos := sess.SLOPlan().Ops[0].SLOs
+	if len(names) != len(spec.SLOs) || len(names) != len(slos) {
+		t.Fatalf("%d objectives for %d SLOs", len(names), len(spec.SLOs))
+	}
+	for i, tmpl := range slos {
+		if names[i] != tmpl.Name() {
+			t.Errorf("objective %d is %q, want %q", i, names[i], tmpl.Name())
+		}
+	}
+	want := slices.Clone(names)
+	names[0] = "overwritten"
+	if again := sess.Objectives(); !slices.Equal(again, want) {
+		t.Fatalf("Objectives after a caller write = %v, want %v", again, want)
 	}
 }
 

@@ -174,7 +174,7 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 		}
 	})
 	checkCeiling(b, "allocs_per_op", allocs, 117)
-	checkCeiling(b, "bytes_per_op", bytes, 151_950)
+	checkCeiling(b, "bytes_per_op", bytes, 32_194)
 	checkCeiling(b, "allocs_per_op_unpooled", allocsUnpooled, 1_565)
 	checkCeiling(b, "bytes_per_op_unpooled", bytesUnpooled, 4_001_247)
 	if reduction := allocsUnpooled / math.Max(allocs, 1); reduction < 10 {

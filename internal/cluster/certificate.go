@@ -33,7 +33,7 @@ import (
 //   - Every logged pick, replayed through the scheduler's own pick
 //     comparison (rankTenant and pickRank.before), has the same outcome.
 //
-// Under such a configuration the run's schedule, digest and QS vector
+// Under such a configuration the run's schedule and QS vector
 // are the certified run's. A certificate speaks for the trace and the
 // Options (the horizon) of its run only. It owns its storage and is
 // never written after Sim.Certificate returns it, so Covers is safe for

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -21,25 +20,27 @@ func certTrace() *workload.Trace {
 }
 
 // certified runs the trace under cfg and returns the run's certificate
-// and digest.
-func certified(t *testing.T, sm *Sim, tr *workload.Trace, cfg Config, opts Options) (*Certificate, []uint64) {
+// and its schedule, Detached so the next run leaves it as it is.
+func certified(t *testing.T, sm *Sim, tr *workload.Trace, cfg Config, opts Options) (*Certificate, *Schedule) {
 	t.Helper()
-	if _, err := sm.RunInto(tr, cfg, opts); err != nil {
+	sched, err := sm.RunInto(tr, cfg, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := sm.AppendDigest(nil)
-	return sm.Certificate(), d
+	cert := sm.Certificate()
+	sm.Detach()
+	return cert, sched
 }
 
 // TestCertificateRules checks each of Covers' rules on both sides of its
 // boundary, and the runs that earn no certificate. Every configuration
-// the certificate covers is simulated: its digest must be the certified
-// run's.
+// the certificate covers is simulated: its schedule must Equal the
+// certified run's.
 func TestCertificateRules(t *testing.T) {
 	tr := certTrace()
 	base := cfg2(4, TenantConfig{Weight: 1}, TenantConfig{Weight: 1})
 	sm := NewSim()
-	cert, digest := certified(t, sm, tr, base, Options{})
+	cert, want := certified(t, sm, tr, base, Options{})
 	if cert == nil {
 		t.Fatal("a noise-free run without preemption timeouts earned no certificate")
 	}
@@ -84,7 +85,7 @@ func TestCertificateRules(t *testing.T) {
 			continue
 		}
 		if row.covers {
-			if _, d := certified(t, sm, tr, row.cfg, Options{}); !slices.Equal(d, digest) {
+			if _, got := certified(t, sm, tr, row.cfg, Options{}); !got.Equal(want) {
 				t.Errorf("%s: covered, but its schedule differs from the certified one", row.name)
 			}
 		}
@@ -101,7 +102,9 @@ func TestCertificateRules(t *testing.T) {
 	if _, err := sm.RunInto(tr, Config{}, Options{}); err == nil || sm.Certificate() != nil {
 		t.Errorf("a failed run (err %v) left a certificate", err)
 	}
-	certified(t, sm, tr, base, Options{})
+	if _, err := sm.RunInto(tr, base, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	sm.Detach()
 	if sm.Certificate() != nil {
 		t.Error("a certificate after Detach")
@@ -111,7 +114,7 @@ func TestCertificateRules(t *testing.T) {
 // checkCertificate runs a random scenario (randomScenario's generator)
 // under a configuration without short timeouts, then runs every variant
 // of it that the run's certificate covers: each must reproduce the
-// certified digest. contended sets a capacity below the trace's demand,
+// certified schedule. contended sets a capacity below the trace's demand,
 // otherwise nothing ever waits; horizon cuts the runs short. It returns
 // how many variants the certificate covered and refused.
 func checkCertificate(t *testing.T, seed int64, contended, horizon bool) (covered, refused int) {
@@ -141,7 +144,7 @@ func checkCertificate(t *testing.T, seed int64, contended, horizon bool) (covere
 		opts.Horizon = 8 * time.Minute
 	}
 	sm := NewSim()
-	cert, digest := certified(t, sm, tr, cfg, opts)
+	cert, want := certified(t, sm, tr, cfg, opts)
 	if cert == nil {
 		return 0, 0
 	}
@@ -180,7 +183,7 @@ func checkCertificate(t *testing.T, seed int64, contended, horizon bool) (covere
 			continue
 		}
 		covered++
-		if _, d := certified(t, sm, tr, variant, opts); !slices.Equal(d, digest) {
+		if _, got := certified(t, sm, tr, variant, opts); !got.Equal(want) {
 			t.Fatalf("seed %d: the certificate covers %+v, whose schedule differs from the certified run's %+v", seed, variant, cfg)
 		}
 	}

@@ -222,9 +222,9 @@ func sortedIndexInto(idx []int32, less func(i, j int32) bool) []int32 {
 }
 
 // FNV-1a's 64-bit parameters, but a whole word absorbed per multiply where
-// FNV-1a absorbs a byte: Config's fingerprint and Sim.AppendDigest's hash
-// are in-process pre-filters, persisted nowhere and always verified
-// exactly, so only speed and sensitivity to every field matter.
+// FNV-1a absorbs a byte: Config's fingerprint is an in-process
+// pre-filter, persisted nowhere and always verified exactly, so only
+// speed and sensitivity to every field matter.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -248,9 +248,7 @@ func fnvString(h uint64, s string) uint64 {
 	return fnvUint64(h, tail)
 }
 
-// Equal reports whether two schedules have identical record views. Two
-// runs of one trace have Equal schedules exactly when their
-// Sim.AppendDigest digests are equal.
+// Equal reports whether two schedules have identical record views.
 func (s *Schedule) Equal(o *Schedule) bool {
 	if s == nil || o == nil {
 		return s == o

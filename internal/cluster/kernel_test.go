@@ -157,8 +157,7 @@ func kernelCases(tb testing.TB) []kernelCase {
 }
 
 // scheduleDigest is sha256 over a fixed text rendering of the schedule's
-// header and canonical event stream. It deliberately does not go through
-// AppendDigest, whose encoding is free to change.
+// header and canonical event stream.
 func scheduleDigest(s *Schedule) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "capacity=%d horizon=%d jobs=%d tasks=%d\n", s.Capacity, s.Horizon, len(s.Jobs), len(s.Tasks))
@@ -258,11 +257,11 @@ func TestKernelSubmitOrder(t *testing.T) {
 	}
 }
 
-// digestVariants returns configurations to run one table row under: the
+// configVariants returns configurations to run one table row under: the
 // row's own, the same again, one with every unset max-share raised to
 // the capacity (the same ceiling, so the same schedule), one with a
 // container fewer, and one with the first tenant's weight doubled.
-func digestVariants(cfg Config) []Config {
+func configVariants(cfg Config) []Config {
 	capped, fewer, heavier := cfg.Clone(), cfg.Clone(), cfg.Clone()
 	for name, tc := range capped.Tenants {
 		if tc.MaxShare == 0 && tc.MinShare <= cfg.TotalContainers {
@@ -284,56 +283,42 @@ func digestVariants(cfg Config) []Config {
 	return []Config{cfg, cfg, capped, fewer, heavier}
 }
 
-// TestScheduleDigestExact holds AppendDigest to its contract on every
-// table row: for runs of one trace, equal digests exactly when the
-// schedules are Equal, with equal hashes; four words per task and two
-// per job after a four-word header; and a one-field change of any
-// encoded task or job field, or of a task's job, changes the digest.
-func TestScheduleDigestExact(t *testing.T) {
+// TestScheduleEqualExact holds Schedule.Equal, which certificate tests
+// compare runs with, to its contract on every table row: two
+// configurations that run the same schedule compare Equal, including two
+// distinct ones on some row, and a one-field change of any task or job
+// record, or of the header, makes the schedules differ.
+func TestScheduleEqualExact(t *testing.T) {
 	sm := NewSim()
 	equalPairs := 0
 	for _, kc := range kernelCases(t) {
-		var digests [][]uint64
-		var hashes []uint64
 		var scheds []*Schedule
-		for _, cfg := range digestVariants(kc.cfg) {
+		for _, cfg := range configVariants(kc.cfg) {
 			s, err := sm.RunInto(kc.trace, cfg, kc.opts)
 			if err != nil {
 				t.Fatalf("%s: %v", kc.name, err)
 			}
-			d, h := sm.AppendDigest(nil)
-			if want := 4 + 2*len(s.Jobs) + 4*len(s.Tasks); len(d) != want {
-				t.Fatalf("%s: digest holds %d words, want %d", kc.name, len(d), want)
-			}
 			sm.Detach()
-			digests, hashes, scheds = append(digests, d), append(hashes, h), append(scheds, s)
+			scheds = append(scheds, s)
 		}
-		for i := range scheds {
+		if !scheds[0].Equal(scheds[1]) {
+			t.Errorf("%s: two runs of one configuration are not Equal", kc.name)
+		}
+		for i := 2; i < len(scheds); i++ {
 			for j := i + 1; j < len(scheds); j++ {
-				eq := slices.Equal(digests[i], digests[j])
-				if eq != scheds[i].Equal(scheds[j]) {
-					t.Errorf("%s: variants %d and %d: digests equal %t, schedules equal %t", kc.name, i, j, eq, !eq)
-				}
-				if eq && hashes[i] != hashes[j] {
-					t.Errorf("%s: variants %d and %d: equal digests, hashes %x and %x", kc.name, i, j, hashes[i], hashes[j])
-				}
-				if eq && j > 1 {
+				if scheds[i].Equal(scheds[j]) {
 					equalPairs++ // two distinct configurations, one schedule
 				}
 			}
 		}
 
-		s, err := sm.RunInto(kc.trace, kc.cfg, kc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, _ := sm.AppendDigest(nil)
+		s, base := scheds[0], scheds[1]
 		changed := func(what string, i int, mutate, undo func()) {
 			mutate()
-			d, _ := sm.AppendDigest(nil)
+			eq := s.Equal(base)
 			undo()
-			if slices.Equal(d, base) {
-				t.Errorf("%s: changing the %s (record %d) leaves the digest unchanged", kc.name, what, i)
+			if eq {
+				t.Errorf("%s: changing the %s (record %d) leaves the schedules Equal", kc.name, what, i)
 			}
 		}
 		for _, i := range []int{0, len(s.Tasks) / 2, len(s.Tasks) - 1} {
@@ -346,11 +331,8 @@ func TestScheduleDigestExact(t *testing.T) {
 			changed("task attempt", i, func() { r.Attempt++ }, func() { r.Attempt-- })
 			changed("task outcome", i, func() { r.Outcome ^= 1 }, func() { r.Outcome ^= 1 })
 			changed("task kind", i, func() { r.Kind++ }, func() { r.Kind-- })
-			if len(s.Jobs) > 1 {
-				tk := &sm.s.tasks[sm.s.runs[i].task]
-				job := tk.job
-				changed("task job", i, func() { tk.job = (job + 1) % int32(len(s.Jobs)) }, func() { tk.job = job })
-			}
+			job := r.JobID
+			changed("task job", i, func() { r.JobID += "'" }, func() { r.JobID = job })
 		}
 		for _, i := range []int{0, len(s.Jobs) / 2, len(s.Jobs) - 1} {
 			if i < 0 {
@@ -363,18 +345,12 @@ func TestScheduleDigestExact(t *testing.T) {
 		}
 		changed("capacity", 0, func() { s.Capacity++ }, func() { s.Capacity-- })
 		changed("horizon", 0, func() { s.Horizon++ }, func() { s.Horizon-- })
-		if d, _ := sm.AppendDigest(nil); !slices.Equal(d, base) {
-			t.Fatalf("%s: digest differs after the mutations were undone", kc.name)
+		if !s.Equal(base) {
+			t.Fatalf("%s: schedules differ after the mutations were undone", kc.name)
 		}
 	}
 	if equalPairs == 0 {
 		t.Error("no two distinct configurations of any row ran the same schedule: the equal side of the contract went untested")
-	}
-
-	// Nothing to digest after a Detach or a failed run.
-	sm.Detach()
-	if d, h := sm.AppendDigest([]uint64{7}); len(d) != 1 || h != 0 {
-		t.Errorf("after Detach: AppendDigest appended %d words, hash %x", len(d)-1, h)
 	}
 }
 
@@ -565,11 +541,8 @@ func fewestAllocs(runs int, fn func()) uint64 {
 	return fewest
 }
 
-// Sinks keep the benchmarked calls from being optimised away.
-var (
-	kernelSink *Schedule
-	kernelHash uint64
-)
+// kernelSink keeps the benchmarked runs from being optimised away.
+var kernelSink *Schedule
 
 // BenchmarkSchedulerKernel prices one dispatched event of the scheduler
 // kernel as the tenant count grows, with capacity above total demand (the
@@ -595,12 +568,12 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 		tr := kernelTrace(b, manyTenants(pop.n, pop.scale), pop.horizon, 21)
 		demand := peakDemand(b, tr)
 		for _, load := range []struct {
-			name           string
-			capacity       int
-			detach, digest bool
+			name     string
+			capacity int
+			detach   bool
 		}{
-			{"capacity=above", demand + 1, false, false}, {"capacity=quarter", demand/4 + 1, false, false},
-			{"detach", demand + 1, true, false}, {"digest", demand + 1, false, true},
+			{"capacity=above", demand + 1, false}, {"capacity=quarter", demand/4 + 1, false},
+			{"detach", demand + 1, true},
 		} {
 			cfg := kernelConfig(tr, load.capacity, func(i int) TenantConfig {
 				return TenantConfig{Weight: 1 + float64(i%3), MinShare: 1, MinSharePreemptTimeout: time.Minute, SharePreemptTimeout: 5 * time.Minute}
@@ -613,7 +586,6 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 				if _, err := sm.RunInto(tr, cfg, Options{}); err != nil {
 					b.Fatal(err)
 				}
-				digest, _ := sm.AppendDigest(nil)
 				run := func() {
 					s, err := sm.RunInto(tr, cfg, Options{})
 					if err != nil {
@@ -621,9 +593,6 @@ func BenchmarkSchedulerKernel(b *testing.B) {
 					}
 					if load.detach {
 						sm.Detach()
-					}
-					if load.digest {
-						digest, kernelHash = sm.AppendDigest(digest[:0])
 					}
 					kernelSink = s
 				}

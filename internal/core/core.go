@@ -105,8 +105,7 @@ type SearchStats struct {
 	// across the whole decision. SimsReused counts the pairs served
 	// without a run: config-tier hits, and pairs a stored certificate
 	// proves would schedule exactly as its run did (whatif's certificate
-	// tier). A schedule-tier hit still ran the predictor, so it counts as
-	// run.
+	// tier).
 	SimsRun    int `json:"sims_run"`
 	SimsReused int `json:"sims_reused"`
 	// DecisionNanos is the wall-clock propose→score→select span, when the
@@ -149,6 +148,9 @@ type Controller struct {
 	hasPrev      bool
 
 	targets []pald.Target
+	// slos is cfg.Templates compiled once, on the first Apply, for every
+	// observation.
+	slos *qs.Compiled
 	// scales hold one normalization constant per objective, frozen at the
 	// first observation. QS metrics have wildly different units (seconds
 	// for QS_AJR, fractions for QS_DL/QS_UTIL); every comparison and every
@@ -221,7 +223,10 @@ func (c *Controller) Targets() []pald.Target {
 // else advances the controller; live ticks apply a fresh observation,
 // crash recovery a logged one.
 func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
-	observed := qs.EvalStream(c.cfg.Templates, sched, 0, sched.Horizon+time.Nanosecond)
+	if c.slos == nil {
+		c.slos = qs.Compile(c.cfg.Templates)
+	}
+	observed := c.slos.Eval(sched, 0, sched.Horizon+time.Nanosecond)
 	it := Iteration{Index: c.steps, Config: c.current.Clone(), Observed: observed}
 	if c.scales == nil {
 		c.scales = make([]float64, len(observed))

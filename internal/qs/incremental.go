@@ -3,16 +3,17 @@
 // The oracle path (Template.Eval / EvalAll) recomputes each metric by
 // scanning every job and task record of the schedule, so evaluating k
 // templates costs O(k·(jobs+tasks)) — the dominant cost of what-if
-// candidate scoring once template counts grow with tenant counts. The
-// Accumulator in this file compiles the templates instead: one filter per
-// distinct job set or allocation timeline, shared by every template that
-// reads it, and a dispatch table from tenant to the filters its records
-// feed. Values(From, To) then answers a window in one record-order pass
-// over Schedule.Jobs and one over Schedule.Tasks, in place. Each record
-// passing the oracle's own predicate — a job counts iff it completed with
-// Submit ∈ [From, To) and Finish < To, a task by its width clipped to
-// [From, To) in integer nanoseconds — feeds the all-tenants filters and
-// its own tenant's, and each template combines its filters' sums.
+// candidate scoring once template counts grow with tenant counts. A plan
+// compiles the templates instead: one filter per distinct job set or
+// allocation timeline, shared by every template that reads it, and a
+// dispatch table from tenant to the filters its records feed. A plan
+// reads no schedule; it answers a window of whichever schedule it is
+// handed in one record-order pass over Schedule.Jobs and one over
+// Schedule.Tasks, in place. Each record passing the oracle's own
+// predicate — a job counts iff it completed with Submit ∈ [From, To) and
+// Finish < To, a task by its width clipped to [From, To) in integer
+// nanoseconds — feeds the all-tenants filters and its own tenant's, and
+// each template combines its filters' sums.
 //
 // Every filter sums its members in record order, as the oracle does, so
 // every value is bit-identical to the oracle on every window; EvalAll
@@ -22,23 +23,122 @@ package qs
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"tempo/internal/cluster"
 	"tempo/internal/workload"
 )
 
+// Compiled is a template set compiled once for any number of schedules:
+// it reads no schedule, and Eval evaluates whichever schedule it is
+// handed. The what-if scoring engine compiles its model's templates once
+// per model shape and its workers share the set; the controller compiles
+// its SLOs once for all its observations. Compile picks per-template
+// scans or the one-pass plan by template count (streamCutover), so every
+// consumer of a set evaluates it the same way. A Compiled is immutable
+// and safe for concurrent use.
+type Compiled struct {
+	templates []Template // Compile's own copy, TaskKind included
+	plan      *plan      // nil below streamCutover: Eval scans per template
+}
+
+// Compile compiles the templates. It copies them, TaskKind included, so
+// later changes to the caller's templates do not reach the set.
+func Compile(templates []Template) *Compiled {
+	owned := slices.Clone(templates)
+	for i, t := range owned {
+		if t.TaskKind != nil {
+			k := *t.TaskKind
+			owned[i].TaskKind = &k
+		}
+	}
+	return borrow(owned)
+}
+
+// borrow compiles templates without copying them: the set reads them
+// for as long as it is used.
+func borrow(templates []Template) *Compiled {
+	c := &Compiled{templates: templates}
+	if len(templates) >= streamCutover {
+		c.plan = compile(templates)
+	}
+	return c
+}
+
+// Matches reports whether templates are, by value with TaskKind
+// dereferenced, the set c was compiled from. A consumer that keeps a
+// Compiled for a template slice it does not own recompiles when they are
+// not.
+func (c *Compiled) Matches(templates []Template) bool {
+	return slices.EqualFunc(templates, c.templates, func(a, b Template) bool {
+		ka, kb := a.TaskKind, b.TaskKind
+		a.TaskKind, b.TaskKind = nil, nil
+		return a == b && (ka == kb || ka != nil && kb != nil && *ka == *kb)
+	})
+}
+
+// Eval evaluates every template over [from, to) of s, in template order.
+// It reads s's records in place and keeps nothing of s.
+func (c *Compiled) Eval(s *cluster.Schedule, from, to time.Duration) []float64 {
+	if c.plan == nil {
+		return EvalAll(c.templates, s, from, to)
+	}
+	return c.plan.values(s, from, to)
+}
+
+// streamCutover is the template count from which the one-pass plan beats
+// per-template rescans. The oracle pays k record scans; the plan pays one
+// pass over the records, feeding each to its tenant's filters, plus a
+// little per template — so the crossover is a template count, not a
+// record count. Measured by BenchmarkQSCutoverSweep on the bench stress
+// fixture (1509 tasks): the oracle leads at k = 4 (2.3x), the plan from 8
+// (1.9x there, ~8x at the fixture's own 173); at 2 templates the oracle
+// is 8x (stress) to 46x (medium) ahead. EXPERIMENTS.md has the table;
+// BenchmarkQSIncremental is the far end.
+const streamCutover = 8
+
+// EvalStream evaluates every template over [from, to) once: it compiles
+// the templates, borrowing rather than copying them, and evaluates the
+// set. Callers that evaluate the same templates again keep a Compiled
+// instead. Either path the set picks is bit-identical to the other on
+// every window.
+func EvalStream(templates []Template, s *cluster.Schedule, from, to time.Duration) []float64 {
+	return borrow(templates).Eval(s, from, to)
+}
+
 // Accumulator answers QS queries for a fixed template set over arbitrary
-// [From, To) windows of one schedule. Accumulate is its only constructor
-// and returns it complete and immutable: Values keeps no state between
-// calls and is safe for concurrent use.
+// [From, To) windows of one schedule, through the one-pass plan whatever
+// the template count. Accumulate is its only constructor and returns it
+// complete and immutable: Values keeps no state between calls and is
+// safe for concurrent use.
 type Accumulator struct {
-	jobs     []cluster.JobRecord  // the schedule's records, borrowed
-	tasks    []cluster.TaskRecord // the schedule's records, borrowed
-	capacity int
-	sets     []jobSetKey // the distinct job filters, in first-use order
-	lines    []utilKey   // the distinct allocation filters, in first-use order
-	terms    []term      // one per template
+	plan *plan
+	s    *cluster.Schedule // borrowed
+}
+
+// Accumulate compiles the template set into a plan bound to the
+// schedule. It reads no record: its cost is the template count's alone.
+//
+// The accumulator borrows the schedule: every Values call reads s.Jobs
+// and s.Tasks in place, and never writes them. It is valid exactly as
+// long as those records are left alone.
+func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
+	return &Accumulator{plan: compile(templates), s: s}
+}
+
+// Values evaluates every template over the same window, producing the QS
+// vector f(x; w) in template order — the incremental counterpart of
+// EvalAll.
+func (a *Accumulator) Values(from, to time.Duration) []float64 {
+	return a.plan.values(a.s, from, to)
+}
+
+// plan is a template set compiled into shared filters.
+type plan struct {
+	sets  []jobSetKey // the distinct job filters, in first-use order
+	lines []utilKey   // the distinct allocation filters, in first-use order
+	terms []term      // one per template
 
 	// The dispatch table. group numbers the tenants that own a filter
 	// from 1; group 0 holds the all-tenants filters, which every record
@@ -92,21 +192,11 @@ func newFeed(groupOf []int, groups int) feed {
 // of returns group g's filter positions.
 func (f feed) of(g int) []int { return f.at[f.pos[g]:f.pos[g+1]] }
 
-// Accumulate compiles the template set for the schedule — the one-pass
-// replacement for k independent EvalAll scans. Templates with identical
-// filters share one job or allocation filter, so a window of k templates
-// costs one pass over the records plus O(k), instead of O(k·(jobs +
-// tasks)). Accumulate itself reads no record: its cost is the template
-// count's alone.
-//
-// The accumulator borrows the schedule: every Values call reads s.Jobs
-// and s.Tasks in place, and never writes them. It is valid exactly as
-// long as those records are left alone. EvalStream, its only production
-// caller, evaluates and drops it within one call, so what-if scoring is
-// done with it before the Sim's next run overwrites the schedule's
-// records.
-func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
-	a := &Accumulator{jobs: s.Jobs, tasks: s.Tasks, capacity: s.Capacity, terms: make([]term, len(templates))}
+// compile builds the templates' plan. Templates with identical filters
+// share one job or allocation filter, so a window of k templates costs
+// one pass over the records plus O(k), instead of O(k·(jobs + tasks)).
+func compile(templates []Template) *plan {
+	p := &plan{terms: make([]term, len(templates))}
 	setAt, lineAt := map[jobSetKey]int{}, map[utilKey]int{}
 	for i, t := range templates {
 		tm := term{metric: t.Metric, priority: t.Priority, share: t.DesiredShare}
@@ -124,28 +214,28 @@ func Accumulate(templates []Template, s *cluster.Schedule) *Accumulator {
 			tm.in = intern(lineAt, utilKeyFor(t.Queue, nil, false))
 			tm.all = intern(lineAt, utilKeyFor("", nil, false))
 		}
-		a.terms[i] = tm
+		p.terms[i] = tm
 	}
-	a.sets = make([]jobSetKey, len(setAt))
-	for k, p := range setAt {
-		a.sets[p] = k
+	p.sets = make([]jobSetKey, len(setAt))
+	for k, at := range setAt {
+		p.sets[at] = k
 	}
-	a.lines = make([]utilKey, len(lineAt))
-	for k, p := range lineAt {
-		a.lines[p] = k
+	p.lines = make([]utilKey, len(lineAt))
+	for k, at := range lineAt {
+		p.lines[at] = k
 	}
-	a.group = map[string]int{"": 0}
-	setGroup := make([]int, len(a.sets))
-	for p, k := range a.sets {
-		setGroup[p] = intern(a.group, k.tenant)
+	p.group = map[string]int{"": 0}
+	setGroup := make([]int, len(p.sets))
+	for at, k := range p.sets {
+		setGroup[at] = intern(p.group, k.tenant)
 	}
-	lineGroup := make([]int, len(a.lines))
-	for p, k := range a.lines {
-		lineGroup[p] = intern(a.group, k.tenant)
+	lineGroup := make([]int, len(p.lines))
+	for at, k := range p.lines {
+		lineGroup[at] = intern(p.group, k.tenant)
 	}
-	a.setFeed = newFeed(setGroup, len(a.group))
-	a.lineFeed = newFeed(lineGroup, len(a.group))
-	return a
+	p.setFeed = newFeed(setGroup, len(p.group))
+	p.lineFeed = newFeed(lineGroup, len(p.group))
+	return p
 }
 
 // intern returns key k's position in at, numbering a new key next, so
@@ -159,88 +249,63 @@ func intern[K comparable](at map[K]int, k K) int {
 	return p
 }
 
-// streamCutover is the template count from which the accumulator beats
-// per-template rescans for a one-shot evaluation. The oracle pays k record
-// scans; the accumulator pays one pass over the records, feeding each to
-// its tenant's filters, plus a little per template — so the crossover is
-// a template count, not a record count. Measured by BenchmarkQSCutoverSweep
-// on the bench stress fixture (1509 tasks): the oracle leads at k = 4
-// (2.3x), the accumulator from 8 (1.9x there, ~8x at the fixture's own
-// 173); at 2 templates the oracle is 8x (stress) to 46x (medium) ahead.
-// EXPERIMENTS.md has the table; BenchmarkQSIncremental is the far end.
-const streamCutover = 8
-
-// EvalStream evaluates every template over [from, to), picking the
-// cheaper evaluation path for the template count: per-template record
-// scans for small SLO sets (the paper-scale shape), the one-pass
-// accumulator for large ones (the stress tier, where it is asymptotically
-// ahead). The choice is invisible in the results: the two paths are
-// bit-identical on every window.
-func EvalStream(templates []Template, s *cluster.Schedule, from, to time.Duration) []float64 {
-	if len(templates) < streamCutover {
-		return EvalAll(templates, s, from, to)
-	}
-	return Accumulate(templates, s).Values(from, to)
-}
-
-// Values evaluates every template over the same window, producing the QS
-// vector f(x; w) in template order — the incremental counterpart of
-// EvalAll. It makes one record-order pass over the jobs and one over the
-// tasks: each in-window record feeds the all-tenants filters and its own
-// tenant's, and each template then reads its filters' sums.
-func (a *Accumulator) Values(from, to time.Duration) []float64 {
-	sets := make([]answer, len(a.sets))
-	for i := range a.jobs {
-		j := &a.jobs[i]
+// values evaluates every template over [from, to) of s. It makes one
+// record-order pass over the jobs and one over the tasks: each in-window
+// record feeds the all-tenants filters and its own tenant's, and each
+// template then reads its filters' sums.
+func (p *plan) values(s *cluster.Schedule, from, to time.Duration) []float64 {
+	sets := make([]answer, len(p.sets))
+	for i := range s.Jobs {
+		j := &s.Jobs[i]
 		if !j.Completed || j.Submit < from || j.Submit >= to || j.Finish >= to {
 			continue
 		}
-		a.addJob(sets, 0, j)
-		if g := a.group[j.Tenant]; g > 0 {
-			a.addJob(sets, g, j)
+		p.addJob(sets, 0, j)
+		if g := p.group[j.Tenant]; g > 0 {
+			p.addJob(sets, g, j)
 		}
 	}
-	fracs := make([]float64, len(a.lines))
-	if length := to - from; length > 0 && a.capacity > 0 {
-		used := make([]int64, len(a.lines))
-		for i := range a.tasks {
-			t := &a.tasks[i]
+	fracs := make([]float64, len(p.lines))
+	if length := to - from; length > 0 && s.Capacity > 0 {
+		used := make([]int64, len(p.lines))
+		for i := range s.Tasks {
+			t := &s.Tasks[i]
 			w := min(t.End, to) - max(t.Start, from)
 			if w <= 0 {
 				continue
 			}
-			a.addTask(used, 0, t, w)
-			if g := a.group[t.Tenant]; g > 0 {
-				a.addTask(used, g, t, w)
+			p.addTask(used, 0, t, w)
+			if g := p.group[t.Tenant]; g > 0 {
+				p.addTask(used, g, t, w)
 			}
 		}
-		for p, u := range used {
-			fracs[p] = float64(u) / (float64(length) * float64(a.capacity))
+		for at, u := range used {
+			fracs[at] = float64(u) / (float64(length) * float64(s.Capacity))
 		}
 	}
-	out := make([]float64, len(a.terms))
-	for i, t := range a.terms {
+	out := make([]float64, len(p.terms))
+	for i, t := range p.terms {
 		out[i] = t.value(sets, fracs)
 	}
 	return out
 }
 
 // addJob adds the in-window job j to the sums of group g's job filters.
-func (a *Accumulator) addJob(sets []answer, g int, j *cluster.JobRecord) {
-	for _, p := range a.setFeed.of(g) {
-		if v, ok := a.sets[p].payload(j); ok {
-			sets[p].n++
-			sets[p].sum += v
+func (p *plan) addJob(sets []answer, g int, j *cluster.JobRecord) {
+	for _, at := range p.setFeed.of(g) {
+		if v, ok := p.sets[at].payload(j); ok {
+			sets[at].n++
+			sets[at].sum += v
 		}
 	}
 }
 
 // addTask adds w, the in-window width of task t, to the integrals of
 // group g's allocation filters.
-func (a *Accumulator) addTask(used []int64, g int, t *cluster.TaskRecord, w time.Duration) {
-	for _, p := range a.lineFeed.of(g) {
-		if a.lines[p].member(t) {
-			used[p] += int64(w)
+func (p *plan) addTask(used []int64, g int, t *cluster.TaskRecord, w time.Duration) {
+	for _, at := range p.lineFeed.of(g) {
+		if p.lines[at].member(t) {
+			used[at] += int64(w)
 		}
 	}
 }

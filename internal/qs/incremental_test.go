@@ -37,13 +37,36 @@ func allTemplates(rng *rand.Rand, tenants []string) []Template {
 	return templates
 }
 
+// sharedSets are compiled once for the whole package's tests and
+// evaluated by every checkWindow call, on whichever schedule it checks:
+// fuzzed and emulated schedules of every size, with some of the sets'
+// tenants or none of them, in turn, and from the parallel subtests of
+// TestPropertyIncrementalOracleEmulated at once (run under -race). One
+// is above streamCutover and one below, so both of Compile's paths are
+// reused.
+var sharedSets = func() []*Compiled {
+	templates := allTemplates(rand.New(rand.NewSource(7)), []string{"a", "c", "deadline", "analytics", "absent"})
+	return []*Compiled{Compile(templates), Compile(templates[:streamCutover-1])}
+}()
+
 // checkWindow compares the incremental path against the oracle for one
 // window, bit for bit: Values for the whole template set must equal
-// EvalAll's values exactly.
+// EvalAll's values exactly, and so must every shared compiled set's Eval
+// of the same schedule and window.
 func checkWindow(t *testing.T, acc *Accumulator, templates []Template, s *cluster.Schedule, from, to time.Duration) {
 	t.Helper()
-	want := EvalAll(templates, s, from, to)
-	got := acc.Values(from, to)
+	sameBits(t, templates, acc.Values(from, to), EvalAll(templates, s, from, to), from, to)
+	for _, set := range sharedSets {
+		sameBits(t, set.templates, set.Eval(s, from, to), EvalAll(set.templates, s, from, to), from, to)
+	}
+}
+
+// sameBits fails unless got and want are bit-identical, NaN for NaN.
+func sameBits(t *testing.T, templates []Template, got, want []float64, from, to time.Duration) {
+	t.Helper()
+	if len(got) != len(templates) {
+		t.Fatalf("%d values for %d templates", len(got), len(templates))
+	}
 	for i := range templates {
 		if g := got[i]; math.Float64bits(g) != math.Float64bits(want[i]) && !(math.IsNaN(g) && math.IsNaN(want[i])) {
 			t.Fatalf("template %s window [%v, %v): got %v, want %v (must be bit-identical)",
@@ -276,11 +299,43 @@ func TestAccumulateLeavesScheduleUntouched(t *testing.T) {
 	}
 }
 
-// TestEvalStreamBytesFlatInRecords checks that the accumulator reads the
-// records in place: an EvalStream on the accumulator's side of the
-// cutover allocates the same bytes on a schedule and on one with ten
-// times its records, under the same tenants and templates, on whole and
-// clipped windows alike.
+// TestCompiledOwnsItsTemplates: Compile copies the templates, TaskKind
+// included, so a caller changing its slice afterwards changes neither
+// Eval nor Matches' answer for the compiled set; Matches compares by
+// value and follows the change.
+func TestCompiledOwnsItsTemplates(t *testing.T) {
+	s := fuzzSchedule(3, 8, 30)
+	mapKind := workload.Map
+	templates := allTemplates(rand.New(rand.NewSource(3)), []string{"a", "b"})
+	templates[1].TaskKind = &mapKind
+	set := Compile(templates)
+	want := EvalAll(templates, s, 0, coveringWindow(s))
+	twin := slices.Clone(templates)
+	otherKind := workload.Map
+	twin[1].TaskKind = &otherKind
+	if !set.Matches(templates) || !set.Matches(twin) {
+		t.Fatal("Matches refuses the set it was compiled from, or an equal copy with another TaskKind pointer")
+	}
+	for _, change := range []func(){
+		func() { mapKind = workload.Reduce },
+		func() { templates[0].Priority += 1 },
+		func() { templates = templates[:len(templates)-1] },
+	} {
+		change()
+		if set.Matches(templates) {
+			t.Fatalf("Matches accepts a changed template set")
+		}
+		sameBits(t, set.templates, set.Eval(s, 0, coveringWindow(s)), want, 0, coveringWindow(s))
+	}
+}
+
+// TestEvalStreamBytesFlatInRecords checks that the plan reads the records
+// in place: an EvalStream on the plan's side of the cutover allocates the
+// same bytes on a schedule and on one with ten times its records, under
+// the same tenants and templates, on whole and clipped windows alike.
+// Each size is measured over several single-call rounds and the fewest
+// bytes compared exactly: an allocation of the runtime's own that lands
+// in a round can only add bytes to it.
 func TestEvalStreamBytesFlatInRecords(t *testing.T) {
 	base := fuzzSchedule(1, 16, 40)
 	templates := allTemplates(rand.New(rand.NewSource(1)), []string{"a", "b", "c"})
@@ -296,15 +351,16 @@ func TestEvalStreamBytesFlatInRecords(t *testing.T) {
 		return s
 	}
 	bytes := func(s *cluster.Schedule, from, to time.Duration) uint64 {
-		const reps = 5
 		EvalStream(templates, s, from, to)
+		fewest := uint64(math.MaxUint64)
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < reps; i++ {
+		for round := 0; round < 8; round++ {
+			runtime.ReadMemStats(&before)
 			EvalStream(templates, s, from, to)
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / reps
+		return fewest
 	}
 	one, ten := scaled(1), scaled(10)
 	for _, w := range [][2]time.Duration{{0, base.Horizon + time.Nanosecond}, {base.Horizon / 2, base.Horizon}} {

@@ -14,7 +14,7 @@
 // set Ji iff From <= Submit < To AND Finish < To — a job finishing exactly
 // at To is excluded, uniformly across the response-time, deadline, and
 // throughput metrics and across both evaluation paths (the full-recompute
-// oracle in this file and the incremental Accumulator in incremental.go).
+// oracle in this file and the compiled plan in incremental.go).
 // Allocation integrals clip task intervals to [From, To) the same way: a
 // container occupied on [a, To) counts up to To, one occupied from To on
 // counts nothing. Callers that want jobs finishing exactly at the horizon
@@ -23,11 +23,12 @@
 //
 // Two evaluation paths compute the same metrics from the same records
 // (cluster.Schedule.Jobs / Tasks): Template.Eval / EvalAll scan every
-// record per template (the reference oracle), while Accumulate compiles
-// the templates into their distinct filters and answers any window in one
+// record per template (the reference oracle), while a plan compiles the
+// templates into their distinct filters and answers any window in one
 // pass over the records, feeding each record to the filters of its tenant
-// and of all tenants. EvalStream picks between them by template count.
-// The two are bit-identical on every window.
+// and of all tenants. Compile picks between them by template count and
+// returns a set any schedule can be evaluated with; EvalStream compiles
+// and evaluates once. The two are bit-identical on every window.
 package qs
 
 import (
@@ -189,7 +190,8 @@ func ClipWindow(from, to, lo, interval, horizon time.Duration) (localFrom, local
 // EvalAll evaluates every template over the same interval, producing the
 // QS vector f(x; w) the optimizer consumes. It rescans all records once
 // per template — O(k·(jobs+tasks)) — and serves as the reference oracle
-// for the incremental path (EvalStream), which production callers use.
+// for the compiled path (Compile, EvalStream), which production callers
+// use.
 func EvalAll(templates []Template, s *cluster.Schedule, from, to time.Duration) []float64 {
 	out := make([]float64, len(templates))
 	for i, t := range templates {

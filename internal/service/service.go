@@ -23,7 +23,7 @@
 //
 // Serving is allocation-lean: the control-loop work a tick drives
 // (schedule prediction, emulation, QS evaluation) runs on pooled
-// simulators (cluster.Sim via whatif's per-worker Scratch and
+// simulators (cluster.Sim via whatif's per-worker pool and
 // cluster.Run's shared pool), whose run buffers are kept across the ticks
 // of all resident clusters instead of churning the heap — at 1000
 // clusters the process would otherwise be GC-bound. The pools are

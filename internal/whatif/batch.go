@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
 
@@ -30,18 +32,12 @@ func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
 	return preds, err
 }
 
-// Scratch is one worker's reusable evaluation state: a cluster.Sim for
-// the built-in Schedule Predictor, whose run buffers are kept across
-// runs, and the buffer its schedules are digested into for the schedule
-// tier. Workers draw one from scratchPool per batch, so steady-state
-// candidate scoring performs near-zero heap allocation; sync.Pool drops
-// them under memory pressure, bounding retention.
-type Scratch struct {
-	sim    *cluster.Sim
-	digest []uint64
-}
-
-var scratchPool = sync.Pool{New: func() any { return &Scratch{sim: cluster.NewSim()} }}
+// simPool holds the workers' cluster.Sims for the built-in Schedule
+// Predictor, whose run buffers are kept across runs. Workers draw one per
+// fan-out, so steady-state candidate scoring performs near-zero heap
+// allocation; sync.Pool drops them under memory pressure, bounding
+// retention.
+var simPool = sync.Pool{New: func() any { return cluster.NewSim() }}
 
 // workersFor clamps the model's parallelism to the item count; values
 // below 2 mean "run on the calling goroutine".
@@ -58,28 +54,28 @@ func workersFor(parallelism, items int) int {
 // so static striping would leave workers idle. Callers record results and
 // errors by index, which keeps their aggregation order deterministic.
 func runIndexed(workers, n int, fn func(i int)) {
-	runIndexedScratch(workers, n, false, func(i int, _ *Scratch) { fn(i) })
+	runIndexedSim(workers, n, false, func(i int, _ *cluster.Sim) { fn(i) })
 }
 
-// runIndexedScratch is runIndexed with an optional per-worker Scratch:
-// each worker draws one from the shared pool for its whole lifetime and
-// returns it when the fan-out drains, so scratch state is reused across
-// all of a worker's items without cross-worker sharing. With workers < 2
-// the one worker is the calling goroutine.
-func runIndexedScratch(workers, n int, pooled bool, fn func(i int, sc *Scratch)) {
+// runIndexedSim is runIndexed with an optional per-worker Sim: each
+// worker draws one from simPool for its whole lifetime and returns it
+// when the fan-out drains, so run buffers are reused across all of a
+// worker's items without cross-worker sharing. With workers < 2 the one
+// worker is the calling goroutine.
+func runIndexedSim(workers, n int, pooled bool, fn func(i int, sm *cluster.Sim)) {
 	var next atomic.Int64
 	work := func() {
-		var sc *Scratch
+		var sm *cluster.Sim
 		if pooled {
-			sc = scratchPool.Get().(*Scratch)
-			defer scratchPool.Put(sc)
+			sm = simPool.Get().(*cluster.Sim)
+			defer simPool.Put(sm)
 		}
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i, sc)
+			fn(i, sm)
 		}
 	}
 	if workers <= 1 {
@@ -103,7 +99,7 @@ func runIndexedScratch(workers, n int, pooled bool, fn func(i int, sc *Scratch))
 // a Sensitivity sweep over S draws holds S traces at once. Samples are
 // independent, so with workers > 1 they are drawn concurrently; storage is
 // by index and the winning error is the lowest sample's, so the result is
-// identical to sequential generation.
+// the same for every worker count.
 func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 	traces := make([]*workload.Trace, samples)
 	errs := make([]error, samples)
@@ -118,15 +114,6 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 			traces[s] = trace
 		}
 	}
-	if workers <= 1 {
-		for s := 0; s < samples; s++ {
-			genOne(s)
-			if errs[s] != nil {
-				return nil, errs[s]
-			}
-		}
-		return traces, nil
-	}
 	runIndexed(workers, samples, genOne)
 	for _, err := range errs {
 		if err != nil {
@@ -137,23 +124,20 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 }
 
 // evalSample scores cfg on one workload sample: it predicts the task
-// schedule, then derives the full QS vector from the schedule's records
-// (qs.EvalStream, which reads them in place and keeps nothing).
+// schedule, then evaluates set, the compiled templates, over the
+// schedule's records in place.
 //
-// A nil scratch means a custom predictor, which is scored every time.
-// Otherwise the prediction runs in the scratch's Sim, and the predicted
-// schedule borrows the Sim's record arrays, which the worker's next pair
-// overwrites. The Sim digests it into the scratch's buffer; a candidate
-// whose digest equals one already scored for the same sample reuses that
-// vector through the state's schedule tier, and a miss stores an
-// exact-size copy of the digest, never the schedule or the buffer.
+// A nil Sim means a custom predictor. Otherwise the prediction runs in
+// sm, and the predicted schedule borrows its record arrays, which the
+// worker's next pair overwrites: evaluation is done with them before
+// then.
 //
 //tempo:hot
-func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
+func (m *Model) evalSample(set *qs.Compiled, sm *cluster.Sim, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
 	var sched *cluster.Schedule
 	var err error
-	if sc != nil {
-		sched, err = sc.sim.RunInto(trace, cfg, cluster.Options{Horizon: m.Horizon})
+	if sm != nil {
+		sched, err = sm.RunInto(trace, cfg, cluster.Options{Horizon: m.Horizon})
 	} else {
 		sched, err = m.Predict(trace, cfg, m.Horizon)
 	}
@@ -165,15 +149,5 @@ func (m *Model) evalSample(st *searchState, sc *Scratch, trace *workload.Trace, 
 		//tempolint:ignore allocdiscipline cold error exit, never on the scored pair path
 		return nil, fmt.Errorf("predicting sample %d: predictor returned a nil schedule", sample)
 	}
-	if sc == nil {
-		return m.EvaluateSchedule(sched), nil
-	}
-	var fp uint64
-	sc.digest, fp = sc.sim.AppendDigest(sc.digest[:0])
-	if vals := st.lookup(sample, fp, sc.digest); vals != nil {
-		return vals, nil
-	}
-	vals := m.EvaluateSchedule(sched)
-	st.store(sample, fp, append(make([]uint64, 0, len(sc.digest)), sc.digest...), vals)
-	return vals, nil
+	return set.Eval(sched, 0, sched.Horizon+time.Nanosecond), nil
 }

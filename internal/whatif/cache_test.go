@@ -1,7 +1,7 @@
 package whatif
 
 import (
-	"slices"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,66 +11,47 @@ import (
 	"tempo/internal/workload"
 )
 
-// cacheTrace is a two-tenant trace small enough to digest by hand.
-func cacheTrace(t testing.TB) *workload.Trace {
-	t.Helper()
-	tr, err := workload.Generate([]workload.TenantProfile{workload.BestEffort("a", 0.5), workload.DeadlineDriven("b", 0.5)},
-		workload.GenerateOptions{Horizon: 20 * time.Minute, Seed: 3, Name: "cache"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// cacheDigest returns an owned digest of the trace's schedule on a
-// cluster of the given capacity, and its hash.
-func cacheDigest(t testing.TB, sm *cluster.Sim, tr *workload.Trace, capacity int) ([]uint64, uint64) {
-	t.Helper()
-	if _, err := sm.RunInto(tr, cluster.Config{TotalContainers: capacity}, cluster.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	return sm.AppendDigest(nil)
-}
-
-// TestEvalCacheReuseAndCollisionSafety pins the schedule tier's sharing
-// semantics: an equal digest hits the tier, a different digest presented
-// with a colliding hash is rejected by the exact word comparison, and
-// samples never share entries.
+// TestEvalCacheReuseAndCollisionSafety pins the config tier's sharing
+// semantics: an equal configuration hits the tier, a different one
+// presented with a colliding fingerprint is rejected by the exact
+// comparison, and samples never share entries.
 func TestEvalCacheReuseAndCollisionSafety(t *testing.T) {
-	c := &searchState{samples: make([]searchSample, 2)}
-	sm, tr := cluster.NewSim(), cacheTrace(t)
-	d1, fp := cacheDigest(t, sm, tr, 4)
+	st := &searchState{samples: make([]searchSample, 2)}
+	cfg := cluster.Config{TotalContainers: 4, Tenants: map[string]cluster.TenantConfig{"a": {Weight: 1}}}
+	fp := cfg.Fingerprint()
 	vals := []float64{1, 2}
-	c.store(0, fp, d1, vals)
+	st.storeConfig(0, fp, cfg, vals)
 
-	same, sameFP := cacheDigest(t, sm, tr, 4)
-	if got := c.lookup(0, sameFP, same); got == nil || &got[0] != &vals[0] {
-		t.Fatal("an equal digest did not reuse the cached vector")
+	same := cfg.Clone()
+	if got := st.lookupConfig(0, same.Fingerprint(), &same); got == nil || &got[0] != &vals[0] {
+		t.Fatal("an equal configuration did not reuse the cached vector")
 	}
-	// A forged hash collision must be caught by the exact compare.
-	different, _ := cacheDigest(t, sm, tr, 5)
-	if slices.Equal(different, d1) {
-		t.Fatal("fixture: capacities 4 and 5 digest alike")
+	// A forged fingerprint collision must be caught by the exact compare.
+	different := cfg.Clone()
+	different.TotalContainers = 5
+	if got := st.lookupConfig(0, fp, &different); got != nil {
+		t.Fatal("a colliding fingerprint with a different configuration reused a vector")
 	}
-	if got := c.lookup(0, fp, different); got != nil {
-		t.Fatal("a colliding hash with a different digest reused a vector")
-	}
-	// Entries are per sample: the same digest under another sample index
-	// must not match (its workload draw differs).
-	if got := c.lookup(1, fp, same); got != nil {
+	// Entries are per sample: the same configuration under another
+	// sample index must not match (its workload draw differs).
+	if got := st.lookupConfig(1, fp, &same); got != nil {
 		t.Fatal("cache leaked a vector across sample indexes")
 	}
+	// The tier keys a clone: mutating the caller's map afterwards must
+	// not move the key.
+	cfg.Tenants["a"] = cluster.TenantConfig{Weight: 9}
+	if got := st.lookupConfig(0, fp, &same); got == nil {
+		t.Fatal("a caller's later mutation reached the stored key")
+	}
 }
 
-// TestCacheTiersHoldNoEvictedEntries: both tiers keep exactly their cap's
-// worth of array however many entries pass through, so an evicted entry
-// (a digest, in the schedule tier) is unreachable at once, and eviction
-// never writes through a concurrent reader's snapshot. Run under -race.
+// TestCacheTiersHoldNoEvictedEntries: the config tier is a ring of
+// exactly its cap however many entries pass through, so an evicted entry
+// is overwritten at once, and it evicts FIFO. A concurrent reader looks
+// up throughout; run under -race.
 func TestCacheTiersHoldNoEvictedEntries(t *testing.T) {
 	st := &searchState{samples: make([]searchSample, 1)}
-	sim, tr := cluster.NewSim(), cacheTrace(t)
-	probe, probeFP := cacheDigest(t, sim, tr, 1)
-	cfg := cluster.Config{TotalContainers: 4}
+	probe := cluster.Config{TotalContainers: 1}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -81,70 +62,82 @@ func TestCacheTiersHoldNoEvictedEntries(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				st.lookup(0, probeFP, probe)
+				st.lookupConfig(0, probe.Fingerprint(), &probe)
 			}
 		}
 	}()
-	for i := 0; i < 10*maxSearchConfigPerSample; i++ {
-		digest, fp := cacheDigest(t, sim, tr, 2+i)
-		st.store(0, fp, digest, []float64{float64(i)})
+	const stores = 10*maxSearchConfigPerSample + 3
+	cfg := cluster.Config{}
+	for i := 0; i < stores; i++ {
 		cfg.TotalContainers = 4 + i
 		st.storeConfig(0, cfg.Fingerprint(), cfg, []float64{float64(i)})
-		sm := &st.samples[0]
-		if cap(sm.sched) > maxSchedPerSample || cap(sm.cfgs) > maxSearchConfigPerSample {
-			t.Fatalf("after %d stores: cap(sched)=%d (limit %d), cap(cfgs)=%d (limit %d)",
-				i+1, cap(sm.sched), maxSchedPerSample, cap(sm.cfgs), maxSearchConfigPerSample)
+		st.mu.Lock()
+		n := cap(st.samples[0].cfgs)
+		st.mu.Unlock()
+		if n != maxSearchConfigPerSample {
+			t.Fatalf("after %d stores: cap(cfgs)=%d, want %d", i+1, n, maxSearchConfigPerSample)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	sm := &st.samples[0]
-	if len(sm.sched) != maxSchedPerSample || len(sm.cfgs) != maxSearchConfigPerSample {
-		t.Fatalf("tiers hold %d/%d entries, want them full at %d/%d", len(sm.sched), len(sm.cfgs), maxSchedPerSample, maxSearchConfigPerSample)
+	if n := len(st.samples[0].cfgs); n != maxSearchConfigPerSample {
+		t.Fatalf("tier holds %d entries, want it full at %d", n, maxSearchConfigPerSample)
 	}
-	// FIFO: the survivors are the newest entries, oldest first.
-	last := 10*maxSearchConfigPerSample - 1
-	if got := sm.sched[0].vals[0]; got != float64(last-maxSchedPerSample+1) {
-		t.Fatalf("oldest schedule entry is store %v, want %d", got, last-maxSchedPerSample+1)
-	}
-	if got := st.lookupConfig(0, cfg.Fingerprint(), &cfg); got == nil || got[0] != float64(last) {
-		t.Fatalf("newest config entry = %v, want store %d", got, last)
+	// FIFO: exactly the newest cap stores survive.
+	for i := 0; i < stores; i++ {
+		cfg.TotalContainers = 4 + i
+		got := st.lookupConfig(0, cfg.Fingerprint(), &cfg)
+		if alive := i >= stores-maxSearchConfigPerSample; alive != (got != nil) {
+			t.Fatalf("store %d: held %t, want %t", i, got != nil, alive)
+		}
+		if got != nil && got[0] != float64(i) {
+			t.Fatalf("store %d returned the vector of store %v", i, got[0])
+		}
 	}
 }
 
-// TestStoredDigestsOwnTheirWords: a schedule-tier entry keeps an
-// exact-size copy of its digest, never the worker's buffer, so the ten
-// pairs the same Scratch scores next leave every stored digest as it
-// was stored.
-func TestStoredDigestsOwnTheirWords(t *testing.T) {
-	tr := cacheTrace(t)
-	m, err := FromTrace([]qs.Template{{Metric: qs.Utilization}}, tr)
+// TestSearchEpochComparesTemplates: a model whose templates are replaced
+// between two EvaluateSearch calls by a different set of the same length,
+// or whose TaskKind is changed in place, must score the new set: the
+// epoch compares templates by value, so no vector of the old set is
+// served from a tier, and fresh simulations evaluate the new templates.
+func TestSearchEpochComparesTemplates(t *testing.T) {
+	mapKind := workload.Map
+	before := []qs.Template{
+		{Queue: "A", Metric: qs.AvgResponseTime},
+		{Metric: qs.Utilization, TaskKind: &mapKind},
+	}
+	m, err := FromProfiles(before, []workload.TenantProfile{workload.BestEffort("A", 1)}, time.Hour, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &searchState{}
-	st.reconcile(len(m.Templates), m.Horizon, []*workload.Trace{tr})
-	sc := &Scratch{sim: cluster.NewSim()}
-	score := func(capacity int) {
-		if _, err := m.evalSample(st, sc, tr, cluster.Config{TotalContainers: capacity}, 0); err != nil {
+	m.Horizon, m.Samples = time.Hour, 2
+	cfgs := searchConfigs()
+	if _, _, _, err := m.EvaluateSearch(cfgs); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		preds, fresh, reused, err := m.EvaluateSearch(cfgs)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want := oracleScores(t, m, cfgs); !reflect.DeepEqual(preds, want) {
+			t.Fatalf("%s: search %v, oracle %v", what, preds, want)
+		}
+		// The first configuration's pairs open the call's first wave,
+		// which no certificate of this epoch can serve yet.
+		if fresh[0] != m.Samples || reused[0] != 0 {
+			t.Fatalf("%s: config 0 fresh=%d reused=%d, want every pair re-simulated", what, fresh[0], reused[0])
+		}
 	}
-	score(3)
-	stored := st.samples[0].sched[0].digest
-	want := slices.Clone(stored)
-	if cap(stored) != len(stored) {
-		t.Errorf("stored digest has cap %d for %d words, want exact size", cap(stored), len(stored))
+	m.Templates = []qs.Template{
+		{Queue: "A", Metric: qs.Throughput},
+		{Metric: qs.Utilization, TaskKind: &mapKind},
 	}
-	for capacity := 4; capacity < 14; capacity++ {
-		score(capacity)
-	}
-	if n := len(st.samples[0].sched); n != 11 {
-		t.Fatalf("tier holds %d entries after 11 distinct capacities, want 11", n)
-	}
-	if !slices.Equal(stored, want) {
-		t.Fatal("a stored digest changed while its Scratch scored more pairs: it aliases the worker's buffer")
-	}
+	check("a different set of the same length")
+	mapKind = workload.Reduce
+	check("TaskKind changed in place")
 }
 
 // TestEvaluateBatchSharesIdenticalCandidates runs a batch where several
@@ -169,8 +162,8 @@ func TestEvaluateBatchSharesIdenticalCandidates(t *testing.T) {
 	model.Parallelism = 4
 	base := cluster.Config{TotalContainers: 32, Tenants: map[string]cluster.TenantConfig{"a": {Weight: 1}}}
 	// With a single tenant, weight changes cannot alter the schedule: every
-	// candidate predicts identical records and the batch shares one QS
-	// evaluation.
+	// candidate predicts identical records, and every row must be the
+	// oracle's.
 	cfgs := []cluster.Config{base}
 	for _, w := range []float64{2, 3, 5} {
 		c := base.Clone()

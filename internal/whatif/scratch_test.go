@@ -10,12 +10,12 @@ import (
 	"tempo/internal/workload"
 )
 
-// TestScratchPoolConcurrentBatches hammers the shared Scratch pool: 32
+// TestScratchPoolConcurrentBatches hammers the shared Sim pool: 32
 // goroutines run EvaluateBatch concurrently (each batch itself fanning out
-// over 2 workers), all drawing Sims and QS scratch from the one
-// package-level pool, and every result must be bit-identical to the
-// sequential evaluation. Run under -race in CI: it is the test that a
-// recycled Sim is never shared by two live evaluations.
+// over 2 workers), all drawing Sims from the one package-level pool, and
+// every result must be bit-identical to the sequential evaluation. Run
+// under -race in CI: it is the test that a recycled Sim is never shared
+// by two live evaluations.
 func TestScratchPoolConcurrentBatches(t *testing.T) {
 	profiles := []workload.TenantProfile{
 		workload.DeadlineDriven("etl", 0.4),

@@ -2,18 +2,18 @@ package whatif
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
 
 // One scoring engine. Evaluate, EvaluateBatch, Sensitivity and
 // EvaluateSearch all resolve their (configuration, sample) pairs through
-// Model.score, working against a searchState that holds three
-// exact-verified tiers per sample:
+// Model.score, working against a searchState that holds the model's
+// compiled QS templates and two exact-verified tiers per sample:
 //
 //   - a config tier keyed by configuration fingerprint (verified with
 //     cluster.Config.Equal): the built-in predictor is a pure function of
@@ -26,23 +26,14 @@ import (
 //     certificate covers provably schedules the sample exactly as the
 //     certified run did, so it too is served with no simulation. PALD's
 //     candidates perturb a weight or a limit that often never binds: a
-//     weight no contended pick depends on, a max share above the peak;
-//   - a schedule tier keyed by the predicted schedule's digest
-//     (cluster.Sim.AppendDigest: pointer-free, lossless relative to the
-//     sample's trace, compared word for word): distinct configurations
-//     that predict identical schedules share one QS derivation.
+//     weight no contended pick depends on, a max share above the peak.
 //
-// All three serve the built-in predictor only; a custom Predictor is
-// scored for every pair. A config or certificate hit skips the
-// simulation, a schedule hit only the QS derivation. The schedule tier
-// stays because certificates prove far from every equal schedule: a run
-// whose preemption check fired earns none, and a candidate whose timeout
-// does not exceed a pending span is refused though its checks may never
-// fire. On the benchmark's stress population the schedule tier still
-// catches about half of the simulations certificates leave (see
-// EXPERIMENTS.md). Every tier reuses values only after an exact check,
-// so reuse is bit-identical to recomputation no matter which worker
-// populated an entry first.
+// Both serve the built-in predictor only; a custom Predictor is scored
+// for every pair. Every other pair simulates and evaluates its schedule
+// through the compiled templates (qs.Compiled), which the state compiles
+// once per model shape and every worker shares. Both tiers reuse values
+// only after an exact check, so reuse is bit-identical to recomputation
+// no matter which worker populated an entry first.
 //
 // The entry points differ only in the state's lifetime. EvaluateSearch
 // passes the model's own state, which remembers across ticks: the
@@ -55,26 +46,12 @@ import (
 // every call re-reconciles each sample's trace identity (pointer fast
 // path, content comparison otherwise) and drops that sample's entries
 // when the trace changed, and an epoch guard drops everything when the
-// model's shape (template count, horizon, sample count) changes.
+// model's shape (templates by value, horizon, sample count) changes.
 
 // maxSearchConfigPerSample caps the config tier. 64 covers many ticks of
 // candidate churn around the incumbent; the tier is FIFO, so a
 // wandering optimizer evicts its oldest points first.
 const maxSearchConfigPerSample = 64
-
-// maxSchedPerSample caps the schedule tier: each entry pins a schedule's
-// digest (four words per task) for the state's lifetime. PALD
-// batches score a handful of candidates, so a single call never reaches
-// the cap in the control loop; like the config tier it evicts FIFO.
-const maxSchedPerSample = 32
-
-// schedCacheEntry is one schedule-tier record: a schedule's digest (an
-// exact-size copy it owns), its hash, and the QS vector derived from it.
-type schedCacheEntry struct {
-	fp     uint64
-	digest []uint64
-	vals   []float64
-}
 
 // cfgCacheEntry is one config-tier record: the exact configuration (a
 // clone, so later caller mutations cannot corrupt the key) and its
@@ -92,40 +69,41 @@ type certEntry struct {
 	vals []float64
 }
 
-// searchSample is one sample's slice of the search state.
+// searchSample is one sample's slice of the search state. cfgs is a ring
+// once full: next is its oldest entry, the one the next store replaces.
 type searchSample struct {
 	trace *workload.Trace
-	sched []schedCacheEntry
 	cfgs  []cfgCacheEntry
+	next  int
 	cert  certEntry
 }
 
-// searchState is what the scoring engine works against: the three
-// tiers, per sample. The mutex guards slice headers only; entries are immutable once
-// appended, and eviction moves the survivors to a fresh array instead of
-// shifting them in place (see room), so a reader's unlocked snapshot is
-// never written through.
+// searchState is what the scoring engine works against: the compiled
+// templates and the two tiers, per sample. The mutex guards the state;
+// entries are immutable once stored.
 type searchState struct {
-	mu        sync.Mutex
-	templates int
-	horizon   time.Duration
-	nsamples  int
-	samples   []searchSample
+	mu       sync.Mutex
+	set      *qs.Compiled
+	horizon  time.Duration
+	nsamples int
+	samples  []searchSample
 }
 
 // reconcile aligns the state with this call's model shape and sample
 // traces, invalidating exactly what changed: everything on a shape
 // (epoch) change, one sample's entries when that sample's trace content
-// changed. Trace identity is the pointer when generators hand back the
-// same trace (FromTrace and FromProfiles both do) and a content
-// comparison otherwise (a caller's generator that redraws an equal trace
-// each call keeps its entries; a regenerated different trace fails the
-// comparison and drops them).
-func (st *searchState) reconcile(templates int, horizon time.Duration, traces []*workload.Trace) {
+// changed. The epoch compares the templates by value, so a different set
+// of the same length recompiles and drops every vector. Trace identity is
+// the pointer when generators hand back the same trace (FromTrace and
+// FromProfiles both do) and a content comparison otherwise (a caller's
+// generator that redraws an equal trace each call keeps its entries; a
+// regenerated different trace fails the comparison and drops them). It
+// returns the compiled templates, which the call's workers share.
+func (st *searchState) reconcile(templates []qs.Template, horizon time.Duration, traces []*workload.Trace) *qs.Compiled {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.templates != templates || st.horizon != horizon || st.nsamples != len(traces) {
-		st.templates, st.horizon, st.nsamples = templates, horizon, len(traces)
+	if st.set == nil || !st.set.Matches(templates) || st.horizon != horizon || st.nsamples != len(traces) {
+		st.set, st.horizon, st.nsamples = qs.Compile(templates), horizon, len(traces)
 		st.samples = make([]searchSample, len(traces))
 	}
 	for s, tr := range traces {
@@ -139,50 +117,7 @@ func (st *searchState) reconcile(templates int, horizon time.Duration, traces []
 		}
 		*cur = searchSample{trace: tr}
 	}
-}
-
-// lookup returns the QS vector already derived from a schedule with this
-// digest on this sample, or nil. The O(records) exact comparison runs
-// outside the lock — entries are immutable once stored, so only the slice
-// snapshot needs the mutex, and workers comparing large digests do not
-// serialize each other.
-func (st *searchState) lookup(sample int, fp uint64, digest []uint64) []float64 {
-	st.mu.Lock()
-	entries := st.samples[sample].sched
-	st.mu.Unlock()
-	for _, e := range entries {
-		if e.fp == fp && slices.Equal(e.digest, digest) {
-			return e.vals
-		}
-	}
-	return nil
-}
-
-// room returns tier with a free slot at its end, evicting the oldest entry
-// of a full one. The tier's array has exactly limit slots from the first
-// store on, and eviction copies the survivors into a fresh one: advancing
-// the slice base instead would keep every evicted entry (a digest, in the
-// schedule tier) reachable from the old array until the next
-// reallocation, and clearing the slot would write through a reader's
-// unlocked snapshot.
-func room[E any](tier []E, limit int) []E {
-	switch {
-	case tier == nil:
-		return make([]E, 0, limit)
-	case len(tier) < limit:
-		return tier
-	}
-	return append(make([]E, 0, limit), tier[1:]...)
-}
-
-// store pins the (digest, vector) pair in the schedule tier, evicting
-// FIFO at capacity. The digest must be the caller's own copy, never a
-// worker's buffer: from here on other workers read it without a lock.
-func (st *searchState) store(sample int, fp uint64, digest []uint64, vals []float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sm := &st.samples[sample]
-	sm.sched = append(room(sm.sched, maxSchedPerSample), schedCacheEntry{fp: fp, digest: digest, vals: vals})
+	return st.set
 }
 
 // cert returns the sample's certificate-tier record, whose cert is nil
@@ -215,13 +150,23 @@ func (st *searchState) lookupConfig(sample int, fp uint64, cfg *cluster.Config) 
 	return nil
 }
 
-// storeConfig records a freshly scored (configuration, sample) vector,
-// evicting FIFO at capacity.
+// storeConfig records a freshly scored (configuration, sample) vector.
+// A full tier overwrites its oldest entry in place, so it stays FIFO and
+// never holds more than its cap.
 func (st *searchState) storeConfig(sample int, fp uint64, cfg cluster.Config, vals []float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sm := &st.samples[sample]
-	sm.cfgs = append(room(sm.cfgs, maxSearchConfigPerSample), cfgCacheEntry{fp: fp, cfg: cfg.Clone(), vals: vals})
+	e := cfgCacheEntry{fp: fp, cfg: cfg.Clone(), vals: vals}
+	switch {
+	case sm.cfgs == nil:
+		sm.cfgs = append(make([]cfgCacheEntry, 0, maxSearchConfigPerSample), e)
+	case len(sm.cfgs) < maxSearchConfigPerSample:
+		sm.cfgs = append(sm.cfgs, e)
+	default:
+		sm.cfgs[sm.next] = e
+		sm.next = (sm.next + 1) % maxSearchConfigPerSample
+	}
 }
 
 // EvaluateSearch scores candidate configurations like EvaluateBatch —
@@ -299,12 +244,12 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 			return nil, nil, nil, wrap(c, err)
 		}
 	}
-	st.reconcile(len(m.Templates), m.Horizon, traces)
+	set := st.reconcile(m.Templates, m.Horizon, traces)
 
 	// The tiers only apply to the built-in predictor, whose output is a
 	// pure function of (trace, configuration, horizon) and whose Sim
-	// digests and certifies its schedules; a custom Predict is an opaque
-	// function we must call, and score, per (config, sample) pair.
+	// certifies its runs; a custom Predict is an opaque function we must
+	// call, and score, per (config, sample) pair.
 	cacheable := m.Predict == nil
 	fps := make([]uint64, len(cfgs))
 	if cacheable {
@@ -345,14 +290,14 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 	// record, and which pairs a certificate serves never depends on worker
 	// timing. A custom predictor earns no certificates, so its pairs form
 	// one wave. With the built-in predictor each worker runs its pairs
-	// through a pooled Scratch; custom predictors manage their own storage.
+	// through a pooled Sim; custom predictors manage their own storage.
 	first, rest := waves(pending, samples, cacheable)
 	for w, wave := range [][]int{first, rest} {
 		if len(wave) == 0 {
 			continue
 		}
 		certify := w == 0
-		runIndexedScratch(workersFor(m.Parallelism, len(wave)), len(wave), cacheable, func(k int, sc *Scratch) {
+		runIndexedSim(workersFor(m.Parallelism, len(wave)), len(wave), cacheable, func(k int, sm *cluster.Sim) {
 			pi := wave[k]
 			idx := pending[pi]
 			s, c := idx%samples, idx/samples
@@ -360,9 +305,9 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 				vals[idx], served[pi] = e.vals, true
 				return
 			}
-			vals[idx], errs[pi] = m.evalSample(st, sc, traces[s], cfgs[c], s)
+			vals[idx], errs[pi] = m.evalSample(set, sm, traces[s], cfgs[c], s)
 			if certify && errs[pi] == nil {
-				if cert := sc.sim.Certificate(); cert != nil {
+				if cert := sm.Certificate(); cert != nil {
 					st.storeCert(s, cert, vals[idx])
 				}
 			}
@@ -391,28 +336,19 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 // pending pair, and the rest. Without the built-in predictor every pair
 // is in the rest.
 func waves(pending []int, samples int, cacheable bool) (first, rest []int) {
-	order := make([]int, 0, len(pending))
-	// firstOf is the position of each sample's first pending pair, -1
-	// for none.
-	firstOf := make([]int, samples)
-	for s := range firstOf {
-		firstOf[s] = -1
-	}
-	if cacheable {
-		for pi, idx := range pending {
-			if s := idx % samples; firstOf[s] < 0 {
-				firstOf[s] = pi
-				order = append(order, pi)
-			}
-		}
-	}
-	n := len(order)
+	// One array for both: first holds at most one pair per sample.
+	buf := make([]int, samples+len(pending))
+	first, rest = buf[:0:samples], buf[samples:samples]
+	seen := make([]bool, samples)
 	for pi, idx := range pending {
-		if firstOf[idx%samples] != pi {
-			order = append(order, pi)
+		if s := idx % samples; cacheable && !seen[s] {
+			seen[s] = true
+			first = append(first, pi)
+		} else {
+			rest = append(rest, pi)
 		}
 	}
-	return order[:n], order[n:]
+	return first, rest
 }
 
 // averageSamples reduces config c's per-sample rows in sample order; it

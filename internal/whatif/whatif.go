@@ -3,7 +3,8 @@
 // composing the Workload Generator, the fast Schedule Predictor, and QS
 // evaluation. The Optimizer calls it for every candidate configuration it
 // explores; scoring reuses exact-verified QS vectors per configuration and
-// per schedule digest, never pinning a schedule (search.go).
+// per certified run, never pinning a schedule, and evaluates every
+// simulated schedule through templates compiled once (search.go).
 package whatif
 
 import (
@@ -184,11 +185,11 @@ func (m *Model) Sensitivity(cfg cluster.Config, n int) (mean, stddev []float64, 
 	return mean, stddev, nil
 }
 
-// EvaluateSchedule scores an already-produced schedule against the model's
-// templates over [0, horizon]. The control loop uses this to evaluate the
-// *observed* task schedule each iteration. Evaluation goes through
-// qs.EvalStream, which picks per-template scans or the one-pass
-// accumulator by template count; results are identical either way.
+// EvaluateSchedule scores an already-produced schedule, such as an
+// *observed* one, against the model's templates over [0, horizon].
+// Evaluation goes through qs.EvalStream, which picks per-template scans
+// or the one-pass plan by template count; results are identical either
+// way.
 func (m *Model) EvaluateSchedule(sched *cluster.Schedule) []float64 {
 	return qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
 }

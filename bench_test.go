@@ -176,7 +176,7 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 	checkCeiling(b, "allocs_per_op", allocs, 117)
 	checkCeiling(b, "bytes_per_op", bytes, 32_194)
 	checkCeiling(b, "allocs_per_op_unpooled", allocsUnpooled, 1_565)
-	checkCeiling(b, "bytes_per_op_unpooled", bytesUnpooled, 4_001_247)
+	checkCeiling(b, "bytes_per_op_unpooled", bytesUnpooled, 2_752_230)
 	if reduction := allocsUnpooled / math.Max(allocs, 1); reduction < 10 {
 		b.Fatalf("pooling saves only %.2fx allocations per batch (%.0f pooled vs %.0f unpooled), want >= 10x",
 			reduction, allocs, allocsUnpooled)

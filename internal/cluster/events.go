@@ -65,7 +65,8 @@ type Event struct {
 	// makes every event unique, which is what makes the stream's order
 	// total.
 	Seq int
-	// Tenant and JobID identify the owner on every kind.
+	// Tenant and JobID name the owner on every kind: the stream resolves
+	// the records' numbers to names.
 	Tenant string
 	JobID  string
 	// Delta is the container-allocation change: +1 on EventTaskStart, -1 on
@@ -174,14 +175,14 @@ func (s *Schedule) AppendEvents(buf *EventBuf) []Event {
 			j := &s.Jobs[bestSeq]
 			events = append(events, Event{
 				Time: j.Submit, Kind: EventJobSubmit, Seq: int(bestSeq),
-				Tenant: j.Tenant, JobID: j.ID, Deadline: j.Deadline,
+				Tenant: s.TenantNames[j.Tenant], JobID: j.ID, Deadline: j.Deadline,
 			})
 			js++
 		case EventTaskStart:
 			t := &s.Tasks[bestSeq]
 			events = append(events, Event{
 				Time: t.Start, Kind: EventTaskStart, Seq: int(bestSeq),
-				Tenant: t.Tenant, JobID: t.JobID, Delta: +1,
+				Tenant: s.TenantNames[t.Tenant], JobID: s.Jobs[t.Job].ID, Delta: +1,
 				TaskKind: t.Kind, Attempt: t.Attempt,
 			})
 			ts++
@@ -189,7 +190,7 @@ func (s *Schedule) AppendEvents(buf *EventBuf) []Event {
 			t := &s.Tasks[bestSeq]
 			events = append(events, Event{
 				Time: t.End, Kind: EventTaskEnd, Seq: int(bestSeq),
-				Tenant: t.Tenant, JobID: t.JobID, Delta: -1,
+				Tenant: s.TenantNames[t.Tenant], JobID: s.Jobs[t.Job].ID, Delta: -1,
 				TaskKind: t.Kind, Attempt: t.Attempt, Outcome: t.Outcome,
 			})
 			te++
@@ -197,7 +198,7 @@ func (s *Schedule) AppendEvents(buf *EventBuf) []Event {
 			j := &s.Jobs[bestSeq]
 			events = append(events, Event{
 				Time: j.Finish, Kind: EventJobFinish, Seq: int(bestSeq),
-				Tenant: j.Tenant, JobID: j.ID, Completed: j.Completed, Killed: j.Killed,
+				Tenant: s.TenantNames[j.Tenant], JobID: j.ID, Completed: j.Completed, Killed: j.Killed,
 			})
 			jf++
 		}
@@ -248,7 +249,9 @@ func fnvString(h uint64, s string) uint64 {
 	return fnvUint64(h, tail)
 }
 
-// Equal reports whether two schedules have identical record views.
+// Equal reports whether two schedules have identical record views, with
+// each record's tenant and job resolved to their names: the tenant tables
+// may differ in order and in the unused tenants they list.
 func (s *Schedule) Equal(o *Schedule) bool {
 	if s == nil || o == nil {
 		return s == o
@@ -258,12 +261,22 @@ func (s *Schedule) Equal(o *Schedule) bool {
 		return false
 	}
 	for i := range s.Jobs {
-		if s.Jobs[i] != o.Jobs[i] {
+		a, b := s.Jobs[i], o.Jobs[i]
+		if s.TenantNames[a.Tenant] != o.TenantNames[b.Tenant] {
+			return false
+		}
+		a.Tenant, b.Tenant = 0, 0
+		if a != b {
 			return false
 		}
 	}
 	for i := range s.Tasks {
-		if s.Tasks[i] != o.Tasks[i] {
+		a, b := s.Tasks[i], o.Tasks[i]
+		if s.TenantNames[a.Tenant] != o.TenantNames[b.Tenant] || s.Jobs[a.Job].ID != o.Jobs[b.Job].ID {
+			return false
+		}
+		a.Tenant, b.Tenant, a.Job, b.Job = 0, 0, 0, 0
+		if a != b {
 			return false
 		}
 	}

@@ -24,7 +24,7 @@ func eventsSchedule(seed int64, capacity, n int) *Schedule {
 		dur := time.Duration(rng.Int63n(int64(20 * time.Minute)))
 		job := JobRecord{
 			ID:        fmt.Sprintf("%s-%03d", tenant, i),
-			Tenant:    tenant,
+			Tenant:    s.AddTenant(tenant),
 			Submit:    submit,
 			Finish:    submit + dur,
 			Completed: rng.Intn(4) > 0,
@@ -41,8 +41,8 @@ func eventsSchedule(seed int64, capacity, n int) *Schedule {
 				end = start + time.Duration(rng.Int63n(int64(10*time.Minute)))
 			}
 			s.Tasks = append(s.Tasks, TaskRecord{
-				JobID:   job.ID,
-				Tenant:  tenant,
+				Job:     int32(len(s.Jobs) - 1),
+				Tenant:  job.Tenant,
 				Kind:    workload.TaskKind(rng.Intn(2)),
 				Attempt: k + 1,
 				Start:   start,
@@ -168,7 +168,10 @@ func TestScheduleEqualSensitivity(t *testing.T) {
 		func(s *Schedule) { s.Jobs[0].Deadline += time.Second },
 		func(s *Schedule) { s.Jobs[0].Completed = !s.Jobs[0].Completed },
 		func(s *Schedule) { s.Jobs[0].Killed = !s.Jobs[0].Killed },
-		func(s *Schedule) { s.Jobs[0].Tenant += "x" },
+		func(s *Schedule) { s.Jobs[0].Tenant = s.AddTenant(s.TenantNames[s.Jobs[0].Tenant] + "x") },
+		func(s *Schedule) { s.Tasks[0].Tenant = s.AddTenant(s.TenantNames[s.Tasks[0].Tenant] + "x") },
+		func(s *Schedule) { s.Tasks[0].Job = 1 },
+		func(s *Schedule) { s.Tasks[0].Kind ^= 1 },
 		func(s *Schedule) { s.Tasks[0].Start += time.Nanosecond },
 		func(s *Schedule) { s.Tasks[0].End += time.Nanosecond },
 		func(s *Schedule) { s.Tasks[0].Outcome = TaskPreempted },
@@ -177,10 +180,11 @@ func TestScheduleEqualSensitivity(t *testing.T) {
 	}
 	for i, mutate := range mutations {
 		m := &Schedule{
-			Capacity: base.Capacity,
-			Horizon:  base.Horizon,
-			Jobs:     slices.Clone(base.Jobs),
-			Tasks:    slices.Clone(base.Tasks),
+			Capacity:    base.Capacity,
+			Horizon:     base.Horizon,
+			TenantNames: slices.Clone(base.TenantNames),
+			Jobs:        slices.Clone(base.Jobs),
+			Tasks:       slices.Clone(base.Tasks),
 		}
 		mutate(m)
 		if m.Equal(base) {

@@ -19,8 +19,8 @@ func (s *Schedule) WriteTasksCSV(w io.Writer) error {
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
 		rec := []string{
-			t.JobID,
-			t.Tenant,
+			s.Jobs[t.Job].ID,
+			s.TenantNames[t.Tenant],
 			t.Kind.String(),
 			strconv.Itoa(t.Attempt),
 			formatSec(t.Start),
@@ -46,7 +46,7 @@ func (s *Schedule) WriteJobsCSV(w io.Writer) error {
 		j := &s.Jobs[i]
 		rec := []string{
 			j.ID,
-			j.Tenant,
+			s.TenantNames[j.Tenant],
 			formatSec(j.Submit),
 			formatSec(j.Finish),
 			formatSec(j.Deadline),

@@ -331,14 +331,24 @@ func TestScheduleEqualExact(t *testing.T) {
 			changed("task attempt", i, func() { r.Attempt++ }, func() { r.Attempt-- })
 			changed("task outcome", i, func() { r.Outcome ^= 1 }, func() { r.Outcome ^= 1 })
 			changed("task kind", i, func() { r.Kind++ }, func() { r.Kind-- })
-			job := r.JobID
-			changed("task job", i, func() { r.JobID += "'" }, func() { r.JobID = job })
+			if n := int32(len(s.Jobs)); n > 1 {
+				job := r.Job
+				changed("task job", i, func() { r.Job = (job + 1) % n }, func() { r.Job = job })
+			}
+			if n := int32(len(s.TenantNames)); n > 1 {
+				tenant := r.Tenant
+				changed("task tenant", i, func() { r.Tenant = (tenant + 1) % n }, func() { r.Tenant = tenant })
+			}
 		}
 		for _, i := range []int{0, len(s.Jobs) / 2, len(s.Jobs) - 1} {
 			if i < 0 {
 				continue
 			}
 			j := &s.Jobs[i]
+			if n := int32(len(s.TenantNames)); n > 1 {
+				tenant := j.Tenant
+				changed("job tenant", i, func() { j.Tenant = (tenant + 1) % n }, func() { j.Tenant = tenant })
+			}
 			changed("job finish", i, func() { j.Finish++ }, func() { j.Finish-- })
 			changed("job completed", i, func() { j.Completed = !j.Completed }, func() { j.Completed = !j.Completed })
 			changed("job killed", i, func() { j.Killed = !j.Killed }, func() { j.Killed = !j.Killed })
@@ -488,7 +498,7 @@ func TestKernelStateNoscan(t *testing.T) {
 		fields []string
 	}{
 		{engine.Type, []string{"heap", "pos"}},
-		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "touched", "fair", "victims", "certLog"}},
+		{sched, []string{"jobs", "tasks", "runs", "order", "remaining", "unlocked", "waitSet", "touched", "fair", "victims", "certLog", "tasksBuf"}},
 	} {
 		for _, name := range c.fields {
 			f, ok := c.owner.FieldByName(name)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 
 	"tempo/internal/workload"
@@ -21,6 +22,9 @@ import (
 // scenario golden suite locks this.
 type Sim struct {
 	s scheduler
+	// tenantNames is the tenant table Detach last handed out. Detached
+	// schedules share it, and nothing writes it.
+	tenantNames []string
 }
 
 // NewSim returns a Sim with no buffers yet.
@@ -30,9 +34,10 @@ func NewSim() *Sim {
 
 // RunInto simulates the trace under the RM configuration, reusing the
 // Sim's buffers, and returns the task schedule. The returned schedule
-// BORROWS the Sim's record arrays: it is valid until the next RunInto on
-// this Sim, which overwrites them. Callers that retain the schedule past
-// that point must call Detach first, which gives it copies of its own.
+// BORROWS the Sim's record arrays and tenant table: it is valid until
+// the next RunInto on this Sim, which overwrites them. Callers that retain
+// the schedule past that point must call Detach first, which gives it
+// copies of its own.
 // It is deterministic: the same inputs (including the noise model's seed)
 // always produce the same schedule, whatever the Sim previously ran.
 func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedule, error) {
@@ -57,10 +62,14 @@ func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedu
 // Detach releases the last returned schedule from the Sim by copying
 // its records into arrays of exact size that the schedule owns, so it
 // stays valid indefinitely; the Sim keeps its own arrays for the next
-// run. It costs two allocations and never regrows anything. Detach must
+// run. The schedule's tenant table is the last one Detach handed out when
+// that names the same tenants in the same order, and a fresh copy
+// otherwise, so detaching run after run of one trace costs two
+// allocations, shares one table, and never regrows anything. Detach must
 // come before the schedule is shared, since it rewrites the schedule's
-// Tasks and Jobs. It is a no-op when there is no schedule to release:
-// after a failed RunInto, or a second Detach. Run is its one caller.
+// Tasks, Jobs and TenantNames. It is a no-op when there is no schedule to
+// release: after a failed RunInto, or a second Detach. Run is its one
+// caller.
 func (sm *Sim) Detach() {
 	sched := sm.s.schedule
 	if sched == nil {
@@ -68,6 +77,10 @@ func (sm *Sim) Detach() {
 	}
 	sched.Tasks = exactCopy(sched.Tasks)
 	sched.Jobs = exactCopy(sched.Jobs)
+	if !slices.Equal(sm.tenantNames, sched.TenantNames) {
+		sm.tenantNames = exactCopy(sched.TenantNames)
+	}
+	sched.TenantNames = sm.tenantNames
 	sm.s.schedule = nil
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -81,10 +82,11 @@ func TestSimDetach(t *testing.T) {
 	}
 	sm.Detach()
 	snapshot := &Schedule{
-		Capacity: first.Capacity,
-		Horizon:  first.Horizon,
-		Tasks:    append([]TaskRecord(nil), first.Tasks...),
-		Jobs:     append([]JobRecord(nil), first.Jobs...),
+		Capacity:    first.Capacity,
+		Horizon:     first.Horizon,
+		TenantNames: slices.Clone(first.TenantNames),
+		Tasks:       slices.Clone(first.Tasks),
+		Jobs:        slices.Clone(first.Jobs),
 	}
 	other := runTestTrace(t, 10, 30*time.Minute)
 	if _, err := sm.RunInto(other, cfg, Options{}); err != nil {

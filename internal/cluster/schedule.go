@@ -49,9 +49,16 @@ func (o TaskOutcome) String() string {
 // is exactly the "task schedule" the paper defines QS metrics over: start
 // time, end time, and resources (one container) per task run on behalf of
 // a tenant.
+//
+// A record names its job and tenant by number, not by name: the names live
+// once per schedule (Schedule.Jobs[Job].ID, Schedule.TenantNames[Tenant]),
+// so a record is 48 bytes and holds no pointer, and a retained history of
+// them costs the garbage collector nothing to scan (TestRecordLayout).
 type TaskRecord struct {
-	JobID   string
-	Tenant  string
+	// Job is the position of the attempt's job in Schedule.Jobs.
+	Job int32
+	// Tenant indexes Schedule.TenantNames.
+	Tenant  int32
 	Kind    workload.TaskKind
 	Attempt int
 	Start   time.Duration
@@ -64,8 +71,10 @@ func (t *TaskRecord) Duration() time.Duration { return t.End - t.Start }
 
 // JobRecord summarizes one job's fate.
 type JobRecord struct {
-	ID     string
-	Tenant string
+	// ID is the job's name, the schedule's one copy of it.
+	ID string
+	// Tenant indexes Schedule.TenantNames.
+	Tenant int32
 	Submit time.Duration
 	// Finish is when the job's last stage completed (or when it was killed
 	// or the horizon ended). Meaningful with Completed.
@@ -95,17 +104,49 @@ type Schedule struct {
 	Capacity int
 	// Horizon is the virtual time when the run ended.
 	Horizon time.Duration
+	// TenantNames names the tenants the records number: a record's Tenant
+	// indexes it. Its names are distinct and in no particular order, and
+	// it may list tenants no record uses; two schedules whose records
+	// resolve to the same names are Equal whatever their tables. The
+	// table is shared, never written once the schedule is produced.
+	TenantNames []string
 	// Tasks holds every attempt, in start order.
 	Tasks []TaskRecord
 	// Jobs holds one record per submitted job, in submit order.
 	Jobs []JobRecord
 }
 
+// TenantIndex returns name's index in TenantNames, or -1, which no record
+// carries, when the table does not list it.
+func (s *Schedule) TenantIndex(name string) int32 {
+	for i, n := range s.TenantNames {
+		if n == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// AddTenant returns name's index in TenantNames, appending name when the
+// table does not list it yet: the way to number tenants while building a
+// schedule by hand.
+func (s *Schedule) AddTenant(name string) int32 {
+	if i := s.TenantIndex(name); i >= 0 {
+		return i
+	}
+	s.TenantNames = append(s.TenantNames, name)
+	return int32(len(s.TenantNames) - 1)
+}
+
+// JobID returns the ID of task t's job.
+func (s *Schedule) JobID(t *TaskRecord) string { return s.Jobs[t.Job].ID }
+
 // JobsByTenant returns the job records of one tenant, in submit order.
 func (s *Schedule) JobsByTenant(tenant string) []JobRecord {
+	ti := s.TenantIndex(tenant)
 	var out []JobRecord
 	for i := range s.Jobs {
-		if s.Jobs[i].Tenant == tenant {
+		if s.Jobs[i].Tenant == ti {
 			out = append(out, s.Jobs[i])
 		}
 	}
@@ -113,25 +154,29 @@ func (s *Schedule) JobsByTenant(tenant string) []JobRecord {
 }
 
 // TasksByTenant returns the task records of one tenant, in start order.
+// Their Job and Tenant still number s's jobs and tenant table.
 func (s *Schedule) TasksByTenant(tenant string) []TaskRecord {
+	ti := s.TenantIndex(tenant)
 	var out []TaskRecord
 	for i := range s.Tasks {
-		if s.Tasks[i].Tenant == tenant {
+		if s.Tasks[i].Tenant == ti {
 			out = append(out, s.Tasks[i])
 		}
 	}
 	return out
 }
 
-// Tenants returns the sorted tenant names present in the schedule.
+// Tenants returns the sorted names of the tenants the job records use.
 func (s *Schedule) Tenants() []string {
-	set := map[string]bool{}
+	used := make([]bool, len(s.TenantNames))
 	for i := range s.Jobs {
-		set[s.Jobs[i].Tenant] = true
+		used[s.Jobs[i].Tenant] = true
 	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	out := make([]string, 0, len(used))
+	for i, u := range used {
+		if u {
+			out = append(out, s.TenantNames[i])
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -140,13 +185,14 @@ func (s *Schedule) Tenants() []string {
 // PreemptionCount returns the number of preempted attempts, optionally
 // filtered by tenant ("" = all) and kind (nil = all).
 func (s *Schedule) PreemptionCount(tenant string, kind *workload.TaskKind) int {
+	ti := s.TenantIndex(tenant)
 	n := 0
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
 		if t.Outcome != TaskPreempted {
 			continue
 		}
-		if tenant != "" && t.Tenant != tenant {
+		if tenant != "" && t.Tenant != ti {
 			continue
 		}
 		if kind != nil && t.Kind != *kind {
@@ -190,10 +236,11 @@ func (s *Schedule) UsageTimeline(tenant string) []UsagePoint {
 		at time.Duration
 		d  int
 	}
+	ti := s.TenantIndex(tenant)
 	var deltas []delta
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
-		if tenant != "" && t.Tenant != tenant {
+		if tenant != "" && t.Tenant != ti {
 			continue
 		}
 		deltas = append(deltas, delta{t.Start, +1}, delta{t.End, -1})
@@ -219,20 +266,24 @@ func (s *Schedule) UsageTimeline(tenant string) []UsagePoint {
 // Window returns the sub-schedule of jobs submitted AND completed within
 // [from, to), together with the task attempts of those jobs — the job set
 // Ji over which the paper defines QS metrics for an interval L. Times are
-// not rebased.
+// not rebased; the tasks' Job positions are renumbered to the window's
+// Jobs, and the window shares s's tenant table.
 func (s *Schedule) Window(from, to time.Duration) *Schedule {
-	keep := map[string]bool{}
-	out := &Schedule{Capacity: s.Capacity, Horizon: to}
+	pos := make([]int32, len(s.Jobs)) // a job's position in the window, or -1
+	out := &Schedule{Capacity: s.Capacity, Horizon: to, TenantNames: s.TenantNames}
 	for i := range s.Jobs {
 		j := s.Jobs[i]
+		pos[i] = -1
 		if j.Submit >= from && j.Submit < to && j.Completed && j.Finish < to {
-			keep[j.ID] = true
+			pos[i] = int32(len(out.Jobs))
 			out.Jobs = append(out.Jobs, j)
 		}
 	}
 	for i := range s.Tasks {
-		if keep[s.Tasks[i].JobID] {
-			out.Tasks = append(out.Tasks, s.Tasks[i])
+		if p := pos[s.Tasks[i].Job]; p >= 0 {
+			t := s.Tasks[i]
+			t.Job = p
+			out.Tasks = append(out.Tasks, t)
 		}
 	}
 	return out

@@ -289,8 +289,9 @@ type scheduler struct {
 	fair    []ws    // computeFairShares scratch
 	victims []int32 // killVictims scratch
 
-	// Backing arrays for the produced Schedule, reused across runs; a
-	// detached schedule gets copies (see Sim.Detach).
+	// Backing arrays for the produced Schedule, reused across runs, with
+	// names as its tenant table; a detached schedule gets copies (see
+	// Sim.Detach).
 	tasksBuf []TaskRecord
 	jobsBuf  []JobRecord
 }
@@ -328,6 +329,7 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 		}
 	}
 	s.initTenants(trace, cfg)
+	s.schedule.TenantNames = s.names
 	words := (len(s.tenants) + 63) / 64
 	s.waitSet = slices.Grow(s.waitSet[:0], words)[:words]
 	clear(s.waitSet)
@@ -500,7 +502,7 @@ func (s *scheduler) submit(now time.Duration, i int32) {
 	jr.running = -1
 	rec := push(&s.schedule.Jobs)
 	rec.ID = spec.ID
-	rec.Tenant = spec.Tenant
+	rec.Tenant = jr.tenant
 	rec.Submit = now
 	rec.Deadline = spec.Deadline
 	for k := range spec.Stages {
@@ -632,8 +634,8 @@ func (s *scheduler) launch(now time.Duration, tenant int32) {
 	}
 	jr := &s.jobs[t.job]
 	rec := push(&s.schedule.Tasks)
-	rec.JobID = s.trace.Jobs[jr.spec].ID
-	rec.Tenant = s.names[tenant]
+	rec.Job = t.job
+	rec.Tenant = tenant
 	rec.Kind = t.kind
 	rec.Attempt = int(t.attempt)
 	rec.Start = now

@@ -127,7 +127,7 @@ func TestWeightedSharesSplitCluster(t *testing.T) {
 	countAt := func(tenant string, at time.Duration) int {
 		n := 0
 		for _, task := range s.Tasks {
-			if task.Tenant == tenant && task.Start <= at && task.End > at {
+			if s.TenantNames[task.Tenant] == tenant && task.Start <= at && task.End > at {
 				n++
 			}
 		}
@@ -177,7 +177,7 @@ func TestMaxShareCaps(t *testing.T) {
 	counts := map[string]int{}
 	for _, task := range s.Tasks {
 		if task.Start <= at && task.End > at {
-			counts[task.Tenant]++
+			counts[s.TenantNames[task.Tenant]]++
 		}
 	}
 	if counts["A"] != 3 || counts["B"] != 6 || counts["C"] != 3 {
@@ -201,7 +201,7 @@ func TestMinShareGrantedFirst(t *testing.T) {
 	at := 11 * time.Second
 	n := 0
 	for _, task := range s.Tasks {
-		if task.Tenant == "B" && task.Start <= at && task.End > at {
+		if s.TenantNames[task.Tenant] == "B" && task.Start <= at && task.End > at {
 			n++
 		}
 	}
@@ -294,7 +294,7 @@ func TestPreemptedWorkIsLostAndRestarted(t *testing.T) {
 	}
 	attempts := 0
 	for _, task := range s.Tasks {
-		if task.JobID == "a" {
+		if s.JobID(&task) == "a" {
 			attempts++
 		}
 	}
@@ -477,7 +477,7 @@ func TestWindowKeepsOnlyCompletedWithin(t *testing.T) {
 	if len(w.Jobs) != 1 || w.Jobs[0].ID != "a" {
 		t.Fatalf("window jobs = %v, want only a", w.Jobs)
 	}
-	if len(w.Tasks) != 1 || w.Tasks[0].JobID != "a" {
+	if len(w.Tasks) != 1 || w.JobID(&w.Tasks[0]) != "a" {
 		t.Fatalf("window tasks = %v", w.Tasks)
 	}
 }

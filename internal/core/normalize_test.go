@@ -16,14 +16,14 @@ import (
 // [violations/total, mean response], letting tests drive the controller
 // with exact QS values.
 func cannedSchedule(capacity int, responses []time.Duration, deadlines []time.Duration) *cluster.Schedule {
-	s := &cluster.Schedule{Capacity: capacity, Horizon: time.Hour}
+	s := &cluster.Schedule{Capacity: capacity, Horizon: time.Hour, TenantNames: []string{"T"}}
 	for i, r := range responses {
 		var dl time.Duration
 		if i < len(deadlines) {
 			dl = deadlines[i]
 		}
 		s.Jobs = append(s.Jobs, cluster.JobRecord{
-			ID: "j" + string(rune('a'+i)), Tenant: "T",
+			ID: "j" + string(rune('a'+i)), Tenant: 0,
 			Submit: 0, Finish: r, Deadline: dl, Completed: true,
 		})
 	}

@@ -119,17 +119,13 @@ func ReconstructTrace(s *cluster.Schedule, name string) *workload.Trace {
 	type durs struct {
 		maps, reds []time.Duration
 	}
-	byJob := make(map[string]*durs)
+	byJob := make([]durs, len(s.Jobs))
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
 		if t.Outcome != cluster.TaskFinished {
 			continue
 		}
-		d, ok := byJob[t.JobID]
-		if !ok {
-			d = &durs{}
-			byJob[t.JobID] = d
-		}
+		d := &byJob[t.Job]
 		if t.Kind == workload.Map {
 			d.maps = append(d.maps, t.Duration())
 		} else {
@@ -142,11 +138,11 @@ func ReconstructTrace(s *cluster.Schedule, name string) *workload.Trace {
 		if !j.Completed {
 			continue
 		}
-		d := byJob[j.ID]
-		if d == nil || len(d.maps) == 0 {
+		d := &byJob[i]
+		if len(d.maps) == 0 {
 			continue
 		}
-		spec := workload.NewMapReduceJob(j.ID, j.Tenant, j.Submit, d.maps, d.reds)
+		spec := workload.NewMapReduceJob(j.ID, s.TenantNames[j.Tenant], j.Submit, d.maps, d.reds)
 		spec.Deadline = j.Deadline
 		tr.Jobs = append(tr.Jobs, spec)
 	}

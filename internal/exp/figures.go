@@ -213,8 +213,9 @@ func Figure5(seed int64) (*Figure5Result, error) {
 	firstStart := map[string]time.Duration{}
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
-		if cur, ok := firstStart[t.JobID]; !ok || t.Start < cur {
-			firstStart[t.JobID] = t.Start
+		id := s.JobID(t)
+		if cur, ok := firstStart[id]; !ok || t.Start < cur {
+			firstStart[id] = t.Start
 		}
 	}
 	for _, tenant := range res.Tenants {
@@ -237,9 +238,10 @@ func Figure5(seed int64) (*Figure5Result, error) {
 			}
 			counts[j.ID] = [2]int{m, r}
 		}
+		ti := s.TenantIndex(tenant)
 		for i := range s.Jobs {
 			j := &s.Jobs[i]
-			if j.Tenant != tenant || !j.Completed {
+			if j.Tenant != ti || !j.Completed {
 				continue
 			}
 			c := counts[j.ID]
@@ -351,7 +353,8 @@ func Figure7(seed int64) (*Figure7Result, error) {
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
 		day := int(t.Start.Hours()/24) % 7
-		k := key{t.Tenant, day, t.Kind}
+		tenant := s.TenantNames[t.Tenant]
+		k := key{tenant, day, t.Kind}
 		total[k]++
 		if t.Kind == workload.Map {
 			allMaps++
@@ -365,7 +368,7 @@ func Figure7(seed int64) (*Figure7Result, error) {
 			} else {
 				allRedsPre++
 				redPre++
-				if t.Tenant == "besteffort" {
+				if tenant == "besteffort" {
 					bePre++
 				}
 			}
@@ -521,9 +524,10 @@ func Figure10(seed int64) (*Figure10Result, error) {
 
 func instantLatency(s *cluster.Schedule, tenant string, window time.Duration, points int) []timePoint {
 	var series []timePoint
+	ti := s.TenantIndex(tenant)
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
-		if j.Tenant != tenant || !j.Completed {
+		if j.Tenant != ti || !j.Completed {
 			continue
 		}
 		series = append(series, timePoint{At: j.Finish, Value: (j.Finish - j.Submit).Seconds()})

@@ -188,9 +188,10 @@ func Figure9(seed int64, iterations int) (*Figure9Result, error) {
 // completed in both schedules.
 func pairedAJR(a, b *cluster.Schedule, tenant string) (meanA, meanB float64) {
 	respA := map[string]float64{}
+	ta, tb := a.TenantIndex(tenant), b.TenantIndex(tenant)
 	for i := range a.Jobs {
 		j := &a.Jobs[i]
-		if j.Tenant == tenant && j.Completed {
+		if j.Tenant == ta && j.Completed {
 			respA[j.ID] = (j.Finish - j.Submit).Seconds()
 		}
 	}
@@ -198,7 +199,7 @@ func pairedAJR(a, b *cluster.Schedule, tenant string) (meanA, meanB float64) {
 	n := 0
 	for i := range b.Jobs {
 		j := &b.Jobs[i]
-		if j.Tenant != tenant || !j.Completed {
+		if j.Tenant != tb || !j.Completed {
 			continue
 		}
 		ra, ok := respA[j.ID]

@@ -189,8 +189,9 @@ func Table2(seed int64) (*Table2Result, error) {
 		if !ok {
 			continue
 		}
-		perTenantPred[j.Tenant] = append(perTenantPred[j.Tenant], p.Seconds())
-		perTenantObs[j.Tenant] = append(perTenantObs[j.Tenant], (j.Finish - j.Submit).Seconds())
+		tenant := observed.TenantNames[j.Tenant]
+		perTenantPred[tenant] = append(perTenantPred[tenant], p.Seconds())
+		perTenantObs[tenant] = append(perTenantObs[tenant], (j.Finish - j.Submit).Seconds())
 	}
 	res := &Table2Result{
 		TotalTasks:  tr.TaskCount(),

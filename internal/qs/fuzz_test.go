@@ -33,7 +33,7 @@ func fuzzSchedule(seed int64, capacity, n int) *cluster.Schedule {
 		completed := rng.Intn(4) > 0
 		job := cluster.JobRecord{
 			ID:        fmt.Sprintf("%s-%03d", tenant, i),
-			Tenant:    tenant,
+			Tenant:    s.AddTenant(tenant),
 			Submit:    submit,
 			Finish:    submit + dur,
 			Completed: completed,
@@ -45,8 +45,8 @@ func fuzzSchedule(seed int64, capacity, n int) *cluster.Schedule {
 		for k := 0; k < 1+rng.Intn(3); k++ {
 			start := submit + time.Duration(rng.Int63n(int64(10*time.Minute)))
 			s.Tasks = append(s.Tasks, cluster.TaskRecord{
-				JobID:   job.ID,
-				Tenant:  tenant,
+				Job:     int32(len(s.Jobs) - 1),
+				Tenant:  job.Tenant,
 				Kind:    workload.TaskKind(rng.Intn(2)),
 				Attempt: k + 1,
 				Start:   start,

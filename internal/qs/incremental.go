@@ -6,10 +6,11 @@
 // candidate scoring once template counts grow with tenant counts. A plan
 // compiles the templates instead: one filter per distinct job set or
 // allocation timeline, shared by every template that reads it, and a
-// dispatch table from tenant to the filters its records feed. A plan
-// reads no schedule; it answers a window of whichever schedule it is
-// handed in one record-order pass over Schedule.Jobs and one over
-// Schedule.Tasks, in place. Each record passing the oracle's own
+// dispatch table from tenant name to the filters its records feed,
+// mapped onto a schedule's tenant table once per evaluation. A plan reads
+// no schedule; it answers a window of whichever schedule it is handed in
+// one record-order pass over Schedule.Jobs and one over Schedule.Tasks,
+// in place. Each record passing the oracle's own
 // predicate — a job counts iff it completed with Submit ∈ [From, To) and
 // Finish < To, a task by its width clipped to [From, To) in integer
 // nanoseconds — feeds the all-tenants filters and its own tenant's, and
@@ -254,6 +255,12 @@ func intern[K comparable](at map[K]int, k K) int {
 // record feeds the all-tenants filters and its own tenant's, and each
 // template then reads its filters' sums.
 func (p *plan) values(s *cluster.Schedule, from, to time.Duration) []float64 {
+	// The schedule's tenant table, mapped to groups once: a record's group
+	// is then an index, not a name lookup.
+	groups := make([]int32, len(s.TenantNames))
+	for i, name := range s.TenantNames {
+		groups[i] = int32(p.group[name])
+	}
 	sets := make([]answer, len(p.sets))
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
@@ -261,8 +268,8 @@ func (p *plan) values(s *cluster.Schedule, from, to time.Duration) []float64 {
 			continue
 		}
 		p.addJob(sets, 0, j)
-		if g := p.group[j.Tenant]; g > 0 {
-			p.addJob(sets, g, j)
+		if g := groups[j.Tenant]; g > 0 {
+			p.addJob(sets, int(g), j)
 		}
 	}
 	fracs := make([]float64, len(p.lines))
@@ -275,8 +282,8 @@ func (p *plan) values(s *cluster.Schedule, from, to time.Duration) []float64 {
 				continue
 			}
 			p.addTask(used, 0, t, w)
-			if g := p.group[t.Tenant]; g > 0 {
-				p.addTask(used, g, t, w)
+			if g := groups[t.Tenant]; g > 0 {
+				p.addTask(used, int(g), t, w)
 			}
 		}
 		for at, u := range used {

@@ -279,7 +279,7 @@ func TestAccumulateLeavesScheduleUntouched(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := fuzzSchedule(seed, 1+rng.Intn(48), rng.Intn(30))
-		before := &cluster.Schedule{Capacity: s.Capacity, Horizon: s.Horizon, Tasks: slices.Clone(s.Tasks), Jobs: slices.Clone(s.Jobs)}
+		before := &cluster.Schedule{Capacity: s.Capacity, Horizon: s.Horizon, TenantNames: slices.Clone(s.TenantNames), Tasks: slices.Clone(s.Tasks), Jobs: slices.Clone(s.Jobs)}
 		templates := allTemplates(rng, []string{"a", "b", "c"})
 		acc := Accumulate(templates, s)
 		wide := coveringWindow(s)
@@ -343,10 +343,14 @@ func TestEvalStreamBytesFlatInRecords(t *testing.T) {
 		t.Fatalf("%d templates, want at least streamCutover = %d", len(templates), streamCutover)
 	}
 	scaled := func(copies int) *cluster.Schedule {
-		s := &cluster.Schedule{Capacity: base.Capacity, Horizon: base.Horizon}
+		s := &cluster.Schedule{Capacity: base.Capacity, Horizon: base.Horizon, TenantNames: base.TenantNames}
 		for i := 0; i < copies; i++ {
+			at := int32(len(s.Jobs))
 			s.Jobs = append(s.Jobs, base.Jobs...)
-			s.Tasks = append(s.Tasks, base.Tasks...)
+			for _, t := range base.Tasks {
+				t.Job += at
+				s.Tasks = append(s.Tasks, t)
+			}
 		}
 		return s
 	}
@@ -376,20 +380,20 @@ func TestEvalStreamBytesFlatInRecords(t *testing.T) {
 // allocation integral clips tasks at To.
 func TestIntervalEdgeConvention(t *testing.T) {
 	to := 100 * time.Second
-	s := &cluster.Schedule{Capacity: 10, Horizon: 2 * to}
+	s := &cluster.Schedule{Capacity: 10, Horizon: 2 * to, TenantNames: []string{"a"}}
 	s.Jobs = []cluster.JobRecord{
 		// Finishes exactly at To: excluded from Ji.
-		{ID: "edge", Tenant: "a", Submit: 10 * time.Second, Finish: to, Completed: true, Deadline: 20 * time.Second},
+		{ID: "edge", Tenant: 0, Submit: 10 * time.Second, Finish: to, Completed: true, Deadline: 20 * time.Second},
 		// Finishes 1ns before To: included.
-		{ID: "in", Tenant: "a", Submit: 20 * time.Second, Finish: to - time.Nanosecond, Completed: true, Deadline: 30 * time.Second},
+		{ID: "in", Tenant: 0, Submit: 20 * time.Second, Finish: to - time.Nanosecond, Completed: true, Deadline: 30 * time.Second},
 		// Submitted exactly at To: excluded.
-		{ID: "late", Tenant: "a", Submit: to, Finish: to + time.Second, Completed: true},
+		{ID: "late", Tenant: 0, Submit: to, Finish: to + time.Second, Completed: true},
 	}
 	s.Tasks = []cluster.TaskRecord{
 		// Ends exactly at To: counts fully (half-open occupation [50s, To)).
-		{JobID: "edge", Tenant: "a", Start: 50 * time.Second, End: to, Outcome: cluster.TaskFinished},
+		{Job: 0, Tenant: 0, Start: 50 * time.Second, End: to, Outcome: cluster.TaskFinished},
 		// Starts exactly at To: contributes nothing to [0, To).
-		{JobID: "late", Tenant: "a", Start: to, End: to + 10*time.Second, Outcome: cluster.TaskFinished},
+		{Job: 2, Tenant: 0, Start: to, End: to + 10*time.Second, Outcome: cluster.TaskFinished},
 	}
 	templates := []Template{
 		{Queue: "a", Metric: Throughput},

@@ -25,7 +25,7 @@ func randomSchedule(rng *rand.Rand) *cluster.Schedule {
 		dur := time.Duration(1+rng.Intn(1800)) * time.Second
 		j := cluster.JobRecord{
 			ID:        jobName(i),
-			Tenant:    tenant,
+			Tenant:    s.AddTenant(tenant),
 			Submit:    submit,
 			Finish:    submit + dur,
 			Completed: rng.Float64() < 0.8,
@@ -47,7 +47,7 @@ func randomSchedule(rng *rand.Rand) *cluster.Schedule {
 				kind = workload.Reduce
 			}
 			s.Tasks = append(s.Tasks, cluster.TaskRecord{
-				JobID: j.ID, Tenant: tenant, Kind: kind,
+				Job: int32(len(s.Jobs) - 1), Tenant: j.Tenant, Kind: kind,
 				Start: start, End: end, Outcome: outcome,
 			})
 		}

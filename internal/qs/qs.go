@@ -201,9 +201,10 @@ func EvalAll(templates []Template, s *cluster.Schedule, from, to time.Duration) 
 }
 
 // inJobSet reports whether j belongs to tenant i's job set Ji for the
-// interval: submitted and completed within [from, to).
-func inJobSet(j *cluster.JobRecord, tenant string, from, to time.Duration) bool {
-	if tenant != "" && j.Tenant != tenant {
+// interval: submitted and completed within [from, to). ti is the tenant's
+// index in the schedule's table (see cluster.Schedule.TenantIndex).
+func inJobSet(j *cluster.JobRecord, tenant string, ti int32, from, to time.Duration) bool {
+	if tenant != "" && j.Tenant != ti {
 		return false
 	}
 	return j.Completed && j.Submit >= from && j.Submit < to && j.Finish < to
@@ -211,9 +212,10 @@ func inJobSet(j *cluster.JobRecord, tenant string, from, to time.Duration) bool 
 
 // countCompletedJobs sizes tenant i's job set Ji without materializing it.
 func countCompletedJobs(s *cluster.Schedule, tenant string, from, to time.Duration) int {
+	ti := s.TenantIndex(tenant)
 	n := 0
 	for i := range s.Jobs {
-		if inJobSet(&s.Jobs[i], tenant, from, to) {
+		if inJobSet(&s.Jobs[i], tenant, ti, from, to) {
 			n++
 		}
 	}
@@ -224,11 +226,12 @@ func countCompletedJobs(s *cluster.Schedule, tenant string, from, to time.Durati
 // order — the same summation order the set-materializing formulation had —
 // so results are bit-identical without building the job set.
 func avgResponse(s *cluster.Schedule, tenant string, from, to time.Duration) float64 {
+	ti := s.TenantIndex(tenant)
 	n := 0
 	var sum float64
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
-		if !inJobSet(j, tenant, from, to) {
+		if !inJobSet(j, tenant, ti, from, to) {
 			continue
 		}
 		n++
@@ -243,10 +246,11 @@ func avgResponse(s *cluster.Schedule, tenant string, from, to time.Duration) flo
 // deadlineViolations implements eq. (2) with slack γ. Jobs without
 // deadlines are excluded from the denominator.
 func deadlineViolations(s *cluster.Schedule, tenant string, slack float64, from, to time.Duration) float64 {
+	ti := s.TenantIndex(tenant)
 	n, violated := 0, 0
 	for i := range s.Jobs {
 		j := &s.Jobs[i]
-		if !inJobSet(j, tenant, from, to) || j.Deadline <= 0 {
+		if !inJobSet(j, tenant, ti, from, to) || j.Deadline <= 0 {
 			continue
 		}
 		n++
@@ -269,10 +273,11 @@ func usedFraction(s *cluster.Schedule, tenant string, kind *workload.TaskKind, e
 	if l <= 0 || s.Capacity <= 0 {
 		return 0
 	}
+	ti := s.TenantIndex(tenant)
 	var used time.Duration
 	for i := range s.Tasks {
 		task := &s.Tasks[i]
-		if tenant != "" && task.Tenant != tenant {
+		if tenant != "" && task.Tenant != ti {
 			continue
 		}
 		if kind != nil && task.Kind != *kind {

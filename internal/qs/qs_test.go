@@ -14,21 +14,22 @@ import (
 func fixedSchedule() *cluster.Schedule {
 	sec := func(n int) time.Duration { return time.Duration(n) * time.Second }
 	return &cluster.Schedule{
-		Capacity: 10,
-		Horizon:  sec(100),
+		Capacity:    10,
+		Horizon:     sec(100),
+		TenantNames: []string{"A", "B"},
 		Jobs: []cluster.JobRecord{
-			{ID: "a1", Tenant: "A", Submit: sec(0), Finish: sec(10), Completed: true},
-			{ID: "a2", Tenant: "A", Submit: sec(10), Finish: sec(40), Completed: true},
-			{ID: "a3", Tenant: "A", Submit: sec(90), Finish: sec(150), Completed: true}, // finishes outside [0,100)
-			{ID: "b1", Tenant: "B", Submit: sec(0), Finish: sec(50), Deadline: sec(30), Completed: true},
-			{ID: "b2", Tenant: "B", Submit: sec(0), Finish: sec(20), Deadline: sec(30), Completed: true},
-			{ID: "b3", Tenant: "B", Submit: sec(5), Finish: sec(60), Completed: false}, // incomplete
+			{ID: "a1", Tenant: 0, Submit: sec(0), Finish: sec(10), Completed: true},
+			{ID: "a2", Tenant: 0, Submit: sec(10), Finish: sec(40), Completed: true},
+			{ID: "a3", Tenant: 0, Submit: sec(90), Finish: sec(150), Completed: true}, // finishes outside [0,100)
+			{ID: "b1", Tenant: 1, Submit: sec(0), Finish: sec(50), Deadline: sec(30), Completed: true},
+			{ID: "b2", Tenant: 1, Submit: sec(0), Finish: sec(20), Deadline: sec(30), Completed: true},
+			{ID: "b3", Tenant: 1, Submit: sec(5), Finish: sec(60), Completed: false}, // incomplete
 		},
 		Tasks: []cluster.TaskRecord{
-			{JobID: "a1", Tenant: "A", Kind: workload.Map, Start: sec(0), End: sec(10), Outcome: cluster.TaskFinished},
-			{JobID: "a2", Tenant: "A", Kind: workload.Reduce, Start: sec(10), End: sec(40), Outcome: cluster.TaskFinished},
-			{JobID: "b1", Tenant: "B", Kind: workload.Map, Start: sec(0), End: sec(50), Outcome: cluster.TaskFinished},
-			{JobID: "b1", Tenant: "B", Kind: workload.Map, Start: sec(0), End: sec(20), Outcome: cluster.TaskPreempted},
+			{Job: 0, Tenant: 0, Kind: workload.Map, Start: sec(0), End: sec(10), Outcome: cluster.TaskFinished},
+			{Job: 1, Tenant: 0, Kind: workload.Reduce, Start: sec(10), End: sec(40), Outcome: cluster.TaskFinished},
+			{Job: 3, Tenant: 1, Kind: workload.Map, Start: sec(0), End: sec(50), Outcome: cluster.TaskFinished},
+			{Job: 3, Tenant: 1, Kind: workload.Map, Start: sec(0), End: sec(20), Outcome: cluster.TaskPreempted},
 		},
 	}
 }

@@ -31,7 +31,7 @@ func refRows(source string, tick int, every time.Duration, sched *cluster.Schedu
 	case "jobs":
 		for _, j := range sched.Jobs {
 			rows = append(rows, refRow{t: lo + j.Submit,
-				str: map[string]string{"tenant": j.Tenant},
+				str: map[string]string{"tenant": sched.TenantNames[j.Tenant]},
 				num: map[string]float64{
 					"submit_seconds":   (lo + j.Submit).Seconds(),
 					"finish_seconds":   (lo + j.Finish).Seconds(),
@@ -43,7 +43,7 @@ func refRows(source string, tick int, every time.Duration, sched *cluster.Schedu
 	case "tasks":
 		for _, a := range sched.Tasks {
 			rows = append(rows, refRow{t: lo + a.Start,
-				str: map[string]string{"tenant": a.Tenant, "task_kind": a.Kind.String(), "outcome": a.Outcome.String()},
+				str: map[string]string{"tenant": sched.TenantNames[a.Tenant], "task_kind": a.Kind.String(), "outcome": a.Outcome.String()},
 				num: map[string]float64{
 					"start_seconds":    (lo + a.Start).Seconds(),
 					"end_seconds":      (lo + a.End).Seconds(),

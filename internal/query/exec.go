@@ -58,7 +58,7 @@ type Result struct {
 const (
 	modeRaw = iota // no aggregate: rows stream through
 	modeAgg        // generic aggregate: grouped incremental state
-	modeSLO        // slos aggregate: per-tick qs.EvalStream evaluation
+	modeSLO        // slos aggregate: per-tick evaluation of the compiled templates
 )
 
 // Window modes.
@@ -126,8 +126,8 @@ type Runner struct {
 	stages []func(*row) bool
 	out    *schema // schema flowing out of the pipeline
 
-	// slos mode
-	slos     []qs.Template
+	// slos mode: the plan's templates, compiled once for every tick
+	slos     *qs.Compiled
 	sloNames []string
 
 	// aggregate mode
@@ -211,8 +211,8 @@ func Compile(p *Plan, interval time.Duration) (*Runner, error) {
 		case "aggregate":
 			if len(op.SLOs) > 0 {
 				r.mode = modeSLO
-				r.slos = append([]qs.Template(nil), op.SLOs...)
-				for _, t := range r.slos {
+				r.slos = qs.Compile(op.SLOs)
+				for _, t := range op.SLOs {
 					r.sloNames = append(r.sloNames, t.Name())
 				}
 			} else {
@@ -377,16 +377,17 @@ func (r *Runner) PushTick(tick int, sched *cluster.Schedule) ([]ResultRow, error
 
 // pushSLO evaluates the slos aggregate for one tick: the template vector
 // over the tick's slice of the plan window, through the same
-// qs.ClipWindow and qs.EvalStream Session.QS uses — which is what makes a
-// whole-window slos plan bit-identical to the tick's observed vector.
-// EvalStream reads sched only during this call.
+// qs.ClipWindow Session.QS uses and the set Compile compiled, which
+// evaluates as qs.EvalStream does — which is what makes a whole-window
+// slos plan bit-identical to the tick's observed vector. The set reads
+// sched only during this call.
 func (r *Runner) pushSLO(tick int, lo time.Duration, sched *cluster.Schedule) {
 	to := r.to
 	if !r.hasTo {
 		to = math.MaxInt64
 	}
 	localFrom, localTo, evalTo := qs.ClipWindow(r.from, to, lo, r.interval, sched.Horizon)
-	vals := qs.EvalStream(r.slos, sched, localFrom, evalTo)
+	vals := r.slos.Eval(sched, localFrom, evalTo)
 	wf := (lo + localFrom).Seconds()
 	wt := (lo + localTo).Seconds()
 	r.rawRows = slices.Grow(r.rawRows, len(vals))
@@ -464,13 +465,13 @@ func (r *Runner) scan(lo time.Duration, sched *cluster.Schedule, sink func(*row)
 		}
 	case "jobs":
 		for i := range sched.Jobs {
-			if jobRow(&r.src, lo, &sched.Jobs[i]); !pipe() {
+			if jobRow(&r.src, lo, sched.TenantNames, &sched.Jobs[i]); !pipe() {
 				return
 			}
 		}
 	case "tasks":
 		for i := range sched.Tasks {
-			if taskRow(&r.src, lo, &sched.Tasks[i]); !pipe() {
+			if taskRow(&r.src, lo, sched.TenantNames, &sched.Tasks[i]); !pipe() {
 				return
 			}
 		}
@@ -502,10 +503,11 @@ func eventRow(rw *row, lo time.Duration, ev *cluster.Event) {
 	num[0], num[1], num[2], num[3], num[4] = float64(ev.Delta), float64(ev.Attempt), deadline, completed, killed
 }
 
-// jobRow refills rw with one job record in the jobs relation's row shape.
-func jobRow(rw *row, lo time.Duration, j *cluster.JobRecord) {
+// jobRow refills rw with one job record in the jobs relation's row shape;
+// tenants is the record's schedule's tenant table.
+func jobRow(rw *row, lo time.Duration, tenants []string, j *cluster.JobRecord) {
 	rw.t = lo + j.Submit
-	rw.str[0] = j.Tenant
+	rw.str[0] = tenants[j.Tenant]
 	num := rw.num
 	num[0] = (lo + j.Submit).Seconds()
 	num[1] = (lo + j.Finish).Seconds()
@@ -515,11 +517,11 @@ func jobRow(rw *row, lo time.Duration, j *cluster.JobRecord) {
 }
 
 // taskRow refills rw with one task attempt in the tasks relation's row
-// shape.
-func taskRow(rw *row, lo time.Duration, t *cluster.TaskRecord) {
+// shape; tenants is the record's schedule's tenant table.
+func taskRow(rw *row, lo time.Duration, tenants []string, t *cluster.TaskRecord) {
 	rw.t = lo + t.Start
 	str, num := rw.str, rw.num
-	str[0], str[1], str[2] = t.Tenant, t.Kind.String(), t.Outcome.String()
+	str[0], str[1], str[2] = tenants[t.Tenant], t.Kind.String(), t.Outcome.String()
 	num[0] = (lo + t.Start).Seconds()
 	num[1] = (lo + t.End).Seconds()
 	num[2] = (t.End - t.Start).Seconds()

@@ -17,8 +17,8 @@
 // Per tick, Ingest costs O(r) for the tick's r source rows (the events
 // source first merges the tick's records into its event stream), and
 // folding a row into an existing aggregate cell allocates nothing. An
-// slos aggregate instead costs one qs.EvalStream of the tick's schedule.
-// PushTick adds rendering the c cells the tick touched: O(c log c) to
+// slos aggregate instead costs one evaluation of the tick's schedule by
+// the template set Compile compiled once for the runner. PushTick adds rendering the c cells the tick touched: O(c log c) to
 // order them and, for each quantile expression of a touched cell that
 // holds n values, k of them new, O(k log k + n) to sort the new values
 // and merge them in. Result renders every cell once, sorting what each
@@ -32,9 +32,9 @@
 // the only source that derives one. The aggregate operator has two
 // families: generic reductions (count, sum, avg, min, max,
 // p50/p90/p95/p99) over any numeric column, and a "slos" family that
-// evaluates qs.Template vectors through one qs.EvalStream per tick — the
-// control loop's own QS evaluation re-expressed as a plan, bit-identically
-// to the oracle (TestQueryVsOracleGoldens).
+// evaluates qs.Template vectors once per tick, compiled once per runner —
+// the control loop's own QS evaluation re-expressed as a plan,
+// bit-identically to the oracle (TestQueryVsOracleGoldens).
 package query
 
 import (

@@ -19,18 +19,19 @@ func sec(n int) time.Duration { return time.Duration(n) * time.Second }
 // time: two tenants, three jobs, four task attempts.
 func tickSchedule() *cluster.Schedule {
 	return &cluster.Schedule{
-		Capacity: 4,
-		Horizon:  sec(100),
+		Capacity:    4,
+		Horizon:     sec(100),
+		TenantNames: []string{"A", "B"},
 		Jobs: []cluster.JobRecord{
-			{ID: "a1", Tenant: "A", Submit: sec(0), Finish: sec(10), Completed: true},
-			{ID: "a2", Tenant: "A", Submit: sec(5), Finish: sec(40), Deadline: sec(30), Completed: true},
-			{ID: "b1", Tenant: "B", Submit: sec(20), Finish: sec(70), Completed: true},
+			{ID: "a1", Tenant: 0, Submit: sec(0), Finish: sec(10), Completed: true},
+			{ID: "a2", Tenant: 0, Submit: sec(5), Finish: sec(40), Deadline: sec(30), Completed: true},
+			{ID: "b1", Tenant: 1, Submit: sec(20), Finish: sec(70), Completed: true},
 		},
 		Tasks: []cluster.TaskRecord{
-			{JobID: "a1", Tenant: "A", Kind: workload.Map, Start: sec(0), End: sec(10), Outcome: cluster.TaskFinished},
-			{JobID: "a2", Tenant: "A", Kind: workload.Reduce, Start: sec(10), End: sec(40), Outcome: cluster.TaskFinished},
-			{JobID: "b1", Tenant: "B", Kind: workload.Map, Start: sec(20), End: sec(50), Outcome: cluster.TaskPreempted},
-			{JobID: "b1", Tenant: "B", Kind: workload.Map, Start: sec(50), End: sec(70), Outcome: cluster.TaskFinished},
+			{Job: 0, Tenant: 0, Kind: workload.Map, Start: sec(0), End: sec(10), Outcome: cluster.TaskFinished},
+			{Job: 1, Tenant: 0, Kind: workload.Reduce, Start: sec(10), End: sec(40), Outcome: cluster.TaskFinished},
+			{Job: 2, Tenant: 1, Kind: workload.Map, Start: sec(20), End: sec(50), Outcome: cluster.TaskPreempted},
+			{Job: 2, Tenant: 1, Kind: workload.Map, Start: sec(50), End: sec(70), Outcome: cluster.TaskFinished},
 		},
 	}
 }
@@ -365,9 +366,9 @@ func checkDeltasReplay(t *testing.T, p *Plan, maxGroups int, scheds ...*cluster.
 // and nothing else: group values containing any byte, here the unit
 // separator, do not merge distinct groups.
 func TestGroupKeyInjective(t *testing.T) {
-	s := &cluster.Schedule{Capacity: 1, Horizon: interval, Jobs: []cluster.JobRecord{
-		{ID: "b\x1fc", Tenant: "a", Submit: sec(1), Finish: sec(2), Completed: true},
-		{ID: "c", Tenant: "a\x1fb", Submit: sec(3), Finish: sec(4), Completed: true},
+	s := &cluster.Schedule{Capacity: 1, Horizon: interval, TenantNames: []string{"a", "a\x1fb"}, Jobs: []cluster.JobRecord{
+		{ID: "b\x1fc", Tenant: 0, Submit: sec(1), Finish: sec(2), Completed: true},
+		{ID: "c", Tenant: 1, Submit: sec(3), Finish: sec(4), Completed: true},
 	}}
 	r := mustRunner(t, `{"version":1,"source":"events","ops":[
 		{"op":"filter","field":"kind","eq":"job-submit"},
@@ -499,7 +500,7 @@ func randomSchedule(seed int64) *cluster.Schedule {
 		tenant := []string{"A", "B", "C"}[rng.Intn(3)]
 		submit := time.Duration(rng.Int63n(int64(interval)))
 		job := cluster.JobRecord{
-			ID: fmt.Sprintf("%s%d", tenant, i), Tenant: tenant,
+			ID: fmt.Sprintf("%s%d", tenant, i), Tenant: s.AddTenant(tenant),
 			Submit: submit, Finish: submit + time.Duration(rng.Int63n(int64(interval))),
 			Completed: rng.Intn(3) > 0, Killed: rng.Intn(8) == 0,
 		}
@@ -510,7 +511,7 @@ func randomSchedule(seed int64) *cluster.Schedule {
 		for k, m := 0, rng.Intn(4); k < m; k++ {
 			start := submit + time.Duration(rng.Int63n(int64(interval/2)))
 			s.Tasks = append(s.Tasks, cluster.TaskRecord{
-				JobID: job.ID, Tenant: tenant, Kind: workload.TaskKind(rng.Intn(2)), Attempt: k + 1,
+				Job: int32(len(s.Jobs) - 1), Tenant: job.Tenant, Kind: workload.TaskKind(rng.Intn(2)), Attempt: k + 1,
 				Start: start, End: start + time.Duration(rng.Intn(3))*time.Duration(rng.Int63n(int64(interval/4))),
 				Outcome: outcomes[rng.Intn(len(outcomes))],
 			})
@@ -550,7 +551,7 @@ func TestRawJobsTasksMatchRecords(t *testing.T) {
 			want := ResultRow{
 				Tick: tick, TimeSeconds: (lo + j.Submit).Seconds(),
 				WindowFromSeconds: lo.Seconds(), WindowToSeconds: (lo + interval).Seconds(),
-				Strings: map[string]string{"tenant": j.Tenant},
+				Strings: map[string]string{"tenant": s.TenantNames[j.Tenant]},
 				Values: map[string]float64{
 					"submit_seconds":   (lo + j.Submit).Seconds(),
 					"finish_seconds":   (lo + j.Finish).Seconds(),
@@ -572,7 +573,7 @@ func TestRawJobsTasksMatchRecords(t *testing.T) {
 			want := ResultRow{
 				Tick: tick, TimeSeconds: (lo + a.Start).Seconds(),
 				WindowFromSeconds: lo.Seconds(), WindowToSeconds: (lo + interval).Seconds(),
-				Strings: map[string]string{"tenant": a.Tenant, "task_kind": a.Kind.String(), "outcome": a.Outcome.String()},
+				Strings: map[string]string{"tenant": s.TenantNames[a.Tenant], "task_kind": a.Kind.String(), "outcome": a.Outcome.String()},
 				Values: map[string]float64{
 					"start_seconds":    (lo + a.Start).Seconds(),
 					"end_seconds":      (lo + a.End).Seconds(),

@@ -63,6 +63,9 @@ type Runtime struct {
 	Controller *core.Controller
 
 	env *runEnv
+	// slos is Templates compiled once, at Build: the set never changes
+	// for a runtime's life (see EvalQS).
+	slos *qs.Compiled
 	// iterations and schedules grow together, one entry per applied tick.
 	iterations []IterationReport
 	schedules  []*cluster.Schedule
@@ -126,6 +129,7 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 		Trace:     trace,
 		Initial:   initial,
 		env:       env,
+		slos:      qs.Compile(templates),
 	}
 	if spec.Controller.Disabled {
 		return rt, nil

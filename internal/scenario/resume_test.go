@@ -25,10 +25,11 @@ func walRoundTrip(t *testing.T, s *cluster.Schedule) *cluster.Schedule {
 		t.Fatal("nil schedule")
 	}
 	return &cluster.Schedule{
-		Capacity: s.Capacity,
-		Horizon:  s.Horizon,
-		Jobs:     slices.Clone(s.Jobs),
-		Tasks:    slices.Clone(s.Tasks),
+		Capacity:    s.Capacity,
+		Horizon:     s.Horizon,
+		TenantNames: slices.Clone(s.TenantNames),
+		Jobs:        slices.Clone(s.Jobs),
+		Tasks:       slices.Clone(s.Tasks),
 	}
 }
 

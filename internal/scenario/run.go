@@ -7,7 +7,6 @@ import (
 
 	"tempo/internal/cluster"
 	"tempo/internal/core"
-	"tempo/internal/qs"
 )
 
 // ErrDone is returned by Runtime.Step once the spec's iteration budget is
@@ -103,13 +102,21 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 		it.Reverted = step.Reverted
 		search = step.Search
 	} else {
-		it.Observed = qs.EvalStream(rt.Templates, sched, 0, sched.Horizon+time.Nanosecond)
+		it.Observed = rt.EvalQS(sched, 0, sched.Horizon+time.Nanosecond)
 	}
 	fillScheduleStats(&it, sched)
 	rt.iterations = append(rt.iterations, it)
 	rt.schedules = append(rt.schedules, sched)
 	rt.lastSearch = search
 	return it, nil
+}
+
+// EvalQS evaluates the runtime's templates over [from, to) of sched, in
+// template order, through the set Build compiled: Apply's observe-only
+// path and Session.QS's clipped windows compile nothing per call. Its
+// values are bit-identical to qs.EvalStream's.
+func (rt *Runtime) EvalQS(sched *cluster.Schedule, from, to time.Duration) []float64 {
+	return rt.slos.Eval(sched, from, to)
 }
 
 // Search returns the controller's search statistics for iteration i if

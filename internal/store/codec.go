@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,27 +23,35 @@ import (
 //
 // Tick-record codec. One WAL record carries one committed tick: the tick
 // index and the observed schedule's record view (Capacity, Horizon, Jobs
-// and Tasks). The encoding is a pure function of the schedule — same
-// observation, same bytes — and tickDecoder inverts it exactly, which is
-// what makes a recovered trajectory byte-identical to the live one.
+// and Tasks, each record's tenant and job resolved to names). The
+// encoding is a pure function of that view — same observation, same
+// bytes — and tickDecoder inverts it exactly, which is what makes a
+// recovered trajectory byte-identical to the live one.
 //
 //	record := format tick capacity horizon names jobs tasks
-//	names  := slice(string)     distinct tenants and job IDs, first use first
+//	names  := slice(string)     tenants and job IDs, first use first
 //	jobs   := slice(job)
 //	job    := tenant id submit finish flags deadline?
 //	tasks  := slice(task)
 //	task   := tenant job kind outcome attempt start duration
 //
 // format is the byte 1 and slice(T) is snapshot.bin's (below). tenant,
-// id and job index names. submit and start are deltas from the previous
-// job's submit and the previous task's start (the first from zero);
-// finish and deadline are deltas from the job's own submit, and duration
-// is End − Start. These five are zigzag varints, so records in any order
-// round-trip. flags is a byte: Completed (1), Killed (2), and 4 when a
-// deadline follows (a zero Deadline, meaning none, is not written). kind
-// and outcome are a byte each; every other integer is a uvarint. The
-// decoder holds every count to the bytes left and every name index to
-// names, and treats trailing bytes as an error.
+// id and job index names: a tenant is named at its first record, a job
+// at its own record. The encoder builds names from the schedule's tenant
+// indexes and job positions; the decoder turns each name back into a
+// tenant index (numbered in first-use order across the log it reads, so
+// a decoded tenant table lists the tenants its log has named so far) or
+// a job position, that of the first job record the name is the id of. A task whose job names no job
+// record has no position to take and is an error. submit and start are
+// deltas from the previous job's submit and the previous task's start
+// (the first from zero); finish and deadline are deltas from the job's
+// own submit, and duration is End − Start. These five are zigzag
+// varints, so records in any order round-trip. flags is a byte:
+// Completed (1), Killed (2), and 4 when a deadline follows (a zero
+// Deadline, meaning none, is not written). kind and outcome are a byte
+// each; every other integer is a uvarint. The decoder holds every count
+// to the bytes left and every name index to names, and treats trailing
+// bytes as an error.
 const (
 	tickFormat = 1
 
@@ -63,28 +72,40 @@ func EncodeTick(dst []byte, tick int, sched *cluster.Schedule) []byte {
 	dst = appendInt(dst, sched.Capacity)
 	dst = binary.AppendUvarint(dst, uint64(sched.Horizon))
 
-	refs := map[string]int{}
+	// The first-use name table, from the records' numbers: a tenant is
+	// named at its first record, a job at its own record. refs holds each
+	// tenant's name position, then each job's.
+	refs := make([]int, len(sched.TenantNames)+len(sched.Jobs))
+	for i := range refs {
+		refs[i] = -1
+	}
+	jobRefs := refs[len(sched.TenantNames):]
 	var names []string
-	name := func(s string) {
-		if _, ok := refs[s]; !ok {
-			refs[s] = len(names)
-			names = append(names, s)
+	if len(sched.Jobs) > 0 {
+		names = make([]string, 0, len(refs))
+	}
+	tenant := func(i int32) {
+		if refs[i] < 0 {
+			refs[i] = len(names)
+			names = append(names, sched.TenantNames[i])
 		}
 	}
 	for i := range sched.Jobs {
-		name(sched.Jobs[i].Tenant)
-		name(sched.Jobs[i].ID)
+		tenant(sched.Jobs[i].Tenant)
+		jobRefs[i] = len(names)
+		names = append(names, sched.Jobs[i].ID)
 	}
 	for i := range sched.Tasks {
-		name(sched.Tasks[i].Tenant)
-		name(sched.Tasks[i].JobID)
+		tenant(sched.Tasks[i].Tenant)
 	}
 	dst = appendSlice(dst, names, func(dst []byte, s *string) []byte { return appendString(dst, *s) })
 
 	var submit time.Duration
+	job := 0
 	dst = appendSlice(dst, sched.Jobs, func(dst []byte, j *cluster.JobRecord) []byte {
 		dst = appendInt(dst, refs[j.Tenant])
-		dst = appendInt(dst, refs[j.ID])
+		dst = appendInt(dst, jobRefs[job])
+		job++
 		dst = binary.AppendVarint(dst, int64(j.Submit-submit))
 		submit = j.Submit
 		dst = binary.AppendVarint(dst, int64(j.Finish-submit))
@@ -104,7 +125,7 @@ func EncodeTick(dst []byte, tick int, sched *cluster.Schedule) []byte {
 	var start time.Duration
 	return appendSlice(dst, sched.Tasks, func(dst []byte, t *cluster.TaskRecord) []byte {
 		dst = appendInt(dst, refs[t.Tenant])
-		dst = appendInt(dst, refs[t.JobID])
+		dst = appendInt(dst, jobRefs[t.Job])
 		dst = appendInt(append(dst, byte(t.Kind), byte(t.Outcome)), t.Attempt)
 		dst = binary.AppendVarint(dst, int64(t.Start-start))
 		start = t.Start
@@ -119,14 +140,24 @@ func appendString(dst []byte, s string) []byte {
 
 // tickDecoder carries what one WAL's records share across decode
 // calls: the interned names, so each distinct tenant and job name is
-// allocated once per log, not once per record.
+// allocated once per log, not once per record, and one tenant table for
+// the whole log.
 type tickDecoder struct {
 	names map[string]string
+	// tenants numbers every tenant the log's records have named so far,
+	// in first-use order, and tenantAt maps a name to its number. A
+	// decoded schedule's table is a prefix of tenants, capped at its
+	// length, so later appends never write into it.
+	tenants  []string
+	tenantAt map[string]int32
+	// refs is decode's scratch: each name's tenant number, then its job
+	// position.
+	refs []int32
 }
 
 func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule, err error) {
 	if td.names == nil {
-		td.names = map[string]string{}
+		td.names, td.tenantAt = map[string]string{}, map[string]int32{}
 	}
 	d := decoder{buf: payload, names: td.names}
 	if f := d.byte(); d.err == nil && f != tickFormat {
@@ -135,10 +166,42 @@ func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule
 	tick = d.int()
 	sched = &cluster.Schedule{Capacity: d.int(), Horizon: time.Duration(d.uvarint())}
 	names := decodeSlice(&d, minName, func(d *decoder, s *string) { *s = d.string() })
+	// A name ref becomes a number at its first use: a tenant's is the
+	// log's number for that name, and a job's own record makes the ref
+	// name that job's position.
+	td.refs = slices.Grow(td.refs[:0], 2*len(names))[:2*len(names)]
+	tenantOf, jobOf := td.refs[:len(names)], td.refs[len(names):]
+	for i := range td.refs {
+		td.refs[i] = -1
+	}
+	tenant := func(d *decoder) int32 {
+		i := d.ref(len(names))
+		if i < 0 {
+			return 0
+		}
+		if tenantOf[i] < 0 {
+			at, ok := td.tenantAt[names[i]]
+			if !ok {
+				at = int32(len(td.tenants))
+				td.tenantAt[names[i]] = at
+				td.tenants = append(td.tenants, names[i])
+			}
+			tenantOf[i] = at
+		}
+		return tenantOf[i]
+	}
 
 	var submit time.Duration
+	var job int32
 	sched.Jobs = decodeSlice(&d, minJob, func(d *decoder, j *cluster.JobRecord) {
-		j.Tenant, j.ID = d.ref(names), d.ref(names)
+		j.Tenant = tenant(d)
+		if i := d.ref(len(names)); i >= 0 {
+			j.ID = names[i]
+			if jobOf[i] < 0 {
+				jobOf[i] = job
+			}
+		}
+		job++
 		submit += time.Duration(d.varint())
 		j.Submit = submit
 		j.Finish = submit + time.Duration(d.varint())
@@ -153,8 +216,15 @@ func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule
 	})
 
 	var start time.Duration
+	var task int
 	sched.Tasks = decodeSlice(&d, minTask, func(d *decoder, t *cluster.TaskRecord) {
-		t.Tenant, t.JobID = d.ref(names), d.ref(names)
+		t.Tenant = tenant(d)
+		if i := d.ref(len(names)); i >= 0 {
+			if t.Job = jobOf[i]; t.Job < 0 && d.err == nil {
+				d.err = fmt.Errorf("store: task %d names job %q, which has no job record", task, names[i])
+			}
+		}
+		task++
 		t.Kind, t.Outcome = workload.TaskKind(d.byte()), cluster.TaskOutcome(d.byte())
 		t.Attempt = d.int()
 		start += time.Duration(d.varint())
@@ -167,6 +237,7 @@ func (td *tickDecoder) decode(payload []byte) (tick int, sched *cluster.Schedule
 	if len(d.buf) != 0 {
 		return 0, nil, fmt.Errorf("store: %d trailing bytes after tick record", len(d.buf))
 	}
+	sched.TenantNames = td.tenants[:len(td.tenants):len(td.tenants)]
 	return tick, sched, nil
 }
 
@@ -454,14 +525,15 @@ func (d *decoder) varint() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// ref reads an index into a tick record's names.
-func (d *decoder) ref(names []string) string {
-	if i := d.uvarint(); i < uint64(len(names)) {
-		return names[i]
+// ref reads an index into a tick record's n names, or returns -1 and
+// latches an error.
+func (d *decoder) ref(n int) int {
+	if i := d.uvarint(); d.err == nil && i < uint64(n) {
+		return int(i)
 	} else if d.err == nil {
-		d.err = fmt.Errorf("store: name ref %d beyond the %d names", i, len(names))
+		d.err = fmt.Errorf("store: name ref %d beyond the %d names", i, n)
 	}
-	return ""
+	return -1
 }
 
 func (d *decoder) byte() byte {

@@ -17,17 +17,18 @@ import (
 // and reduce attempts, a preempted and a zero-length attempt.
 func fuzzSeedSchedule() *cluster.Schedule {
 	return &cluster.Schedule{
-		Capacity: 4,
-		Horizon:  time.Hour,
+		Capacity:    4,
+		Horizon:     time.Hour,
+		TenantNames: []string{"a", "b"},
 		Jobs: []cluster.JobRecord{
-			{ID: "a-0", Tenant: "a", Submit: time.Minute, Finish: 9 * time.Minute, Deadline: 10 * time.Minute, Completed: true},
-			{ID: "b-0", Tenant: "b", Submit: 2 * time.Minute, Finish: 5 * time.Minute, Killed: true},
+			{ID: "a-0", Tenant: 0, Submit: time.Minute, Finish: 9 * time.Minute, Deadline: 10 * time.Minute, Completed: true},
+			{ID: "b-0", Tenant: 1, Submit: 2 * time.Minute, Finish: 5 * time.Minute, Killed: true},
 		},
 		Tasks: []cluster.TaskRecord{
-			{JobID: "a-0", Tenant: "a", Kind: workload.Map, Attempt: 1, Start: time.Minute, End: 4 * time.Minute, Outcome: cluster.TaskPreempted},
-			{JobID: "a-0", Tenant: "a", Kind: workload.Map, Attempt: 2, Start: 4 * time.Minute, End: 8 * time.Minute},
-			{JobID: "a-0", Tenant: "a", Kind: workload.Reduce, Attempt: 1, Start: 8 * time.Minute, End: 9 * time.Minute},
-			{JobID: "b-0", Tenant: "b", Kind: workload.Map, Attempt: 1, Start: 3 * time.Minute, End: 3 * time.Minute, Outcome: cluster.TaskKilled},
+			{Job: 0, Tenant: 0, Kind: workload.Map, Attempt: 1, Start: time.Minute, End: 4 * time.Minute, Outcome: cluster.TaskPreempted},
+			{Job: 0, Tenant: 0, Kind: workload.Map, Attempt: 2, Start: 4 * time.Minute, End: 8 * time.Minute},
+			{Job: 0, Tenant: 0, Kind: workload.Reduce, Attempt: 1, Start: 8 * time.Minute, End: 9 * time.Minute},
+			{Job: 1, Tenant: 1, Kind: workload.Map, Attempt: 1, Start: 3 * time.Minute, End: 3 * time.Minute, Outcome: cluster.TaskKilled},
 		},
 	}
 }
@@ -54,6 +55,7 @@ func FuzzDecodeTick(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(craftedCount(craftedJob(craftedNames(), 1), 0))
 	f.Add(EncodeTick(nil, 3, genSchedule(1, 12)))
+	f.Add(craftedTask(craftedCount(craftedNames(), 0), 0))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tick, sched, err := decodeTick(payload)
@@ -78,9 +80,10 @@ func FuzzDecodeTick(f *testing.F) {
 }
 
 // genSchedule synthesizes a schedule from a seed with the shapes the
-// emulator rarely or never writes: tasks whose job is not in Jobs,
-// repeated job IDs, zero-length and negative-length attempts, starts and
-// submits out of order, negative times, and every flag and outcome.
+// emulator rarely or never writes: a shuffled tenant table that lists an
+// unused tenant, tasks whose tenant is not their job's, repeated job IDs,
+// zero-length and negative-length attempts, starts and submits out of
+// order, negative times, and every flag and outcome.
 func genSchedule(seed int64, n int) *cluster.Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	at := func() time.Duration {
@@ -90,11 +93,12 @@ func genSchedule(seed int64, n int) *cluster.Schedule {
 		}
 		return d
 	}
-	s := &cluster.Schedule{Capacity: rng.Intn(64), Horizon: at()}
+	s := &cluster.Schedule{Capacity: rng.Intn(64), Horizon: at(), TenantNames: []string{"t0", "t1", "t2", "t3", "unused"}}
+	rng.Shuffle(len(s.TenantNames), func(i, j int) { s.TenantNames[i], s.TenantNames[j] = s.TenantNames[j], s.TenantNames[i] })
 	for i := 0; i < n; i++ {
-		tenant := fmt.Sprintf("t%d", rng.Intn(4))
-		id := fmt.Sprintf("%s-%d", tenant, rng.Intn(n))
-		if rng.Intn(4) > 0 { // otherwise the tasks below have no job record
+		tenant := s.TenantIndex(fmt.Sprintf("t%d", rng.Intn(4)))
+		id := fmt.Sprintf("%s-%d", s.TenantNames[tenant], rng.Intn(n))
+		if rng.Intn(4) > 0 || len(s.Jobs) == 0 { // otherwise the tasks below join the last job
 			job := cluster.JobRecord{
 				ID: id, Tenant: tenant, Submit: at(), Finish: at(),
 				Completed: rng.Intn(2) == 0, Killed: rng.Intn(4) == 0,
@@ -106,7 +110,7 @@ func genSchedule(seed int64, n int) *cluster.Schedule {
 		}
 		for k := rng.Intn(4); k > 0; k-- {
 			task := cluster.TaskRecord{
-				JobID: id, Tenant: tenant,
+				Job: int32(len(s.Jobs) - 1), Tenant: tenant,
 				Kind:    workload.TaskKind(rng.Intn(2)),
 				Attempt: 1 + rng.Intn(3),
 				Start:   at(),

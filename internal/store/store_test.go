@@ -18,6 +18,7 @@ import (
 
 	"tempo/internal/cluster"
 	"tempo/internal/scenario"
+	"tempo/internal/workload"
 )
 
 // storeSpecJSON is a small two-tenant replay scenario with the controller
@@ -127,20 +128,28 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestDecodeTickBoundsAllocations feeds decodeTick short, well-formed
 // records whose one oversized field would size an allocation (the name,
-// job and task counts) or index past one (a name ref). A CRC cannot catch
-// these — the WAL frames whatever bytes it was given — and an oversized
-// count is not a recoverable panic but the runtime's out-of-memory abort,
-// so each must come back as an error.
+// job and task counts) or index past one (a name ref, or a task's job ref
+// that names no job record, which has no position in Jobs to take). A CRC
+// cannot catch these — the WAL frames whatever bytes it was given — and
+// an oversized count is not a recoverable panic but the runtime's
+// out-of-memory abort, so each must come back as an error.
 func TestDecodeTickBoundsAllocations(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		"name count beyond the payload": craftedHeader(1 << 40),
 		"job count beyond the payload":  craftedCount(craftedNames(), 1<<40),
 		"task count beyond the payload": craftedCount(craftedCount(craftedNames(), 0), 1<<40),
 		"name ref beyond the names":     craftedCount(craftedJob(craftedNames(), 1), 0),
+		"task of no job record":         craftedTask(craftedCount(craftedNames(), 0), 0),
 	} {
 		if _, sched, err := decodeTick(payload); err == nil {
 			t.Errorf("%s: accepted, decoded %d jobs and %d tasks", name, len(sched.Jobs), len(sched.Tasks))
 		}
+	}
+	if _, _, err := decodeTick(craftedTask(craftedCount(craftedNames(), 0), 0)); err == nil || !strings.Contains(err.Error(), `task 0 names job "a"`) {
+		t.Errorf("a task of no job record: error %v does not name the task and its job", err)
+	}
+	if _, sched, err := decodeTick(craftedTask(craftedJob(craftedNames(), 0), 0)); err != nil || len(sched.Tasks) != 1 || sched.JobID(&sched.Tasks[0]) != "a" {
+		t.Errorf("a task of its job's record rejected or misdecoded: err %v", err)
 	}
 	if _, sched, err := decodeTick(craftedCount(craftedJob(craftedNames(), 0), 0)); err != nil || len(sched.Jobs) != 1 || sched.Jobs[0].ID != "a" {
 		t.Errorf("in-range name ref rejected or misdecoded: err %v", err)
@@ -149,8 +158,9 @@ func TestDecodeTickBoundsAllocations(t *testing.T) {
 
 // craftedHeader hand-encodes a tick record's header claiming nNames
 // names; craftedNames is a header whose names are the one name "a";
-// craftedCount appends a present slice's count, and craftedJob the jobs
-// slice of one job whose id is the given name ref.
+// craftedCount appends a present slice's count, craftedJob the jobs
+// slice of one job whose id is the given name ref, and craftedTask the
+// tasks slice of one task whose job is the given name ref.
 func craftedHeader(nNames uint64) []byte {
 	p := []byte{tickFormat}
 	p = binary.AppendUvarint(p, 0) // tick
@@ -170,6 +180,16 @@ func craftedJob(p []byte, id uint64) []byte {
 	p = binary.AppendVarint(p, 0) // submit
 	p = binary.AppendVarint(p, 0) // finish
 	return append(p, jobCompleted)
+}
+
+func craftedTask(p []byte, job uint64) []byte {
+	p = craftedCount(p, 1)
+	p = binary.AppendUvarint(p, 0) // tenant
+	p = binary.AppendUvarint(p, job)
+	p = append(p, byte(workload.Map), byte(cluster.TaskFinished))
+	p = binary.AppendUvarint(p, 1) // attempt
+	p = binary.AppendVarint(p, 0)  // start
+	return binary.AppendVarint(p, 0)
 }
 
 // eventStreamRecord is EncodeTick(nil, 0, fuzzSeedSchedule()) as written

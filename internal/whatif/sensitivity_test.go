@@ -64,7 +64,7 @@ func TestCustomPredictorPluggable(t *testing.T) {
 		for i := range trace.Jobs {
 			j := &trace.Jobs[i]
 			s.Jobs = append(s.Jobs, cluster.JobRecord{
-				ID: j.ID, Tenant: j.Tenant,
+				ID: j.ID, Tenant: s.AddTenant(j.Tenant),
 				Submit: j.Submit, Finish: j.Submit + 42*time.Second, Completed: true,
 			})
 		}

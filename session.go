@@ -253,7 +253,8 @@ type WindowQS struct {
 // window intersects. An interval the window covers entirely is answered
 // with a copy of the QS vector its tick recorded (the report's
 // Observed); a clipped one — at most the window's first and last — is
-// one qs.EvalStream over the clipped local window. Every value is
+// one evaluation over the clipped local window, through the template set
+// the runtime compiled once (scenario.Runtime.EvalQS). Every value is
 // bit-identical to Template.Eval over the clipped window. Windows are
 // half-open [from, to); to == 0 means "everything observed so far";
 // negative bounds and reversed windows are invalid.
@@ -291,7 +292,7 @@ func (s *Session) QS(from, to time.Duration) ([]WindowQS, error) {
 		if localFrom == 0 && localTo == interval {
 			vals = s.rt.ObservedQS(i)
 		} else {
-			vals = qs.EvalStream(s.rt.Templates, sched, localFrom, evalTo)
+			vals = s.rt.EvalQS(sched, localFrom, evalTo)
 		}
 		out = append(out, WindowQS{
 			Iteration: i,

@@ -50,33 +50,43 @@ func stressRuntime(b *testing.B, exhaustive bool) *scenario.Runtime {
 	return rt
 }
 
-// decide runs tick i's window of the trace, noise-free, under the
-// controller's current configuration and applies the schedule.
-func decide(b *testing.B, rt *scenario.Runtime, i int) core.Iteration {
-	b.Helper()
-	from := time.Duration(i) * rt.Interval
-	sched, err := cluster.Run(rt.Trace.Window(from, from+rt.Interval), rt.Controller.Current(), cluster.Options{Horizon: rt.Interval})
-	if err != nil {
-		b.Fatal(err)
-	}
-	it, err := rt.Controller.Apply(sched)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return it
+// decision is one benched tick's trajectory entry: the configuration it
+// ran under and the iteration Apply recorded.
+type decision struct {
+	config cluster.Config
+	report scenario.IterationReport
 }
 
-// driveDecisions decides n ticks and returns the stripped trajectory plus
-// aggregated search stats over ticks [from, n).
-func driveDecisions(b *testing.B, rt *scenario.Runtime, n, from int) ([]core.Iteration, core.SearchStats) {
+// decide runs tick i's window of the trace, noise-free, under the
+// controller's current configuration and applies the schedule through
+// the runtime, which hands the controller's model its what-if samples.
+func decide(b *testing.B, rt *scenario.Runtime, i int) (decision, *core.SearchStats) {
 	b.Helper()
-	hist := make([]core.Iteration, n)
-	for i := range hist {
-		hist[i] = decide(b, rt, i)
+	from := time.Duration(i) * rt.Interval
+	cfg := rt.Current()
+	sched, err := cluster.Run(rt.Trace.Window(from, from+rt.Interval), cfg, cluster.Options{Horizon: rt.Interval})
+	if err != nil {
+		b.Fatal(err)
 	}
+	it, err := rt.Apply(i, sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return decision{config: cfg, report: it}, rt.Search(i)
+}
+
+// driveDecisions decides n ticks and returns the trajectory plus
+// aggregated search stats over ticks [from, n).
+func driveDecisions(b *testing.B, rt *scenario.Runtime, n, from int) ([]decision, core.SearchStats) {
+	b.Helper()
+	hist := make([]decision, n)
 	var agg core.SearchStats
-	for i := from; i < n; i++ {
-		st := hist[i].Search
+	for i := range hist {
+		var st *core.SearchStats
+		hist[i], st = decide(b, rt, i)
+		if i < from {
+			continue
+		}
 		if st == nil {
 			b.Fatalf("tick %d has no search stats", i)
 		}
@@ -88,9 +98,6 @@ func driveDecisions(b *testing.B, rt *scenario.Runtime, n, from int) ([]core.Ite
 		if agg.DecisionNanos == 0 || st.DecisionNanos < agg.DecisionNanos {
 			agg.DecisionNanos = st.DecisionNanos // min: stable estimator
 		}
-	}
-	for i := range hist {
-		hist[i].Search = nil
 	}
 	return hist, agg
 }

@@ -13,6 +13,7 @@ package tempo
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -151,28 +152,32 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 	}
 
 	// Allocation ceilings for the batch path: the pooled default against
-	// the same batch scored through fresh, single-use Sims — the cost
-	// the pre-pooling code paid per run and a custom Predictor still pays
-	// today. Sequential workers so MemStats deltas are attributable.
+	// a reference loop that scores the same pairs through fresh,
+	// single-use Sims — the cost the pre-pooling code paid per run.
+	// Sequential workers so MemStats deltas are attributable.
 	model.Parallelism = 1
 	allocs, bytes := measureAllocs(3, func() {
 		if _, err := model.EvaluateBatch(cfgs); err != nil {
 			b.Fatal(err)
 		}
 	})
-	unpooled := *model
-	unpooled.Parallelism = 1
-	unpooled.Predict = func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
-		sm := cluster.NewSim() // fresh buffers per run: nothing is recycled
-		sched, err := sm.RunInto(trace, cfg, cluster.Options{Horizon: horizon})
-		sm.Detach()
-		return sched, err
-	}
-	allocsUnpooled, bytesUnpooled := measureAllocs(3, func() {
-		if _, err := unpooled.EvaluateBatch(cfgs); err != nil {
-			b.Fatal(err)
+	unpooled := func() [][]float64 {
+		rows := make([][]float64, len(cfgs))
+		for c := range cfgs {
+			sm := cluster.NewSim() // fresh buffers per run: nothing is recycled
+			sched, err := sm.RunInto(trace, cfgs[c], cluster.Options{Horizon: model.Horizon})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sm.Detach()
+			rows[c] = qs.EvalAll(templates, sched, 0, sched.Horizon+time.Nanosecond)
 		}
-	})
+		return rows
+	}
+	if got := unpooled(); !reflect.DeepEqual(got, want) {
+		b.Fatalf("unpooled reference rows %v, batch rows %v", got, want)
+	}
+	allocsUnpooled, bytesUnpooled := measureAllocs(3, func() { unpooled() })
 	checkCeiling(b, "allocs_per_op", allocs, 117)
 	checkCeiling(b, "bytes_per_op", bytes, 32_194)
 	checkCeiling(b, "allocs_per_op_unpooled", allocsUnpooled, 1_565)

@@ -16,10 +16,10 @@ import (
 // (TestSimSteadyStateAllocs): the trace's validation map, the *Schedule,
 // and nothing that grows with the trace.
 //
-// A Sim is not safe for concurrent use; give each worker its own (or Get
-// one from the shared pool via Run). Results are bit-identical to a fresh
-// simulator's — every piece of per-run state is reset by RunInto, and the
-// scenario golden suite locks this.
+// A Sim is not safe for concurrent use; give each worker its own (or
+// borrow one from the shared pool via Run or WithSim). Results are
+// bit-identical to a fresh simulator's — every piece of per-run state is
+// reset by RunInto, and the scenario golden suite locks this.
 type Sim struct {
 	s scheduler
 	// tenantNames is the tenant table Detach last handed out. Detached
@@ -94,11 +94,20 @@ func exactCopy[T any](s []T) []T {
 	return out
 }
 
-// simPool recycles Sims across all callers of Run — under tempod every
-// shard worker's control-loop ticks and what-if probes draw from it, so
-// steady-state serving stops churning the heap. sync.Pool drops Sims
-// under memory pressure, bounding retention.
+// simPool recycles Sims across all callers of Run and WithSim — under
+// tempod every shard worker's observed ticks and what-if scoring draw from
+// it, so steady-state serving stops churning the heap. sync.Pool drops
+// Sims under memory pressure, bounding retention.
 var simPool = sync.Pool{New: func() any { return NewSim() }}
+
+// WithSim lends fn a Sim from the pool Run draws from, for the duration
+// of the call. A schedule fn's runs borrow from the Sim must not outlive
+// the call unless fn detaches it.
+func WithSim(fn func(sm *Sim)) {
+	sm := simPool.Get().(*Sim)
+	defer simPool.Put(sm)
+	fn(sm)
+}
 
 // Run simulates the trace under the RM configuration and returns the task
 // schedule. It is deterministic: the same inputs (including the noise

@@ -79,7 +79,7 @@ func twoTenantSetup(t *testing.T, seed int64) (Config, cluster.Config, *emulator
 		qs.Template{Queue: "prod", Metric: qs.DeadlineViolations, Slack: 0.25}.WithTarget(0.05),
 		{Queue: "adhoc", Metric: qs.AvgResponseTime},
 	}
-	model, err := whatif.FromProfiles(templates, profiles, time.Hour, seed+500)
+	model, err := whatif.FromProfiles(templates, profiles, time.Hour, seed+500, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -391,11 +391,10 @@ func Figure12(seed int64) (*Figure12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		model, err := whatif.FromProfiles(templates, fitted, horizon, seed+23)
+		model, err := whatif.FromProfiles(templates, fitted, horizon, seed+23, 2)
 		if err != nil {
 			return nil, err
 		}
-		model.Samples = 2
 		model.Horizon = horizon
 		model.Parallelism = Parallelism
 		est, err := model.Evaluate(cfgFor(fullCapacity))

@@ -72,6 +72,12 @@ type Runtime struct {
 	// lastSearch is the last Apply's search statistics: nil when the
 	// controller is disabled or nothing has been applied since Build.
 	lastSearch *core.SearchStats
+	// model is the controller's What-if Model (nil when the controller is
+	// disabled); Apply hands it the samples before each decision.
+	model *whatif.Model
+	// samples are the what-if workload samples every model of the
+	// runtime scores, drawn on first use (see whatIfSamples).
+	samples []*workload.Trace
 }
 
 // Build materializes a validated spec into a runnable scenario.
@@ -135,10 +141,7 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 		return rt, nil
 	}
 
-	model, err := rt.NewWhatIfModel(opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
+	rt.model = rt.whatIfModel(opts.Parallelism, nil)
 
 	maxStep := spec.Controller.MaxStep
 	if maxStep == 0 {
@@ -155,9 +158,9 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown revert policy %q", spec.Name, spec.Controller.Revert)
 	}
-	var coreModel core.Model = model
+	var coreModel core.Model = rt.model
 	if opts.ExhaustiveSearch {
-		coreModel = &exhaustiveModel{m: model}
+		coreModel = &exhaustiveModel{m: rt.model}
 	}
 	ctl, err := core.NewController(core.Config{
 		Space:      cluster.DefaultSpace(spec.Capacity, spec.TenantNames()),
@@ -192,44 +195,55 @@ func (e *exhaustiveModel) EvaluateSearch(cfgs []cluster.Config) ([][]float64, []
 	}
 	fresh := make([]int, len(cfgs))
 	for i := range fresh {
-		fresh[i] = max(e.m.Samples, 1)
+		fresh[i] = len(e.m.Traces)
 	}
 	return preds, fresh, make([]int, len(cfgs)), nil
 }
 
 // NewWhatIfModel builds a What-if Model wired exactly the way the
-// scenario's controller uses one: replaying the scenario trace in replay
-// mode (horizon clipped to the control interval), or synthesizing fresh
-// interval-length draws from the tenant profiles in windowed mode, with
-// every seed derived from Spec.Seed. parallelism caps the worker pool
-// (<= 0 means one worker per CPU); results are bit-identical for every
-// setting. Each call returns an independent model, so serving-layer
-// what-if probes share nothing with the controller's own scoring.
+// scenario's controller uses one (see whatIfModel), scoring the runtime's
+// samples. parallelism caps the worker pool (<= 0 means one worker per
+// CPU); results are bit-identical for every setting. Each call returns an
+// independent model, so serving-layer what-if probes share no scoring
+// state with the controller's own model; they share only the read-only
+// sample traces.
 func (rt *Runtime) NewWhatIfModel(parallelism int) (*whatif.Model, error) {
-	spec := rt.Spec
-	var model *whatif.Model
-	var err error
-	if spec.Replay {
-		model, err = whatif.FromTrace(rt.Templates, rt.Trace)
-		if err != nil {
-			return nil, err
-		}
+	traces, err := rt.whatIfSamples()
+	if err != nil {
+		return nil, err
+	}
+	return rt.whatIfModel(parallelism, traces), nil
+}
+
+// whatIfModel builds a What-if Model over the scenario's (validated)
+// templates and the given samples: in replay mode its horizon is clipped
+// to the control interval, in windowed mode every job runs to completion.
+func (rt *Runtime) whatIfModel(parallelism int, traces []*workload.Trace) *whatif.Model {
+	if parallelism <= 0 {
+		parallelism = whatif.DefaultParallelism()
+	}
+	model := &whatif.Model{Templates: rt.Templates, Traces: traces, Parallelism: parallelism}
+	if rt.Spec.Replay {
 		model.Horizon = rt.Interval // match the observation window exactly
-	} else {
-		model, err = whatif.FromProfiles(rt.Templates, rt.Profiles, rt.Interval, spec.Seed+seedWhatIfSample)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Controller.WhatIfSamples > 0 {
-			model.Samples = spec.Controller.WhatIfSamples
-		}
 	}
-	if parallelism > 0 {
-		model.Parallelism = parallelism
-	} else {
-		model.Parallelism = whatif.DefaultParallelism()
+	return model
+}
+
+// whatIfSamples returns the workload samples the runtime's what-if models
+// score: the scenario trace in replay mode, or WhatIfSamples (default 1)
+// interval-length draws from the tenant profiles in windowed mode, seeded
+// from Spec.Seed. They are drawn on first use, not at Build, so building
+// or resuming a runtime that applies no tick draws nothing.
+func (rt *Runtime) whatIfSamples() ([]*workload.Trace, error) {
+	var err error
+	switch {
+	case rt.samples != nil:
+	case rt.Spec.Replay:
+		rt.samples = []*workload.Trace{rt.Trace}
+	default:
+		rt.samples, err = whatif.Draw(rt.Profiles, rt.Interval, rt.Spec.Seed+seedWhatIfSample, max(rt.Spec.Controller.WhatIfSamples, 1))
 	}
-	return model, nil
+	return rt.samples, err
 }
 
 // noiseModel materializes the noise spec with the given stream seed, or nil

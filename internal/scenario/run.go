@@ -93,6 +93,11 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 	it := IterationReport{Index: tick}
 	var search *core.SearchStats
 	if rt.Controller != nil {
+		traces, err := rt.whatIfSamples()
+		if err != nil {
+			return IterationReport{}, err
+		}
+		rt.model.Traces = traces
 		step, err := rt.Controller.Apply(sched)
 		if err != nil {
 			return IterationReport{}, err

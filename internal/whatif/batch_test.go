@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -28,11 +27,10 @@ func batchConfigs(capacity int) []cluster.Config {
 func TestEvaluateBatchBitIdenticalAcrossParallelism(t *testing.T) {
 	m, err := FromProfiles(testTemplates(),
 		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 42)
+		time.Hour, 42, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Samples = 3
 	cfgs := batchConfigs(20)
 
 	m.Parallelism = 1
@@ -72,11 +70,10 @@ func TestEvaluateBatchBitIdenticalAcrossParallelism(t *testing.T) {
 func TestEvaluateParallelSamplesMatchSequential(t *testing.T) {
 	m, err := FromProfiles(testTemplates(),
 		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 7)
+		time.Hour, 7, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Samples = 6
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
 	m.Parallelism = 1
 	seq, err := m.Evaluate(cfg)
@@ -98,18 +95,18 @@ func TestEvaluateParallelSamplesMatchSequential(t *testing.T) {
 func TestSensitivityParallelMatchesSequential(t *testing.T) {
 	m, err := FromProfiles(testTemplates(),
 		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 11)
+		time.Hour, 11, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
 	m.Parallelism = 1
-	mean1, sd1, err := m.Sensitivity(cfg, 5)
+	mean1, sd1, err := m.Sensitivity(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Parallelism = 8
-	mean8, sd8, err := m.Sensitivity(cfg, 5)
+	mean8, sd8, err := m.Sensitivity(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,34 +136,30 @@ func TestEvaluateBatchEmpty(t *testing.T) {
 // lowest (config, sample) pair — the one sequential evaluation would see —
 // and EvaluateSearch reports the same error.
 func TestEvaluateBatchDeterministicError(t *testing.T) {
-	boom := errors.New("boom")
-	gen := func(failFrom int) Generator {
-		return func(sample int) (*workload.Trace, error) {
-			if sample >= failFrom {
-				return nil, fmt.Errorf("sample %d: %w", sample, boom)
-			}
-			return workload.Generate(
-				[]workload.TenantProfile{workload.BestEffort("A", 1)},
-				workload.GenerateOptions{Horizon: 30 * time.Minute, Seed: 1})
-		}
+	good, err := workload.Generate(
+		[]workload.TenantProfile{workload.BestEffort("A", 1)},
+		workload.GenerateOptions{Horizon: 30 * time.Minute, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	broken := *good
+	broken.Jobs = append([]workload.JobSpec(nil), good.Jobs...)
+	broken.Jobs[0].Submit = -time.Second
 	invalid := batchConfigs(20)
 	invalid[1].Tenants["A"] = cluster.TenantConfig{Weight: -1}
 	for _, tc := range []struct {
-		name  string
-		gen   Generator
-		cfgs  []cluster.Config
-		want  string
-		cause error
+		name   string
+		traces []*workload.Trace
+		cfgs   []cluster.Config
+		want   string
 	}{
-		{"generation failure", gen(1), batchConfigs(20), "whatif: config 0: ", boom},
-		{"invalid candidate", gen(4), invalid, "whatif: config 1: ", nil},
+		{"prediction failure", []*workload.Trace{good, &broken, good, &broken}, batchConfigs(20), "whatif: config 0: predicting sample 1: "},
+		{"invalid candidate", []*workload.Trace{good, good, &broken, good}, invalid, "whatif: config 1: "},
 	} {
-		m, err := New(testTemplates(), tc.gen)
+		m, err := New(testTemplates(), tc.traces)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Samples = 4
 		m.Horizon = 30 * time.Minute
 		m.Parallelism = 1
 		_, errSeq := m.EvaluateBatch(tc.cfgs)
@@ -181,8 +174,8 @@ func TestEvaluateBatchDeterministicError(t *testing.T) {
 				t.Fatalf("%s: nondeterministic error: %q vs %q", tc.name, errSeq, errPar)
 			}
 		}
-		if !strings.HasPrefix(errPar.Error(), tc.want) || (tc.cause != nil && !errors.Is(errPar, tc.cause)) {
-			t.Fatalf("%s: error %q, want prefix %q and cause %v", tc.name, errPar, tc.want, tc.cause)
+		if !strings.HasPrefix(errPar.Error(), tc.want) {
+			t.Fatalf("%s: error %q, want prefix %q", tc.name, errPar, tc.want)
 		}
 		preds, _, _, errSearch := m.EvaluateSearch(tc.cfgs)
 		if errSearch == nil || errSearch.Error() != errSeq.Error() {
@@ -191,38 +184,31 @@ func TestEvaluateBatchDeterministicError(t *testing.T) {
 	}
 }
 
-// TestNilScheduleGuard covers a Predict hook that returns (nil, nil): the
-// model must fail with a descriptive error instead of panicking in EvalAll.
-func TestNilScheduleGuard(t *testing.T) {
-	m, err := FromTrace(testTemplates(), testTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Predict = func(*workload.Trace, cluster.Config, time.Duration) (*cluster.Schedule, error) {
-		return nil, nil
-	}
-	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	for _, par := range []int{1, 8} {
-		m.Parallelism = par
-		if _, err := m.Evaluate(cfg); err == nil {
-			t.Fatalf("parallelism %d: nil schedule accepted", par)
-		} else if want := "nil schedule"; !contains(err.Error(), want) {
-			t.Fatalf("parallelism %d: error %q does not mention %q", par, err, want)
-		}
-	}
-}
-
-// TestNilTraceGuard covers a Generator that returns (nil, nil).
+// TestNilTraceGuard: a model whose Traces hold a nil entry, or none at
+// all, fails with a descriptive error at any parallelism, and so does
+// Sensitivity, instead of panicking in the predictor.
 func TestNilTraceGuard(t *testing.T) {
-	m, err := New(testTemplates(), func(int) (*workload.Trace, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	if _, err := m.Evaluate(cfg); err == nil {
-		t.Fatal("nil trace accepted")
-	} else if want := "nil trace"; !contains(err.Error(), want) {
-		t.Fatalf("error %q does not mention %q", err, want)
+	for _, traces := range [][]*workload.Trace{nil, {nil, testTrace(t)}, {testTrace(t), nil, testTrace(t)}} {
+		m, err := New(testTemplates(), traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "nil trace"
+		if len(traces) == 0 {
+			want = "no sample traces"
+		}
+		for _, par := range []int{1, 8} {
+			m.Parallelism = par
+			if _, err := m.Evaluate(cfg); err == nil || !contains(err.Error(), want) {
+				t.Fatalf("%d traces, parallelism %d: error %v does not mention %q", len(traces), par, err, want)
+			}
+		}
+		if len(traces) >= 2 {
+			if _, _, err := m.Sensitivity(cfg); err == nil || !contains(err.Error(), want) {
+				t.Fatalf("%d traces: Sensitivity error %v does not mention %q", len(traces), err, want)
+			}
+		}
 	}
 }
 
@@ -252,18 +238,11 @@ func TestMixSeedNoAliasing(t *testing.T) {
 func TestFromProfilesSamplesDistinct(t *testing.T) {
 	m, err := FromProfiles(testTemplates(),
 		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 0)
+		time.Hour, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0, err := m.Gen(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := m.Gen(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t0, t1 := m.Traces[0], m.Traces[1]
 	if len(t0.Jobs) == len(t1.Jobs) {
 		same := true
 		for i := range t0.Jobs {

@@ -107,11 +107,11 @@ func TestSearchEpochComparesTemplates(t *testing.T) {
 		{Queue: "A", Metric: qs.AvgResponseTime},
 		{Metric: qs.Utilization, TaskKind: &mapKind},
 	}
-	m, err := FromProfiles(before, []workload.TenantProfile{workload.BestEffort("A", 1)}, time.Hour, 42)
+	m, err := FromProfiles(before, []workload.TenantProfile{workload.BestEffort("A", 1)}, time.Hour, 42, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Horizon, m.Samples = time.Hour, 2
+	m.Horizon = time.Hour
 	cfgs := searchConfigs()
 	if _, _, _, err := m.EvaluateSearch(cfgs); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSearchEpochComparesTemplates(t *testing.T) {
 		}
 		// The first configuration's pairs open the call's first wave,
 		// which no certificate of this epoch can serve yet.
-		if fresh[0] != m.Samples || reused[0] != 0 {
+		if fresh[0] != len(m.Traces) || reused[0] != 0 {
 			t.Fatalf("%s: config 0 fresh=%d reused=%d, want every pair re-simulated", what, fresh[0], reused[0])
 		}
 	}

@@ -43,10 +43,11 @@ func traceFingerprint(tr *workload.Trace) string {
 }
 
 // FuzzFromProfiles locks the seed-mixing invariants of the statistical
-// what-if mode: per-sample seeds are deterministic, distinct samples of the
-// same model never alias each other's workload draws (the splitmix64 mix is
-// a bijection of base + (sample+1)·golden, so equal outputs would need
-// equal inputs), and QS vectors are bit-identical for any parallelism.
+// what-if mode: Draw is deterministic (two draws over the same base seed
+// are equal traces), distinct samples of one draw never alias each
+// other's seeds (the splitmix64 mix is a bijection of base +
+// (sample+1)·golden, so equal outputs would need equal inputs), and QS
+// vectors over the drawn samples are bit-identical for any parallelism.
 func FuzzFromProfiles(f *testing.F) {
 	f.Add(int64(0), int64(1), byte(0))
 	f.Add(int64(42), int64(977), byte(3))
@@ -63,52 +64,51 @@ func FuzzFromProfiles(f *testing.F) {
 		if mixSeed(baseA, s) == mixSeed(baseA, s+7) {
 			t.Fatalf("mixSeed(%d, %d) collides with sample %d", baseA, s, s+7)
 		}
-		templates := []qs.Template{
-			{Queue: "a", Metric: qs.AvgResponseTime},
-			{Queue: "b", Metric: qs.Throughput},
-		}
-		build := func(base int64) *Model {
-			m, err := FromProfiles(templates, fuzzProfiles(), 5*time.Minute, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-		// Determinism: two models over the same base draw identical traces.
-		m1, m2 := build(baseA), build(baseA)
-		tr1, err := m1.Gen(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr2, err := m2.Gen(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr1.Validate(); err != nil {
-			t.Fatalf("generated trace invalid: %v", err)
-		}
-		if traceFingerprint(tr1) != traceFingerprint(tr2) {
-			t.Fatalf("same (base, sample) produced different traces:\n%s\n%s",
-				traceFingerprint(tr1), traceFingerprint(tr2))
-		}
 		// Distinct bases: the derived seeds must differ (the generated
 		// traces may still coincide when both are empty).
 		if baseA != baseB && mixSeed(baseA, s) == mixSeed(baseB, s) {
 			t.Fatalf("mixSeed(%d, %d) == mixSeed(%d, %d)", baseA, s, baseB, s)
 		}
-		// Parallelism independence: sequential and parallel batches are
-		// bit-identical.
-		cfg := cluster.Config{TotalContainers: 4, Tenants: map[string]cluster.TenantConfig{
-			"a": {Weight: 2}, "b": {Weight: 1},
-		}}
-		m1.Samples = 2
-		m1.Parallelism = 1
-		seqRows, err := m1.EvaluateBatch([]cluster.Config{cfg, cfg})
+		// Determinism: two draws over the same base are equal traces, and
+		// sample s of a draw is independent of how many samples it holds.
+		n := 1 + s%3
+		draw1, err := Draw(fuzzProfiles(), 5*time.Minute, baseA, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m1.Parallelism = 3
-		parRows, err := m1.EvaluateBatch([]cluster.Config{cfg, cfg})
+		draw2, err := Draw(fuzzProfiles(), 5*time.Minute, baseA, n+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range draw1 {
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("drawn trace invalid: %v", err)
+			}
+			if !tr.Equal(draw2[i]) {
+				t.Fatalf("same (base, sample %d) produced different traces:\n%s\n%s",
+					i, traceFingerprint(tr), traceFingerprint(draw2[i]))
+			}
+		}
+		// Parallelism independence: sequential and parallel batches are
+		// bit-identical.
+		templates := []qs.Template{
+			{Queue: "a", Metric: qs.AvgResponseTime},
+			{Queue: "b", Metric: qs.Throughput},
+		}
+		m, err := New(templates, draw1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := cluster.Config{TotalContainers: 4, Tenants: map[string]cluster.TenantConfig{
+			"a": {Weight: 2}, "b": {Weight: 1},
+		}}
+		m.Parallelism = 1
+		seqRows, err := m.EvaluateBatch([]cluster.Config{cfg, cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Parallelism = 3
+		parRows, err := m.EvaluateBatch([]cluster.Config{cfg, cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,12 +149,11 @@ func FuzzScoreMatchesOracle(f *testing.F) {
 		m, err := FromProfiles([]qs.Template{
 			{Queue: "a", Metric: qs.AvgResponseTime},
 			{Queue: "b", Metric: qs.Throughput},
-		}, fuzzProfiles(), 5*time.Minute, 7)
+		}, fuzzProfiles(), 5*time.Minute, 7, 1+int(samples)%3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Horizon = 5 * time.Minute
-		m.Samples = 1 + int(samples)%3
 		m.Parallelism = 1 + int(par)%4
 		checkAgainstOracle(t, m, cfgs)
 	})

@@ -2,86 +2,51 @@ package whatif
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"tempo/internal/cluster"
 	"tempo/internal/workload"
 )
 
-func generatorModel(t *testing.T, samples int) (*Model, []workload.TenantProfile) {
-	t.Helper()
+// TestFromProfilesDrawsOncePerControlLoopSample: FromProfiles draws each
+// sample once, up front, and every draw is what workload.Generate
+// produces for the sample's mixed seed and name; scoring never replaces a
+// trace, so repeated searches see the same pointers.
+func TestFromProfilesDrawsOncePerControlLoopSample(t *testing.T) {
+	const samples = 3
 	profiles := []workload.TenantProfile{
 		workload.DeadlineDriven("etl", 0.4),
 		workload.BestEffort("adhoc", 0.4),
 	}
-	m, err := FromProfiles(testTemplates(), profiles, time.Hour, 42)
+	m, err := FromProfiles(testTemplates(), profiles, time.Hour, 42, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Samples = samples
-	return m, profiles
-}
-
-// TestFromProfilesDrawsOncePerControlLoopSample: a redraw of an index the
-// control loop scores (below Samples) hands back the first draw's
-// pointer, and that draw is what workload.Generate produces for the
-// sample's seed and name; indices beyond Samples (Sensitivity's) are
-// drawn afresh each time and not retained.
-func TestFromProfilesDrawsOncePerControlLoopSample(t *testing.T) {
-	const samples = 3
-	m, profiles := generatorModel(t, samples)
-	for s := 0; s < samples+2; s++ {
-		first, err := m.Gen(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := m.Gen(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if len(m.Traces) != samples {
+		t.Fatalf("%d traces, want %d", len(m.Traces), samples)
+	}
+	drawn := append([]*workload.Trace(nil), m.Traces...)
+	for s, tr := range drawn {
 		want, err := workload.Generate(profiles, workload.GenerateOptions{
 			Horizon: time.Hour, Seed: mixSeed(42, s), Name: fmt.Sprintf("whatif-%d", s),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !first.Equal(want) || !again.Equal(want) {
+		if !tr.Equal(want) {
 			t.Fatalf("sample %d differs from a fresh workload.Generate", s)
 		}
-		if retained := first == again; retained != (s < samples) {
-			t.Fatalf("sample %d of %d: retained = %v", s, samples, retained)
+	}
+	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"etl": {Weight: 1}, "adhoc": {Weight: 1}}}
+	for call := 0; call < 2; call++ {
+		if _, _, _, err := m.EvaluateSearch([]cluster.Config{cfg}); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestFromProfilesConcurrentFirstDraws: 32 goroutines racing on the first
-// draw of every sample all come back with one trace per sample. Run under
-// -race.
-func TestFromProfilesConcurrentFirstDraws(t *testing.T) {
-	const samples, goroutines = 4, 32
-	m, _ := generatorModel(t, samples)
-	got := make([][samples]*workload.Trace, goroutines)
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < samples; i++ {
-				s := (g + i) % samples
-				tr, err := m.Gen(s)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got[g][s] = tr
+		for s := range drawn {
+			if m.Traces[s] != drawn[s] {
+				t.Fatalf("call %d replaced sample %d", call, s)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g := range got {
-		if got[g] != got[0] {
-			t.Fatalf("goroutine %d drew %v, goroutine 0 %v", g, got[g], got[0])
 		}
 	}
 }

@@ -12,10 +12,10 @@ import (
 
 // TestScratchPoolConcurrentBatches hammers the shared Sim pool: 32
 // goroutines run EvaluateBatch concurrently (each batch itself fanning out
-// over 2 workers), all drawing Sims from the one package-level pool, and
-// every result must be bit-identical to the sequential evaluation. Run
-// under -race in CI: it is the test that a recycled Sim is never shared
-// by two live evaluations.
+// over 2 workers) between detached cluster.Run calls, all borrowing Sims
+// from cluster's one pool, and every result must be bit-identical to the
+// sequential evaluation. Run under -race in CI: it is the test that a
+// recycled Sim is never shared by two live evaluations.
 func TestScratchPoolConcurrentBatches(t *testing.T) {
 	profiles := []workload.TenantProfile{
 		workload.DeadlineDriven("etl", 0.4),
@@ -26,11 +26,10 @@ func TestScratchPoolConcurrentBatches(t *testing.T) {
 		{Queue: "adhoc", Metric: qs.AvgResponseTime},
 		{Metric: qs.Utilization},
 	}
-	m, err := FromProfiles(templates, profiles, 45*time.Minute, 11)
+	m, err := FromProfiles(templates, profiles, 45*time.Minute, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Samples = 2
 	base := cluster.Config{
 		TotalContainers: 16,
 		Tenants: map[string]cluster.TenantConfig{
@@ -51,6 +50,13 @@ func TestScratchPoolConcurrentBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func() (*cluster.Schedule, error) {
+		return cluster.Run(m.Traces[0], base, cluster.Options{Horizon: 45 * time.Minute})
+	}
+	wantSched, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const goroutines = 32
 	var wg sync.WaitGroup
@@ -59,12 +65,21 @@ func TestScratchPoolConcurrentBatches(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func() {
 			defer wg.Done()
-			mm := *m // models share Gen/Templates; Parallelism is private per goroutine
+			mm := *m // models share Traces/Templates; Parallelism is private per goroutine
 			mm.Parallelism = 2
 			for iter := 0; iter < 3; iter++ {
 				got, err := mm.EvaluateBatch(cfgs)
 				if err != nil {
 					errc <- err
+					return
+				}
+				sched, err := run()
+				if err != nil {
+					errc <- err
+					return
+				}
+				if !sched.Equal(wantSched) {
+					t.Error("a detached run between batches differs from the sequential one")
 					return
 				}
 				for c := range want {

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -16,11 +17,11 @@ import (
 // compiled QS templates and two exact-verified tiers per sample:
 //
 //   - a config tier keyed by configuration fingerprint (verified with
-//     cluster.Config.Equal): the built-in predictor is a pure function of
-//     (trace, configuration, horizon), so an identical configuration
-//     scored against an identical trace reuses the whole QS vector with
-//     no simulation at all — this is what makes warm-starting the
-//     incumbent free;
+//     cluster.Config.Equal): the predictor is a pure function of (trace,
+//     configuration, horizon), so an identical configuration scored
+//     against an identical trace reuses the whole QS vector with no
+//     simulation at all — this is what makes warm-starting the incumbent
+//     free;
 //   - a certificate tier: the latest cluster.Certificate a run on the
 //     sample earned, with that run's QS vector. A configuration the
 //     certificate covers provably schedules the sample exactly as the
@@ -28,25 +29,23 @@ import (
 //     candidates perturb a weight or a limit that often never binds: a
 //     weight no contended pick depends on, a max share above the peak.
 //
-// Both serve the built-in predictor only; a custom Predictor is scored
-// for every pair. Every other pair simulates and evaluates its schedule
-// through the compiled templates (qs.Compiled), which the state compiles
-// once per model shape and every worker shares. Both tiers reuse values
-// only after an exact check, so reuse is bit-identical to recomputation
-// no matter which worker populated an entry first.
+// Every other pair simulates and evaluates its schedule through the
+// compiled templates (qs.Compiled), which the state compiles once per
+// model shape and every worker shares. Both tiers reuse values only after
+// an exact check, so reuse is bit-identical to recomputation no matter
+// which worker populated an entry first.
 //
 // The entry points differ only in the state's lifetime. EvaluateSearch
 // passes the model's own state, which remembers across ticks: the
 // controller scores near-identical candidate sets tick after tick — the
-// incumbent is always re-scored, proposals cluster around it, and in both
-// generator modes the sample traces are identical across ticks (replay
-// shares one trace pointer; the profile generator draws each sample once
-// and hands the same pointer back). The others pass a fresh state
-// that dies with the call. Stale state is impossible by construction:
-// every call re-reconciles each sample's trace identity (pointer fast
-// path, content comparison otherwise) and drops that sample's entries
-// when the trace changed, and an epoch guard drops everything when the
-// model's shape (templates by value, horizon, sample count) changes.
+// incumbent is always re-scored, proposals cluster around it, and the
+// sample traces its runtime hands the model are the same pointers tick
+// after tick. The others pass a fresh state that dies with the call.
+// Stale state is impossible by construction: every call re-reconciles
+// each sample's trace identity (pointer fast path, content comparison
+// otherwise) and drops that sample's entries when the trace changed, and
+// an epoch guard drops everything when the model's shape (templates by
+// value, horizon, sample count) changes.
 
 // maxSearchConfigPerSample caps the config tier. 64 covers many ticks of
 // candidate churn around the incumbent; the tier is FIFO, so a
@@ -94,10 +93,9 @@ type searchState struct {
 // (epoch) change, one sample's entries when that sample's trace content
 // changed. The epoch compares the templates by value, so a different set
 // of the same length recompiles and drops every vector. Trace identity is
-// the pointer when generators hand back the same trace (FromTrace and
-// FromProfiles both do) and a content comparison otherwise (a caller's
-// generator that redraws an equal trace each call keeps its entries; a
-// regenerated different trace fails the comparison and drops them). It
+// the pointer when the caller hands back the same trace and a content
+// comparison otherwise (an equal trace at a new pointer keeps its
+// entries; a different trace fails the comparison and drops them). It
 // returns the compiled templates, which the call's workers share.
 func (st *searchState) reconcile(templates []qs.Template, horizon time.Duration, traces []*workload.Trace) *qs.Compiled {
 	st.mu.Lock()
@@ -189,20 +187,16 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config) (preds [][]float64, fresh,
 	return m.evaluate(m.search, cfgs)
 }
 
-// evaluate scores cfgs over the model's sample count against st and
-// averages each configuration's rows in sample order.
+// evaluate scores cfgs over the model's samples against st and averages
+// each configuration's rows in sample order.
 func (m *Model) evaluate(st *searchState, cfgs []cluster.Config) (preds [][]float64, fresh, reused []int, err error) {
-	samples := m.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	vals, fresh, reused, err := m.score(st, cfgs, samples)
+	vals, fresh, reused, err := m.score(st, cfgs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	preds = make([][]float64, len(cfgs))
 	for c := range cfgs {
-		preds[c] = averageSamples(vals, c, samples, len(m.Templates))
+		preds[c] = averageSamples(vals, c, len(m.Traces), len(m.Templates))
 	}
 	return preds, fresh, reused, nil
 }
@@ -212,15 +206,19 @@ func (m *Model) evaluate(st *searchState, cfgs []cluster.Config) (preds [][]floa
 // fresh[c] counting the pairs of cfgs[c] whose predictor ran and
 // reused[c] its config-tier and certificate hits.
 //
-// The S sample traces are generated exactly once, up front, and shared
-// (read-only) by all C candidates. Errors are deterministic and
-// independent of worker timing: generation errors first (lowest sample
-// wins, attributed to config 0), then the lowest-indexed invalid
+// The S sample traces are shared (read-only) by all C candidates. Errors
+// are deterministic and independent of worker timing: a model without
+// samples or with a nil one first, then the lowest-indexed invalid
 // configuration — before any lookup, so a cache hit cannot hide it —
 // then prediction errors (lowest flat pair index).
 //
 //tempo:hot
-func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals [][]float64, fresh, reused []int, err error) {
+func (m *Model) score(st *searchState, cfgs []cluster.Config) (vals [][]float64, fresh, reused []int, err error) {
+	traces := m.Traces
+	if err := checkTraces(traces); err != nil {
+		return nil, nil, nil, err
+	}
+	samples := len(traces)
 	fresh = make([]int, len(cfgs))
 	reused = make([]int, len(cfgs))
 	vals = make([][]float64, len(cfgs)*samples)
@@ -235,27 +233,15 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 		//tempolint:ignore allocdiscipline cold error exit, runs at most once per call
 		return fmt.Errorf("whatif: %w", err)
 	}
-	traces, err := m.genSamples(samples, workersFor(m.Parallelism, samples))
-	if err != nil {
-		return nil, nil, nil, wrap(0, err)
-	}
 	for c := range cfgs {
 		if err := cfgs[c].Validate(); err != nil {
 			return nil, nil, nil, wrap(c, err)
 		}
 	}
 	set := st.reconcile(m.Templates, m.Horizon, traces)
-
-	// The tiers only apply to the built-in predictor, whose output is a
-	// pure function of (trace, configuration, horizon) and whose Sim
-	// certifies its runs; a custom Predict is an opaque function we must
-	// call, and score, per (config, sample) pair.
-	cacheable := m.Predict == nil
 	fps := make([]uint64, len(cfgs))
-	if cacheable {
-		for i := range cfgs {
-			fps[i] = cfgs[i].Fingerprint()
-		}
+	for i := range cfgs {
+		fps[i] = cfgs[i].Fingerprint()
 	}
 
 	// Config-tier lookups first (serial, so fresh/reused counts are
@@ -267,12 +253,10 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 	for c := range cfgs {
 		for s := 0; s < samples; s++ {
 			idx := c*samples + s
-			if cacheable {
-				if v := st.lookupConfig(s, fps[c], &cfgs[c]); v != nil {
-					vals[idx] = v
-					reused[c]++
-					continue
-				}
+			if v := st.lookupConfig(s, fps[c], &cfgs[c]); v != nil {
+				vals[idx] = v
+				reused[c]++
+				continue
 			}
 			pending = append(pending, idx)
 		}
@@ -284,20 +268,18 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 	served := make([]bool, len(pending))
 	// Two waves: each sample's first pending pair, then the rest. A pair
 	// its sample's certificate covers takes the certified run's vector;
-	// the others simulate. A first-wave run stores the certificate it
-	// earns, so the second wave sees it. A first wave holds one pair per
-	// sample, so no two of its workers store to, or read, one sample's
-	// record, and which pairs a certificate serves never depends on worker
-	// timing. A custom predictor earns no certificates, so its pairs form
-	// one wave. With the built-in predictor each worker runs its pairs
-	// through a pooled Sim; custom predictors manage their own storage.
-	first, rest := waves(pending, samples, cacheable)
+	// the others simulate, each worker in its pooled Sim. A first-wave run
+	// stores the certificate it earns, so the second wave sees it. A first
+	// wave holds one pair per sample, so no two of its workers store to,
+	// or read, one sample's record, and which pairs a certificate serves
+	// never depends on worker timing.
+	first, rest := waves(pending, samples)
 	for w, wave := range [][]int{first, rest} {
 		if len(wave) == 0 {
 			continue
 		}
 		certify := w == 0
-		runIndexedSim(workersFor(m.Parallelism, len(wave)), len(wave), cacheable, func(k int, sm *cluster.Sim) {
+		runIndexed(workersFor(m.Parallelism, len(wave)), len(wave), func(k int, sm *cluster.Sim) {
 			pi := wave[k]
 			idx := pending[pi]
 			s, c := idx%samples, idx/samples
@@ -324,24 +306,35 @@ func (m *Model) score(st *searchState, cfgs []cluster.Config, samples int) (vals
 		} else {
 			fresh[idx/samples]++
 		}
-		if cacheable {
-			st.storeConfig(idx%samples, fps[idx/samples], cfgs[idx/samples], vals[idx])
-		}
+		st.storeConfig(idx%samples, fps[idx/samples], cfgs[idx/samples], vals[idx])
 	}
 	return vals, fresh, reused, nil
 }
 
+// checkTraces rejects a sample set score cannot average: an empty one, or
+// one holding a nil trace.
+func checkTraces(traces []*workload.Trace) error {
+	if len(traces) == 0 {
+		return errors.New("whatif: no sample traces")
+	}
+	for s, tr := range traces {
+		if tr == nil {
+			return fmt.Errorf("whatif: sample %d: nil trace", s)
+		}
+	}
+	return nil
+}
+
 // waves splits the pending pairs (positions into pending) into the two
 // waves score resolves them in, both in pair order: each sample's first
-// pending pair, and the rest. Without the built-in predictor every pair
-// is in the rest.
-func waves(pending []int, samples int, cacheable bool) (first, rest []int) {
+// pending pair, and the rest.
+func waves(pending []int, samples int) (first, rest []int) {
 	// One array for both: first holds at most one pair per sample.
 	buf := make([]int, samples+len(pending))
 	first, rest = buf[:0:samples], buf[samples:samples]
 	seen := make([]bool, samples)
 	for pi, idx := range pending {
-		if s := idx % samples; cacheable && !seen[s] {
+		if s := idx % samples; !seen[s] {
 			seen[s] = true
 			first = append(first, pi)
 		} else {

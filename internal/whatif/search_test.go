@@ -21,30 +21,15 @@ func searchConfigs() []cluster.Config {
 }
 
 // oracleScores is the engine's independent reference: every
-// (configuration, sample) pair predicted on its own (cluster.Run, or the
-// model's custom Predict) and scored with qs.EvalAll, no cache, no pool,
-// averaged in sample order.
+// (configuration, sample) pair predicted on its own with cluster.Run and
+// scored with qs.EvalAll, no cache, no pool, averaged in sample order.
 func oracleScores(t testing.TB, m *Model, cfgs []cluster.Config) [][]float64 {
 	t.Helper()
-	samples := m.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	predict := m.Predict
-	if predict == nil {
-		predict = func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
-			return cluster.Run(trace, cfg, cluster.Options{Horizon: horizon})
-		}
-	}
 	out := make([][]float64, len(cfgs))
 	for c := range cfgs {
 		acc := make([]float64, len(m.Templates))
-		for s := 0; s < samples; s++ {
-			tr, err := m.Gen(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sched, err := predict(tr, cfgs[c], m.Horizon)
+		for _, tr := range m.Traces {
+			sched, err := cluster.Run(tr, cfgs[c], cluster.Options{Horizon: m.Horizon})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +38,7 @@ func oracleScores(t testing.TB, m *Model, cfgs []cluster.Config) [][]float64 {
 			}
 		}
 		for i := range acc {
-			acc[i] /= float64(samples)
+			acc[i] /= float64(len(m.Traces))
 		}
 		out[c] = acc
 	}
@@ -99,29 +84,21 @@ func checkAgainstOracle(t testing.TB, m *Model, cfgs []cluster.Config) {
 
 // TestEvaluateSearchMatchesBatch: every entry point of the scoring engine
 // must be bit-identical to the independent oracle — at parallelism 1 and
-// 4, with duplicate configurations in the set, with the built-in
-// predictor and a custom one — and a second EvaluateSearch call must come
-// entirely out of the cross-tick config tier.
+// 4, with duplicate configurations in the set — and a second
+// EvaluateSearch call must come entirely out of the cross-tick config
+// tier.
 func TestEvaluateSearchMatchesBatch(t *testing.T) {
 	cfgs := append(searchConfigs(), searchConfigs()[1], searchConfigs()[0])
-	halved := func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
-		cfg.TotalContainers = (cfg.TotalContainers + 1) / 2
-		return cluster.Run(trace, cfg, cluster.Options{Horizon: horizon})
-	}
-	for _, predict := range []Predictor{nil, halved} {
-		for _, par := range []int{1, 4} {
-			m, err := FromProfiles(testTemplates(),
-				[]workload.TenantProfile{workload.BestEffort("A", 1)},
-				time.Hour, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.Horizon = time.Hour
-			m.Samples = 2
-			m.Parallelism = par
-			m.Predict = predict
-			checkAgainstOracle(t, m, cfgs)
+	for _, par := range []int{1, 4} {
+		m, err := FromProfiles(testTemplates(),
+			[]workload.TenantProfile{workload.BestEffort("A", 1)},
+			time.Hour, 42, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.Horizon = time.Hour
+		m.Parallelism = par
+		checkAgainstOracle(t, m, cfgs)
 	}
 
 	m, err := FromTrace(testTemplates(), testTrace(t))
@@ -147,51 +124,52 @@ func TestEvaluateSearchMatchesBatch(t *testing.T) {
 }
 
 // TestEvaluateSearchProfileModeReuses: cross-tick reuse holds on both of
-// reconcile's identity paths — FromProfiles hands back the pointer of its
-// first draw, and a caller's own generator that redraws a new (but
-// bit-identical) trace every call is matched by content.
+// reconcile's identity paths — the same trace pointers call after call,
+// and a sample replaced by a new trace of equal content, which is
+// matched by content.
 func TestEvaluateSearchProfileModeReuses(t *testing.T) {
 	profiles := []workload.TenantProfile{workload.BestEffort("A", 1)}
-	memoised, err := FromProfiles(testTemplates(), profiles, time.Hour, 42)
+	m, err := FromProfiles(testTemplates(), profiles, time.Hour, 42, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	redrawing, err := New(testTemplates(), func(sample int) (*workload.Trace, error) {
-		return workload.Generate(profiles, workload.GenerateOptions{Horizon: time.Hour, Seed: 42 + int64(sample)})
-	})
+	cfgs := searchConfigs()
+	want, err := m.EvaluateBatch(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, m := range map[string]*Model{"pointer": memoised, "content": redrawing} {
-		m.Samples = 2
-		cfgs := searchConfigs()
-		want, err := m.EvaluateBatch(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := m.EvaluateSearch(cfgs); err != nil {
-			t.Fatal(err)
+	if _, _, _, err := m.EvaluateSearch(cfgs); err != nil {
+		t.Fatal(err)
+	}
+	redrawn, err := Draw(profiles, time.Hour, 42, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []string{"pointer", "content"} {
+		if step == "content" {
+			m.Traces[1] = redrawn[1]
 		}
 		preds, fresh, reused, err := m.EvaluateSearch(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(preds, want) {
-			t.Fatalf("%s: warm search preds %v != batch preds %v", name, preds, want)
+			t.Fatalf("%s: warm search preds %v != batch preds %v", step, preds, want)
 		}
 		for i := range cfgs {
-			if fresh[i] != 0 || reused[i] != m.Samples {
-				t.Fatalf("%s: config %d fresh=%d reused=%d, want full reuse across redrawn traces", name, i, fresh[i], reused[i])
+			if fresh[i] != 0 || reused[i] != len(m.Traces) {
+				t.Fatalf("%s: config %d fresh=%d reused=%d, want full reuse", step, i, fresh[i], reused[i])
 			}
 		}
 	}
 }
 
 // TestEvaluateSearchStaleTraceNeverReused is the staleness regression:
-// when the generator starts returning a different workload between two
-// EvaluateSearch calls, every cached entry for the regenerated sample
-// must be invalidated — predictions come from fresh simulations of the
-// new trace, never from the old one's cache.
+// when a sample's trace is replaced by a different workload between two
+// EvaluateSearch calls, every cached entry for that sample must be
+// invalidated — its predictions come from fresh simulations of the new
+// trace, never from the old one's cache — while the untouched sample
+// keeps its entries.
 func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 	traceFor := func(seed int64) *workload.Trace {
 		tr, err := workload.Generate(
@@ -203,8 +181,7 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 		}
 		return tr
 	}
-	seed := int64(1)
-	m, err := New(testTemplates(), func(int) (*workload.Trace, error) { return traceFor(seed), nil })
+	m, err := New(testTemplates(), []*workload.Trace{traceFor(1), traceFor(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +192,14 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The workload regenerates: same shape, different content.
-	seed = 2
-	fresh2, err := FromTrace(testTemplates(), traceFor(2))
+	// Sample 0's workload changes: same shape, different content.
+	m.Traces[0] = traceFor(2)
+	ref, err := New(testTemplates(), []*workload.Trace{traceFor(2), traceFor(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh2.Horizon = time.Hour
-	want, err := fresh2.EvaluateBatch(cfgs)
+	ref.Horizon = time.Hour
+	want, err := ref.EvaluateBatch(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +208,14 @@ func TestEvaluateSearchStaleTraceNeverReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(preds, want) {
-		t.Fatalf("post-regeneration preds %v != fresh model preds %v", preds, want)
+		t.Fatalf("post-replacement preds %v != fresh model preds %v", preds, want)
 	}
 	if reflect.DeepEqual(preds, oldPreds) {
 		t.Fatal("fixture too weak: old and new traces score identically")
 	}
 	for i := range cfgs {
-		if reused[i] != 0 {
-			t.Fatalf("config %d reused %d stale entries after trace regeneration", i, reused[i])
-		}
-		if fresh[i] != 1 {
-			t.Fatalf("config %d fresh=%d, want full re-simulation", i, fresh[i])
+		if fresh[i] != 1 || reused[i] != 1 {
+			t.Fatalf("config %d fresh=%d reused=%d, want sample 0 re-simulated and sample 1 reused", i, fresh[i], reused[i])
 		}
 	}
 }
@@ -266,11 +240,11 @@ func TestCertificateTierAcrossParallelism(t *testing.T) {
 		m, err := FromProfiles([]qs.Template{
 			{Queue: "a", Metric: qs.AvgResponseTime},
 			{Queue: "b", Metric: qs.Throughput},
-		}, fuzzProfiles(), time.Hour, 7)
+		}, fuzzProfiles(), time.Hour, 7, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Samples, m.Parallelism = 3, parallelism
+		m.Parallelism = parallelism
 		for _, cfgs := range calls {
 			p, f, r, err := m.EvaluateSearch(cfgs)
 			if err != nil {

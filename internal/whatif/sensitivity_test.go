@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -13,12 +12,12 @@ import (
 func TestSensitivityMeanAndSpread(t *testing.T) {
 	m, err := FromProfiles(testTemplates(),
 		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 7)
+		time.Hour, 7, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	mean, stddev, err := m.Sensitivity(cfg, 5)
+	mean, stddev, err := m.Sensitivity(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +31,20 @@ func TestSensitivityMeanAndSpread(t *testing.T) {
 	if stddev[0] <= 0 {
 		t.Fatalf("AJR stddev = %v; distinct draws should differ", stddev[0])
 	}
-	if _, _, err := m.Sensitivity(cfg, 1); err == nil {
-		t.Fatal("n=1 accepted")
+	m.Traces = m.Traces[:1]
+	if _, _, err := m.Sensitivity(cfg); err == nil {
+		t.Fatal("one sample accepted")
 	}
 }
 
 func TestSensitivityZeroSpreadOnFixedTrace(t *testing.T) {
-	m, err := FromTrace(testTemplates(), testTrace(t))
+	tr := testTrace(t)
+	m, err := New(testTemplates(), []*workload.Trace{tr, tr, tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	_, stddev, err := m.Sensitivity(cfg, 3)
+	_, stddev, err := m.Sensitivity(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,50 +52,6 @@ func TestSensitivityZeroSpreadOnFixedTrace(t *testing.T) {
 		if s > 1e-9 {
 			t.Fatalf("objective %d spread %v on a fixed trace", i, s)
 		}
-	}
-}
-
-func TestCustomPredictorPluggable(t *testing.T) {
-	calls := 0
-	fake := func(trace *workload.Trace, cfg cluster.Config, horizon time.Duration) (*cluster.Schedule, error) {
-		calls++
-		// An "external simulator" that claims every job completes at
-		// submit + 42s.
-		s := &cluster.Schedule{Capacity: cfg.TotalContainers, Horizon: time.Hour}
-		for i := range trace.Jobs {
-			j := &trace.Jobs[i]
-			s.Jobs = append(s.Jobs, cluster.JobRecord{
-				ID: j.ID, Tenant: s.AddTenant(j.Tenant),
-				Submit: j.Submit, Finish: j.Submit + 42*time.Second, Completed: true,
-			})
-		}
-		return s, nil
-	}
-	m, err := FromTrace([]qs.Template{{Queue: "A", Metric: qs.AvgResponseTime}}, testTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Predict = fake
-	v, err := m.Evaluate(cluster.Config{TotalContainers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("predictor called %d times", calls)
-	}
-	if v[0] != 42 {
-		t.Fatalf("AJR through custom predictor = %v, want 42", v[0])
-	}
-	// Errors from the adapter propagate.
-	boom := errors.New("sim down")
-	m.Predict = func(*workload.Trace, cluster.Config, time.Duration) (*cluster.Schedule, error) {
-		return nil, boom
-	}
-	if _, err := m.Evaluate(cluster.Config{TotalContainers: 5}); !errors.Is(err, boom) {
-		t.Fatalf("adapter error lost: %v", err)
-	}
-	if _, _, err := m.Sensitivity(cluster.Config{TotalContainers: 5}, 2); !errors.Is(err, boom) {
-		t.Fatalf("adapter error lost in sensitivity: %v", err)
 	}
 }
 
@@ -144,11 +101,11 @@ func TestGrowthWhatIf(t *testing.T) {
 	p := workload.BestEffort("A", 2)
 	templates := []qs.Template{{Queue: "A", Metric: qs.AvgResponseTime}}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	now, err := FromProfiles(templates, []workload.TenantProfile{p}, time.Hour, 5)
+	now, err := FromProfiles(templates, []workload.TenantProfile{p}, time.Hour, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := FromProfiles(templates, []workload.TenantProfile{p.Grow(1.3)}, time.Hour, 5)
+	grown, err := FromProfiles(templates, []workload.TenantProfile{p.Grow(1.3)}, time.Hour, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

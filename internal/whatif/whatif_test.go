@@ -1,7 +1,7 @@
 package whatif
 
 import (
-	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,18 +80,17 @@ func TestEvaluateRespondsToCapacity(t *testing.T) {
 func TestFromProfilesAveragesSamples(t *testing.T) {
 	m, err := FromProfiles(testTemplates(),
 		[]workload.TenantProfile{workload.BestEffort("A", 1)},
-		time.Hour, 42)
+		time.Hour, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	m.Samples = 1
-	one, err := m.Evaluate(cfg)
+	four, err := m.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Samples = 4
-	four, err := m.Evaluate(cfg)
+	m.Traces = m.Traces[:1]
+	one, err := m.Evaluate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,54 +103,60 @@ func TestFromProfilesAveragesSamples(t *testing.T) {
 	}
 }
 
+// TestNewValidation: New rejects missing or invalid templates and
+// FromTrace a nil trace; a model whose Traces are empty or hold a nil
+// trace is rejected when it scores, by every entry point.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, func(int) (*workload.Trace, error) { return nil, nil }); err == nil {
+	if _, err := New(nil, nil); err == nil {
 		t.Fatal("empty templates accepted")
 	}
-	if _, err := New(testTemplates(), nil); err == nil {
-		t.Fatal("nil generator accepted")
-	}
 	bad := []qs.Template{{Queue: "", Metric: qs.AvgResponseTime}}
-	if _, err := New(bad, func(int) (*workload.Trace, error) { return nil, nil }); err == nil {
+	if _, err := New(bad, nil); err == nil {
 		t.Fatal("invalid template accepted")
 	}
 	if _, err := FromTrace(testTemplates(), nil); err == nil {
 		t.Fatal("nil trace accepted")
 	}
-}
-
-func TestEvaluatePropagatesErrors(t *testing.T) {
-	boom := errors.New("boom")
-	m, err := New(testTemplates(), func(int) (*workload.Trace, error) { return nil, boom })
-	if err != nil {
-		t.Fatal(err)
+	if _, err := FromProfiles(testTemplates(), []workload.TenantProfile{workload.BestEffort("A", 1)}, time.Hour, 1, 0); err == nil {
+		t.Fatal("zero samples drawn")
 	}
-	if _, err := m.Evaluate(cluster.Config{TotalContainers: 1}); !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	// Bad config surfaces the cluster error.
-	m2, _ := FromTrace(testTemplates(), testTrace(t))
-	if _, err := m2.Evaluate(cluster.Config{TotalContainers: 0}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}
-
-func TestEvaluateSchedule(t *testing.T) {
-	m, err := FromTrace(testTemplates(), testTrace(t))
+	m, err := New(testTemplates(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cluster.Config{TotalContainers: 20, Tenants: map[string]cluster.TenantConfig{"A": {Weight: 1}}}
-	sched, err := cluster.Predict(testTrace(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := m.EvaluateSchedule(sched)
-	direct, _ := m.Evaluate(cfg)
-	for i := range v {
-		if v[i] != direct[i] {
-			t.Fatalf("EvaluateSchedule %v != Evaluate %v", v, direct)
+	for _, tc := range []struct {
+		traces []*workload.Trace
+		want   string
+	}{
+		{nil, "whatif: no sample traces"},
+		{[]*workload.Trace{}, "whatif: no sample traces"},
+		{[]*workload.Trace{testTrace(t), nil}, "whatif: sample 1: nil trace"},
+	} {
+		m.Traces = tc.traces
+		_, errBatch := m.EvaluateBatch([]cluster.Config{cfg})
+		_, _, _, errSearch := m.EvaluateSearch([]cluster.Config{cfg})
+		for _, err := range []error{errBatch, errSearch} {
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%d traces: error %v, want %q", len(tc.traces), err, tc.want)
+			}
 		}
+	}
+}
+
+func TestEvaluatePropagatesErrors(t *testing.T) {
+	// Bad config surfaces the cluster error.
+	m, _ := FromTrace(testTemplates(), testTrace(t))
+	if _, err := m.Evaluate(cluster.Config{TotalContainers: 0}); err == nil {
+		t.Fatal("invalid config accepted")
+	}
+	// A trace the predictor rejects surfaces its error, naming the sample.
+	broken := *testTrace(t)
+	broken.Jobs = append([]workload.JobSpec(nil), broken.Jobs...)
+	broken.Jobs[0].Submit = -time.Second
+	m.Traces = append(m.Traces, &broken)
+	if _, err := m.Evaluate(cluster.Config{TotalContainers: 20}); err == nil || !strings.Contains(err.Error(), "predicting sample 1") {
+		t.Fatalf("invalid trace: error %v, want it to name sample 1", err)
 	}
 }
 

@@ -104,7 +104,8 @@ type Session struct {
 
 	// model is the lazily built What-if Model serving WhatIf queries; it is
 	// deliberately distinct from the controller's own model so probe
-	// traffic cannot perturb (or contend with) the control loop.
+	// traffic cannot perturb (or contend with) the control loop. The two
+	// share only the runtime's read-only sample traces.
 	model *whatif.Model
 }
 

@@ -174,10 +174,11 @@ type (
 	Target = pald.Target
 	// Strategy is the optimizer interface the control loop drives.
 	Strategy = pald.Strategy
-	// WhatIfModel predicts QS vectors for candidate configurations. Set its
-	// Parallelism field (e.g. to DefaultParallelism()) to fan what-if
-	// evaluations out over a worker pool; results are bit-identical to
-	// sequential evaluation.
+	// WhatIfModel predicts QS vectors for candidate configurations,
+	// averaged over its sample traces (its Traces field, which the caller
+	// may replace between evaluations). Set its Parallelism field (e.g. to
+	// DefaultParallelism()) to fan what-if evaluations out over a worker
+	// pool; results are bit-identical to sequential evaluation.
 	WhatIfModel = whatif.Model
 	// Evaluator is the what-if interface a Controller accepts, for plugging
 	// in custom models: one EvaluateSearch call scores an iteration's
@@ -248,12 +249,13 @@ func NewWhatIfFromTrace(templates []Template, trace *Trace) (*WhatIfModel, error
 	return whatif.FromTrace(templates, trace)
 }
 
-// NewWhatIfFromProfiles builds a What-if Model that synthesizes fresh
-// workloads from statistical tenant profiles. Each sample's seed is derived
-// from the base seed with a splitmix64 mix, so distinct base seeds never
-// alias the same sample trace.
-func NewWhatIfFromProfiles(templates []Template, profiles []TenantProfile, horizon time.Duration, seed int64) (*WhatIfModel, error) {
-	return whatif.FromProfiles(templates, profiles, horizon, seed)
+// NewWhatIfFromProfiles builds a What-if Model over n workloads of the
+// given horizon drawn from statistical tenant profiles. Each sample's seed
+// is derived from the base seed with a splitmix64 mix, so distinct base
+// seeds never alias the same sample trace. With n >= 2 the model's
+// Sensitivity reports the spread of the QS vector across the draws.
+func NewWhatIfFromProfiles(templates []Template, profiles []TenantProfile, horizon time.Duration, seed int64, n int) (*WhatIfModel, error) {
+	return whatif.FromProfiles(templates, profiles, horizon, seed, n)
 }
 
 // DefaultSpace returns a configuration space with sensible bounds for the
@@ -358,10 +360,6 @@ func DecomposeTenant(trace *Trace, tenant string, k int) (*Trace, *Decomposition
 func RecomposeTenant(name string) string {
 	return workload.Recompose(name)
 }
-
-// Predictor is the pluggable schedule-prediction hook of the What-if Model
-// (§7.2): adapters for external RM simulators implement this signature.
-type Predictor = whatif.Predictor
 
 // Scaled multiplies another distribution's samples by a constant — the
 // building block behind TenantProfile.Grow.

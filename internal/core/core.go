@@ -52,6 +52,10 @@ const (
 	RevertOff
 )
 
+// rankRho is the ρ of the proxy score that ranks what-if candidates and
+// judges the revert guard's feasibility-first comparison.
+const rankRho = 0.5
+
 // Config configures a Controller.
 type Config struct {
 	// Space is the normalized RM configuration space.
@@ -68,9 +72,6 @@ type Config struct {
 	Candidates int
 	// Revert selects the regression-guard policy.
 	Revert RevertPolicy
-	// RankRho is the ρ used when ranking what-if candidates with the proxy
-	// score (default 0.5).
-	RankRho float64
 	// PALD tunes the default optimizer when Strategy is nil.
 	PALD pald.Options
 	// Now supplies wall-clock timestamps for decision-latency accounting
@@ -181,9 +182,6 @@ func NewController(cfg Config, initial cluster.Config) (*Controller, error) {
 	}
 	if cfg.Candidates <= 0 {
 		cfg.Candidates = 5
-	}
-	if cfg.RankRho == 0 {
-		cfg.RankRho = 0.5
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
@@ -301,7 +299,7 @@ func (c *Controller) Apply(sched *cluster.Schedule) (Iteration, error) {
 		if err := c.strategy.Observe(x, c.normalize(pred)); err != nil {
 			return Iteration{}, err
 		}
-		if pald.Better(c.normalize(pred), c.normalize(bestPred), normTargets, nil, c.cfg.RankRho) {
+		if pald.Better(c.normalize(pred), c.normalize(bestPred), normTargets, nil, rankRho) {
 			bestX, bestPred, switched = x, pred, true
 		}
 	}
@@ -353,7 +351,7 @@ func (c *Controller) shouldRevert(observed []float64) bool {
 	case RevertOnNonDominance:
 		return !qs.Dominates(observed, c.prevObserved)
 	default: // RevertOnWorse
-		return pald.Better(c.normalize(c.prevObserved), c.normalize(observed), c.normalizedTargets(), nil, c.cfg.RankRho)
+		return pald.Better(c.normalize(c.prevObserved), c.normalize(observed), c.normalizedTargets(), nil, rankRho)
 	}
 }
 

@@ -132,8 +132,8 @@ func TestControllerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Candidates != 5 || c.cfg.RankRho != 0.5 {
-		t.Fatalf("defaults not applied: %v, %v", c.cfg.Candidates, c.cfg.RankRho)
+	if c.cfg.Candidates != 5 {
+		t.Fatalf("default candidates not applied: %v", c.cfg.Candidates)
 	}
 }
 

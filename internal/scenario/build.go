@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"tempo/internal/cluster"
@@ -59,10 +58,11 @@ type Runtime struct {
 	Trace *workload.Trace
 	// Initial is the RM configuration the run starts from.
 	Initial cluster.Config
-	// Controller is nil when the spec disables the control loop.
-	Controller *core.Controller
 
-	env *runEnv
+	// controller is nil when the spec disables the control loop. Only
+	// Apply drives it, after handing the model its samples.
+	controller *core.Controller
+	env        *runEnv
 	// slos is Templates compiled once, at Build: the set never changes
 	// for a runtime's life (see EvalQS).
 	slos *qs.Compiled
@@ -80,35 +80,19 @@ type Runtime struct {
 	samples []*workload.Trace
 }
 
-// Build materializes a validated spec into a runnable scenario.
+// Build materializes a spec into a runnable scenario. It shares one pass
+// with Validate (compile), which builds the profiles, templates and initial
+// configuration; Build adds the trace, the protocol and the controller.
 func Build(spec *Spec, opts Options) (*Runtime, error) {
-	if err := spec.Validate(); err != nil {
+	rt, err := spec.compile()
+	if err != nil {
 		return nil, err
 	}
-	interval := spec.Interval()
-	tenants := spec.ExpandedTenants()
-	profiles := make([]workload.TenantProfile, 0, len(tenants))
-	for i := range tenants {
-		p, err := tenants[i].Materialize()
-		if err != nil {
-			return nil, err
-		}
-		profiles = append(profiles, p)
-	}
-	templates := make([]qs.Template, 0, len(spec.SLOs))
-	for i := range spec.SLOs {
-		t, err := spec.SLOs[i].Template()
-		if err != nil {
-			return nil, err
-		}
-		templates = append(templates, t)
-	}
-
 	horizon := spec.Horizon()
 	if spec.Replay {
-		horizon = interval
+		horizon = rt.Interval
 	}
-	trace, err := workload.Generate(profiles, workload.GenerateOptions{
+	rt.Trace, err = workload.Generate(rt.Profiles, workload.GenerateOptions{
 		Horizon: horizon,
 		Seed:    spec.Seed + seedTrace,
 		Name:    spec.Name,
@@ -116,27 +100,12 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	initial, err := spec.Initial.Config(spec.Capacity, spec.TenantNames())
-	if err != nil {
-		return nil, err
-	}
-
-	env := &runEnv{trace: trace, replay: spec.Replay, seed: spec.Seed, changes: spec.CapacityChanges}
+	noiseSeed := spec.Seed + seedWindowNoise
 	if spec.Replay {
-		env.noise = spec.noiseModel(spec.Seed + seedReplayNoise)
-	} else {
-		env.noise = spec.noiseModel(spec.Seed + seedWindowNoise)
+		noiseSeed = spec.Seed + seedReplayNoise
 	}
-	rt := &Runtime{
-		Spec:      spec,
-		Interval:  interval,
-		Templates: templates,
-		Profiles:  profiles,
-		Trace:     trace,
-		Initial:   initial,
-		env:       env,
-		slos:      qs.Compile(templates),
-	}
+	rt.env = &runEnv{trace: rt.Trace, replay: spec.Replay, seed: spec.Seed, changes: spec.CapacityChanges, noise: spec.noiseModel(noiseSeed)}
+	rt.slos = qs.Compile(rt.Templates)
 	if spec.Controller.Disabled {
 		return rt, nil
 	}
@@ -147,35 +116,23 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 	if maxStep == 0 {
 		maxStep = 0.2
 	}
-	var revert core.RevertPolicy
-	switch spec.Controller.Revert {
-	case "", "on-worse":
-		revert = core.RevertOnWorse
-	case "non-dominance":
-		revert = core.RevertOnNonDominance
-	case "off":
-		revert = core.RevertOff
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown revert policy %q", spec.Name, spec.Controller.Revert)
-	}
 	var coreModel core.Model = rt.model
 	if opts.ExhaustiveSearch {
 		coreModel = &exhaustiveModel{m: rt.model}
 	}
-	ctl, err := core.NewController(core.Config{
+	rt.controller, err = core.NewController(core.Config{
 		Space:      cluster.DefaultSpace(spec.Capacity, spec.TenantNames()),
-		Templates:  templates,
+		Templates:  rt.Templates,
 		Model:      coreModel,
 		Candidates: spec.Controller.Candidates,
 		Strategy:   opts.Strategy,
-		Revert:     revert,
+		Revert:     revertPolicies[spec.Controller.Revert],
 		PALD:       pald.Options{Seed: spec.Seed + seedPALD, MaxStep: maxStep},
 		Now:        opts.Clock,
-	}, initial)
+	}, rt.Initial)
 	if err != nil {
 		return nil, err
 	}
-	rt.Controller = ctl
 	return rt, nil
 }
 

@@ -50,8 +50,8 @@ func (rt *Runtime) Snapshot() (*Snapshot, error) {
 		cp.Observed = append([]float64(nil), it.Observed...)
 		snap.Iterations = append(snap.Iterations, cp)
 	}
-	if rt.Controller != nil {
-		cs, err := rt.Controller.Snapshot()
+	if rt.controller != nil {
+		cs, err := rt.controller.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", rt.Spec.Name, err)
 		}
@@ -89,14 +89,14 @@ func Resume(spec *Spec, opts Options, snap *Snapshot, schedules []*cluster.Sched
 		if snap.Cursor > len(schedules) {
 			return nil, fmt.Errorf("scenario %s: snapshot cursor %d reaches past the %d recovered schedules", spec.Name, snap.Cursor, len(schedules))
 		}
-		if (snap.Controller != nil) != (rt.Controller != nil) {
+		if (snap.Controller != nil) != (rt.controller != nil) {
 			return nil, fmt.Errorf("scenario %s: snapshot controller state does not match the spec's controller toggle", spec.Name)
 		}
-		if rt.Controller != nil {
+		if rt.controller != nil {
 			if snap.Controller.Steps != snap.Cursor {
 				return nil, fmt.Errorf("scenario %s: snapshot controller ran %d steps, cursor is %d", spec.Name, snap.Controller.Steps, snap.Cursor)
 			}
-			if err := rt.Controller.Restore(snap.Controller); err != nil {
+			if err := rt.controller.Restore(snap.Controller); err != nil {
 				return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 			}
 		}

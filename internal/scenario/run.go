@@ -61,8 +61,8 @@ func (rt *Runtime) Step() (IterationReport, error) {
 
 // Current returns the RM configuration the next interval runs under.
 func (rt *Runtime) Current() cluster.Config {
-	if rt.Controller != nil {
-		return rt.Controller.Current()
+	if rt.controller != nil {
+		return rt.controller.Current()
 	}
 	return rt.Initial.Clone()
 }
@@ -92,13 +92,13 @@ func (rt *Runtime) Apply(tick int, sched *cluster.Schedule) (IterationReport, er
 	}
 	it := IterationReport{Index: tick}
 	var search *core.SearchStats
-	if rt.Controller != nil {
+	if rt.controller != nil {
 		traces, err := rt.whatIfSamples()
 		if err != nil {
 			return IterationReport{}, err
 		}
 		rt.model.Traces = traces
-		step, err := rt.Controller.Apply(sched)
+		step, err := rt.controller.Apply(sched)
 		if err != nil {
 			return IterationReport{}, err
 		}
@@ -171,7 +171,7 @@ func (rt *Runtime) Report() *Report {
 		Capacity:          spec.Capacity,
 		IntervalMinutes:   spec.IntervalMinutes,
 		Replay:            spec.Replay,
-		ControllerEnabled: rt.Controller != nil,
+		ControllerEnabled: rt.controller != nil,
 		Iterations:        append([]IterationReport(nil), rt.iterations...),
 	}
 	for _, t := range rt.Templates {

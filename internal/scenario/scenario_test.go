@@ -43,6 +43,7 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 		{"empty name", func(s *Spec) { s.Name = "" }, "empty name"},
 		{"zero capacity", func(s *Spec) { s.Capacity = 0 }, "capacity"},
 		{"zero interval", func(s *Spec) { s.IntervalMinutes = 0 }, "interval"},
+		{"interval under a nanosecond", func(s *Spec) { s.IntervalMinutes = 1e-12 }, "interval"},
 		{"zero iterations", func(s *Spec) { s.Iterations = 0 }, "iterations"},
 		{"no tenants", func(s *Spec) { s.Tenants = nil }, "no tenants"},
 		{"duplicate tenant", func(s *Spec) { s.Tenants[1].Name = "deadline" }, "duplicate"},
@@ -135,6 +136,10 @@ func TestValidateRejectsBrokenSpecs(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			// Build runs the same pass, so it refuses with the same error.
+			if _, berr := Build(s, Options{}); berr == nil || berr.Error() != err.Error() {
+				t.Fatalf("Build error %v, want Validate's %q", berr, err)
 			}
 		})
 	}

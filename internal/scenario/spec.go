@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/core"
 	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
@@ -504,69 +505,91 @@ func (in *InitialSpec) Config(capacity int, tenants []string) (cluster.Config, e
 	return cfg, cfg.Validate()
 }
 
-// Validate checks the spec's structural invariants.
+// Validate checks the spec's structural invariants. It runs the pass
+// Build starts from (compile), so a spec Validate accepts is one Build
+// can materialize.
 func (s *Spec) Validate() error {
+	_, err := s.compile()
+	return err
+}
+
+// revertPolicies maps ControllerSpec.Revert's names to their policies.
+var revertPolicies = map[string]core.RevertPolicy{
+	"": core.RevertOnWorse, "on-worse": core.RevertOnWorse,
+	"non-dominance": core.RevertOnNonDominance, "off": core.RevertOff,
+}
+
+// compile checks the spec's structural invariants and keeps what it
+// materializes on the way: the runtime's Interval, Profiles (expanded
+// tenant order), Templates (SLO order) and Initial configuration.
+func (s *Spec) compile() (*Runtime, error) {
 	if s.Name == "" {
-		return fmt.Errorf("scenario: spec with empty name")
+		return nil, fmt.Errorf("scenario: spec with empty name")
 	}
 	if s.Capacity <= 0 {
-		return fmt.Errorf("scenario %s: non-positive capacity %d", s.Name, s.Capacity)
+		return nil, fmt.Errorf("scenario %s: non-positive capacity %d", s.Name, s.Capacity)
 	}
 	if s.IntervalMinutes <= 0 {
-		return fmt.Errorf("scenario %s: non-positive interval %g min", s.Name, s.IntervalMinutes)
+		return nil, fmt.Errorf("scenario %s: non-positive interval %g min", s.Name, s.IntervalMinutes)
 	}
 	if s.Iterations <= 0 {
-		return fmt.Errorf("scenario %s: non-positive iterations %d", s.Name, s.Iterations)
+		return nil, fmt.Errorf("scenario %s: non-positive iterations %d", s.Name, s.Iterations)
 	}
 	// Past time.Duration's range, Interval and Horizon wrap or truncate.
 	if s.IntervalMinutes*float64(time.Minute) >= math.MaxInt64 || s.Interval() > math.MaxInt64/time.Duration(s.Iterations) {
-		return fmt.Errorf("scenario %s: interval_minutes %g × iterations %d overflows the horizon",
+		return nil, fmt.Errorf("scenario %s: interval_minutes %g × iterations %d overflows the horizon",
 			s.Name, s.IntervalMinutes, s.Iterations)
 	}
+	if s.Interval() <= 0 {
+		return nil, fmt.Errorf("scenario %s: interval %g min truncates to zero", s.Name, s.IntervalMinutes)
+	}
 	if len(s.Tenants) == 0 {
-		return fmt.Errorf("scenario %s: no tenants", s.Name)
+		return nil, fmt.Errorf("scenario %s: no tenants", s.Name)
 	}
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
 		if t.Name == "" {
-			return fmt.Errorf("scenario %s: tenant %d has empty name", s.Name, i)
+			return nil, fmt.Errorf("scenario %s: tenant %d has empty name", s.Name, i)
 		}
 		if t.Count < 0 {
-			return fmt.Errorf("scenario %s: tenant %s has negative count %d", s.Name, t.Name, t.Count)
+			return nil, fmt.Errorf("scenario %s: tenant %s has negative count %d", s.Name, t.Name, t.Count)
 		}
 		if t.Count > maxTenantCount {
-			return fmt.Errorf("scenario %s: tenant %s count %d exceeds the %d-replica cap",
+			return nil, fmt.Errorf("scenario %s: tenant %s count %d exceeds the %d-replica cap",
 				s.Name, t.Name, t.Count, maxTenantCount)
 		}
 		fields := []field{{"scale", t.Scale}, {"grow", t.Grow},
 			{"arrive_after_hours", t.ArriveAfterHours}, {"depart_after_hours", t.DepartAfterHours}}
 		if d := t.Deadline; d != nil {
 			if d.FactorHi < d.FactorLo {
-				return fmt.Errorf("scenario %s: tenant %s deadline factor_hi %g below factor_lo %g",
+				return nil, fmt.Errorf("scenario %s: tenant %s deadline factor_hi %g below factor_lo %g",
 					s.Name, t.Name, d.FactorHi, d.FactorLo)
 			}
 			fields = append(fields, field{"deadline factor_lo", d.FactorLo}, field{"deadline parallelism", float64(d.Parallelism)})
 		}
 		if err := negative(fmt.Sprintf("scenario %s: tenant %s", s.Name, t.Name), fields...); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Structural checks run over the expanded list, so replica-name
 	// collisions (group "a" with count 2 versus an explicit tenant
 	// "a-001") fail loudly.
 	expanded := s.ExpandedTenants()
+	rt := &Runtime{Spec: s, Interval: s.Interval(), Profiles: make([]workload.TenantProfile, 0, len(expanded))}
 	seen := map[string]bool{}
 	for i := range expanded {
 		t := &expanded[i]
 		if seen[t.Name] {
-			return fmt.Errorf("scenario %s: duplicate tenant %s", s.Name, t.Name)
+			return nil, fmt.Errorf("scenario %s: duplicate tenant %s", s.Name, t.Name)
 		}
 		seen[t.Name] = true
-		if _, err := t.Materialize(); err != nil {
-			return err
+		p, err := t.Materialize()
+		if err != nil {
+			return nil, err
 		}
+		rt.Profiles = append(rt.Profiles, p)
 		if t.DepartAfterHours > 0 && t.DepartAfterHours <= t.ArriveAfterHours {
-			return fmt.Errorf("scenario %s: tenant %s departs at %gh before arriving at %gh",
+			return nil, fmt.Errorf("scenario %s: tenant %s departs at %gh before arriving at %gh",
 				s.Name, t.Name, t.DepartAfterHours, t.ArriveAfterHours)
 		}
 		// Replay mode regenerates a single interval-length trace and plays
@@ -575,70 +598,70 @@ func (s *Spec) Validate() error {
 		// silently dropping the declared behaviour.
 		if s.Replay {
 			if t.ArriveAfterHours > 0 || t.DepartAfterHours > 0 {
-				return fmt.Errorf("scenario %s: tenant %s uses arrive/depart hours, which need windowed mode (remove \"replay\": true)",
+				return nil, fmt.Errorf("scenario %s: tenant %s uses arrive/depart hours, which need windowed mode (remove \"replay\": true)",
 					s.Name, t.Name)
 			}
 			for _, a := range t.Arrival {
 				if a.Kind == "flash-crowd" {
-					return fmt.Errorf("scenario %s: tenant %s uses a flash-crowd arrival, which needs windowed mode (remove \"replay\": true)",
+					return nil, fmt.Errorf("scenario %s: tenant %s uses a flash-crowd arrival, which needs windowed mode (remove \"replay\": true)",
 						s.Name, t.Name)
 				}
 			}
 		}
 	}
 	if len(s.SLOs) == 0 {
-		return fmt.Errorf("scenario %s: no SLOs", s.Name)
+		return nil, fmt.Errorf("scenario %s: no SLOs", s.Name)
 	}
 	for i := range s.SLOs {
 		tpl, err := s.SLOs[i].Template()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if tpl.Queue != "" && !seen[tpl.Queue] {
-			return fmt.Errorf("scenario %s: SLO %d names unknown tenant %q", s.Name, i, tpl.Queue)
+			return nil, fmt.Errorf("scenario %s: SLO %d names unknown tenant %q", s.Name, i, tpl.Queue)
 		}
+		rt.Templates = append(rt.Templates, tpl)
 	}
-	if _, err := s.Initial.Config(s.Capacity, s.TenantNames()); err != nil {
-		return err
+	var err error
+	if rt.Initial, err = s.Initial.Config(s.Capacity, s.TenantNames()); err != nil {
+		return nil, err
 	}
 	prev := -1
 	for _, cc := range s.CapacityChanges {
 		if cc.AtIteration < 0 || cc.AtIteration >= s.Iterations {
-			return fmt.Errorf("scenario %s: capacity change at iteration %d outside [0, %d)",
+			return nil, fmt.Errorf("scenario %s: capacity change at iteration %d outside [0, %d)",
 				s.Name, cc.AtIteration, s.Iterations)
 		}
 		if cc.AtIteration <= prev {
-			return fmt.Errorf("scenario %s: capacity changes not strictly ascending", s.Name)
+			return nil, fmt.Errorf("scenario %s: capacity changes not strictly ascending", s.Name)
 		}
 		prev = cc.AtIteration
 		if cc.Capacity <= 0 {
-			return fmt.Errorf("scenario %s: capacity change to %d containers", s.Name, cc.Capacity)
+			return nil, fmt.Errorf("scenario %s: capacity change to %d containers", s.Name, cc.Capacity)
 		}
 	}
-	switch s.Controller.Revert {
-	case "", "on-worse", "non-dominance", "off":
-	default:
-		return fmt.Errorf("scenario %s: unknown revert policy %q", s.Name, s.Controller.Revert)
+	if _, ok := revertPolicies[s.Controller.Revert]; !ok {
+		return nil, fmt.Errorf("scenario %s: unknown revert policy %q", s.Name, s.Controller.Revert)
 	}
 	c := s.Controller
 	if err := negative("scenario "+s.Name, field{"controller candidates", float64(c.Candidates)},
 		field{"controller max_step", c.MaxStep}, field{"controller whatif_samples", float64(c.WhatIfSamples)}); err != nil {
-		return err
+		return nil, err
 	}
 	if n := s.Noise; n != nil {
 		if n.DurationSigma != nil && *n.DurationSigma < 0 {
-			return fmt.Errorf("scenario %s: negative noise duration_sigma %g", s.Name, *n.DurationSigma)
+			return nil, fmt.Errorf("scenario %s: negative noise duration_sigma %g", s.Name, *n.DurationSigma)
 		}
 		for _, f := range []struct {
 			name string
 			p    *float64
 		}{{"failure_prob", n.FailureProb}, {"job_kill_prob", n.JobKillProb}} {
 			if f.p != nil && (*f.p < 0 || *f.p > 1) {
-				return fmt.Errorf("scenario %s: noise %s %g outside [0, 1]", s.Name, f.name, *f.p)
+				return nil, fmt.Errorf("scenario %s: noise %s %g outside [0, 1]", s.Name, f.name, *f.p)
 			}
 		}
 	}
-	return nil
+	return rt, nil
 }
 
 // field is one numeric spec field, named as in the JSON, for a range check.

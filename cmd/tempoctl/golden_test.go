@@ -37,6 +37,7 @@ var cliRows = []cliRow{
 	{name: "tempoctl-random", args: []string{"-strategy", "random", "-capacity", "32"}},
 	{name: "tempoctl-candidates", args: []string{"-candidates", "0", "-interval", "37m"}},
 	{name: "tempoctl-short", args: []string{"-iterations", "2", "-parallelism", "2"}},
+	{name: "tempoctl-report", args: []string{"-iterations", "2", "-quiet", "-report", "$TMP/report.json"}, outs: []string{"report.json"}},
 	{name: "run-weighted-sum", golden: "tempoctl-weighted-sum", args: []string{"run", "-mix", "two-tenant", "-strategy", "weighted-sum", "-deadline-target", "0.05"}},
 	{name: "run-flash-crowd", args: []string{"run", "-spec", scenarios + "/flash-crowd.json"}},
 	{name: "run-flash-crowd-parallelism", golden: "run-flash-crowd", args: []string{"run", "-spec", scenarios + "/flash-crowd.json", "-parallelism", "8"}},

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	tempoctl [run] -mix ec2 -capacity 48 -iterations 15 -interval 1h \
-//	         -deadline-slack 0.25 -deadline-target 0.05
+//	         -deadline-slack 0.25 -deadline-target 0.05 [-report out.json]
 //	tempoctl run -spec internal/scenario/testdata/scenarios/flash-crowd.json [-report out.json]
 //	tempoctl run -dir internal/scenario/testdata/scenarios [-quiet]
 //	tempoctl experiments [-run figure6,figure11] [-seed 7] [-iters 20]
@@ -15,7 +15,8 @@
 //	tempoctl load -clusters 100 [-json]
 //	tempoctl query -addr http://localhost:8080 -cluster c1 -plan plan.json [-stream]
 //
-// Without a subcommand, tempoctl runs. Every subcommand's -h lists its
+// Without a subcommand, tempoctl runs. Every form of run prints the same
+// per-iteration QS table and summary. Every subcommand's -h lists its
 // flags; a flag that would be silently ignored is an error instead.
 package main
 
@@ -56,12 +57,10 @@ func main() {
 }
 
 // runCmd is `tempoctl run`. With -spec or -dir it runs scenario specs
-// (see internal/scenario and the README for the format) and prints their
-// canonical reports, which are byte-identical for any -parallelism.
-// Otherwise its flags build a two-tenant spec that starts from a
-// deliberately skewed "expert" configuration, and it prints, per
-// iteration, the observed QS metrics, whether a new RM configuration was
-// adopted, and whether the revert guard rolled one back.
+// (see internal/scenario and the README for the format); otherwise its
+// flags build a two-tenant spec that starts from a deliberately skewed
+// "expert" configuration. Every spec prints through runSpec, whose output
+// and -report file are byte-identical for any -parallelism.
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("tempoctl run", flag.ExitOnError)
 	var (
@@ -78,26 +77,27 @@ func runCmd(args []string) error {
 		parallelism = fs.Int("parallelism", 0, "what-if worker count (0 = one per CPU); results are identical for any value")
 		specPath    = fs.String("spec", "", "scenario spec JSON to run")
 		dir         = fs.String("dir", "", "run every *.json spec in this directory (golden files are skipped)")
-		reportPath  = fs.String("report", "", "write the canonical report JSON here (-spec only)")
-		quiet       = fs.Bool("quiet", false, "suppress the per-iteration table (-spec or -dir only)")
+		reportPath  = fs.String("report", "", "write the canonical report JSON here (not with -dir)")
+		quiet       = fs.Bool("quiet", false, "suppress the per-iteration table")
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError exits instead
-	var built, fileOnly []string
+	var built []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "spec", "dir", "parallelism":
-		case "report", "quiet":
-			fileOnly = append(fileOnly, "-"+f.Name)
+		case "spec", "dir", "parallelism", "report", "quiet":
 		default:
 			built = append(built, "-"+f.Name)
 		}
 	})
+	opts := scenario.Options{Parallelism: *parallelism}
 	switch {
 	case *specPath == "" && *dir == "":
-		if len(fileOnly) > 0 {
-			return fmt.Errorf("%s requires -spec or -dir", strings.Join(fileOnly, ", "))
+		spec, strat, err := flagSpec(*mix, *capacity, *scale, *iterations, *interval, *slack, *dlTarget, *seed, *candidates, *strategy)
+		if err != nil {
+			return err
 		}
-		return runFlags(*mix, *capacity, *scale, *iterations, *interval, *slack, *dlTarget, *seed, *candidates, *strategy, *parallelism)
+		opts.Strategy = strat
+		return runSpec(spec, opts, *reportPath, *quiet)
 	case *specPath != "" && *dir != "":
 		return errors.New("-spec and -dir cannot be combined")
 	case len(built) > 0:
@@ -123,14 +123,20 @@ func runCmd(args []string) error {
 		}
 	}
 	for _, p := range paths {
-		if err := runSpec(p, *parallelism, *reportPath, *quiet); err != nil {
+		spec, err := scenario.LoadFile(p)
+		if err != nil {
+			return err
+		}
+		if err := runSpec(spec, opts, *reportPath, *quiet); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func runFlags(mix string, capacity int, scale float64, iterations int, interval time.Duration, slack, dlTarget float64, seed int64, candidates int, strategyName string, parallelism int) error {
+// flagSpec builds flag mode's §8.2 two-tenant spec and, unless the
+// strategy is PALD (which the controller builds itself), its optimizer.
+func flagSpec(mix string, capacity int, scale float64, iterations int, interval time.Duration, slack, dlTarget float64, seed int64, candidates int, strategyName string) (*scenario.Spec, pald.Strategy, error) {
 	spec := exp.TwoTenantSpec(seed, slack, interval, iterations)
 	switch mix {
 	case "ec2":
@@ -138,63 +144,32 @@ func runFlags(mix string, capacity int, scale float64, iterations int, interval 
 	case "two-tenant":
 		spec.Tenants = exp.TwoTenantMix(scale)
 	default:
-		return fmt.Errorf("unknown mix %q", mix)
+		return nil, nil, fmt.Errorf("unknown mix %q", mix)
 	}
 	spec.Name = "tempoctl"
 	spec.Capacity = capacity
 	spec.SLOs[0].Target = &dlTarget
 	spec.Controller.Candidates = candidates
-	var strategy pald.Strategy
-	var err error
-	space := cluster.DefaultSpace(capacity, spec.TenantNames())
+	dim := cluster.DefaultSpace(capacity, spec.TenantNames()).Dim()
 	switch strategyName {
 	case "pald":
-		strategy = nil // the controller builds the default PALD optimizer
+		return spec, nil, nil
 	case "weighted-sum":
-		strategy, err = pald.NewWeightedSum(space.Dim(), len(spec.SLOs), pald.Options{Seed: seed, MaxStep: 0.2})
+		strategy, err := pald.NewWeightedSum(dim, len(spec.SLOs), pald.Options{Seed: seed, MaxStep: 0.2})
+		return spec, strategy, err
 	case "random":
-		strategy, err = pald.NewRandomSearch(space.Dim(), 0.2, seed)
-	default:
-		return fmt.Errorf("unknown strategy %q", strategyName)
+		strategy, err := pald.NewRandomSearch(dim, 0.2, seed)
+		return spec, strategy, err
 	}
-	if err != nil {
-		return err
-	}
-	rt, err := scenario.Build(spec, scenario.Options{Parallelism: parallelism, Strategy: strategy})
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("tempoctl: %s mix, %d containers, %d iterations, interval %s, strategy %s\n",
-		mix, capacity, iterations, interval, strategyName)
-	fmt.Printf("%5s  %10s  %10s  %8s  %8s\n", "iter", "DL viol", "AJR (s)", "switched", "reverted")
-	for !rt.Done() {
-		it, err := rt.Step()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%5d  %10.3f  %10.1f  %8v  %8v\n",
-			it.Index, it.Observed[0], it.Observed[1], it.Switched, it.Reverted)
-	}
-	fmt.Printf("\nbest-effort AJR improvement: %.1f%%\n", rt.Report().Summary.Improvement[1]*100)
-	final := rt.Current()
-	fmt.Println("final RM configuration:")
-	for _, name := range space.TenantNames {
-		tc := final.Tenant(name)
-		fmt.Printf("  %-12s weight=%-5.2f min=%-3d max=%-3d sharePreempt=%-8s minPreempt=%s\n",
-			name, tc.Weight, tc.MinShare, tc.MaxShare,
-			tc.SharePreemptTimeout.Round(time.Second), tc.MinSharePreemptTimeout.Round(time.Second))
-	}
-	return nil
+	return nil, nil, fmt.Errorf("unknown strategy %q", strategyName)
 }
 
-func runSpec(path string, parallelism int, reportPath string, quiet bool) error {
-	spec, err := scenario.LoadFile(path)
-	if err != nil {
-		return err
-	}
+// runSpec runs one spec and prints, per iteration unless quiet, the observed
+// QS, whether a new RM configuration was adopted and whether the revert guard
+// rolled one back, then a summary; reportPath receives the canonical report.
+func runSpec(spec *scenario.Spec, opts scenario.Options, reportPath string, quiet bool) error {
 	start := time.Now()
-	rep, err := scenario.Run(spec, scenario.Options{Parallelism: parallelism})
+	rep, err := scenario.Run(spec, opts)
 	if err != nil {
 		return err
 	}

@@ -36,8 +36,9 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, exitCode int) 
 	return out.String(), errBuf.String(), 0
 }
 
-// TestHappyPath runs a tiny but real control loop end to end and checks the
-// trajectory table and final configuration render.
+// TestHappyPath runs a tiny but real control loop end to end and checks that
+// flag mode renders through the scenario printer: header, trajectory table
+// and summary.
 func TestHappyPath(t *testing.T) {
 	stdout, stderr, code := runCLI(t,
 		"-mix", "ec2", "-capacity", "16", "-scale", "0.8",
@@ -46,18 +47,17 @@ func TestHappyPath(t *testing.T) {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr)
 	}
 	for _, want := range []string{
-		"tempoctl: ec2 mix, 16 containers, 2 iterations",
-		"iter", "DL viol", "AJR (s)",
-		"best-effort AJR improvement",
-		"final RM configuration:",
-		"deadline", "besteffort", "weight=",
+		"tempoctl: 2 tenants, 16 containers, 2 x 10min intervals, controller on",
+		"iter", "switched", "reverted",
+		"deadline/deadline_violations", "besteffort/avg_response_time",
+		"summary: 2 switches",
 	} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout missing %q:\n%s", want, stdout)
 		}
 	}
 	// Both loop iterations must have printed a row.
-	for _, iter := range []string{"\n    0  ", "\n    1  "} {
+	for _, iter := range []string{"\n    0    16  ", "\n    1    16  "} {
 		if !strings.Contains(stdout, iter) {
 			t.Errorf("stdout missing iteration row %q:\n%s", iter, stdout)
 		}
